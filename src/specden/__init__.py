@@ -8,205 +8,10 @@ the Gaussian kernel, classical simulators of the quantum measurement
 primitives that would produce the data, Hoeffding sample budgeting,
 error metrics with Monte Carlo contract checks, and a deterministic
 command-line workbench (``specden``).
+
+Names are imported from their modules (``specden.kernels``,
+``specden.chebgauss``, ...); each module's ``__all__`` is its public
+surface.
 """
 
-from .chebgauss import (
-    ChebExpansion,
-    TruncationBudget,
-    cheb_expansion,
-    cheb_moments,
-    coefficient_table,
-    critical_betas,
-    gauss_cheb_coeffs,
-    git_transform_from_moments,
-    kappa,
-    lambert_w,
-    min_error_intermediate,
-    shifted_coeffs,
-    truncation_error_bound,
-    truncation_order,
-    truncation_order_any_error,
-)
-from .errors import (
-    CoarseGridWarning,
-    NumericError,
-    OutOfRegimeError,
-    ResourceLimitError,
-    SpecdenError,
-    ValidationError,
-)
-from .estimators import (
-    Budget,
-    EstimationResult,
-    complexity_table,
-    plan_fejer_samples,
-    plan_git_samples,
-    run_algorithm1,
-    run_algorithm2,
-)
-from .kernels import (
-    AccuracyTarget,
-    FejerKernel,
-    GaussianKernel,
-    JacksonKernel,
-    JacksonPlan,
-    QubitizedFejerKernel,
-    SigmaAccuracy,
-    delta_theta,
-    fejer_eval,
-    fejer_grid,
-    fejer_plan,
-    fejer_tail_bound,
-    gaussian_eval,
-    gaussian_resolution,
-    gaussian_tail_mass,
-    jackson_approx,
-    jackson_coeffs,
-    jackson_eval,
-    jackson_plan,
-    jackson_thresholds,
-    kernel_value,
-    kernel_width,
-    qubitized_fejer_eval,
-    qubitized_fejer_plan,
-    recovered_frequency,
-    sigma_accuracy,
-)
-from .metrics import (
-    AccuracyReport,
-    ObservableBound,
-    binomial_threshold,
-    merge_reports,
-    observable_bound,
-    observable_bound_empirical_check,
-    scaling_fit,
-    total_variation,
-)
-from .numerics import child_rng, derive_seed, next_pow2
-from .operators import (
-    AffineMap,
-    HermitianOperator,
-    ObservableFn,
-    ProbeState,
-    SpectralModel,
-    TransformGrid,
-    diagonalize,
-    exact_transform,
-    normalize_operator,
-    observable_exact,
-    observable_from_transform,
-    random_model,
-    read_model_file,
-    write_model_file,
-)
-from .sampling import (
-    FaultModel,
-    OutcomeDistribution,
-    build_qubiterate,
-    hadamard_test_sample,
-    qpe_distribution,
-    qubiterate_moments,
-    qubitized_qpe_distribution,
-    statevector_qpe,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "__version__",
-    # errors
-    "SpecdenError",
-    "ValidationError",
-    "OutOfRegimeError",
-    "ResourceLimitError",
-    "NumericError",
-    "CoarseGridWarning",
-    # operators
-    "AffineMap",
-    "HermitianOperator",
-    "ProbeState",
-    "SpectralModel",
-    "ObservableFn",
-    "TransformGrid",
-    "normalize_operator",
-    "diagonalize",
-    "exact_transform",
-    "observable_exact",
-    "observable_from_transform",
-    "random_model",
-    "read_model_file",
-    "write_model_file",
-    # kernels
-    "AccuracyTarget",
-    "FejerKernel",
-    "QubitizedFejerKernel",
-    "GaussianKernel",
-    "JacksonKernel",
-    "JacksonPlan",
-    "SigmaAccuracy",
-    "fejer_grid",
-    "fejer_eval",
-    "fejer_plan",
-    "fejer_tail_bound",
-    "delta_theta",
-    "qubitized_fejer_eval",
-    "qubitized_fejer_plan",
-    "recovered_frequency",
-    "gaussian_eval",
-    "gaussian_resolution",
-    "gaussian_tail_mass",
-    "jackson_coeffs",
-    "jackson_approx",
-    "jackson_eval",
-    "jackson_plan",
-    "jackson_thresholds",
-    "kernel_value",
-    "kernel_width",
-    "sigma_accuracy",
-    # chebgauss
-    "ChebExpansion",
-    "TruncationBudget",
-    "kappa",
-    "lambert_w",
-    "gauss_cheb_coeffs",
-    "shifted_coeffs",
-    "coefficient_table",
-    "cheb_expansion",
-    "cheb_moments",
-    "critical_betas",
-    "min_error_intermediate",
-    "truncation_error_bound",
-    "truncation_order",
-    "truncation_order_any_error",
-    "git_transform_from_moments",
-    # sampling
-    "OutcomeDistribution",
-    "FaultModel",
-    "qpe_distribution",
-    "statevector_qpe",
-    "qubitized_qpe_distribution",
-    "build_qubiterate",
-    "qubiterate_moments",
-    "hadamard_test_sample",
-    # estimators
-    "Budget",
-    "EstimationResult",
-    "plan_fejer_samples",
-    "plan_git_samples",
-    "run_algorithm1",
-    "run_algorithm2",
-    "complexity_table",
-    # metrics
-    "AccuracyReport",
-    "ObservableBound",
-    "total_variation",
-    "observable_bound",
-    "binomial_threshold",
-    "observable_bound_empirical_check",
-    "merge_reports",
-    "scaling_fit",
-    # numerics
-    "next_pow2",
-    "child_rng",
-    "derive_seed",
-]

@@ -27,7 +27,8 @@ import numpy.polynomial.chebyshev as npcheb
 from scipy.special import ive
 
 from .errors import NumericError, OutOfRegimeError, ValidationError
-from .kernels import AccuracyTarget, GaussianKernel, gaussian_resolution
+from .kernels import AccuracyTarget, GaussianKernel, gaussian_eval, gaussian_resolution
+from .numerics import cheb_series_coeffs
 from .operators import HermitianOperator, ProbeState, TransformGrid
 
 __all__ = [
@@ -165,11 +166,6 @@ def coeff_quadrature_oracle(lam: float, n: int, nodes: int | None = None) -> flo
     return float(gamma * np.dot(f, np.cos(n * theta)) / nodes)
 
 
-def _cheb_first_kind_nodes(count: int) -> tuple[np.ndarray, np.ndarray]:
-    theta = np.pi * (2.0 * np.arange(1, count + 1) - 1.0) / (2.0 * count)
-    return np.cos(theta), theta
-
-
 def shifted_coeffs(lam: float, sigma: float, order: int) -> np.ndarray:
     """Coefficients c_0..c_order of the degree-`order` kernel centered at `sigma`.
 
@@ -183,65 +179,44 @@ def shifted_coeffs(lam: float, sigma: float, order: int) -> np.ndarray:
     return coefficient_table(lam, [sigma], order)[0]
 
 
-def coefficient_table(lam: float, frequencies, order: int, route: str = "auto") -> np.ndarray:
+def coefficient_table(lam: float, frequencies, order: int) -> np.ndarray:
     """Shifted-coefficient vectors for many centers at once.
 
     Returns an array of shape ``(len(frequencies), order + 1)`` whose
     rows are :func:`shifted_coeffs` at each frequency.
 
-    The "series" route is the half-width construction above; its inner
-    series argument ``(w - sigma)/2`` leaves [-1, 1] once ``|sigma| >
-    1``, where the truncated polynomial diverges, so that route rejects
-    such centers.  The "direct" route projects the exact kernel by
-    high-count Gauss-Chebyshev quadrature instead, which is stable for
-    every center and agrees with the series inside the truncation
-    budget.  "auto" uses the series where valid and the direct route
-    beyond.
+    Centers in [-1, 1] use the half-width series construction above.
+    Its inner series argument ``(w - sigma)/2`` leaves [-1, 1] once
+    ``|sigma| > 1``, where the truncated polynomial diverges, so centers
+    beyond are projected from the exact kernel by high-count
+    Gauss-Chebyshev quadrature instead, which is stable for every center
+    and agrees with the series inside the truncation budget.
     """
     if not (lam > 0.0):
         raise ValidationError(f"lam must be positive, got {lam!r}")
     if order < 1:
         raise ValidationError(f"order must be >= 1, got {order!r}")
-    if route not in ("auto", "series", "direct"):
-        raise ValidationError(f"route must be 'auto', 'series' or 'direct', got {route!r}")
     freqs = np.atleast_1d(np.asarray(frequencies, dtype=float))
     inside = np.abs(freqs) <= 1.0 + 1e-12
-    if route == "series" and not np.all(inside):
-        raise ValidationError(
-            "the series construction needs centers in [-1, 1]; "
-            "use route='direct' (or 'auto') beyond"
-        )
     table = np.empty((freqs.size, order + 1))
-    use_series = np.ones(freqs.size, dtype=bool) if route == "series" else inside
-    if route == "direct":
-        use_series[:] = False
-    if np.any(use_series):
-        a = gauss_cheb_coeffs(lam / 2.0, order)
-        x, _ = _cheb_first_kind_nodes(order)
-        scale = math.sqrt(2.0 * math.pi) * lam
-        kernel_at_nodes = (
-            npcheb.chebval((x[None, :] - freqs[use_series, None]) / 2.0, a) / scale
-        )
-        vander = npcheb.chebvander(x, order)
-        gamma = np.full(order + 1, 2.0)
-        gamma[0] = 1.0
-        table[use_series] = (kernel_at_nodes @ vander) * gamma / order
-    if not np.all(use_series):
-        table[~use_series] = _direct_coefficient_table(lam, freqs[~use_series], order)
+    if np.any(inside):
+        table[inside] = _series_coefficient_table(lam, freqs[inside], order)
+    if not np.all(inside):
+        table[~inside] = _direct_coefficient_table(lam, freqs[~inside], order)
     return table
+
+
+def _series_coefficient_table(lam: float, freqs: np.ndarray, order: int) -> np.ndarray:
+    """Projection of the half-width degree-`order` kernel on `order` nodes."""
+    a = gauss_cheb_coeffs(lam / 2.0, order)
+    scale = math.sqrt(2.0 * math.pi) * lam
+    kernel = lambda x: npcheb.chebval((x[None, :] - freqs[:, None]) / 2.0, a) / scale
+    return cheb_series_coeffs(kernel, order, nodes=order)
 
 
 def _direct_coefficient_table(lam: float, freqs: np.ndarray, order: int) -> np.ndarray:
     """Gauss-Chebyshev projection of the exact kernel at each center."""
-    count = max(4 * (order + 1), 256)
-    x, theta = _cheb_first_kind_nodes(count)
-    scale = math.sqrt(2.0 * math.pi) * lam
-    diff = x[None, :] - freqs[:, None]
-    kernel_at_nodes = np.exp(-diff * diff / (2.0 * lam * lam)) / scale
-    vander = np.cos(np.outer(theta, np.arange(order + 1)))
-    gamma = np.full(order + 1, 2.0)
-    gamma[0] = 1.0
-    return (kernel_at_nodes @ vander) * gamma / count
+    return cheb_series_coeffs(lambda x: gaussian_eval(x[None, :], freqs[:, None], lam), order)
 
 
 @dataclass(frozen=True)

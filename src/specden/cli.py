@@ -38,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .chebgauss import coefficient_table, gaussian_resolution, truncation_order
+from .chebgauss import coefficient_table, truncation_order
 from .errors import (
     OutOfRegimeError,
     ResourceLimitError,
@@ -59,6 +59,7 @@ from .kernels import (
     delta_theta,
     fejer_grid,
     fejer_plan,
+    gaussian_resolution,
     jackson_plan,
     qubitized_fejer_plan,
 )
@@ -572,13 +573,13 @@ def _contract_task(payload: dict) -> AccuracyReport:
 def _run_contract(
     cfg: RunConfig, target: AccuracyTarget, method: str, models, seed: int
 ) -> AccuracyReport:
-    per_model = max(1, cfg.trials // len(models))
+    base, extra = divmod(cfg.trials, len(models))
     payloads = [
         {
             "model": model_to_json(model),
             "target": asdict(target),
             "method": method,
-            "trials": per_model,
+            "trials": max(1, base + (i < extra)),
             "seed": derive_seed(seed, 100 + i),
             "spacing": cfg.grid_spacing,
             "n_samples": cfg.samples,

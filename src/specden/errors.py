@@ -6,6 +6,15 @@ subclasses map onto distinct failure modes (and onto distinct CLI exit
 codes, see :mod:`specden.cli`).
 """
 
+__all__ = [
+    "SpecdenError",
+    "ValidationError",
+    "OutOfRegimeError",
+    "ResourceLimitError",
+    "NumericError",
+    "CoarseGridWarning",
+]
+
 
 class SpecdenError(Exception):
     """Base class for all errors raised by specden."""

@@ -30,7 +30,6 @@ import numpy as np
 from .chebgauss import (
     cheb_moments,
     coefficient_table,
-    gaussian_resolution,
     git_transform_from_moments,
     truncation_order,
 )
@@ -40,7 +39,7 @@ from .kernels import (
     FejerKernel,
     QubitizedFejerKernel,
     fejer_plan,
-    qubitized_fejer_plan,
+    gaussian_resolution,
 )
 from .numerics import child_rng
 from .operators import (

@@ -22,16 +22,16 @@ target into kernel parameters, and a shared tail-mass measurement
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 import numpy.polynomial.chebyshev as npcheb
 from scipy.special import erf
 
 from .errors import OutOfRegimeError, ResourceLimitError, ValidationError
-from .numerics import adaptive_simpson, cheb_series_coeffs, next_pow2
+from .numerics import cheb_series_coeffs, composite_simpson, next_pow2
 
 __all__ = [
     "AccuracyTarget",
@@ -63,7 +63,6 @@ __all__ = [
     "jackson_tent_error",
     "amplifier_coeffs",
     "amplifier_contract_check",
-    "set_amplifier_provider",
     "jackson_normalization",
     "jackson_thresholds",
     "jackson_plan",
@@ -359,18 +358,16 @@ def jackson_damping(degree: int) -> np.ndarray:
     return ((big - k) * np.cos(np.pi * k / big) + np.sin(np.pi * k / big) / np.tan(np.pi / big)) / big
 
 
-_jackson_cache: dict[tuple[int, float], np.ndarray] = {}
-
-
+@functools.lru_cache(maxsize=None)
 def jackson_coeffs(degree: int, delta: float) -> np.ndarray:
-    """Chebyshev coefficients of the Jackson-damped tent approximation."""
-    key = (int(degree), float(delta))
-    cached = _jackson_cache.get(key)
-    if cached is None:
-        raw = cheb_series_coeffs(lambda x: jackson_tent(x, delta), degree, nodes=max(4096, 4 * (degree + 1)))
-        cached = raw * jackson_damping(degree)
-        _jackson_cache[key] = cached
-    return cached
+    """Chebyshev coefficients of the Jackson-damped tent approximation.
+
+    Cached per ``(degree, delta)``; the returned array is read-only.
+    """
+    raw = cheb_series_coeffs(lambda x: jackson_tent(x, delta), degree, nodes=max(4096, 4 * (degree + 1)))
+    coeffs = raw * jackson_damping(degree)
+    coeffs.flags.writeable = False
+    return coeffs
 
 
 def jackson_approx(x, degree: int, delta: float):
@@ -392,16 +389,19 @@ def _normal_cdf(y):
     return 0.5 * (1.0 + erf(np.asarray(y, dtype=float) / math.sqrt(2.0)))
 
 
-def _default_amplifier(k: int) -> tuple[np.ndarray, float]:
-    """Chebyshev-interpolated sigmoid amplifier of degree `k`.
+@functools.lru_cache(maxsize=None)
+def amplifier_coeffs(k: int) -> tuple[np.ndarray, float]:
+    """Chebyshev-interpolated sigmoid amplifier of degree `k`, with its threshold tau.
 
     The target is a normal CDF ramp centered at y0 = -0.2, scaled to run
     from tau/4 up to 1 - tau/4 with tau = exp(-k/6).  The off-center ramp
     keeps the plateau average low enough for the normalization to respect
     its analytic bounds.  The interpolant is checked against the contract
     on a dense grid; if it fails, the ramp width is adjusted and the
-    construction retried.
+    construction retried.  Cached per `k`; the coefficients are read-only.
     """
+    if k < 1:
+        raise ValidationError("amplifier degree must be >= 1")
     tau = math.exp(-k / 6.0)
     y0 = -0.2
     w0 = (0.6 - abs(y0)) / math.sqrt(2.0 * math.log(4.0 / tau))
@@ -411,6 +411,7 @@ def _default_amplifier(k: int) -> tuple[np.ndarray, float]:
         coeffs = npcheb.chebinterpolate(target, k)
         report = amplifier_contract_check(coeffs, k, tau)
         if report["ok"]:
+            coeffs.flags.writeable = False
             return coeffs, tau
     raise ValidationError(f"could not build a contract-satisfying amplifier at degree {k}")
 
@@ -435,32 +436,6 @@ def amplifier_contract_check(coeffs: np.ndarray, k: int, tau: float, gridsize: i
     return {"ok": ok, "max_abs": max_abs, "min_high": min_hi, "max_low": max_lo, "tau": tau}
 
 
-_amplifier_provider: Callable[[int], tuple[np.ndarray, float]] = _default_amplifier
-_amplifier_cache: dict[int, tuple[np.ndarray, float]] = {}
-
-
-def set_amplifier_provider(provider: Callable[[int], tuple[np.ndarray, float]] | None) -> None:
-    """Install a custom amplifier construction (None restores the default).
-
-    A provider maps a degree k to ``(chebyshev_coeffs, tau)`` satisfying
-    the contract checked by :func:`amplifier_contract_check`.
-    """
-    global _amplifier_provider
-    _amplifier_provider = _default_amplifier if provider is None else provider
-    _amplifier_cache.clear()
-
-
-def amplifier_coeffs(k: int) -> tuple[np.ndarray, float]:
-    """Amplifying polynomial of degree `k` from the installed provider."""
-    if k < 1:
-        raise ValidationError("amplifier degree must be >= 1")
-    cached = _amplifier_cache.get(k)
-    if cached is None:
-        cached = _amplifier_provider(int(k))
-        _amplifier_cache[k] = cached
-    return cached
-
-
 def _jackson_profile(u: np.ndarray, k: int, degree: int, delta: float) -> np.ndarray:
     amp, _ = amplifier_coeffs(k)
     return npcheb.chebval(0.8 * jackson_approx(u, degree, delta), amp)
@@ -479,9 +454,7 @@ def jackson_normalization(k: int, degree: int, delta: float) -> float:
     while True:
         u = np.linspace(-1.0, 1.0, m)
         vals = _jackson_profile(u, k, degree, delta)
-        h = 2.0 / (m - 1)
-        s = vals[0] + vals[-1] + 4.0 * vals[1:-1:2].sum() + 2.0 * vals[2:-2:2].sum()
-        total = h * s / 3.0
+        total = composite_simpson(vals, 2.0 / (m - 1))
         if prev is not None and abs(total - prev) <= 1e-10 * max(1.0, abs(total)):
             break
         if m > 2**21:
@@ -656,14 +629,8 @@ def _qubitized_outside(n: int, delta: float, omega0: np.ndarray) -> np.ndarray:
 
 def _gaussian_outside(lam: float, delta: float, omega0: np.ndarray) -> np.ndarray:
     # Translation invariance makes the escaping mass independent of the
-    # center, so the two tail integrals over the window +-max(8 lam, delta)
-    # are computed once and broadcast.
-    w = max(8.0 * lam, delta)
-    if w <= delta:
-        return np.zeros(omega0.size)
-    f = lambda s: float(gaussian_eval(s, 0.0, lam))
-    tail = adaptive_simpson(f, delta, w, tol=1e-10) + adaptive_simpson(f, -w, -delta, tol=1e-10)
-    return np.full(omega0.size, tail)
+    # center, so the closed-form tail is broadcast over the scan.
+    return np.full(omega0.size, gaussian_tail_mass(delta, lam))
 
 
 def _jackson_outside(kernel: JacksonKernel, delta: float, omega0: np.ndarray) -> np.ndarray:

@@ -23,10 +23,17 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .chebgauss import gaussian_resolution, git_transform_from_moments, truncation_order
+from .chebgauss import git_transform_from_moments, truncation_order
 from .errors import ValidationError
 from .estimators import Budget, plan_fejer_samples, run_algorithm1, run_algorithm2
-from .kernels import AccuracyTarget, GaussianKernel, fejer_grid, fejer_plan, sigma_accuracy
+from .kernels import (
+    AccuracyTarget,
+    GaussianKernel,
+    fejer_grid,
+    fejer_plan,
+    gaussian_resolution,
+    sigma_accuracy,
+)
 from .numerics import derive_seed
 from .operators import (
     HermitianOperator,

@@ -1,8 +1,8 @@
 """Small numerical utilities used throughout the package.
 
 Nothing in here knows about kernels or spectra; these are generic
-helpers (power-of-two rounding, adaptive quadrature, Chebyshev grids,
-deterministic seed derivation).
+helpers (power-of-two rounding, Simpson quadrature, Chebyshev nodes and
+projection, deterministic seed derivation).
 """
 
 from __future__ import annotations
@@ -10,12 +10,12 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 import numpy as np
+import numpy.polynomial.chebyshev as npcheb
 
 from .errors import ValidationError
 
 __all__ = [
     "next_pow2",
-    "adaptive_simpson",
     "composite_simpson",
     "cheb_nodes",
     "cheb_series_coeffs",
@@ -33,43 +33,6 @@ def next_pow2(x: float) -> int:
     while n < x:
         n *= 2
     return n
-
-
-def _simpson(fa: float, fm: float, fb: float, h: float) -> float:
-    return h / 6.0 * (fa + 4.0 * fm + fb)
-
-
-def _adapt(f, a, m, b, fa, fm, fb, whole, tol, depth):
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    flm = f(lm)
-    frm = f(rm)
-    left = _simpson(fa, flm, fm, m - a)
-    right = _simpson(fm, frm, fb, b - m)
-    if depth <= 0 or abs(left + right - whole) <= 15.0 * tol:
-        return left + right + (left + right - whole) / 15.0
-    return _adapt(f, a, lm, m, fa, flm, fm, left, 0.5 * tol, depth - 1) + _adapt(
-        f, m, rm, b, fm, frm, fb, right, 0.5 * tol, depth - 1
-    )
-
-
-def adaptive_simpson(
-    f: Callable[[float], float], a: float, b: float, tol: float = 1e-10, max_depth: int = 48
-) -> float:
-    """Adaptive Simpson quadrature of a scalar function on [a, b].
-
-    Standard interval-halving scheme with the Richardson error estimate
-    ``|S(left)+S(right)-S(whole)| <= 15 tol``.  Intended for smooth
-    integrands; the recursion depth is capped at `max_depth`.
-    """
-    if b < a:
-        return -adaptive_simpson(f, b, a, tol, max_depth)
-    if a == b:
-        return 0.0
-    m = 0.5 * (a + b)
-    fa, fm, fb = f(a), f(m), f(b)
-    whole = _simpson(fa, fm, fb, b - a)
-    return _adapt(f, a, m, b, fa, fm, fb, whole, tol, max_depth)
 
 
 def composite_simpson(values: np.ndarray, h: float) -> float:
@@ -97,23 +60,23 @@ def cheb_nodes(m: int) -> np.ndarray:
 def cheb_series_coeffs(f: Callable[[np.ndarray], np.ndarray], deg: int, nodes: int | None = None) -> np.ndarray:
     """Chebyshev series coefficients of f on [-1, 1] by Gauss-Chebyshev quadrature.
 
-    Returns ``c[0..deg]`` such that ``f(x) ~ sum_n c[n] T_n(x)``.  The
-    projection uses `nodes` quadrature points (default ``max(4 deg, 256)``),
-    which is exact for polynomials up to degree ``2 nodes - 1 - deg`` and
-    leaves only aliasing error for smooth non-polynomial targets.
+    Returns ``c[..., 0..deg]`` such that ``f(x) ~ sum_n c[n] T_n(x)``, from
+    ``c_n = (gamma_n / m) sum_j f(x_j) T_n(x_j)`` over the m = `nodes`
+    roots of T_m (default ``max(4 (deg + 1), 256)``), with ``gamma_0 = 1``
+    and ``gamma_n = 2`` otherwise.  `f` maps the node array to values of
+    shape ``(..., m)``, so a batch of functions is projected at once.  The
+    rule is exact for polynomials up to degree ``2 m - 1 - deg`` and leaves
+    only aliasing error for smooth non-polynomial targets.
     """
     if deg < 0:
         raise ValidationError("degree must be >= 0")
     m = nodes if nodes is not None else max(4 * (deg + 1), 256)
-    if m <= deg:
-        raise ValidationError("need more quadrature nodes than the requested degree")
-    theta = np.pi * (2 * np.arange(m) + 1) / (2 * m)
-    fx = np.asarray(f(np.cos(theta)), dtype=float)
-    # c_n = (2/m) sum_j f(x_j) cos(n theta_j), halved for n = 0
-    n = np.arange(deg + 1)
-    coeffs = (2.0 / m) * (np.cos(np.outer(n, theta)) @ fx)
-    coeffs[0] *= 0.5
-    return coeffs
+    if m < deg:
+        raise ValidationError("need at least as many quadrature nodes as the requested degree")
+    x = cheb_nodes(m)
+    gamma = np.full(deg + 1, 2.0)
+    gamma[0] = 1.0
+    return (np.asarray(f(x), dtype=float) @ npcheb.chebvander(x, deg)) * gamma / m
 
 
 def child_rng(seed: int, *path: int) -> np.random.Generator:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -22,12 +22,8 @@ import numpy as np
 from .errors import CoarseGridWarning, ValidationError
 from .kernels import (
     FejerKernel,
-    GaussianKernel,
-    JacksonKernel,
     KernelSpec,
     QubitizedFejerKernel,
-    kernel_from_json,
-    kernel_to_json,
     kernel_value,
     kernel_width,
 )

@@ -216,9 +216,13 @@ def hadamard_test_sample(t_k: float, shots: int, seed: int, *path: int) -> float
     success probability ``(1 + t_k)/2``, returned as ``2 *
     successes/shots - 1``.  Unbiased and deterministic given `seed` and
     the optional child-stream `path` (for example the moment index).
+    A shot count beyond the sampler's 64-bit range raises
+    :class:`ResourceLimitError`.
     """
     if shots < 1:
         raise ValidationError(f"shots must be >= 1, got {shots!r}")
+    if shots > np.iinfo(np.int64).max:
+        raise ResourceLimitError(f"{shots} shots exceed the sampler's 64-bit count range")
     if abs(t_k) > 1.0 + 1e-10:
         raise ValidationError(f"expectation value must lie in [-1, 1], got {t_k!r}")
     p = min(max((1.0 + t_k) / 2.0, 0.0), 1.0)

@@ -10,6 +10,8 @@ from specden.chebgauss import (
     ALPHA1,
     ALPHA2,
     KAPPA1,
+    _direct_coefficient_table,
+    _series_coefficient_table,
     cheb_expansion,
     cheb_moments,
     coeff_quadrature_oracle,
@@ -92,27 +94,20 @@ def test_shifted_coeffs_match_exact_kernel():
 def test_coefficient_table_routes_agree_inside():
     lam, order = 0.2, 40
     nu = np.linspace(-1.0, 1.0, 9)
-    series = coefficient_table(lam, nu, order, route="series")
-    auto = coefficient_table(lam, nu, order, route="auto")
-    direct = coefficient_table(lam, nu, order, route="direct")
-    np.testing.assert_array_equal(auto, series)
+    series = _series_coefficient_table(lam, nu, order)
+    direct = _direct_coefficient_table(lam, nu, order)
+    # centers in [-1, 1] take the series construction
+    np.testing.assert_array_equal(coefficient_table(lam, nu, order), series)
     # the two constructions differ only within the truncation budget
     x = np.linspace(-1, 1, 1501)
     gap = np.max(np.abs((series - direct) @ chebvander(x, order).T))
     assert gap <= 2.0 * geometric_tail_bound(order, lam)
 
 
-def test_coefficient_table_series_rejects_outside():
-    with pytest.raises(ValidationError):
-        coefficient_table(0.2, np.array([1.25]), 40, route="series")
-    with pytest.raises(ValidationError):
-        coefficient_table(0.2, np.array([0.0]), 40, route="nearest")
-
-
 def test_coefficient_table_direct_stable_beyond_interval():
     # centers outside [-1, 1] keep decaying coefficients and a faithful profile
     lam, order = 0.093198, 52
-    table = coefficient_table(lam, np.array([1.75]), order, route="auto")
+    table = coefficient_table(lam, np.array([1.75]), order)
     assert np.max(np.abs(table[:, -8:])) < 1e-10
     x = np.linspace(-1, 1, 2001)
     profile = chebval(x, table[0])

@@ -151,8 +151,16 @@ def test_exit_code_out_of_regime():
     ) == 3
 
 
-def test_exit_code_resource_limit():
+def test_exit_code_resource_limit(tmp_path, capsys):
     assert run_cli("plan", "--method", "fejer", "--sigma", "0.25", "--delta", "1e-8") == 4
+    # the per-order shot count exceeds the sampler's 64-bit range; plan still prints it
+    target = ["--method", "git", "--sigma", "0.1", "--delta", "0.3", "--beta", "1e-8"]
+    capsys.readouterr()
+    assert run_cli("estimate", *target, "--gen", "dense:8", "--seed", "1",
+                   "--out", str(tmp_path / "e")) == 4
+    assert "resource cap" in capsys.readouterr().out
+    assert run_cli("plan", *target) == 0
+    assert "per_order_shots=" in capsys.readouterr().out
 
 
 def test_exit_code_io_error(tmp_path):
@@ -207,6 +215,17 @@ def test_verify_fejer_quick(tmp_path, capsys):
     assert report["reports"]["fejer"]["n_trials"] == 8
     assert all(row["ok"] for row in report["fault_sweep"])
     assert (out / "fault_sweep.csv").exists()
+
+
+def test_verify_spreads_trials_over_models(tmp_path):
+    out = tmp_path / "v"
+    assert run_cli(
+        "verify", "--method", "fejer", "--sigma", "0.25", "--delta", "0.2",
+        "--gen", "dense:6:count=3", "--seed", "5", "--trials", "8",
+        "--out", str(out), "--workers", "1",
+    ) == 0
+    report = json.loads((out / "verify_report.json").read_text())
+    assert report["reports"]["fejer"]["n_trials"] == 8
 
 
 def test_verify_workers_deterministic(tmp_path):

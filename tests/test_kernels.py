@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from specden.errors import OutOfRegimeError, ResourceLimitError, ValidationError
 from specden.kernels import (
@@ -167,6 +168,15 @@ def test_gaussian_tail_mass_matches_planned_width():
         assert abs(tail - math.erfc(math.sqrt(math.log(1.0 / sigma)))) < 1e-14
 
 
+def test_gaussian_sigma_accuracy_is_closed_form_tail():
+    for lam, delta in [(0.06, 0.1), (0.093198, 0.2), (0.02, 0.01)]:
+        acc = sigma_accuracy(GaussianKernel(lam), delta)
+        assert np.all(acc.outside == gaussian_tail_mass(delta, lam))
+        density = lambda s: math.exp(-s * s / (2 * lam * lam)) / (math.sqrt(2 * math.pi) * lam)
+        oracle = 2.0 * quad(density, delta, np.inf, epsabs=1e-14, epsrel=1e-13)[0]
+        assert abs(acc.value - oracle) <= 1e-10
+
+
 def test_gaussian_eval_normalized():
     lam = 0.17
     x = np.linspace(-8 * lam, 8 * lam, 20001)
@@ -245,6 +255,10 @@ def test_jackson_coeffs_cached_and_bounded():
     c1 = jackson_coeffs(64, 0.3)
     c2 = jackson_coeffs(64, 0.3)
     assert c1 is c2
+    # the cached array is shared, so callers cannot modify it
+    assert not c1.flags.writeable
+    with pytest.raises(ValueError):
+        c1[0] = 0.0
     x = np.linspace(-1, 1, 801)
     assert np.max(np.abs(jackson_approx(x, 64, 0.3))) <= 1.0 + 0.05
 
@@ -258,6 +272,7 @@ def test_amplifier_contract_small_and_planner_degrees():
         assert report["max_abs"] <= 1.0
         assert report["min_high"] >= 1.0 - tau
         assert report["max_low"] <= tau
+        assert amplifier_coeffs(k)[0] is coeffs and not coeffs.flags.writeable
 
 
 def test_amplifier_contract_check_flags_bad_polynomial():
