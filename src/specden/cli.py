@@ -46,6 +46,7 @@ from .errors import (
     ValidationError,
 )
 from .estimators import (
+    CONTRACT_GRID,
     Budget,
     complexity_table,
     plan_fejer_samples,
@@ -87,13 +88,7 @@ from .sampling import FaultModel, qpe_distribution, statevector_qpe
 
 __all__ = ["RunConfig", "main"]
 
-_METHOD_ALIASES = {
-    "fejer": "fejer",
-    "qfejer": "qubitized_fejer",
-    "git": "git",
-    "jackson": "jackson",
-    "all": "all",
-}
+_METHODS = ("fejer", "qfejer", "git", "jackson")
 _UNIT_SHIFT = AffineMap(0.5, 0.5)
 
 
@@ -194,7 +189,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", help="key=value config file; flags win on conflict")
         sp.add_argument(
             "--method",
-            choices=sorted(_METHOD_ALIASES),
+            choices=sorted(_METHODS + ("all",)),
             help="kernel family (default all for plan/verify)",
         )
         sp.add_argument("--sigma", type=float, help="kernel tail mass bound in (0, 1)")
@@ -221,20 +216,8 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
-    defaults = RunConfig(command=args.command)
-    merged = {
-        "command": args.command,
-        "beta": values.get("beta", defaults.beta),
-        "eta": values.get("eta", defaults.eta),
-        "trials": values.get("trials", defaults.trials),
-        "out": values.get("out", defaults.out),
-    }
-    for key in ("method", "sigma", "delta", "seed", "grid_spacing", "model", "gen",
-                "workers", "nu", "samples"):
-        if key in values:
-            merged[key] = values[key]
-    cfg = RunConfig(**merged)
-    if cfg.method is not None and cfg.method not in _METHOD_ALIASES:
+    cfg = RunConfig(command=args.command, **values)
+    if cfg.method is not None and cfg.method not in _METHODS + ("all",):
         raise ValidationError(f"unknown method {cfg.method!r}")
     if cfg.trials < 1:
         raise ValidationError("trials must be >= 1")
@@ -336,8 +319,8 @@ def _write_json(path: Path, obj: dict) -> None:
 
 def _methods(cfg: RunConfig, allowed: tuple[str, ...], default: str) -> list[str]:
     raw = cfg.method if cfg.method is not None else default
-    names = [m for m in ("fejer", "qfejer", "git", "jackson") if m in allowed] \
-        if raw == "all" else [raw]
+    # "all" names every allowed method only for the commands that default to it.
+    names = list(allowed) if raw == default == "all" else [raw]
     for name in names:
         if name not in allowed:
             raise ValidationError(
@@ -357,7 +340,7 @@ def _nu_grid(cfg: RunConfig, target: AccuracyTarget) -> np.ndarray:
 
 def _plan_rows(cfg: RunConfig, target: AccuracyTarget) -> list[dict]:
     rows: list[dict] = []
-    for name in _methods(cfg, ("fejer", "qfejer", "git", "jackson"), "all"):
+    for name in _methods(cfg, _METHODS, "all"):
         if name == "fejer":
             kern = fejer_plan(target)
             n_faulty, dt = plan_fejer_samples(
@@ -384,8 +367,7 @@ def _plan_rows(cfg: RunConfig, target: AccuracyTarget) -> list[dict]:
             )
         elif name == "git":
             budget = truncation_order(target)
-            nu = np.linspace(-0.8, 0.8, 5)
-            table = coefficient_table(budget.lam, nu, budget.L)
+            table = coefficient_table(budget.lam, CONTRACT_GRID, budget.L)
             per_order, total, loose = plan_git_samples(
                 budget.L, table, target.beta, target.eta
             )
@@ -449,7 +431,7 @@ def cmd_plan(cfg: RunConfig) -> int:
 
 def cmd_transform(cfg: RunConfig) -> int:
     target = cfg.target()
-    (name,) = _methods(cfg, ("fejer", "qfejer", "git", "jackson"), "fejer")
+    (name,) = _methods(cfg, _METHODS, "fejer")
     op, psi, amap = _load_pairs(cfg)[0]
     model = diagonalize(op, psi)
     if name == "fejer":
@@ -488,24 +470,22 @@ def cmd_estimate(cfg: RunConfig) -> int:
     model = diagonalize(op, psi)
     if name in ("fejer", "qfejer"):
         if name == "fejer":
-            kern_n = fejer_plan(target).n
+            kernel = fejer_plan(target)
             spectrum_map = None
         else:
-            kern_n = qubitized_fejer_plan(target).n
+            kernel = qubitized_fejer_plan(target)
             spectrum_map = _UNIT_SHIFT
         n_samples = cfg.samples if cfg.samples is not None else plan_fejer_samples(
             target.beta, target.eta
         )
-        budget = Budget(
-            method=_METHOD_ALIASES[name], kernel_order=kern_n, n_samples=n_samples
-        )
-        result = run_algorithm1(budget, seed, model=model, spectrum_map=spectrum_map)
+        budget = Budget(method=kernel.family, kernel_order=kernel.n, n_samples=n_samples)
+        result = run_algorithm1(budget, seed, model, spectrum_map)
     else:
         per_order = None if cfg.samples is None else max(
             1, cfg.samples // truncation_order(target).L
         )
         result = run_algorithm2(
-            op, psi, target, _nu_grid(cfg, target), seed, per_order_shots=per_order
+            model, target, _nu_grid(cfg, target), seed, per_order_shots=per_order
         )
     out = _out_dir(cfg)
     budget = result.budget

@@ -1,7 +1,7 @@
 """Estimation pipelines built on the measurement simulators.
 
 Two pipelines produce broadened-transform estimates with explicit
-sample budgets:
+sample budgets from a :class:`~specden.operators.SpectralModel`:
 
 * the histogram route: sample the phase-estimation outcome distribution
   (plain or folded) and return empirical frequencies on the kernel
@@ -26,9 +26,9 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.polynomial.chebyshev as npcheb
 
 from .chebgauss import (
-    cheb_moments,
     coefficient_table,
     git_transform_from_moments,
     truncation_order,
@@ -42,24 +42,12 @@ from .kernels import (
     gaussian_resolution,
 )
 from .numerics import child_rng
-from .operators import (
-    AffineMap,
-    HermitianOperator,
-    ProbeState,
-    SpectralModel,
-    TransformGrid,
-    diagonalize,
-)
-from .sampling import (
-    FaultModel,
-    hadamard_test_sample,
-    qpe_distribution,
-    qubitized_qpe_distribution,
-    statevector_qpe,
-)
+from .operators import AffineMap, SpectralModel, TransformGrid
+from .sampling import hadamard_test_sample, qpe_distribution, qubitized_qpe_distribution
 
 __all__ = [
     "METHODS",
+    "CONTRACT_GRID",
     "Budget",
     "EstimationResult",
     "plan_fejer_samples",
@@ -70,6 +58,10 @@ __all__ = [
 ]
 
 METHODS = ("fejer", "qubitized_fejer", "git")
+# Frequencies at which the moment route's contract is checked and its
+# per-order shots are sized when no grid is given.
+CONTRACT_GRID = np.linspace(-0.8, 0.8, 5)
+CONTRACT_GRID.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -80,8 +72,7 @@ class Budget:
     expansion order for the moment method; `n_samples` is the total
     measurement count.  The moment method satisfies ``n_samples =
     kernel_order * per_order_shots`` and carries the kernel width in
-    `lam`.  `delta_t` is the per-step fault size a faulty-hardware
-    budget tolerates.
+    `lam`.
     """
 
     method: str
@@ -89,7 +80,6 @@ class Budget:
     n_samples: int
     lam: float | None = None
     per_order_shots: int | None = None
-    delta_t: float | None = None
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -104,8 +94,6 @@ class Budget:
                     "git budget inconsistent: n_samples must equal "
                     "kernel_order * per_order_shots"
                 )
-        if self.delta_t is not None and not (self.delta_t >= 0.0):
-            raise ValidationError(f"delta_t must be nonnegative, got {self.delta_t!r}")
 
 
 @dataclass(frozen=True)
@@ -149,7 +137,6 @@ def plan_git_samples(
     coeffs: np.ndarray,
     beta: float,
     eta: float,
-    half_mode: bool = True,
 ) -> tuple[int, int, int]:
     """Per-order and total shot counts for the moment pipeline.
 
@@ -159,7 +146,7 @@ def plan_git_samples(
     and orders.  Also returns the coefficient-agnostic budget
     ``ceil(2 order^3 (1 + 2.2/beta)^2 ln(2/eta))``, an upper bound on
     the total whenever the coefficients obey the half-interval bound
-    (asserted when `half_mode`).
+    (asserted).
 
     Returns
     -------
@@ -177,7 +164,7 @@ def plan_git_samples(
     per_order = math.ceil(2.0 * math.log(2.0 / eta) * (order * c_max / beta) ** 2)
     total = order * per_order
     loose = math.ceil(2.0 * order**3 * (1.0 + 2.2 / beta) ** 2 * math.log(2.0 / eta))
-    if half_mode and c_max <= beta + 2.2 and total > loose:
+    if c_max <= beta + 2.2 and total > loose:
         raise ValidationError(
             f"coefficient-aware total {total} exceeds the agnostic bound {loose}"
         )
@@ -206,78 +193,47 @@ def _merge_mirror_bins(
 def run_algorithm1(
     budget: Budget,
     seed: int,
-    model: SpectralModel | None = None,
-    op: HermitianOperator | None = None,
-    psi: ProbeState | None = None,
-    fault: FaultModel | None = None,
+    model: SpectralModel,
     spectrum_map: AffineMap | None = None,
 ) -> EstimationResult:
     """Histogram estimate of the broadened transform.
 
     Draws ``budget.n_samples`` outcomes from the phase-estimation
-    distribution and returns empirical bin frequencies.  The
-    distribution comes from an explicit spectral `model` or from an
-    ``(op, psi)`` pair; a `fault` forces the statevector route and
-    therefore needs the pair.  For ``method="qubitized_fejer"`` the
-    spectrum must be mapped into [0, 1] by `spectrum_map` (applied here;
-    recovered frequencies are mapped back through its inverse, with
-    mirror outcome bins merged).
+    distribution of `model` and returns empirical bin frequencies.  For
+    ``method="qubitized_fejer"`` the spectrum must be mapped into [0, 1]
+    by `spectrum_map` (applied here; recovered frequencies are mapped
+    back through its inverse, with mirror outcome bins merged).
     """
     if budget.method not in ("fejer", "qubitized_fejer"):
         raise ValidationError(f"histogram route does not implement {budget.method!r}")
-    have_pair = op is not None and psi is not None
-    if model is None and not have_pair:
-        raise ValidationError("provide either a spectral model or an (op, psi) pair")
     start = time.perf_counter()
     n = budget.kernel_order
-    n_anc = n.bit_length() - 1
-    if n < 2 or 2**n_anc != n:
+    if n < 2 or n & (n - 1):
         raise ValidationError(f"histogram grid size must be a power of two >= 2, got {n}")
     if budget.method == "fejer":
-        if fault is not None and fault.delta_t > 0.0:
-            if not have_pair:
-                raise ValidationError("the faulty statevector route needs op and psi")
-            dist = statevector_qpe(op, psi, n_anc, fault=fault)
-        else:
-            if model is None:
-                model = diagonalize(op, psi)
-            dist = qpe_distribution(model, n)
-        counts = child_rng(seed, 0).multinomial(budget.n_samples, dist.probs / dist.probs.sum())
-        transform = TransformGrid(
-            frequencies=dist.grid,
-            values=counts / budget.n_samples,
-            kind="discrete",
-            exact=False,
-            kernel=FejerKernel(n),
-        )
+        dist = qpe_distribution(model, n)
+        kernel = FejerKernel(n)
+    elif spectrum_map is None:
+        raise ValidationError("qubitized_fejer needs a spectrum_map into [0, 1]")
     else:
-        if fault is not None and fault.delta_t > 0.0:
-            raise ValidationError("the fault model applies only to the plain method")
-        if model is None:
-            model = diagonalize(op, psi)
-        if spectrum_map is None:
-            raise ValidationError("qubitized_fejer needs a spectrum_map into [0, 1]")
         dist = qubitized_qpe_distribution(model.mapped(spectrum_map), n)
-        counts = child_rng(seed, 0).multinomial(budget.n_samples, dist.probs / dist.probs.sum())
-        freqs, values = _merge_mirror_bins(dist.grid, counts / budget.n_samples, spectrum_map)
-        transform = TransformGrid(
-            frequencies=freqs,
-            values=values,
-            kind="discrete",
-            exact=False,
-            kernel=QubitizedFejerKernel(n),
-        )
+        kernel = QubitizedFejerKernel(n)
+    counts = child_rng(seed, 0).multinomial(budget.n_samples, dist.probs / dist.probs.sum())
+    freqs, values = dist.grid, counts / budget.n_samples
+    if budget.method == "qubitized_fejer":
+        freqs, values = _merge_mirror_bins(freqs, values, spectrum_map)
+    transform = TransformGrid(
+        frequencies=freqs, values=values, kind=kernel.kind, exact=False, kernel=kernel
+    )
     elapsed = time.perf_counter() - start
     return EstimationResult(transform=transform, budget=budget, seed=seed, elapsed=elapsed)
 
 
 def run_algorithm2(
-    op: HermitianOperator,
-    psi: ProbeState,
+    model: SpectralModel,
     target: AccuracyTarget,
     nu,
     seed: int,
-    exact_moments: bool = False,
     per_order_shots: int | None = None,
 ) -> EstimationResult:
     """Moment-route estimate of the Gaussian-broadened transform.
@@ -285,13 +241,12 @@ def run_algorithm2(
     Plans the kernel width and expansion order from `target`, sizes the
     per-order shot count from the actual coefficient magnitudes on the
     requested frequency grid `nu` (or takes an explicit
-    `per_order_shots` override), estimates each moment with an
-    independent Hadamard-test stream (order k uses the child stream
-    ``(seed, k)``; the zeroth moment is 1 for free), and combines.  With
-    `exact_moments` the recurrence moments are used directly, which
-    reproduces the analytic transform on the grid.
+    `per_order_shots` override), estimates each moment
+    ``t_k = sum_j w_j T_k(O_j)`` of `model` with an independent
+    Hadamard-test stream (order k uses the child stream ``(seed, k)``;
+    the zeroth moment is 1 for free), and combines.
 
-    The operator spectrum must lie in [-1, 1]; normalize first.
+    The model spectrum must lie in [-1, 1]; normalize first.
     """
     nu = np.atleast_1d(np.asarray(nu, dtype=float))
     lam = gaussian_resolution(target)
@@ -304,15 +259,14 @@ def run_algorithm2(
             raise ValidationError(f"per_order_shots must be >= 1, got {per_order_shots!r}")
         per_order, total = per_order_shots, order * per_order_shots
     start = time.perf_counter()
-    t = cheb_moments(op, psi, order)
-    if exact_moments:
-        v = t
-    else:
-        v = np.empty(order + 1)
-        v[0] = 1.0
-        for k in range(1, order + 1):
-            v[k] = hadamard_test_sample(float(t[k]), per_order, seed, k)
-    transform = git_transform_from_moments(v, lam, nu, exact=exact_moments)
+    t = npcheb.chebvander(model.eigenvalues, order).T @ model.weights
+    if np.any(np.abs(t) > 1.0 + 1e-10):
+        raise ValidationError("moment magnitude exceeded 1; model spectrum is not normalized")
+    v = np.empty(order + 1)
+    v[0] = 1.0
+    for k in range(1, order + 1):
+        v[k] = hadamard_test_sample(float(t[k]), per_order, seed, k)
+    transform = git_transform_from_moments(v, lam, nu, exact=False)
     elapsed = time.perf_counter() - start
     budget = Budget(
         method="git",

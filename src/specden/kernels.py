@@ -15,9 +15,12 @@ Four kernel families are implemented, all acting on spectra supported in
 * Jackson: a sharp window built by composing an amplifying polynomial
   with a Jackson-damped Chebyshev approximation of a tent function.
 
-Each family has an evaluation routine, a planner that turns an accuracy
-target into kernel parameters, and a shared tail-mass measurement
-(:func:`sigma_accuracy`).
+Each family has an evaluation routine and a planner that turns an
+accuracy target into kernel parameters.  Its dataclass answers for
+itself: ``family``, ``kind`` ("discrete" or "density") and
+``scan_start`` are class attributes, and ``width``, ``value(sigma,
+omega)`` and ``outside(delta, omega0)`` (the mass escaping a window,
+scanned by :func:`sigma_accuracy`) are members.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 import numpy.polynomial.chebyshev as npcheb
@@ -43,8 +47,6 @@ __all__ = [
     "SigmaAccuracy",
     "kernel_to_json",
     "kernel_from_json",
-    "kernel_value",
-    "kernel_width",
     "fejer_grid",
     "fejer_eval",
     "fejer_plan",
@@ -111,31 +113,84 @@ def _check_grid_size(n: int) -> None:
 class FejerKernel:
     """Fejer kernel on the grid ``sigma_q = 2q/n - 1``, q = 0..n-1."""
 
+    family: ClassVar[str] = "fejer"
+    kind: ClassVar[str] = "discrete"
+    scan_start: ClassVar[float] = -1.0
+
     n: int
 
     def __post_init__(self):
         _check_grid_size(self.n)
+
+    @property
+    def width(self) -> float:
+        return 2.0 / self.n
+
+    def value(self, sigma, omega):
+        return fejer_eval(sigma, omega, self.n)
+
+    def outside(self, delta: float, omega0: np.ndarray) -> np.ndarray:
+        grid = fejer_grid(self.n)
+        k = fejer_eval(grid[None, :], omega0[:, None], self.n)
+        d = (grid[None, :] - omega0[:, None]) / 2.0
+        d = d - np.round(d)
+        outside = np.abs(2.0 * d) > delta
+        return np.sum(np.where(outside, k, 0.0), axis=1)
 
 
 @dataclass(frozen=True)
 class QubitizedFejerKernel:
     """arccos-folded Fejer kernel; spectra must be shifted into [0, 1]."""
 
+    family: ClassVar[str] = "qubitized_fejer"
+    kind: ClassVar[str] = "discrete"
+    scan_start: ClassVar[float] = 0.0
+
     n: int
 
     def __post_init__(self):
         _check_grid_size(self.n)
+
+    @property
+    def width(self) -> float:
+        return 2.0 / self.n
+
+    def value(self, sigma, omega):
+        return qubitized_fejer_eval(sigma, omega, self.n)
+
+    def outside(self, delta: float, omega0: np.ndarray) -> np.ndarray:
+        grid = fejer_grid(self.n)
+        rec = recovered_frequency(grid)
+        k = qubitized_fejer_eval(grid[None, :], omega0[:, None], self.n)
+        outside = np.abs(rec[None, :] - omega0[:, None]) > delta / 2.0
+        return np.sum(np.where(outside, k, 0.0), axis=1)
 
 
 @dataclass(frozen=True)
 class GaussianKernel:
     """Gaussian broadening of width `lam`."""
 
+    family: ClassVar[str] = "gaussian"
+    kind: ClassVar[str] = "density"
+    scan_start: ClassVar[float] = -1.0
+
     lam: float
 
     def __post_init__(self):
         if not (self.lam > 0.0):
             raise ValidationError(f"lam must be positive, got {self.lam!r}")
+
+    @property
+    def width(self) -> float:
+        return self.lam
+
+    def value(self, sigma, omega):
+        return gaussian_eval(sigma, omega, self.lam)
+
+    def outside(self, delta: float, omega0: np.ndarray) -> np.ndarray:
+        # Translation invariance makes the escaping mass independent of the
+        # center, so the closed-form tail is broadcast over the scan.
+        return np.full(omega0.size, gaussian_tail_mass(delta, self.lam))
 
 
 @dataclass(frozen=True)
@@ -149,6 +204,10 @@ class JacksonKernel:
     `normalization` makes the profile integrate to one in the variable
     ``u = (sigma - omega)/2``.
     """
+
+    family: ClassVar[str] = "jackson"
+    kind: ClassVar[str] = "density"
+    scan_start: ClassVar[float] = -1.0
 
     k: int
     degree: int
@@ -165,24 +224,38 @@ class JacksonKernel:
         if not (self.normalization > 0.0):
             raise ValidationError(f"normalization must be positive, got {self.normalization!r}")
 
+    @property
+    def width(self) -> float:
+        return self.delta
+
+    def value(self, sigma, omega):
+        return jackson_eval(sigma, omega, self)
+
+    def outside(self, delta: float, omega0: np.ndarray) -> np.ndarray:
+        # The window is translation covariant in u = (sigma - omega)/2, so the
+        # tail fraction is a single number: the profile mass at |u| > delta/2
+        # relative to the total over [-1, 1].
+        m = max(32 * self.degree + 1, 8193)
+        u = np.linspace(0.0, 1.0, m)
+        vals = self.normalization * _jackson_profile(u, self.k, self.degree, self.delta)
+        cum = np.concatenate(([0.0], np.cumsum((vals[1:] + vals[:-1]) * 0.5 * (u[1] - u[0]))))
+        half_mass = cum[-1]
+        at_edge = np.interp(delta / 2.0, u, cum)
+        tail_fraction = (half_mass - at_edge) / half_mass
+        return np.full(omega0.size, tail_fraction)
+
 
 KernelSpec = FejerKernel | QubitizedFejerKernel | GaussianKernel | JacksonKernel
 
-_FAMILY_NAMES = {
-    FejerKernel: "fejer",
-    QubitizedFejerKernel: "qubitized_fejer",
-    GaussianKernel: "gaussian",
-    JacksonKernel: "jackson",
-}
+_KERNELS = {cls.family: cls for cls in (FejerKernel, QubitizedFejerKernel, GaussianKernel, JacksonKernel)}
 
 
 def kernel_to_json(kernel: KernelSpec) -> dict:
     """Serialize a kernel as ``{"family": ..., "params": {...}}``."""
-    family = _FAMILY_NAMES.get(type(kernel))
-    if family is None:
+    if type(kernel) not in _KERNELS.values():
         raise ValidationError(f"unknown kernel type {type(kernel).__name__}")
     params = {k: (int(v) if isinstance(v, (int, np.integer)) else float(v)) for k, v in vars(kernel).items()}
-    return {"family": family, "params": params}
+    return {"family": kernel.family, "params": params}
 
 
 def kernel_from_json(obj: dict) -> KernelSpec:
@@ -192,11 +265,10 @@ def kernel_from_json(obj: dict) -> KernelSpec:
         params = dict(obj["params"])
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed kernel description: {obj!r}") from exc
-    classes = {name: cls for cls, name in _FAMILY_NAMES.items()}
-    if family not in classes:
+    if family not in _KERNELS:
         raise ValidationError(f"unknown kernel family {family!r}")
     try:
-        return classes[family](**params)
+        return _KERNELS[family](**params)
     except TypeError as exc:
         raise ValidationError(f"bad parameters for {family}: {params!r}") from exc
 
@@ -226,7 +298,7 @@ def fejer_eval(sigma, omega, n: int):
     return ratio * ratio
 
 
-def fejer_plan(target: AccuracyTarget, cap: int = GRID_CAP) -> FejerKernel:
+def fejer_plan(target: AccuracyTarget) -> FejerKernel:
     """Smallest power-of-two grid achieving (sigma, delta) spectral accuracy.
 
     The tail mass of the Fejer kernel beyond a circular distance `delta`
@@ -235,9 +307,9 @@ def fejer_plan(target: AccuracyTarget, cap: int = GRID_CAP) -> FejerKernel:
     """
     raw = (1.0 / target.delta) * (1.0 / target.sigma + 2.0)
     n = next_pow2(raw)
-    if n > cap:
+    if n > GRID_CAP:
         raise ResourceLimitError(
-            f"planned grid size {n} exceeds the cap {cap}; loosen sigma or delta"
+            f"planned grid size {n} exceeds the cap {GRID_CAP}; loosen sigma or delta"
         )
     return FejerKernel(n)
 
@@ -281,7 +353,7 @@ def qubitized_fejer_eval(sigma, omega, n: int):
     return 0.5 * (fejer_eval(sigma, t, n) + fejer_eval(sigma, -t, n))
 
 
-def qubitized_fejer_plan(target: AccuracyTarget, cap: int = GRID_CAP) -> QubitizedFejerKernel:
+def qubitized_fejer_plan(target: AccuracyTarget) -> QubitizedFejerKernel:
     """Grid size for the folded kernel at a (sigma, delta) target.
 
     Resolving `delta` in the spectrum requires resolving
@@ -290,9 +362,9 @@ def qubitized_fejer_plan(target: AccuracyTarget, cap: int = GRID_CAP) -> Qubitiz
     """
     raw = (2.0 / delta_theta(target.delta)) * (1.0 / target.sigma + 2.0)
     n = next_pow2(raw)
-    if n > cap:
+    if n > GRID_CAP:
         raise ResourceLimitError(
-            f"planned grid size {n} exceeds the cap {cap}; loosen sigma or delta"
+            f"planned grid size {n} exceeds the cap {GRID_CAP}; loosen sigma or delta"
         )
     return QubitizedFejerKernel(n)
 
@@ -560,35 +632,7 @@ def jackson_eval(sigma, omega, kernel: JacksonKernel):
 
 
 # ---------------------------------------------------------------------------
-# Shared dispatch and tail-mass measurement
-
-
-def kernel_value(kernel: KernelSpec, sigma, omega):
-    """Evaluate any kernel family at (sigma, omega).
-
-    Discrete families (Fejer, qubitized Fejer) return probability masses
-    attached to grid points; continuous families return densities.
-    """
-    if isinstance(kernel, FejerKernel):
-        return fejer_eval(sigma, omega, kernel.n)
-    if isinstance(kernel, QubitizedFejerKernel):
-        return qubitized_fejer_eval(sigma, omega, kernel.n)
-    if isinstance(kernel, GaussianKernel):
-        return gaussian_eval(sigma, omega, kernel.lam)
-    if isinstance(kernel, JacksonKernel):
-        return jackson_eval(sigma, omega, kernel)
-    raise ValidationError(f"unknown kernel type {type(kernel).__name__}")
-
-
-def kernel_width(kernel: KernelSpec) -> float:
-    """Characteristic width, used to warn about under-resolved quadrature."""
-    if isinstance(kernel, (FejerKernel, QubitizedFejerKernel)):
-        return 2.0 / kernel.n
-    if isinstance(kernel, GaussianKernel):
-        return kernel.lam
-    if isinstance(kernel, JacksonKernel):
-        return kernel.delta
-    raise ValidationError(f"unknown kernel type {type(kernel).__name__}")
+# Tail-mass measurement
 
 
 @dataclass
@@ -610,74 +654,22 @@ class SigmaAccuracy:
         self.value = float(np.max(self.outside)) if self.outside.size else math.nan
 
 
-def _fejer_outside(n: int, delta: float, omega0: np.ndarray) -> np.ndarray:
-    grid = fejer_grid(n)
-    k = fejer_eval(grid[None, :], omega0[:, None], n)
-    d = (grid[None, :] - omega0[:, None]) / 2.0
-    d = d - np.round(d)
-    outside = np.abs(2.0 * d) > delta
-    return np.sum(np.where(outside, k, 0.0), axis=1)
-
-
-def _qubitized_outside(n: int, delta: float, omega0: np.ndarray) -> np.ndarray:
-    grid = fejer_grid(n)
-    rec = recovered_frequency(grid)
-    k = qubitized_fejer_eval(grid[None, :], omega0[:, None], n)
-    outside = np.abs(rec[None, :] - omega0[:, None]) > delta / 2.0
-    return np.sum(np.where(outside, k, 0.0), axis=1)
-
-
-def _gaussian_outside(lam: float, delta: float, omega0: np.ndarray) -> np.ndarray:
-    # Translation invariance makes the escaping mass independent of the
-    # center, so the closed-form tail is broadcast over the scan.
-    return np.full(omega0.size, gaussian_tail_mass(delta, lam))
-
-
-def _jackson_outside(kernel: JacksonKernel, delta: float, omega0: np.ndarray) -> np.ndarray:
-    # The window is translation covariant in u = (sigma - omega)/2, so the
-    # tail fraction is a single number: the profile mass at |u| > delta/2
-    # relative to the total over [-1, 1].
-    m = max(32 * kernel.degree + 1, 8193)
-    u = np.linspace(0.0, 1.0, m)
-    vals = kernel.normalization * _jackson_profile(u, kernel.k, kernel.degree, kernel.delta)
-    cum = np.concatenate(([0.0], np.cumsum((vals[1:] + vals[:-1]) * 0.5 * (u[1] - u[0]))))
-    half_mass = cum[-1]
-    at_edge = np.interp(delta / 2.0, u, cum)
-    tail_fraction = (half_mass - at_edge) / half_mass
-    return np.full(omega0.size, tail_fraction)
-
-
 def sigma_accuracy(kernel: KernelSpec, delta: float, spacing: float | None = None) -> SigmaAccuracy:
     """Measure the worst-case kernel mass escaping a ``+-delta`` window.
 
-    The scan runs omega0 over [-1, 1] (or [0, 1] for the folded family,
-    whose spectra are shifted there) with the given spacing, default
-    ``delta / 20``.  Distances are circular for the Fejer family, match
-    the frequency-recovery criterion ``|cos(pi sigma) - omega0| <=
-    delta/2`` for the folded family, and are plain euclidean for the
-    continuous families.
+    The scan runs omega0 from ``kernel.scan_start`` (-1, or 0 for the
+    folded family, whose spectra are shifted into [0, 1]) to 1 with the
+    given spacing, default ``delta / 20``.  Distances are circular for the
+    Fejer family, match the frequency-recovery criterion ``|cos(pi sigma)
+    - omega0| <= delta/2`` for the folded family, and are plain euclidean
+    for the continuous families.
     """
     if delta <= 0.0:
         raise ValidationError("delta must be positive")
     h = delta / 20.0 if spacing is None else float(spacing)
     if h <= 0.0:
         raise ValidationError("spacing must be positive")
-    if isinstance(kernel, QubitizedFejerKernel):
-        omega0 = np.arange(0.0, 1.0 + h / 2.0, h)
-        outside = _qubitized_outside(kernel.n, delta, omega0)
-        family = "qubitized_fejer"
-    elif isinstance(kernel, FejerKernel):
-        omega0 = np.arange(-1.0, 1.0 + h / 2.0, h)
-        outside = _fejer_outside(kernel.n, delta, omega0)
-        family = "fejer"
-    elif isinstance(kernel, GaussianKernel):
-        omega0 = np.arange(-1.0, 1.0 + h / 2.0, h)
-        outside = _gaussian_outside(kernel.lam, delta, omega0)
-        family = "gaussian"
-    elif isinstance(kernel, JacksonKernel):
-        omega0 = np.arange(-1.0, 1.0 + h / 2.0, h)
-        outside = _jackson_outside(kernel, delta, omega0)
-        family = "jackson"
-    else:
-        raise ValidationError(f"unknown kernel type {type(kernel).__name__}")
-    return SigmaAccuracy(family=family, delta=delta, spacing=h, omega0=omega0, outside=outside)
+    omega0 = np.arange(kernel.scan_start, 1.0 + h / 2.0, h)
+    return SigmaAccuracy(
+        family=kernel.family, delta=delta, spacing=h, omega0=omega0, outside=kernel.outside(delta, omega0)
+    )

@@ -25,7 +25,7 @@ import numpy as np
 
 from .chebgauss import git_transform_from_moments, truncation_order
 from .errors import ValidationError
-from .estimators import Budget, plan_fejer_samples, run_algorithm1, run_algorithm2
+from .estimators import CONTRACT_GRID, Budget, plan_fejer_samples, run_algorithm1, run_algorithm2
 from .kernels import (
     AccuracyTarget,
     GaussianKernel,
@@ -36,9 +36,7 @@ from .kernels import (
 )
 from .numerics import derive_seed
 from .operators import (
-    HermitianOperator,
     ObservableFn,
-    ProbeState,
     SpectralModel,
     TransformGrid,
     exact_transform,
@@ -186,14 +184,6 @@ class AccuracyReport:
         return all(flags)
 
 
-def _canonical_pair(model: SpectralModel) -> tuple[HermitianOperator, ProbeState]:
-    """Diagonal realization of a spectral model for the moment pipeline."""
-    return (
-        HermitianOperator(np.diag(model.eigenvalues)),
-        ProbeState(np.sqrt(model.weights)),
-    )
-
-
 def observable_bound_empirical_check(
     model: SpectralModel | Sequence[SpectralModel],
     method: str,
@@ -201,7 +191,6 @@ def observable_bound_empirical_check(
     target: AccuracyTarget,
     trials: int,
     seed: int,
-    nu=None,
     spacing: float | None = None,
     n_samples: int | None = None,
 ) -> AccuracyReport:
@@ -215,8 +204,8 @@ def observable_bound_empirical_check(
     The kernel tail is measured once per call on a center grid of the
     same spacing (default ``delta / 20``).
 
-    For ``method="git"`` the contract grid `nu` defaults to five evenly
-    spaced points in [-0.8, 0.8]; observables integrate a dense
+    For ``method="git"`` the contract grid is
+    :data:`~specden.estimators.CONTRACT_GRID`; observables integrate a dense
     re-evaluation of each trial's moment vector over a grid extended by
     eight kernel widths, where the deviation is also re-measured and
     reported as `margin_delta_v`.
@@ -257,9 +246,6 @@ def observable_bound_empirical_check(
         tail = sigma_accuracy(kernel, target.delta, h)
         order = truncation_order(target).L
         per_order = None if n_samples is None else max(1, n_samples // order)
-        if nu is None:
-            nu = np.linspace(-0.8, 0.8, 5)
-        nu = np.atleast_1d(np.asarray(nu, dtype=float))
         margin = 8.0 * lam
         dense = np.arange(-1.0 - margin, 1.0 + margin + h / 2.0, h)
 
@@ -273,7 +259,7 @@ def observable_bound_empirical_check(
         if method == "fejer":
             ref = exact_transform(mod, kernel, fejer_grid(kernel.n))
         else:
-            ref = exact_transform(mod, kernel, nu)
+            ref = exact_transform(mod, kernel, CONTRACT_GRID)
             ref_dense = exact_transform(mod, kernel, dense)
         for j in range(trials):
             trial_seed = derive_seed(seed, i, j)
@@ -282,8 +268,7 @@ def observable_bound_empirical_check(
                 estimate = res.transform
                 obs_grid = estimate
             else:
-                op, psi = _canonical_pair(mod)
-                res = run_algorithm2(op, psi, target, nu, trial_seed, per_order_shots=per_order)
+                res = run_algorithm2(mod, target, CONTRACT_GRID, trial_seed, per_order_shots=per_order)
                 estimate = res.transform
                 dense_est = git_transform_from_moments(res.moments, lam, dense, exact=False)
                 worst_margin = max(worst_margin, total_variation(ref_dense, dense_est))

@@ -20,13 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import CoarseGridWarning, ValidationError
-from .kernels import (
-    FejerKernel,
-    KernelSpec,
-    QubitizedFejerKernel,
-    kernel_value,
-    kernel_width,
-)
+from .kernels import KernelSpec
 from .numerics import child_rng
 
 __all__ = [
@@ -261,12 +255,12 @@ def normalize_operator(op: HermitianOperator, interval: str = "full") -> tuple[H
     return HermitianOperator(mapped), amap
 
 
-def diagonalize(op: HermitianOperator, psi: ProbeState, merge_tol: float = _MERGE_TOL) -> SpectralModel:
+def diagonalize(op: HermitianOperator, psi: ProbeState) -> SpectralModel:
     """Extract the spectral model of (operator, probe).
 
-    Eigenvalues closer than `merge_tol` are merged into a single peak
-    whose position is the weight-averaged eigenvalue and whose weight is
-    the summed probability.  Weights below machine noise are kept, so
+    Eigenvalues closer than 1e-10 are merged into a single peak whose
+    position is the weight-averaged eigenvalue and whose weight is the
+    summed probability.  Weights below machine noise are kept, so
     the model always carries `dim` worth of probability.
     """
     if op.dim != psi.dim:
@@ -281,7 +275,7 @@ def diagonalize(op: HermitianOperator, psi: ProbeState, merge_tol: float = _MERG
     i = 0
     while i < ev.size:
         j = i + 1
-        while j < ev.size and ev[j] - ev[j - 1] < merge_tol:
+        while j < ev.size and ev[j] - ev[j - 1] < _MERGE_TOL:
             j += 1
         ww = float(np.sum(w[i:j]))
         if ww > 0.0:
@@ -297,9 +291,8 @@ def diagonalize(op: HermitianOperator, psi: ProbeState, merge_tol: float = _MERG
 def exact_transform(model: SpectralModel, kernel: KernelSpec, frequencies) -> TransformGrid:
     """Analytic transform ``Phi(nu) = sum_k w_k K(nu, O_k)`` on a grid."""
     nus = np.asarray(frequencies, dtype=float).reshape(-1)
-    vals = kernel_value(kernel, nus[:, None], model.eigenvalues[None, :]) @ model.weights
-    kind = "discrete" if isinstance(kernel, (FejerKernel, QubitizedFejerKernel)) else "density"
-    return TransformGrid(frequencies=nus, values=vals, kind=kind, exact=True, kernel=kernel)
+    vals = kernel.value(nus[:, None], model.eigenvalues[None, :]) @ model.weights
+    return TransformGrid(frequencies=nus, values=vals, kind=kernel.kind, exact=True, kernel=kernel)
 
 
 def observable_exact(model: SpectralModel, f: ObservableFn | Callable) -> float:
@@ -323,7 +316,7 @@ def observable_from_transform(grid: TransformGrid, f: ObservableFn | Callable) -
         raise ValidationError("density transform needs at least two grid points to integrate")
     if grid.kernel is not None:
         spacing = float(np.max(np.diff(grid.frequencies)))
-        width = kernel_width(grid.kernel)
+        width = grid.kernel.width
         if spacing > width:
             warnings.warn(
                 f"grid spacing {spacing:.3g} exceeds kernel width {width:.3g}; "

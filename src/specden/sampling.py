@@ -109,7 +109,6 @@ def statevector_qpe(
     psi: ProbeState,
     n_ancilla: int,
     fault: FaultModel | None = None,
-    cap: int = MEMORY_CAP,
 ) -> OutcomeDistribution:
     """Simulate ancilla-register phase estimation on a statevector.
 
@@ -121,16 +120,16 @@ def statevector_qpe(
     perturbs each controlled evolution by an independent unit-norm
     Hermitian generator scaled by ``delta_t``.
 
-    Memory use scales as ``dim * N``; exceeding `cap` raises
-    :class:`ResourceLimitError`.
+    Memory use scales as ``dim * N``; exceeding :data:`MEMORY_CAP`
+    raises :class:`ResourceLimitError`.
     """
     if n_ancilla < 1:
         raise ValidationError(f"n_ancilla must be >= 1, got {n_ancilla!r}")
     dim = op.dim
     n = 2**n_ancilla
-    if dim * n > cap:
+    if dim * n > MEMORY_CAP:
         raise ResourceLimitError(
-            f"statevector of size {dim * n} exceeds the cap {cap}; reduce n_ancilla"
+            f"statevector of size {dim * n} exceeds the cap {MEMORY_CAP}; reduce n_ancilla"
         )
     if psi.vector.size != dim:
         raise ValidationError(f"dimension mismatch: op {dim}, psi {psi.vector.size}")

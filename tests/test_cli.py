@@ -144,6 +144,18 @@ def test_exit_code_validation():
     assert run_cli("plan", "--method", "fejer", "--sigma", "1.5", "--delta", "0.1") == 2
 
 
+@pytest.mark.parametrize(
+    "command, allowed",
+    [("estimate", "('fejer', 'qfejer', 'git')"), ("transform", "('fejer', 'qfejer', 'git', 'jackson')")],
+)
+def test_single_method_commands_reject_all(tmp_path, capsys, command, allowed):
+    assert run_cli(
+        command, "--method", "all", "--sigma", "0.1", "--delta", "0.1",
+        "--gen", "dense:8", "--seed", "1", "--out", str(tmp_path),
+    ) == 2
+    assert f"'{command}' supports methods {allowed}, got 'all'" in capsys.readouterr().out
+
+
 def test_exit_code_out_of_regime():
     # beta above the planner ceiling beta_high ~ 0.255 at this loose target
     assert run_cli(

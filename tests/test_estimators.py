@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from specden.chebgauss import coefficient_table, truncation_order
+from specden.chebgauss import cheb_moments, coefficient_table, truncation_order
 from specden.errors import ValidationError
 from specden.estimators import (
     Budget,
@@ -24,13 +24,11 @@ from specden.kernels import (
 from specden.numerics import child_rng
 from specden.operators import (
     AffineMap,
-    HermitianOperator,
-    ProbeState,
+    SpectralModel,
     diagonalize,
     exact_transform,
     random_model,
 )
-from specden.sampling import FaultModel
 
 
 def test_plan_fejer_samples_goldens():
@@ -95,27 +93,13 @@ def test_run_algorithm1_fejer_histogram():
     np.testing.assert_array_equal(tr.values, again.transform.values)
 
 
-def test_run_algorithm1_fejer_faulty_needs_operator():
-    model = diagonalize(*random_model(4, seed=3))
-    budget = Budget(method="fejer", kernel_order=32, n_samples=200, delta_t=1e-3)
-    with pytest.raises(ValidationError):
-        run_algorithm1(budget, seed=5, model=model, fault=FaultModel(1e-3, 7))
-
-
-def test_run_algorithm1_fejer_faulty_statevector_route():
-    op, psi = random_model(4, seed=61)
-    budget = Budget(method="fejer", kernel_order=32, n_samples=2000, delta_t=1e-3)
-    res = run_algorithm1(budget, seed=7, op=op, psi=psi, fault=FaultModel(1e-3, 11))
-    assert abs(res.transform.values.sum() - 1.0) < 1e-12
-
-
 def test_run_algorithm1_qubitized_merges_mirror_bins():
     op, psi = random_model(8, seed=71)
     model = diagonalize(op, psi)
     shift = AffineMap(0.5, 0.5)
     n = 128
     budget = Budget(method="qubitized_fejer", kernel_order=n, n_samples=5000)
-    res = run_algorithm1(budget, seed=2002, model=model.mapped(shift), spectrum_map=shift)
+    res = run_algorithm1(budget, seed=2002, model=model, spectrum_map=shift)
     tr = res.transform
     assert tr.frequencies.shape == (n // 2 + 1,)
     assert abs(tr.values.sum() - 1.0) < 1e-12
@@ -126,6 +110,8 @@ def test_run_algorithm1_qubitized_merges_mirror_bins():
     assert abs(tr.frequencies[-1] - shift.invert(1.0)) < 1e-12
     inside = tr.frequencies >= -1.0 - 1e-9
     assert tr.values[inside].sum() > 0.99
+    # the map is applied once, so the histogram mean is the spectral mean
+    assert abs(tr.values @ tr.frequencies - model.weights @ model.eigenvalues) < 0.05
 
 
 def test_run_algorithm1_validation():
@@ -142,26 +128,40 @@ def test_run_algorithm2_exact_moments_match_transform():
     op, psi = random_model(12, seed=81)
     model = diagonalize(op, psi)
     target = AccuracyTarget(sigma=0.1, delta=0.2, beta=0.1)
+    order = truncation_order(target).L
+    # the model's moments sum_k w_k T_n(O_k) are the operator recurrence's
+    exact = cheb_moments(op, psi, order)
+    model_moments = np.polynomial.chebyshev.chebvander(model.eigenvalues, order).T @ model.weights
+    np.testing.assert_allclose(model_moments, exact, rtol=0, atol=1e-12)
+    # at 1e15 shots per order the sampled moments are exact to ~3e-8
     nu = np.linspace(-0.8, 0.8, 5)
-    res = run_algorithm2(op, psi, target, nu, seed=3003, exact_moments=True)
+    res = run_algorithm2(model, target, nu, seed=3003, per_order_shots=10**15)
+    np.testing.assert_allclose(res.moments, exact, rtol=0, atol=1e-6)
     lam = res.budget.lam
     want = (gaussian_eval(nu[:, None], model.eigenvalues[None, :], lam) * model.weights).sum(axis=1)
-    # exact moments leave only the truncation error, well under beta
+    # near-exact moments leave only the truncation error, well under beta
     assert np.max(np.abs(res.transform.values - want)) <= target.beta
     assert res.budget.method == "git"
-    assert res.moments is not None and res.moments[0] == 1.0
+    assert res.moments[0] == 1.0
+
+
+def test_run_algorithm2_rejects_unnormalized_model():
+    model = SpectralModel(np.array([-0.5, 1.5]), np.array([0.5, 0.5]))
+    target = AccuracyTarget(sigma=0.2, delta=0.25, beta=0.2)
+    with pytest.raises(ValidationError):
+        run_algorithm2(model, target, np.array([0.0]), seed=1, per_order_shots=10)
 
 
 def test_run_algorithm2_sampled_budget_and_determinism():
-    op, psi = random_model(6, seed=91)
+    model = diagonalize(*random_model(6, seed=91))
     target = AccuracyTarget(sigma=0.2, delta=0.25, beta=0.2)
     nu = np.array([-0.4, 0.0, 0.4])
-    res = run_algorithm2(op, psi, target, nu, seed=4004, per_order_shots=200)
+    res = run_algorithm2(model, target, nu, seed=4004, per_order_shots=200)
     assert res.budget.per_order_shots == 200
     assert res.budget.n_samples == 200 * res.budget.kernel_order
-    again = run_algorithm2(op, psi, target, nu, seed=4004, per_order_shots=200)
+    again = run_algorithm2(model, target, nu, seed=4004, per_order_shots=200)
     np.testing.assert_array_equal(res.transform.values, again.transform.values)
-    other = run_algorithm2(op, psi, target, nu, seed=4005, per_order_shots=200)
+    other = run_algorithm2(model, target, nu, seed=4005, per_order_shots=200)
     assert np.max(np.abs(res.transform.values - other.transform.values)) > 0
 
 
@@ -170,7 +170,7 @@ def test_run_algorithm2_sampled_close_with_planned_budget():
     model = diagonalize(op, psi)
     target = AccuracyTarget(sigma=0.2, delta=0.25, beta=0.2)
     nu = np.array([-0.4, 0.0, 0.4])
-    res = run_algorithm2(op, psi, target, nu, seed=5005)
+    res = run_algorithm2(model, target, nu, seed=5005)
     lam = res.budget.lam
     want = (gaussian_eval(nu[:, None], model.eigenvalues[None, :], lam) * model.weights).sum(axis=1)
     assert np.max(np.abs(res.transform.values - want)) <= target.beta

@@ -33,14 +33,13 @@ from specden.kernels import (
     jackson_thresholds,
     kernel_from_json,
     kernel_to_json,
-    kernel_value,
-    kernel_width,
     qubitized_fejer_eval,
     qubitized_fejer_plan,
     recovered_frequency,
     sigma_accuracy,
 )
 from specden.numerics import child_rng
+from specden.operators import SpectralModel, exact_transform
 
 
 def test_accuracy_target_validation():
@@ -217,11 +216,33 @@ def test_kernel_json_round_trip():
 
 
 def test_kernel_value_dispatch_and_width():
-    assert abs(kernel_value(FejerKernel(64), 0.25, 0.25) - 1.0) < 1e-14
+    assert abs(FejerKernel(64).value(0.25, 0.25) - 1.0) < 1e-14
     lam = 0.1
-    assert abs(kernel_value(GaussianKernel(lam), 0.0, 0.0) - 1.0 / math.sqrt(2 * math.pi) / lam) < 1e-12
-    assert kernel_width(FejerKernel(64)) == pytest.approx(2.0 / 64)
-    assert kernel_width(GaussianKernel(0.2)) == pytest.approx(0.2)
+    assert abs(GaussianKernel(lam).value(0.0, 0.0) - 1.0 / math.sqrt(2 * math.pi) / lam) < 1e-12
+    assert FejerKernel(64).width == pytest.approx(2.0 / 64)
+    assert GaussianKernel(0.2).width == pytest.approx(0.2)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: FejerKernel(128),
+        lambda: QubitizedFejerKernel(256),
+        lambda: GaussianKernel(0.08),
+        lambda: jackson_plan(AccuracyTarget(sigma=0.25, delta=0.1)).kernel,
+    ],
+    ids=["fejer", "qubitized_fejer", "gaussian", "jackson"],
+)
+def test_kernel_protocol_consistent(make):
+    # every family reports its own kind, family and JSON form
+    k = make()
+    model = SpectralModel(np.array([0.2, 0.6]), np.array([0.5, 0.5]))
+    assert exact_transform(model, k, fejer_grid(64)).kind == k.kind
+    assert sigma_accuracy(k, 0.2).family == k.family
+    assert k.width > 0.0
+    blob = kernel_to_json(k)
+    assert blob["family"] == k.family
+    assert kernel_from_json(blob) == k
 
 
 # ---------------------------------------------------------------------------
