@@ -19,6 +19,7 @@ functions.  This module provides:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -191,18 +192,31 @@ def coefficient_table(lam: float, frequencies, order: int) -> np.ndarray:
     beyond are projected from the exact kernel by high-count
     Gauss-Chebyshev quadrature instead, which is stable for every center
     and agrees with the series inside the truncation budget.
+
+    The four most recent tables are cached per ``(lam, frequencies,
+    order)``, so a pipeline that sizes its shots on a grid and then
+    reconstructs on it, or a contract check that reconstructs every
+    trial of every model on one grid, builds each table once.  The
+    returned array is read-only.
     """
     if not (lam > 0.0):
         raise ValidationError(f"lam must be positive, got {lam!r}")
     if order < 1:
         raise ValidationError(f"order must be >= 1, got {order!r}")
-    freqs = np.atleast_1d(np.asarray(frequencies, dtype=float))
+    freqs = np.atleast_1d(np.asarray(frequencies, dtype=float)).reshape(-1)
+    return _cached_coefficient_table(float(lam), freqs.tobytes(), int(order))
+
+
+@functools.lru_cache(maxsize=4)
+def _cached_coefficient_table(lam: float, freq_bytes: bytes, order: int) -> np.ndarray:
+    freqs = np.frombuffer(freq_bytes)
     inside = np.abs(freqs) <= 1.0 + 1e-12
     table = np.empty((freqs.size, order + 1))
     if np.any(inside):
         table[inside] = _series_coefficient_table(lam, freqs[inside], order)
     if not np.all(inside):
         table[~inside] = _direct_coefficient_table(lam, freqs[~inside], order)
+    table.flags.writeable = False
     return table
 
 

@@ -14,6 +14,9 @@ Four kernel families are implemented, all acting on spectra supported in
   (2 lam^2)) / (sqrt(2 pi) lam)``, reachable from Chebyshev moment data.
 * Jackson: a sharp window built by composing an amplifying polynomial
   with a Jackson-damped Chebyshev approximation of a tent function.
+  The composed profile is itself a polynomial of degree ``k * degree``;
+  its Chebyshev coefficients are built once by FFT-based cosine
+  transforms and give the normalization and the tail mass exactly.
 
 Each family has an evaluation routine and a planner that turns an
 accuracy target into kernel parameters.  Its dataclass answers for
@@ -35,7 +38,7 @@ import numpy.polynomial.chebyshev as npcheb
 from scipy.special import erf
 
 from .errors import OutOfRegimeError, ResourceLimitError, ValidationError
-from .numerics import cheb_series_coeffs, composite_simpson, next_pow2
+from .numerics import cheb_nodes, next_pow2
 
 __all__ = [
     "AccuracyTarget",
@@ -232,16 +235,12 @@ class JacksonKernel:
         return jackson_eval(sigma, omega, self)
 
     def outside(self, delta: float, omega0: np.ndarray) -> np.ndarray:
-        # The window is translation covariant in u = (sigma - omega)/2, so the
-        # tail fraction is a single number: the profile mass at |u| > delta/2
-        # relative to the total over [-1, 1].
-        m = max(32 * self.degree + 1, 8193)
-        u = np.linspace(0.0, 1.0, m)
-        vals = self.normalization * _jackson_profile(u, self.k, self.degree, self.delta)
-        cum = np.concatenate(([0.0], np.cumsum((vals[1:] + vals[:-1]) * 0.5 * (u[1] - u[0]))))
-        half_mass = cum[-1]
-        at_edge = np.interp(delta / 2.0, u, cum)
-        tail_fraction = (half_mass - at_edge) / half_mass
+        # The window is translation covariant in u = (sigma - omega)/2 and even
+        # in u, so the tail fraction is a single number: the profile mass at
+        # u > delta/2 relative to the mass on [0, 1], both exact integrals of
+        # the profile polynomial.
+        p = _jackson_profile_coeffs(self.k, self.degree, self.delta)
+        tail_fraction = _mass_above(p, min(delta / 2.0, 1.0)) / _mass_above(p, 0.0)
         return np.full(omega0.size, tail_fraction)
 
 
@@ -430,13 +429,72 @@ def jackson_damping(degree: int) -> np.ndarray:
     return ((big - k) * np.cos(np.pi * k / big) + np.sin(np.pi * k / big) / np.tan(np.pi / big)) / big
 
 
+def _check_window_size(size: int, what: str) -> None:
+    if size > GRID_CAP:
+        raise ResourceLimitError(
+            f"the Jackson window needs {size} {what}, over the cap {GRID_CAP}; loosen sigma or delta"
+        )
+
+
+def _dct2(values: np.ndarray, deg: int) -> np.ndarray:
+    """``sum_j values[j] cos(pi n (2j + 1) / (2m))`` for n = 0..deg, m = ``values.size``.
+
+    One real FFT of the mirrored sequence of length 2m, whose n-th
+    coefficient F_n gives the sum as ``Re(exp(-i pi n / (2m)) F_n) / 2``.
+    """
+    m = values.size
+    spec = np.fft.rfft(np.concatenate((values, values[::-1])))[: deg + 1]
+    phase = np.pi * np.arange(deg + 1) / (2 * m)
+    return (spec.real * np.cos(phase) + spec.imag * np.sin(phase)) / 2.0
+
+
+def _dct1(a: np.ndarray) -> np.ndarray:
+    """``a_0 + (-1)^i a_N + 2 sum_{n=1}^{N-1} a_n cos(pi n i / N)`` for i = 0..N.
+
+    One real FFT of the even extension of length 2N.  It maps Chebyshev
+    coefficients to values at the Lobatto points ``cos(pi i / N)`` and
+    back, up to the end-point weights the callers apply.
+    """
+    return np.fft.rfft(np.concatenate((a, a[-2:0:-1]))).real
+
+
+def _fft_size(n: int) -> int:
+    """Smallest ``2^a 3^b 5^c >= n``.
+
+    numpy's FFT falls back to slow generic or Bluestein passes on other
+    lengths: a large prime factor in the window degree tripled both the
+    time and the memory of a profile build.
+    """
+    best = next_pow2(n)
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            p = p35
+            while p < n:
+                p *= 2
+            best = min(best, p)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 @functools.lru_cache(maxsize=None)
 def jackson_coeffs(degree: int, delta: float) -> np.ndarray:
     """Chebyshev coefficients of the Jackson-damped tent approximation.
 
-    Cached per ``(degree, delta)``; the returned array is read-only.
+    Gauss-Chebyshev projection of the tent on the ``m = max(4096, 4
+    (degree + 1))`` roots of T_m, computed as one DCT-II in O(m log m)
+    time and O(m) memory, then damped.  Raises
+    :class:`ResourceLimitError` before allocating when m exceeds
+    ``GRID_CAP``.  Cached per ``(degree, delta)``; the returned array is
+    read-only.
     """
-    raw = cheb_series_coeffs(lambda x: jackson_tent(x, delta), degree, nodes=max(4096, 4 * (degree + 1)))
+    m = max(4096, 4 * (degree + 1))
+    _check_window_size(m, "projection nodes")
+    gamma = np.full(degree + 1, 2.0)
+    gamma[0] = 1.0
+    raw = _dct2(jackson_tent(cheb_nodes(m), delta), degree) * gamma / m
     coeffs = raw * jackson_damping(degree)
     coeffs.flags.writeable = False
     return coeffs
@@ -513,26 +571,61 @@ def _jackson_profile(u: np.ndarray, k: int, degree: int, delta: float) -> np.nda
     return npcheb.chebval(0.8 * jackson_approx(u, degree, delta), amp)
 
 
+@functools.lru_cache(maxsize=8)
+def _jackson_profile_coeffs(k: int, degree: int, delta: float) -> np.ndarray:
+    """Chebyshev coefficients p_0..p_N of the profile ``A_k((4/5) J(u))``, N = k * degree.
+
+    The profile is a polynomial of degree N, so it is held exactly, up
+    to rounding: one DCT-I of J's zero-padded coefficients gives J at the
+    M + 1 Lobatto points ``cos(pi i / M)``, with M the smallest FFT-fast
+    size >= N, A_k is applied there by Clenshaw, and a second DCT-I
+    interpolates the samples; the coefficients past N vanish up to
+    rounding and are dropped.  O(N log N) time and O(N) memory; raises
+    :class:`ResourceLimitError` before allocating when N + 1 exceeds
+    ``GRID_CAP``.  Cached per ``(k, degree, delta)``; the returned array
+    is read-only.
+    """
+    n = k * degree
+    _check_window_size(n + 1, "profile coefficients")
+    amp, _ = amplifier_coeffs(k)
+    size = _fft_size(n)
+    padded = np.zeros(size + 1)
+    padded[: degree + 1] = jackson_coeffs(degree, delta)
+    padded[0] *= 2.0
+    padded[-1] *= 2.0
+    j_lobatto = _dct1(padded) / 2.0
+    samples = npcheb.chebval(0.8 * j_lobatto, amp)
+    p = _dct1(samples) / size
+    p[0] /= 2.0
+    p[-1] /= 2.0
+    p = p[: n + 1].copy()
+    p.flags.writeable = False
+    return p
+
+
+def _mass_above(p: np.ndarray, a: float) -> float:
+    """Integral over [a, 1] of the Chebyshev series with coefficients `p`.
+
+    The antiderivative has coefficients ``(q_{n-1} - p_{n+1}) / (2n)``
+    for n >= 1, where q is p with ``q_0 = 2 p_0``, and ``T_n(1) = 1``,
+    ``T_n(a) = cos(n arccos a)``.
+    """
+    n = np.arange(1, p.size + 1)
+    lower = np.concatenate(([2.0 * p[0]], p[1:]))
+    upper = np.concatenate((p[2:], [0.0, 0.0]))
+    return float(((lower - upper) / (2.0 * n)) @ (1.0 - np.cos(n * math.acos(a))))
+
+
 def jackson_normalization(k: int, degree: int, delta: float) -> float:
     """Normalization 1 / integral of ``A_k((4/5) J(u))`` for u in [-1, 1].
 
-    The integral is computed by a composite Simpson rule whose node
-    count doubles until two successive values agree to 1e-10 relative.
+    The profile is a polynomial with Chebyshev coefficients p, so its
+    integral is the exact Clenshaw-Curtis sum ``sum_j 2 p_{2j} / (1 -
+    4 j^2)``.
     """
-    m = max(8193, 16 * degree + 1)
-    if m % 2 == 0:
-        m += 1
-    prev = None
-    while True:
-        u = np.linspace(-1.0, 1.0, m)
-        vals = _jackson_profile(u, k, degree, delta)
-        total = composite_simpson(vals, 2.0 / (m - 1))
-        if prev is not None and abs(total - prev) <= 1e-10 * max(1.0, abs(total)):
-            break
-        if m > 2**21:
-            break
-        prev = total
-        m = 2 * m - 1
+    p = _jackson_profile_coeffs(k, degree, delta)
+    even = np.arange(0, p.size, 2)
+    total = float(np.sum(2.0 * p[::2] / (1.0 - even * even)))
     if not (total > 0.0):
         raise ValidationError("window integral is not positive; amplifier contract violated")
     return 1.0 / total

@@ -1,8 +1,8 @@
 """Small numerical utilities used throughout the package.
 
 Nothing in here knows about kernels or spectra; these are generic
-helpers (power-of-two rounding, Simpson quadrature, Chebyshev nodes and
-projection, deterministic seed derivation).
+helpers (power-of-two rounding, Chebyshev nodes and projection,
+deterministic seed derivation).
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from .errors import ValidationError
 
 __all__ = [
     "next_pow2",
-    "composite_simpson",
     "cheb_nodes",
     "cheb_series_coeffs",
     "child_rng",
@@ -33,20 +32,6 @@ def next_pow2(x: float) -> int:
     while n < x:
         n *= 2
     return n
-
-
-def composite_simpson(values: np.ndarray, h: float) -> float:
-    """Composite Simpson rule over uniformly spaced samples.
-
-    `values` must contain an odd number of points (an even number of
-    panels); `h` is the sample spacing.
-    """
-    values = np.asarray(values, dtype=float)
-    n = values.size
-    if n < 3 or n % 2 == 0:
-        raise ValidationError("composite_simpson needs an odd number of samples >= 3")
-    s = values[0] + values[-1] + 4.0 * values[1:-1:2].sum() + 2.0 * values[2:-2:2].sum()
-    return h * s / 3.0
 
 
 def cheb_nodes(m: int) -> np.ndarray:

@@ -92,7 +92,11 @@ def qpe_distribution(model: SpectralModel, n: int) -> OutcomeDistribution:
 
     ``P(q) = sum_k alpha_k K_F(sigma_q, O_k, n)`` over the grid
     ``sigma_q = 2q/n - 1``; equals the statevector simulation exactly.
+    The model spectrum must lie in [-1, 1]: the kernel is periodic with
+    period 2, so an eigenvalue beyond would land on a wrapped bin.
     """
+    if np.any(np.abs(model.eigenvalues) > 1.0 + 1e-12):
+        raise ValidationError("model spectrum must lie in [-1, 1]; normalize first")
     grid = fejer_grid(n)
     kernel = fejer_eval(grid[:, None], model.eigenvalues[None, :], n)
     return OutcomeDistribution(grid=grid, probs=kernel @ model.weights)

@@ -10,6 +10,7 @@ import json
 import numpy as np
 import pytest
 
+from specden import chebgauss
 from specden.cli import main
 from specden.operators import random_model, write_model_file
 
@@ -173,6 +174,43 @@ def test_exit_code_resource_limit(tmp_path, capsys):
     assert "resource cap" in capsys.readouterr().out
     assert run_cli("plan", *target) == 0
     assert "per_order_shots=" in capsys.readouterr().out
+
+
+def test_plan_jackson_fine_targets(capsys):
+    # k * degree = 59 * 48,000: the window is built by FFTs in O(k * degree) memory
+    assert run_cli("plan", "--method", "jackson", "--sigma", "0.1", "--delta", "0.001") == 0
+    assert "degree=48000, amplifier_degree=59" in capsys.readouterr().out
+    # k * degree ~ 4.2e8 exceeds the grid cap and is refused before allocating
+    assert run_cli("plan", "--method", "jackson", "--sigma", "0.1", "--delta", "1e-5") == 4
+    assert "resource cap" in capsys.readouterr().out
+
+
+def test_git_commands_build_each_coefficient_table_once(tmp_path, monkeypatch):
+    builds = []
+    build = chebgauss._series_coefficient_table
+
+    def counted(lam, freqs, order):
+        builds.append(freqs.size)
+        return build(lam, freqs, order)
+
+    monkeypatch.setattr(chebgauss, "_series_coefficient_table", counted)
+    chebgauss._cached_coefficient_table.cache_clear()
+    assert run_cli(
+        "estimate", "--method", "git", "--sigma", "0.25", "--delta", "0.2",
+        "--gen", "dense:8", "--seed", "3", "--out", str(tmp_path / "e"),
+    ) == 0
+    # one grid: the shots are sized and the estimate reconstructed on one table
+    assert builds == [201]
+    builds.clear()
+    chebgauss._cached_coefficient_table.cache_clear()
+    assert run_cli(
+        "verify", "--method", "git", "--sigma", "0.25", "--delta", "0.2",
+        "--gen", "dense:6:count=2", "--seed", "5", "--trials", "6",
+        "--out", str(tmp_path / "v"), "--workers", "1",
+    ) == 0
+    # the contract grid and the dense observable grid, each shared by every
+    # trial of both models
+    assert len(builds) == 2 and 5 in builds
 
 
 def test_exit_code_io_error(tmp_path):

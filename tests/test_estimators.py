@@ -124,6 +124,17 @@ def test_run_algorithm1_validation():
         run_algorithm1(qb, seed=1, model=model)  # missing spectrum_map
 
 
+@pytest.mark.parametrize(
+    "method, spectrum_map", [("fejer", None), ("qubitized_fejer", AffineMap(0.5, 0.5))]
+)
+def test_run_algorithm1_rejects_spectrum_out_of_range(method, spectrum_map):
+    # 1.5 lies beyond [-1, 1] and maps to 1.25, beyond [0, 1]; the periodic
+    # Fejer kernel would put all of its mass on the wrapped bin at -0.5.
+    model = SpectralModel(np.array([1.5]), np.array([1.0]))
+    with pytest.raises(ValidationError, match="must lie in"):
+        run_algorithm1(Budget(method, 64, 1000), 1, model, spectrum_map)
+
+
 def test_run_algorithm2_exact_moments_match_transform():
     op, psi = random_model(12, seed=81)
     model = diagonalize(op, psi)

@@ -1,11 +1,14 @@
 """Unit tests for the kernel families, their planners, and tail measurement."""
 
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from specden import kernels
 from specden.errors import OutOfRegimeError, ResourceLimitError, ValidationError
 from specden.kernels import (
     AccuracyTarget,
@@ -27,6 +30,7 @@ from specden.kernels import (
     jackson_coeffs,
     jackson_damping,
     jackson_eval,
+    jackson_normalization,
     jackson_plan,
     jackson_tent,
     jackson_tent_error,
@@ -38,7 +42,7 @@ from specden.kernels import (
     recovered_frequency,
     sigma_accuracy,
 )
-from specden.numerics import child_rng
+from specden.numerics import cheb_series_coeffs, child_rng
 from specden.operators import SpectralModel, exact_transform
 
 
@@ -347,3 +351,87 @@ def test_jackson_eval_normalized_in_u():
     vals = jackson_eval(2.0 * u, 0.0, kernel) / 2.0  # du = d(sigma)/2
     mass = np.trapezoid(vals, 2.0 * u)
     assert abs(mass - 1.0) < 1e-6
+
+
+@pytest.mark.parametrize("degree, delta", [(64, 0.3), (1920, 0.0125)])
+def test_jackson_coeffs_dct_matches_vandermonde_projection(degree, delta):
+    m = max(4096, 4 * (degree + 1))
+    reference = cheb_series_coeffs(lambda x: jackson_tent(x, delta), degree, nodes=m)
+    np.testing.assert_allclose(
+        jackson_coeffs(degree, delta), reference * jackson_damping(degree), rtol=0, atol=1e-13
+    )
+
+
+def _is_5_smooth(m):
+    for p in (2, 3, 5):
+        while m % p == 0:
+            m //= p
+    return m == 1
+
+
+def test_fft_size_is_smallest_5_smooth_bound():
+    for n in range(1, 1025):
+        assert kernels._fft_size(n) == next(m for m in itertools.count(n) if _is_5_smooth(m))
+
+
+# k * degree = 25 * 480 is an FFT-fast size; 31 * 960 is padded to 30,000
+@pytest.mark.parametrize("sigma, delta", [(0.25, 0.1), (0.1, 0.1)])
+def test_jackson_profile_coeffs_reproduce_composed_window(sigma, delta):
+    plan = jackson_plan(AccuracyTarget(sigma=sigma, delta=delta))
+    p = kernels._jackson_profile_coeffs(plan.k, plan.degree, plan.delta)
+    assert p.size == plan.k * plan.degree + 1 and not p.flags.writeable
+    u = child_rng(17).uniform(-1.0, 1.0, 200)
+    amp, _ = amplifier_coeffs(plan.k)
+    want = np.polynomial.chebyshev.chebval(0.8 * jackson_approx(u, plan.degree, plan.delta), amp)
+    np.testing.assert_allclose(np.polynomial.chebyshev.chebval(u, p), want, rtol=0, atol=1e-12)
+
+
+def _gauss_legendre_panels(lo, hi, panels, points=10):
+    x, w = np.polynomial.legendre.leggauss(points)
+    edges = np.linspace(lo, hi, panels + 1)
+    h = edges[1] - edges[0]
+    nodes = (edges[:-1, None] + h / 2.0 * (x[None, :] + 1.0)).ravel()
+    return nodes, np.tile(w * h / 2.0, panels)
+
+
+@pytest.mark.parametrize("sigma, delta", [(0.25, 0.1), (0.1, 0.05)])
+def test_jackson_normalization_matches_panel_quadrature(sigma, delta):
+    plan = jackson_plan(AccuracyTarget(sigma=sigma, delta=delta))
+    # 10-point Gauss-Legendre on panels a quarter of the window's resolution wide
+    u, w = _gauss_legendre_panels(-1.0, 1.0, 8 * plan.degree)
+    mass = w @ jackson_eval(2.0 * u, 0.0, plan.kernel)
+    assert abs(mass - 1.0) <= 1e-10
+
+
+def test_jackson_outside_matches_fine_trapezoid():
+    target = AccuracyTarget(sigma=0.25, delta=0.1)
+    plan = jackson_plan(target)
+    # the window edge delta/2 falls on a grid point
+    u = np.linspace(0.0, 1.0, 32 * plan.degree + 1)
+    vals = jackson_eval(2.0 * u, 0.0, plan.kernel)
+    beyond = u >= target.delta / 2.0
+    want = np.trapezoid(vals[beyond], u[beyond]) / np.trapezoid(vals, u)
+    got = plan.kernel.outside(target.delta, np.zeros(3))
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-8)
+
+
+def test_jackson_plan_memory_stays_linear_in_window_degree():
+    # cold caches, so the plan builds its tent coefficients and profile afresh
+    kernels.jackson_coeffs.cache_clear()
+    kernels._jackson_profile_coeffs.cache_clear()
+    tracemalloc.start()
+    try:
+        plan = jackson_plan(AccuracyTarget(sigma=0.05, delta=0.01))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert plan.k * plan.degree == 240_000
+    # the Vandermonde projection and the Simpson loop peaked at 705 MB here
+    assert peak < 64 * 2**20
+
+
+def test_jackson_window_guards_resource_cap():
+    with pytest.raises(ResourceLimitError, match="profile coefficients"):
+        jackson_normalization(87, 4_800_000, 5e-6)
+    with pytest.raises(ResourceLimitError, match="projection nodes"):
+        jackson_coeffs(2**25, 1e-6)

@@ -1,7 +1,5 @@
 """Unit tests for the generic numeric helpers."""
 
-import math
-
 import numpy as np
 import pytest
 from numpy.polynomial.chebyshev import chebval
@@ -11,7 +9,6 @@ from specden.numerics import (
     cheb_nodes,
     cheb_series_coeffs,
     child_rng,
-    composite_simpson,
     derive_seed,
     fmt_float,
     next_pow2,
@@ -32,19 +29,6 @@ def test_next_pow2_rejects_non_finite():
         next_pow2(float("inf"))
     with pytest.raises(ValidationError):
         next_pow2(float("nan"))
-
-
-def test_composite_simpson_matches_adaptive():
-    x = np.linspace(0.0, math.pi, 2001)
-    got = composite_simpson(np.sin(x), x[1] - x[0])
-    assert abs(got - 2.0) < 1e-10
-
-
-def test_composite_simpson_needs_odd_count():
-    with pytest.raises(ValidationError):
-        composite_simpson(np.ones(4), 0.1)
-    with pytest.raises(ValidationError):
-        composite_simpson(np.ones(1), 0.1)
 
 
 def test_cheb_nodes_are_chebyshev_roots():
