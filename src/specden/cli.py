@@ -58,7 +58,6 @@ from .kernels import (
     AccuracyTarget,
     GaussianKernel,
     delta_theta,
-    fejer_grid,
     fejer_plan,
     gaussian_resolution,
     jackson_plan,
@@ -76,6 +75,7 @@ from .operators import (
     HermitianOperator,
     ObservableFn,
     ProbeState,
+    TransformGrid,
     diagonalize,
     exact_transform,
     model_from_json,
@@ -84,7 +84,7 @@ from .operators import (
     random_model,
     read_model_file,
 )
-from .sampling import FaultModel, qpe_distribution, statevector_qpe
+from .sampling import FaultModel, qpe_distribution, qubitized_qpe_distribution, statevector_qpe
 
 __all__ = ["RunConfig", "main"]
 
@@ -434,12 +434,14 @@ def cmd_transform(cfg: RunConfig) -> int:
     (name,) = _methods(cfg, _METHODS, "fejer")
     op, psi, amap = _load_pairs(cfg)[0]
     model = diagonalize(op, psi)
-    if name == "fejer":
-        kern = fejer_plan(target)
-        grid = exact_transform(model, kern, fejer_grid(kern.n))
-    elif name == "qfejer":
-        kern = qubitized_fejer_plan(target)
-        grid = exact_transform(model.mapped(_UNIT_SHIFT), kern, fejer_grid(kern.n))
+    if name in ("fejer", "qfejer"):
+        if name == "fejer":
+            kern = fejer_plan(target)
+            dist = qpe_distribution(model, kern.n)
+        else:
+            kern = qubitized_fejer_plan(target)
+            dist = qubitized_qpe_distribution(model.mapped(_UNIT_SHIFT), kern.n)
+        grid = TransformGrid(dist.grid, dist.probs, kind=kern.kind, exact=True, kernel=kern)
     elif name == "git":
         lam = gaussian_resolution(target)
         grid = exact_transform(model, GaussianKernel(lam), _nu_grid(cfg, target))

@@ -76,6 +76,7 @@ __all__ = [
 ]
 
 GRID_CAP = 2**26
+_SCAN_CELLS = 2**20
 
 
 @dataclass(frozen=True)
@@ -112,6 +113,19 @@ def _check_grid_size(n: int) -> None:
         raise ValidationError(f"grid size must be a power of two >= 2, got {n!r}")
 
 
+def _scan_in_blocks(escaped, omega0: np.ndarray, n: int) -> np.ndarray:
+    """Apply the per-centre tail sum `escaped` to blocks of at most ``_SCAN_CELLS`` grid cells.
+
+    Each centre's sum runs over its own row, so the result does not
+    depend on the block size, and memory stays bounded for any scan.
+    """
+    out = np.empty(omega0.size)
+    step = max(1, _SCAN_CELLS // n)
+    for start in range(0, omega0.size, step):
+        out[start : start + step] = escaped(omega0[start : start + step])
+    return out
+
+
 @dataclass(frozen=True)
 class FejerKernel:
     """Fejer kernel on the grid ``sigma_q = 2q/n - 1``, q = 0..n-1."""
@@ -134,11 +148,15 @@ class FejerKernel:
 
     def outside(self, delta: float, omega0: np.ndarray) -> np.ndarray:
         grid = fejer_grid(self.n)
-        k = fejer_eval(grid[None, :], omega0[:, None], self.n)
-        d = (grid[None, :] - omega0[:, None]) / 2.0
-        d = d - np.round(d)
-        outside = np.abs(2.0 * d) > delta
-        return np.sum(np.where(outside, k, 0.0), axis=1)
+
+        def escaped(centres):
+            k = fejer_eval(grid[None, :], centres[:, None], self.n)
+            d = (grid[None, :] - centres[:, None]) / 2.0
+            d = d - np.round(d)
+            outside = np.abs(2.0 * d) > delta
+            return np.sum(np.where(outside, k, 0.0), axis=1)
+
+        return _scan_in_blocks(escaped, omega0, self.n)
 
 
 @dataclass(frozen=True)
@@ -164,9 +182,14 @@ class QubitizedFejerKernel:
     def outside(self, delta: float, omega0: np.ndarray) -> np.ndarray:
         grid = fejer_grid(self.n)
         rec = recovered_frequency(grid)
-        k = qubitized_fejer_eval(grid[None, :], omega0[:, None], self.n)
-        outside = np.abs(rec[None, :] - omega0[:, None]) > delta / 2.0
-        return np.sum(np.where(outside, k, 0.0), axis=1)
+
+        def escaped(centres):
+            k = qubitized_fejer_eval(grid[None, :], centres[:, None], self.n)
+            outside = np.abs(rec[None, :] - centres[:, None]) > delta / 2.0
+            return np.sum(np.where(outside, k, 0.0), axis=1)
+
+        # A scan may step up to half its spacing past 1; the kernel is defined on [0, 1].
+        return _scan_in_blocks(escaped, np.clip(omega0, 0.0, 1.0), self.n)
 
 
 @dataclass(frozen=True)
@@ -576,11 +599,13 @@ def _jackson_profile_coeffs(k: int, degree: int, delta: float) -> np.ndarray:
     """Chebyshev coefficients p_0..p_N of the profile ``A_k((4/5) J(u))``, N = k * degree.
 
     The profile is a polynomial of degree N, so it is held exactly, up
-    to rounding: one DCT-I of J's zero-padded coefficients gives J at the
-    M + 1 Lobatto points ``cos(pi i / M)``, with M the smallest FFT-fast
-    size >= N, A_k is applied there by Clenshaw, and a second DCT-I
-    interpolates the samples; the coefficients past N vanish up to
-    rounding and are dropped.  O(N log N) time and O(N) memory; raises
+    to rounding.  J is even, so ``J(x) = sum_j J_2j T_j(2x^2 - 1)`` and
+    the profile is a polynomial of degree N/2 in ``y = 2x^2 - 1``: one
+    DCT-I of J's zero-padded even coefficients gives J at the H + 1
+    Lobatto points ``y = cos(pi i / H)``, with H the smallest FFT-fast
+    size >= N/2, A_k is applied there by Clenshaw, and a second DCT-I
+    interpolates the samples into the even coefficients p_2j; the odd
+    ones vanish.  O(N log N) time and O(N) memory; raises
     :class:`ResourceLimitError` before allocating when N + 1 exceeds
     ``GRID_CAP``.  Cached per ``(k, degree, delta)``; the returned array
     is read-only.
@@ -588,17 +613,19 @@ def _jackson_profile_coeffs(k: int, degree: int, delta: float) -> np.ndarray:
     n = k * degree
     _check_window_size(n + 1, "profile coefficients")
     amp, _ = amplifier_coeffs(k)
-    size = _fft_size(n)
+    size = _fft_size(max(n // 2, 1))
     padded = np.zeros(size + 1)
-    padded[: degree + 1] = jackson_coeffs(degree, delta)
+    even = jackson_coeffs(degree, delta)[::2]
+    padded[: even.size] = even
     padded[0] *= 2.0
     padded[-1] *= 2.0
     j_lobatto = _dct1(padded) / 2.0
     samples = npcheb.chebval(0.8 * j_lobatto, amp)
-    p = _dct1(samples) / size
-    p[0] /= 2.0
-    p[-1] /= 2.0
-    p = p[: n + 1].copy()
+    q = _dct1(samples) / size
+    q[0] /= 2.0
+    q[-1] /= 2.0
+    p = np.zeros(n + 1)
+    p[::2] = q[: n // 2 + 1]
     p.flags.writeable = False
     return p
 

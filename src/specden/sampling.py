@@ -5,11 +5,16 @@ Three measurement primitives feed the estimation pipelines:
 * phase estimation on a uniform ancilla register, whose outcome
   distribution over the grid ``sigma_q = 2q/N - 1`` is the Fejer kernel
   broadened spectrum.  An analytic route computes the distribution
-  directly from a spectral model; a statevector route simulates the
-  register explicitly (with optional norm-bounded faults in each
-  controlled evolution) and serves as the validation oracle.
+  directly from a spectral model: the Fejer kernel is a trigonometric
+  polynomial of degree N - 1, so the mixture over the model's peaks is
+  one FFT of its characteristic function under a triangle window, in
+  O(N K) multiply-adds and O(N + sqrt(N) K) memory for K peaks.  A
+  statevector route simulates the register explicitly (with optional
+  norm-bounded faults in each controlled evolution) and serves as the
+  validation oracle.
 * the folded variant driven by a walk operator, with outcomes on the
-  arc variable and frequencies recovered through ``cos(pi sigma)``.
+  arc variable and frequencies recovered through ``cos(pi sigma)``; its
+  distribution is the same mixture over the mirrored phases.
 * a one-ancilla Hadamard test modeled as a Bernoulli estimator for the
   real spectral moments ``t_k``.
 
@@ -25,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResourceLimitError, ValidationError
-from .kernels import fejer_eval, fejer_grid, qubitized_fejer_eval
+from .kernels import fejer_grid
 from .numerics import child_rng
 from .operators import HermitianOperator, ProbeState, SpectralModel
 
@@ -87,19 +92,53 @@ class FaultModel:
             raise ValidationError(f"delta_t must be nonnegative, got {self.delta_t!r}")
 
 
+def _fejer_mixture(phases: np.ndarray, weights: np.ndarray, n: int) -> OutcomeDistribution:
+    """``P(q) = sum_k w_k K_F(sigma_q, phase_k, n)`` on the grid ``sigma_q = 2q/n - 1``.
+
+    ``K_F(d) = (1/n) sum_{|m|<n} (1 - |m|/n) exp(i pi m d)``, so ``P(q) =
+    (1/n) [chi(0) + 2 Re sum_{m=1}^{n-1} (1 - m/n) (-1)^m chi(m) exp(2 pi
+    i m q / n)]`` with ``chi(m) = sum_k w_k exp(-i pi m phase_k)``: one
+    inverse FFT.  Writing ``m = j + b c`` with b a power of two near
+    sqrt(n) makes chi one (n/b x K) by (K x b) matrix product, so no
+    n x K array is formed.
+    """
+    grid = fejer_grid(n)
+    b = 2 ** (int(n).bit_length() // 2)
+    # Each phase is split as hi + lo with hi on the grid of 2^-26, so m * hi
+    # is an exact float for every m < n <= 2^26 and is reduced mod 2 exactly
+    # before the small m * lo is added.  Rounding m * phase directly leaves a
+    # phase error near m * eps, enough to push empty bins below zero.
+    hi = np.round(phases * 2.0**26) / 2.0**26
+    lo = phases - hi
+
+    def unit(m):
+        turns = np.fmod(np.multiply.outer(m, hi), 2.0)
+        turns += np.multiply.outer(m, lo)
+        return np.exp(-1j * np.pi * turns)
+
+    chi = (unit(b * np.arange(n // b)) @ (unit(np.arange(b)).T * weights[:, None])).reshape(n)
+    # the triangle window times (-1)^m, halved at m = 0 where chi(0) is counted once
+    window = 1.0 - np.arange(n) / n
+    window[1::2] = -window[1::2]
+    window[0] = 0.5
+    return OutcomeDistribution(grid=grid, probs=2.0 * np.fft.ifft(chi * window).real)
+
+
 def qpe_distribution(model: SpectralModel, n: int) -> OutcomeDistribution:
     """Analytic phase-estimation outcome distribution for a spectral model.
 
     ``P(q) = sum_k alpha_k K_F(sigma_q, O_k, n)`` over the grid
     ``sigma_q = 2q/n - 1``; equals the statevector simulation exactly.
+    The mixture is one inverse FFT of the characteristic function
+    ``sum_k alpha_k exp(-i pi m O_k)`` under the triangle window ``1 -
+    |m|/n``, O(n K) multiply-adds, O(sqrt(n) K) exponentials and O(n +
+    sqrt(n) K) memory for K eigenvalues.
     The model spectrum must lie in [-1, 1]: the kernel is periodic with
     period 2, so an eigenvalue beyond would land on a wrapped bin.
     """
     if np.any(np.abs(model.eigenvalues) > 1.0 + 1e-12):
         raise ValidationError("model spectrum must lie in [-1, 1]; normalize first")
-    grid = fejer_grid(n)
-    kernel = fejer_eval(grid[:, None], model.eigenvalues[None, :], n)
-    return OutcomeDistribution(grid=grid, probs=kernel @ model.weights)
+    return _fejer_mixture(model.eigenvalues, model.weights, n)
 
 
 def _unit_norm_gue(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -167,9 +206,10 @@ def qubitized_qpe_distribution(model: SpectralModel, n: int) -> OutcomeDistribut
     ev = model.eigenvalues
     if np.any(ev < -1e-12) or np.any(ev > 1.0 + 1e-12):
         raise ValidationError("model spectrum must lie in [0, 1] for the folded kernel")
-    grid = fejer_grid(n)
-    kernel = qubitized_fejer_eval(grid[:, None], np.clip(ev, 0.0, 1.0)[None, :], n)
-    return OutcomeDistribution(grid=grid, probs=kernel @ model.weights)
+    # The folded kernel is [K_F(sigma, t) + K_F(sigma, -t)] / 2, t = arccos(omega)/pi.
+    t = np.arccos(np.clip(ev, 0.0, 1.0)) / np.pi
+    half = model.weights / 2.0
+    return _fejer_mixture(np.concatenate((t, -t)), np.concatenate((half, half)), n)
 
 
 def build_qubiterate(op: HermitianOperator) -> tuple[np.ndarray, np.ndarray]:

@@ -153,6 +153,38 @@ def test_qubitized_planned_tail_margins():
         assert abs(acc.value - worst) < 5e-5
 
 
+def test_qubitized_sigma_accuracy_scans_every_delta():
+    # the scan arange(0, 1 + h/2, h) may end up to h/2 past 1, outside the folded domain
+    past_one = 0
+    for delta in np.linspace(0.01, 0.5, 50):
+        delta = float(delta)
+        kernel = qubitized_fejer_plan(AccuracyTarget(sigma=0.1, delta=delta))
+        acc = sigma_accuracy(kernel, delta)
+        past_one += acc.omega0[-1] > 1.0
+        assert 0.0 < acc.value <= 0.1
+    assert past_one > 0
+
+
+@pytest.mark.parametrize(
+    "kernel, delta",
+    [(FejerKernel(4096), 0.02), (QubitizedFejerKernel(4096), 0.02)],
+    ids=["fejer", "qubitized_fejer"],
+)
+def test_fejer_tail_scan_memory_is_bounded(kernel, delta):
+    omega0 = np.arange(kernel.scan_start, 1.0 + delta / 40.0, delta / 20.0)
+    # one centre at a time is the reference: each centre's sum runs over its own row
+    want = np.array([kernel.outside(delta, omega0[i : i + 1])[0] for i in range(0, omega0.size, 97)])
+    tracemalloc.start()
+    try:
+        got = kernel.outside(delta, omega0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(got[::97], want)
+    # the whole scan as one n x centres array peaked at 313 MB (fejer) here
+    assert peak < 64 * 2**20
+
+
 def test_gaussian_resolution_goldens():
     lam1 = gaussian_resolution(AccuracyTarget(sigma=0.1, delta=0.2))
     lam2 = gaussian_resolution(AccuracyTarget(sigma=0.25, delta=0.1))
@@ -374,8 +406,9 @@ def test_fft_size_is_smallest_5_smooth_bound():
         assert kernels._fft_size(n) == next(m for m in itertools.count(n) if _is_5_smooth(m))
 
 
-# k * degree = 25 * 480 is an FFT-fast size; 31 * 960 is padded to 30,000
-@pytest.mark.parametrize("sigma, delta", [(0.25, 0.1), (0.1, 0.1)])
+# half of k * degree = 25 * 480 is an FFT-fast size, half of 31 * 960 is padded
+# from 14,880 to 15,000, and 21 * 107 is odd
+@pytest.mark.parametrize("sigma, delta", [(0.25, 0.1), (0.1, 0.1), (0.1, 0.45)])
 def test_jackson_profile_coeffs_reproduce_composed_window(sigma, delta):
     plan = jackson_plan(AccuracyTarget(sigma=sigma, delta=delta))
     p = kernels._jackson_profile_coeffs(plan.k, plan.degree, plan.delta)

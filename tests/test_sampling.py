@@ -1,9 +1,12 @@
 """Unit tests for the measurement-primitive simulators."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specden.errors import ResourceLimitError, ValidationError
 from specden.kernels import fejer_eval, fejer_grid, qubitized_fejer_eval
@@ -12,6 +15,7 @@ from specden.operators import (
     AffineMap,
     HermitianOperator,
     ProbeState,
+    SpectralModel,
     diagonalize,
     random_model,
 )
@@ -51,6 +55,72 @@ def test_qpe_distribution_matches_kernel_mixture():
     want = (fejer_eval(grid[:, None], model.eigenvalues[None, :], n) * model.weights).sum(axis=1)
     np.testing.assert_allclose(dist.probs, want, atol=1e-13)
     assert abs(dist.probs.sum() - 1.0) < 1e-12
+
+
+def _blocked_mixture(kernel_eval, model, n):
+    # the n x K kernel matrix, built 4096 grid rows at a time
+    grid = fejer_grid(n)
+    rows = [
+        kernel_eval(grid[i : i + 4096, None], model.eigenvalues[None, :], n) @ model.weights
+        for i in range(0, n, 4096)
+    ]
+    return np.concatenate(rows)
+
+
+def _edge_model(n, size, seed):
+    # random phases plus phases on grid points, at +-1 and 1e-13 inside 1
+    rng = child_rng(seed)
+    grid = fejer_grid(n)
+    ev = np.concatenate((
+        rng.uniform(-1.0, 1.0, size),
+        grid[rng.integers(0, n, 3)],
+        [-1.0, 1.0, 1.0 - 1e-13],
+    ))
+    w = rng.random(ev.size)
+    return SpectralModel(np.sort(ev), w / w.sum())
+
+
+@pytest.mark.parametrize("n", [2, 4, 64, 4096, 65536])
+def test_fft_distributions_match_kernel_matrix(n):
+    for size in (1, 13, min(506, 2**24 // n)):
+        model = _edge_model(n, size, seed=n + size)
+        dist = qpe_distribution(model, n)
+        np.testing.assert_allclose(dist.probs, _blocked_mixture(fejer_eval, model, n), rtol=0, atol=1e-14)
+        assert abs(dist.probs.sum() - 1.0) < 1e-12
+        folded = model.mapped(AffineMap(0.5, 0.5))
+        dist = qubitized_qpe_distribution(folded, n)
+        want = _blocked_mixture(qubitized_fejer_eval, folded, n)
+        np.testing.assert_allclose(dist.probs, want, rtol=0, atol=1e-14)
+        assert abs(dist.probs.sum() - 1.0) < 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    dim=st.integers(2, 8),
+    n_ancilla=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["dense", "gapped"]),
+)
+def test_qpe_distribution_is_the_statevector_distribution(dim, n_ancilla, seed, kind):
+    op, psi = random_model(dim, seed=seed, kind=kind)
+    dist = qpe_distribution(diagonalize(op, psi), 2**n_ancilla)
+    assert abs(dist.probs.sum() - 1.0) <= 1e-12
+    np.testing.assert_allclose(dist.probs, statevector_qpe(op, psi, n_ancilla).probs, rtol=0, atol=1e-12)
+
+
+def test_qpe_distribution_memory_is_sublinear_in_cells():
+    rng = child_rng(5)
+    w = rng.random(256)
+    model = SpectralModel(np.sort(rng.uniform(-1.0, 1.0, 256)), w / w.sum())
+    tracemalloc.start()
+    try:
+        dist = qpe_distribution(model, 65536)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert dist.size == 65536
+    # the 65,536 x 256 kernel matrix and its temporaries peaked at 640 MB here
+    assert peak < 32 * 2**20
 
 
 def test_statevector_qpe_matches_analytic():
