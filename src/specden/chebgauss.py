@@ -36,7 +36,6 @@ __all__ = [
     "ALPHA1",
     "ALPHA2",
     "KAPPA1",
-    "ChebExpansion",
     "TruncationBudget",
     "kappa",
     "lambert_w",
@@ -44,12 +43,10 @@ __all__ = [
     "coeff_quadrature_oracle",
     "shifted_coeffs",
     "coefficient_table",
-    "cheb_expansion",
     "critical_betas",
     "min_error_intermediate",
     "geometric_tail_bound",
     "truncation_error_bound",
-    "truncation_order_any_error",
     "truncation_order",
     "cheb_moments",
     "git_transform_from_moments",
@@ -233,42 +230,6 @@ def _direct_coefficient_table(lam: float, freqs: np.ndarray, order: int) -> np.n
     return cheb_series_coeffs(lambda x: gaussian_eval(x[None, :], freqs[:, None], lam), order)
 
 
-@dataclass(frozen=True)
-class ChebExpansion:
-    """Expansion data for the Gaussian kernel at one center.
-
-    `a` are the kernel's own Chebyshev coefficients (width `lam`, plain
-    variable), `c` the shifted coefficients at center `sigma`.  In half
-    mode (spectrum rescaled into [-1/2, 1/2]) the magnitude bound
-    ``|c_j| <= 2 (R_L + 1.1)`` is enforced at construction.
-    """
-
-    lam: float
-    order: int
-    a: np.ndarray
-    c: np.ndarray
-    sigma: float
-    rescale_mode: str
-
-
-def cheb_expansion(lam: float, sigma: float, order: int, rescale_mode: str = "half") -> ChebExpansion:
-    """Build a :class:`ChebExpansion`, checking the half-mode magnitude bound."""
-    if rescale_mode not in ("full", "half"):
-        raise ValidationError(f"rescale_mode must be 'full' or 'half', got {rescale_mode!r}")
-    a = gauss_cheb_coeffs(lam, order)
-    c = shifted_coeffs(lam, sigma, order)
-    if rescale_mode == "half":
-        if abs(sigma) > 0.5 + 1e-12:
-            raise ValidationError(f"half mode requires |sigma| <= 1/2, got {sigma!r}")
-        limit = 2.0 * (geometric_tail_bound(order, lam) + 1.1)
-        worst = float(np.max(np.abs(c)))
-        if worst > limit:
-            raise ValidationError(
-                f"coefficient magnitude {worst} exceeds the half-mode bound {limit}"
-            )
-    return ChebExpansion(lam=lam, order=order, a=a, c=c, sigma=sigma, rescale_mode=rescale_mode)
-
-
 # ---------------------------------------------------------------------------
 # Truncation bounds and order planner
 
@@ -356,22 +317,6 @@ def truncation_error_bound(order: int, lam: float, regime: str) -> float:
         log_bound = -m * m * lam_k * lam_k / 2.0 - math.log(math.sqrt(2.0) * lam_k * lam_k * m)
         return math.exp(log_bound) if log_bound > -745.0 else 0.0
     raise ValidationError(f"regime must be 'asymptotic' or 'intermediate', got {regime!r}")
-
-
-def truncation_order_any_error(lam: float, eps_r: float) -> int:
-    """Expansion order sufficient for error `eps_r` at any target size.
-
-    ``L = ceil((1/lam) sqrt((2/kappa(1)) ln(sqrt(pi/kappa(1)) / (2 lam
-    eps_r))))``, from the complementary-error-function chain; looser
-    than the regime-specific planners but valid for every positive
-    `eps_r` below its own prefactor.
-    """
-    if not (lam > 0.0) or not (eps_r > 0.0):
-        raise ValidationError("lam and eps_r must be positive")
-    inner = math.sqrt(math.pi / KAPPA1) / (2.0 * lam * eps_r)
-    if inner <= 1.0:
-        raise OutOfRegimeError(f"target error {eps_r} too large at width {lam}")
-    return max(1, math.ceil((1.0 / lam) * math.sqrt((2.0 / KAPPA1) * math.log(inner))))
 
 
 def _order_intermediate(sigma: float, delta: float, beta: float) -> int:
@@ -510,12 +455,12 @@ def cheb_moments(op: HermitianOperator, psi: ProbeState, order: int) -> np.ndarr
     return moments
 
 
-def git_transform_from_moments(moments, lam: float, frequencies, exact: bool = True) -> TransformGrid:
+def git_transform_from_moments(moments, lam: float, frequencies) -> TransformGrid:
     """Reconstruct the broadened transform from spectral moments.
 
     ``values[i] = c(frequencies[i]) . moments`` with the shifted
     coefficients at the moment vector's order.  `moments` may be exact
-    (recurrence) or sampled estimates; `exact` tags the result.
+    (recurrence) or sampled estimates.
     """
     t = np.asarray(moments, dtype=float)
     if t.ndim != 1 or t.size < 1:
@@ -528,6 +473,5 @@ def git_transform_from_moments(moments, lam: float, frequencies, exact: bool = T
         frequencies=freqs,
         values=values,
         kind="density",
-        exact=exact,
         kernel=GaussianKernel(lam),
     )

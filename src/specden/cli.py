@@ -55,6 +55,7 @@ from .estimators import (
     run_algorithm2,
 )
 from .kernels import (
+    GRID_CAP,
     AccuracyTarget,
     GaussianKernel,
     delta_theta,
@@ -78,13 +79,17 @@ from .operators import (
     TransformGrid,
     diagonalize,
     exact_transform,
-    model_from_json,
-    model_to_json,
     normalize_operator,
     random_model,
     read_model_file,
 )
-from .sampling import FaultModel, qpe_distribution, qubitized_qpe_distribution, statevector_qpe
+from .sampling import (
+    MEMORY_CAP,
+    FaultModel,
+    qpe_distribution,
+    qubitized_qpe_distribution,
+    statevector_qpe,
+)
 
 __all__ = ["RunConfig", "main"]
 
@@ -329,12 +334,23 @@ def _methods(cfg: RunConfig, allowed: tuple[str, ...], default: str) -> list[str
     return names
 
 
+def _grid_spacing(cfg: RunConfig, target: AccuracyTarget) -> float:
+    """Evaluation grid spacing, checked against `GRID_CAP` before any grid exists."""
+    h = cfg.grid_spacing if cfg.grid_spacing is not None else target.delta / 20.0
+    if not (h > 0.0):
+        raise ValidationError("grid spacing must be positive")
+    if 2.0 / h + 1.0 > GRID_CAP:
+        raise ResourceLimitError(
+            f"grid spacing {h:g} needs more than {GRID_CAP} points over [-1, 1]; "
+            "loosen --grid-spacing or delta"
+        )
+    return h
+
+
 def _nu_grid(cfg: RunConfig, target: AccuracyTarget) -> np.ndarray:
     if cfg.nu is not None:
         return np.array([cfg.nu])
-    h = cfg.grid_spacing if cfg.grid_spacing is not None else target.delta / 20.0
-    if h <= 0.0:
-        raise ValidationError("grid spacing must be positive")
+    h = _grid_spacing(cfg, target)
     return np.linspace(-1.0, 1.0, max(2, math.ceil(2.0 / h)) + 1)
 
 
@@ -404,7 +420,7 @@ def _plan_rows(cfg: RunConfig, target: AccuracyTarget) -> list[dict]:
     return rows
 
 
-def cmd_plan(cfg: RunConfig) -> int:
+def _cmd_plan(cfg: RunConfig) -> int:
     target = cfg.target()
     rows = _plan_rows(cfg, target)
     for row in rows:
@@ -429,7 +445,7 @@ def cmd_plan(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_transform(cfg: RunConfig) -> int:
+def _cmd_transform(cfg: RunConfig) -> int:
     target = cfg.target()
     (name,) = _methods(cfg, _METHODS, "fejer")
     op, psi, amap = _load_pairs(cfg)[0]
@@ -441,7 +457,7 @@ def cmd_transform(cfg: RunConfig) -> int:
         else:
             kern = qubitized_fejer_plan(target)
             dist = qubitized_qpe_distribution(model.mapped(_UNIT_SHIFT), kern.n)
-        grid = TransformGrid(dist.grid, dist.probs, kind=kern.kind, exact=True, kernel=kern)
+        grid = TransformGrid(dist.grid, dist.probs, kind=kern.kind, kernel=kern)
     elif name == "git":
         lam = gaussian_resolution(target)
         grid = exact_transform(model, GaussianKernel(lam), _nu_grid(cfg, target))
@@ -464,7 +480,7 @@ def cmd_transform(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_estimate(cfg: RunConfig) -> int:
+def _cmd_estimate(cfg: RunConfig) -> int:
     target = cfg.target()
     seed = cfg.require_seed()
     (name,) = _methods(cfg, ("fejer", "qfejer", "git"), "fejer")
@@ -533,56 +549,40 @@ def _obs_identity(w):
     return w
 
 
-def _contract_task(payload: dict) -> AccuracyReport:
-    model = model_from_json(payload["model"])
-    target = AccuracyTarget(**payload["target"])
-    observables = [
-        ObservableFn(_obs_one, "one"),
-        ObservableFn(_obs_identity, "identity"),
-    ]
-    return observable_bound_empirical_check(
-        model,
-        payload["method"],
-        observables,
-        target,
-        payload["trials"],
-        payload["seed"],
-        spacing=payload["spacing"],
-        n_samples=payload["n_samples"],
-    )
-
-
 def _run_contract(
     cfg: RunConfig, target: AccuracyTarget, method: str, models, seed: int
 ) -> AccuracyReport:
     base, extra = divmod(cfg.trials, len(models))
-    payloads = [
-        {
-            "model": model_to_json(model),
-            "target": asdict(target),
-            "method": method,
-            "trials": max(1, base + (i < extra)),
-            "seed": derive_seed(seed, 100 + i),
-            "spacing": cfg.grid_spacing,
-            "n_samples": cfg.samples,
-        }
+    observables = [ObservableFn(_obs_one, "one"), ObservableFn(_obs_identity, "identity")]
+    # one positional argument tuple of observable_bound_empirical_check per model
+    tasks = [
+        (model, method, observables, target, max(1, base + (i < extra)),
+         derive_seed(seed, 100 + i), cfg.grid_spacing, cfg.samples)
         for i, model in enumerate(models)
     ]
     workers = cfg.workers if cfg.workers is not None else (os.cpu_count() or 1)
-    workers = min(workers, len(payloads))
+    workers = min(workers, len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(_contract_task, payloads))
+            reports = list(pool.map(observable_bound_empirical_check, *zip(*tasks)))
     else:
-        reports = [_contract_task(p) for p in payloads]
+        reports = [observable_bound_empirical_check(*task) for task in tasks]
     return merge_reports(reports, target.eta)
 
 
 def _fault_sweep(
     cfg: RunConfig, target: AccuracyTarget, op: HermitianOperator, psi: ProbeState, seed: int
 ) -> list[dict]:
-    n = fejer_plan(target).n
-    _, planned_dt = plan_fejer_samples(target.beta, target.eta, faulty=True, n=n)
+    planned_n = fejer_plan(target).n
+    _, planned_dt = plan_fejer_samples(target.beta, target.eta, faulty=True, n=planned_n)
+    # The statevector holds dim * n amplitudes: sweep on the largest grid that fits.
+    n_ancilla = min(int(math.log2(planned_n)), (MEMORY_CAP // op.dim).bit_length() - 1)
+    n = 2**n_ancilla
+    if n < planned_n:
+        print(
+            f"fault sweep shrunk to n={n}: dim*n at the planned n={planned_n} "
+            f"exceeds the cap {MEMORY_CAP}"
+        )
     ideal = qpe_distribution(diagonalize(op, psi), n)
     realizations = min(cfg.trials, 20)
     rows = []
@@ -590,9 +590,9 @@ def _fault_sweep(
         worst = 0.0
         for r in range(realizations):
             fault = FaultModel(delta_t=dt, seed=derive_seed(seed, 700, r))
-            noisy = statevector_qpe(op, psi, int(math.log2(n)), fault=fault)
+            noisy = statevector_qpe(op, psi, n_ancilla, fault=fault)
             worst = max(worst, float(np.max(np.abs(noisy.probs - ideal.probs))))
-        bound = math.log2(n) * dt
+        bound = n_ancilla * dt
         rows.append(
             {
                 "n": n,
@@ -606,10 +606,11 @@ def _fault_sweep(
     return rows
 
 
-def cmd_verify(cfg: RunConfig) -> int:
+def _cmd_verify(cfg: RunConfig) -> int:
     target = cfg.target()
     seed = cfg.require_seed()
     names = _methods(cfg, ("fejer", "git"), "all")
+    _grid_spacing(cfg, target)  # fail before the contract builds its grids
     pairs = _load_pairs(cfg)
     models = [diagonalize(op, psi) for op, psi, _ in pairs]
     report_json: dict = {
@@ -700,7 +701,7 @@ def _sweep_points(name: str) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(xs), np.asarray(ms, dtype=float)
 
 
-def cmd_bench(cfg: RunConfig) -> int:
+def _cmd_bench(cfg: RunConfig) -> int:
     out = _out_dir(cfg)
     deltas = [cfg.delta] if cfg.delta is not None else [0.1, 0.05, 0.01]
     epsilons = [cfg.sigma] if cfg.sigma is not None else [0.1, 0.05]
@@ -749,11 +750,11 @@ def cmd_bench(cfg: RunConfig) -> int:
 
 
 _DISPATCH = {
-    "plan": cmd_plan,
-    "transform": cmd_transform,
-    "estimate": cmd_estimate,
-    "verify": cmd_verify,
-    "bench": cmd_bench,
+    "plan": _cmd_plan,
+    "transform": _cmd_transform,
+    "estimate": _cmd_estimate,
+    "verify": _cmd_verify,
+    "bench": _cmd_bench,
 }
 
 

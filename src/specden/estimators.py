@@ -98,11 +98,10 @@ class Budget:
 
 @dataclass(frozen=True)
 class EstimationResult:
-    """Transform estimate together with the budget and seed that produced it."""
+    """Transform estimate together with the budget that produced it."""
 
     transform: TransformGrid
     budget: Budget
-    seed: int
     elapsed: float
     moments: np.ndarray | None = None
 
@@ -222,11 +221,9 @@ def run_algorithm1(
     freqs, values = dist.grid, counts / budget.n_samples
     if budget.method == "qubitized_fejer":
         freqs, values = _merge_mirror_bins(freqs, values, spectrum_map)
-    transform = TransformGrid(
-        frequencies=freqs, values=values, kind=kernel.kind, exact=False, kernel=kernel
-    )
+    transform = TransformGrid(frequencies=freqs, values=values, kind=kernel.kind, kernel=kernel)
     elapsed = time.perf_counter() - start
-    return EstimationResult(transform=transform, budget=budget, seed=seed, elapsed=elapsed)
+    return EstimationResult(transform=transform, budget=budget, elapsed=elapsed)
 
 
 def run_algorithm2(
@@ -266,7 +263,7 @@ def run_algorithm2(
     v[0] = 1.0
     for k in range(1, order + 1):
         v[k] = hadamard_test_sample(float(t[k]), per_order, seed, k)
-    transform = git_transform_from_moments(v, lam, nu, exact=False)
+    transform = git_transform_from_moments(v, lam, nu)
     elapsed = time.perf_counter() - start
     budget = Budget(
         method="git",
@@ -275,9 +272,7 @@ def run_algorithm2(
         lam=lam,
         per_order_shots=per_order,
     )
-    return EstimationResult(
-        transform=transform, budget=budget, seed=seed, elapsed=elapsed, moments=v
-    )
+    return EstimationResult(transform=transform, budget=budget, elapsed=elapsed, moments=v)
 
 
 def complexity_table(deltas, epsilons, eta: float = 0.05) -> list[dict]:

@@ -48,8 +48,6 @@ __all__ = [
     "JacksonKernel",
     "JacksonPlan",
     "SigmaAccuracy",
-    "kernel_to_json",
-    "kernel_from_json",
     "fejer_grid",
     "fejer_eval",
     "fejer_plan",
@@ -268,32 +266,6 @@ class JacksonKernel:
 
 
 KernelSpec = FejerKernel | QubitizedFejerKernel | GaussianKernel | JacksonKernel
-
-_KERNELS = {cls.family: cls for cls in (FejerKernel, QubitizedFejerKernel, GaussianKernel, JacksonKernel)}
-
-
-def kernel_to_json(kernel: KernelSpec) -> dict:
-    """Serialize a kernel as ``{"family": ..., "params": {...}}``."""
-    if type(kernel) not in _KERNELS.values():
-        raise ValidationError(f"unknown kernel type {type(kernel).__name__}")
-    params = {k: (int(v) if isinstance(v, (int, np.integer)) else float(v)) for k, v in vars(kernel).items()}
-    return {"family": kernel.family, "params": params}
-
-
-def kernel_from_json(obj: dict) -> KernelSpec:
-    """Inverse of :func:`kernel_to_json`."""
-    try:
-        family = obj["family"]
-        params = dict(obj["params"])
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"malformed kernel description: {obj!r}") from exc
-    if family not in _KERNELS:
-        raise ValidationError(f"unknown kernel family {family!r}")
-    try:
-        return _KERNELS[family](**params)
-    except TypeError as exc:
-        raise ValidationError(f"bad parameters for {family}: {params!r}") from exc
-
 
 # ---------------------------------------------------------------------------
 # Fejer family

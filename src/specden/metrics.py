@@ -270,7 +270,7 @@ def observable_bound_empirical_check(
             else:
                 res = run_algorithm2(mod, target, CONTRACT_GRID, trial_seed, per_order_shots=per_order)
                 estimate = res.transform
-                dense_est = git_transform_from_moments(res.moments, lam, dense, exact=False)
+                dense_est = git_transform_from_moments(res.moments, lam, dense)
                 worst_margin = max(worst_margin, total_variation(ref_dense, dense_est))
                 obs_grid = dense_est
             dv = total_variation(ref, estimate)

@@ -10,7 +10,6 @@ profile.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -38,10 +37,6 @@ __all__ = [
     "random_model",
     "read_model_file",
     "write_model_file",
-    "model_to_json",
-    "model_from_json",
-    "save_model_json",
-    "load_model_json",
 ]
 
 _HERMITIAN_TOL = 1e-12
@@ -67,16 +62,11 @@ class AffineMap:
     def invert(self, y):
         return (np.asarray(y) - self.shift) / self.scale
 
-    def compose(self, other: "AffineMap") -> "AffineMap":
-        """Map equal to applying `other` first, then this one."""
-        return AffineMap(self.scale * other.scale, self.scale * other.shift + self.shift)
-
 
 class HermitianOperator:
     """Immutable wrapper around a Hermitian matrix.
 
-    Hermiticity is checked entrywise to 1e-12 at construction.  The
-    spectral norm is computed lazily and cached.
+    Hermiticity is checked entrywise to 1e-12 at construction.
     """
 
     def __init__(self, matrix):
@@ -90,7 +80,6 @@ class HermitianOperator:
         m = (m + m.conj().T) / 2.0
         m.setflags(write=False)
         self._matrix = m
-        self._norm: float | None = None
 
     @property
     def matrix(self) -> np.ndarray:
@@ -102,9 +91,7 @@ class HermitianOperator:
 
     def norm(self) -> float:
         """Spectral norm (largest eigenvalue magnitude)."""
-        if self._norm is None:
-            self._norm = float(np.max(np.abs(np.linalg.eigvalsh(self._matrix))))
-        return self._norm
+        return float(np.max(np.abs(np.linalg.eigvalsh(self._matrix))))
 
     def __repr__(self):
         return f"HermitianOperator(dim={self.dim})"
@@ -194,14 +181,12 @@ class TransformGrid:
 
     `kind` is "discrete" when values are probability masses on the grid
     (Fejer families) and "density" when they sample a continuous
-    profile.  `exact` marks analytically computed transforms as opposed
-    to estimates from sampled data.
+    profile.
     """
 
     frequencies: np.ndarray
     values: np.ndarray
     kind: str
-    exact: bool
     kernel: KernelSpec | None = None
 
     def __post_init__(self):
@@ -292,7 +277,7 @@ def exact_transform(model: SpectralModel, kernel: KernelSpec, frequencies) -> Tr
     """Analytic transform ``Phi(nu) = sum_k w_k K(nu, O_k)`` on a grid."""
     nus = np.asarray(frequencies, dtype=float).reshape(-1)
     vals = kernel.value(nus[:, None], model.eigenvalues[None, :]) @ model.weights
-    return TransformGrid(frequencies=nus, values=vals, kind=kernel.kind, exact=True, kernel=kernel)
+    return TransformGrid(frequencies=nus, values=vals, kind=kernel.kind, kernel=kernel)
 
 
 def observable_exact(model: SpectralModel, f: ObservableFn | Callable) -> float:
@@ -450,26 +435,3 @@ def read_model_file(path) -> tuple[HermitianOperator, ProbeState]:
 def _fmt_complex(z: complex) -> str:
     return f"{z.real:.17g}{z.imag:+.17g}j"
 
-
-def model_to_json(model: SpectralModel) -> dict:
-    """Spectral model as a JSON-ready dict."""
-    return {
-        "eigenvalues": [float(x) for x in model.eigenvalues],
-        "weights": [float(x) for x in model.weights],
-    }
-
-
-def model_from_json(obj: dict) -> SpectralModel:
-    """Inverse of :func:`model_to_json`."""
-    try:
-        return SpectralModel(np.asarray(obj["eigenvalues"], dtype=float), np.asarray(obj["weights"], dtype=float))
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"malformed model description: {obj!r}") from exc
-
-
-def save_model_json(path, model: SpectralModel) -> None:
-    Path(path).write_text(json.dumps(model_to_json(model), indent=2) + "\n")
-
-
-def load_model_json(path) -> SpectralModel:
-    return model_from_json(json.loads(Path(path).read_text()))

@@ -12,7 +12,6 @@ from specden.chebgauss import (
     KAPPA1,
     _direct_coefficient_table,
     _series_coefficient_table,
-    cheb_expansion,
     cheb_moments,
     coeff_quadrature_oracle,
     coefficient_table,
@@ -26,7 +25,6 @@ from specden.chebgauss import (
     shifted_coeffs,
     truncation_error_bound,
     truncation_order,
-    truncation_order_any_error,
 )
 from specden.errors import OutOfRegimeError, ValidationError
 from specden.kernels import AccuracyTarget, gaussian_eval
@@ -115,18 +113,6 @@ def test_coefficient_table_direct_stable_beyond_interval():
     assert np.max(np.abs(profile - exact)) < 1e-6
 
 
-def test_cheb_expansion_half_mode_guard():
-    exp = cheb_expansion(0.3, 0.25, 24)
-    assert exp.rescale_mode == "half"
-    limit = 2.0 * (geometric_tail_bound(24, 0.3) + 1.1)
-    assert np.max(np.abs(exp.c)) <= limit
-    with pytest.raises(ValidationError):
-        cheb_expansion(0.3, 0.75, 24, rescale_mode="half")
-    # full mode has no center restriction
-    full = cheb_expansion(0.3, 0.75, 24, rescale_mode="full")
-    assert full.sigma == 0.75
-
-
 def test_critical_betas_golden():
     lo, hi = critical_betas(AccuracyTarget(sigma=0.1, delta=0.2, beta=0.05))
     assert abs(lo - 1.388794386496407e-10) < 1e-22
@@ -193,12 +179,6 @@ def test_truncation_order_boundary_policy():
     assert budget.L >= 1
 
 
-def test_truncation_order_any_error_golden():
-    assert truncation_order_any_error(0.09319812035693122, 0.025) == 82
-    with pytest.raises(OutOfRegimeError):
-        truncation_order_any_error(0.5, 10.0)
-
-
 def test_cheb_moments_single_eigenvector():
     # probe concentrated on one eigenvalue: t_k = T_k(e)
     e = 0.37
@@ -226,10 +206,10 @@ def test_git_transform_from_moments_matches_exact_mixture():
     order = 160
     t = cheb_moments(op, psi, order)
     nu = np.linspace(-0.9, 0.9, 25)
-    grid = git_transform_from_moments(t, lam, nu, exact=True)
+    grid = git_transform_from_moments(t, lam, nu)
     want = (gaussian_eval(nu[:, None], evals[None, :], lam) * w).sum(axis=1)
     assert np.max(np.abs(grid.values - want)) < 1e-8
-    assert grid.kind == "density" and grid.exact
+    assert grid.kind == "density"
 
 
 def test_git_transform_moment_length_validation():

@@ -6,13 +6,17 @@ the written files.
 """
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from specden import chebgauss
+from specden import chebgauss, cli, sampling
 from specden.cli import main
-from specden.operators import random_model, write_model_file
+from specden.errors import ResourceLimitError
+from specden.estimators import plan_fejer_samples
+from specden.kernels import fejer_plan
+from specden.operators import HermitianOperator, ProbeState, random_model, write_model_file
 
 
 def run_cli(*args):
@@ -174,6 +178,57 @@ def test_exit_code_resource_limit(tmp_path, capsys):
     assert "resource cap" in capsys.readouterr().out
     assert run_cli("plan", *target) == 0
     assert "per_order_shots=" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["transform", "--method", "git", "--sigma", "0.1", "--delta", "1e-9"],
+        ["verify", "--method", "git", "--sigma", "0.1", "--delta", "0.3",
+         "--grid-spacing", "1e-10", "--trials", "2", "--workers", "1"],
+    ],
+    ids=["transform", "verify"],
+)
+def test_grid_spacing_over_cap_refused_before_allocating(tmp_path, capsys, argv):
+    # 2 / h points over [-1, 1] would take hundreds of GiB
+    tracemalloc.start()
+    try:
+        code = run_cli(*argv, "--gen", "dense:4", "--seed", "1", "--out", str(tmp_path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 4
+    assert "resource cap" in capsys.readouterr().out
+    assert peak < 16 * 2**20
+
+
+def test_fault_sweep_shrinks_to_the_memory_cap(monkeypatch, capsys):
+    # A cap of 2^12 amplitudes stands in for the real 2^22, whose shrunk sweep
+    # would hold a 64 MiB statevector: dim 4 at the planned n = 4096 is over it.
+    cap = 2**12
+    monkeypatch.setattr(cli, "MEMORY_CAP", cap)
+    monkeypatch.setattr(sampling, "MEMORY_CAP", cap)
+    op = HermitianOperator(np.diag([-0.5, -0.1, 0.2, 0.6]))
+    psi = ProbeState(np.full(4, 0.5))
+    cfg = cli.RunConfig(command="verify", sigma=0.02, delta=0.02, trials=1, seed=1)
+    target = cfg.target()
+    planned_n = fejer_plan(target).n
+    assert planned_n == 4096
+    with pytest.raises(ResourceLimitError):
+        sampling.statevector_qpe(op, psi, 12)
+    rows = cli._fault_sweep(cfg, target, op, psi, 7)
+    assert "fault sweep shrunk to n=1024" in capsys.readouterr().out
+    _, planned_dt = plan_fejer_samples(target.beta, target.eta, faulty=True, n=planned_n)
+    assert [row["delta_t"] for row in rows] == sorted({1e-3, 1e-2, planned_dt})
+    for row in rows:
+        assert row["n"] == 1024 and op.dim * row["n"] <= cap
+        assert row["bound"] == 10 * row["delta_t"]
+        assert row["realizations"] == 1 and row["ok"]
+    # a sweep that fits runs at the planned n and says nothing
+    roomy = cli.RunConfig(command="verify", sigma=0.25, delta=0.1, trials=1, seed=1)
+    rows = cli._fault_sweep(roomy, roomy.target(), op, psi, 7)
+    assert capsys.readouterr().out == ""
+    assert {row["n"] for row in rows} == {fejer_plan(roomy.target()).n}
 
 
 def test_plan_jackson_fine_targets(capsys):

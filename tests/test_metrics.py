@@ -29,7 +29,7 @@ from specden.sampling import FaultModel, statevector_qpe
 
 def _grid(values, freqs=None, kind="density"):
     f = np.linspace(-1, 1, len(values)) if freqs is None else freqs
-    return TransformGrid(f, np.asarray(values, dtype=float), kind=kind, exact=False)
+    return TransformGrid(f, np.asarray(values, dtype=float), kind=kind)
 
 
 def test_total_variation_is_sup_norm():
@@ -42,10 +42,10 @@ def test_total_variation_grid_and_kind_guards():
     a = _grid([0.0, 1.0])
     with pytest.raises(ValidationError):
         total_variation(a, _grid([0.0, 1.0, 0.0]))
-    shifted = TransformGrid(np.array([-1.0, 0.9]), np.array([0.0, 1.0]), kind="density", exact=False)
+    shifted = TransformGrid(np.array([-1.0, 0.9]), np.array([0.0, 1.0]), kind="density")
     with pytest.raises(ValidationError):
         total_variation(a, shifted)
-    discrete = TransformGrid(a.frequencies, a.values, kind="discrete", exact=False)
+    discrete = TransformGrid(a.frequencies, a.values, kind="discrete")
     with pytest.raises(ValidationError):
         total_variation(a, discrete)
 
@@ -73,9 +73,9 @@ def test_decomposition_triangle_for_faulty_estimates():
     kernel = FejerKernel(n)
     exact = exact_transform(model, kernel, fejer_grid(n))
     faulty_exact_probs = statevector_qpe(op, psi, 5, fault=FaultModel(delta_t=1e-2, seed=5)).probs
-    faulty_exact = TransformGrid(fejer_grid(n), faulty_exact_probs, kind="discrete", exact=True)
+    faulty_exact = TransformGrid(fejer_grid(n), faulty_exact_probs, kind="discrete")
     counts = child_rng(9, 0).multinomial(2000, faulty_exact_probs / faulty_exact_probs.sum())
-    noisy = TransformGrid(fejer_grid(n), counts / 2000, kind="discrete", exact=False)
+    noisy = TransformGrid(fejer_grid(n), counts / 2000, kind="discrete")
     left = total_variation(exact, noisy)
     right = total_variation(exact, faulty_exact) + total_variation(faulty_exact, noisy)
     assert left <= right + 1e-15

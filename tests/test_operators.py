@@ -1,4 +1,4 @@
-"""Unit tests for operators, spectral models, and model serialization."""
+"""Unit tests for operators, spectral models, and the model file format."""
 
 import math
 
@@ -17,15 +17,11 @@ from specden.operators import (
     TransformGrid,
     diagonalize,
     exact_transform,
-    load_model_json,
-    model_from_json,
-    model_to_json,
     normalize_operator,
     observable_exact,
     observable_from_transform,
     random_model,
     read_model_file,
-    save_model_json,
     write_model_file,
 )
 
@@ -34,13 +30,6 @@ def test_affine_map_round_trip():
     amap = AffineMap(0.5, -0.25)
     x = np.linspace(-3, 3, 11)
     np.testing.assert_allclose(amap.invert(amap.apply(x)), x, atol=1e-14)
-
-
-def test_affine_map_compose():
-    a = AffineMap(2.0, 1.0)
-    b = AffineMap(0.5, -3.0)
-    x = np.array([-1.0, 0.0, 2.5])
-    np.testing.assert_allclose(a.compose(b).apply(x), a.apply(b.apply(x)), atol=1e-14)
 
 
 def test_affine_map_rejects_zero_scale():
@@ -144,7 +133,7 @@ def test_observable_exact_and_discrete_transform_agree():
     q = observable_exact(model, f)
     assert abs(q - (-0.2 * 0.5 + 0.1 * 0.3 + 0.5 * 0.2)) < 1e-14
     # a discrete transform integrates by direct dot product
-    grid = TransformGrid(model.eigenvalues, model.weights, kind="discrete", exact=True)
+    grid = TransformGrid(model.eigenvalues, model.weights, kind="discrete")
     assert abs(observable_from_transform(grid, f) - q) < 1e-14
 
 
@@ -214,22 +203,11 @@ def test_model_file_round_trip(tmp_path):
     np.testing.assert_allclose(psi2.vector, psi.vector, atol=1e-15)
 
 
-def test_model_json_round_trip(tmp_path):
-    model = SpectralModel(np.array([-0.4, 0.0, 0.7]), np.array([0.2, 0.5, 0.3]))
-    again = model_from_json(model_to_json(model))
-    np.testing.assert_array_equal(again.eigenvalues, model.eigenvalues)
-    np.testing.assert_array_equal(again.weights, model.weights)
-    path = tmp_path / "model.json"
-    save_model_json(path, model)
-    loaded = load_model_json(path)
-    np.testing.assert_array_equal(loaded.eigenvalues, model.eigenvalues)
-
-
 def test_transform_grid_validation():
     with pytest.raises(ValidationError):
-        TransformGrid(np.array([0.0, 1.0]), np.array([1.0]), kind="discrete", exact=True)
+        TransformGrid(np.array([0.0, 1.0]), np.array([1.0]), kind="discrete")
     with pytest.raises(ValidationError):
-        TransformGrid(np.array([0.0]), np.array([1.0]), kind="histogram", exact=True)
+        TransformGrid(np.array([0.0]), np.array([1.0]), kind="histogram")
 
 
 def test_observable_fn_name_and_eval():
