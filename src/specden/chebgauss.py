@@ -14,12 +14,20 @@ functions.  This module provides:
   planner :func:`truncation_order` that picks the expansion order for an
   accuracy target, and
 * spectral moments ``t_k = <psi| T_k(O) |psi>`` via the three-term
-  recurrence, with the reconstruction of the transform from moments.
+  recurrence, and the reconstruction of the transform from moments by
+  the kernel polynomial method on the exact kernel's projection.
+
+The shifted coefficients of :func:`coefficient_table` are the published
+series construction, which the planner prices and the acceptance gate
+checks.  The moment pipeline instead projects the exact Gaussian onto
+the Chebyshev basis at ``m = max(4 (L + 1), 256)`` nodes, and never
+forms that projection's table either: :func:`projection_cmax` sizes the
+shots from one DCT-II per frequency row and :func:`projection_values`
+reconstructs from one DCT-III of the moments.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -29,7 +37,7 @@ from scipy.special import ive
 
 from .errors import NumericError, OutOfRegimeError, ValidationError
 from .kernels import AccuracyTarget, GaussianKernel, gaussian_eval, gaussian_resolution
-from .numerics import cheb_series_coeffs
+from .numerics import cheb_nodes, cheb_series_coeffs, dct2, dct3
 from .operators import HermitianOperator, ProbeState, TransformGrid
 
 __all__ = [
@@ -49,6 +57,8 @@ __all__ = [
     "truncation_error_bound",
     "truncation_order",
     "cheb_moments",
+    "projection_cmax",
+    "projection_values",
     "git_transform_from_moments",
 ]
 
@@ -190,30 +200,21 @@ def coefficient_table(lam: float, frequencies, order: int) -> np.ndarray:
     Gauss-Chebyshev quadrature instead, which is stable for every center
     and agrees with the series inside the truncation budget.
 
-    The four most recent tables are cached per ``(lam, frequencies,
-    order)``, so a pipeline that sizes its shots on a grid and then
-    reconstructs on it, or a contract check that reconstructs every
-    trial of every model on one grid, builds each table once.  The
-    returned array is read-only.
+    This is the published construction that ``plan`` prices; the moment
+    pipeline works from the exact kernel's projection and builds no
+    table (:func:`projection_cmax`, :func:`projection_values`).
     """
     if not (lam > 0.0):
         raise ValidationError(f"lam must be positive, got {lam!r}")
     if order < 1:
         raise ValidationError(f"order must be >= 1, got {order!r}")
     freqs = np.atleast_1d(np.asarray(frequencies, dtype=float)).reshape(-1)
-    return _cached_coefficient_table(float(lam), freqs.tobytes(), int(order))
-
-
-@functools.lru_cache(maxsize=4)
-def _cached_coefficient_table(lam: float, freq_bytes: bytes, order: int) -> np.ndarray:
-    freqs = np.frombuffer(freq_bytes)
     inside = np.abs(freqs) <= 1.0 + 1e-12
     table = np.empty((freqs.size, order + 1))
     if np.any(inside):
         table[inside] = _series_coefficient_table(lam, freqs[inside], order)
     if not np.all(inside):
         table[~inside] = _direct_coefficient_table(lam, freqs[~inside], order)
-    table.flags.writeable = False
     return table
 
 
@@ -225,9 +226,16 @@ def _series_coefficient_table(lam: float, freqs: np.ndarray, order: int) -> np.n
     return cheb_series_coeffs(kernel, order, nodes=order)
 
 
+def _projection_size(order: int) -> int:
+    """Node count of the exact kernel's projection at this order."""
+    return max(4 * (order + 1), 256)
+
+
 def _direct_coefficient_table(lam: float, freqs: np.ndarray, order: int) -> np.ndarray:
     """Gauss-Chebyshev projection of the exact kernel at each center."""
-    return cheb_series_coeffs(lambda x: gaussian_eval(x[None, :], freqs[:, None], lam), order)
+    return cheb_series_coeffs(
+        lambda x: gaussian_eval(x[None, :], freqs[:, None], lam), order, nodes=_projection_size(order)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -455,23 +463,87 @@ def cheb_moments(op: HermitianOperator, psi: ProbeState, order: int) -> np.ndarr
     return moments
 
 
+# Row chunks of the kernel matrix G(nu_i, x_j) hold at most this many cells
+# (512 KiB), which keeps each chunk in cache between its evaluation and use.
+_CHUNK_CELLS = 2**16
+
+
+def _kernel_rows(lam: float, freqs: np.ndarray, x: np.ndarray):
+    """``(part, G(freqs[part], x))`` over row chunks of at most `_CHUNK_CELLS` cells."""
+    rows = max(1, _CHUNK_CELLS // x.size)
+    for start in range(0, freqs.size, rows):
+        part = slice(start, start + rows)
+        yield part, gaussian_eval(freqs[part, None], x[None, :], lam)
+
+
+def projection_cmax(lam: float, frequencies, order: int) -> float:
+    """Largest coefficient magnitude of the exact kernel's projection.
+
+    The maximum of ``|c_n(nu)|`` over n = 0..order and the requested
+    frequencies, where ``c_n(nu) = (gamma_n / m) sum_j G(nu, x_j)
+    T_n(x_j)`` are the rows of the direct projection on the m nodes of
+    :func:`projection_values`.  One DCT-II per frequency row, in
+    O(F m log m) time and O(2^16 + m) memory: the F x order table is
+    never formed.
+    """
+    if not (lam > 0.0):
+        raise ValidationError(f"lam must be positive, got {lam!r}")
+    if order < 1:
+        raise ValidationError(f"order must be >= 1, got {order!r}")
+    freqs = np.atleast_1d(np.asarray(frequencies, dtype=float)).reshape(-1)
+    x = cheb_nodes(_projection_size(order))
+    best = 0.0
+    for _, rows in _kernel_rows(lam, freqs, x):
+        coeffs = np.abs(dct2(rows, order))
+        coeffs[:, 1:] *= 2.0
+        best = max(best, float(coeffs.max()))
+    return best / x.size
+
+
+def projection_values(moments, lam: float, frequencies) -> np.ndarray:
+    """Transform values ``sum_n c_n(nu) v_n`` of the exact kernel's projection.
+
+    `moments` holds one moment vector v_0..v_L, or one per row; the
+    result has shape ``(..., len(frequencies))``.  The coefficients are
+    the direct projection on ``m = max(4 (L + 1), 256)`` nodes, and by
+    the kernel polynomial method (Weisse et al., Rev. Mod. Phys. 78,
+    275 (2006), sec. II.C) the sum equals ``sum_j G(nu, x_j) rho_j``
+    with ``rho = DCT-III(gamma_n v_n) / m`` at the nodes.  So each row
+    costs one O(m log m) transform, and every row is reconstructed by
+    one product with the kernel matrix, built in row chunks of at most
+    2^16 cells (one row when m is larger): no coefficient table exists.
+    """
+    v = np.asarray(moments, dtype=float)
+    if v.ndim not in (1, 2) or v.shape[-1] < 1:
+        raise ValidationError("moments must be a nonempty vector or matrix of vectors")
+    if not (lam > 0.0):
+        raise ValidationError(f"lam must be positive, got {lam!r}")
+    x = cheb_nodes(_projection_size(v.shape[-1] - 1))
+    gamma = np.full(v.shape[-1], 2.0)
+    gamma[0] = 1.0
+    rho = dct3(v * gamma, x.size) / x.size
+    freqs = np.atleast_1d(np.asarray(frequencies, dtype=float)).reshape(-1)
+    values = np.empty(v.shape[:-1] + freqs.shape)
+    for part, rows in _kernel_rows(lam, freqs, x):
+        values[..., part] = rho @ rows.T
+    return values
+
+
 def git_transform_from_moments(moments, lam: float, frequencies) -> TransformGrid:
     """Reconstruct the broadened transform from spectral moments.
 
-    ``values[i] = c(frequencies[i]) . moments`` with the shifted
-    coefficients at the moment vector's order.  `moments` may be exact
-    (recurrence) or sampled estimates.
+    ``values[i] = sum_n c_n(frequencies[i]) moments[n]`` with the exact
+    kernel's projection at the moment vector's order, computed by
+    :func:`projection_values`.  `moments` may be exact (recurrence) or
+    sampled estimates.
     """
     t = np.asarray(moments, dtype=float)
     if t.ndim != 1 or t.size < 1:
         raise ValidationError("moments must be a nonempty 1-d sequence")
-    order = t.size - 1
     freqs = np.atleast_1d(np.asarray(frequencies, dtype=float))
-    table = coefficient_table(lam, freqs, max(order, 1))
-    values = table[:, : order + 1] @ t
     return TransformGrid(
         frequencies=freqs,
-        values=values,
+        values=projection_values(t, lam, freqs),
         kind="density",
         kernel=GaussianKernel(lam),
     )

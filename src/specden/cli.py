@@ -596,6 +596,7 @@ def _fault_sweep(
         rows.append(
             {
                 "n": n,
+                "planned_n": planned_n,
                 "delta_t": dt,
                 "bound": bound,
                 "measured": worst,

@@ -9,9 +9,11 @@ sample budgets from a :class:`~specden.operators.SpectralModel`:
   confidence ``1 - eta``; a hardware-fault variant doubles the exponent
   and prescribes the tolerable per-step fault size.
 * the moment route: estimate Chebyshev spectral moments with a
-  Hadamard test per order, then combine with shifted Gaussian
-  coefficients.  The per-order shot count comes from the actual
-  coefficient magnitudes, with a coefficient-agnostic fallback bound.
+  Hadamard test per order, then combine them with the coefficients of
+  the exact Gaussian's Chebyshev projection by the kernel polynomial
+  method.  The per-order shot count comes from the largest of those
+  coefficients on the requested grid, with a coefficient-agnostic
+  fallback bound.
 
 :func:`complexity_table` tabulates planned resources across accuracy
 targets for the implemented methods, next to an analytic row for the
@@ -28,11 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.polynomial.chebyshev as npcheb
 
-from .chebgauss import (
-    coefficient_table,
-    git_transform_from_moments,
-    truncation_order,
-)
+from .chebgauss import git_transform_from_moments, projection_cmax, truncation_order
 from .errors import ValidationError
 from .kernels import (
     AccuracyTarget,
@@ -52,6 +50,8 @@ __all__ = [
     "EstimationResult",
     "plan_fejer_samples",
     "plan_git_samples",
+    "model_moments",
+    "sample_moments",
     "run_algorithm1",
     "run_algorithm2",
     "complexity_table",
@@ -142,7 +142,8 @@ def plan_git_samples(
     Each of the `order` estimated moments gets
     ``ceil(2 ln(2/eta) (order * c_max / beta)^2)`` shots, where `c_max`
     is the largest coefficient magnitude over all requested frequencies
-    and orders.  Also returns the coefficient-agnostic budget
+    and orders: the largest entry of `coeffs`, a coefficient table or
+    its largest magnitude alone.  Also returns the coefficient-agnostic budget
     ``ceil(2 order^3 (1 + 2.2/beta)^2 ln(2/eta))``, an upper bound on
     the total whenever the coefficients obey the half-interval bound
     (asserted).
@@ -226,6 +227,32 @@ def run_algorithm1(
     return EstimationResult(transform=transform, budget=budget, elapsed=elapsed)
 
 
+def model_moments(model: SpectralModel, order: int) -> np.ndarray:
+    """Exact spectral moments ``t_k = sum_j w_j T_k(O_j)``, k = 0..order.
+
+    The model spectrum must lie in [-1, 1]; a moment beyond ``1 + 1e-10``
+    in magnitude raises :class:`ValidationError`.
+    """
+    t = npcheb.chebvander(model.eigenvalues, order).T @ model.weights
+    if np.any(np.abs(t) > 1.0 + 1e-10):
+        raise ValidationError("moment magnitude exceeded 1; model spectrum is not normalized")
+    return t
+
+
+def sample_moments(moments, per_order: int, seeds) -> np.ndarray:
+    """Hadamard-test estimates of ``moments[1:]``, one row per seed.
+
+    Row i holds 1 (the zeroth moment is free) followed by one vector
+    draw of ``per_order`` shots per order from the single stream
+    ``child_rng(seeds[i])``, so a row depends on its own seed alone.
+    """
+    t = np.asarray(moments, dtype=float)
+    draws = np.ones((len(seeds), t.size))
+    for row, seed in zip(draws, seeds):
+        row[1:] = hadamard_test_sample(t[1:], per_order, seed)
+    return draws
+
+
 def run_algorithm2(
     model: SpectralModel,
     target: AccuracyTarget,
@@ -236,33 +263,27 @@ def run_algorithm2(
     """Moment-route estimate of the Gaussian-broadened transform.
 
     Plans the kernel width and expansion order from `target`, sizes the
-    per-order shot count from the actual coefficient magnitudes on the
-    requested frequency grid `nu` (or takes an explicit
-    `per_order_shots` override), estimates each moment
-    ``t_k = sum_j w_j T_k(O_j)`` of `model` with an independent
-    Hadamard-test stream (order k uses the child stream ``(seed, k)``;
-    the zeroth moment is 1 for free), and combines.
+    per-order shot count from the largest coefficient of the exact
+    kernel's projection on the requested frequency grid `nu` (or takes
+    an explicit `per_order_shots` override), estimates the moments
+    ``t_k = sum_j w_j T_k(O_j)`` of `model` by one Hadamard-test draw
+    per order from the stream of `seed` (the zeroth moment is 1 for
+    free), and reconstructs by the kernel polynomial method.
 
     The model spectrum must lie in [-1, 1]; normalize first.
     """
     nu = np.atleast_1d(np.asarray(nu, dtype=float))
     lam = gaussian_resolution(target)
     order = truncation_order(target).L
-    table = coefficient_table(lam, nu, order)
     if per_order_shots is None:
-        per_order, total, _ = plan_git_samples(order, table, target.beta, target.eta)
+        c_max = projection_cmax(lam, nu, order)
+        per_order, total, _ = plan_git_samples(order, c_max, target.beta, target.eta)
     else:
         if per_order_shots < 1:
             raise ValidationError(f"per_order_shots must be >= 1, got {per_order_shots!r}")
         per_order, total = per_order_shots, order * per_order_shots
     start = time.perf_counter()
-    t = npcheb.chebvander(model.eigenvalues, order).T @ model.weights
-    if np.any(np.abs(t) > 1.0 + 1e-10):
-        raise ValidationError("moment magnitude exceeded 1; model spectrum is not normalized")
-    v = np.empty(order + 1)
-    v[0] = 1.0
-    for k in range(1, order + 1):
-        v[k] = hadamard_test_sample(float(t[k]), per_order, seed, k)
+    v = sample_moments(model_moments(model, order), per_order, [seed])[0]
     transform = git_transform_from_moments(v, lam, nu)
     elapsed = time.perf_counter() - start
     budget = Budget(

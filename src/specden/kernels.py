@@ -38,7 +38,7 @@ import numpy.polynomial.chebyshev as npcheb
 from scipy.special import erf
 
 from .errors import OutOfRegimeError, ResourceLimitError, ValidationError
-from .numerics import cheb_nodes, next_pow2
+from .numerics import cheb_nodes, dct2, next_pow2
 
 __all__ = [
     "AccuracyTarget",
@@ -431,18 +431,6 @@ def _check_window_size(size: int, what: str) -> None:
         )
 
 
-def _dct2(values: np.ndarray, deg: int) -> np.ndarray:
-    """``sum_j values[j] cos(pi n (2j + 1) / (2m))`` for n = 0..deg, m = ``values.size``.
-
-    One real FFT of the mirrored sequence of length 2m, whose n-th
-    coefficient F_n gives the sum as ``Re(exp(-i pi n / (2m)) F_n) / 2``.
-    """
-    m = values.size
-    spec = np.fft.rfft(np.concatenate((values, values[::-1])))[: deg + 1]
-    phase = np.pi * np.arange(deg + 1) / (2 * m)
-    return (spec.real * np.cos(phase) + spec.imag * np.sin(phase)) / 2.0
-
-
 def _dct1(a: np.ndarray) -> np.ndarray:
     """``a_0 + (-1)^i a_N + 2 sum_{n=1}^{N-1} a_n cos(pi n i / N)`` for i = 0..N.
 
@@ -489,7 +477,7 @@ def jackson_coeffs(degree: int, delta: float) -> np.ndarray:
     _check_window_size(m, "projection nodes")
     gamma = np.full(degree + 1, 2.0)
     gamma[0] = 1.0
-    raw = _dct2(jackson_tent(cheb_nodes(m), delta), degree) * gamma / m
+    raw = dct2(jackson_tent(cheb_nodes(m), delta), degree) * gamma / m
     coeffs = raw * jackson_damping(degree)
     coeffs.flags.writeable = False
     return coeffs

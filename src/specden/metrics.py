@@ -23,9 +23,17 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .chebgauss import git_transform_from_moments, truncation_order
+from .chebgauss import projection_cmax, projection_values, truncation_order
 from .errors import ValidationError
-from .estimators import CONTRACT_GRID, Budget, plan_fejer_samples, run_algorithm1, run_algorithm2
+from .estimators import (
+    CONTRACT_GRID,
+    Budget,
+    model_moments,
+    plan_fejer_samples,
+    plan_git_samples,
+    run_algorithm1,
+    sample_moments,
+)
 from .kernels import (
     AccuracyTarget,
     GaussianKernel,
@@ -208,7 +216,10 @@ def observable_bound_empirical_check(
     :data:`~specden.estimators.CONTRACT_GRID`; observables integrate a dense
     re-evaluation of each trial's moment vector over a grid extended by
     eight kernel widths, where the deviation is also re-measured and
-    reported as `margin_delta_v`.
+    reported as `margin_delta_v`.  Each model's exact moments are
+    computed once; trial j draws its moment vector exactly as
+    :func:`~specden.estimators.run_algorithm2` does with its seed, and
+    all trials are reconstructed together on each grid.
 
     `n_samples` overrides the planned measurement total (for the moment
     method it is split evenly over the orders), which deliberately
@@ -239,13 +250,16 @@ def observable_bound_empirical_check(
         if n_samples is None:
             n_samples = plan_fejer_samples(target.beta, target.eta)
         budget = Budget(method="fejer", kernel_order=kernel.n, n_samples=n_samples)
-        per_order = None
     else:
         lam = gaussian_resolution(target)
         kernel = GaussianKernel(lam)
         tail = sigma_accuracy(kernel, target.delta, h)
         order = truncation_order(target).L
-        per_order = None if n_samples is None else max(1, n_samples // order)
+        if n_samples is None:
+            c_max = projection_cmax(lam, CONTRACT_GRID, order)
+            per_order, _, _ = plan_git_samples(order, c_max, target.beta, target.eta)
+        else:
+            per_order = max(1, n_samples // order)
         margin = 8.0 * lam
         dense = np.arange(-1.0 - margin, 1.0 + margin + h / 2.0, h)
 
@@ -261,18 +275,18 @@ def observable_bound_empirical_check(
         else:
             ref = exact_transform(mod, kernel, CONTRACT_GRID)
             ref_dense = exact_transform(mod, kernel, dense)
+            seeds = [derive_seed(seed, i, j) for j in range(trials)]
+            draws = sample_moments(model_moments(mod, order), per_order, seeds)
+            contract_values = projection_values(draws, lam, CONTRACT_GRID)
+            dense_values = projection_values(draws, lam, dense)
         for j in range(trials):
-            trial_seed = derive_seed(seed, i, j)
             if method == "fejer":
-                res = run_algorithm1(budget, trial_seed, model=mod)
-                estimate = res.transform
+                estimate = run_algorithm1(budget, derive_seed(seed, i, j), model=mod).transform
                 obs_grid = estimate
             else:
-                res = run_algorithm2(mod, target, CONTRACT_GRID, trial_seed, per_order_shots=per_order)
-                estimate = res.transform
-                dense_est = git_transform_from_moments(res.moments, lam, dense)
-                worst_margin = max(worst_margin, total_variation(ref_dense, dense_est))
-                obs_grid = dense_est
+                estimate = TransformGrid(CONTRACT_GRID, contract_values[j], "density", kernel)
+                obs_grid = TransformGrid(dense, dense_values[j], "density", kernel)
+                worst_margin = max(worst_margin, total_variation(ref_dense, obs_grid))
             dv = total_variation(ref, estimate)
             worst = max(worst, dv)
             hits += dv <= target.beta

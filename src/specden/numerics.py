@@ -1,7 +1,8 @@
 """Small numerical utilities used throughout the package.
 
 Nothing in here knows about kernels or spectra; these are generic
-helpers (power-of-two rounding, Chebyshev nodes and projection,
+helpers (power-of-two rounding, Chebyshev nodes and projection, the
+two cosine transforms between node values and Chebyshev coefficients,
 deterministic seed derivation).
 """
 
@@ -18,6 +19,8 @@ __all__ = [
     "next_pow2",
     "cheb_nodes",
     "cheb_series_coeffs",
+    "dct2",
+    "dct3",
     "child_rng",
     "derive_seed",
     "fmt_float",
@@ -62,6 +65,42 @@ def cheb_series_coeffs(f: Callable[[np.ndarray], np.ndarray], deg: int, nodes: i
     gamma = np.full(deg + 1, 2.0)
     gamma[0] = 1.0
     return (np.asarray(f(x), dtype=float) @ npcheb.chebvander(x, deg)) * gamma / m
+
+
+def dct2(values: np.ndarray, deg: int) -> np.ndarray:
+    """``sum_j values[..., j] cos(pi n (2j + 1) / (2m))`` for n = 0..deg, m = ``values.shape[-1]``.
+
+    The DCT-II of every row, the projection of node values onto T_n at
+    the m roots of T_m.  Makhoul's method: one real FFT of length m of
+    the even-indexed samples followed by the odd-indexed ones reversed,
+    whose n-th coefficient V_n gives the sum as ``Re(exp(-i pi n / (2m))
+    V_n)``.  Needs an even m and ``deg <= m / 2``.
+    """
+    m = values.shape[-1]
+    if m % 2 or not 0 <= deg <= m // 2:
+        raise ValidationError(f"dct2 needs an even length and deg <= m/2, got m={m}, deg={deg}")
+    reordered = np.concatenate((values[..., ::2], values[..., ::-2]), axis=-1)
+    spec = np.fft.rfft(reordered, axis=-1)[..., : deg + 1]
+    phase = np.pi * np.arange(deg + 1) / (2 * m)
+    return spec.real * np.cos(phase) + spec.imag * np.sin(phase)
+
+
+def dct3(coeffs: np.ndarray, m: int) -> np.ndarray:
+    """``sum_n coeffs[..., n] cos(pi n (2j + 1) / (2m))`` for j = 0..m-1.
+
+    The DCT-III of every row, the Chebyshev series with coefficients
+    `coeffs` evaluated at the m roots of T_m; the transpose of
+    :func:`dct2`.  One inverse real FFT of length 2m of the coefficients
+    twisted by ``exp(i pi n / (2m))``.  Needs fewer than m coefficients.
+    """
+    a = np.asarray(coeffs, dtype=float)
+    deg = a.shape[-1] - 1
+    if not 0 <= deg < m:
+        raise ValidationError(f"dct3 needs 1 to m coefficients, got {deg + 1} for m={m}")
+    twisted = a * np.exp(1j * np.pi * np.arange(deg + 1) / (2 * m))
+    # irfft halves every coefficient but the zeroth, so double that one
+    twisted[..., 0] *= 2.0
+    return m * np.fft.irfft(twisted, 2 * m, axis=-1)[..., :m]
 
 
 def child_rng(seed: int, *path: int) -> np.random.Generator:

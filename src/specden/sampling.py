@@ -178,12 +178,14 @@ def statevector_qpe(
         raise ValidationError(f"dimension mismatch: op {dim}, psi {psi.vector.size}")
     evals, evecs = np.linalg.eigh(op.matrix)
     psi_eig = evecs.conj().T @ psi.vector
-    phases = np.exp(1j * np.pi * (evals + 1.0))
     state = np.tile(psi_eig.astype(complex) / math.sqrt(n), (n, 1))
     row_bits = np.arange(n)
     for k in range(n_ancilla):
         controlled = (row_bits >> k) & 1 == 1
-        phase_k = phases ** (2**k)
+        # The angle is scaled by 2^k and reduced mod 2 exactly, so the phase
+        # stays on the unit circle; powering the rounded exp(i pi (e + 1))
+        # instead scales its modulus error by 2^k and leaks probability mass.
+        phase_k = np.exp(1j * np.pi * np.fmod((evals + 1.0) * 2.0**k, 2.0))
         if fault is not None and fault.delta_t > 0.0:
             h = _unit_norm_gue(dim, child_rng(fault.seed, k))
             hvals, hvecs = np.linalg.eigh(h)
@@ -252,22 +254,25 @@ def qubiterate_moments(op: HermitianOperator, psi: ProbeState, kmax: int) -> np.
     return moments
 
 
-def hadamard_test_sample(t_k: float, shots: int, seed: int, *path: int) -> float:
-    """Shot-noise estimate of a real expectation value in [-1, 1].
+def hadamard_test_sample(t_k, shots: int, seed: int, *path: int):
+    """Shot-noise estimate of real expectation values in [-1, 1].
 
     Models the one-ancilla Hadamard test: `shots` Bernoulli draws with
     success probability ``(1 + t_k)/2``, returned as ``2 *
-    successes/shots - 1``.  Unbiased and deterministic given `seed` and
-    the optional child-stream `path` (for example the moment index).
-    A shot count beyond the sampler's 64-bit range raises
-    :class:`ResourceLimitError`.
+    successes/shots - 1``.  `t_k` may be one value or an array of them,
+    drawn as one binomial vector.  Unbiased and deterministic given
+    `seed` and the optional child-stream `path`.  A shot count beyond
+    the sampler's 64-bit range raises :class:`ResourceLimitError`.
     """
     if shots < 1:
         raise ValidationError(f"shots must be >= 1, got {shots!r}")
     if shots > np.iinfo(np.int64).max:
         raise ResourceLimitError(f"{shots} shots exceed the sampler's 64-bit count range")
-    if abs(t_k) > 1.0 + 1e-10:
-        raise ValidationError(f"expectation value must lie in [-1, 1], got {t_k!r}")
-    p = min(max((1.0 + t_k) / 2.0, 0.0), 1.0)
-    rng = child_rng(seed, *path)
-    return 2.0 * rng.binomial(shots, p) / shots - 1.0
+    t = np.asarray(t_k, dtype=float)
+    if np.any(np.abs(t) > 1.0 + 1e-10):
+        worst = float(np.max(np.abs(t)))
+        raise ValidationError(f"expectation value must lie in [-1, 1], got magnitude {worst!r}")
+    p = np.clip((1.0 + t) / 2.0, 0.0, 1.0)
+    successes = child_rng(seed, *path).binomial(shots, p)
+    estimate = 2.0 * successes / shots - 1.0
+    return float(estimate) if t.ndim == 0 else estimate

@@ -22,6 +22,8 @@ from specden.chebgauss import (
     kappa,
     lambert_w,
     min_error_intermediate,
+    projection_cmax,
+    projection_values,
     shifted_coeffs,
     truncation_error_bound,
     truncation_order,
@@ -29,7 +31,8 @@ from specden.chebgauss import (
 from specden.errors import OutOfRegimeError, ValidationError
 from specden.kernels import AccuracyTarget, gaussian_eval
 from specden.numerics import child_rng
-from specden.operators import HermitianOperator, ProbeState
+from specden.estimators import model_moments
+from specden.operators import HermitianOperator, ProbeState, diagonalize, normalize_operator, random_model
 
 
 def test_kappa_golden_and_positive():
@@ -111,6 +114,42 @@ def test_coefficient_table_direct_stable_beyond_interval():
     profile = chebval(x, table[0])
     exact = gaussian_eval(x, 1.75, lam)
     assert np.max(np.abs(profile - exact)) < 1e-6
+
+
+def _projection_grid(lam):
+    # centers inside [-1, 1] and up to eight kernel widths beyond it
+    beyond = 1.0 + np.linspace(1e-3, 8.0 * lam, 12)
+    return np.concatenate((np.linspace(-1.0, 1.0, 161), beyond, -beyond))
+
+
+@pytest.mark.parametrize(
+    "sigma,delta,beta",
+    [(0.3, 0.2, 0.25), (0.1, 0.2, 0.05), (0.1, 0.1, 0.05), (0.05, 0.05, 0.01), (0.1, 0.02, 0.1)],
+)
+def test_projection_values_match_direct_table(sigma, delta, beta):
+    budget = truncation_order(AccuracyTarget(sigma=sigma, delta=delta, beta=beta))
+    lam, order = budget.lam, budget.L
+    assert 30 <= order <= 619
+    nu = _projection_grid(lam)
+    op, psi = random_model(24, seed=order, kind="gapped")
+    t = model_moments(diagonalize(normalize_operator(op)[0], psi), order)
+    direct = _direct_coefficient_table(lam, nu, order)
+    np.testing.assert_allclose(projection_values(t, lam, nu), direct @ t, rtol=0, atol=1e-12)
+    # any moment vector: against the same projection summed with exact cosines,
+    # since the Vandermonde recurrence inside the direct table itself drifts
+    # by up to 3e-12 at L = 619 for vectors of unit entries
+    m = max(4 * (order + 1), 256)
+    theta = np.pi * (2 * np.arange(m) + 1) / (2 * m)
+    cosines = np.cos(np.outer(theta, np.arange(order + 1)))
+    gamma = np.where(np.arange(order + 1) == 0, 1.0, 2.0)
+    exact = gaussian_eval(nu[:, None], np.cos(theta)[None, :], lam) @ cosines * gamma / m
+    v = child_rng(order).uniform(-1.0, 1.0, (3, order + 1))
+    batch = projection_values(v, lam, nu)
+    assert batch.shape == (3, nu.size)
+    np.testing.assert_allclose(batch, v @ exact.T, rtol=0, atol=1e-12)
+    # shot sizing reads the same table's largest magnitude, one DCT per row
+    c_max = projection_cmax(lam, nu, order)
+    assert abs(c_max / np.max(np.abs(direct)) - 1.0) <= 1e-12
 
 
 def test_critical_betas_golden():

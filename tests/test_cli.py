@@ -6,10 +6,15 @@ the written files.
 """
 
 import json
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specden import chebgauss, cli, sampling
 from specden.cli import main
@@ -222,6 +227,7 @@ def test_fault_sweep_shrinks_to_the_memory_cap(monkeypatch, capsys):
     assert [row["delta_t"] for row in rows] == sorted({1e-3, 1e-2, planned_dt})
     for row in rows:
         assert row["n"] == 1024 and op.dim * row["n"] <= cap
+        assert row["planned_n"] == 4096
         assert row["bound"] == 10 * row["delta_t"]
         assert row["realizations"] == 1 and row["ok"]
     # a sweep that fits runs at the planned n and says nothing
@@ -229,6 +235,37 @@ def test_fault_sweep_shrinks_to_the_memory_cap(monkeypatch, capsys):
     rows = cli._fault_sweep(roomy, roomy.target(), op, psi, 7)
     assert capsys.readouterr().out == ""
     assert {row["n"] for row in rows} == {fejer_plan(roomy.target()).n}
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    out=st.text(min_size=1, max_size=20),
+    workers=st.none() | st.integers(1, 64),
+    seed=st.none() | st.integers(0, 2**31),
+    trials=st.integers(1, 500),
+)
+def test_config_hash_ignores_out_and_workers(out, workers, seed, trials):
+    base = cli.RunConfig(command="verify", sigma=0.1, delta=0.2, seed=seed, trials=trials)
+    moved = cli.RunConfig(
+        command="verify", sigma=0.1, delta=0.2, seed=seed, trials=trials, out=out, workers=workers
+    )
+    assert moved.hash() == base.hash()
+    assert cli.RunConfig(command="verify", sigma=0.1, delta=0.2, seed=seed, trials=trials + 1,
+                         out=out).hash() != base.hash()
+
+
+def test_cli_import_leaves_scipy_fft_and_linalg_unloaded():
+    # the moment pipeline's transforms run on numpy.fft, which numpy has
+    # already loaded: scipy.fft or scipy.linalg would add to every command's
+    # start-up time
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = (
+        f"import sys; sys.path.insert(0, {str(src)!r}); import specden.cli; "
+        "print(sorted(m for m in ('scipy.fft', 'scipy.linalg') if m in sys.modules))"
+    )
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_plan_jackson_fine_targets(capsys):
@@ -240,32 +277,32 @@ def test_plan_jackson_fine_targets(capsys):
     assert "resource cap" in capsys.readouterr().out
 
 
-def test_git_commands_build_each_coefficient_table_once(tmp_path, monkeypatch):
+def test_git_commands_build_no_coefficient_table(tmp_path, monkeypatch):
     builds = []
-    build = chebgauss._series_coefficient_table
 
-    def counted(lam, freqs, order):
-        builds.append(freqs.size)
-        return build(lam, freqs, order)
+    def counting(build):
+        def counted(lam, freqs, order):
+            builds.append((build.__name__, freqs.size))
+            return build(lam, freqs, order)
+        return counted
 
-    monkeypatch.setattr(chebgauss, "_series_coefficient_table", counted)
-    chebgauss._cached_coefficient_table.cache_clear()
+    for name in ("_series_coefficient_table", "_direct_coefficient_table"):
+        monkeypatch.setattr(chebgauss, name, counting(getattr(chebgauss, name)))
     assert run_cli(
         "estimate", "--method", "git", "--sigma", "0.25", "--delta", "0.2",
         "--gen", "dense:8", "--seed", "3", "--out", str(tmp_path / "e"),
     ) == 0
-    # one grid: the shots are sized and the estimate reconstructed on one table
-    assert builds == [201]
-    builds.clear()
-    chebgauss._cached_coefficient_table.cache_clear()
     assert run_cli(
         "verify", "--method", "git", "--sigma", "0.25", "--delta", "0.2",
         "--gen", "dense:6:count=2", "--seed", "5", "--trials", "6",
         "--out", str(tmp_path / "v"), "--workers", "1",
     ) == 0
-    # the contract grid and the dense observable grid, each shared by every
-    # trial of both models
-    assert len(builds) == 2 and 5 in builds
+    # shots are sized and every trial reconstructed from the exact kernel's
+    # projection by DCT, with no series or direct coefficient table
+    assert builds == []
+    # plan still prices the published series table on the contract grid
+    assert run_cli("plan", "--method", "git", "--sigma", "0.25", "--delta", "0.2") == 0
+    assert builds == [("_series_coefficient_table", 5)]
 
 
 def test_exit_code_io_error(tmp_path):

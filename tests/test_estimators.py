@@ -1,19 +1,24 @@
 """Unit tests for the sampling planners and the two estimation routines."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specden.chebgauss import cheb_moments, coefficient_table, truncation_order
 from specden.errors import ValidationError
 from specden.estimators import (
     Budget,
     complexity_table,
+    model_moments,
     plan_fejer_samples,
     plan_git_samples,
     run_algorithm1,
     run_algorithm2,
+    sample_moments,
 )
 from specden.kernels import (
     AccuracyTarget,
@@ -27,6 +32,7 @@ from specden.operators import (
     SpectralModel,
     diagonalize,
     exact_transform,
+    normalize_operator,
     random_model,
 )
 
@@ -185,6 +191,58 @@ def test_run_algorithm2_sampled_close_with_planned_budget():
     lam = res.budget.lam
     want = (gaussian_eval(nu[:, None], model.eigenvalues[None, :], lam) * model.weights).sum(axis=1)
     assert np.max(np.abs(res.transform.values - want)) <= target.beta
+
+
+def test_run_algorithm2_memory_is_bounded():
+    # L = 619 over 2001 frequencies: the series table alone would hold 9.5 MiB
+    # and its Clenshaw evaluation several times that
+    model = diagonalize(*random_model(64, seed=97))
+    target = AccuracyTarget(sigma=0.1, delta=0.02, beta=0.1)
+    nu = np.linspace(-1.0, 1.0, 2001)
+    tracemalloc.start()
+    try:
+        res = run_algorithm2(model, target, nu, seed=6006)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.budget.kernel_order == 619
+    assert peak < 32 * 2**20
+
+
+def _normalized_model(dim, seed, kind):
+    op, psi = random_model(dim, seed=seed, kind=kind)
+    return diagonalize(normalize_operator(op)[0], psi)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    dim=st.integers(2, 40),
+    seed=st.integers(0, 2**31),
+    kind=st.sampled_from(["dense", "gapped"]),
+    order=st.integers(1, 700),
+)
+def test_model_moments_are_bounded(dim, seed, kind, order):
+    t = model_moments(_normalized_model(dim, seed, kind), order)
+    assert t[0] == pytest.approx(1.0, abs=1e-12)
+    assert np.max(np.abs(t)) <= 1.0 + 1e-10
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    seed=st.integers(0, 2**31),
+    per_order=st.integers(1, 10**12),
+    trials=st.integers(1, 6),
+)
+def test_batched_draw_rows_equal_single_runs(seed, per_order, trials):
+    model = _normalized_model(8, seed % 1000, "dense")
+    target = AccuracyTarget(sigma=0.2, delta=0.25, beta=0.2)
+    order = truncation_order(target).L
+    seeds = [seed + j for j in range(trials)]
+    block = sample_moments(model_moments(model, order), per_order, seeds)
+    assert block.shape == (trials, order + 1)
+    for j, trial_seed in enumerate(seeds):
+        single = run_algorithm2(model, target, [0.0], trial_seed, per_order_shots=per_order)
+        assert block[j].tobytes() == single.moments.tobytes()
 
 
 def test_complexity_table_rows():

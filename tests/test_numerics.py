@@ -9,6 +9,8 @@ from specden.numerics import (
     cheb_nodes,
     cheb_series_coeffs,
     child_rng,
+    dct2,
+    dct3,
     derive_seed,
     fmt_float,
     next_pow2,
@@ -63,6 +65,29 @@ def test_cheb_series_coeffs_validation():
         cheb_series_coeffs(np.cos, -1)
     with pytest.raises(ValidationError):
         cheb_series_coeffs(np.cos, 10, nodes=9)
+
+
+def test_dct2_and_dct3_match_cosine_sums():
+    m, deg = 64, 20
+    theta = np.pi * (2 * np.arange(m) + 1) / (2 * m)
+    cos = np.cos(np.outer(np.arange(m), theta))  # cos(n theta_j), n = 0..m-1
+    rows = child_rng(5).standard_normal((3, m))
+    np.testing.assert_allclose(dct2(rows, deg), rows @ cos[: deg + 1].T, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(dct2(rows[0], m // 2), cos[: m // 2 + 1] @ rows[0], rtol=0, atol=1e-12)
+    coeffs = child_rng(6).standard_normal((3, deg + 1))
+    np.testing.assert_allclose(dct3(coeffs, m), coeffs @ cos[: deg + 1], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(dct3(coeffs[0], m), coeffs[0] @ cos[: deg + 1], rtol=0, atol=1e-12)
+    # the two transforms are each other's transpose
+    assert abs(np.dot(dct2(rows[1], deg), coeffs[1]) - np.dot(rows[1], dct3(coeffs[1], m))) < 1e-10
+
+
+def test_dct_validation():
+    with pytest.raises(ValidationError):
+        dct2(np.ones(7), 2)  # Makhoul's reordering needs an even length
+    with pytest.raises(ValidationError):
+        dct2(np.ones(8), 5)
+    with pytest.raises(ValidationError):
+        dct3(np.ones(9), 8)
 
 
 def test_child_rng_reproducible_and_distinct():

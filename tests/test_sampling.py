@@ -215,6 +215,16 @@ def test_qubiterate_moments_equal_recurrence():
     assert abs(walk_moments[0] - 1.0) < 1e-14
 
 
+def test_statevector_qpe_keeps_unit_mass_on_large_registers():
+    # 2^16 outcomes on a dim-2 register (2 MiB of amplitudes): powering the
+    # rounded phase by 2^15 once lost 7.5e-13 of the probability mass
+    op = HermitianOperator(np.diag([-0.3, 0.4]))
+    psi = ProbeState(np.array([0.6, 0.8]))
+    for fault in (None, FaultModel(delta_t=1e-3, seed=4)):
+        dist = statevector_qpe(op, psi, 16, fault=fault)
+        assert abs(float(dist.probs.sum()) - 1.0) <= 1e-13
+
+
 def test_hadamard_test_sample_statistics():
     t = 0.3
     shots = 20000
