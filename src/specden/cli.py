@@ -76,6 +76,7 @@ from .operators import (
     HermitianOperator,
     ObservableFn,
     ProbeState,
+    SpectralModel,
     TransformGrid,
     diagonalize,
     exact_transform,
@@ -85,10 +86,9 @@ from .operators import (
 )
 from .sampling import (
     MEMORY_CAP,
-    FaultModel,
     qpe_distribution,
     qubitized_qpe_distribution,
-    statevector_qpe,
+    statevector_qpe_sweep,
 )
 
 __all__ = ["RunConfig", "main"]
@@ -571,7 +571,12 @@ def _run_contract(
 
 
 def _fault_sweep(
-    cfg: RunConfig, target: AccuracyTarget, op: HermitianOperator, psi: ProbeState, seed: int
+    cfg: RunConfig,
+    target: AccuracyTarget,
+    op: HermitianOperator,
+    psi: ProbeState,
+    model: SpectralModel,
+    seed: int,
 ) -> list[dict]:
     planned_n = fejer_plan(target).n
     _, planned_dt = plan_fejer_samples(target.beta, target.eta, faulty=True, n=planned_n)
@@ -583,28 +588,27 @@ def _fault_sweep(
             f"fault sweep shrunk to n={n}: dim*n at the planned n={planned_n} "
             f"exceeds the cap {MEMORY_CAP}"
         )
-    ideal = qpe_distribution(diagonalize(op, psi), n)
+    ideal = qpe_distribution(model, n)
     realizations = min(cfg.trials, 20)
-    rows = []
-    for dt in sorted({1e-3, 1e-2, planned_dt}):
-        worst = 0.0
-        for r in range(realizations):
-            fault = FaultModel(delta_t=dt, seed=derive_seed(seed, 700, r))
-            noisy = statevector_qpe(op, psi, n_ancilla, fault=fault)
-            worst = max(worst, float(np.max(np.abs(noisy.probs - ideal.probs))))
-        bound = n_ancilla * dt
-        rows.append(
-            {
-                "n": n,
-                "planned_n": planned_n,
-                "delta_t": dt,
-                "bound": bound,
-                "measured": worst,
-                "realizations": realizations,
-                "ok": worst <= bound,
-            }
-        )
-    return rows
+    delta_ts = sorted({1e-3, 1e-2, planned_dt})
+    worst = [0.0] * len(delta_ts)
+    seeds = [derive_seed(seed, 700, r) for r in range(realizations)]
+    for noisy in statevector_qpe_sweep(op, psi, n_ancilla, delta_ts, seeds):
+        worst = [
+            max(w, float(np.max(np.abs(d.probs - ideal.probs)))) for w, d in zip(worst, noisy)
+        ]
+    return [
+        {
+            "n": n,
+            "planned_n": planned_n,
+            "delta_t": dt,
+            "bound": n_ancilla * dt,
+            "measured": w,
+            "realizations": realizations,
+            "ok": w <= n_ancilla * dt,
+        }
+        for dt, w in zip(delta_ts, worst)
+    ]
 
 
 def _cmd_verify(cfg: RunConfig) -> int:
@@ -635,7 +639,7 @@ def _cmd_verify(cfg: RunConfig) -> int:
         )
     if "fejer" in names:
         op, psi, _ = pairs[0]
-        sweep = _fault_sweep(cfg, target, op, psi, derive_seed(seed, 3))
+        sweep = _fault_sweep(cfg, target, op, psi, models[0], derive_seed(seed, 3))
         report_json["fault_sweep"] = sweep
         overall = overall and all(row["ok"] for row in sweep)
         for row in sweep:

@@ -41,7 +41,12 @@ from .kernels import (
 )
 from .numerics import child_rng
 from .operators import AffineMap, SpectralModel, TransformGrid
-from .sampling import hadamard_test_sample, qpe_distribution, qubitized_qpe_distribution
+from .sampling import (
+    OutcomeDistribution,
+    hadamard_test_sample,
+    qpe_distribution,
+    qubitized_qpe_distribution,
+)
 
 __all__ = [
     "METHODS",
@@ -52,6 +57,7 @@ __all__ = [
     "plan_git_samples",
     "model_moments",
     "sample_moments",
+    "sample_histogram",
     "run_algorithm1",
     "run_algorithm2",
     "complexity_table",
@@ -190,6 +196,16 @@ def _merge_mirror_bins(
     return omega[order], merged[order]
 
 
+def sample_histogram(dist: OutcomeDistribution, n_samples: int, seed: int) -> np.ndarray:
+    """Empirical bin frequencies of `n_samples` outcomes drawn from `dist`.
+
+    One multinomial draw from the stream ``child_rng(seed, 0)``, so the
+    histogram depends on the distribution, the count and `seed` alone.
+    """
+    counts = child_rng(seed, 0).multinomial(n_samples, dist.probs / dist.probs.sum())
+    return counts / n_samples
+
+
 def run_algorithm1(
     budget: Budget,
     seed: int,
@@ -218,8 +234,7 @@ def run_algorithm1(
     else:
         dist = qubitized_qpe_distribution(model.mapped(spectrum_map), n)
         kernel = QubitizedFejerKernel(n)
-    counts = child_rng(seed, 0).multinomial(budget.n_samples, dist.probs / dist.probs.sum())
-    freqs, values = dist.grid, counts / budget.n_samples
+    freqs, values = dist.grid, sample_histogram(dist, budget.n_samples, seed)
     if budget.method == "qubitized_fejer":
         freqs, values = _merge_mirror_bins(freqs, values, spectrum_map)
     transform = TransformGrid(frequencies=freqs, values=values, kind=kernel.kind, kernel=kernel)

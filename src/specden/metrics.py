@@ -31,7 +31,7 @@ from .estimators import (
     model_moments,
     plan_fejer_samples,
     plan_git_samples,
-    run_algorithm1,
+    sample_histogram,
     sample_moments,
 )
 from .kernels import (
@@ -51,6 +51,7 @@ from .operators import (
     observable_exact,
     observable_from_transform,
 )
+from .sampling import qpe_distribution
 
 __all__ = [
     "AccuracyReport",
@@ -219,7 +220,10 @@ def observable_bound_empirical_check(
     reported as `margin_delta_v`.  Each model's exact moments are
     computed once; trial j draws its moment vector exactly as
     :func:`~specden.estimators.run_algorithm2` does with its seed, and
-    all trials are reconstructed together on each grid.
+    all trials are reconstructed together on each grid.  For
+    ``method="fejer"`` each model's outcome distribution is built once
+    and trial j draws its histogram from it exactly as
+    :func:`~specden.estimators.run_algorithm1` does with its seed.
 
     `n_samples` overrides the planned measurement total (for the moment
     method it is split evenly over the orders), which deliberately
@@ -272,6 +276,7 @@ def observable_bound_empirical_check(
         q_exact = {name: observable_exact(mod, g) for name, g in zip(names, fns)}
         if method == "fejer":
             ref = exact_transform(mod, kernel, fejer_grid(kernel.n))
+            dist = qpe_distribution(mod, kernel.n)
         else:
             ref = exact_transform(mod, kernel, CONTRACT_GRID)
             ref_dense = exact_transform(mod, kernel, dense)
@@ -281,7 +286,8 @@ def observable_bound_empirical_check(
             dense_values = projection_values(draws, lam, dense)
         for j in range(trials):
             if method == "fejer":
-                estimate = run_algorithm1(budget, derive_seed(seed, i, j), model=mod).transform
+                values = sample_histogram(dist, budget.n_samples, derive_seed(seed, i, j))
+                estimate = TransformGrid(dist.grid, values, kernel.kind, kernel)
                 obs_grid = estimate
             else:
                 estimate = TransformGrid(CONTRACT_GRID, contract_values[j], "density", kernel)

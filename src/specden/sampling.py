@@ -11,7 +11,9 @@ Three measurement primitives feed the estimation pipelines:
   O(N K) multiply-adds and O(N + sqrt(N) K) memory for K peaks.  A
   statevector route simulates the register explicitly (with optional
   norm-bounded faults in each controlled evolution) and serves as the
-  validation oracle.
+  validation oracle.  A fault sweep diagonalizes the operator once and,
+  in each realization, draws and diagonalizes each bit's fault generator
+  once for all its step sizes, holding one statevector per step size.
 * the folded variant driven by a walk operator, with outcomes on the
   arc variable and frequencies recovered through ``cos(pi sigma)``; its
   distribution is the same mixture over the mirrored phases.
@@ -25,6 +27,7 @@ derives child streams through :func:`specden.numerics.child_rng`.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +43,7 @@ __all__ = [
     "FaultModel",
     "qpe_distribution",
     "statevector_qpe",
+    "statevector_qpe_sweep",
     "qubitized_qpe_distribution",
     "build_qubiterate",
     "qubiterate_moments",
@@ -161,10 +165,37 @@ def statevector_qpe(
     the register produces outcome ``q`` with the Fejer-broadened
     probability at ``sigma_q = 2q/N - 1``.  A :class:`FaultModel`
     perturbs each controlled evolution by an independent unit-norm
-    Hermitian generator scaled by ``delta_t``.
+    Hermitian generator scaled by ``delta_t``.  This is the one-seed,
+    one-step case of :func:`statevector_qpe_sweep`.
 
     Memory use scales as ``dim * N``; exceeding :data:`MEMORY_CAP`
     raises :class:`ResourceLimitError`.
+    """
+    dt, seed = (0.0, 0) if fault is None else (fault.delta_t, fault.seed)
+    (dists,) = statevector_qpe_sweep(op, psi, n_ancilla, (dt,), (seed,))
+    return dists[0]
+
+
+def statevector_qpe_sweep(
+    op: HermitianOperator,
+    psi: ProbeState,
+    n_ancilla: int,
+    delta_ts: Sequence[float],
+    seeds: Iterable[int],
+) -> Iterator[list[OutcomeDistribution]]:
+    """Faulty phase estimation for several fault sizes and realizations.
+
+    Yields, for each seed in turn, one distribution per entry of
+    `delta_ts`, each equal to ``statevector_qpe(op, psi, n_ancilla,
+    FaultModel(delta_t, seed))``.  The operator is diagonalized once;
+    in each realization every bit's fault generator is drawn and
+    diagonalized once and its kick ``exp(-i delta_t H)`` is applied to
+    one statevector per step size, so one statevector per entry of
+    `delta_ts` and one generator are held at a time.  A step of 0 runs
+    the fault-free register.
+
+    Each statevector holds ``dim * N`` amplitudes; exceeding
+    :data:`MEMORY_CAP` raises :class:`ResourceLimitError`.
     """
     if n_ancilla < 1:
         raise ValidationError(f"n_ancilla must be >= 1, got {n_ancilla!r}")
@@ -176,9 +207,21 @@ def statevector_qpe(
         )
     if psi.vector.size != dim:
         raise ValidationError(f"dimension mismatch: op {dim}, psi {psi.vector.size}")
+    delta_ts = list(delta_ts)
+    if not all(dt >= 0.0 for dt in delta_ts):
+        raise ValidationError(f"delta_t must be nonnegative, got {delta_ts!r}")
     evals, evecs = np.linalg.eigh(op.matrix)
-    psi_eig = evecs.conj().T @ psi.vector
-    state = np.tile(psi_eig.astype(complex) / math.sqrt(n), (n, 1))
+    row = (evecs.conj().T @ psi.vector).astype(complex) / math.sqrt(n)
+    return (_register_run(evals, row, n_ancilla, delta_ts, seed) for seed in seeds)
+
+
+def _register_run(
+    evals: np.ndarray, row: np.ndarray, n_ancilla: int, delta_ts: list[float], seed: int
+) -> list[OutcomeDistribution]:
+    """One realization of :func:`statevector_qpe_sweep`, in the eigenbasis of the operator."""
+    n = 2**n_ancilla
+    states = [np.tile(row, (n, 1)) for _ in delta_ts]
+    faulty = any(dt > 0.0 for dt in delta_ts)
     row_bits = np.arange(n)
     for k in range(n_ancilla):
         controlled = (row_bits >> k) & 1 == 1
@@ -186,16 +229,21 @@ def statevector_qpe(
         # stays on the unit circle; powering the rounded exp(i pi (e + 1))
         # instead scales its modulus error by 2^k and leaks probability mass.
         phase_k = np.exp(1j * np.pi * np.fmod((evals + 1.0) * 2.0**k, 2.0))
-        if fault is not None and fault.delta_t > 0.0:
-            h = _unit_norm_gue(dim, child_rng(fault.seed, k))
-            hvals, hvecs = np.linalg.eigh(h)
-            kick = (hvecs * np.exp(-1j * fault.delta_t * hvals)) @ hvecs.conj().T
-            state[controlled] = (state[controlled] @ kick.T) * phase_k
-        else:
-            state[controlled] *= phase_k
-    amps = np.fft.fft(state, axis=0) / math.sqrt(n)
-    probs = np.einsum("qj,qj->q", amps, amps.conj()).real
-    return OutcomeDistribution(grid=fejer_grid(n), probs=probs)
+        if faulty:
+            hvals, hvecs = np.linalg.eigh(_unit_norm_gue(row.size, child_rng(seed, k)))
+            hvecs_h = hvecs.conj().T
+        for dt, state in zip(delta_ts, states):
+            if dt > 0.0:
+                kick = (hvecs * np.exp(-1j * dt * hvals)) @ hvecs_h
+                state[controlled] = (state[controlled] @ kick.T) * phase_k
+            else:
+                state[controlled] *= phase_k
+    dists = []
+    while states:
+        amps = np.fft.fft(states.pop(0), axis=0) / math.sqrt(n)
+        probs = np.einsum("qj,qj->q", amps, amps.conj()).real
+        dists.append(OutcomeDistribution(grid=fejer_grid(n), probs=probs))
+    return dists
 
 
 def qubitized_qpe_distribution(model: SpectralModel, n: int) -> OutcomeDistribution:

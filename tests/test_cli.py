@@ -6,6 +6,7 @@ the written files.
 """
 
 import json
+import math
 import subprocess
 import sys
 import tracemalloc
@@ -21,7 +22,13 @@ from specden.cli import main
 from specden.errors import ResourceLimitError
 from specden.estimators import plan_fejer_samples
 from specden.kernels import fejer_plan
-from specden.operators import HermitianOperator, ProbeState, random_model, write_model_file
+from specden.operators import (
+    HermitianOperator,
+    ProbeState,
+    diagonalize,
+    random_model,
+    write_model_file,
+)
 
 
 def run_cli(*args):
@@ -215,13 +222,14 @@ def test_fault_sweep_shrinks_to_the_memory_cap(monkeypatch, capsys):
     monkeypatch.setattr(sampling, "MEMORY_CAP", cap)
     op = HermitianOperator(np.diag([-0.5, -0.1, 0.2, 0.6]))
     psi = ProbeState(np.full(4, 0.5))
+    model = diagonalize(op, psi)
     cfg = cli.RunConfig(command="verify", sigma=0.02, delta=0.02, trials=1, seed=1)
     target = cfg.target()
     planned_n = fejer_plan(target).n
     assert planned_n == 4096
     with pytest.raises(ResourceLimitError):
         sampling.statevector_qpe(op, psi, 12)
-    rows = cli._fault_sweep(cfg, target, op, psi, 7)
+    rows = cli._fault_sweep(cfg, target, op, psi, model, 7)
     assert "fault sweep shrunk to n=1024" in capsys.readouterr().out
     _, planned_dt = plan_fejer_samples(target.beta, target.eta, faulty=True, n=planned_n)
     assert [row["delta_t"] for row in rows] == sorted({1e-3, 1e-2, planned_dt})
@@ -232,9 +240,44 @@ def test_fault_sweep_shrinks_to_the_memory_cap(monkeypatch, capsys):
         assert row["realizations"] == 1 and row["ok"]
     # a sweep that fits runs at the planned n and says nothing
     roomy = cli.RunConfig(command="verify", sigma=0.25, delta=0.1, trials=1, seed=1)
-    rows = cli._fault_sweep(roomy, roomy.target(), op, psi, 7)
+    rows = cli._fault_sweep(roomy, roomy.target(), op, psi, model, 7)
     assert capsys.readouterr().out == ""
     assert {row["n"] for row in rows} == {fejer_plan(roomy.target()).n}
+
+
+def test_fault_sweep_draws_each_generator_once(monkeypatch):
+    # R realizations of K ancilla bits draw R * K generators for all three
+    # steps together, and the operator is diagonalized once per sweep.
+    op, psi = random_model(4, seed=5)
+    model = diagonalize(op, psi)
+    draws = []
+    eighs = []
+    gue, eigh = sampling._unit_norm_gue, np.linalg.eigh
+    monkeypatch.setattr(sampling, "_unit_norm_gue", lambda *a: draws.append(a) or gue(*a))
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: eighs.append(a) or eigh(a))
+    monkeypatch.setattr(cli, "diagonalize", None)
+    cfg = cli.RunConfig(command="verify", sigma=0.25, delta=0.1, trials=3, seed=1)
+    rows = cli._fault_sweep(cfg, cfg.target(), op, psi, model, 7)
+    assert len(rows) == 3
+    k = int(math.log2(rows[0]["n"]))
+    assert len(draws) == 3 * k
+    assert sum(a is op.matrix for a in eighs) == 1
+    assert len(eighs) == 3 * k + 1
+
+
+def test_verify_fault_sweep_golden(tmp_path):
+    code = main([
+        "verify", "--method", "all", "--sigma", "0.1", "--delta", "0.1",
+        "--gen", "dense:8:count=2", "--trials", "20", "--seed", "9", "--workers", "1",
+        "--out", str(tmp_path),
+    ])
+    assert code == 0
+    rows = json.loads((tmp_path / "verify_report.json").read_text())["fault_sweep"]
+    assert [(r["n"], r["realizations"], r["delta_t"], r["measured"]) for r in rows] == [
+        (128, 20, 0.001, 0.00019843751308407098),
+        (128, 20, 0.1 / 14, 0.0014154466688017786),
+        (128, 20, 0.01, 0.001986827391606494),
+    ]
 
 
 @settings(max_examples=30, deadline=None)

@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from specden import metrics
 from specden.errors import ValidationError
-from specden.kernels import AccuracyTarget, FejerKernel, fejer_grid
+from specden.estimators import Budget, plan_fejer_samples, run_algorithm1
+from specden.kernels import AccuracyTarget, FejerKernel, fejer_grid, fejer_plan
 from specden.metrics import (
     AccuracyReport,
     binomial_threshold,
@@ -16,7 +18,7 @@ from specden.metrics import (
     scaling_fit,
     total_variation,
 )
-from specden.numerics import child_rng
+from specden.numerics import child_rng, derive_seed
 from specden.operators import (
     ObservableFn,
     TransformGrid,
@@ -24,7 +26,7 @@ from specden.operators import (
     exact_transform,
     random_model,
 )
-from specden.sampling import FaultModel, statevector_qpe
+from specden.sampling import FaultModel, qpe_distribution, statevector_qpe
 
 
 def _grid(values, freqs=None, kind="density"):
@@ -173,6 +175,30 @@ def test_observable_check_fejer_small_run():
     assert report.passed()
     again = observable_bound_empirical_check(model, "fejer", f, target, trials=25, seed=601)
     assert again.delta_v == report.delta_v
+
+
+def test_observable_check_fejer_builds_one_distribution_per_model(monkeypatch):
+    models = [diagonalize(*random_model(6, seed=s)) for s in (507, 509)]
+    target = AccuracyTarget(sigma=0.25, delta=0.1, beta=0.1, eta=0.05)
+    builds = []
+    monkeypatch.setattr(
+        metrics, "qpe_distribution", lambda m, n: builds.append(n) or qpe_distribution(m, n)
+    )
+    report = observable_bound_empirical_check(models, "fejer", None, target, trials=7, seed=611)
+    assert len(builds) == len(models)
+    # trial j of model i is the histogram run_algorithm1 draws with seed (611, i, j)
+    kernel = fejer_plan(target)
+    budget = Budget("fejer", kernel.n, plan_fejer_samples(target.beta, target.eta))
+    runs = [
+        total_variation(
+            exact_transform(m, kernel, fejer_grid(kernel.n)),
+            run_algorithm1(budget, derive_seed(611, i, j), model=m).transform,
+        )
+        for i, m in enumerate(models)
+        for j in range(7)
+    ]
+    assert report.delta_v == max(runs)
+    assert report.empirical_confidence == sum(r <= target.beta for r in runs) / len(runs)
 
 
 def test_observable_check_git_margin_grid():

@@ -28,7 +28,9 @@ from specden.sampling import (
     qubitized_qpe_distribution,
     qubiterate_moments,
     statevector_qpe,
+    statevector_qpe_sweep,
 )
+from specden import sampling
 from specden.chebgauss import cheb_moments
 
 
@@ -223,6 +225,72 @@ def test_statevector_qpe_keeps_unit_mass_on_large_registers():
     for fault in (None, FaultModel(delta_t=1e-3, seed=4)):
         dist = statevector_qpe(op, psi, 16, fault=fault)
         assert abs(float(dist.probs.sum()) - 1.0) <= 1e-13
+
+
+def _reference_statevector_qpe(op, psi, n_ancilla, fault):
+    # The register loop one fault at a time, redrawing every generator and
+    # re-diagonalizing the operator on each call.
+    n = 2**n_ancilla
+    evals, evecs = np.linalg.eigh(op.matrix)
+    state = np.tile((evecs.conj().T @ psi.vector).astype(complex) / math.sqrt(n), (n, 1))
+    for k in range(n_ancilla):
+        controlled = (np.arange(n) >> k) & 1 == 1
+        phase_k = np.exp(1j * np.pi * np.fmod((evals + 1.0) * 2.0**k, 2.0))
+        if fault.delta_t > 0.0:
+            h = sampling._unit_norm_gue(op.dim, child_rng(fault.seed, k))
+            hvals, hvecs = np.linalg.eigh(h)
+            kick = (hvecs * np.exp(-1j * fault.delta_t * hvals)) @ hvecs.conj().T
+            state[controlled] = (state[controlled] @ kick.T) * phase_k
+        else:
+            state[controlled] *= phase_k
+    amps = np.fft.fft(state, axis=0) / math.sqrt(n)
+    return np.einsum("qj,qj->q", amps, amps.conj()).real
+
+
+def test_statevector_qpe_sweep_equals_one_run_per_fault():
+    op, psi = _random_pair(6, seed=53)
+    n_anc = 6
+    delta_ts = (1e-2, 0.0, 1.0 / 140.0)
+    seeds = (3, 11, 2**40 + 7)
+    runs = list(statevector_qpe_sweep(op, psi, n_anc, delta_ts, seeds))
+    assert len(runs) == len(seeds)
+    for seed, dists in zip(seeds, runs):
+        assert len(dists) == len(delta_ts)
+        for dt, dist in zip(delta_ts, dists):
+            fault = FaultModel(delta_t=dt, seed=seed)
+            assert np.array_equal(dist.probs, statevector_qpe(op, psi, n_anc, fault).probs)
+            assert np.array_equal(dist.probs, _reference_statevector_qpe(op, psi, n_anc, fault))
+            assert np.array_equal(dist.grid, fejer_grid(2**n_anc))
+    assert np.array_equal(
+        statevector_qpe(op, psi, n_anc).probs,
+        _reference_statevector_qpe(op, psi, n_anc, FaultModel(delta_t=0.0, seed=0)),
+    )
+
+
+def test_statevector_qpe_sweep_validation():
+    op, psi = _random_pair(4, seed=2)
+    with pytest.raises(ValidationError):
+        statevector_qpe_sweep(op, psi, 4, (1e-3, -1e-3), (1,))
+    with pytest.raises(ValidationError):
+        statevector_qpe_sweep(op, psi, 0, (1e-3,), (1,))
+    with pytest.raises(ResourceLimitError):
+        statevector_qpe_sweep(op, psi, 21, (1e-3,), (1,))
+
+
+def test_statevector_qpe_sweep_holds_one_register_per_step():
+    # dim 16 at 2^14 outcomes: each statevector is 4 MiB.  Three steps hold
+    # 12 MiB; stacking the three realizations as well would pass 36 MiB.
+    op, psi = _random_pair(16, seed=61)
+    tracemalloc.start()
+    try:
+        worst = 0.0
+        for dists in statevector_qpe_sweep(op, psi, 14, (1e-3, 1.0 / 140.0, 1e-2), (1, 2, 3)):
+            worst = max(worst, max(float(d.probs.max()) for d in dists))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.0 < worst <= 1.0
+    assert peak < 32 * 2**20
 
 
 def test_hadamard_test_sample_statistics():
