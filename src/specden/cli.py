@@ -304,17 +304,26 @@ def _header_pairs(cfg: RunConfig, extra: list[tuple[str, object]] | None = None)
     return pairs
 
 
+def _row_format(types: tuple[type, ...]) -> str:
+    """%-format of a CSV row: ``%.17g`` writes a float as :func:`fmt_float` does, ``%s`` is ``str``."""
+    return ",".join("%.17g" if issubclass(t, float) else "%s" for t in types)
+
+
 def _write_csv(path: Path, header, columns, rows) -> None:
+    """Write header comments, the column names and one line per row.
+
+    `rows` is a 2-D float array or an iterable of tuples.  Each row is
+    one %-format built from its cell types.  An array's rows share one
+    format and are streamed from its columns, so no tuple per row is
+    held: in a process forked from a large one, creating that many
+    tuples runs collections that touch every shared page.
+    """
     lines = [f"# {k}: {v}" for k, v in header]
     lines.append(",".join(columns))
-    for row in rows:
-        cells = []
-        for cell in row:
-            if isinstance(cell, float):
-                cells.append(fmt_float(cell))
-            else:
-                cells.append(str(cell))
-        lines.append(",".join(cells))
+    if isinstance(rows, np.ndarray):
+        lines.extend(map(_row_format((float,) * rows.shape[1]).__mod__, zip(*rows.T.tolist())))
+    else:
+        lines.extend(_row_format(tuple(map(type, row))) % row for row in rows)
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -475,7 +484,7 @@ def _cmd_transform(cfg: RunConfig) -> int:
         [("method", name), ("kind", grid.kind), ("spectrum_scale", fmt_float(amap.scale))],
     )
     _write_csv(path, header, ["frequency", "value"],
-               list(zip(grid.frequencies.tolist(), grid.values.tolist())))
+               np.column_stack((grid.frequencies, grid.values)))
     print(f"wrote {path} ({grid.frequencies.size} rows)")
     return 0
 
@@ -523,7 +532,7 @@ def _cmd_estimate(cfg: RunConfig) -> int:
         csv_path,
         header,
         ["frequency", "value"],
-        list(zip(result.transform.frequencies.tolist(), result.transform.values.tolist())),
+        np.column_stack((result.transform.frequencies, result.transform.values)),
     )
     record = {
         "version": __version__,

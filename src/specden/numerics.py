@@ -127,5 +127,8 @@ def derive_seed(seed: int, *path: int) -> int:
 
 
 def fmt_float(x: float) -> str:
-    """Shortest repr that round-trips, for deterministic text output."""
+    """17 significant digits, which round-trip any float, for deterministic text output.
+
+    Not the shortest repr: ``fmt_float(0.1)`` is ``"0.10000000000000001"``.
+    """
     return format(float(x), ".17g")

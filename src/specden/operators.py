@@ -64,12 +64,15 @@ class AffineMap:
 
 
 class HermitianOperator:
-    """Immutable wrapper around a Hermitian matrix.
+    """Immutable Hermitian matrix with its eigendecomposition.
 
-    Hermiticity is checked entrywise to 1e-12 at construction.
+    Hermiticity is checked entrywise to 1e-12 at construction.  The
+    eigenpairs ``matrix @ evecs = evecs * evals`` (eigenvalues ascending)
+    come from one ``eigh`` on first use, or from `eig` when the caller
+    built the matrix from its spectrum.
     """
 
-    def __init__(self, matrix):
+    def __init__(self, matrix, eig: tuple[np.ndarray, np.ndarray] | None = None):
         m = np.array(matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValidationError(f"operator must be a square matrix, got shape {m.shape}")
@@ -80,6 +83,18 @@ class HermitianOperator:
         m = (m + m.conj().T) / 2.0
         m.setflags(write=False)
         self._matrix = m
+        self._eig = None if eig is None else self._frozen_eig(*eig)
+
+    def _frozen_eig(self, evals, evecs) -> tuple[np.ndarray, np.ndarray]:
+        vals = np.asarray(evals, dtype=float)
+        vecs = np.asarray(evecs, dtype=complex)
+        if vals.shape != (self.dim,) or vecs.shape != self._matrix.shape:
+            raise ValidationError(f"eigenpairs of shape {vals.shape}, {vecs.shape} for dim {self.dim}")
+        if np.any(np.diff(vals) < 0):
+            raise ValidationError("eigenvalues must be sorted ascending")
+        vals.setflags(write=False)
+        vecs.setflags(write=False)
+        return vals, vecs
 
     @property
     def matrix(self) -> np.ndarray:
@@ -89,9 +104,24 @@ class HermitianOperator:
     def dim(self) -> int:
         return self._matrix.shape[0]
 
+    def _eigenpairs(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._eig is None:
+            self._eig = self._frozen_eig(*np.linalg.eigh(self._matrix))
+        return self._eig
+
+    @property
+    def evals(self) -> np.ndarray:
+        """Eigenvalues, ascending."""
+        return self._eigenpairs()[0]
+
+    @property
+    def evecs(self) -> np.ndarray:
+        """Eigenvectors, one column per entry of :attr:`evals`."""
+        return self._eigenpairs()[1]
+
     def norm(self) -> float:
         """Spectral norm (largest eigenvalue magnitude)."""
-        return float(np.max(np.abs(np.linalg.eigvalsh(self._matrix))))
+        return float(np.max(np.abs(self.evals)))
 
     def __repr__(self):
         return f"HermitianOperator(dim={self.dim})"
@@ -219,14 +249,14 @@ def normalize_operator(op: HermitianOperator, interval: str = "full") -> tuple[H
     -------
     (HermitianOperator, AffineMap)
         The normalized operator and the map carrying original
-        eigenvalues to normalized ones.
+        eigenvalues to normalized ones.  The operator is `op` itself
+        when the map is the identity; otherwise it carries the mapped
+        eigendecomposition of `op`, so no new eigensolve is run.
     """
     if interval == "full":
-        s = 1.0 / max(1.0, op.norm())
-        amap = AffineMap(s, 0.0)
+        amap = AffineMap(1.0 / max(1.0, op.norm()), 0.0)
     elif interval == "half":
-        ev = np.linalg.eigvalsh(op.matrix)
-        a, b = float(ev[0]), float(ev[-1])
+        a, b = float(op.evals[0]), float(op.evals[-1])
         if b - a < 1e-14:
             mid = (a + b) / 2.0
             # Degenerate spectrum: collapse to the midpoint shifted to 0.
@@ -236,41 +266,41 @@ def normalize_operator(op: HermitianOperator, interval: str = "full") -> tuple[H
             amap = AffineMap(s, -0.5 - a * s)
     else:
         raise ValidationError(f"interval must be 'full' or 'half', got {interval!r}")
+    if amap.scale == 1.0 and amap.shift == 0.0:
+        return op, amap
+    # the map is increasing: the mapped eigenvalues stay sorted, on the same vectors
     mapped = amap.scale * op.matrix + amap.shift * np.eye(op.dim)
-    return HermitianOperator(mapped), amap
+    return HermitianOperator(mapped, (amap.apply(op.evals), op.evecs)), amap
 
 
 def diagonalize(op: HermitianOperator, psi: ProbeState) -> SpectralModel:
     """Extract the spectral model of (operator, probe).
 
-    Eigenvalues closer than 1e-10 are merged into a single peak whose
-    position is the weight-averaged eigenvalue and whose weight is the
-    summed probability.  Weights below machine noise are kept, so
-    the model always carries `dim` worth of probability.
+    Reads the eigendecomposition the operator carries.  Eigenvalues
+    closer than 1e-10 are merged into a single peak whose position is
+    the weight-averaged eigenvalue and whose weight is the summed
+    probability.  Weights below machine noise are kept, so the model
+    always carries `dim` worth of probability.
     """
     if op.dim != psi.dim:
         raise ValidationError(f"dimension mismatch: operator {op.dim}, probe {psi.dim}")
-    ev, vecs = np.linalg.eigh(op.matrix)
+    ev, vecs = op.evals, op.evecs
     if np.max(np.abs(ev)) > 1.0 + 1e-12:
         raise ValidationError("operator norm exceeds 1; normalize before diagonalizing")
     w = np.abs(vecs.conj().T @ psi.vector) ** 2
     w = w / float(np.sum(w))
-    out_ev: list[float] = []
-    out_w: list[float] = []
-    i = 0
-    while i < ev.size:
-        j = i + 1
-        while j < ev.size and ev[j] - ev[j - 1] < _MERGE_TOL:
-            j += 1
-        ww = float(np.sum(w[i:j]))
-        if ww > 0.0:
-            pos = float(np.sum(ev[i:j] * w[i:j]) / ww)
-        else:
-            pos = float(np.mean(ev[i:j]))
-        out_ev.append(pos)
-        out_w.append(ww)
-        i = j
-    return SpectralModel(np.asarray(out_ev), np.asarray(out_w))
+    starts = np.flatnonzero(np.diff(ev, prepend=-np.inf) >= _MERGE_TOL)
+    ends = np.append(starts[1:], ev.size)
+    pos, ww = ev[starts], w[starts]
+    moment = pos * ww
+    # A merged cluster is summed by np.sum: np.add.reduceat adds in another
+    # order, so its sums can differ in the last bit.
+    for g in np.flatnonzero(ends - starts > 1):
+        i, j = starts[g], ends[g]
+        ww[g], moment[g], pos[g] = np.sum(w[i:j]), np.sum(ev[i:j] * w[i:j]), np.mean(ev[i:j])
+    weighted = ww > 0.0
+    pos[weighted] = moment[weighted] / ww[weighted]
+    return SpectralModel(pos, ww)
 
 
 def exact_transform(model: SpectralModel, kernel: KernelSpec, frequencies) -> TransformGrid:
@@ -351,7 +381,9 @@ def random_model(
     Returns
     -------
     (HermitianOperator, ProbeState)
-        The operator spectrum lies in [-1, 1].
+        The operator spectrum lies in [-1, 1].  The operator carries the
+        eigendecomposition it was built from ("spiked", "gapped") or
+        the one solve that scaled it ("dense").
     """
     if dim < 1:
         raise ValidationError("dim must be >= 1")
@@ -359,8 +391,10 @@ def random_model(
     if kind == "dense":
         g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         h = (g + g.conj().T) / 2.0
-        nrm = float(np.max(np.abs(np.linalg.eigvalsh(h)))) if dim > 1 else max(1.0, abs(h[0, 0]))
-        op = HermitianOperator(h / max(nrm, 1e-300))
+        vals, vecs = np.linalg.eigh(h)
+        nrm = float(np.max(np.abs(vals))) if dim > 1 else max(1.0, abs(float(vals[0])))
+        nrm = max(nrm, 1e-300)
+        op = HermitianOperator(h / nrm, (vals / nrm, vecs))
         return op, ProbeState(_random_probe(dim, rng))
     if kind == "spiked":
         n_spike = max(1, dim // 8)
@@ -372,7 +406,7 @@ def random_model(
         spike_slots = np.argsort(np.abs(ev))[-n_spike:]
         coeffs[spike_slots] *= 3.0
         coeffs /= np.linalg.norm(coeffs)
-        op = HermitianOperator((basis * ev) @ basis.conj().T)
+        op = HermitianOperator((basis * ev) @ basis.conj().T, (ev, basis))
         return op, ProbeState(basis @ coeffs)
     if kind == "gapped":
         if dim < 2:
@@ -394,7 +428,7 @@ def random_model(
         coeffs = coeffs / tail_norm * math.sqrt(1.0 - ground_weight)
         phase = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
         coeffs[0] = math.sqrt(ground_weight) * phase
-        op = HermitianOperator((basis * ev) @ basis.conj().T)
+        op = HermitianOperator((basis * ev) @ basis.conj().T, (ev, basis))
         return op, ProbeState(basis @ coeffs)
     raise ValidationError(f"unknown ensemble kind {kind!r}")
 

@@ -11,9 +11,10 @@ Three measurement primitives feed the estimation pipelines:
   O(N K) multiply-adds and O(N + sqrt(N) K) memory for K peaks.  A
   statevector route simulates the register explicitly (with optional
   norm-bounded faults in each controlled evolution) and serves as the
-  validation oracle.  A fault sweep diagonalizes the operator once and,
-  in each realization, draws and diagonalizes each bit's fault generator
-  once for all its step sizes, holding one statevector per step size.
+  validation oracle.  A fault sweep runs in the eigenbasis the operator
+  carries and, in each realization, draws and diagonalizes each bit's
+  fault generator once for all its step sizes, holding one statevector
+  per step size.
 * the folded variant driven by a walk operator, with outcomes on the
   arc variable and frequencies recovered through ``cos(pi sigma)``; its
   distribution is the same mixture over the mirrored phases.
@@ -145,10 +146,11 @@ def qpe_distribution(model: SpectralModel, n: int) -> OutcomeDistribution:
     return _fejer_mixture(model.eigenvalues, model.weights, n)
 
 
-def _unit_norm_gue(dim: int, rng: np.random.Generator) -> np.ndarray:
+def _unit_norm_gue(dim: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs ``(values, vectors)`` of a GUE matrix scaled to unit spectral norm."""
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    h = (a + a.conj().T) / 2.0
-    return h / np.max(np.abs(np.linalg.eigvalsh(h)))
+    vals, vecs = np.linalg.eigh((a + a.conj().T) / 2.0)
+    return vals / np.max(np.abs(vals)), vecs
 
 
 def statevector_qpe(
@@ -187,12 +189,12 @@ def statevector_qpe_sweep(
 
     Yields, for each seed in turn, one distribution per entry of
     `delta_ts`, each equal to ``statevector_qpe(op, psi, n_ancilla,
-    FaultModel(delta_t, seed))``.  The operator is diagonalized once;
-    in each realization every bit's fault generator is drawn and
-    diagonalized once and its kick ``exp(-i delta_t H)`` is applied to
-    one statevector per step size, so one statevector per entry of
-    `delta_ts` and one generator are held at a time.  A step of 0 runs
-    the fault-free register.
+    FaultModel(delta_t, seed))``.  The register runs in the eigenbasis
+    the operator carries; in each realization every bit's fault
+    generator is drawn and diagonalized once and its kick ``exp(-i
+    delta_t H)`` is applied to one statevector per step size, so one
+    statevector per entry of `delta_ts` and one generator are held at a
+    time.  A step of 0 runs the fault-free register.
 
     Each statevector holds ``dim * N`` amplitudes; exceeding
     :data:`MEMORY_CAP` raises :class:`ResourceLimitError`.
@@ -210,7 +212,7 @@ def statevector_qpe_sweep(
     delta_ts = list(delta_ts)
     if not all(dt >= 0.0 for dt in delta_ts):
         raise ValidationError(f"delta_t must be nonnegative, got {delta_ts!r}")
-    evals, evecs = np.linalg.eigh(op.matrix)
+    evals, evecs = op.evals, op.evecs
     row = (evecs.conj().T @ psi.vector).astype(complex) / math.sqrt(n)
     return (_register_run(evals, row, n_ancilla, delta_ts, seed) for seed in seeds)
 
@@ -230,7 +232,7 @@ def _register_run(
         # instead scales its modulus error by 2^k and leaks probability mass.
         phase_k = np.exp(1j * np.pi * np.fmod((evals + 1.0) * 2.0**k, 2.0))
         if faulty:
-            hvals, hvecs = np.linalg.eigh(_unit_norm_gue(row.size, child_rng(seed, k)))
+            hvals, hvecs = _unit_norm_gue(row.size, child_rng(seed, k))
             hvecs_h = hvecs.conj().T
         for dt, state in zip(delta_ts, states):
             if dt > 0.0:
@@ -271,7 +273,7 @@ def build_qubiterate(op: HermitianOperator) -> tuple[np.ndarray, np.ndarray]:
     block: ``<flag, psi| walk^k |flag, psi> = <psi| T_k(op) |psi>``.
     The spectrum of `op` must lie in [-1, 1].
     """
-    evals, evecs = np.linalg.eigh(op.matrix)
+    evals, evecs = op.evals, op.evecs
     if np.any(np.abs(evals) > 1.0 + 1e-12):
         raise ValidationError("operator norm exceeds 1; normalize before block encoding")
     comp = (evecs * np.sqrt(np.clip(1.0 - evals**2, 0.0, None))) @ evecs.conj().T

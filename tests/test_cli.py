@@ -9,6 +9,7 @@ import json
 import math
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from specden.cli import main
 from specden.errors import ResourceLimitError
 from specden.estimators import plan_fejer_samples
 from specden.kernels import fejer_plan
+from specden.numerics import fmt_float
 from specden.operators import (
     HermitianOperator,
     ProbeState,
@@ -157,6 +159,75 @@ def test_model_file_input(tmp_path):
     assert (out / "transform.csv").exists()
 
 
+@pytest.mark.parametrize("method", ["fejer", "git"])
+@pytest.mark.parametrize("gen, solves", [
+    ("spiked:64", []), ("gapped:64", []), ("dense:64", ["eigh"]),
+])
+def test_estimate_solves_each_model_at_most_once(tmp_path, eigensolves, method, gen, solves):
+    # generated spectra are carried from the generator to the model: the
+    # dense generator's one solve scales it, the others build from theirs
+    assert run_cli(
+        "estimate", "--method", method, "--sigma", "0.1", "--delta", "0.1",
+        "--gen", gen, "--seed", "3", "--out", str(tmp_path),
+    ) == 0
+    assert [name for name, _ in eigensolves] == solves
+
+
+def test_estimate_from_model_file_solves_once(tmp_path, eigensolves):
+    op, psi = random_model(12, seed=4, kind="spiked")
+    model_path = tmp_path / "model.txt"
+    # a norm above 1, so normalization maps the spectrum solved from the file
+    write_model_file(model_path, HermitianOperator(3.0 * op.matrix), psi)
+    eigensolves.clear()
+    assert run_cli(
+        "estimate", "--sigma", "0.1", "--delta", "0.1", "--model", str(model_path),
+        "--seed", "3", "--out", str(tmp_path / "m"),
+    ) == 0
+    assert [name for name, _ in eigensolves] == ["eigh"]
+
+
+def _write_csv_per_cell(path, header, columns, rows):
+    # The writer with one fmt_float or str call per cell.
+    lines = [f"# {k}: {v}" for k, v in header]
+    lines.append(",".join(columns))
+    for row in rows:
+        lines.append(",".join(fmt_float(c) if isinstance(c, float) else str(c) for c in row))
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _same_csv_bytes(columns, rows, written=None):
+    # _write_csv of `written` (default: the rows) against the per-cell writer of the rows
+    with tempfile.TemporaryDirectory() as tmp:
+        got, want = Path(tmp) / "got.csv", Path(tmp) / "want.csv"
+        cli._write_csv(got, [("specden", "test")], columns, rows if written is None else written)
+        _write_csv_per_cell(want, [("specden", "test")], columns, rows)
+        return got.read_bytes() == want.read_bytes()
+
+
+@settings(max_examples=50, deadline=None)
+@given(rows=st.lists(st.tuples(st.floats(), st.floats()), max_size=40))
+def test_write_csv_float_rows_match_per_cell_writer(rows):
+    assert _same_csv_bytes(["frequency", "value"], rows)
+    # a float array is written as its rows would be
+    array = np.array(rows, dtype=float).reshape(-1, 2)
+    assert _same_csv_bytes(["frequency", "value"], rows, array)
+
+
+def test_write_csv_mixed_rows_match_per_cell_writer():
+    specials = [0.1, 1.0 / 3.0, -0.0, 5e-324, 1e308, float("inf"), float("-inf"), float("nan")]
+    assert _same_csv_bytes(["frequency", "value"], [(x, np.float64(x)) for x in specials])
+    # the (int, float, float, float, int, bool) rows of fault_sweep.csv
+    sweep = [
+        (128, 0.001, 0.007, 0.00019843751308523672, 20, True),
+        (128, 0.1 / 14, 0.05, 0.001415446668801279, np.int64(20), False),
+    ]
+    assert _same_csv_bytes(["n", "delta_t", "bound", "measured", "realizations", "ok"], sweep)
+    # a column that mixes floats with other cells, and no rows at all
+    mixed = [("git", 0.1, 3), ("fejer", 2, None), ("jackson", np.float64(0.2), 1.5)]
+    assert _same_csv_bytes(["method", "eps", "n"], mixed)
+    assert _same_csv_bytes(["a"], [])
+
+
 def test_exit_code_validation():
     assert run_cli("plan", "--method", "fejer", "--sigma", "1.5", "--delta", "0.1") == 2
 
@@ -245,24 +316,24 @@ def test_fault_sweep_shrinks_to_the_memory_cap(monkeypatch, capsys):
     assert {row["n"] for row in rows} == {fejer_plan(roomy.target()).n}
 
 
-def test_fault_sweep_draws_each_generator_once(monkeypatch):
+def test_fault_sweep_draws_each_generator_once(monkeypatch, eigensolves):
     # R realizations of K ancilla bits draw R * K generators for all three
-    # steps together, and the operator is diagonalized once per sweep.
+    # steps together, each solved once, and the operator is not solved
+    # again: the sweep reads the eigendecomposition it carries.
     op, psi = random_model(4, seed=5)
     model = diagonalize(op, psi)
     draws = []
-    eighs = []
-    gue, eigh = sampling._unit_norm_gue, np.linalg.eigh
+    gue = sampling._unit_norm_gue
     monkeypatch.setattr(sampling, "_unit_norm_gue", lambda *a: draws.append(a) or gue(*a))
-    monkeypatch.setattr(np.linalg, "eigh", lambda a: eighs.append(a) or eigh(a))
     monkeypatch.setattr(cli, "diagonalize", None)
+    eigensolves.clear()
     cfg = cli.RunConfig(command="verify", sigma=0.25, delta=0.1, trials=3, seed=1)
     rows = cli._fault_sweep(cfg, cfg.target(), op, psi, model, 7)
     assert len(rows) == 3
     k = int(math.log2(rows[0]["n"]))
     assert len(draws) == 3 * k
-    assert sum(a is op.matrix for a in eighs) == 1
-    assert len(eighs) == 3 * k + 1
+    assert not any(a is op.matrix for _, a in eigensolves)
+    assert [name for name, _ in eigensolves] == ["eigh"] * (3 * k)
 
 
 def test_verify_fault_sweep_golden(tmp_path):
@@ -274,10 +345,11 @@ def test_verify_fault_sweep_golden(tmp_path):
     assert code == 0
     rows = json.loads((tmp_path / "verify_report.json").read_text())["fault_sweep"]
     assert [(r["n"], r["realizations"], r["delta_t"], r["measured"]) for r in rows] == [
-        (128, 20, 0.001, 0.00019843751308407098),
-        (128, 20, 0.1 / 14, 0.0014154466688017786),
-        (128, 20, 0.01, 0.001986827391606494),
+        (128, 20, 0.001, 0.00019843751308523672),
+        (128, 20, 0.1 / 14, 0.001415446668801279),
+        (128, 20, 0.01, 0.001986827391605994),
     ]
+    assert all(r["measured"] <= r["bound"] for r in rows)
 
 
 @settings(max_examples=30, deadline=None)

@@ -116,3 +116,5 @@ def test_derive_seed_deterministic():
 def test_fmt_float_round_trips():
     for x in [0.1, 1.0 / 3.0, 1e-300, 123456.789, -0.0, 2.0**-52]:
         assert float(fmt_float(x)) == x
+    # 17 significant digits, not the shortest repr
+    assert fmt_float(0.1) == "0.10000000000000001"

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from specden.errors import CoarseGridWarning, ValidationError
 from specden.kernels import FejerKernel, GaussianKernel, fejer_eval, fejer_grid, gaussian_eval
@@ -188,6 +190,114 @@ def test_random_model_validation():
         random_model(1, seed=0, kind="gapped")
     with pytest.raises(ValidationError):
         random_model(4, seed=0, kind="banded")
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(["dense", "spiked", "gapped"]),
+    dim=st.integers(1, 64),
+    seed=st.integers(0, 2**31),
+)
+def test_random_model_carries_its_eigendecomposition(kind, dim, seed):
+    if kind == "gapped":
+        dim = max(dim, 2)
+    op, _ = random_model(dim, seed=seed, kind=kind)
+    vals, vecs = op.evals, op.evecs
+    assert vals.shape == (dim,) and vecs.shape == (dim, dim)
+    assert not vals.flags.writeable and not vecs.flags.writeable
+    assert np.all(np.diff(vals) >= 0.0)
+    assert np.max(np.abs(op.matrix @ vecs - vecs * vals)) <= 1e-13
+    assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(dim))) <= 1e-13
+
+
+@pytest.mark.parametrize("kind, dims", [
+    ("dense", (1, 5, 64)), ("spiked", (1, 5, 64)), ("gapped", (2, 5, 64)),
+])
+def test_diagonalize_matches_an_independent_eigensolve(kind, dims):
+    for dim in dims:
+        for seed in range(5):
+            op, psi = random_model(dim, seed=seed, kind=kind)
+            model = diagonalize(op, psi)
+            ev, vecs = np.linalg.eigh(op.matrix)
+            w = np.abs(vecs.conj().T @ psi.vector) ** 2
+            assert model.size == dim
+            np.testing.assert_allclose(model.eigenvalues, ev, rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(model.weights, w / w.sum(), rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind, solves", [("dense", ["eigh"]), ("spiked", []), ("gapped", [])])
+def test_random_model_solves_at_most_once(eigensolves, kind, solves):
+    op, psi = random_model(16, seed=3, kind=kind)
+    normed, amap = normalize_operator(op, "full")
+    diagonalize(normed, psi)
+    assert normed is op and amap.scale == 1.0
+    assert [name for name, _ in eigensolves] == solves
+
+
+def test_normalize_operator_maps_the_carried_spectrum(eigensolves):
+    op = HermitianOperator(np.diag([-4.0, 2.0, 3.0]))
+    for interval in ("full", "half"):
+        normed, amap = normalize_operator(op, interval)
+        np.testing.assert_array_equal(normed.evals, amap.apply(op.evals))
+        assert normed.evecs is op.evecs
+        assert np.max(np.abs(normed.matrix @ normed.evecs - normed.evecs * normed.evals)) <= 1e-14
+    assert [name for name, _ in eigensolves] == ["eigh"]
+
+
+def test_hermitian_operator_rejects_bad_eigenpairs():
+    m = np.diag([0.5, -0.5])
+    with pytest.raises(ValidationError):
+        HermitianOperator(m, (np.array([0.5, -0.5]), np.eye(2)))
+    with pytest.raises(ValidationError):
+        HermitianOperator(m, (np.array([-0.5, 0.5]), np.eye(3)))
+
+
+def _merge_loop(ev, w):
+    # The merge as a loop over groups of eigenvalues closer than 1e-10.
+    out_ev, out_w = [], []
+    i = 0
+    while i < ev.size:
+        j = i + 1
+        while j < ev.size and ev[j] - ev[j - 1] < 1e-10:
+            j += 1
+        ww = float(np.sum(w[i:j]))
+        out_ev.append(float(np.sum(ev[i:j] * w[i:j]) / ww) if ww > 0.0 else float(np.mean(ev[i:j])))
+        out_w.append(ww)
+        i = j
+    return np.asarray(out_ev), np.asarray(out_w)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    groups=st.lists(st.tuples(st.integers(1, 12), st.booleans()), min_size=1, max_size=16),
+    seed=st.integers(0, 2**32 - 1),
+    rotate=st.booleans(),
+)
+@example(groups=[(1, True)], seed=0, rotate=False)
+@example(groups=[(12, True), (3, False), (1, True)], seed=1, rotate=False)
+def test_diagonalize_merge_equals_group_loop(groups, seed, rotate):
+    # Clusters of up to 12 eigenvalues spaced below the merge tolerance; a
+    # group flagged False gets no probe weight when the basis is not rotated.
+    rng = np.random.default_rng(seed)
+    centers = np.sort(rng.uniform(-0.9, 0.9, len(groups)))
+    sizes = [size for size, _ in groups]
+    ev = np.concatenate([c + np.cumsum(rng.uniform(0.0, 5e-11, size)) for c, size in zip(centers, sizes)])
+    dim = ev.size
+    amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    amps[~np.repeat([weighted for _, weighted in groups], sizes)] = 0.0
+    if not np.any(amps):
+        amps[0] = 1.0
+    if rotate and dim > 1:
+        basis, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    else:
+        basis = np.eye(dim, dtype=complex)
+    op = HermitianOperator((basis * ev) @ basis.conj().T, (ev, basis))
+    psi = ProbeState(amps / np.linalg.norm(amps))
+    w = np.abs(basis.conj().T @ psi.vector) ** 2
+    want_ev, want_w = _merge_loop(ev, w / float(np.sum(w)))
+    model = diagonalize(op, psi)
+    assert np.array_equal(model.eigenvalues, want_ev)
+    assert np.array_equal(model.weights, want_w)
 
 
 def test_model_file_round_trip(tmp_path):
