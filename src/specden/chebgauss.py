@@ -37,7 +37,7 @@ from scipy.special import ive
 
 from .errors import NumericError, OutOfRegimeError, ValidationError
 from .kernels import AccuracyTarget, GaussianKernel, gaussian_eval, gaussian_resolution
-from .numerics import cheb_nodes, cheb_series_coeffs, dct2, dct3
+from .numerics import cheb_nodes, cheb_series_coeffs, dct3
 from .operators import HermitianOperator, ProbeState, TransformGrid
 
 __all__ = [
@@ -152,21 +152,18 @@ def gauss_cheb_coeffs(lam: float, order: int) -> np.ndarray:
     return a
 
 
-def coeff_quadrature_oracle(lam: float, n: int, nodes: int | None = None) -> float:
+def coeff_quadrature_oracle(lam: float, n: int) -> float:
     """Gauss-Chebyshev quadrature estimate of a single coefficient a_n.
 
-    Independent of the Bessel route: ``a_n = (gamma_n / m) sum_j
-    f(cos(theta_j)) cos(n theta_j)`` over the m first-kind nodes.  Used
-    as the cross-validation oracle for :func:`gauss_cheb_coeffs`.
+    Independent of the Bessel route and of the DCT: ``a_n = (gamma_n / m)
+    sum_j f(cos(theta_j)) cos(n theta_j)`` over ``m = max(4 (n + 1), 1024)``
+    first-kind nodes.  The oracle for :func:`gauss_cheb_coeffs`.
     """
     if not (lam > 0.0):
         raise ValidationError(f"lam must be positive, got {lam!r}")
     if n < 0:
         raise ValidationError(f"n must be >= 0, got {n!r}")
-    if nodes is None:
-        nodes = max(4 * (n + 1), 1024)
-    if nodes < 4 * (n + 1):
-        raise ValidationError(f"need at least {4 * (n + 1)} nodes for order {n}")
+    nodes = max(4 * (n + 1), 1024)
     theta = np.pi * (2.0 * np.arange(nodes) + 1.0) / (2.0 * nodes)
     x = np.cos(theta)
     f = np.exp(-x * x / (2.0 * lam * lam))
@@ -222,8 +219,9 @@ def _series_coefficient_table(lam: float, freqs: np.ndarray, order: int) -> np.n
     """Projection of the half-width degree-`order` kernel on `order` nodes."""
     a = gauss_cheb_coeffs(lam / 2.0, order)
     scale = math.sqrt(2.0 * math.pi) * lam
-    kernel = lambda x: npcheb.chebval((x[None, :] - freqs[:, None]) / 2.0, a) / scale
-    return cheb_series_coeffs(kernel, order, nodes=order)
+    x = cheb_nodes(order)
+    values = npcheb.chebval((x[None, :] - freqs[:, None]) / 2.0, a) / scale
+    return cheb_series_coeffs(values, order)
 
 
 def _projection_size(order: int) -> int:
@@ -233,9 +231,8 @@ def _projection_size(order: int) -> int:
 
 def _direct_coefficient_table(lam: float, freqs: np.ndarray, order: int) -> np.ndarray:
     """Gauss-Chebyshev projection of the exact kernel at each center."""
-    return cheb_series_coeffs(
-        lambda x: gaussian_eval(x[None, :], freqs[:, None], lam), order, nodes=_projection_size(order)
-    )
+    x = cheb_nodes(_projection_size(order))
+    return cheb_series_coeffs(gaussian_eval(x[None, :], freqs[:, None], lam), order)
 
 
 # ---------------------------------------------------------------------------
@@ -494,10 +491,8 @@ def projection_cmax(lam: float, frequencies, order: int) -> float:
     x = cheb_nodes(_projection_size(order))
     best = 0.0
     for _, rows in _kernel_rows(lam, freqs, x):
-        coeffs = np.abs(dct2(rows, order))
-        coeffs[:, 1:] *= 2.0
-        best = max(best, float(coeffs.max()))
-    return best / x.size
+        best = max(best, float(np.abs(cheb_series_coeffs(rows, order)).max()))
+    return best
 
 
 def projection_values(moments, lam: float, frequencies) -> np.ndarray:

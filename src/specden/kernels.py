@@ -38,7 +38,7 @@ import numpy.polynomial.chebyshev as npcheb
 from scipy.special import erf
 
 from .errors import OutOfRegimeError, ResourceLimitError, ValidationError
-from .numerics import cheb_nodes, dct2, next_pow2
+from .numerics import cheb_nodes, cheb_series_coeffs, next_pow2
 
 __all__ = [
     "AccuracyTarget",
@@ -475,10 +475,7 @@ def jackson_coeffs(degree: int, delta: float) -> np.ndarray:
     """
     m = max(4096, 4 * (degree + 1))
     _check_window_size(m, "projection nodes")
-    gamma = np.full(degree + 1, 2.0)
-    gamma[0] = 1.0
-    raw = dct2(jackson_tent(cheb_nodes(m), delta), degree) * gamma / m
-    coeffs = raw * jackson_damping(degree)
+    coeffs = cheb_series_coeffs(jackson_tent(cheb_nodes(m), delta), degree) * jackson_damping(degree)
     coeffs.flags.writeable = False
     return coeffs
 

@@ -1,17 +1,17 @@
 """Small numerical utilities used throughout the package.
 
 Nothing in here knows about kernels or spectra; these are generic
-helpers (power-of-two rounding, Chebyshev nodes and projection, the
-two cosine transforms between node values and Chebyshev coefficients,
+helpers (power-of-two rounding, Chebyshev nodes, the two cosine
+transforms between node values and Chebyshev coefficients, the one
+Chebyshev projection, which is a DCT-II of node values, and
 deterministic seed derivation).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
-import numpy.polynomial.chebyshev as npcheb
 
 from .errors import ValidationError
 
@@ -45,42 +45,41 @@ def cheb_nodes(m: int) -> np.ndarray:
     return np.cos(np.pi * (2 * j + 1) / (2 * m))
 
 
-def cheb_series_coeffs(f: Callable[[np.ndarray], np.ndarray], deg: int, nodes: int | None = None) -> np.ndarray:
-    """Chebyshev series coefficients of f on [-1, 1] by Gauss-Chebyshev quadrature.
+def cheb_series_coeffs(values: np.ndarray, deg: int) -> np.ndarray:
+    """Chebyshev series coefficients from values at the Chebyshev nodes.
 
-    Returns ``c[..., 0..deg]`` such that ``f(x) ~ sum_n c[n] T_n(x)``, from
-    ``c_n = (gamma_n / m) sum_j f(x_j) T_n(x_j)`` over the m = `nodes`
-    roots of T_m (default ``max(4 (deg + 1), 256)``), with ``gamma_0 = 1``
-    and ``gamma_n = 2`` otherwise.  `f` maps the node array to values of
-    shape ``(..., m)``, so a batch of functions is projected at once.  The
-    rule is exact for polynomials up to degree ``2 m - 1 - deg`` and leaves
-    only aliasing error for smooth non-polynomial targets.
+    `values` holds ``f(x_j)`` at the m = ``values.shape[-1]`` roots of T_m
+    (:func:`cheb_nodes`), one function per row.  Returns ``c[..., 0..deg]``
+    such that ``f(x) ~ sum_n c[n] T_n(x)`` by Gauss-Chebyshev quadrature,
+    ``c_n = (gamma_n / m) sum_j f(x_j) T_n(x_j)`` with ``gamma_0 = 1`` and
+    ``gamma_n = 2`` otherwise: one :func:`dct2` per row.  The rule is exact
+    for polynomials up to degree ``2 m - 1 - deg`` and leaves only aliasing
+    error for smooth non-polynomial targets.  Needs ``0 <= deg <= m``.
     """
-    if deg < 0:
-        raise ValidationError("degree must be >= 0")
-    m = nodes if nodes is not None else max(4 * (deg + 1), 256)
-    if m < deg:
-        raise ValidationError("need at least as many quadrature nodes as the requested degree")
-    x = cheb_nodes(m)
+    projection = dct2(values, deg)
     gamma = np.full(deg + 1, 2.0)
     gamma[0] = 1.0
-    return (np.asarray(f(x), dtype=float) @ npcheb.chebvander(x, deg)) * gamma / m
+    return projection * gamma / values.shape[-1]
 
 
 def dct2(values: np.ndarray, deg: int) -> np.ndarray:
     """``sum_j values[..., j] cos(pi n (2j + 1) / (2m))`` for n = 0..deg, m = ``values.shape[-1]``.
 
     The DCT-II of every row, the projection of node values onto T_n at
-    the m roots of T_m.  Makhoul's method: one real FFT of length m of
-    the even-indexed samples followed by the odd-indexed ones reversed,
-    whose n-th coefficient V_n gives the sum as ``Re(exp(-i pi n / (2m))
-    V_n)``.  Needs an even m and ``deg <= m / 2``.
+    the m roots of T_m.  Makhoul's method (IEEE TASSP 28, 27 (1980)): one
+    real FFT of length m of the even-indexed samples followed by the
+    odd-indexed ones reversed, whose n-th coefficient V_n gives the sum
+    as ``Re(exp(-i pi n / (2m)) V_n)``; past m/2 the real FFT's bins are
+    read as ``V_n = conj(V_{m-n})``.  Needs ``0 <= deg <= m``.
     """
     m = values.shape[-1]
-    if m % 2 or not 0 <= deg <= m // 2:
-        raise ValidationError(f"dct2 needs an even length and deg <= m/2, got m={m}, deg={deg}")
-    reordered = np.concatenate((values[..., ::2], values[..., ::-2]), axis=-1)
+    if not 0 <= deg <= m:
+        raise ValidationError(f"dct2 needs 0 <= deg <= m, got m={m}, deg={deg}")
+    reordered = np.concatenate((values[..., ::2], values[..., 1::2][..., ::-1]), axis=-1)
     spec = np.fft.rfft(reordered, axis=-1)[..., : deg + 1]
+    if deg >= spec.shape[-1]:
+        mirror = m - np.arange(spec.shape[-1], deg + 1)
+        spec = np.concatenate((spec, spec[..., mirror].conj()), axis=-1)
     phase = np.pi * np.arange(deg + 1) / (2 * m)
     return spec.real * np.cos(phase) + spec.imag * np.sin(phase)
 

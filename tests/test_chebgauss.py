@@ -1,6 +1,7 @@
 """Unit tests for the Gaussian Chebyshev expansion and its order planner."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from specden.chebgauss import (
 from specden.errors import OutOfRegimeError, ValidationError
 from specden.kernels import AccuracyTarget, gaussian_eval
 from specden.numerics import child_rng
-from specden.estimators import model_moments
+from specden.estimators import CONTRACT_GRID, model_moments
 from specden.operators import HermitianOperator, ProbeState, diagonalize, normalize_operator, random_model
 
 
@@ -103,6 +104,18 @@ def test_coefficient_table_routes_agree_inside():
     x = np.linspace(-1, 1, 1501)
     gap = np.max(np.abs((series - direct) @ chebvander(x, order).T))
     assert gap <= 2.0 * geometric_tail_bound(order, lam)
+
+
+def test_coefficient_table_memory_stays_linear_in_order():
+    # an order x order Chebyshev-Vandermonde matrix would take 122 MiB here
+    tracemalloc.start()
+    try:
+        table = coefficient_table(0.01, CONTRACT_GRID, 4000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.shape == (CONTRACT_GRID.size, 4001)
+    assert peak <= 8 * 2**20
 
 
 def test_coefficient_table_direct_stable_beyond_interval():

@@ -62,6 +62,15 @@ def test_plan_git_golden(capsys):
     assert "bound_ok=False" in out
 
 
+def test_plan_git_fine_target_golden(capsys):
+    # the series table projects on 7031 nodes, where a Vandermonde route would hold 395 MB
+    assert run_cli("plan", "--method", "git", "--sigma", "0.1", "--delta", "0.002") == 0
+    out = capsys.readouterr().out
+    assert "order=7031," in out
+    assert "per_order_shots=40855870975," in out
+    assert "n_samples=287257628825225," in out
+
+
 def test_plan_all_writes_json(tmp_path, capsys):
     out_dir = tmp_path / "plans"
     assert run_cli(

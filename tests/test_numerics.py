@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
-from numpy.polynomial.chebyshev import chebval
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from numpy.polynomial.chebyshev import chebval, chebvander
 
 from specden.errors import ValidationError
 from specden.numerics import (
@@ -47,24 +50,25 @@ def test_cheb_nodes_are_chebyshev_roots():
 def test_cheb_series_coeffs_recovers_polynomial():
     # f = 2 T_0 - 0.5 T_2 + 0.25 T_5
     ref = np.array([2.0, 0.0, -0.5, 0.0, 0.0, 0.25])
-    coeffs = cheb_series_coeffs(lambda x: chebval(x, ref), 5)
+    x = cheb_nodes(256)
+    coeffs = cheb_series_coeffs(chebval(x, ref), 5)
     np.testing.assert_allclose(coeffs, ref, atol=1e-13)
-    # an (F, m)-shaped f projects each row as a row-by-row call does; the
-    # matrix and vector products may round differently in the last bits
+    # an (F, m)-shaped batch of node values projects each row as a
+    # row-by-row call does, up to rounding in the last bits
     refs = np.array([ref, -ref, np.arange(6.0)])
-    batch = cheb_series_coeffs(lambda x: chebval(x, refs.T), 5)
+    batch = cheb_series_coeffs(chebval(x, refs.T), 5)
     assert batch.shape == (3, 6)
     for row, r in zip(batch, refs):
-        single = cheb_series_coeffs(lambda x: chebval(x, r), 5)
+        single = cheb_series_coeffs(chebval(x, r), 5)
         np.testing.assert_allclose(row, single, rtol=0.0, atol=1e-14)
     np.testing.assert_allclose(batch, refs, atol=1e-12)
 
 
 def test_cheb_series_coeffs_validation():
     with pytest.raises(ValidationError):
-        cheb_series_coeffs(np.cos, -1)
+        cheb_series_coeffs(np.cos(cheb_nodes(9)), -1)
     with pytest.raises(ValidationError):
-        cheb_series_coeffs(np.cos, 10, nodes=9)
+        cheb_series_coeffs(np.cos(cheb_nodes(9)), 10)  # more degrees than nodes
 
 
 def test_dct2_and_dct3_match_cosine_sums():
@@ -81,11 +85,40 @@ def test_dct2_and_dct3_match_cosine_sums():
     assert abs(np.dot(dct2(rows[1], deg), coeffs[1]) - np.dot(rows[1], dct3(coeffs[1], m))) < 1e-10
 
 
+def _makhoul_even_length(values, deg):
+    """dct2 as first written, for even m and deg <= m/2 only: the general form keeps its bits."""
+    m = values.shape[-1]
+    reordered = np.concatenate((values[..., ::2], values[..., ::-2]), axis=-1)
+    spec = np.fft.rfft(reordered, axis=-1)[..., : deg + 1]
+    phase = np.pi * np.arange(deg + 1) / (2 * m)
+    return spec.real * np.cos(phase) + spec.imag * np.sin(phase)
+
+
+@pytest.mark.parametrize("m", range(1, 65))
+@settings(max_examples=4, deadline=None)
+@given(data=st.data())
+def test_dct2_and_projection_match_cosine_sums_for_every_length_and_degree(m, data):
+    shape = data.draw(st.sampled_from([(m,), (1, m), (3, m)]))
+    values = data.draw(arrays(np.float64, shape, elements=st.floats(-1.0, 1.0)))
+    x = cheb_nodes(m)
+    theta = np.pi * (2 * np.arange(m) + 1) / (2 * m)
+    for deg in range(m + 1):
+        cos = np.cos(np.outer(np.arange(deg + 1), theta))  # cos(n theta_j), n = 0..deg
+        gamma = np.full(deg + 1, 2.0)
+        gamma[0] = 1.0
+        np.testing.assert_allclose(dct2(values, deg), values @ cos.T, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            cheb_series_coeffs(values, deg), values @ chebvander(x, deg) * gamma / m, rtol=0, atol=1e-12
+        )
+        if m % 2 == 0 and deg <= m // 2:
+            assert np.array_equal(dct2(values, deg), _makhoul_even_length(values, deg))
+
+
 def test_dct_validation():
     with pytest.raises(ValidationError):
-        dct2(np.ones(7), 2)  # Makhoul's reordering needs an even length
+        dct2(np.ones(8), 9)
     with pytest.raises(ValidationError):
-        dct2(np.ones(8), 5)
+        dct2(np.ones(8), -1)
     with pytest.raises(ValidationError):
         dct3(np.ones(9), 8)
 
