@@ -4,8 +4,10 @@ The Gaussian kernel of width ``lam`` restricted to [-1, 1] has a rapidly
 converging Chebyshev expansion whose coefficients are modified Bessel
 functions.  This module provides:
 
-* the expansion coefficients ``a_n`` in Bessel form plus an independent
-  quadrature route used to cross-validate them,
+* the expansion coefficients ``a_n``, projected from the Gaussian's
+  values at Chebyshev nodes by one DCT (the published Bessel form is
+  the tests' oracle), plus an independent quadrature route used to
+  cross-validate them,
 * the shifted coefficients ``c_j`` that express the degree-L kernel
   centered at ``sigma`` as a polynomial in the spectral variable,
 * the decay-rate function ``kappa`` and a self-contained Lambert W
@@ -33,10 +35,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import numpy.polynomial.chebyshev as npcheb
-from scipy.special import ive
 
-from .errors import NumericError, OutOfRegimeError, ValidationError
-from .kernels import AccuracyTarget, GaussianKernel, gaussian_eval, gaussian_resolution
+from .errors import NumericError, OutOfRegimeError, ResourceLimitError, ValidationError
+from .kernels import GRID_CAP, AccuracyTarget, GaussianKernel, gaussian_eval, gaussian_resolution
 from .numerics import cheb_nodes, cheb_series_coeffs, dct3
 from .operators import HermitianOperator, ProbeState, TransformGrid
 
@@ -130,34 +131,40 @@ def lambert_w(x: float) -> float:
 def gauss_cheb_coeffs(lam: float, order: int) -> np.ndarray:
     """Chebyshev coefficients a_0..a_order of ``exp(-x^2/(2 lam^2))`` on [-1, 1].
 
-    Even coefficients are ``a_{2m} = gamma_m (-1)^m e^{-z} I_m(z)`` with
-    ``z = 1/(4 lam^2)``, ``gamma_0 = 1`` and ``gamma_{m>0} = 2``; odd
-    coefficients vanish exactly.  The exponentially scaled Bessel
-    function is used throughout, so arbitrarily small widths do not
-    overflow.
+    In closed form, even coefficients are ``a_{2m} = gamma_m (-1)^m e^{-z}
+    I_m(z)`` with ``z = 1/(4 lam^2)``, ``gamma_0 = 1`` and ``gamma_{m>0} =
+    2``, and odd coefficients vanish.  They are computed as the
+    Gauss-Chebyshev projection (:func:`cheb_series_coeffs`) of the
+    Gaussian on ``m = max(4 (order + 1), 256, ceil(40 / lam))`` nodes,
+    with the odd terms set to zero: at that node count the aliasing
+    error falls below rounding, so the projection equals the closed form
+    to machine precision.  Raises
+    :class:`ResourceLimitError` before allocating when m exceeds
+    ``GRID_CAP``.
     """
     if not (lam > 0.0):
         raise ValidationError(f"lam must be positive, got {lam!r}")
     if order < 0:
         raise ValidationError(f"order must be >= 0, got {order!r}")
-    z = 1.0 / (4.0 * lam * lam)
-    m = np.arange(order // 2 + 1)
-    vals = ive(m, z)
-    if not np.all(np.isfinite(vals)):
-        raise NumericError(f"scaled Bessel evaluation failed at z={z!r}")
-    gamma = np.where(m == 0, 1.0, 2.0)
-    signs = np.where(m % 2 == 0, 1.0, -1.0)
-    a = np.zeros(order + 1)
-    a[0::2] = gamma * signs * vals
+    m = max(4 * (order + 1), 256, math.ceil(40.0 / lam))
+    if m > GRID_CAP:
+        raise ResourceLimitError(
+            f"the Gaussian's projection needs {m} nodes, over the cap {GRID_CAP}; loosen sigma or delta"
+        )
+    x = cheb_nodes(m)
+    a = cheb_series_coeffs(np.exp(-x * x / (2.0 * lam * lam)), order)
+    a[1::2] = 0.0
     return a
 
 
 def coeff_quadrature_oracle(lam: float, n: int) -> float:
     """Gauss-Chebyshev quadrature estimate of a single coefficient a_n.
 
-    Independent of the Bessel route and of the DCT: ``a_n = (gamma_n / m)
-    sum_j f(cos(theta_j)) cos(n theta_j)`` over ``m = max(4 (n + 1), 1024)``
-    first-kind nodes.  The oracle for :func:`gauss_cheb_coeffs`.
+    A direct cosine sum, independent of the FFT that
+    :func:`gauss_cheb_coeffs` runs: ``a_n = (gamma_n / m) sum_j
+    f(cos(theta_j)) cos(n theta_j)`` over ``m = max(4 (n + 1), 1024)``
+    first-kind nodes.  The tests' oracle for :func:`gauss_cheb_coeffs`,
+    beside the closed Bessel form.
     """
     if not (lam > 0.0):
         raise ValidationError(f"lam must be positive, got {lam!r}")

@@ -34,8 +34,10 @@ from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
+# numpy imports this submodule on first use; importing it here means a
+# process forked after the package's import already has it
+import numpy.fft
 import numpy.polynomial.chebyshev as npcheb
-from scipy.special import erf
 
 from .errors import OutOfRegimeError, ResourceLimitError, ValidationError
 from .numerics import cheb_nodes, cheb_series_coeffs, next_pow2
@@ -495,8 +497,11 @@ def jackson_tent_error(degree: int, delta: float, gridsize: int = 10001) -> floa
     return float(np.max(np.abs(jackson_approx(x, degree, delta) - jackson_tent(x, delta))))
 
 
+_erf = np.vectorize(math.erf, otypes=[float])
+
+
 def _normal_cdf(y):
-    return 0.5 * (1.0 + erf(np.asarray(y, dtype=float) / math.sqrt(2.0)))
+    return 0.5 * (1.0 + _erf(np.asarray(y, dtype=float) / math.sqrt(2.0)))
 
 
 @functools.lru_cache(maxsize=None)

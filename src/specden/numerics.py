@@ -12,6 +12,10 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
+# numpy imports these submodules on first use; importing them here means
+# a process forked after the package's import already has them
+import numpy.fft
+import numpy.random
 
 from .errors import ValidationError
 

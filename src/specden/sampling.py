@@ -32,6 +32,9 @@ from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
+# numpy imports this submodule on first use; importing it here means a
+# process forked after the package's import already has it
+import numpy.fft
 
 from .errors import ResourceLimitError, ValidationError
 from .kernels import fejer_grid

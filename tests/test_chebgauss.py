@@ -29,7 +29,7 @@ from specden.chebgauss import (
     truncation_error_bound,
     truncation_order,
 )
-from specden.errors import OutOfRegimeError, ValidationError
+from specden.errors import OutOfRegimeError, ResourceLimitError, ValidationError
 from specden.kernels import AccuracyTarget, gaussian_eval
 from specden.numerics import child_rng
 from specden.estimators import CONTRACT_GRID, model_moments
@@ -82,6 +82,30 @@ def test_gauss_cheb_coeffs_second_coefficient_golden():
     assert abs(a[2] - (-0.19626)) < 1e-4
     assert abs(a[2] - coeff_quadrature_oracle(1.0, 2)) < 1e-12
     assert a[1] == 0.0 and a[3] == 0.0
+
+
+def test_gauss_cheb_coeffs_equal_published_bessel_form():
+    # the projection reproduces a_2m = gamma_m (-1)^m e^{-z} I_m(z), z = 1/(4 lam^2)
+    from scipy.special import ive
+
+    for lam in np.geomspace(6e-5, 2.5, 40):
+        for order in (4, 60, 500, 5000, 30000):
+            m = np.arange(order // 2 + 1)
+            bessel = np.zeros(order + 1)
+            bessel[0::2] = np.where(m == 0, 1.0, 2.0) * (-1.0) ** m * ive(m, 1.0 / (4.0 * lam * lam))
+            assert np.max(np.abs(gauss_cheb_coeffs(lam, order) - bessel)) <= 1e-15
+
+
+def test_gauss_cheb_coeffs_refuses_node_count_over_cap():
+    # lam = 1e-9 would need 4e10 projection nodes
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError):
+            gauss_cheb_coeffs(1e-9, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_shifted_coeffs_match_exact_kernel():

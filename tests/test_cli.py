@@ -10,6 +10,7 @@ import math
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -379,17 +380,51 @@ def test_config_hash_ignores_out_and_workers(out, workers, seed, trials):
 
 
 def test_cli_import_leaves_scipy_fft_and_linalg_unloaded():
-    # the moment pipeline's transforms run on numpy.fft, which numpy has
-    # already loaded: scipy.fft or scipy.linalg would add to every command's
-    # start-up time
+    # the runtime needs numpy alone: any scipy module would add to every
+    # command's start-up time.  numpy.fft and numpy.random are imported by
+    # the modules that use them, so a forked op does not import them itself
     src = Path(__file__).resolve().parents[1] / "src"
     probe = (
         f"import sys; sys.path.insert(0, {str(src)!r}); import specden.cli; "
-        "print(sorted(m for m in ('scipy.fft', 'scipy.linalg') if m in sys.modules))"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))); "
+        "print(sorted(m for m in ('numpy.fft', 'numpy.random') if m in sys.modules))"
     )
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    assert done.stdout.split("\n")[:2] == ["[]", "['numpy.fft', 'numpy.random']"]
+
+
+def test_commands_import_no_numpy_or_scipy_module_after_the_cli(tmp_path):
+    # every module a command needs is loaded by `import specden.cli`, so an
+    # op forked right after that import pays for no import of its own
+    src = Path(__file__).resolve().parents[1] / "src"
+    model = ["--gen", "dense:8", "--seed", "1", "--workers", "1"]
+    runs = [
+        ["plan", "--method", "all", "--sigma", "0.1", "--delta", "0.2"],
+        *(["estimate", "--method", method, "--sigma", "0.1", "--delta", "0.3", "--beta", "0.1", *model]
+          for method in ("git", "fejer", "qfejer")),
+        ["verify", "--method", "all", "--sigma", "0.25", "--delta", "0.25", "--beta", "0.1",
+         "--trials", "4", *model],
+    ]
+    runs = [argv + ["--out", str(tmp_path / str(i))] for i, argv in enumerate(runs)]
+    probe = (
+        f"import sys; sys.path.insert(0, {str(src)!r}); import specden.cli; "
+        "before = set(sys.modules); "
+        f"codes = [specden.cli.main(argv) for argv in {runs!r}]; "
+        "new = sorted(m for m in set(sys.modules) - before if m.split('.')[0] in ('numpy', 'scipy')); "
+        "print(codes, new, file=sys.stderr)"
+    )
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr.strip().splitlines()[-1] == "[0, 0, 0, 0, 0] []"
+
+
+def test_plan_git_projection_over_cap_exits_4_fast(capsys):
+    # the half-width Gaussian's projection would need 1.7e8 nodes
+    start = time.perf_counter()
+    assert run_cli("plan", "--method", "git", "--sigma", "0.1", "--delta", "1e-6") == 4
+    assert time.perf_counter() - start < 5.0
+    assert "resource cap" in capsys.readouterr().out
 
 
 def test_plan_jackson_fine_targets(capsys):

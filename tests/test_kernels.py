@@ -322,6 +322,15 @@ def test_amplifier_contract_check_flags_bad_polynomial():
     assert not report["ok"]
 
 
+def test_normal_cdf_matches_scipy_erf():
+    # math.erf and scipy's erf differ by at most an ulp or two
+    from scipy.special import erf
+
+    y = np.linspace(-40.0, 40.0, 200001)
+    want = 0.5 * (1.0 + erf(y / math.sqrt(2.0)))
+    assert np.max(np.abs(kernels._normal_cdf(y) - want)) <= 4.5e-16
+
+
 def test_jackson_thresholds_closed_form():
     tau, d_min = jackson_thresholds(0.1, 0.1)
     want_tau = (0.1 / 0.9) * (0.1 / 1.9)

@@ -1,9 +1,11 @@
 """Each module's ``__all__`` is its public surface: every name in it must
 exist, and every public function and class the module defines must be in it."""
 
+import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -31,3 +33,18 @@ def test_public_definitions_are_listed(name):
     ]
     unlisted = [n for n in defined if n not in module.__all__]
     assert unlisted == []
+
+
+def test_runtime_imports_no_scipy():
+    # scipy is a test-only dependency: the package runs on numpy alone
+    offenders = []
+    for path in sorted(Path(specden.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            offenders += [f"{path.name}: {n}" for n in names if n.split(".")[0] == "scipy"]
+    assert offenders == []
