@@ -28,10 +28,12 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+# argparse's gettext imports locale on first use: importing it here means a
+# process forked after the package's import already has it
+import locale
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -66,8 +68,11 @@ from .kernels import (
 )
 from .metrics import (
     AccuracyReport,
+    ContractSetup,
+    bounded_observables,
+    contract_check,
+    contract_setup,
     merge_reports,
-    observable_bound_empirical_check,
     scaling_fit,
 )
 from .numerics import derive_seed, fmt_float
@@ -559,24 +564,24 @@ def _obs_identity(w):
 
 
 def _run_contract(
-    cfg: RunConfig, target: AccuracyTarget, method: str, models, seed: int
+    cfg: RunConfig, setup: ContractSetup, models, seed: int
 ) -> AccuracyReport:
     base, extra = divmod(cfg.trials, len(models))
-    observables = [ObservableFn(_obs_one, "one"), ObservableFn(_obs_identity, "identity")]
-    # one positional argument tuple of observable_bound_empirical_check per model
+    # one positional argument tuple of contract_check per model
     tasks = [
-        (model, method, observables, target, max(1, base + (i < extra)),
-         derive_seed(seed, 100 + i), cfg.grid_spacing, cfg.samples)
+        (setup, [model], max(1, base + (i < extra)), derive_seed(seed, 100 + i))
         for i, model in enumerate(models)
     ]
     workers = cfg.workers if cfg.workers is not None else (os.cpu_count() or 1)
     workers = min(workers, len(tasks))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(observable_bound_empirical_check, *zip(*tasks)))
+            reports = list(pool.map(contract_check, *zip(*tasks)))
     else:
-        reports = [observable_bound_empirical_check(*task) for task in tasks]
-    return merge_reports(reports, target.eta)
+        reports = [contract_check(*task) for task in tasks]
+    return merge_reports(reports, setup.target.eta)
 
 
 def _fault_sweep(
@@ -635,8 +640,14 @@ def _cmd_verify(cfg: RunConfig) -> int:
         "reports": {},
     }
     overall = True
+    observables = bounded_observables(
+        [ObservableFn(_obs_one, "one"), ObservableFn(_obs_identity, "identity")],
+        target,
+        cfg.grid_spacing,
+    )
     for name in names:
-        report = _run_contract(cfg, target, name, models, derive_seed(seed, 1 if name == "fejer" else 2))
+        setup = contract_setup(name, observables, target, cfg.grid_spacing, cfg.samples)
+        report = _run_contract(cfg, setup, models, derive_seed(seed, 1 if name == "fejer" else 2))
         entry = asdict(report)
         entry["passed"] = report.passed()
         report_json["reports"][name] = entry

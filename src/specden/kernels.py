@@ -375,11 +375,22 @@ def recovered_frequency(sigma):
 
 
 def gaussian_eval(sigma, omega, lam: float):
-    """Normalized Gaussian profile of width `lam` centered at `omega`."""
+    """Normalized Gaussian profile of width `lam` centered at `omega`.
+
+    ``exp`` runs only where the exponent is at least -746: below, the
+    result is exactly 0.0 anyway, and ``exp`` is up to 100 times slower
+    on arguments whose result underflows or is subnormal.
+    """
     if not (lam > 0.0):
         raise ValidationError(f"lam must be positive, got {lam!r}")
-    d = np.asarray(sigma, dtype=float) - np.asarray(omega, dtype=float)
-    return np.exp(-d * d / (2.0 * lam * lam)) / (math.sqrt(2.0 * math.pi) * lam)
+    g = np.asarray(np.asarray(sigma, dtype=float) - np.asarray(omega, dtype=float))
+    g *= g
+    g /= -2.0 * lam * lam
+    under = g < -746.0
+    np.exp(g, out=g, where=~under)
+    g[under] = 0.0
+    g /= math.sqrt(2.0 * math.pi) * lam
+    return g[()]
 
 
 def gaussian_resolution(target: AccuracyTarget) -> float:

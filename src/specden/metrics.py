@@ -37,6 +37,7 @@ from .estimators import (
 from .kernels import (
     AccuracyTarget,
     GaussianKernel,
+    KernelSpec,
     fejer_grid,
     fejer_plan,
     gaussian_resolution,
@@ -47,9 +48,9 @@ from .operators import (
     ObservableFn,
     SpectralModel,
     TransformGrid,
+    _warn_if_coarse,
     exact_transform,
     observable_exact,
-    observable_from_transform,
 )
 from .sampling import qpe_distribution
 
@@ -59,6 +60,11 @@ __all__ = [
     "total_variation",
     "observable_bound",
     "binomial_threshold",
+    "BoundedObservable",
+    "bounded_observables",
+    "ContractSetup",
+    "contract_setup",
+    "contract_check",
     "observable_bound_empirical_check",
     "merge_reports",
     "scaling_fit",
@@ -193,6 +199,217 @@ class AccuracyReport:
         return all(flags)
 
 
+@dataclass(frozen=True)
+class BoundedObservable:
+    """A named observable with its error bound under the contract's target."""
+
+    name: str
+    fn: ObservableFn
+    bound: ObservableBound
+
+
+def bounded_observables(
+    f: ObservableFn | Callable | Sequence | None,
+    target: AccuracyTarget,
+    spacing: float | None = None,
+) -> tuple[BoundedObservable, ...]:
+    """Name each observable in `f` and compute its bound once.
+
+    `f` is a single callable, a sequence of them, or None.  An
+    observable left with the default name ``"f"`` is called ``f<i>``
+    after its position.  A bound depends on the target and the spacing
+    alone, so one tuple serves every method and model.
+    """
+    if f is None:
+        fns: list[ObservableFn] = []
+    elif callable(f) or isinstance(f, ObservableFn):
+        fns = [f if isinstance(f, ObservableFn) else ObservableFn(fn=f)]
+    else:
+        fns = [g if isinstance(g, ObservableFn) else ObservableFn(fn=g) for g in f]
+    return tuple(
+        BoundedObservable(
+            g.name if g.name != "f" else f"f{i}", g, observable_bound(g, target, spacing)
+        )
+        for i, g in enumerate(fns)
+    )
+
+
+@dataclass(frozen=True)
+class ContractSetup:
+    """The per-target work of a contract check, shared by every model.
+
+    `obs_values` holds each observable on the grid it is summed over:
+    the histogram bins (`grid`) for ``"fejer"``, which draws `n_samples`
+    outcomes per trial, or the `dense` margin grid for ``"git"``, which
+    draws `per_order` shots per order up to `order`.  It pickles, so a
+    process pool can ship one to every worker.
+    """
+
+    method: str
+    target: AccuracyTarget
+    spacing: float
+    measured_sigma: float
+    kernel: KernelSpec
+    grid: np.ndarray
+    observables: tuple[BoundedObservable, ...]
+    obs_values: tuple[np.ndarray, ...]
+    n_samples: int = 0
+    order: int = 0
+    per_order: int = 0
+    dense: np.ndarray | None = None
+
+
+def contract_setup(
+    method: str,
+    observables: Sequence[BoundedObservable],
+    target: AccuracyTarget,
+    spacing: float | None = None,
+    n_samples: int | None = None,
+) -> ContractSetup:
+    """Plan the contract check of `method` at `target` once for all models.
+
+    The kernel tail is measured with spacing `spacing` (default ``delta /
+    20``), the spacing `observables` were bounded at.  `n_samples`
+    overrides the planned measurement total (for the moment method it is
+    split evenly over the orders).
+    """
+    if method not in ("fejer", "git"):
+        raise ValidationError(f"contract check does not implement {method!r}")
+    h = target.delta / 20.0 if spacing is None else float(spacing)
+    if method == "fejer":
+        kernel = fejer_plan(target)
+        if n_samples is None:
+            n_samples = plan_fejer_samples(target.beta, target.eta)
+        budget = Budget(method="fejer", kernel_order=kernel.n, n_samples=n_samples)
+        grid = obs_grid = fejer_grid(kernel.n)
+        plan = dict(n_samples=budget.n_samples)
+    else:
+        lam = gaussian_resolution(target)
+        kernel = GaussianKernel(lam)
+        order = truncation_order(target).L
+        if n_samples is None:
+            c_max = projection_cmax(lam, CONTRACT_GRID, order)
+            per_order, _, _ = plan_git_samples(order, c_max, target.beta, target.eta)
+        else:
+            per_order = max(1, n_samples // order)
+        margin = 8.0 * lam
+        grid = CONTRACT_GRID
+        obs_grid = np.arange(-1.0 - margin, 1.0 + margin + h / 2.0, h)
+        plan = dict(order=order, per_order=per_order, dense=obs_grid)
+    observables = tuple(observables)
+    return ContractSetup(
+        method=method,
+        target=target,
+        spacing=h,
+        measured_sigma=sigma_accuracy(kernel, target.delta, h).value,
+        kernel=kernel,
+        grid=grid,
+        observables=observables,
+        obs_values=tuple(ob.fn(obs_grid) for ob in observables),
+        **plan,
+    )
+
+
+# Histogram trials are drawn and checked in blocks of at most this many bins.
+_BLOCK_CELLS = 2**16
+
+
+def _trial_errors(
+    setup: ContractSetup, model: SpectralModel, trials: int, seed: int, index: int
+) -> tuple[np.ndarray, np.ndarray | None, list[np.ndarray]]:
+    """Per-trial deviations, margin deviations and observable estimates of one model.
+
+    Trial j draws with the seed ``(seed, index, j)``.  The margin
+    deviations are None for the histogram method.
+    """
+    kernel = setup.kernel
+    ref = exact_transform(model, kernel, setup.grid).values
+    if setup.method == "fejer":
+        dist = qpe_distribution(model, kernel.n)
+        dev = np.empty(trials)
+        estimates = [np.empty(trials) for _ in setup.obs_values]
+        rows = max(1, _BLOCK_CELLS // dist.size)
+        for start in range(0, trials, rows):
+            block = slice(start, min(trials, start + rows))
+            hist = np.array([
+                sample_histogram(dist, setup.n_samples, derive_seed(seed, index, j))
+                for j in range(block.start, block.stop)
+            ])
+            dev[block] = np.max(np.abs(hist - ref), axis=1)
+            for est, fx in zip(estimates, setup.obs_values):
+                est[block] = hist @ fx
+        return dev, None, estimates
+    seeds = [derive_seed(seed, index, j) for j in range(trials)]
+    draws = sample_moments(model_moments(model, setup.order), setup.per_order, seeds)
+    values = projection_values(draws, kernel.lam, setup.grid)
+    dense_values = projection_values(draws, kernel.lam, setup.dense)
+    ref_dense = exact_transform(model, kernel, setup.dense).values
+    estimates = []
+    for fx in setup.obs_values:
+        _warn_if_coarse(setup.dense, kernel)
+        estimates.append(np.trapezoid(dense_values * fx, setup.dense, axis=1))
+    return (
+        np.max(np.abs(values - ref), axis=1),
+        np.max(np.abs(dense_values - ref_dense), axis=1),
+        estimates,
+    )
+
+
+def contract_check(
+    setup: ContractSetup,
+    model: SpectralModel | Sequence[SpectralModel],
+    trials: int,
+    seed: int,
+) -> AccuracyReport:
+    """Run `trials` seeded trials per model under `setup` and pool them.
+
+    Trial j of model i uses the derived seed ``(seed, i, j)``.  Each
+    model's reference transforms and exact observables are computed
+    once, and its trials are checked as arrays: histograms in blocks of
+    at most 2^16 bins, moment vectors all at once.
+    """
+    models = [model] if isinstance(model, SpectralModel) else list(model)
+    if not models:
+        raise ValidationError("need at least one spectral model")
+    if trials < 1:
+        raise ValidationError("trials must be >= 1")
+    target = setup.target
+    worst = 0.0
+    worst_margin = 0.0
+    hits = 0
+    obs_hits = [0] * len(setup.observables)
+    for i, mod in enumerate(models):
+        dev, margin, estimates = _trial_errors(setup, mod, trials, seed, i)
+        worst = max(worst, float(dev.max()))
+        if margin is not None:
+            worst_margin = max(worst_margin, float(margin.max()))
+        hits += int(np.count_nonzero(dev <= target.beta))
+        for k, (ob, est) in enumerate(zip(setup.observables, estimates)):
+            q_exact = observable_exact(mod, ob.fn)
+            obs_hits[k] += int(np.count_nonzero(np.abs(q_exact - est) <= ob.bound.total))
+    total_runs = trials * len(models)
+    confidence = hits / total_runs
+    threshold = binomial_threshold(target.eta, total_runs)
+    names = [ob.name for ob in setup.observables]
+    obs_conf = {name: c / total_runs for name, c in zip(names, obs_hits)}
+    return AccuracyReport(
+        measured_sigma=setup.measured_sigma,
+        delta_v=worst,
+        empirical_confidence=confidence,
+        grid_spacing=setup.spacing,
+        n_trials=total_runs,
+        threshold=threshold,
+        pass_sigma=setup.measured_sigma <= target.sigma + 1e-12,
+        pass_beta=confidence >= threshold,
+        margin_delta_v=worst_margin if setup.method == "git" else None,
+        observable_bounds=(
+            {ob.name: ob.bound.total for ob in setup.observables} if names else None
+        ),
+        observable_confidence=obs_conf if names else None,
+        pass_bound=all(c >= threshold for c in obs_conf.values()) if names else None,
+    )
+
+
 def observable_bound_empirical_check(
     model: SpectralModel | Sequence[SpectralModel],
     method: str,
@@ -211,7 +428,8 @@ def observable_bound_empirical_check(
     `f` (a single callable, a sequence, or None), the deviation of the
     estimated observable from the exact one against the analytic bound.
     The kernel tail is measured once per call on a center grid of the
-    same spacing (default ``delta / 20``).
+    same spacing (default ``delta / 20``).  This is one
+    :func:`contract_setup` and one :func:`contract_check`.
 
     For ``method="git"`` the contract grid is
     :data:`~specden.estimators.CONTRACT_GRID`; observables integrate a dense
@@ -223,102 +441,17 @@ def observable_bound_empirical_check(
     all trials are reconstructed together on each grid.  For
     ``method="fejer"`` each model's outcome distribution is built once
     and trial j draws its histogram from it exactly as
-    :func:`~specden.estimators.run_algorithm1` does with its seed.
+    :func:`~specden.estimators.run_algorithm1` does with its seed; the
+    histograms are stacked in blocks, and each observable is the
+    product of a block with its values on the bins.
 
     `n_samples` overrides the planned measurement total (for the moment
     method it is split evenly over the orders), which deliberately
     under-budgeted runs use to demonstrate the confidence check failing.
     """
-    models = [model] if isinstance(model, SpectralModel) else list(model)
-    if not models:
-        raise ValidationError("need at least one spectral model")
-    if trials < 1:
-        raise ValidationError("trials must be >= 1")
-    if method not in ("fejer", "git"):
-        raise ValidationError(f"contract check does not implement {method!r}")
-    if f is None:
-        fns: list[ObservableFn] = []
-    elif callable(f) or isinstance(f, ObservableFn):
-        fns = [f if isinstance(f, ObservableFn) else ObservableFn(fn=f)]
-    else:
-        fns = [g if isinstance(g, ObservableFn) else ObservableFn(fn=g) for g in f]
-    names = [g.name if g.name != "f" else f"f{i}" for i, g in enumerate(fns)]
-    bounds = {
-        name: observable_bound(g, target, spacing) for name, g in zip(names, fns)
-    }
-    h = target.delta / 20.0 if spacing is None else float(spacing)
-
-    if method == "fejer":
-        kernel = fejer_plan(target)
-        tail = sigma_accuracy(kernel, target.delta, h)
-        if n_samples is None:
-            n_samples = plan_fejer_samples(target.beta, target.eta)
-        budget = Budget(method="fejer", kernel_order=kernel.n, n_samples=n_samples)
-    else:
-        lam = gaussian_resolution(target)
-        kernel = GaussianKernel(lam)
-        tail = sigma_accuracy(kernel, target.delta, h)
-        order = truncation_order(target).L
-        if n_samples is None:
-            c_max = projection_cmax(lam, CONTRACT_GRID, order)
-            per_order, _, _ = plan_git_samples(order, c_max, target.beta, target.eta)
-        else:
-            per_order = max(1, n_samples // order)
-        margin = 8.0 * lam
-        dense = np.arange(-1.0 - margin, 1.0 + margin + h / 2.0, h)
-
-    worst = 0.0
-    worst_margin = 0.0
-    hits = 0
-    total_runs = 0
-    obs_hits = {name: 0 for name in names}
-    for i, mod in enumerate(models):
-        q_exact = {name: observable_exact(mod, g) for name, g in zip(names, fns)}
-        if method == "fejer":
-            ref = exact_transform(mod, kernel, fejer_grid(kernel.n))
-            dist = qpe_distribution(mod, kernel.n)
-        else:
-            ref = exact_transform(mod, kernel, CONTRACT_GRID)
-            ref_dense = exact_transform(mod, kernel, dense)
-            seeds = [derive_seed(seed, i, j) for j in range(trials)]
-            draws = sample_moments(model_moments(mod, order), per_order, seeds)
-            contract_values = projection_values(draws, lam, CONTRACT_GRID)
-            dense_values = projection_values(draws, lam, dense)
-        for j in range(trials):
-            if method == "fejer":
-                values = sample_histogram(dist, budget.n_samples, derive_seed(seed, i, j))
-                estimate = TransformGrid(dist.grid, values, kernel.kind, kernel)
-                obs_grid = estimate
-            else:
-                estimate = TransformGrid(CONTRACT_GRID, contract_values[j], "density", kernel)
-                obs_grid = TransformGrid(dense, dense_values[j], "density", kernel)
-                worst_margin = max(worst_margin, total_variation(ref_dense, obs_grid))
-            dv = total_variation(ref, estimate)
-            worst = max(worst, dv)
-            hits += dv <= target.beta
-            total_runs += 1
-            for name, g in zip(names, fns):
-                q_est = observable_from_transform(obs_grid, g)
-                obs_hits[name] += abs(q_exact[name] - q_est) <= bounds[name].total
-    confidence = hits / total_runs
-    threshold = binomial_threshold(target.eta, total_runs)
-    obs_conf = {name: obs_hits[name] / total_runs for name in names}
-    return AccuracyReport(
-        measured_sigma=tail.value,
-        delta_v=worst,
-        empirical_confidence=confidence,
-        grid_spacing=h,
-        n_trials=total_runs,
-        threshold=threshold,
-        pass_sigma=tail.value <= target.sigma + 1e-12,
-        pass_beta=confidence >= threshold,
-        margin_delta_v=worst_margin if method == "git" else None,
-        observable_bounds={n: b.total for n, b in bounds.items()} if fns else None,
-        observable_confidence=obs_conf if fns else None,
-        pass_bound=(
-            all(c >= threshold for c in obs_conf.values()) if fns else None
-        ),
-    )
+    observables = bounded_observables(f, target, spacing)
+    setup = contract_setup(method, observables, target, spacing, n_samples)
+    return contract_check(setup, model, trials, seed)
 
 
 def merge_reports(reports: Sequence[AccuracyReport], eta: float) -> AccuracyReport:

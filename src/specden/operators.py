@@ -330,16 +330,21 @@ def observable_from_transform(grid: TransformGrid, f: ObservableFn | Callable) -
     if grid.frequencies.size < 2:
         raise ValidationError("density transform needs at least two grid points to integrate")
     if grid.kernel is not None:
-        spacing = float(np.max(np.diff(grid.frequencies)))
-        width = grid.kernel.width
-        if spacing > width:
-            warnings.warn(
-                f"grid spacing {spacing:.3g} exceeds kernel width {width:.3g}; "
-                "the integral may be inaccurate",
-                CoarseGridWarning,
-                stacklevel=2,
-            )
+        _warn_if_coarse(grid.frequencies, grid.kernel, stacklevel=3)
     return float(np.trapezoid(grid.values * fx, grid.frequencies))
+
+
+def _warn_if_coarse(frequencies: np.ndarray, kernel: KernelSpec, stacklevel: int = 2) -> None:
+    """Warn when an integration grid's spacing exceeds the kernel width."""
+    spacing = float(np.max(np.diff(frequencies)))
+    width = kernel.width
+    if spacing > width:
+        warnings.warn(
+            f"grid spacing {spacing:.3g} exceeds kernel width {width:.3g}; "
+            "the integral may be inaccurate",
+            CoarseGridWarning,
+            stacklevel=stacklevel,
+        )
 
 
 def _random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

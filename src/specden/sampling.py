@@ -12,9 +12,9 @@ Three measurement primitives feed the estimation pipelines:
   statevector route simulates the register explicitly (with optional
   norm-bounded faults in each controlled evolution) and serves as the
   validation oracle.  A fault sweep runs in the eigenbasis the operator
-  carries and, in each realization, draws and diagonalizes each bit's
-  fault generator once for all its step sizes, holding one statevector
-  per step size.
+  carries, on blocks of realizations: each bit's fault generators are
+  drawn once for all step sizes and diagonalized by one stacked solve
+  per block.
 * the folded variant driven by a walk operator, with outcomes on the
   arc variable and frequencies recovered through ``cos(pi sigma)``; its
   distribution is the same mixture over the mirrored phases.
@@ -27,6 +27,7 @@ derives child streams through :func:`specden.numerics.child_rng`.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
@@ -43,6 +44,7 @@ from .operators import HermitianOperator, ProbeState, SpectralModel
 
 __all__ = [
     "MEMORY_CAP",
+    "SWEEP_BLOCK",
     "OutcomeDistribution",
     "FaultModel",
     "qpe_distribution",
@@ -55,6 +57,9 @@ __all__ = [
 ]
 
 MEMORY_CAP = 2**22
+# A fault sweep runs its realizations in blocks of at most this many
+# amplitudes (or one realization, when that holds more).
+SWEEP_BLOCK = 2**14
 
 
 @dataclass(frozen=True)
@@ -149,11 +154,21 @@ def qpe_distribution(model: SpectralModel, n: int) -> OutcomeDistribution:
     return _fejer_mixture(model.eigenvalues, model.weights, n)
 
 
-def _unit_norm_gue(dim: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs ``(values, vectors)`` of a GUE matrix scaled to unit spectral norm."""
+def _gue(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """A GUE matrix drawn from `rng`."""
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    vals, vecs = np.linalg.eigh((a + a.conj().T) / 2.0)
-    return vals / np.max(np.abs(vals)), vecs
+    return (a + a.conj().T) / 2.0
+
+
+def _unit_norm_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs ``(values, vectors)`` of Hermitian `h` (or a stack of them) scaled to unit norm."""
+    vals, vecs = np.linalg.eigh(h)
+    return vals / np.max(np.abs(vals), axis=-1, keepdims=True), vecs
+
+
+def _unit_norm_gue(dim: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """One fault generator's scaled eigenpairs, as a fault sweep draws and solves it."""
+    return _unit_norm_eigh(_gue(dim, rng))
 
 
 def statevector_qpe(
@@ -193,14 +208,17 @@ def statevector_qpe_sweep(
     Yields, for each seed in turn, one distribution per entry of
     `delta_ts`, each equal to ``statevector_qpe(op, psi, n_ancilla,
     FaultModel(delta_t, seed))``.  The register runs in the eigenbasis
-    the operator carries; in each realization every bit's fault
-    generator is drawn and diagonalized once and its kick ``exp(-i
-    delta_t H)`` is applied to one statevector per step size, so one
-    statevector per entry of `delta_ts` and one generator are held at a
-    time.  A step of 0 runs the fault-free register.
+    the operator carries, on blocks of realizations that hold at most
+    ``max(T dim N, SWEEP_BLOCK)`` amplitudes for T step sizes: for each
+    ancilla bit, every realization's fault generator is drawn from its
+    own stream, the block's generators are diagonalized by one stacked
+    solve, and the kicks ``exp(-i delta_t H)`` are applied to one
+    statevector per realization and step size by batched products.  A
+    step of 0 runs the fault-free register.
 
-    Each statevector holds ``dim * N`` amplitudes; exceeding
-    :data:`MEMORY_CAP` raises :class:`ResourceLimitError`.
+    The arguments are checked when the call is made.  Each statevector
+    holds ``dim * N`` amplitudes; exceeding :data:`MEMORY_CAP` raises
+    :class:`ResourceLimitError`.
     """
     if n_ancilla < 1:
         raise ValidationError(f"n_ancilla must be >= 1, got {n_ancilla!r}")
@@ -217,15 +235,34 @@ def statevector_qpe_sweep(
         raise ValidationError(f"delta_t must be nonnegative, got {delta_ts!r}")
     evals, evecs = op.evals, op.evecs
     row = (evecs.conj().T @ psi.vector).astype(complex) / math.sqrt(n)
-    return (_register_run(evals, row, n_ancilla, delta_ts, seed) for seed in seeds)
+    return _sweep_blocks(evals, row, n_ancilla, delta_ts, iter(seeds))
 
 
-def _register_run(
-    evals: np.ndarray, row: np.ndarray, n_ancilla: int, delta_ts: list[float], seed: int
-) -> list[OutcomeDistribution]:
-    """One realization of :func:`statevector_qpe_sweep`, in the eigenbasis of the operator."""
+def _sweep_blocks(
+    evals: np.ndarray,
+    row: np.ndarray,
+    n_ancilla: int,
+    delta_ts: list[float],
+    seeds: Iterator[int],
+) -> Iterator[list[OutcomeDistribution]]:
+    """The realizations of :func:`statevector_qpe_sweep`, one block at a time."""
     n = 2**n_ancilla
-    states = [np.tile(row, (n, 1)) for _ in delta_ts]
+    per_seed = max(1, len(delta_ts)) * n * row.size
+    size = max(1, max(per_seed, SWEEP_BLOCK) // per_seed)
+    while block := list(itertools.islice(seeds, size)):
+        yield from _register_block(evals, row, n_ancilla, delta_ts, block)
+
+
+def _register_block(
+    evals: np.ndarray, row: np.ndarray, n_ancilla: int, delta_ts: list[float], seeds: list[int]
+) -> list[list[OutcomeDistribution]]:
+    """Realizations `seeds` of the register, in the eigenbasis of the operator.
+
+    ``states[t, b]`` is the register of step size t in realization b.
+    """
+    n = 2**n_ancilla
+    dim = row.size
+    states = np.tile(row, (len(delta_ts), len(seeds), n, 1))
     faulty = any(dt > 0.0 for dt in delta_ts)
     row_bits = np.arange(n)
     for k in range(n_ancilla):
@@ -235,20 +272,24 @@ def _register_run(
         # instead scales its modulus error by 2^k and leaks probability mass.
         phase_k = np.exp(1j * np.pi * np.fmod((evals + 1.0) * 2.0**k, 2.0))
         if faulty:
-            hvals, hvecs = _unit_norm_gue(row.size, child_rng(seed, k))
-            hvecs_h = hvecs.conj().T
+            gues = np.stack([_gue(dim, child_rng(seed, k)) for seed in seeds])
+            hvals, hvecs = _unit_norm_eigh(gues)
+            hvecs_h = hvecs.mT.conj()
         for dt, state in zip(delta_ts, states):
             if dt > 0.0:
-                kick = (hvecs * np.exp(-1j * dt * hvals)) @ hvecs_h
-                state[controlled] = (state[controlled] @ kick.T) * phase_k
+                kick = (hvecs * np.exp(-1j * dt * hvals)[:, None, :]) @ hvecs_h
+                state[:, controlled] = (state[:, controlled] @ kick.mT) * phase_k
             else:
-                state[controlled] *= phase_k
-    dists = []
-    while states:
-        amps = np.fft.fft(states.pop(0), axis=0) / math.sqrt(n)
-        probs = np.einsum("qj,qj->q", amps, amps.conj()).real
-        dists.append(OutcomeDistribution(grid=fejer_grid(n), probs=probs))
-    return dists
+                state[:, controlled] *= phase_k
+    runs = []
+    for b in range(len(seeds)):
+        dists = []
+        for state in states[:, b]:
+            amps = np.fft.fft(state, axis=0) / math.sqrt(n)
+            probs = np.einsum("qj,qj->q", amps, amps.conj()).real
+            dists.append(OutcomeDistribution(grid=fejer_grid(n), probs=probs))
+        runs.append(dists)
+    return runs
 
 
 def qubitized_qpe_distribution(model: SpectralModel, n: int) -> OutcomeDistribution:

@@ -24,7 +24,7 @@ from specden.cli import main
 from specden.errors import ResourceLimitError
 from specden.estimators import plan_fejer_samples
 from specden.kernels import fejer_plan
-from specden.numerics import fmt_float
+from specden.numerics import derive_seed, fmt_float
 from specden.operators import (
     HermitianOperator,
     ProbeState,
@@ -329,12 +329,13 @@ def test_fault_sweep_shrinks_to_the_memory_cap(monkeypatch, capsys):
 def test_fault_sweep_draws_each_generator_once(monkeypatch, eigensolves):
     # R realizations of K ancilla bits draw R * K generators for all three
     # steps together, each solved once, and the operator is not solved
-    # again: the sweep reads the eigendecomposition it carries.
+    # again: the sweep reads the eigendecomposition it carries.  A stacked
+    # solve counts one generator per matrix of its stack.
     op, psi = random_model(4, seed=5)
     model = diagonalize(op, psi)
     draws = []
-    gue = sampling._unit_norm_gue
-    monkeypatch.setattr(sampling, "_unit_norm_gue", lambda *a: draws.append(a) or gue(*a))
+    gue = sampling._gue
+    monkeypatch.setattr(sampling, "_gue", lambda *a: draws.append(a) or gue(*a))
     monkeypatch.setattr(cli, "diagonalize", None)
     eigensolves.clear()
     cfg = cli.RunConfig(command="verify", sigma=0.25, delta=0.1, trials=3, seed=1)
@@ -343,7 +344,28 @@ def test_fault_sweep_draws_each_generator_once(monkeypatch, eigensolves):
     k = int(math.log2(rows[0]["n"]))
     assert len(draws) == 3 * k
     assert not any(a is op.matrix for _, a in eigensolves)
-    assert [name for name, _ in eigensolves] == ["eigh"] * (3 * k)
+    assert {name for name, _ in eigensolves} == {"eigh"}
+    assert all(a.shape[-2:] == (4, 4) for _, a in eigensolves)
+    assert sum(math.prod(a.shape[:-2]) for _, a in eigensolves) == 3 * k
+
+
+# a realization holds 3 step sizes x 32 bins x dim 6 = 576 amplitudes
+@pytest.mark.parametrize("budget", [1, 2 * 576])
+def test_fault_sweep_blocks_give_identical_distributions(monkeypatch, budget):
+    # all five realizations in one block (the default budget), one per
+    # block, and two per block with a short last block draw the same
+    # generators from the same streams, so the bytes agree
+    op, psi = random_model(6, seed=8, kind="gapped")
+    delta_ts, seeds = (0.0, 1e-3, 0.05), [derive_seed(7, 700, r) for r in range(5)]
+    reference = list(sampling.statevector_qpe_sweep(op, psi, 5, delta_ts, seeds))
+    monkeypatch.setattr(sampling, "SWEEP_BLOCK", budget)
+    blocked = list(sampling.statevector_qpe_sweep(op, psi, 5, delta_ts, iter(seeds)))
+    assert len(blocked) == len(seeds)
+    for ref_run, run in zip(reference, blocked):
+        assert len(run) == len(delta_ts)
+        for ref, dist in zip(ref_run, run):
+            assert np.array_equal(ref.probs, dist.probs)
+            assert np.array_equal(ref.grid, dist.grid)
 
 
 def test_verify_fault_sweep_golden(tmp_path):
@@ -395,8 +417,9 @@ def test_cli_import_leaves_scipy_fft_and_linalg_unloaded():
 
 
 def test_commands_import_no_numpy_or_scipy_module_after_the_cli(tmp_path):
-    # every module a command needs is loaded by `import specden.cli`, so an
-    # op forked right after that import pays for no import of its own
+    # every module a command needs, numpy's and the standard library's
+    # alike, is loaded by `import specden.cli`, so an op forked right after
+    # that import pays for no import of its own
     src = Path(__file__).resolve().parents[1] / "src"
     model = ["--gen", "dense:8", "--seed", "1", "--workers", "1"]
     runs = [
@@ -411,7 +434,7 @@ def test_commands_import_no_numpy_or_scipy_module_after_the_cli(tmp_path):
         f"import sys; sys.path.insert(0, {str(src)!r}); import specden.cli; "
         "before = set(sys.modules); "
         f"codes = [specden.cli.main(argv) for argv in {runs!r}]; "
-        "new = sorted(m for m in set(sys.modules) - before if m.split('.')[0] in ('numpy', 'scipy')); "
+        "new = sorted(set(sys.modules) - before); "
         "print(codes, new, file=sys.stderr)"
     )
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=300)
@@ -530,15 +553,20 @@ def test_verify_spreads_trials_over_models(tmp_path):
 
 
 def test_verify_workers_deterministic(tmp_path):
-    common = [
-        "verify", "--method", "fejer", "--sigma", "0.25", "--delta", "0.1",
-        "--gen", "dense:6:count=2", "--seed", "17", "--trials", "4",
-    ]
-    assert run_cli(*common, "--workers", "1", "--out", str(tmp_path / "w1")) == 0
-    assert run_cli(*common, "--workers", "2", "--out", str(tmp_path / "w2")) == 0
-    r1 = (tmp_path / "w1" / "verify_report.json").read_bytes()
-    r2 = (tmp_path / "w2" / "verify_report.json").read_bytes()
-    assert r1 == r2
+    # the workers receive each method's one contract setup by pickle and
+    # return the same reports as the serial pass
+    for method in ("fejer", "all"):
+        common = [
+            "verify", "--method", method, "--sigma", "0.25", "--delta", "0.1",
+            "--gen", "dense:6:count=2", "--seed", "17", "--trials", "4",
+        ]
+        w1, w2 = tmp_path / f"{method}1", tmp_path / f"{method}2"
+        assert run_cli(*common, "--workers", "1", "--out", str(w1)) == 0
+        assert run_cli(*common, "--workers", "2", "--out", str(w2)) == 0
+        for name in ("verify_report.json", "fault_sweep.csv"):
+            assert (w1 / name).read_bytes() == (w2 / name).read_bytes()
+        report = json.loads((w1 / "verify_report.json").read_text())
+        assert set(report["reports"]) == ({"fejer"} if method == "fejer" else {"fejer", "git"})
 
 
 def test_bench_writes_fits(tmp_path, capsys):

@@ -218,6 +218,27 @@ def test_gaussian_eval_normalized():
     assert abs(mass - 1.0) < 1e-9
 
 
+@pytest.mark.parametrize("lam", [0.5, 0.093, 0.0093, 6e-5])
+def test_gaussian_eval_skips_underflow_with_the_same_bytes(lam):
+    def plain(sigma, omega):
+        d = np.asarray(sigma, dtype=float) - np.asarray(omega, dtype=float)
+        return np.exp(-d * d / (2.0 * lam * lam)) / (math.sqrt(2.0 * math.pi) * lam)
+
+    # exponents from -700 to -760 cross the subnormal results (below
+    # -708.4) and the exact zeros (below -745.1), on both sides of the centre
+    d = lam * np.sqrt(2.0 * np.linspace(700.0, 760.0, 60001))
+    shells = np.concatenate([-d, [0.0], d])
+    assert np.array_equal(gaussian_eval(shells, 0.0, lam), plain(shells, 0.0))
+    assert not np.signbit(gaussian_eval(shells, 0.0, lam)).any()
+    # a kernel matrix on Chebyshev nodes, mostly zero at the small widths
+    nu, x = np.linspace(-1.2, 1.2, 301), cheb_nodes(512)
+    got = gaussian_eval(nu[:, None], x[None, :], lam)
+    assert np.array_equal(got, plain(nu[:, None], x[None, :]))
+    scalar = gaussian_eval(0.3, 0.1, lam)
+    assert np.ndim(scalar) == 0 and scalar == plain(0.3, 0.1)
+    assert gaussian_eval(1.0, -1.0, lam) == plain(1.0, -1.0)
+
+
 def test_sigma_accuracy_planned_kernels_meet_target():
     target = AccuracyTarget(sigma=0.25, delta=0.1)
     fe = sigma_accuracy(fejer_plan(target), target.delta)

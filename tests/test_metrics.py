@@ -6,12 +6,33 @@ import numpy as np
 import pytest
 
 from specden import metrics
-from specden.errors import ValidationError
-from specden.estimators import Budget, plan_fejer_samples, run_algorithm1
-from specden.kernels import AccuracyTarget, FejerKernel, fejer_grid, fejer_plan
+from specden.chebgauss import projection_cmax, projection_values, truncation_order
+from specden.errors import CoarseGridWarning, ValidationError
+from specden.estimators import (
+    CONTRACT_GRID,
+    Budget,
+    model_moments,
+    plan_fejer_samples,
+    plan_git_samples,
+    run_algorithm1,
+    sample_histogram,
+    sample_moments,
+)
+from specden.kernels import (
+    AccuracyTarget,
+    FejerKernel,
+    GaussianKernel,
+    fejer_grid,
+    fejer_plan,
+    gaussian_resolution,
+    sigma_accuracy,
+)
 from specden.metrics import (
     AccuracyReport,
     binomial_threshold,
+    bounded_observables,
+    contract_check,
+    contract_setup,
     merge_reports,
     observable_bound,
     observable_bound_empirical_check,
@@ -21,9 +42,12 @@ from specden.metrics import (
 from specden.numerics import child_rng, derive_seed
 from specden.operators import (
     ObservableFn,
+    SpectralModel,
     TransformGrid,
     diagonalize,
     exact_transform,
+    observable_exact,
+    observable_from_transform,
     random_model,
 )
 from specden.sampling import FaultModel, qpe_distribution, statevector_qpe
@@ -232,6 +256,172 @@ def test_observable_check_validation():
         observable_bound_empirical_check(model, "jackson", None, target, trials=5, seed=1)
     with pytest.raises(ValidationError):
         observable_bound_empirical_check(model, "fejer", None, target, trials=0, seed=1)
+
+
+def _reference_check(models, method, f, target, trials, seed, spacing=None, n_samples=None):
+    # The contract check one trial at a time, each trial a transform grid
+    # compared by total_variation and integrated by observable_from_transform.
+    if f is None:
+        fns = []
+    elif callable(f) or isinstance(f, ObservableFn):
+        fns = [f if isinstance(f, ObservableFn) else ObservableFn(fn=f)]
+    else:
+        fns = [g if isinstance(g, ObservableFn) else ObservableFn(fn=g) for g in f]
+    names = [g.name if g.name != "f" else f"f{i}" for i, g in enumerate(fns)]
+    bounds = {name: observable_bound(g, target, spacing) for name, g in zip(names, fns)}
+    h = target.delta / 20.0 if spacing is None else float(spacing)
+    if method == "fejer":
+        kernel = fejer_plan(target)
+        tail = sigma_accuracy(kernel, target.delta, h)
+        if n_samples is None:
+            n_samples = plan_fejer_samples(target.beta, target.eta)
+    else:
+        lam = gaussian_resolution(target)
+        kernel = GaussianKernel(lam)
+        tail = sigma_accuracy(kernel, target.delta, h)
+        order = truncation_order(target).L
+        if n_samples is None:
+            c_max = projection_cmax(lam, CONTRACT_GRID, order)
+            per_order, _, _ = plan_git_samples(order, c_max, target.beta, target.eta)
+        else:
+            per_order = max(1, n_samples // order)
+        margin = 8.0 * lam
+        dense = np.arange(-1.0 - margin, 1.0 + margin + h / 2.0, h)
+    worst = worst_margin = 0.0
+    hits = total_runs = 0
+    obs_hits = {name: 0 for name in names}
+    for i, mod in enumerate(models):
+        q_exact = {name: observable_exact(mod, g) for name, g in zip(names, fns)}
+        if method == "fejer":
+            ref = exact_transform(mod, kernel, fejer_grid(kernel.n))
+            dist = qpe_distribution(mod, kernel.n)
+        else:
+            ref = exact_transform(mod, kernel, CONTRACT_GRID)
+            ref_dense = exact_transform(mod, kernel, dense)
+            seeds = [derive_seed(seed, i, j) for j in range(trials)]
+            draws = sample_moments(model_moments(mod, order), per_order, seeds)
+            contract_values = projection_values(draws, lam, CONTRACT_GRID)
+            dense_values = projection_values(draws, lam, dense)
+        for j in range(trials):
+            if method == "fejer":
+                values = sample_histogram(dist, n_samples, derive_seed(seed, i, j))
+                estimate = obs_grid = TransformGrid(dist.grid, values, kernel.kind, kernel)
+            else:
+                estimate = TransformGrid(CONTRACT_GRID, contract_values[j], "density", kernel)
+                obs_grid = TransformGrid(dense, dense_values[j], "density", kernel)
+                worst_margin = max(worst_margin, total_variation(ref_dense, obs_grid))
+            dv = total_variation(ref, estimate)
+            worst = max(worst, dv)
+            hits += dv <= target.beta
+            total_runs += 1
+            for name, g in zip(names, fns):
+                q_est = observable_from_transform(obs_grid, g)
+                obs_hits[name] += abs(q_exact[name] - q_est) <= bounds[name].total
+    confidence = hits / total_runs
+    threshold = binomial_threshold(target.eta, total_runs)
+    obs_conf = {name: obs_hits[name] / total_runs for name in names}
+    return AccuracyReport(
+        measured_sigma=tail.value,
+        delta_v=worst,
+        empirical_confidence=confidence,
+        grid_spacing=h,
+        n_trials=total_runs,
+        threshold=threshold,
+        pass_sigma=tail.value <= target.sigma + 1e-12,
+        pass_beta=confidence >= threshold,
+        margin_delta_v=worst_margin if method == "git" else None,
+        observable_bounds={n: b.total for n, b in bounds.items()} if fns else None,
+        observable_confidence=obs_conf if fns else None,
+        pass_bound=all(c >= threshold for c in obs_conf.values()) if fns else None,
+    )
+
+
+_ORACLE_TARGETS = {
+    "fejer": AccuracyTarget(sigma=0.25, delta=0.1, beta=0.1, eta=0.05),
+    "git": AccuracyTarget(sigma=0.1, delta=0.2, beta=0.1, eta=0.05),
+}
+_ORACLE_OBSERVABLES = [
+    ObservableFn(fn=lambda w: np.ones_like(w), name="one"),
+    lambda w: w,
+    ObservableFn(fn=lambda w: np.abs(w) ** 1.5),
+]
+
+
+@pytest.mark.parametrize("method", ["fejer", "git"])
+@pytest.mark.parametrize("count", [1, 3])
+@pytest.mark.parametrize("trials", [7, 13])
+@pytest.mark.parametrize("observables", [None, _ORACLE_OBSERVABLES])
+def test_observable_check_equals_the_per_trial_loop(method, count, trials, observables):
+    kinds = ("dense", "spiked", "gapped")
+    models = [diagonalize(*random_model(6 + 2 * i, seed=800 + i, kind=kinds[i])) for i in range(count)]
+    target = _ORACLE_TARGETS[method]
+    model = models[0] if count == 1 else models
+    got = observable_bound_empirical_check(model, method, observables, target, trials, seed=811)
+    assert got == _reference_check(models, method, observables, target, trials, seed=811)
+    assert got.n_trials == count * trials
+
+
+# git runs at order 52: 30 and 2 shots per order
+@pytest.mark.parametrize(
+    "method, n_samples", [("fejer", 40), ("fejer", 2), ("git", 52 * 30), ("git", 52 * 2)]
+)
+def test_observable_check_equals_the_per_trial_loop_under_budget(method, n_samples):
+    # an under-budgeted run misses beta in some trials, and at the smaller
+    # budgets also the bound of the identity observable, so the hit counts
+    # themselves are compared
+    models = [diagonalize(*random_model(8, seed=s)) for s in (821, 823)]
+    target = _ORACLE_TARGETS[method]
+    args = (models, method, _ORACLE_OBSERVABLES, target, 13, 827, 0.01, n_samples)
+    got = observable_bound_empirical_check(*args)
+    assert got == _reference_check(*args)
+    assert got.empirical_confidence < 1.0
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+def test_observable_check_fejer_blocks_equal_the_per_trial_loop(monkeypatch, rows):
+    # blocks of one and of three histograms (13 trials: a short last block)
+    # give the report of the per-trial loop
+    models = [diagonalize(*random_model(6, seed=s)) for s in (851, 853)]
+    target = _ORACLE_TARGETS["fejer"]
+    monkeypatch.setattr(metrics, "_BLOCK_CELLS", rows * fejer_plan(target).n)
+    args = (models, "fejer", _ORACLE_OBSERVABLES, target, 13, 857, None, 20)
+    assert observable_bound_empirical_check(*args) == _reference_check(*args)
+
+
+def test_contract_setup_serves_every_model_alike():
+    # one setup checked model by model, as verify runs it, gives each model
+    # the report of its own per-trial loop
+    models = [diagonalize(*random_model(6, seed=s)) for s in (831, 833)]
+    target = _ORACLE_TARGETS["git"]
+    observables = bounded_observables(_ORACLE_OBSERVABLES, target)
+    assert [ob.name for ob in observables] == ["one", "f1", "f2"]
+    setup = contract_setup("git", observables, target)
+    seeds = [derive_seed(837, 100 + i) for i in range(len(models))]
+    got = [contract_check(setup, [m], 5, s) for m, s in zip(models, seeds)]
+    ref = [_reference_check([m], "git", _ORACLE_OBSERVABLES, target, 5, s) for m, s in zip(models, seeds)]
+    assert got == ref
+    assert merge_reports(got, target.eta) == merge_reports(ref, target.eta)
+    with pytest.raises(ValidationError):
+        contract_check(setup, [], 5, 837)
+    with pytest.raises(ValidationError):
+        contract_check(setup, models, 0, 837)
+    with pytest.raises(ValidationError):
+        contract_setup("qfejer", observables, target)
+
+
+def test_observable_check_coarse_grid_warns_as_the_per_trial_loop():
+    # spacing 0.2 is above the kernel width 0.093: both routes warn with the
+    # same category and text
+    model = SpectralModel(np.array([-0.3, 0.4]), np.array([0.5, 0.5]))
+    target = _ORACLE_TARGETS["git"]
+    f = ObservableFn(fn=lambda w: w, name="identity")
+    with pytest.warns(CoarseGridWarning) as got_warnings:
+        got = observable_bound_empirical_check(model, "git", f, target, 4, 841, spacing=0.2)
+    with pytest.warns(CoarseGridWarning) as ref_warnings:
+        ref = _reference_check([model], "git", f, target, 4, 841, spacing=0.2)
+    assert got == ref
+    assert {str(w.message) for w in got_warnings} == {str(w.message) for w in ref_warnings}
+    assert all(w.category is CoarseGridWarning for w in got_warnings)
 
 
 def test_merge_reports_pools_counts():
