@@ -37,7 +37,7 @@ import numpy as np
 import numpy.polynomial.chebyshev as npcheb
 
 from .errors import NumericError, OutOfRegimeError, ResourceLimitError, ValidationError
-from .kernels import GRID_CAP, AccuracyTarget, GaussianKernel, gaussian_eval, gaussian_resolution
+from .kernels import GRID_CAP, AccuracyTarget, GaussianKernel, _fft_size, gaussian_eval, gaussian_resolution
 from .numerics import cheb_nodes, cheb_series_coeffs, dct3
 from .operators import HermitianOperator, ProbeState, TransformGrid
 
@@ -135,10 +135,10 @@ def gauss_cheb_coeffs(lam: float, order: int) -> np.ndarray:
     I_m(z)`` with ``z = 1/(4 lam^2)``, ``gamma_0 = 1`` and ``gamma_{m>0} =
     2``, and odd coefficients vanish.  They are computed as the
     Gauss-Chebyshev projection (:func:`cheb_series_coeffs`) of the
-    Gaussian on ``m = max(4 (order + 1), 256, ceil(40 / lam))`` nodes,
-    with the odd terms set to zero: at that node count the aliasing
-    error falls below rounding, so the projection equals the closed form
-    to machine precision.  Raises
+    Gaussian on m nodes, ``max(4 (order + 1), 256, ceil(40 / lam))``
+    rounded up to a 5-smooth FFT length, with the odd terms set to zero:
+    at that node count the aliasing error falls below rounding, so the
+    projection equals the closed form to machine precision.  Raises
     :class:`ResourceLimitError` before allocating when m exceeds
     ``GRID_CAP``.
     """
@@ -146,7 +146,7 @@ def gauss_cheb_coeffs(lam: float, order: int) -> np.ndarray:
         raise ValidationError(f"lam must be positive, got {lam!r}")
     if order < 0:
         raise ValidationError(f"order must be >= 0, got {order!r}")
-    m = max(4 * (order + 1), 256, math.ceil(40.0 / lam))
+    m = _fft_size(max(4 * (order + 1), 256, math.ceil(40.0 / lam)))
     if m > GRID_CAP:
         raise ResourceLimitError(
             f"the Gaussian's projection needs {m} nodes, over the cap {GRID_CAP}; loosen sigma or delta"
@@ -448,8 +448,8 @@ def cheb_moments(op: HermitianOperator, psi: ProbeState, order: int) -> np.ndarr
     """
     if order < 0:
         raise ValidationError(f"order must be >= 0, got {order!r}")
-    if op.dim != psi.vector.size:
-        raise ValidationError(f"dimension mismatch: op {op.dim}, psi {psi.vector.size}")
+    if op.dim != psi.dim:
+        raise ValidationError(f"dimension mismatch: op {op.dim}, psi {psi.dim}")
     moments = np.empty(order + 1)
     moments[0] = 1.0
     if order >= 1:

@@ -66,53 +66,64 @@ class AffineMap:
 class HermitianOperator:
     """Immutable Hermitian matrix with its eigendecomposition.
 
-    Hermiticity is checked entrywise to 1e-12 at construction.  The
-    eigenpairs ``matrix @ evecs = evecs * evals`` (eigenvalues ascending)
-    come from one ``eigh`` on first use, or from `eig` when the caller
-    built the matrix from its spectrum.
+    Hermiticity is checked entrywise to 1e-12 when the matrix is built.
+    The eigenpairs ``matrix @ evecs = evecs * evals`` (eigenvalues
+    ascending) come from one ``eigh`` on first use, or from `eig` when the
+    caller built the matrix from its spectrum.  The matrix or the vectors
+    of `eig` may be functions of the operator, built and checked on first
+    read; a deferred matrix needs `eig`.
     """
 
     def __init__(self, matrix, eig: tuple[np.ndarray, np.ndarray] | None = None):
-        m = np.array(matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValidationError(f"operator must be a square matrix, got shape {m.shape}")
-        if m.shape[0] < 1:
-            raise ValidationError("operator must have dimension >= 1")
-        if np.max(np.abs(m - m.conj().T)) > _HERMITIAN_TOL:
-            raise ValidationError("matrix is not Hermitian within 1e-12")
-        m = (m + m.conj().T) / 2.0
-        m.setflags(write=False)
-        self._matrix = m
+        if callable(matrix):
+            self._matrix, self._dim = matrix, len(eig[0])
+        else:
+            m = np.array(matrix, dtype=complex)
+            if m.ndim != 2 or m.shape[0] != m.shape[1]:
+                raise ValidationError(f"operator must be a square matrix, got shape {m.shape}")
+            if m.shape[0] < 1:
+                raise ValidationError("operator must have dimension >= 1")
+            if np.max(np.abs(m - m.conj().T)) > _HERMITIAN_TOL:
+                raise ValidationError("matrix is not Hermitian within 1e-12")
+            m = (m + m.conj().T) / 2.0
+            m.setflags(write=False)
+            self._matrix, self._dim = m, m.shape[0]
         self._eig = None if eig is None else self._frozen_eig(*eig)
 
     def _frozen_eig(self, evals, evecs) -> tuple[np.ndarray, np.ndarray]:
         vals = np.asarray(evals, dtype=float)
-        vecs = np.asarray(evecs, dtype=complex)
-        if vals.shape != (self.dim,) or vecs.shape != self._matrix.shape:
-            raise ValidationError(f"eigenpairs of shape {vals.shape}, {vecs.shape} for dim {self.dim}")
+        vecs = evecs if callable(evecs) else np.asarray(evecs, dtype=complex)
+        shape = getattr(vecs, "shape", (self.dim, self.dim))
+        if vals.shape != (self.dim,) or shape != (self.dim, self.dim):
+            raise ValidationError(f"eigenpairs of shape {vals.shape}, {shape} for dim {self.dim}")
         if np.any(np.diff(vals) < 0):
             raise ValidationError("eigenvalues must be sorted ascending")
         vals.setflags(write=False)
-        vecs.setflags(write=False)
+        if not callable(vecs):
+            vecs.setflags(write=False)
         return vals, vecs
 
     @property
     def matrix(self) -> np.ndarray:
+        if callable(self._matrix):
+            self._matrix = HermitianOperator(self._matrix(self)).matrix
         return self._matrix
 
     @property
     def dim(self) -> int:
-        return self._matrix.shape[0]
+        return self._dim
 
-    def _eigenpairs(self) -> tuple[np.ndarray, np.ndarray]:
+    def _eigenpairs(self, vectors: bool = True) -> tuple[np.ndarray, np.ndarray]:
         if self._eig is None:
-            self._eig = self._frozen_eig(*np.linalg.eigh(self._matrix))
+            self._eig = self._frozen_eig(*np.linalg.eigh(self.matrix))
+        elif vectors and callable(self._eig[1]):
+            self._eig = self._frozen_eig(self._eig[0], self._eig[1](self))
         return self._eig
 
     @property
     def evals(self) -> np.ndarray:
         """Eigenvalues, ascending."""
-        return self._eigenpairs()[0]
+        return self._eigenpairs(vectors=False)[0]
 
     @property
     def evecs(self) -> np.ndarray:
@@ -128,7 +139,11 @@ class HermitianOperator:
 
 
 class ProbeState:
-    """Unit-norm state vector used to weight the spectrum."""
+    """Unit-norm state vector used to weight the spectrum.
+
+    A generated probe keeps its coefficients in the eigenbasis of `_basis`
+    and builds, and checks, its vector ``evecs @ coeffs`` on first read.
+    """
 
     def __init__(self, amplitudes):
         v = np.array(amplitudes, dtype=complex).reshape(-1)
@@ -138,15 +153,18 @@ class ProbeState:
         if abs(nrm - 1.0) > _UNIT_TOL:
             raise ValidationError(f"probe state norm {nrm} deviates from 1 beyond 1e-12")
         v.setflags(write=False)
-        self._vector = v
+        self._vector = self._coeffs = v
+        self._basis: HermitianOperator | None = None
 
     @property
     def vector(self) -> np.ndarray:
+        if self._vector is None:
+            self._vector = ProbeState(self._basis.evecs @ self._coeffs).vector
         return self._vector
 
     @property
     def dim(self) -> int:
-        return self._vector.size
+        return self._coeffs.size
 
     def __repr__(self):
         return f"ProbeState(dim={self.dim})"
@@ -251,7 +269,8 @@ def normalize_operator(op: HermitianOperator, interval: str = "full") -> tuple[H
         The normalized operator and the map carrying original
         eigenvalues to normalized ones.  The operator is `op` itself
         when the map is the identity; otherwise it carries the mapped
-        eigendecomposition of `op`, so no new eigensolve is run.
+        eigendecomposition of `op`, so no new eigensolve is run, and
+        builds its matrix on first read.
     """
     if interval == "full":
         amap = AffineMap(1.0 / max(1.0, op.norm()), 0.0)
@@ -269,14 +288,15 @@ def normalize_operator(op: HermitianOperator, interval: str = "full") -> tuple[H
     if amap.scale == 1.0 and amap.shift == 0.0:
         return op, amap
     # the map is increasing: the mapped eigenvalues stay sorted, on the same vectors
-    mapped = amap.scale * op.matrix + amap.shift * np.eye(op.dim)
-    return HermitianOperator(mapped, (amap.apply(op.evals), op.evecs)), amap
+    return HermitianOperator(lambda _: amap.scale * op.matrix + amap.shift * np.eye(op.dim),
+                             (amap.apply(op.evals), lambda _: op.evecs)), amap
 
 
 def diagonalize(op: HermitianOperator, psi: ProbeState) -> SpectralModel:
     """Extract the spectral model of (operator, probe).
 
-    Reads the eigendecomposition the operator carries.  Eigenvalues
+    Reads the eigendecomposition the operator carries, or for a probe
+    generated with it, the probe's coefficients in its eigenbasis.  Eigenvalues
     closer than 1e-10 are merged into a single peak whose position is
     the weight-averaged eigenvalue and whose weight is the summed
     probability.  Weights below machine noise are kept, so the model
@@ -284,10 +304,10 @@ def diagonalize(op: HermitianOperator, psi: ProbeState) -> SpectralModel:
     """
     if op.dim != psi.dim:
         raise ValidationError(f"dimension mismatch: operator {op.dim}, probe {psi.dim}")
-    ev, vecs = op.evals, op.evecs
+    ev = op.evals
     if np.max(np.abs(ev)) > 1.0 + 1e-12:
         raise ValidationError("operator norm exceeds 1; normalize before diagonalizing")
-    w = np.abs(vecs.conj().T @ psi.vector) ** 2
+    w = np.abs(psi._coeffs if psi._basis is op else op.evecs.conj().T @ psi.vector) ** 2
     w = w / float(np.sum(w))
     starts = np.flatnonzero(np.diff(ev, prepend=-np.inf) >= _MERGE_TOL)
     ends = np.append(starts[1:], ev.size)
@@ -347,17 +367,6 @@ def _warn_if_coarse(frequencies: np.ndarray, kernel: KernelSpec, stacklevel: int
         )
 
 
-def _random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(g)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
-def _random_probe(dim: int, rng: np.random.Generator) -> np.ndarray:
-    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return v / np.linalg.norm(v)
-
-
 def random_model(
     dim: int,
     seed: int,
@@ -386,9 +395,10 @@ def random_model(
     Returns
     -------
     (HermitianOperator, ProbeState)
-        The operator spectrum lies in [-1, 1].  The operator carries the
-        eigendecomposition it was built from ("spiked", "gapped") or
-        the one solve that scaled it ("dense").
+        The operator spectrum lies in [-1, 1].  "dense" carries the one
+        solve that scaled it.  "spiked" and "gapped" draw the spectrum,
+        the probe's coefficients in the eigenbasis and the normals of a
+        Haar basis, and build basis, matrix and probe vector on first read.
     """
     if dim < 1:
         raise ValidationError("dim must be >= 1")
@@ -399,21 +409,18 @@ def random_model(
         vals, vecs = np.linalg.eigh(h)
         nrm = float(np.max(np.abs(vals))) if dim > 1 else max(1.0, abs(float(vals[0])))
         nrm = max(nrm, 1e-300)
-        op = HermitianOperator(h / nrm, (vals / nrm, vecs))
-        return op, ProbeState(_random_probe(dim, rng))
+        v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        return HermitianOperator(lambda _: h / nrm, (vals / nrm, vecs)), ProbeState(v / np.linalg.norm(v))
     if kind == "spiked":
         n_spike = max(1, dim // 8)
         bulk = rng.uniform(-0.3, 0.3, size=dim - n_spike)
         spikes = rng.uniform(0.7, 0.95, size=n_spike) * rng.choice([-1.0, 1.0], size=n_spike)
         ev = np.sort(np.concatenate([bulk, spikes]))
-        basis = _random_unitary(dim, rng) if dim > 1 else np.ones((1, 1), dtype=complex)
+        normals = rng.normal(size=(2, dim, dim)) if dim > 1 else None
         coeffs = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        spike_slots = np.argsort(np.abs(ev))[-n_spike:]
-        coeffs[spike_slots] *= 3.0
+        coeffs[np.argsort(np.abs(ev))[-n_spike:]] *= 3.0
         coeffs /= np.linalg.norm(coeffs)
-        op = HermitianOperator((basis * ev) @ basis.conj().T, (ev, basis))
-        return op, ProbeState(basis @ coeffs)
-    if kind == "gapped":
+    elif kind == "gapped":
         if dim < 2:
             raise ValidationError("gapped ensemble needs dim >= 2")
         if not (0.0 < gap) or 2.0 * gap + 0.02 > 1.58:
@@ -426,16 +433,25 @@ def random_model(
             raise ValidationError(f"infeasible gap {gap} for ground energy {e0:.3f}")
         rest = np.sort(rng.uniform(e1, 0.98, size=dim - 2)) if dim > 2 else np.empty(0)
         ev = np.concatenate([[e0, e1], rest])
-        basis = _random_unitary(dim, rng)
+        normals = rng.normal(size=(2, dim, dim))
         coeffs = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         coeffs[0] = 0.0
-        tail_norm = np.linalg.norm(coeffs)
-        coeffs = coeffs / tail_norm * math.sqrt(1.0 - ground_weight)
-        phase = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
-        coeffs[0] = math.sqrt(ground_weight) * phase
-        op = HermitianOperator((basis * ev) @ basis.conj().T, (ev, basis))
-        return op, ProbeState(basis @ coeffs)
-    raise ValidationError(f"unknown ensemble kind {kind!r}")
+        coeffs = coeffs / np.linalg.norm(coeffs) * math.sqrt(1.0 - ground_weight)
+        coeffs[0] = math.sqrt(ground_weight) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+    else:
+        raise ValidationError(f"unknown ensemble kind {kind!r}")
+
+    def haar_basis(_):
+        # R's phases go into Q (Mezzadri, Notices AMS 54, 592 (2007)); the normals go once built
+        if normals is None:
+            return np.ones((1, 1), dtype=complex)
+        q, r = np.linalg.qr(normals[0] + 1j * normals[1])
+        return q * (np.diag(r) / np.abs(np.diag(r)))
+
+    op = HermitianOperator(lambda o: (o.evecs * ev) @ o.evecs.conj().T, (ev, haar_basis))
+    psi = ProbeState(coeffs)
+    psi._basis, psi._vector = op, None
+    return op, psi
 
 
 def write_model_file(path, op: HermitianOperator, psi: ProbeState) -> None:

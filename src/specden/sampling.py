@@ -166,11 +166,6 @@ def _unit_norm_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vals / np.max(np.abs(vals), axis=-1, keepdims=True), vecs
 
 
-def _unit_norm_gue(dim: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """One fault generator's scaled eigenpairs, as a fault sweep draws and solves it."""
-    return _unit_norm_eigh(_gue(dim, rng))
-
-
 def statevector_qpe(
     op: HermitianOperator,
     psi: ProbeState,
@@ -228,8 +223,8 @@ def statevector_qpe_sweep(
         raise ResourceLimitError(
             f"statevector of size {dim * n} exceeds the cap {MEMORY_CAP}; reduce n_ancilla"
         )
-    if psi.vector.size != dim:
-        raise ValidationError(f"dimension mismatch: op {dim}, psi {psi.vector.size}")
+    if psi.dim != dim:
+        raise ValidationError(f"dimension mismatch: op {dim}, psi {psi.dim}")
     delta_ts = list(delta_ts)
     if not all(dt >= 0.0 for dt in delta_ts):
         raise ValidationError(f"delta_t must be nonnegative, got {delta_ts!r}")

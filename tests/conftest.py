@@ -17,3 +17,34 @@ def eigensolves(monkeypatch):
 
         monkeypatch.setattr(np.linalg, name, counted)
     return calls
+
+
+@pytest.fixture
+def qrs(monkeypatch):
+    """Record every ``np.linalg.qr`` call by the matrix it factors."""
+    calls = []
+    qr = np.linalg.qr
+
+    def counted(a, *args, **kwargs):
+        calls.append(a)
+        return qr(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counted)
+    return calls
+
+
+@pytest.fixture
+def matrix_builds(monkeypatch):
+    """Record the shape of every operator matrix built and checked, at construction or on first read."""
+    from specden.operators import HermitianOperator
+
+    builds = []
+    init = HermitianOperator.__init__
+
+    def counted(op, matrix, eig=None):
+        if not callable(matrix):
+            builds.append(np.shape(matrix))
+        init(op, matrix, eig)
+
+    monkeypatch.setattr(HermitianOperator, "__init__", counted)
+    return builds

@@ -173,27 +173,46 @@ def test_model_file_input(tmp_path):
 @pytest.mark.parametrize("gen, solves", [
     ("spiked:64", []), ("gapped:64", []), ("dense:64", ["eigh"]),
 ])
-def test_estimate_solves_each_model_at_most_once(tmp_path, eigensolves, method, gen, solves):
+def test_estimate_solves_each_model_at_most_once(
+    tmp_path, eigensolves, qrs, matrix_builds, method, gen, solves
+):
     # generated spectra are carried from the generator to the model: the
-    # dense generator's one solve scales it, the others build from theirs
+    # dense generator's one solve scales it, the others build from theirs;
+    # the estimate reads no Haar basis (a QR) and no operator matrix
     assert run_cli(
         "estimate", "--method", method, "--sigma", "0.1", "--delta", "0.1",
         "--gen", gen, "--seed", "3", "--out", str(tmp_path),
     ) == 0
     assert [name for name, _ in eigensolves] == solves
+    assert qrs == [] and matrix_builds == []
 
 
-def test_estimate_from_model_file_solves_once(tmp_path, eigensolves):
+def test_estimate_from_model_file_solves_once(tmp_path, eigensolves, matrix_builds):
     op, psi = random_model(12, seed=4, kind="spiked")
     model_path = tmp_path / "model.txt"
     # a norm above 1, so normalization maps the spectrum solved from the file
     write_model_file(model_path, HermitianOperator(3.0 * op.matrix), psi)
     eigensolves.clear()
+    matrix_builds.clear()
     assert run_cli(
         "estimate", "--sigma", "0.1", "--delta", "0.1", "--model", str(model_path),
         "--seed", "3", "--out", str(tmp_path / "m"),
     ) == 0
     assert [name for name, _ in eigensolves] == ["eigh"]
+    # the file's matrix, and no second one for the normalized operator
+    assert matrix_builds == [(12, 12)]
+
+
+def test_verify_builds_one_basis_for_the_fault_sweep(tmp_path, qrs, matrix_builds):
+    # the contract reads spectra only; the fault sweep runs the register on
+    # the first model's eigenvectors and probe vector
+    assert run_cli(
+        "verify", "--method", "fejer", "--sigma", "0.25", "--delta", "0.1",
+        "--gen", "spiked:16:count=2", "--trials", "3", "--seed", "1",
+        "--workers", "1", "--out", str(tmp_path),
+    ) == 0
+    assert [a.shape for a in qrs] == [(16, 16)]
+    assert matrix_builds == []
 
 
 def _write_csv_per_cell(path, header, columns, rows):

@@ -244,6 +244,95 @@ def test_normalize_operator_maps_the_carried_spectrum(eigensolves):
     assert [name for name, _ in eigensolves] == ["eigh"]
 
 
+def _eager_random_model(dim, seed, kind):
+    # The reference generator, built eagerly: the Haar basis, the matrix
+    # and the probe vector on every call, from the same stream.
+    def random_unitary(rng):
+        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        q, r = np.linalg.qr(g)
+        return q * (np.diag(r) / np.abs(np.diag(r)))
+
+    rng = child_rng(seed, 0)
+    if kind == "dense":
+        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        h = (g + g.conj().T) / 2.0
+        vals, vecs = np.linalg.eigh(h)
+        nrm = float(np.max(np.abs(vals))) if dim > 1 else max(1.0, abs(float(vals[0])))
+        nrm = max(nrm, 1e-300)
+        v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        return HermitianOperator(h / nrm, (vals / nrm, vecs)), ProbeState(v / np.linalg.norm(v))
+    if kind == "spiked":
+        n_spike = max(1, dim // 8)
+        bulk = rng.uniform(-0.3, 0.3, size=dim - n_spike)
+        spikes = rng.uniform(0.7, 0.95, size=n_spike) * rng.choice([-1.0, 1.0], size=n_spike)
+        ev = np.sort(np.concatenate([bulk, spikes]))
+        basis = random_unitary(rng) if dim > 1 else np.ones((1, 1), dtype=complex)
+        coeffs = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        coeffs[np.argsort(np.abs(ev))[-n_spike:]] *= 3.0
+        coeffs /= np.linalg.norm(coeffs)
+    else:
+        e0 = rng.uniform(-0.95, -0.6)
+        e1 = e0 + 2.0 * 0.1 + rng.uniform(0.02, 0.1)
+        rest = np.sort(rng.uniform(e1, 0.98, size=dim - 2)) if dim > 2 else np.empty(0)
+        ev = np.concatenate([[e0, e1], rest])
+        basis = random_unitary(rng)
+        coeffs = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        coeffs[0] = 0.0
+        coeffs = coeffs / np.linalg.norm(coeffs) * math.sqrt(1.0 - 0.2)
+        coeffs[0] = math.sqrt(0.2) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+    op = HermitianOperator((basis * ev) @ basis.conj().T, (ev, basis))
+    return op, ProbeState(basis @ coeffs)
+
+
+@pytest.mark.parametrize("kind, dim", [
+    (kind, dim) for kind in ("dense", "spiked", "gapped") for dim in (1, 2, 5, 64)
+    if kind != "gapped" or dim > 1
+])
+def test_deferred_model_builds_the_eager_bits(tmp_path, kind, dim):
+    for seed in range(3):
+        want_op, want_psi = _eager_random_model(dim, seed, kind)
+        op, psi = random_model(dim, seed=seed, kind=kind)
+        model = diagonalize(op, psi)
+        # built in the order the fault sweep and the walk operator read them
+        assert np.array_equal(op.evals, want_op.evals)
+        assert np.array_equal(op.evecs, want_op.evecs)
+        assert np.array_equal(psi.vector, want_psi.vector)
+        assert np.array_equal(op.matrix, want_op.matrix)
+        assert not (op.matrix.flags.writeable or op.evecs.flags.writeable or psi.vector.flags.writeable)
+        # spiked and gapped weights are |coeffs|^2, equal to |V^dagger psi|^2 up to rounding
+        want_model = diagonalize(want_op, want_psi)
+        if kind == "dense":
+            assert np.array_equal(model.eigenvalues, want_model.eigenvalues)
+            assert np.array_equal(model.weights, want_model.weights)
+        w = np.abs(op.evecs.conj().T @ psi.vector) ** 2
+        np.testing.assert_allclose(model.weights, w / w.sum(), rtol=0.0, atol=1e-15)
+        op, psi = random_model(dim, seed=seed, kind=kind)
+        write_model_file(tmp_path / "lazy.txt", op, psi)
+        write_model_file(tmp_path / "eager.txt", want_op, want_psi)
+        assert (tmp_path / "lazy.txt").read_bytes() == (tmp_path / "eager.txt").read_bytes()
+
+
+def test_deferred_parts_are_checked_when_built():
+    ev = np.array([-0.5, 0.5])
+    op = HermitianOperator(lambda o: (o.evecs * ev) @ o.evecs.conj().T, (ev, lambda _: np.eye(3)))
+    assert op.dim == 2 and np.array_equal(op.evals, ev)
+    with pytest.raises(ValidationError, match="eigenpairs of shape"):
+        op.evecs
+    with pytest.raises(ValidationError, match="ascending"):
+        HermitianOperator(lambda o: np.eye(2), (ev[::-1], lambda _: np.eye(2)))
+    skew = HermitianOperator(lambda o: np.array([[0.0, 1.0], [0.0, 0.0]]), (ev, lambda _: np.eye(2)))
+    with pytest.raises(ValidationError, match="not Hermitian"):
+        skew.matrix
+    # a probe whose coefficients are unit but whose basis is not unitary
+    stretched = HermitianOperator(lambda o: np.diag(ev), (ev, lambda _: 2.0 * np.eye(2)))
+    psi = ProbeState([0.6, 0.8])
+    psi._basis, psi._vector = stretched, None
+    with pytest.raises(ValidationError, match="norm"):
+        psi.vector
+    with pytest.raises(ValidationError, match="norm"):
+        ProbeState([0.6, 0.6])
+
+
 def test_hermitian_operator_rejects_bad_eigenpairs():
     m = np.diag([0.5, -0.5])
     with pytest.raises(ValidationError):

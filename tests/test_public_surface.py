@@ -4,6 +4,7 @@ exist, and every public function and class the module defines must be in it."""
 import ast
 import importlib
 import inspect
+import json
 import pkgutil
 from pathlib import Path
 
@@ -48,3 +49,17 @@ def test_runtime_imports_no_scipy():
                 continue
             offenders += [f"{path.name}: {n}" for n in names if n.split(".")[0] == "scipy"]
     assert offenders == []
+
+
+def test_benchmark_per_layer_functions_exist():
+    # A traced benchmark run reports a per-layer metric ``layer.func.stat``
+    # only while ``specden.<layer>.<func>`` exists: deleting or renaming one
+    # drops a declared metric, so it waits for a change to the benchmark.
+    bench = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())
+    names = [m["name"].split(".") for m in bench["per_layer"]]
+    missing = [
+        f"{layer}.{func}"
+        for layer, func, _ in (n for n in names if len(n) == 3)
+        if not callable(getattr(importlib.import_module(f"specden.{layer}"), func, None))
+    ]
+    assert missing == []

@@ -237,7 +237,7 @@ def _reference_statevector_qpe(op, psi, n_ancilla, fault):
         controlled = (np.arange(n) >> k) & 1 == 1
         phase_k = np.exp(1j * np.pi * np.fmod((evals + 1.0) * 2.0**k, 2.0))
         if fault.delta_t > 0.0:
-            hvals, hvecs = sampling._unit_norm_gue(op.dim, child_rng(fault.seed, k))
+            hvals, hvecs = sampling._unit_norm_eigh(sampling._gue(op.dim, child_rng(fault.seed, k)))
             kick = (hvecs * np.exp(-1j * fault.delta_t * hvals)) @ hvecs.conj().T
             state[controlled] = (state[controlled] @ kick.T) * phase_k
         else:
