@@ -40,32 +40,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .chebgauss import coefficient_table, truncation_order
 from .errors import (
     OutOfRegimeError,
     ResourceLimitError,
     SpecdenError,
     ValidationError,
 )
-from .estimators import (
-    CONTRACT_GRID,
-    Budget,
-    complexity_table,
-    plan_fejer_samples,
-    plan_git_samples,
-    run_algorithm1,
-    run_algorithm2,
-)
-from .kernels import (
-    GRID_CAP,
-    AccuracyTarget,
-    GaussianKernel,
-    delta_theta,
-    fejer_plan,
-    gaussian_resolution,
-    jackson_plan,
-    qubitized_fejer_plan,
-)
+from .estimators import ESTIMATION_METHODS, complexity_table, plan_fejer_samples
+from .kernels import GRID_CAP, AccuracyTarget, fejer_plan
 from .metrics import (
     AccuracyReport,
     ContractSetup,
@@ -82,24 +64,19 @@ from .operators import (
     ObservableFn,
     ProbeState,
     SpectralModel,
-    TransformGrid,
     diagonalize,
-    exact_transform,
     normalize_operator,
     random_model,
     read_model_file,
 )
-from .sampling import (
-    MEMORY_CAP,
-    qpe_distribution,
-    qubitized_qpe_distribution,
-    statevector_qpe_sweep,
-)
+from .sampling import MEMORY_CAP, qpe_distribution, statevector_qpe_sweep
 
 __all__ = ["RunConfig", "main"]
 
-_METHODS = ("fejer", "qfejer", "git", "jackson")
-_UNIT_SHIFT = AffineMap(0.5, 0.5)
+_METHODS = tuple(ESTIMATION_METHODS)
+# the methods that estimate, and those whose accuracy contract verify checks
+_ESTIMATORS = tuple(n for n, m in ESTIMATION_METHODS.items() if m.family is not None)
+_CONTRACTS = tuple(n for n, m in ESTIMATION_METHODS.items() if m.verify_stream is not None)
 
 
 @dataclass(frozen=True)
@@ -298,15 +275,8 @@ def _out_dir(cfg: RunConfig) -> Path:
     return path
 
 
-def _header_pairs(cfg: RunConfig, extra: list[tuple[str, object]] | None = None):
-    pairs: list[tuple[str, object]] = [
-        ("specden", cfg.command),
-        ("version", __version__),
-        ("config", cfg.hash()),
-    ]
-    if extra:
-        pairs.extend(extra)
-    return pairs
+def _header_pairs(cfg: RunConfig, extra=()) -> list[tuple[str, object]]:
+    return [("specden", cfg.command), ("version", __version__), ("config", cfg.hash()), *extra]
 
 
 def _row_format(types: tuple[type, ...]) -> str:
@@ -368,75 +338,9 @@ def _nu_grid(cfg: RunConfig, target: AccuracyTarget) -> np.ndarray:
     return np.linspace(-1.0, 1.0, max(2, math.ceil(2.0 / h)) + 1)
 
 
-def _plan_rows(cfg: RunConfig, target: AccuracyTarget) -> list[dict]:
-    rows: list[dict] = []
-    for name in _methods(cfg, _METHODS, "all"):
-        if name == "fejer":
-            kern = fejer_plan(target)
-            n_faulty, dt = plan_fejer_samples(
-                target.beta, target.eta, faulty=True, n=kern.n
-            )
-            rows.append(
-                {
-                    "method": "fejer",
-                    "grid_size": kern.n,
-                    "n_samples": plan_fejer_samples(target.beta, target.eta),
-                    "n_samples_faulty": n_faulty,
-                    "delta_t": dt,
-                }
-            )
-        elif name == "qfejer":
-            kern = qubitized_fejer_plan(target)
-            rows.append(
-                {
-                    "method": "qfejer",
-                    "grid_size": kern.n,
-                    "delta_theta": delta_theta(target.delta),
-                    "n_samples": plan_fejer_samples(target.beta, target.eta),
-                }
-            )
-        elif name == "git":
-            budget = truncation_order(target)
-            table = coefficient_table(budget.lam, CONTRACT_GRID, budget.L)
-            per_order, total, loose = plan_git_samples(
-                budget.L, table, target.beta, target.eta
-            )
-            rows.append(
-                {
-                    "method": "git",
-                    "order": budget.L,
-                    "lam": budget.lam,
-                    "regime": budget.regime,
-                    "truncation_bound": budget.bound,
-                    "bound_ok": budget.bound_ok,
-                    "per_order_shots": per_order,
-                    "n_samples": total,
-                    "n_samples_loose": loose,
-                }
-            )
-        else:
-            plan = jackson_plan(target)
-            row = {
-                "method": "jackson",
-                "degree": plan.degree,
-                "amplifier_degree": plan.k,
-                "tau": plan.tau,
-                "d_min": plan.d_min,
-                "kn_ok": plan.kn_ok,
-            }
-            if plan.norm_lower is not None:
-                row["norm_lower"] = plan.norm_lower
-            if plan.norm_upper is not None:
-                row["norm_upper"] = plan.norm_upper
-            if plan.kernel is None:
-                row["degenerate"] = True
-            rows.append(row)
-    return rows
-
-
 def _cmd_plan(cfg: RunConfig) -> int:
     target = cfg.target()
-    rows = _plan_rows(cfg, target)
+    rows = [ESTIMATION_METHODS[name].plan_row(target) for name in _methods(cfg, _METHODS, "all")]
     for row in rows:
         text = ", ".join(
             f"{k}={fmt_float(v) if isinstance(v, float) else v}"
@@ -459,86 +363,42 @@ def _cmd_plan(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_transform(cfg: RunConfig) -> int:
+def _one_model(cfg: RunConfig, allowed: tuple[str, ...]):
+    """Target, method name and entry, model, spectrum map and the grid the method reads."""
     target = cfg.target()
-    (name,) = _methods(cfg, _METHODS, "fejer")
+    (name,) = _methods(cfg, allowed, "fejer")
+    method = ESTIMATION_METHODS[name]
     op, psi, amap = _load_pairs(cfg)[0]
-    model = diagonalize(op, psi)
-    if name in ("fejer", "qfejer"):
-        if name == "fejer":
-            kern = fejer_plan(target)
-            dist = qpe_distribution(model, kern.n)
-        else:
-            kern = qubitized_fejer_plan(target)
-            dist = qubitized_qpe_distribution(model.mapped(_UNIT_SHIFT), kern.n)
-        grid = TransformGrid(dist.grid, dist.probs, kind=kern.kind, kernel=kern)
-    elif name == "git":
-        lam = gaussian_resolution(target)
-        grid = exact_transform(model, GaussianKernel(lam), _nu_grid(cfg, target))
-    else:
-        plan = jackson_plan(target)
-        if plan.kernel is None:
-            raise ValidationError(
-                "the window construction degenerates at this target (tau >= 1)"
-            )
-        grid = exact_transform(model, plan.kernel, _nu_grid(cfg, target))
-    out = _out_dir(cfg)
-    path = out / "transform.csv"
+    nu = _nu_grid(cfg, target) if method.reads_nu else None
+    return target, name, method, diagonalize(op, psi), amap, nu
+
+
+def _write_transform(cfg: RunConfig, filename: str, name: str, grid, amap, extra=()) -> Path:
+    path = _out_dir(cfg) / filename
     header = _header_pairs(
         cfg,
-        [("method", name), ("kind", grid.kind), ("spectrum_scale", fmt_float(amap.scale))],
+        [("method", name), ("kind", grid.kind), ("spectrum_scale", fmt_float(amap.scale)), *extra],
     )
     _write_csv(path, header, ["frequency", "value"],
                np.column_stack((grid.frequencies, grid.values)))
+    return path
+
+
+def _cmd_transform(cfg: RunConfig) -> int:
+    target, name, method, model, amap, nu = _one_model(cfg, _METHODS)
+    grid = method.transform(model, target, nu)
+    path = _write_transform(cfg, "transform.csv", name, grid, amap)
     print(f"wrote {path} ({grid.frequencies.size} rows)")
     return 0
 
 
 def _cmd_estimate(cfg: RunConfig) -> int:
-    target = cfg.target()
+    target, name, method, model, amap, nu = _one_model(cfg, _ESTIMATORS)
     seed = cfg.require_seed()
-    (name,) = _methods(cfg, ("fejer", "qfejer", "git"), "fejer")
-    op, psi, amap = _load_pairs(cfg)[0]
-    model = diagonalize(op, psi)
-    if name in ("fejer", "qfejer"):
-        if name == "fejer":
-            kernel = fejer_plan(target)
-            spectrum_map = None
-        else:
-            kernel = qubitized_fejer_plan(target)
-            spectrum_map = _UNIT_SHIFT
-        n_samples = cfg.samples if cfg.samples is not None else plan_fejer_samples(
-            target.beta, target.eta
-        )
-        budget = Budget(method=kernel.family, kernel_order=kernel.n, n_samples=n_samples)
-        result = run_algorithm1(budget, seed, model, spectrum_map)
-    else:
-        per_order = None if cfg.samples is None else max(
-            1, cfg.samples // truncation_order(target).L
-        )
-        result = run_algorithm2(
-            model, target, _nu_grid(cfg, target), seed, per_order_shots=per_order
-        )
-    out = _out_dir(cfg)
+    result = method.estimate(model, method.budget(target, nu, cfg.samples), seed, nu)
     budget = result.budget
-    header = _header_pairs(
-        cfg,
-        [
-            ("method", name),
-            ("kind", result.transform.kind),
-            ("spectrum_scale", fmt_float(amap.scale)),
-            ("kernel_order", budget.kernel_order),
-            ("n_samples", budget.n_samples),
-            ("seed", seed),
-        ],
-    )
-    csv_path = out / "estimate.csv"
-    _write_csv(
-        csv_path,
-        header,
-        ["frequency", "value"],
-        np.column_stack((result.transform.frequencies, result.transform.values)),
-    )
+    extra = [("kernel_order", budget.kernel_order), ("n_samples", budget.n_samples), ("seed", seed)]
+    csv_path = _write_transform(cfg, "estimate.csv", name, result.transform, amap, extra)
     record = {
         "version": __version__,
         "config": cfg.hash(),
@@ -549,7 +409,7 @@ def _cmd_estimate(cfg: RunConfig) -> int:
         "rows": int(result.transform.frequencies.size),
         "spectrum_scale": amap.scale,
     }
-    json_path = out / "estimate_record.json"
+    json_path = csv_path.with_name("estimate_record.json")
     _write_json(json_path, record)
     print(f"wrote {csv_path} and {json_path}")
     return 0
@@ -628,7 +488,7 @@ def _fault_sweep(
 def _cmd_verify(cfg: RunConfig) -> int:
     target = cfg.target()
     seed = cfg.require_seed()
-    names = _methods(cfg, ("fejer", "git"), "all")
+    names = _methods(cfg, _CONTRACTS, "all")
     _grid_spacing(cfg, target)  # fail before the contract builds its grids
     pairs = _load_pairs(cfg)
     models = [diagonalize(op, psi) for op, psi, _ in pairs]
@@ -647,7 +507,8 @@ def _cmd_verify(cfg: RunConfig) -> int:
     )
     for name in names:
         setup = contract_setup(name, observables, target, cfg.grid_spacing, cfg.samples)
-        report = _run_contract(cfg, setup, models, derive_seed(seed, 1 if name == "fejer" else 2))
+        stream = ESTIMATION_METHODS[name].verify_stream
+        report = _run_contract(cfg, setup, models, derive_seed(seed, stream))
         entry = asdict(report)
         entry["passed"] = report.passed()
         report_json["reports"][name] = entry
@@ -657,7 +518,7 @@ def _cmd_verify(cfg: RunConfig) -> int:
             f"delta_v={report.delta_v:.4g} confidence={report.empirical_confidence:.4g} "
             f"threshold={report.threshold:.4g} -> {'PASS' if report.passed() else 'FAIL'}"
         )
-    if "fejer" in names:
+    if any(ESTIMATION_METHODS[name].checks_faults for name in names):
         op, psi, _ = pairs[0]
         sweep = _fault_sweep(cfg, target, op, psi, models[0], derive_seed(seed, 3))
         report_json["fault_sweep"] = sweep
@@ -668,16 +529,9 @@ def _cmd_verify(cfg: RunConfig) -> int:
                 f"measured={row['measured']:.4g} bound={row['bound']:.4g} "
                 f"-> {'OK' if row['ok'] else 'VIOLATION'}"
             )
-        out = _out_dir(cfg)
-        _write_csv(
-            out / "fault_sweep.csv",
-            _header_pairs(cfg),
-            ["n", "delta_t", "bound", "measured", "realizations", "ok"],
-            [
-                (r["n"], r["delta_t"], r["bound"], r["measured"], r["realizations"], r["ok"])
-                for r in sweep
-            ],
-        )
+        columns = ["n", "delta_t", "bound", "measured", "realizations", "ok"]
+        _write_csv(_out_dir(cfg) / "fault_sweep.csv", _header_pairs(cfg), columns,
+                   [tuple(r[k] for k in columns) for r in sweep])
     report_json["pass"] = overall
     out = _out_dir(cfg)
     path = out / "verify_report.json"
@@ -703,27 +557,16 @@ _SWEEPS = {
 
 
 def _sweep_points(name: str) -> tuple[np.ndarray, np.ndarray]:
+    """``1/x`` and the kernel order the sweep's method plans at each of its targets."""
     spec = _SWEEPS[name]
+    method = ESTIMATION_METHODS[name.split("_")[0]]
     values = np.logspace(math.log10(spec["lo"]), math.log10(spec["hi"]), spec["points"])
-    xs = []
     ms = []
     for v in values:
-        params = {
-            "sigma": spec.get("sigma"),
-            "delta": spec.get("delta"),
-            "beta": spec.get("beta"),
-        }
+        params = {k: spec.get(k) for k in ("sigma", "delta", "beta")}
         params[spec["var"]] = float(v)
-        target = AccuracyTarget(
-            sigma=params["sigma"], delta=params["delta"], beta=params["beta"], eta=0.05
-        )
-        if name.startswith("fejer"):
-            m = fejer_plan(target).n
-        else:
-            m = truncation_order(target).L
-        xs.append(1.0 / v)
-        ms.append(m)
-    return np.asarray(xs), np.asarray(ms, dtype=float)
+        ms.append(method.kernel_order(AccuracyTarget(**params, eta=0.05)))
+    return 1.0 / values, np.asarray(ms, dtype=float)
 
 
 def _cmd_bench(cfg: RunConfig) -> int:
@@ -731,22 +574,14 @@ def _cmd_bench(cfg: RunConfig) -> int:
     deltas = [cfg.delta] if cfg.delta is not None else [0.1, 0.05, 0.01]
     epsilons = [cfg.sigma] if cfg.sigma is not None else [0.1, 0.05]
     rows = complexity_table(deltas, epsilons, eta=cfg.eta)
-    _write_csv(
-        out / "complexity.csv",
-        _header_pairs(cfg),
-        ["method", "delta", "eps", "kernel_order", "n_samples", "note"],
-        [
-            (r["method"], r["delta"], r["eps"], r["kernel_order"], r["n_samples"], r["note"])
-            for r in rows
-        ],
-    )
-    fit_header = list(_header_pairs(cfg))
+    columns = ["method", "delta", "eps", "kernel_order", "n_samples", "note"]
+    _write_csv(out / "complexity.csv", _header_pairs(cfg), columns,
+               [tuple(r[k] for k in columns) for r in rows])
+    fit_header = _header_pairs(cfg)
     data_rows = []
-    fits = {}
     for name in _SWEEPS:
         xs, ms = _sweep_points(name)
         exponent, intercept, r2 = scaling_fit(xs, ms)
-        fits[name] = {"exponent": exponent, "intercept": intercept, "r2": r2}
         predicted = exponent * np.log(xs) + intercept
         residuals = np.log(ms) - predicted
         fit_header.append(
@@ -760,19 +595,19 @@ def _cmd_bench(cfg: RunConfig) -> int:
             (name, float(x), float(m), float(res))
             for x, m, res in zip(xs, ms, residuals)
         )
+        print(f"{name}: exponent={exponent:.4f} r2={r2:.5f}")
     _write_csv(
         out / "scaling.csv",
         fit_header,
         ["sweep", "x", "m", "fit_residual"],
         data_rows,
     )
-    for name, fit in fits.items():
-        print(
-            f"{name}: exponent={fit['exponent']:.4f} r2={fit['r2']:.5f}"
-        )
     print(f"wrote {out / 'complexity.csv'} and {out / 'scaling.csv'}")
     return 0
 
+
+# Built once: a process forked from an imported specden.cli reuses it.
+_PARSER = _build_parser()
 
 _DISPATCH = {
     "plan": _cmd_plan,
@@ -784,8 +619,7 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         cfg = _resolve_config(args)
         return _DISPATCH[cfg.command](cfg)

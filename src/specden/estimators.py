@@ -15,6 +15,11 @@ sample budgets from a :class:`~specden.operators.SpectralModel`:
   coefficients on the requested grid, with a coefficient-agnostic
   fallback bound.
 
+:data:`ESTIMATION_METHODS` holds one :class:`EstimationMethod` per
+method of the command line (``fejer``, ``qfejer``, ``git`` and
+``jackson``, which only plans and transforms); each answers for its own
+plan, budget, draws and exact reference.
+
 :func:`complexity_table` tabulates planned resources across accuracy
 targets for the implemented methods, next to an analytic row for the
 textbook phase-estimation-with-amplification approach, which is costed
@@ -25,22 +30,34 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 import numpy.polynomial.chebyshev as npcheb
 
-from .chebgauss import git_transform_from_moments, projection_cmax, truncation_order
+from .chebgauss import (
+    coefficient_table,
+    projection_cmax,
+    projection_values,
+    truncation_order,
+)
 from .errors import ValidationError
 from .kernels import (
     AccuracyTarget,
     FejerKernel,
+    GaussianKernel,
+    KernelSpec,
     QubitizedFejerKernel,
+    delta_theta,
+    fejer_grid,
     fejer_plan,
     gaussian_resolution,
+    jackson_plan,
+    qubitized_fejer_plan,
 )
 from .numerics import child_rng
-from .operators import AffineMap, SpectralModel, TransformGrid
+from .operators import AffineMap, SpectralModel, TransformGrid, exact_transform
 from .sampling import (
     OutcomeDistribution,
     hadamard_test_sample,
@@ -51,8 +68,10 @@ from .sampling import (
 __all__ = [
     "METHODS",
     "CONTRACT_GRID",
+    "ESTIMATION_METHODS",
     "Budget",
     "EstimationResult",
+    "EstimationMethod",
     "plan_fejer_samples",
     "plan_git_samples",
     "model_moments",
@@ -63,7 +82,6 @@ __all__ = [
     "complexity_table",
 ]
 
-METHODS = ("fejer", "qubitized_fejer", "git")
 # Frequencies at which the moment route's contract is checked and its
 # per-order shots are sized when no grid is given.
 CONTRACT_GRID = np.linspace(-0.8, 0.8, 5)
@@ -74,6 +92,7 @@ CONTRACT_GRID.flags.writeable = False
 class Budget:
     """Planned resources for one estimation run.
 
+    `method` is the route's family (one of :data:`METHODS`).
     `kernel_order` is the grid size for the histogram methods and the
     expansion order for the moment method; `n_samples` is the total
     measurement count.  The moment method satisfies ``n_samples =
@@ -92,19 +111,15 @@ class Budget:
             raise ValidationError(f"method must be one of {METHODS}, got {self.method!r}")
         if self.kernel_order < 1 or self.n_samples < 1:
             raise ValidationError("kernel_order and n_samples must be positive")
-        if self.method == "git":
-            if self.per_order_shots is None or self.lam is None:
-                raise ValidationError("git budgets need per_order_shots and lam")
-            if self.n_samples != self.kernel_order * self.per_order_shots:
-                raise ValidationError(
-                    "git budget inconsistent: n_samples must equal "
-                    "kernel_order * per_order_shots"
-                )
+        _FAMILIES[self.method].check(self)
 
 
 @dataclass(frozen=True)
 class EstimationResult:
-    """Transform estimate together with the budget that produced it."""
+    """Transform estimate together with the budget that produced it.
+
+    `moments` holds the sampled moment vector of the moment route.
+    """
 
     transform: TransformGrid
     budget: Budget
@@ -135,6 +150,11 @@ def plan_fejer_samples(
     n_samples = math.ceil(2.0 * math.log(2.0 / eta) / beta**2)
     delta_t = beta / (2.0 * math.log2(n))
     return n_samples, delta_t
+
+
+def _agnostic_git_total(order: int, beta: float, eta: float) -> int:
+    """Coefficient-agnostic moment-route total ``ceil(2 order^3 (1 + 2.2/beta)^2 ln(2/eta))``."""
+    return math.ceil(2.0 * order**3 * (1.0 + 2.2 / beta) ** 2 * math.log(2.0 / eta))
 
 
 def plan_git_samples(
@@ -169,31 +189,12 @@ def plan_git_samples(
         raise ValidationError(f"coefficient table has no usable magnitude ({c_max!r})")
     per_order = math.ceil(2.0 * math.log(2.0 / eta) * (order * c_max / beta) ** 2)
     total = order * per_order
-    loose = math.ceil(2.0 * order**3 * (1.0 + 2.2 / beta) ** 2 * math.log(2.0 / eta))
+    loose = _agnostic_git_total(order, beta, eta)
     if c_max <= beta + 2.2 and total > loose:
         raise ValidationError(
             f"coefficient-aware total {total} exceeds the agnostic bound {loose}"
         )
     return per_order, total, loose
-
-
-def _merge_mirror_bins(
-    grid: np.ndarray, values: np.ndarray, amap: AffineMap
-) -> tuple[np.ndarray, np.ndarray]:
-    """Fold ``+-sigma`` outcome pairs onto recovered frequencies.
-
-    Outcomes at `sigma` and `-sigma` recover the same frequency
-    ``cos(pi sigma)``; their masses are summed and the result is mapped
-    back through the inverse of `amap` and sorted ascending.
-    """
-    keys = np.round(np.abs(grid) * grid.size / 2.0).astype(int)
-    uniq, inverse = np.unique(keys, return_inverse=True)
-    merged = np.zeros(uniq.size)
-    np.add.at(merged, inverse, values)
-    omega_unit = np.cos(np.pi * (2.0 * uniq / grid.size))
-    omega = np.asarray(amap.invert(omega_unit), dtype=float)
-    order = np.argsort(omega)
-    return omega[order], merged[order]
 
 
 def sample_histogram(dist: OutcomeDistribution, n_samples: int, seed: int) -> np.ndarray:
@@ -204,42 +205,6 @@ def sample_histogram(dist: OutcomeDistribution, n_samples: int, seed: int) -> np
     """
     counts = child_rng(seed, 0).multinomial(n_samples, dist.probs / dist.probs.sum())
     return counts / n_samples
-
-
-def run_algorithm1(
-    budget: Budget,
-    seed: int,
-    model: SpectralModel,
-    spectrum_map: AffineMap | None = None,
-) -> EstimationResult:
-    """Histogram estimate of the broadened transform.
-
-    Draws ``budget.n_samples`` outcomes from the phase-estimation
-    distribution of `model` and returns empirical bin frequencies.  For
-    ``method="qubitized_fejer"`` the spectrum must be mapped into [0, 1]
-    by `spectrum_map` (applied here; recovered frequencies are mapped
-    back through its inverse, with mirror outcome bins merged).
-    """
-    if budget.method not in ("fejer", "qubitized_fejer"):
-        raise ValidationError(f"histogram route does not implement {budget.method!r}")
-    start = time.perf_counter()
-    n = budget.kernel_order
-    if n < 2 or n & (n - 1):
-        raise ValidationError(f"histogram grid size must be a power of two >= 2, got {n}")
-    if budget.method == "fejer":
-        dist = qpe_distribution(model, n)
-        kernel = FejerKernel(n)
-    elif spectrum_map is None:
-        raise ValidationError("qubitized_fejer needs a spectrum_map into [0, 1]")
-    else:
-        dist = qubitized_qpe_distribution(model.mapped(spectrum_map), n)
-        kernel = QubitizedFejerKernel(n)
-    freqs, values = dist.grid, sample_histogram(dist, budget.n_samples, seed)
-    if budget.method == "qubitized_fejer":
-        freqs, values = _merge_mirror_bins(freqs, values, spectrum_map)
-    transform = TransformGrid(frequencies=freqs, values=values, kind=kernel.kind, kernel=kernel)
-    elapsed = time.perf_counter() - start
-    return EstimationResult(transform=transform, budget=budget, elapsed=elapsed)
 
 
 def model_moments(model: SpectralModel, order: int) -> np.ndarray:
@@ -268,6 +233,301 @@ def sample_moments(moments, per_order: int, seeds) -> np.ndarray:
     return draws
 
 
+class EstimationMethod:
+    """One method of the command line, answering for itself.
+
+    Every method gives its `plan_row` for ``plan`` and the exact
+    broadened transform ``transform`` writes.  A method with a `family`
+    (its name in a :class:`Budget`) also estimates:
+
+    * `budget` plans its resources for a target and a frequency grid;
+    * `source` is what trials sample from (an outcome distribution or
+      exact moments), `draw` one trial per seed from it, and `project`
+      the trials' transform values on a grid, ``trials x grid``;
+    * `kernel` gives the exact reference, `exact`, and `estimate` wraps
+      one seed's draw as a transform on `grid`.
+
+    `verify_stream` is the seed stream of the method's accuracy contract
+    in ``verify`` (None: no contract), `reads_nu` whether it reads the
+    requested frequency grid, and `checks_faults` whether ``verify`` runs
+    the faulty-evolution sweep with it.
+    """
+
+    name: ClassVar[str]
+    family: ClassVar[str | None] = None
+    verify_stream: ClassVar[int | None] = None
+    reads_nu: ClassVar[bool] = True
+    checks_faults: ClassVar[bool] = False
+    moment_route: ClassVar[bool] = False
+
+    def exact(self, model: SpectralModel, budget: Budget, grid) -> TransformGrid:
+        return exact_transform(model, self.kernel(budget), grid)
+
+    def estimate(self, model: SpectralModel, budget: Budget, seed: int, nu=None) -> EstimationResult:
+        start = time.perf_counter()
+        draws = self.draw(model, budget, [seed])
+        grid = self.grid(budget, nu)
+        kernel = self.kernel(budget)
+        transform = TransformGrid(grid, self.project(draws, budget, grid)[0], kernel.kind, kernel)
+        return EstimationResult(transform, budget, time.perf_counter() - start,
+                                moments=draws[0] if self.moment_route else None)
+
+
+@dataclass(frozen=True)
+class _Histogram(EstimationMethod):
+    """Phase estimation: histograms of `n_samples` outcomes on the Fejer grid."""
+
+    name: ClassVar[str] = "fejer"
+    family: ClassVar[str] = "fejer"
+    verify_stream: ClassVar[int] = 1
+    reads_nu: ClassVar[bool] = False
+    checks_faults: ClassVar[bool] = True
+
+    # the affine map into [0, 1] that a folded route applies to the spectrum
+    spectrum_map: AffineMap | None = None
+
+    def kernel_order(self, target: AccuracyTarget) -> int:
+        return fejer_plan(target).n
+
+    def plan_row(self, target: AccuracyTarget) -> dict:
+        n = self.kernel_order(target)
+        n_faulty, dt = plan_fejer_samples(target.beta, target.eta, faulty=True, n=n)
+        return {
+            "method": self.name,
+            "grid_size": n,
+            "n_samples": plan_fejer_samples(target.beta, target.eta),
+            "n_samples_faulty": n_faulty,
+            "delta_t": dt,
+        }
+
+    def budget(self, target: AccuracyTarget, grid=None, samples: int | None = None) -> Budget:
+        if samples is None:
+            samples = plan_fejer_samples(target.beta, target.eta)
+        return Budget(self.family, self.kernel_order(target), samples)
+
+    def check(self, budget: Budget) -> None:
+        pass
+
+    def kernel(self, budget: Budget) -> KernelSpec:
+        return FejerKernel(budget.kernel_order)
+
+    def grid(self, budget: Budget, nu=None) -> np.ndarray:
+        return fejer_grid(budget.kernel_order)
+
+    def source(self, model: SpectralModel, budget: Budget) -> OutcomeDistribution:
+        return qpe_distribution(model, budget.kernel_order)
+
+    def draw(self, model, budget: Budget, seeds, source=None) -> np.ndarray:
+        dist = self.source(model, budget) if source is None else source
+        return np.array([sample_histogram(dist, budget.n_samples, seed) for seed in seeds])
+
+    def project(self, draws: np.ndarray, budget: Budget, grid) -> np.ndarray:
+        return draws
+
+    def transform(self, model: SpectralModel, target: AccuracyTarget, nu=None) -> TransformGrid:
+        budget = self.budget(target)
+        dist = self.source(model, budget)
+        kernel = self.kernel(budget)
+        return TransformGrid(dist.grid, dist.probs, kind=kernel.kind, kernel=kernel)
+
+
+@dataclass(frozen=True)
+class _FoldedHistogram(_Histogram):
+    """Phase estimation on the walk operator, with ``+-sigma`` outcome pairs merged.
+
+    The spectrum is mapped into [0, 1] by `spectrum_map`.  Outcomes at
+    `sigma` and `-sigma` recover the same frequency ``cos(pi sigma)``;
+    `project` sums their masses, and `grid` maps the recovered
+    frequencies back through the inverse of `spectrum_map`, ascending.
+    """
+
+    name: ClassVar[str] = "qfejer"
+    family: ClassVar[str] = "qubitized_fejer"
+    verify_stream: ClassVar[None] = None
+    checks_faults: ClassVar[bool] = False
+
+    spectrum_map: AffineMap | None = AffineMap(0.5, 0.5)
+
+    def kernel_order(self, target: AccuracyTarget) -> int:
+        return qubitized_fejer_plan(target).n
+
+    def plan_row(self, target: AccuracyTarget) -> dict:
+        return {
+            "method": self.name,
+            "grid_size": self.kernel_order(target),
+            "delta_theta": delta_theta(target.delta),
+            "n_samples": plan_fejer_samples(target.beta, target.eta),
+        }
+
+    def kernel(self, budget: Budget) -> KernelSpec:
+        return QubitizedFejerKernel(budget.kernel_order)
+
+    def grid(self, budget: Budget, nu=None) -> np.ndarray:
+        n = budget.kernel_order
+        unit = np.cos(np.pi * (2.0 * np.arange(n // 2, -1, -1) / n))
+        return np.asarray(self.spectrum_map.invert(unit), dtype=float)
+
+    def source(self, model: SpectralModel, budget: Budget) -> OutcomeDistribution:
+        return qubitized_qpe_distribution(model.mapped(self.spectrum_map), budget.kernel_order)
+
+    def project(self, draws: np.ndarray, budget: Budget, grid) -> np.ndarray:
+        # sigma_q = 2q/n - 1 pairs outcome n/2 + k with n/2 - k; bin k recovers cos(2 pi k / n)
+        h = draws.shape[-1] // 2
+        merged = np.zeros(draws.shape[:-1] + (h + 1,))
+        merged[..., :h] += draws[..., h:]
+        merged[..., 1:] += draws[..., h - 1::-1]
+        return merged[..., ::-1]
+
+
+class _Moments(EstimationMethod):
+    """The GIT moment route: Hadamard-test moments projected onto the Gaussian."""
+
+    name: ClassVar[str] = "git"
+    family: ClassVar[str] = "git"
+    verify_stream: ClassVar[int] = 2
+    moment_route: ClassVar[bool] = True
+
+    def kernel_order(self, target: AccuracyTarget) -> int:
+        return truncation_order(target).L
+
+    def plan_row(self, target: AccuracyTarget) -> dict:
+        budget = truncation_order(target)
+        table = coefficient_table(budget.lam, CONTRACT_GRID, budget.L)
+        per_order, total, loose = plan_git_samples(budget.L, table, target.beta, target.eta)
+        return {
+            "method": self.name,
+            "order": budget.L,
+            "lam": budget.lam,
+            "regime": budget.regime,
+            "truncation_bound": budget.bound,
+            "bound_ok": budget.bound_ok,
+            "per_order_shots": per_order,
+            "n_samples": total,
+            "n_samples_loose": loose,
+        }
+
+    def budget(
+        self,
+        target: AccuracyTarget,
+        grid=CONTRACT_GRID,
+        samples: int | None = None,
+        per_order: int | None = None,
+    ) -> Budget:
+        """Width, order and shots at `target`.
+
+        The per-order shots are sized on the projection's largest
+        coefficient over `grid`, unless `samples` sets the total (split
+        evenly over the orders, at least one shot each) or `per_order`
+        sets them directly.
+        """
+        lam = gaussian_resolution(target)
+        order = self.kernel_order(target)
+        if per_order is None and samples is not None:
+            per_order = max(1, samples // order)
+        elif per_order is None:
+            grid = np.atleast_1d(np.asarray(grid, dtype=float))
+            c_max = projection_cmax(lam, grid, order)
+            if not c_max > 0.0:
+                where = (f"nu = {grid[0]:g}" if grid.size == 1 else
+                         f"all {grid.size} points of the grid over [{grid.min():g}, {grid.max():g}]")
+                raise ValidationError(
+                    f"no requested frequency sees the kernel: its projection (width "
+                    f"{lam:.4g}) vanishes at {where}"
+                )
+            per_order = plan_git_samples(order, c_max, target.beta, target.eta)[0]
+        return Budget(self.family, order, order * per_order, lam=lam, per_order_shots=per_order)
+
+    def check(self, budget: Budget) -> None:
+        shots = budget.per_order_shots
+        if budget.lam is None or shots is None or budget.n_samples != budget.kernel_order * shots:
+            raise ValidationError(
+                "git budgets need lam and per_order_shots, with n_samples equal to "
+                "kernel_order * per_order_shots"
+            )
+
+    def kernel(self, budget: Budget) -> KernelSpec:
+        return GaussianKernel(budget.lam)
+
+    def grid(self, budget: Budget, nu) -> np.ndarray:
+        return np.atleast_1d(np.asarray(nu, dtype=float))
+
+    def source(self, model: SpectralModel, budget: Budget) -> np.ndarray:
+        return model_moments(model, budget.kernel_order)
+
+    def draw(self, model, budget: Budget, seeds, source=None) -> np.ndarray:
+        moments = self.source(model, budget) if source is None else source
+        return sample_moments(moments, budget.per_order_shots, seeds)
+
+    def project(self, draws: np.ndarray, budget: Budget, grid) -> np.ndarray:
+        return projection_values(draws, budget.lam, grid)
+
+    def transform(self, model: SpectralModel, target: AccuracyTarget, nu) -> TransformGrid:
+        return exact_transform(model, GaussianKernel(gaussian_resolution(target)), nu)
+
+
+class _Jackson(EstimationMethod):
+    """The amplified Jackson window: planned and transformed, not estimated."""
+
+    name: ClassVar[str] = "jackson"
+
+    def plan_row(self, target: AccuracyTarget) -> dict:
+        plan = jackson_plan(target)
+        row = {
+            "method": self.name,
+            "degree": plan.degree,
+            "amplifier_degree": plan.k,
+            "tau": plan.tau,
+            "d_min": plan.d_min,
+            "kn_ok": plan.kn_ok,
+        }
+        if plan.norm_lower is not None:
+            row["norm_lower"] = plan.norm_lower
+        if plan.norm_upper is not None:
+            row["norm_upper"] = plan.norm_upper
+        if plan.kernel is None:
+            row["degenerate"] = True
+        return row
+
+    def transform(self, model: SpectralModel, target: AccuracyTarget, nu) -> TransformGrid:
+        plan = jackson_plan(target)
+        if plan.kernel is None:
+            raise ValidationError(
+                "the window construction degenerates at this target (tau >= 1)"
+            )
+        return exact_transform(model, plan.kernel, nu)
+
+
+ESTIMATION_METHODS: dict[str, EstimationMethod] = {
+    m.name: m for m in (_Histogram(), _FoldedHistogram(), _Moments(), _Jackson())
+}
+_FAMILIES = {m.family: m for m in ESTIMATION_METHODS.values() if m.family is not None}
+METHODS = tuple(_FAMILIES)
+
+
+def run_algorithm1(
+    budget: Budget,
+    seed: int,
+    model: SpectralModel,
+    spectrum_map: AffineMap | None = None,
+) -> EstimationResult:
+    """Histogram estimate of the broadened transform.
+
+    Draws ``budget.n_samples`` outcomes from the phase-estimation
+    distribution of `model` and returns empirical bin frequencies.  For
+    ``method="qubitized_fejer"`` the spectrum must be mapped into [0, 1]
+    by `spectrum_map` (applied here; recovered frequencies are mapped
+    back through its inverse, with mirror outcome bins merged).
+    """
+    method = _FAMILIES[budget.method]
+    if not isinstance(method, _Histogram):
+        raise ValidationError(f"histogram route does not implement {budget.method!r}")
+    if method.spectrum_map is not None:
+        if spectrum_map is None:
+            raise ValidationError(f"{budget.method} needs a spectrum_map into [0, 1]")
+        method = replace(method, spectrum_map=spectrum_map)
+    return method.estimate(model, budget, seed)
+
+
 def run_algorithm2(
     model: SpectralModel,
     target: AccuracyTarget,
@@ -287,28 +547,10 @@ def run_algorithm2(
 
     The model spectrum must lie in [-1, 1]; normalize first.
     """
-    nu = np.atleast_1d(np.asarray(nu, dtype=float))
-    lam = gaussian_resolution(target)
-    order = truncation_order(target).L
-    if per_order_shots is None:
-        c_max = projection_cmax(lam, nu, order)
-        per_order, total, _ = plan_git_samples(order, c_max, target.beta, target.eta)
-    else:
-        if per_order_shots < 1:
-            raise ValidationError(f"per_order_shots must be >= 1, got {per_order_shots!r}")
-        per_order, total = per_order_shots, order * per_order_shots
-    start = time.perf_counter()
-    v = sample_moments(model_moments(model, order), per_order, [seed])[0]
-    transform = git_transform_from_moments(v, lam, nu)
-    elapsed = time.perf_counter() - start
-    budget = Budget(
-        method="git",
-        kernel_order=order,
-        n_samples=total,
-        lam=lam,
-        per_order_shots=per_order,
-    )
-    return EstimationResult(transform=transform, budget=budget, elapsed=elapsed, moments=v)
+    if per_order_shots is not None and per_order_shots < 1:
+        raise ValidationError(f"per_order_shots must be >= 1, got {per_order_shots!r}")
+    git = _FAMILIES["git"]
+    return git.estimate(model, git.budget(target, nu, per_order=per_order_shots), seed, nu)
 
 
 def complexity_table(deltas, epsilons, eta: float = 0.05) -> list[dict]:
@@ -335,40 +577,16 @@ def complexity_table(deltas, epsilons, eta: float = 0.05) -> list[dict]:
         for eps in epsilons:
             target = AccuracyTarget(sigma=eps, delta=delta, beta=eps, eta=eta)
             log_eps = math.log(1.0 / eps)
-            rows.append(
-                {
-                    "method": "tsa",
-                    "delta": delta,
-                    "eps": eps,
-                    "kernel_order": math.ceil(log_eps**2 / delta),
-                    "n_samples": math.ceil(
-                        log_eps**6 * math.log(1.0 / eta) / (delta**3 * eps**2)
-                    ),
-                    "note": "analytic; not implemented",
-                }
-            )
-            rows.append(
-                {
-                    "method": "fejer",
-                    "delta": delta,
-                    "eps": eps,
-                    "kernel_order": fejer_plan(target).n,
-                    "n_samples": plan_fejer_samples(eps, eta),
-                    "note": "planned",
-                }
-            )
-            git_order = truncation_order(target).L
-            loose = math.ceil(
-                2.0 * git_order**3 * (1.0 + 2.2 / eps) ** 2 * math.log(2.0 / eta)
-            )
-            rows.append(
-                {
-                    "method": "git",
-                    "delta": delta,
-                    "eps": eps,
-                    "kernel_order": git_order,
-                    "n_samples": loose,
-                    "note": "planned; coefficient-agnostic samples",
-                }
-            )
+            tsa = (math.ceil(log_eps**2 / delta),
+                   math.ceil(log_eps**6 * math.log(1.0 / eta) / (delta**3 * eps**2)))
+            fejer = (_FAMILIES["fejer"].kernel_order(target), plan_fejer_samples(eps, eta))
+            git_order = _FAMILIES["git"].kernel_order(target)
+            for method, (order, n_samples), note in (
+                ("tsa", tsa, "analytic; not implemented"),
+                ("fejer", fejer, "planned"),
+                ("git", (git_order, _agnostic_git_total(git_order, eps, eta)),
+                 "planned; coefficient-agnostic samples"),
+            ):
+                rows.append({"method": method, "delta": delta, "eps": eps,
+                             "kernel_order": order, "n_samples": n_samples, "note": note})
     return rows

@@ -23,36 +23,18 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .chebgauss import projection_cmax, projection_values, truncation_order
 from .errors import ValidationError
-from .estimators import (
-    CONTRACT_GRID,
-    Budget,
-    model_moments,
-    plan_fejer_samples,
-    plan_git_samples,
-    sample_histogram,
-    sample_moments,
-)
-from .kernels import (
-    AccuracyTarget,
-    GaussianKernel,
-    KernelSpec,
-    fejer_grid,
-    fejer_plan,
-    gaussian_resolution,
-    sigma_accuracy,
-)
+from .estimators import CONTRACT_GRID, ESTIMATION_METHODS, Budget
+from .kernels import AccuracyTarget, KernelSpec, sigma_accuracy
 from .numerics import derive_seed
 from .operators import (
     ObservableFn,
     SpectralModel,
     TransformGrid,
-    _warn_if_coarse,
     exact_transform,
     observable_exact,
+    observable_from_transform,
 )
-from .sampling import qpe_distribution
 
 __all__ = [
     "AccuracyReport",
@@ -238,11 +220,14 @@ def bounded_observables(
 class ContractSetup:
     """The per-target work of a contract check, shared by every model.
 
-    `obs_values` holds each observable on the grid it is summed over:
-    the histogram bins (`grid`) for ``"fejer"``, which draws `n_samples`
-    outcomes per trial, or the `dense` margin grid for ``"git"``, which
-    draws `per_order` shots per order up to `order`.  It pickles, so a
-    process pool can ship one to every worker.
+    `method` names an entry of
+    :data:`~specden.estimators.ESTIMATION_METHODS`, which draws the
+    trials of `budget`.  Each trial's deviation is measured on `grid`.
+    A density's observables are integrated over `dense`, the grid
+    extended eight kernel widths past [-1, 1], where the deviation is
+    measured again; a discrete transform's are summed over `grid`, and
+    `dense` is None.  It pickles, so a process pool can ship one to
+    every worker.
     """
 
     method: str
@@ -250,12 +235,9 @@ class ContractSetup:
     spacing: float
     measured_sigma: float
     kernel: KernelSpec
+    budget: Budget
     grid: np.ndarray
     observables: tuple[BoundedObservable, ...]
-    obs_values: tuple[np.ndarray, ...]
-    n_samples: int = 0
-    order: int = 0
-    per_order: int = 0
     dense: np.ndarray | None = None
 
 
@@ -273,86 +255,31 @@ def contract_setup(
     overrides the planned measurement total (for the moment method it is
     split evenly over the orders).
     """
-    if method not in ("fejer", "git"):
+    entry = ESTIMATION_METHODS.get(method)
+    if entry is None or entry.verify_stream is None:
         raise ValidationError(f"contract check does not implement {method!r}")
     h = target.delta / 20.0 if spacing is None else float(spacing)
-    if method == "fejer":
-        kernel = fejer_plan(target)
-        if n_samples is None:
-            n_samples = plan_fejer_samples(target.beta, target.eta)
-        budget = Budget(method="fejer", kernel_order=kernel.n, n_samples=n_samples)
-        grid = obs_grid = fejer_grid(kernel.n)
-        plan = dict(n_samples=budget.n_samples)
-    else:
-        lam = gaussian_resolution(target)
-        kernel = GaussianKernel(lam)
-        order = truncation_order(target).L
-        if n_samples is None:
-            c_max = projection_cmax(lam, CONTRACT_GRID, order)
-            per_order, _, _ = plan_git_samples(order, c_max, target.beta, target.eta)
-        else:
-            per_order = max(1, n_samples // order)
-        margin = 8.0 * lam
-        grid = CONTRACT_GRID
-        obs_grid = np.arange(-1.0 - margin, 1.0 + margin + h / 2.0, h)
-        plan = dict(order=order, per_order=per_order, dense=obs_grid)
-    observables = tuple(observables)
+    budget = entry.budget(target, CONTRACT_GRID, n_samples)
+    kernel = entry.kernel(budget)
+    dense = None
+    if kernel.kind == "density":
+        margin = 8.0 * kernel.width
+        dense = np.arange(-1.0 - margin, 1.0 + margin + h / 2.0, h)
     return ContractSetup(
         method=method,
         target=target,
         spacing=h,
         measured_sigma=sigma_accuracy(kernel, target.delta, h).value,
         kernel=kernel,
-        grid=grid,
-        observables=observables,
-        obs_values=tuple(ob.fn(obs_grid) for ob in observables),
-        **plan,
+        budget=budget,
+        grid=entry.grid(budget, CONTRACT_GRID),
+        observables=tuple(observables),
+        dense=dense,
     )
 
 
-# Histogram trials are drawn and checked in blocks of at most this many bins.
+# Trials are drawn and checked in blocks of at most this many cells of the contract grid.
 _BLOCK_CELLS = 2**16
-
-
-def _trial_errors(
-    setup: ContractSetup, model: SpectralModel, trials: int, seed: int, index: int
-) -> tuple[np.ndarray, np.ndarray | None, list[np.ndarray]]:
-    """Per-trial deviations, margin deviations and observable estimates of one model.
-
-    Trial j draws with the seed ``(seed, index, j)``.  The margin
-    deviations are None for the histogram method.
-    """
-    kernel = setup.kernel
-    ref = exact_transform(model, kernel, setup.grid).values
-    if setup.method == "fejer":
-        dist = qpe_distribution(model, kernel.n)
-        dev = np.empty(trials)
-        estimates = [np.empty(trials) for _ in setup.obs_values]
-        rows = max(1, _BLOCK_CELLS // dist.size)
-        for start in range(0, trials, rows):
-            block = slice(start, min(trials, start + rows))
-            hist = np.array([
-                sample_histogram(dist, setup.n_samples, derive_seed(seed, index, j))
-                for j in range(block.start, block.stop)
-            ])
-            dev[block] = np.max(np.abs(hist - ref), axis=1)
-            for est, fx in zip(estimates, setup.obs_values):
-                est[block] = hist @ fx
-        return dev, None, estimates
-    seeds = [derive_seed(seed, index, j) for j in range(trials)]
-    draws = sample_moments(model_moments(model, setup.order), setup.per_order, seeds)
-    values = projection_values(draws, kernel.lam, setup.grid)
-    dense_values = projection_values(draws, kernel.lam, setup.dense)
-    ref_dense = exact_transform(model, kernel, setup.dense).values
-    estimates = []
-    for fx in setup.obs_values:
-        _warn_if_coarse(setup.dense, kernel)
-        estimates.append(np.trapezoid(dense_values * fx, setup.dense, axis=1))
-    return (
-        np.max(np.abs(values - ref), axis=1),
-        np.max(np.abs(dense_values - ref_dense), axis=1),
-        estimates,
-    )
 
 
 def contract_check(
@@ -365,48 +292,53 @@ def contract_check(
 
     Trial j of model i uses the derived seed ``(seed, i, j)``.  Each
     model's reference transforms and exact observables are computed
-    once, and its trials are checked as arrays: histograms in blocks of
-    at most 2^16 bins, moment vectors all at once.
+    once, and its trials are drawn by the method's entry and checked as
+    arrays, in blocks of at most 2^16 cells of the contract grid.
     """
     models = [model] if isinstance(model, SpectralModel) else list(model)
     if not models:
         raise ValidationError("need at least one spectral model")
     if trials < 1:
         raise ValidationError("trials must be >= 1")
-    target = setup.target
+    target, entry = setup.target, ESTIMATION_METHODS[setup.method]
+    budget, grid, dense = setup.budget, setup.grid, setup.dense
+    rows = max(1, _BLOCK_CELLS // grid.size)
     worst = 0.0
     worst_margin = 0.0
     hits = 0
     obs_hits = [0] * len(setup.observables)
     for i, mod in enumerate(models):
-        dev, margin, estimates = _trial_errors(setup, mod, trials, seed, i)
-        worst = max(worst, float(dev.max()))
-        if margin is not None:
-            worst_margin = max(worst_margin, float(margin.max()))
-        hits += int(np.count_nonzero(dev <= target.beta))
-        for k, (ob, est) in enumerate(zip(setup.observables, estimates)):
-            q_exact = observable_exact(mod, ob.fn)
-            obs_hits[k] += int(np.count_nonzero(np.abs(q_exact - est) <= ob.bound.total))
+        source = entry.source(mod, budget)
+        ref = entry.exact(mod, budget, grid).values
+        ref_dense = None if dense is None else entry.exact(mod, budget, dense).values
+        q_exact = [observable_exact(mod, ob.fn) for ob in setup.observables]
+        for start in range(0, trials, rows):
+            seeds = [derive_seed(seed, i, j) for j in range(start, min(trials, start + rows))]
+            draws = entry.draw(mod, budget, seeds, source)
+            values = entry.project(draws, budget, grid)
+            dev = np.max(np.abs(values - ref), axis=1)
+            worst = max(worst, float(dev.max()))
+            hits += int(np.count_nonzero(dev <= target.beta))
+            if dense is not None:
+                values = entry.project(draws, budget, dense)
+                worst_margin = max(worst_margin, float(np.max(np.abs(values - ref_dense))))
+            summed = TransformGrid(grid if dense is None else dense, values, setup.kernel.kind,
+                                   setup.kernel)
+            for k, ob in enumerate(setup.observables):
+                est = observable_from_transform(summed, ob.fn)
+                obs_hits[k] += int(np.count_nonzero(np.abs(q_exact[k] - est) <= ob.bound.total))
     total_runs = trials * len(models)
-    confidence = hits / total_runs
-    threshold = binomial_threshold(target.eta, total_runs)
-    names = [ob.name for ob in setup.observables]
-    obs_conf = {name: c / total_runs for name, c in zip(names, obs_hits)}
-    return AccuracyReport(
+    return _pooled_report(
+        target.eta,
+        total_runs,
+        hits / total_runs,
+        {ob.name: c / total_runs for ob, c in zip(setup.observables, obs_hits)} or None,
+        {ob.name: ob.bound.total for ob in setup.observables} or None,
         measured_sigma=setup.measured_sigma,
         delta_v=worst,
-        empirical_confidence=confidence,
         grid_spacing=setup.spacing,
-        n_trials=total_runs,
-        threshold=threshold,
         pass_sigma=setup.measured_sigma <= target.sigma + 1e-12,
-        pass_beta=confidence >= threshold,
-        margin_delta_v=worst_margin if setup.method == "git" else None,
-        observable_bounds=(
-            {ob.name: ob.bound.total for ob in setup.observables} if names else None
-        ),
-        observable_confidence=obs_conf if names else None,
-        pass_bound=all(c >= threshold for c in obs_conf.values()) if names else None,
+        margin_delta_v=worst_margin if setup.dense is not None else None,
     )
 
 
@@ -435,15 +367,11 @@ def observable_bound_empirical_check(
     :data:`~specden.estimators.CONTRACT_GRID`; observables integrate a dense
     re-evaluation of each trial's moment vector over a grid extended by
     eight kernel widths, where the deviation is also re-measured and
-    reported as `margin_delta_v`.  Each model's exact moments are
-    computed once; trial j draws its moment vector exactly as
-    :func:`~specden.estimators.run_algorithm2` does with its seed, and
-    all trials are reconstructed together on each grid.  For
-    ``method="fejer"`` each model's outcome distribution is built once
-    and trial j draws its histogram from it exactly as
-    :func:`~specden.estimators.run_algorithm1` does with its seed; the
-    histograms are stacked in blocks, and each observable is the
-    product of a block with its values on the bins.
+    reported as `margin_delta_v`.  For ``method="fejer"`` the contract
+    grid is the histogram's bins, and observables are summed over them.
+    Each model's exact moments or outcome distribution are computed
+    once, and trial j draws exactly what the method's ``estimate`` draws
+    with its seed (:data:`~specden.estimators.ESTIMATION_METHODS`).
 
     `n_samples` overrides the planned measurement total (for the moment
     method it is split evenly over the orders), which deliberately
@@ -467,35 +395,38 @@ def merge_reports(reports: Sequence[AccuracyReport], eta: float) -> AccuracyRepo
     if any(abs(r.grid_spacing - reports[0].grid_spacing) > _GRID_TOL for r in reports):
         raise ValidationError("reports measured on different grid spacings")
     total = sum(r.n_trials for r in reports)
-    confidence = sum(r.empirical_confidence * r.n_trials for r in reports) / total
-    threshold = binomial_threshold(eta, total)
+    first = reports[0]
     margins = [r.margin_delta_v for r in reports if r.margin_delta_v is not None]
-    names = reports[0].observable_confidence
-    if names is not None:
-        obs_conf = {
-            name: sum(r.observable_confidence[name] * r.n_trials for r in reports) / total
-            for name in names
-        }
-        obs_bounds = dict(reports[0].observable_bounds)
-        pass_bound = all(c >= threshold for c in obs_conf.values())
-    else:
-        obs_conf = None
-        obs_bounds = None
-        pass_bound = None
-    measured_sigma = max(r.measured_sigma for r in reports)
-    return AccuracyReport(
-        measured_sigma=measured_sigma,
+    obs_conf = None if first.observable_confidence is None else {
+        name: sum(r.observable_confidence[name] * r.n_trials for r in reports) / total
+        for name in first.observable_confidence
+    }
+    return _pooled_report(
+        eta,
+        total,
+        sum(r.empirical_confidence * r.n_trials for r in reports) / total,
+        obs_conf,
+        None if obs_conf is None else dict(first.observable_bounds),
+        measured_sigma=max(r.measured_sigma for r in reports),
         delta_v=max(r.delta_v for r in reports),
-        empirical_confidence=confidence,
-        grid_spacing=reports[0].grid_spacing,
-        n_trials=total,
-        threshold=threshold,
+        grid_spacing=first.grid_spacing,
         pass_sigma=all(r.pass_sigma for r in reports),
-        pass_beta=confidence >= threshold,
         margin_delta_v=max(margins) if margins else None,
+    )
+
+
+def _pooled_report(eta, n_trials, confidence, obs_conf, obs_bounds, **measured) -> AccuracyReport:
+    """The report of `n_trials` pooled trials, with the threshold and flags set at that count."""
+    threshold = binomial_threshold(eta, n_trials)
+    return AccuracyReport(
+        empirical_confidence=confidence,
+        n_trials=n_trials,
+        threshold=threshold,
+        pass_beta=confidence >= threshold,
         observable_bounds=obs_bounds,
         observable_confidence=obs_conf,
-        pass_bound=pass_bound,
+        pass_bound=None if obs_conf is None else all(c >= threshold for c in obs_conf.values()),
+        **measured,
     )
 
 

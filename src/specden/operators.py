@@ -229,7 +229,7 @@ class TransformGrid:
 
     `kind` is "discrete" when values are probability masses on the grid
     (Fejer families) and "density" when they sample a continuous
-    profile.
+    profile.  A 2-D `values` stacks one row of values per trial.
     """
 
     frequencies: np.ndarray
@@ -239,8 +239,9 @@ class TransformGrid:
 
     def __post_init__(self):
         fr = np.asarray(self.frequencies, dtype=float).reshape(-1)
-        va = np.asarray(self.values, dtype=float).reshape(-1)
-        if fr.size != va.size or fr.size < 1:
+        va = np.asarray(self.values, dtype=float)
+        va = va if va.ndim == 2 else va.reshape(-1)
+        if va.shape[-1] != fr.size or fr.size < 1:
             raise ValidationError("frequencies and values must be equal-length, nonempty")
         if self.kind not in ("discrete", "density"):
             raise ValidationError(f"kind must be 'discrete' or 'density', got {self.kind!r}")
@@ -336,8 +337,8 @@ def observable_exact(model: SpectralModel, f: ObservableFn | Callable) -> float:
     return float(np.dot(model.weights, fn(model.eigenvalues)))
 
 
-def observable_from_transform(grid: TransformGrid, f: ObservableFn | Callable) -> float:
-    """Observable integrated against a transform.
+def observable_from_transform(grid: TransformGrid, f: ObservableFn | Callable):
+    """Observable integrated against a transform: a float, or one per row of stacked values.
 
     Discrete transforms use the plain weighted sum over grid masses;
     density transforms integrate by the trapezoid rule and warn when the
@@ -346,12 +347,14 @@ def observable_from_transform(grid: TransformGrid, f: ObservableFn | Callable) -
     fn = f if isinstance(f, ObservableFn) else ObservableFn(fn=f)
     fx = fn(grid.frequencies)
     if grid.kind == "discrete":
-        return float(np.dot(grid.values, fx))
-    if grid.frequencies.size < 2:
+        q = grid.values @ fx
+    elif grid.frequencies.size < 2:
         raise ValidationError("density transform needs at least two grid points to integrate")
-    if grid.kernel is not None:
-        _warn_if_coarse(grid.frequencies, grid.kernel, stacklevel=3)
-    return float(np.trapezoid(grid.values * fx, grid.frequencies))
+    else:
+        if grid.kernel is not None:
+            _warn_if_coarse(grid.frequencies, grid.kernel, stacklevel=3)
+        q = np.trapezoid(grid.values * fx, grid.frequencies)
+    return float(q) if grid.values.ndim == 1 else q
 
 
 def _warn_if_coarse(frequencies: np.ndarray, kernel: KernelSpec, stacklevel: int = 2) -> None:

@@ -5,6 +5,7 @@ checking exit codes, printed summaries, and the determinism contract of
 the written files.
 """
 
+import argparse
 import json
 import math
 import subprocess
@@ -600,3 +601,36 @@ def test_bench_writes_fits(tmp_path, capsys):
     data = [l for l in complexity if l and not l.startswith("#")]
     assert data[0] == "method,delta,eps,kernel_order,n_samples,note"
     assert all(len(l.split(",")) == 6 for l in data)
+
+
+def test_estimate_git_nu_outside_the_kernel_names_the_grid(tmp_path, capsys):
+    # at nu = 5 every coefficient of the Gaussian's projection underflows to 0:
+    # the error says that no requested frequency sees the kernel, and where
+    argv = ["estimate", "--method", "git", "--sigma", "0.1", "--delta", "0.1", "--gen", "gapped:4",
+            "--seed", "1", "--out", str(tmp_path)]
+    assert run_cli(*argv, "--nu", "5") == 2
+    out = capsys.readouterr().out
+    assert out.startswith("error: no requested frequency sees the kernel")
+    assert "nu = 5" in out
+    assert "coefficient table" not in out
+    assert not (tmp_path / "estimate.csv").exists()
+    assert run_cli(*argv, "--nu", "-7.5") == 2
+    assert "nu = -7.5" in capsys.readouterr().out
+
+
+def test_main_builds_its_parser_once(monkeypatch, capsys):
+    # the parser is built when specden.cli is imported; every main call,
+    # including one that fails validation, parses with that one parser
+    parsers = []
+    parse_args = argparse.ArgumentParser.parse_args
+
+    def recording(parser, *args, **kwargs):
+        parsers.append(parser)
+        return parse_args(parser, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recording)
+    monkeypatch.setattr(cli, "_build_parser", lambda: pytest.fail("parser rebuilt"))
+    assert run_cli("plan", "--method", "fejer", "--sigma", "0.25", "--delta", "0.1") == 0
+    assert run_cli("plan", "--method", "fejer", "--sigma", "1.5", "--delta", "0.1") == 2
+    assert len(parsers) == 2 and parsers[0] is parsers[1] is cli._PARSER
+    capsys.readouterr()

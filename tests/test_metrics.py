@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from specden import metrics
+from specden import estimators, metrics
 from specden.chebgauss import projection_cmax, projection_values, truncation_order
 from specden.errors import CoarseGridWarning, ValidationError
 from specden.estimators import (
@@ -205,8 +205,9 @@ def test_observable_check_fejer_builds_one_distribution_per_model(monkeypatch):
     models = [diagonalize(*random_model(6, seed=s)) for s in (507, 509)]
     target = AccuracyTarget(sigma=0.25, delta=0.1, beta=0.1, eta=0.05)
     builds = []
+    # the fejer method of the registry builds the distribution its trials draw from
     monkeypatch.setattr(
-        metrics, "qpe_distribution", lambda m, n: builds.append(n) or qpe_distribution(m, n)
+        estimators, "qpe_distribution", lambda m, n: builds.append(n) or qpe_distribution(m, n)
     )
     report = observable_bound_empirical_check(models, "fejer", None, target, trials=7, seed=611)
     assert len(builds) == len(models)

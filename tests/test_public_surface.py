@@ -63,3 +63,18 @@ def test_benchmark_per_layer_functions_exist():
         if not callable(getattr(importlib.import_module(f"specden.{layer}"), func, None))
     ]
     assert missing == []
+
+
+def test_no_dispatch_on_method_names():
+    # Each estimation method answers for itself through the registry in
+    # estimators; a comparison against a method's name would bring back the
+    # if-chains that choose a route by name.
+    names = {"fejer", "qfejer", "qubitized_fejer", "git", "jackson"}
+    offenders = []
+    for path in sorted(Path(specden.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Compare):
+                operands = [node.left, *node.comparators]
+                if any(isinstance(o, ast.Constant) and o.value in names for o in operands):
+                    offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
