@@ -275,8 +275,15 @@ def _out_dir(cfg: RunConfig) -> Path:
     return path
 
 
-def _header_pairs(cfg: RunConfig, extra=()) -> list[tuple[str, object]]:
-    return [("specden", cfg.command), ("version", __version__), ("config", cfg.hash()), *extra]
+def _header_pairs(cfg: RunConfig, extra: list[tuple[str, object]] | None = None):
+    pairs: list[tuple[str, object]] = [
+        ("specden", cfg.command),
+        ("version", __version__),
+        ("config", cfg.hash()),
+    ]
+    if extra:
+        pairs.extend(extra)
+    return pairs
 
 
 def _row_format(types: tuple[type, ...]) -> str:

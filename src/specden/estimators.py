@@ -236,16 +236,18 @@ def sample_moments(moments, per_order: int, seeds) -> np.ndarray:
 class EstimationMethod:
     """One method of the command line, answering for itself.
 
-    Every method gives its `plan_row` for ``plan`` and the exact
-    broadened transform ``transform`` writes.  A method with a `family`
+    Every method gives its `plan_row` for ``plan`` and its exact
+    broadened `transform` for ``transform``.  A method with a `family`
     (its name in a :class:`Budget`) also estimates:
 
-    * `budget` plans its resources for a target and a frequency grid;
-    * `source` is what trials sample from (an outcome distribution or
-      exact moments), `draw` one trial per seed from it, and `project`
-      the trials' transform values on a grid, ``trials x grid``;
-    * `kernel` gives the exact reference, `exact`, and `estimate` wraps
-      one seed's draw as a transform on `grid`.
+    * `budget(target, grid, samples)` plans its resources;
+    * `source(model, budget)` is what its trials sample (an outcome
+      distribution or exact moments), `draw(model, budget, seeds)` one
+      trial per seed from it, and `project(draws, budget, grid)` the
+      trials' transform values on a grid, ``trials x grid``;
+    * `kernel(budget)` is its kernel, `exact` its exact reference on a
+      grid, `grid(budget, nu)` the frequencies of its estimate, and
+      `estimate` one seed's draw as a transform on them.
 
     `verify_stream` is the seed stream of the method's accuracy contract
     in ``verify`` (None: no contract), `reads_nu` whether it reads the

@@ -31,7 +31,6 @@ from .operators import (
     ObservableFn,
     SpectralModel,
     TransformGrid,
-    exact_transform,
     observable_exact,
     observable_from_transform,
 )

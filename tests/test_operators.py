@@ -148,6 +148,19 @@ def test_observable_from_density_uses_trapezoid():
     assert abs(got - 1.0) < 1e-6
 
 
+@pytest.mark.parametrize("kind", ["discrete", "density"])
+def test_observable_from_stacked_rows_is_one_value_per_row(kind):
+    nu = np.linspace(-1.0, 1.0, 9)
+    rows = np.random.default_rng(3).uniform(size=(4, nu.size))
+    f = ObservableFn(fn=lambda w: w**2, name="square")
+    got = observable_from_transform(TransformGrid(nu, rows, kind=kind), f)
+    assert got.shape == (4,)
+    for row, q in zip(rows, got):
+        assert abs(observable_from_transform(TransformGrid(nu, row, kind=kind), f) - q) < 1e-15
+    with pytest.raises(ValidationError):
+        TransformGrid(nu, rows[:, 1:], kind=kind)
+
+
 def test_observable_from_density_warns_on_coarse_grid():
     lam = 0.01
     nu = np.linspace(-1, 1, 21)
