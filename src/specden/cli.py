@@ -206,12 +206,11 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig(command=args.command, **values)
     if cfg.method is not None and cfg.method not in _METHODS + ("all",):
         raise ValidationError(f"unknown method {cfg.method!r}")
-    if cfg.trials < 1:
-        raise ValidationError("trials must be >= 1")
-    if cfg.workers is not None and cfg.workers < 1:
-        raise ValidationError("workers must be >= 1")
-    if cfg.samples is not None and cfg.samples < 1:
-        raise ValidationError("samples must be >= 1")
+    for key, low in (("trials", 1), ("workers", 1), ("samples", 1), ("seed", 0)):
+        if getattr(cfg, key) is not None and getattr(cfg, key) < low:
+            raise ValidationError(f"{key} must be >= {low}")
+    if cfg.nu is not None and not math.isfinite(cfg.nu):
+        raise ValidationError(f"nu must be finite, got {cfg.nu!r}")
     return cfg
 
 
@@ -328,8 +327,8 @@ def _methods(cfg: RunConfig, allowed: tuple[str, ...], default: str) -> list[str
 def _grid_spacing(cfg: RunConfig, target: AccuracyTarget) -> float:
     """Evaluation grid spacing, checked against `GRID_CAP` before any grid exists."""
     h = cfg.grid_spacing if cfg.grid_spacing is not None else target.delta / 20.0
-    if not (h > 0.0):
-        raise ValidationError("grid spacing must be positive")
+    if not (0.0 < h < math.inf):
+        raise ValidationError(f"grid spacing must be finite and positive, got {h!r}")
     if 2.0 / h + 1.0 > GRID_CAP:
         raise ResourceLimitError(
             f"grid spacing {h:g} needs more than {GRID_CAP} points over [-1, 1]; "

@@ -42,7 +42,7 @@ from .chebgauss import (
     projection_values,
     truncation_order,
 )
-from .errors import ValidationError
+from .errors import ResourceLimitError, ValidationError
 from .kernels import (
     AccuracyTarget,
     FejerKernel,
@@ -143,13 +143,15 @@ def plan_fejer_samples(
         raise ValidationError(f"beta must lie in (0, 1), got {beta!r}")
     if not (0.0 < eta < 1.0):
         raise ValidationError(f"eta must lie in (0, 1), got {eta!r}")
-    if not faulty:
-        return math.ceil(math.log(2.0 / eta) / (2.0 * beta**2))
-    if n is None or n < 2:
+    if faulty and (n is None or n < 2):
         raise ValidationError("the faulty-hardware budget needs the grid size n >= 2")
-    n_samples = math.ceil(2.0 * math.log(2.0 / eta) / beta**2)
-    delta_t = beta / (2.0 * math.log2(n))
-    return n_samples, delta_t
+    try:
+        n_samples = math.ceil((2.0 if faulty else 0.5) * math.log(2.0 / eta) / beta**2)
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise ResourceLimitError(f"the sample budget at beta={beta!r} overflows the float range") from exc
+    if not faulty:
+        return n_samples
+    return n_samples, beta / (2.0 * math.log2(n))
 
 
 def _agnostic_git_total(order: int, beta: float, eta: float) -> int:
@@ -187,9 +189,12 @@ def plan_git_samples(
     c_max = float(np.max(np.abs(np.asarray(coeffs, dtype=float))))
     if not math.isfinite(c_max) or c_max <= 0.0:
         raise ValidationError(f"coefficient table has no usable magnitude ({c_max!r})")
-    per_order = math.ceil(2.0 * math.log(2.0 / eta) * (order * c_max / beta) ** 2)
+    try:
+        per_order = math.ceil(2.0 * math.log(2.0 / eta) * (order * c_max / beta) ** 2)
+        loose = _agnostic_git_total(order, beta, eta)
+    except OverflowError as exc:
+        raise ResourceLimitError(f"the shot budget at beta={beta!r} overflows the float range") from exc
     total = order * per_order
-    loose = _agnostic_git_total(order, beta, eta)
     if c_max <= beta + 2.2 and total > loose:
         raise ValidationError(
             f"coefficient-aware total {total} exceeds the agnostic bound {loose}"
@@ -202,7 +207,10 @@ def sample_histogram(dist: OutcomeDistribution, n_samples: int, seed: int) -> np
 
     One multinomial draw from the stream ``child_rng(seed, 0)``, so the
     histogram depends on the distribution, the count and `seed` alone.
+    A count past the sampler's 64-bit range raises :class:`ResourceLimitError`.
     """
+    if n_samples > np.iinfo(np.int64).max:
+        raise ResourceLimitError(f"{n_samples} samples exceed the sampler's 64-bit count range")
     counts = child_rng(seed, 0).multinomial(n_samples, dist.probs / dist.probs.sum())
     return counts / n_samples
 

@@ -23,7 +23,8 @@ accuracy target into kernel parameters.  Its dataclass answers for
 itself: ``family``, ``kind`` ("discrete" or "density") and
 ``scan_start`` are class attributes, and ``width``, ``value(sigma,
 omega)`` and ``outside(delta, omega0)`` (the mass escaping a window,
-scanned by :func:`sigma_accuracy`) are members.
+scanned by :func:`sigma_accuracy`; for the Fejer kernels one minus the
+mass on the O(n delta) bins inside it) are members.
 """
 
 from __future__ import annotations
@@ -113,26 +114,11 @@ def _check_grid_size(n: int) -> None:
         raise ValidationError(f"grid size must be a power of two >= 2, got {n!r}")
 
 
-def _scan_in_blocks(escaped, omega0: np.ndarray, n: int) -> np.ndarray:
-    """Apply the per-centre tail sum `escaped` to blocks of at most ``_SCAN_CELLS`` grid cells.
-
-    Each centre's sum runs over its own row, so the result does not
-    depend on the block size, and memory stays bounded for any scan.
-    """
-    out = np.empty(omega0.size)
-    step = max(1, _SCAN_CELLS // n)
-    for start in range(0, omega0.size, step):
-        out[start : start + step] = escaped(omega0[start : start + step])
-    return out
-
-
 @dataclass(frozen=True)
-class FejerKernel:
-    """Fejer kernel on the grid ``sigma_q = 2q/n - 1``, q = 0..n-1."""
+class _FejerGrid:
+    """A discrete kernel on the grid ``sigma_q = 2q/n - 1``, q = 0..n-1."""
 
-    family: ClassVar[str] = "fejer"
     kind: ClassVar[str] = "discrete"
-    scan_start: ClassVar[float] = -1.0
 
     n: int
 
@@ -142,54 +128,73 @@ class FejerKernel:
     @property
     def width(self) -> float:
         return 2.0 / self.n
+
+    @classmethod
+    def _planned(cls, raw: float):
+        n = next_pow2(raw)
+        if n > GRID_CAP:
+            raise ResourceLimitError(f"planned grid size {n} exceeds the cap {GRID_CAP}; loosen sigma or delta")
+        return cls(n)
+
+    def outside(self, delta: float, omega0: np.ndarray) -> np.ndarray:
+        # The Fejer kernel sums to one over its grid: one minus a peak's mass on the bins
+        # `_window` admits, indexed past the grid's ends so no offset near the peak wraps.
+        # Cells depend on (n, delta) alone and rows are summed apart: blocks change nothing.
+        cells = self._cells(delta)
+        step = max(1, _SCAN_CELLS // cells)
+        inside = np.zeros(omega0.size)
+        for start in range(0, omega0.size, step):
+            q, peak, admit = self._window(delta, omega0[start : start + step], cells)
+            k = fejer_eval(2.0 * q / self.n - 1.0, peak, self.n)
+            inside[start : start + step] = np.sum(np.where(admit, k, 0.0), axis=1)
+        return np.maximum(1.0 - inside, 0.0)
+
+
+class FejerKernel(_FejerGrid):
+    """Fejer kernel on the grid ``sigma_q = 2q/n - 1``, q = 0..n-1."""
+
+    family: ClassVar[str] = "fejer"
+    scan_start: ClassVar[float] = -1.0
 
     def value(self, sigma, omega):
         return fejer_eval(sigma, omega, self.n)
 
-    def outside(self, delta: float, omega0: np.ndarray) -> np.ndarray:
-        grid = fejer_grid(self.n)
+    def _cells(self, delta: float) -> int:
+        # |sigma - omega| <= delta (mod 2) holds <= floor(n delta) + 1 bins; pad one each side
+        return min(math.floor(self.n * delta) + 3, self.n)
 
-        def escaped(centres):
-            k = fejer_eval(grid[None, :], centres[:, None], self.n)
-            d = (grid[None, :] - centres[:, None]) / 2.0
-            d = d - np.round(d)
-            outside = np.abs(2.0 * d) > delta
-            return np.sum(np.where(outside, k, 0.0), axis=1)
-
-        return _scan_in_blocks(escaped, omega0, self.n)
+    def _window(self, delta: float, centres: np.ndarray, cells: int):
+        q = np.ceil((centres[:, None] + 1.0 - min(delta, 1.0)) * self.n / 2.0) - 1.0 + np.arange(cells)
+        d = (2.0 * (q % self.n) / self.n - 1.0 - centres[:, None]) / 2.0
+        d = d - np.round(d)
+        return q, centres[:, None], ~(np.abs(2.0 * d) > delta)
 
 
-@dataclass(frozen=True)
-class QubitizedFejerKernel:
+class QubitizedFejerKernel(_FejerGrid):
     """arccos-folded Fejer kernel; spectra must be shifted into [0, 1]."""
 
     family: ClassVar[str] = "qubitized_fejer"
-    kind: ClassVar[str] = "discrete"
     scan_start: ClassVar[float] = 0.0
-
-    n: int
-
-    def __post_init__(self):
-        _check_grid_size(self.n)
-
-    @property
-    def width(self) -> float:
-        return 2.0 / self.n
 
     def value(self, sigma, omega):
         return qubitized_fejer_eval(sigma, omega, self.n)
 
-    def outside(self, delta: float, omega0: np.ndarray) -> np.ndarray:
-        grid = fejer_grid(self.n)
-        rec = recovered_frequency(grid)
+    def _cells(self, delta: float) -> int:
+        # |cos(pi sigma) - omega| <= delta/2 on the arcs |sigma| in [a, b], each at most
+        # arccos(1 - delta)/pi long: one padded window per arc
+        return 2 * min(math.floor(self.n * math.acos(max(1.0 - delta, -1.0)) / (2.0 * math.pi)) + 3, self.n)
 
-        def escaped(centres):
-            k = qubitized_fejer_eval(grid[None, :], centres[:, None], self.n)
-            outside = np.abs(rec[None, :] - centres[:, None]) > delta / 2.0
-            return np.sum(np.where(outside, k, 0.0), axis=1)
-
+    def _window(self, delta: float, centres: np.ndarray, cells: int):
         # A scan may step up to half its spacing past 1; the kernel is defined on [0, 1].
-        return _scan_in_blocks(escaped, np.clip(omega0, 0.0, 1.0), self.n)
+        om = np.clip(centres, 0.0, 1.0)[:, None]
+        first = np.ceil((np.arccos(np.minimum(om + delta / 2.0, 1.0)) / np.pi + 1.0) * self.n / 2.0) - 1.0
+        # index n - q is -sigma_q; a mirrored bin already in the first window counts once
+        q = np.concatenate((first + np.arange(cells // 2), self.n - first - np.arange(cells // 2)), axis=1)
+        once = (np.arange(cells) < cells // 2) | ((q - first) % self.n >= cells // 2)
+        rec = recovered_frequency(2.0 * (q % self.n) / self.n - 1.0)
+        # sigma -> -sigma keeps the admitted set and maps K_F(., -t) to K_F(., t), so
+        # its folded mass is the plain mass of the peak at t = arccos(omega)/pi
+        return q, np.arccos(om) / np.pi, once & ~(np.abs(rec - om) > delta / 2.0)
 
 
 @dataclass(frozen=True)
@@ -301,13 +306,7 @@ def fejer_plan(target: AccuracyTarget) -> FejerKernel:
     is below ``1/(n delta - 2)``, so ``n >= (1/delta)(1/sigma + 2)``
     suffices; the returned size rounds that up to a power of two.
     """
-    raw = (1.0 / target.delta) * (1.0 / target.sigma + 2.0)
-    n = next_pow2(raw)
-    if n > GRID_CAP:
-        raise ResourceLimitError(
-            f"planned grid size {n} exceeds the cap {GRID_CAP}; loosen sigma or delta"
-        )
-    return FejerKernel(n)
+    return FejerKernel._planned((1.0 / target.delta) * (1.0 / target.sigma + 2.0))
 
 
 def fejer_tail_bound(n: int, delta: float) -> float:
@@ -356,13 +355,7 @@ def qubitized_fejer_plan(target: AccuracyTarget) -> QubitizedFejerKernel:
     ``delta_theta(delta)`` on the arc, and the factor-of-two folding
     doubles the constant: ``n >= (2/delta_theta)(1/sigma + 2)``.
     """
-    raw = (2.0 / delta_theta(target.delta)) * (1.0 / target.sigma + 2.0)
-    n = next_pow2(raw)
-    if n > GRID_CAP:
-        raise ResourceLimitError(
-            f"planned grid size {n} exceeds the cap {GRID_CAP}; loosen sigma or delta"
-        )
-    return QubitizedFejerKernel(n)
+    return QubitizedFejerKernel._planned((2.0 / delta_theta(target.delta)) * (1.0 / target.sigma + 2.0))
 
 
 def recovered_frequency(sigma):
@@ -760,8 +753,8 @@ def sigma_accuracy(kernel: KernelSpec, delta: float, spacing: float | None = Non
     if delta <= 0.0:
         raise ValidationError("delta must be positive")
     h = delta / 20.0 if spacing is None else float(spacing)
-    if h <= 0.0:
-        raise ValidationError("spacing must be positive")
+    if not (0.0 < h < math.inf):
+        raise ValidationError(f"spacing must be finite and positive, got {h!r}")
     omega0 = np.arange(kernel.scan_start, 1.0 + h / 2.0, h)
     return SigmaAccuracy(
         family=kernel.family, delta=delta, spacing=h, omega0=omega0, outside=kernel.outside(delta, omega0)

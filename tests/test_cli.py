@@ -293,6 +293,42 @@ def test_exit_code_resource_limit(tmp_path, capsys):
     assert "per_order_shots=" in capsys.readouterr().out
 
 
+_EDGE_TARGET = ["--sigma", "0.1", "--delta", "0.2"]
+_EDGE_MODEL = ["--gen", "dense:4", "--seed", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["estimate", "--method", "fejer", *_EDGE_TARGET, "--gen", "dense:4", "--seed", "-1"], 2),
+        (["verify", "--method", "fejer", *_EDGE_TARGET, *_EDGE_MODEL, "--grid-spacing", "inf",
+          "--trials", "2", "--workers", "1"], 2),
+        (["estimate", "--method", "fejer", *_EDGE_TARGET, *_EDGE_MODEL, "--samples", str(10**20)], 4),
+        (["plan", "--method", "fejer", *_EDGE_TARGET, "--beta", "1e-300"], 4),
+        (["plan", "--method", "git", *_EDGE_TARGET, "--beta", "1e-200"], 4),
+        (["transform", "--method", "git", *_EDGE_TARGET, *_EDGE_MODEL, "--nu", "nan"], 2),
+        (["estimate", "--method", "git", *_EDGE_TARGET, "--gen", "dense:4:count=0", "--seed", "1"], 2),
+        (["verify", "--method", "fejer", *_EDGE_TARGET, *_EDGE_MODEL, "--trials", "0"], 2),
+    ],
+    ids=["negative-seed", "infinite-spacing", "samples-past-int64", "fejer-budget-overflow",
+         "git-budget-overflow", "nan-nu", "zero-models", "zero-trials"],
+)
+def test_edge_inputs_exit_with_their_documented_code(tmp_path, capsys, argv, code):
+    # an exception escaping main fails the test on its own; none may
+    assert run_cli(*argv, "--out", str(tmp_path)) == code
+    assert capsys.readouterr().out.startswith({2: "error: ", 4: "resource cap: "}[code])
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_config_file_negative_seed_exits_2(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("seed = -1\n")
+    assert run_cli("estimate", "--config", str(config), "--method", "git", *_EDGE_TARGET,
+                   "--gen", "dense:4", "--out", str(tmp_path / "e")) == 2
+    assert capsys.readouterr().out == "error: seed must be >= 0\n"
+    assert not (tmp_path / "e").exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [

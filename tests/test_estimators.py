@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specden.chebgauss import cheb_moments, coefficient_table, truncation_order
-from specden.errors import ValidationError
+from specden.errors import ResourceLimitError, ValidationError
 from specden.estimators import (
     Budget,
     complexity_table,
@@ -18,6 +18,7 @@ from specden.estimators import (
     plan_git_samples,
     run_algorithm1,
     run_algorithm2,
+    sample_histogram,
     sample_moments,
 )
 from specden.kernels import (
@@ -35,6 +36,7 @@ from specden.operators import (
     normalize_operator,
     random_model,
 )
+from specden.sampling import qpe_distribution
 
 
 def test_plan_fejer_samples_goldens():
@@ -53,6 +55,27 @@ def test_plan_fejer_samples_validation():
         plan_fejer_samples(0.1, 1.5)
     with pytest.raises(ValidationError):
         plan_fejer_samples(0.1, 0.05, faulty=True)  # faulty route needs n
+
+
+def test_budgets_past_the_float_range_are_resource_limits():
+    # budgets the float range holds keep their values; past it the planners'
+    # arithmetic overflows, and that is a resource cap, not a traceback
+    assert plan_fejer_samples(1e-150, 0.05) == math.ceil(math.log(40.0) / (2.0 * 1e-150**2))
+    assert plan_git_samples(10, 1.0, 1e-150, 0.05)[0] == math.ceil(2.0 * math.log(40.0) * 1e151**2)
+    for beta in (1e-160, 1e-300):
+        with pytest.raises(ResourceLimitError):
+            plan_fejer_samples(beta, 0.05)
+        with pytest.raises(ResourceLimitError):
+            plan_fejer_samples(beta, 0.05, faulty=True, n=64)
+        with pytest.raises(ResourceLimitError):
+            plan_git_samples(10, 1.0, beta, 0.05)
+
+
+def test_sample_histogram_count_past_int64_is_a_resource_limit():
+    dist = qpe_distribution(SpectralModel(np.array([0.1]), np.array([1.0])), 8)
+    assert sample_histogram(dist, 2**63 - 1, 1).sum() == pytest.approx(1.0)
+    with pytest.raises(ResourceLimitError, match="64-bit"):
+        sample_histogram(dist, 2**63, 1)
 
 
 def test_plan_git_samples_golden_and_invariants():

@@ -106,5 +106,5 @@ def test_verify_reports_bytes(tmp_path):
          "--gen", "spiked:8:count=2", "--trials", "12", "--seed", "13", "--workers", "1")
     reports = json.loads((tmp_path / "verify_report.json").read_text())["reports"]
     assert _sha(json.dumps(reports, indent=2, sort_keys=True)) == (
-        "0c91dc704697cee0d70c4ad6574063dccc32dbd6dbe617da2b6a5c348d1c4e5b"
+        "fd21609c361d219d16b789a0a7f8bda79893ee27e3884aed69919c5a717e2663"
     )

@@ -7,6 +7,8 @@ import tracemalloc
 import numpy as np
 import pytest
 from numpy.polynomial.chebyshev import chebvander
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from specden import kernels
@@ -182,6 +184,69 @@ def test_fejer_tail_scan_memory_is_bounded(kernel, delta):
     np.testing.assert_array_equal(got[::97], want)
     # the whole scan as one n x centres array peaked at 313 MB (fejer) here
     assert peak < 64 * 2**20
+
+
+def _full_grid_outside(kernel, delta, omega0):
+    # the reference: every grid bin of every centre, summed where it escapes
+    grid = fejer_grid(kernel.n)
+    if kernel.family == "fejer":
+        d = (grid[None, :] - omega0[:, None]) / 2.0
+        k = fejer_eval(grid[None, :], omega0[:, None], kernel.n)
+        return np.sum(np.where(np.abs(2.0 * (d - np.round(d))) > delta, k, 0.0), axis=1)
+    centres = np.clip(omega0, 0.0, 1.0)[:, None]
+    k = qubitized_fejer_eval(grid[None, :], centres, kernel.n)
+    escaped = np.abs(recovered_frequency(grid)[None, :] - centres) > delta / 2.0
+    return np.sum(np.where(escaped, k, 0.0), axis=1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    folded=st.booleans(),
+    log2n=st.integers(1, 12),
+    delta=st.floats(0.0, 2.0, exclude_min=True),
+    units=st.lists(st.floats(0.0, 1.0), max_size=6),
+    bins=st.lists(st.integers(0, 2**12), max_size=3),
+)
+# a window that covers the whole grid: offsets near the peak must not wrap
+@example(folded=False, log2n=12, delta=2.0, units=[0.35], bins=[])
+def test_fejer_window_tail_matches_the_full_grid_sum(folded, log2n, delta, units, bins):
+    kernel = (QubitizedFejerKernel if folded else FejerKernel)(2**log2n)
+    lo = kernel.scan_start
+    # both ends of the scan, a step past its end, grid points and points between
+    omega0 = np.array([
+        lo, 1.0, 1.0 + delta / 40.0, *(2.0 * (b % kernel.n) / kernel.n - 1.0 for b in bins),
+        *(lo + (1.0 - lo) * u for u in units),
+    ])
+    omega0 = omega0[omega0 >= lo]
+    got = kernel.outside(delta, omega0)
+    assert np.all(got >= 0.0)
+    np.testing.assert_allclose(got, _full_grid_outside(kernel, delta, omega0), rtol=0.0, atol=1e-13)
+
+
+@pytest.mark.parametrize("kernel", [FejerKernel(4096), QubitizedFejerKernel(4096)], ids=["fejer", "qubitized_fejer"])
+@pytest.mark.parametrize("delta", [0.02, 0.3])
+def test_fejer_tail_evaluates_only_the_window_cells(monkeypatch, kernel, delta):
+    # a window holds floor(n delta) + 3 bins (plain) or two arcs of
+    # floor(n arccos(1 - delta) / (2 pi)) + 3 bins (folded), never the whole grid
+    evaluated = []
+    fejer = kernels.fejer_eval
+
+    def counting(sigma, omega, n):
+        evaluated.append(np.broadcast(np.asarray(sigma), np.asarray(omega)).size)
+        return fejer(sigma, omega, n)
+
+    monkeypatch.setattr(kernels, "fejer_eval", counting)
+    acc = sigma_accuracy(kernel, delta)
+    if kernel.family == "fejer":
+        window = math.floor(kernel.n * delta) + 3
+    else:
+        window = 2 * (math.floor(kernel.n * math.acos(1.0 - delta) / (2.0 * math.pi)) + 3)
+    assert 0 < sum(evaluated) <= acc.omega0.size * window < acc.omega0.size * kernel.n
+
+
+def test_sigma_accuracy_rejects_an_infinite_spacing():
+    with pytest.raises(ValidationError, match="finite and positive"):
+        sigma_accuracy(FejerKernel(64), 0.1, spacing=math.inf)
 
 
 def test_gaussian_resolution_goldens():
