@@ -5,8 +5,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 from numpy.polynomial.chebyshev import chebval, chebvander
 
+from specden import chebgauss
 from specden.chebgauss import (
     ALPHA1,
     ALPHA2,
@@ -31,8 +34,8 @@ from specden.chebgauss import (
 )
 from specden.errors import OutOfRegimeError, ResourceLimitError, ValidationError
 from specden.kernels import AccuracyTarget, gaussian_eval
-from specden.numerics import child_rng
-from specden.estimators import CONTRACT_GRID, model_moments
+from specden.numerics import cheb_nodes, cheb_series_coeffs, child_rng
+from specden.estimators import CONTRACT_GRID, ESTIMATION_METHODS, model_moments
 from specden.operators import HermitianOperator, ProbeState, diagonalize, normalize_operator, random_model
 
 
@@ -184,9 +187,101 @@ def test_projection_values_match_direct_table(sigma, delta, beta):
     batch = projection_values(v, lam, nu)
     assert batch.shape == (3, nu.size)
     np.testing.assert_allclose(batch, v @ exact.T, rtol=0, atol=1e-12)
-    # shot sizing reads the same table's largest magnitude, one DCT per row
+    # shot sizing reads the same table's largest magnitude
     c_max = projection_cmax(lam, nu, order)
     assert abs(c_max / np.max(np.abs(direct)) - 1.0) <= 1e-12
+
+
+def _full_scan_cmax(lam, freqs, order):
+    # the reference: one DCT-II of every frequency row, 2^16-cell chunks
+    x = cheb_nodes(max(4 * (order + 1), 256))
+    rows = max(1, 2**16 // x.size)
+    best = 0.0
+    for start in range(0, freqs.size, rows):
+        block = gaussian_eval(freqs[start:start + rows, None], x[None, :], lam)
+        best = max(best, float(np.abs(cheb_series_coeffs(block, order)).max()))
+    return best
+
+
+def _default_grid(delta):
+    # the command line's grid at its default spacing delta / 20
+    return np.linspace(-1.0, 1.0, max(2, math.ceil(2.0 / (delta / 20.0))) + 1)
+
+
+def _accepted_budget(sigma, delta, beta):
+    try:
+        budget = truncation_order(AccuracyTarget(sigma=sigma, delta=delta, beta=beta))
+    except OutOfRegimeError:
+        return None
+    return budget if budget.L <= 1500 else None
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    sigma=st.floats(0.01, 0.5),
+    delta=st.floats(0.01, 0.5),
+    log_beta=st.floats(-6.0, -0.5),
+    kind=st.sampled_from(["default", "random", "beyond", "ties"]),
+    size=st.integers(1, 300),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(sigma=0.1, delta=0.02, log_beta=-1.0, kind="default", size=1, seed=0)
+@example(sigma=0.1, delta=0.2, log_beta=-1.0, kind="ties", size=1, seed=0)
+def test_projection_cmax_equals_full_scan_bit_for_bit(sigma, delta, log_beta, kind, size, seed):
+    budget = _accepted_budget(sigma, delta, 10.0**log_beta)
+    assume(budget is not None)
+    lam, order = budget.lam, budget.L
+    rng = child_rng(seed)
+    if kind == "default":
+        nu = _default_grid(delta)
+    elif kind == "random":
+        nu = rng.uniform(-1.3, 1.3, size)
+    elif kind == "beyond":
+        nu = rng.choice([-1.0, 1.0], size) * (1.0 + rng.uniform(0.0, 10.0 * lam, size))
+    else:
+        nu = rng.choice(rng.uniform(-1.2, 1.2, 1 + size // 10), size)
+    assert projection_cmax(lam, nu, order) == _full_scan_cmax(lam, nu, order)
+
+
+def _count_projection_work(monkeypatch):
+    # rows that reach the DCT, and the cells of every kernel block
+    work = {"rows": 0, "cells": []}
+    dct, kernel = chebgauss.cheb_series_coeffs, chebgauss.gaussian_eval
+
+    def counting_dct(values, deg):
+        work["rows"] += values.shape[0]
+        return dct(values, deg)
+
+    def counting_kernel(sigma, omega, lam):
+        work["cells"].append(np.broadcast(sigma, omega).size)
+        return kernel(sigma, omega, lam)
+
+    monkeypatch.setattr(chebgauss, "cheb_series_coeffs", counting_dct)
+    monkeypatch.setattr(chebgauss, "gaussian_eval", counting_kernel)
+    return work
+
+
+def test_projection_cmax_transforms_few_rows_in_bounded_blocks(monkeypatch):
+    target = AccuracyTarget(sigma=0.1, delta=0.02, beta=0.1)
+    budget = truncation_order(target)
+    lam, order = budget.lam, budget.L
+    m = max(4 * (order + 1), 256)
+    nu = _default_grid(target.delta)
+    assert nu.size == 2001
+    work = _count_projection_work(monkeypatch)
+    assert projection_cmax(lam, nu, order) > 0.0
+    # a full scan transforms all 2,001 rows
+    assert 1 <= work["rows"] <= 64
+    assert work["cells"] and max(work["cells"]) <= max(2**16, m)
+    # no grid point sees the kernel: no row is transformed, and the
+    # estimator's error is unchanged
+    work["rows"], work["cells"] = 0, []
+    assert projection_cmax(lam, [5.0], order) == 0.0
+    assert work["rows"] == 0
+    assert max(work["cells"]) <= max(2**16, m)
+    with pytest.raises(ValidationError, match=r"^no requested frequency sees the kernel.*nu = 5$"):
+        ESTIMATION_METHODS["git"].budget(target, grid=[5.0])
+    assert work["rows"] == 0
 
 
 def test_critical_betas_golden():

@@ -63,6 +63,14 @@ ESTIMATES = {
         "2e0cf07c65539d84f5880045781e1f52d5520c2ff1cbab0ca4544eeaa2e288cc",
         "619b075f62e6db27764bccaf8e5021b4678f55c232b21a584e96e7e54cc6cebe",
     ),
+    # a fine target: the 1,335-point default grid, where the shot sizing
+    # transforms few of the frequency rows
+    "git-spiked-fine": (
+        ["--method", "git", "--sigma", "0.1", "--delta", "0.03", "--beta", "0.1",
+         "--gen", "spiked:32", "--seed", "10"],
+        "927e12a9f993c999d3d4e9212ecf04cb0d9fe062f55298bffcdc8edea8cb3491",
+        "775cf3f80794370f3bb865225d206d436c8b924934e51a41fe416f2ab6b934b6",
+    ),
 }
 
 
