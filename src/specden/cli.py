@@ -60,13 +60,10 @@ from .metrics import (
 from .numerics import derive_seed, fmt_float
 from .operators import (
     AffineMap,
-    HermitianOperator,
     ObservableFn,
-    ProbeState,
     SpectralModel,
-    diagonalize,
-    normalize_operator,
-    random_model,
+    normalize_spectrum,
+    random_spectrum,
     read_model_file,
 )
 from .sampling import MEMORY_CAP, qpe_distribution, statevector_qpe_sweep
@@ -246,25 +243,26 @@ def _parse_gen(spec: str) -> tuple[str, int, int, dict]:
     return kind, dim, count, params
 
 
-def _load_pairs(cfg: RunConfig) -> list[tuple[HermitianOperator, ProbeState, AffineMap]]:
-    """Load or generate (operator, probe) pairs, normalized into [-1, 1]."""
+def _load_spectra(cfg: RunConfig) -> list[tuple[np.ndarray, np.ndarray, AffineMap]]:
+    """(eigenvalues normalized into [-1, 1], probe amplitudes, map) of each model file or draw."""
     if cfg.model and cfg.gen:
         raise ValidationError("give either --model or --gen, not both")
     if cfg.model:
-        pairs = [read_model_file(cfg.model)]
+        op, psi = read_model_file(cfg.model)
+        spectra = [(op.evals, op.evecs.conj().T @ psi.vector)]
     elif cfg.gen:
         kind, dim, count, params = _parse_gen(cfg.gen)
         seed = cfg.require_seed()
-        pairs = [
-            random_model(dim, derive_seed(seed, 500 + i), kind, **params)
+        spectra = [
+            random_spectrum(dim, derive_seed(seed, 500 + i), kind, **params)
             for i in range(count)
         ]
     else:
         raise ValidationError(f"'{cfg.command}' needs --model or --gen")
     out = []
-    for op, psi in pairs:
-        norm_op, amap = normalize_operator(op, "full")
-        out.append((norm_op, psi, amap))
+    for evals, amplitudes in spectra:
+        evals, amap = normalize_spectrum(evals)
+        out.append((evals, amplitudes, amap))
     return out
 
 
@@ -374,9 +372,9 @@ def _one_model(cfg: RunConfig, allowed: tuple[str, ...]):
     target = cfg.target()
     (name,) = _methods(cfg, allowed, "fejer")
     method = ESTIMATION_METHODS[name]
-    op, psi, amap = _load_pairs(cfg)[0]
+    evals, amplitudes, amap = _load_spectra(cfg)[0]
     nu = _nu_grid(cfg, target) if method.reads_nu else None
-    return target, name, method, diagonalize(op, psi), amap, nu
+    return target, name, method, SpectralModel.from_amplitudes(evals, amplitudes), amap, nu
 
 
 def _write_transform(cfg: RunConfig, filename: str, name: str, grid, amap, extra=()) -> Path:
@@ -453,15 +451,15 @@ def _run_contract(
 def _fault_sweep(
     cfg: RunConfig,
     target: AccuracyTarget,
-    op: HermitianOperator,
-    psi: ProbeState,
+    evals: np.ndarray,
+    amplitudes: np.ndarray,
     model: SpectralModel,
     seed: int,
 ) -> list[dict]:
     planned_n = fejer_plan(target).n
     _, planned_dt = plan_fejer_samples(target.beta, target.eta, faulty=True, n=planned_n)
     # The statevector holds dim * n amplitudes: sweep on the largest grid that fits.
-    n_ancilla = min(int(math.log2(planned_n)), (MEMORY_CAP // op.dim).bit_length() - 1)
+    n_ancilla = min(int(math.log2(planned_n)), (MEMORY_CAP // evals.size).bit_length() - 1)
     n = 2**n_ancilla
     if n < planned_n:
         print(
@@ -473,7 +471,7 @@ def _fault_sweep(
     delta_ts = sorted({1e-3, 1e-2, planned_dt})
     worst = [0.0] * len(delta_ts)
     seeds = [derive_seed(seed, 700, r) for r in range(realizations)]
-    for noisy in statevector_qpe_sweep(op, psi, n_ancilla, delta_ts, seeds):
+    for noisy in statevector_qpe_sweep(evals, amplitudes, n_ancilla, delta_ts, seeds):
         worst = [
             max(w, float(np.max(np.abs(d.probs - ideal.probs)))) for w, d in zip(worst, noisy)
         ]
@@ -496,8 +494,8 @@ def _cmd_verify(cfg: RunConfig) -> int:
     seed = cfg.require_seed()
     names = _methods(cfg, _CONTRACTS, "all")
     _grid_spacing(cfg, target)  # fail before the contract builds its grids
-    pairs = _load_pairs(cfg)
-    models = [diagonalize(op, psi) for op, psi, _ in pairs]
+    spectra = _load_spectra(cfg)
+    models = [SpectralModel.from_amplitudes(evals, amplitudes) for evals, amplitudes, _ in spectra]
     report_json: dict = {
         "version": __version__,
         "config": cfg.hash(),
@@ -525,8 +523,8 @@ def _cmd_verify(cfg: RunConfig) -> int:
             f"threshold={report.threshold:.4g} -> {'PASS' if report.passed() else 'FAIL'}"
         )
     if any(ESTIMATION_METHODS[name].checks_faults for name in names):
-        op, psi, _ = pairs[0]
-        sweep = _fault_sweep(cfg, target, op, psi, models[0], derive_seed(seed, 3))
+        evals, amplitudes, _ = spectra[0]
+        sweep = _fault_sweep(cfg, target, evals, amplitudes, models[0], derive_seed(seed, 3))
         report_json["fault_sweep"] = sweep
         overall = overall and all(row["ok"] for row in sweep)
         for row in sweep:

@@ -5,7 +5,10 @@ Hermitian operator and a probe state: the weight of eigenvalue O_k is
 the probability |<v_k|psi>|^2 of the probe in that eigenspace.  The
 response function is the weighted comb of delta peaks at the
 eigenvalues, and an integral transform replaces each peak by a kernel
-profile.
+profile.  Since a model reads (operator, probe) only through the
+eigenvalues and the probe's amplitudes <v_k|psi>, the random ensembles
+come as spectra (`random_spectrum`) as well as (operator, probe) pairs
+(`random_model`), from one draw.
 """
 
 from __future__ import annotations
@@ -18,8 +21,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import CoarseGridWarning, ValidationError
-from .kernels import KernelSpec
+from .errors import CoarseGridWarning, ResourceLimitError, ValidationError
+from .kernels import GRID_CAP, KernelSpec
 from .numerics import child_rng
 
 __all__ = [
@@ -29,11 +32,13 @@ __all__ = [
     "SpectralModel",
     "ObservableFn",
     "TransformGrid",
+    "normalize_spectrum",
     "normalize_operator",
     "diagonalize",
     "exact_transform",
     "observable_exact",
     "observable_from_transform",
+    "random_spectrum",
     "random_model",
     "read_model_file",
     "write_model_file",
@@ -69,61 +74,47 @@ class HermitianOperator:
     Hermiticity is checked entrywise to 1e-12 when the matrix is built.
     The eigenpairs ``matrix @ evecs = evecs * evals`` (eigenvalues
     ascending) come from one ``eigh`` on first use, or from `eig` when the
-    caller built the matrix from its spectrum.  The matrix or the vectors
-    of `eig` may be functions of the operator, built and checked on first
-    read; a deferred matrix needs `eig`.
+    caller built the matrix from its spectrum.
     """
 
     def __init__(self, matrix, eig: tuple[np.ndarray, np.ndarray] | None = None):
-        if callable(matrix):
-            self._matrix, self._dim = matrix, len(eig[0])
-        else:
-            m = np.array(matrix, dtype=complex)
-            if m.ndim != 2 or m.shape[0] != m.shape[1]:
-                raise ValidationError(f"operator must be a square matrix, got shape {m.shape}")
-            if m.shape[0] < 1:
-                raise ValidationError("operator must have dimension >= 1")
-            if np.max(np.abs(m - m.conj().T)) > _HERMITIAN_TOL:
-                raise ValidationError("matrix is not Hermitian within 1e-12")
-            m = (m + m.conj().T) / 2.0
-            m.setflags(write=False)
-            self._matrix, self._dim = m, m.shape[0]
+        m = np.array(matrix, dtype=complex)
+        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
+            raise ValidationError(f"operator must be a nonempty square matrix, got shape {m.shape}")
+        if np.max(np.abs(m - m.conj().T)) > _HERMITIAN_TOL:
+            raise ValidationError("matrix is not Hermitian within 1e-12")
+        m = (m + m.conj().T) / 2.0
+        m.setflags(write=False)
+        self._matrix = m
         self._eig = None if eig is None else self._frozen_eig(*eig)
 
     def _frozen_eig(self, evals, evecs) -> tuple[np.ndarray, np.ndarray]:
-        vals = np.asarray(evals, dtype=float)
-        vecs = evecs if callable(evecs) else np.asarray(evecs, dtype=complex)
-        shape = getattr(vecs, "shape", (self.dim, self.dim))
-        if vals.shape != (self.dim,) or shape != (self.dim, self.dim):
-            raise ValidationError(f"eigenpairs of shape {vals.shape}, {shape} for dim {self.dim}")
+        vals, vecs = np.asarray(evals, dtype=float), np.asarray(evecs, dtype=complex)
+        if vals.shape != (self.dim,) or vecs.shape != (self.dim, self.dim):
+            raise ValidationError(f"eigenpairs of shape {vals.shape}, {vecs.shape} for dim {self.dim}")
         if np.any(np.diff(vals) < 0):
             raise ValidationError("eigenvalues must be sorted ascending")
         vals.setflags(write=False)
-        if not callable(vecs):
-            vecs.setflags(write=False)
+        vecs.setflags(write=False)
         return vals, vecs
 
     @property
     def matrix(self) -> np.ndarray:
-        if callable(self._matrix):
-            self._matrix = HermitianOperator(self._matrix(self)).matrix
         return self._matrix
 
     @property
     def dim(self) -> int:
-        return self._dim
+        return self._matrix.shape[0]
 
-    def _eigenpairs(self, vectors: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    def _eigenpairs(self) -> tuple[np.ndarray, np.ndarray]:
         if self._eig is None:
-            self._eig = self._frozen_eig(*np.linalg.eigh(self.matrix))
-        elif vectors and callable(self._eig[1]):
-            self._eig = self._frozen_eig(self._eig[0], self._eig[1](self))
+            self._eig = self._frozen_eig(*np.linalg.eigh(self._matrix))
         return self._eig
 
     @property
     def evals(self) -> np.ndarray:
         """Eigenvalues, ascending."""
-        return self._eigenpairs(vectors=False)[0]
+        return self._eigenpairs()[0]
 
     @property
     def evecs(self) -> np.ndarray:
@@ -139,11 +130,7 @@ class HermitianOperator:
 
 
 class ProbeState:
-    """Unit-norm state vector used to weight the spectrum.
-
-    A generated probe keeps its coefficients in the eigenbasis of `_basis`
-    and builds, and checks, its vector ``evecs @ coeffs`` on first read.
-    """
+    """Unit-norm state vector used to weight the spectrum."""
 
     def __init__(self, amplitudes):
         v = np.array(amplitudes, dtype=complex).reshape(-1)
@@ -153,18 +140,15 @@ class ProbeState:
         if abs(nrm - 1.0) > _UNIT_TOL:
             raise ValidationError(f"probe state norm {nrm} deviates from 1 beyond 1e-12")
         v.setflags(write=False)
-        self._vector = self._coeffs = v
-        self._basis: HermitianOperator | None = None
+        self._vector = v
 
     @property
     def vector(self) -> np.ndarray:
-        if self._vector is None:
-            self._vector = ProbeState(self._basis.evecs @ self._coeffs).vector
         return self._vector
 
     @property
     def dim(self) -> int:
-        return self._coeffs.size
+        return self._vector.size
 
     def __repr__(self):
         return f"ProbeState(dim={self.dim})"
@@ -197,6 +181,32 @@ class SpectralModel:
         w.setflags(write=False)
         object.__setattr__(self, "eigenvalues", ev)
         object.__setattr__(self, "weights", np.clip(w, 0.0, None))
+
+    @classmethod
+    def from_amplitudes(cls, eigenvalues, amplitudes) -> "SpectralModel":
+        """Model of ascending eigenvalues and a probe's amplitudes on their eigenvectors.
+
+        The weights are the normalized |amplitudes|^2.  Eigenvalues closer
+        than 1e-10 merge into one peak at their weight-averaged position,
+        with their summed weight; no weight is dropped.
+        """
+        ev = np.asarray(eigenvalues, dtype=float)
+        w = np.abs(amplitudes) ** 2
+        if ev.ndim != 1 or w.shape != ev.shape:
+            raise ValidationError(f"{np.shape(amplitudes)} amplitudes for eigenvalues of shape {ev.shape}")
+        w = w / float(np.sum(w))
+        starts = np.flatnonzero(np.diff(ev, prepend=-np.inf) >= _MERGE_TOL)
+        ends = np.append(starts[1:], ev.size)
+        pos, ww = ev[starts], w[starts]
+        moment = pos * ww
+        # A merged cluster is summed by np.sum: np.add.reduceat adds in another
+        # order, so its sums can differ in the last bit.
+        for g in np.flatnonzero(ends - starts > 1):
+            i, j = starts[g], ends[g]
+            ww[g], moment[g], pos[g] = np.sum(w[i:j]), np.sum(ev[i:j] * w[i:j]), np.mean(ev[i:j])
+        weighted = ww > 0.0
+        pos[weighted] = moment[weighted] / ww[weighted]
+        return cls(pos, ww)
 
     @property
     def size(self) -> int:
@@ -251,77 +261,42 @@ class TransformGrid:
         object.__setattr__(self, "values", va)
 
 
-def normalize_operator(op: HermitianOperator, interval: str = "full") -> tuple[HermitianOperator, AffineMap]:
-    """Rescale an operator into the reference interval.
+def normalize_spectrum(evals) -> tuple[np.ndarray, AffineMap]:
+    """Scale a spectrum by ``1 / max(1, max |lambda|)`` so that it lands in [-1, 1].
 
-    Parameters
-    ----------
-    op : HermitianOperator
-        Operator to normalize.
-    interval : str
-        "full" scales by ``1 / max(1, norm)`` so the spectrum lands in
-        [-1, 1] (operators already inside are untouched).  "half" maps
-        the spectral range [a, b] onto [-1/2, 1/2] exactly; a fully
-        degenerate spectrum maps to 0.
-
-    Returns
-    -------
-    (HermitianOperator, AffineMap)
-        The normalized operator and the map carrying original
-        eigenvalues to normalized ones.  The operator is `op` itself
-        when the map is the identity; otherwise it carries the mapped
-        eigendecomposition of `op`, so no new eigensolve is run, and
-        builds its matrix on first read.
+    Returns the scaled eigenvalues, `evals` itself when they already lie
+    inside, and the map carrying original eigenvalues to scaled ones.
     """
-    if interval == "full":
-        amap = AffineMap(1.0 / max(1.0, op.norm()), 0.0)
-    elif interval == "half":
-        a, b = float(op.evals[0]), float(op.evals[-1])
-        if b - a < 1e-14:
-            mid = (a + b) / 2.0
-            # Degenerate spectrum: collapse to the midpoint shifted to 0.
-            amap = AffineMap(1.0, -mid)
-        else:
-            s = 1.0 / (b - a)
-            amap = AffineMap(s, -0.5 - a * s)
-    else:
-        raise ValidationError(f"interval must be 'full' or 'half', got {interval!r}")
-    if amap.scale == 1.0 and amap.shift == 0.0:
+    amap = AffineMap(1.0 / max(1.0, float(np.max(np.abs(evals)))), 0.0)
+    return (evals if amap.scale == 1.0 else amap.apply(evals)), amap
+
+
+def normalize_operator(op: HermitianOperator, interval: str = "full") -> tuple[HermitianOperator, AffineMap]:
+    """Rescale an operator into [-1, 1] by :func:`normalize_spectrum` ("full" is the one `interval`).
+
+    Returns `op` itself when the map is the identity, else the scaled
+    matrix carrying the mapped eigendecomposition of `op`, and the map.
+    """
+    if interval != "full":
+        raise ValidationError(f"interval must be 'full', got {interval!r}")
+    evals, amap = normalize_spectrum(op.evals)
+    if amap.scale == 1.0:
         return op, amap
     # the map is increasing: the mapped eigenvalues stay sorted, on the same vectors
-    return HermitianOperator(lambda _: amap.scale * op.matrix + amap.shift * np.eye(op.dim),
-                             (amap.apply(op.evals), lambda _: op.evecs)), amap
+    return HermitianOperator(amap.apply(op.matrix), (evals, op.evecs)), amap
 
 
 def diagonalize(op: HermitianOperator, psi: ProbeState) -> SpectralModel:
-    """Extract the spectral model of (operator, probe).
+    """Spectral model of (operator, probe) with the operator's spectrum in [-1, 1].
 
-    Reads the eigendecomposition the operator carries, or for a probe
-    generated with it, the probe's coefficients in its eigenbasis.  Eigenvalues
-    closer than 1e-10 are merged into a single peak whose position is
-    the weight-averaged eigenvalue and whose weight is the summed
-    probability.  Weights below machine noise are kept, so the model
-    always carries `dim` worth of probability.
+    It is :meth:`SpectralModel.from_amplitudes` of the eigenvalues the
+    operator carries and the probe's amplitudes ``evecs^dagger psi``.
     """
     if op.dim != psi.dim:
         raise ValidationError(f"dimension mismatch: operator {op.dim}, probe {psi.dim}")
-    ev = op.evals
-    if np.max(np.abs(ev)) > 1.0 + 1e-12:
+    if np.max(np.abs(op.evals)) > 1.0 + 1e-12:
         raise ValidationError("operator norm exceeds 1; normalize before diagonalizing")
-    w = np.abs(psi._coeffs if psi._basis is op else op.evecs.conj().T @ psi.vector) ** 2
-    w = w / float(np.sum(w))
-    starts = np.flatnonzero(np.diff(ev, prepend=-np.inf) >= _MERGE_TOL)
-    ends = np.append(starts[1:], ev.size)
-    pos, ww = ev[starts], w[starts]
-    moment = pos * ww
-    # A merged cluster is summed by np.sum: np.add.reduceat adds in another
-    # order, so its sums can differ in the last bit.
-    for g in np.flatnonzero(ends - starts > 1):
-        i, j = starts[g], ends[g]
-        ww[g], moment[g], pos[g] = np.sum(w[i:j]), np.sum(ev[i:j] * w[i:j]), np.mean(ev[i:j])
-    weighted = ww > 0.0
-    pos[weighted] = moment[weighted] / ww[weighted]
-    return SpectralModel(pos, ww)
+    return SpectralModel.from_amplitudes(op.evals, op.evecs.conj().T @ psi.vector)
 
 
 def exact_transform(model: SpectralModel, kernel: KernelSpec, frequencies) -> TransformGrid:
@@ -370,41 +345,17 @@ def _warn_if_coarse(frequencies: np.ndarray, kernel: KernelSpec, stacklevel: int
         )
 
 
-def random_model(
-    dim: int,
-    seed: int,
-    kind: str = "dense",
-    gap: float = 0.1,
-    ground_weight: float = 0.2,
-) -> tuple[HermitianOperator, ProbeState]:
-    """Generate a reproducible random (operator, probe) pair.
+def _draw(dim: int, seed: int, kind: str, gap: float, ground_weight: float):
+    """The stream ``child_rng(seed, 0)`` of :func:`random_spectrum` and :func:`random_model`.
 
-    Parameters
-    ----------
-    dim : int
-        Hilbert space dimension (>= 1; "gapped" needs >= 2).
-    seed : int
-        Seed for the deterministic generator stream.
-    kind : str
-        "dense" draws a GUE matrix scaled to unit spectral norm.
-        "spiked" places most eigenvalues in a central bulk plus a few
-        outliers near the edges, with the probe biased toward the
-        outliers.  "gapped" separates the lowest eigenvalue from the
-        rest by more than ``2 * gap`` and gives the probe at least
-        `ground_weight` on it.
-    gap, ground_weight : float
-        Parameters of the "gapped" ensemble.
-
-    Returns
-    -------
-    (HermitianOperator, ProbeState)
-        The operator spectrum lies in [-1, 1].  "dense" carries the one
-        solve that scaled it.  "spiked" and "gapped" draw the spectrum,
-        the probe's coefficients in the eigenbasis and the normals of a
-        Haar basis, and build basis, matrix and probe vector on first read.
+    Returns the eigenvalues, the probe's amplitudes and the rest of the
+    pair: "dense" its GUE matrix, the norm that scales it, eigenvectors
+    and probe vector; the others the Haar basis' normals (None at dim 1).
     """
     if dim < 1:
         raise ValidationError("dim must be >= 1")
+    if dim * dim > GRID_CAP:
+        raise ResourceLimitError(f"a dim {dim} model draws {dim}^2 cells, over the cap {GRID_CAP}")
     rng = child_rng(seed, 0)
     if kind == "dense":
         g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
@@ -413,7 +364,8 @@ def random_model(
         nrm = float(np.max(np.abs(vals))) if dim > 1 else max(1.0, abs(float(vals[0])))
         nrm = max(nrm, 1e-300)
         v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        return HermitianOperator(lambda _: h / nrm, (vals / nrm, vecs)), ProbeState(v / np.linalg.norm(v))
+        psi = v / np.linalg.norm(v)
+        return vals / nrm, vecs.conj().T @ psi, (h, nrm, vecs, psi)
     if kind == "spiked":
         n_spike = max(1, dim // 8)
         bulk = rng.uniform(-0.3, 0.3, size=dim - n_spike)
@@ -443,18 +395,45 @@ def random_model(
         coeffs[0] = math.sqrt(ground_weight) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
     else:
         raise ValidationError(f"unknown ensemble kind {kind!r}")
+    return ev, coeffs, normals
 
-    def haar_basis(_):
-        # R's phases go into Q (Mezzadri, Notices AMS 54, 592 (2007)); the normals go once built
-        if normals is None:
-            return np.ones((1, 1), dtype=complex)
-        q, r = np.linalg.qr(normals[0] + 1j * normals[1])
-        return q * (np.diag(r) / np.abs(np.diag(r)))
 
-    op = HermitianOperator(lambda o: (o.evecs * ev) @ o.evecs.conj().T, (ev, haar_basis))
-    psi = ProbeState(coeffs)
-    psi._basis, psi._vector = op, None
-    return op, psi
+def random_spectrum(dim: int, seed: int, kind: str = "dense", gap: float = 0.1,
+                    ground_weight: float = 0.2) -> tuple[np.ndarray, np.ndarray]:
+    """A reproducible random spectrum: eigenvalues and a probe's amplitudes on the eigenvectors.
+
+    The eigenvalues are ascending, in [-1, 1].  "dense" solves a GUE
+    matrix scaled to unit spectral norm (one ``eigh``) for a Gaussian
+    probe.  "spiked" places most eigenvalues in a central bulk plus a
+    few outliers near the edges, with the probe biased toward the
+    outliers.  "gapped" (dim >= 2) separates the lowest eigenvalue from
+    the rest by more than ``2 * gap`` and gives the probe at least
+    `ground_weight` on it.  These two draw the amplitudes and build no
+    basis.  A dim x dim draw of more than `GRID_CAP` cells raises
+    :class:`ResourceLimitError` before drawing.
+    """
+    evals, amplitudes, _ = _draw(dim, seed, kind, gap, ground_weight)
+    return evals, amplitudes
+
+
+def random_model(dim: int, seed: int, kind: str = "dense", gap: float = 0.1,
+                 ground_weight: float = 0.2) -> tuple[HermitianOperator, ProbeState]:
+    """The (operator, probe) pair of :func:`random_spectrum`, from the same draw.
+
+    The operator carries its eigendecomposition.  "spiked" and "gapped"
+    rotate the drawn spectrum and amplitudes by a Haar basis (one QR).
+    """
+    evals, amplitudes, rest = _draw(dim, seed, kind, gap, ground_weight)
+    if kind == "dense":
+        h, nrm, vecs, psi = rest
+        return HermitianOperator(h / nrm, (evals, vecs)), ProbeState(psi)
+    if rest is None:
+        basis = np.ones((1, 1), dtype=complex)
+    else:
+        # R's phases go into Q (Mezzadri, Notices AMS 54, 592 (2007))
+        q, r = np.linalg.qr(rest[0] + 1j * rest[1])
+        basis = q * (np.diag(r) / np.abs(np.diag(r)))
+    return HermitianOperator((basis * evals) @ basis.conj().T, (evals, basis)), ProbeState(basis @ amplitudes)
 
 
 def write_model_file(path, op: HermitianOperator, psi: ProbeState) -> None:

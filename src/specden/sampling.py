@@ -11,10 +11,11 @@ Three measurement primitives feed the estimation pipelines:
   O(N K) multiply-adds and O(N + sqrt(N) K) memory for K peaks.  A
   statevector route simulates the register explicitly (with optional
   norm-bounded faults in each controlled evolution) and serves as the
-  validation oracle.  A fault sweep runs in the eigenbasis the operator
-  carries, on blocks of realizations: each bit's fault generators are
-  drawn once for all step sizes and diagonalized by one stacked solve
-  per block.
+  validation oracle.  A fault sweep reads the operator and probe only
+  as eigenvalues and the probe's amplitudes on the eigenvectors, and
+  runs in that eigenbasis on blocks of realizations: each bit's fault
+  generators are drawn once for all step sizes and diagonalized by one
+  stacked solve per block.
 * the folded variant driven by a walk operator, with outcomes on the
   arc variable and frequencies recovered through ``cos(pi sigma)``; its
   distribution is the same mixture over the mirrored phases.
@@ -186,14 +187,16 @@ def statevector_qpe(
     Memory use scales as ``dim * N``; exceeding :data:`MEMORY_CAP`
     raises :class:`ResourceLimitError`.
     """
+    if psi.dim != op.dim:
+        raise ValidationError(f"dimension mismatch: op {op.dim}, psi {psi.dim}")
     dt, seed = (0.0, 0) if fault is None else (fault.delta_t, fault.seed)
-    (dists,) = statevector_qpe_sweep(op, psi, n_ancilla, (dt,), (seed,))
+    (dists,) = statevector_qpe_sweep(op.evals, op.evecs.conj().T @ psi.vector, n_ancilla, (dt,), (seed,))
     return dists[0]
 
 
 def statevector_qpe_sweep(
-    op: HermitianOperator,
-    psi: ProbeState,
+    evals: np.ndarray,
+    amplitudes: np.ndarray,
     n_ancilla: int,
     delta_ts: Sequence[float],
     seeds: Iterable[int],
@@ -202,8 +205,9 @@ def statevector_qpe_sweep(
 
     Yields, for each seed in turn, one distribution per entry of
     `delta_ts`, each equal to ``statevector_qpe(op, psi, n_ancilla,
-    FaultModel(delta_t, seed))``.  The register runs in the eigenbasis
-    the operator carries, on blocks of realizations that hold at most
+    FaultModel(delta_t, seed))`` for an operator of eigenvalues `evals`
+    and a probe of `amplitudes` on its eigenvectors.  The register runs
+    in the eigenbasis, on blocks of realizations that hold at most
     ``max(T dim N, SWEEP_BLOCK)`` amplitudes for T step sizes: for each
     ancilla bit, every realization's fault generator is drawn from its
     own stream, the block's generators are diagonalized by one stacked
@@ -217,19 +221,18 @@ def statevector_qpe_sweep(
     """
     if n_ancilla < 1:
         raise ValidationError(f"n_ancilla must be >= 1, got {n_ancilla!r}")
-    dim = op.dim
+    dim = len(evals)
     n = 2**n_ancilla
     if dim * n > MEMORY_CAP:
         raise ResourceLimitError(
             f"statevector of size {dim * n} exceeds the cap {MEMORY_CAP}; reduce n_ancilla"
         )
-    if psi.dim != dim:
-        raise ValidationError(f"dimension mismatch: op {dim}, psi {psi.dim}")
+    if np.shape(amplitudes) != (dim,):
+        raise ValidationError(f"{np.shape(amplitudes)} amplitudes for {dim} eigenvalues")
     delta_ts = list(delta_ts)
     if not all(dt >= 0.0 for dt in delta_ts):
         raise ValidationError(f"delta_t must be nonnegative, got {delta_ts!r}")
-    evals, evecs = op.evals, op.evecs
-    row = (evecs.conj().T @ psi.vector).astype(complex) / math.sqrt(n)
+    row = np.asarray(amplitudes, dtype=complex) / math.sqrt(n)
     return _sweep_blocks(evals, row, n_ancilla, delta_ts, iter(seeds))
 
 

@@ -35,15 +35,14 @@ def qrs(monkeypatch):
 
 @pytest.fixture
 def matrix_builds(monkeypatch):
-    """Record the shape of every operator matrix built and checked, at construction or on first read."""
+    """Record the shape of every operator matrix built and checked."""
     from specden.operators import HermitianOperator
 
     builds = []
     init = HermitianOperator.__init__
 
     def counted(op, matrix, eig=None):
-        if not callable(matrix):
-            builds.append(np.shape(matrix))
+        builds.append(np.shape(matrix))
         init(op, matrix, eig)
 
     monkeypatch.setattr(HermitianOperator, "__init__", counted)

@@ -204,15 +204,15 @@ def test_estimate_from_model_file_solves_once(tmp_path, eigensolves, matrix_buil
     assert matrix_builds == [(12, 12)]
 
 
-def test_verify_builds_one_basis_for_the_fault_sweep(tmp_path, qrs, matrix_builds):
-    # the contract reads spectra only; the fault sweep runs the register on
-    # the first model's eigenvectors and probe vector
+def test_verify_builds_no_basis_for_the_fault_sweep(tmp_path, qrs, matrix_builds):
+    # the contract reads spectra only, and the fault sweep runs the register
+    # on the first model's eigenvalues and drawn amplitudes
     assert run_cli(
         "verify", "--method", "fejer", "--sigma", "0.25", "--delta", "0.1",
         "--gen", "spiked:16:count=2", "--trials", "3", "--seed", "1",
         "--workers", "1", "--out", str(tmp_path),
     ) == 0
-    assert [a.shape for a in qrs] == [(16, 16)]
+    assert qrs == []
     assert matrix_builds == []
 
 
@@ -309,9 +309,14 @@ _EDGE_MODEL = ["--gen", "dense:4", "--seed", "1"]
         (["transform", "--method", "git", *_EDGE_TARGET, *_EDGE_MODEL, "--nu", "nan"], 2),
         (["estimate", "--method", "git", *_EDGE_TARGET, "--gen", "dense:4:count=0", "--seed", "1"], 2),
         (["verify", "--method", "fejer", *_EDGE_TARGET, *_EDGE_MODEL, "--trials", "0"], 2),
+        # a dim x dim draw over GRID_CAP cells is refused before drawing
+        (["estimate", "--method", "fejer", *_EDGE_TARGET, "--gen", "dense:10000000", "--seed", "1"], 4),
+        (["estimate", "--method", "fejer", *_EDGE_TARGET, "--gen", "gapped:10000000", "--seed", "1"], 4),
+        (["estimate", "--method", "fejer", *_EDGE_TARGET, "--gen", "spiked:100000", "--seed", "1"], 4),
     ],
     ids=["negative-seed", "infinite-spacing", "samples-past-int64", "fejer-budget-overflow",
-         "git-budget-overflow", "nan-nu", "zero-models", "zero-trials"],
+         "git-budget-overflow", "nan-nu", "zero-models", "zero-trials", "dense-dim-over-cap",
+         "gapped-dim-over-cap", "spiked-dim-over-cap"],
 )
 def test_edge_inputs_exit_with_their_documented_code(tmp_path, capsys, argv, code):
     # an exception escaping main fails the test on its own; none may
@@ -360,13 +365,14 @@ def test_fault_sweep_shrinks_to_the_memory_cap(monkeypatch, capsys):
     op = HermitianOperator(np.diag([-0.5, -0.1, 0.2, 0.6]))
     psi = ProbeState(np.full(4, 0.5))
     model = diagonalize(op, psi)
+    amplitudes = op.evecs.conj().T @ psi.vector
     cfg = cli.RunConfig(command="verify", sigma=0.02, delta=0.02, trials=1, seed=1)
     target = cfg.target()
     planned_n = fejer_plan(target).n
     assert planned_n == 4096
     with pytest.raises(ResourceLimitError):
         sampling.statevector_qpe(op, psi, 12)
-    rows = cli._fault_sweep(cfg, target, op, psi, model, 7)
+    rows = cli._fault_sweep(cfg, target, op.evals, amplitudes, model, 7)
     assert "fault sweep shrunk to n=1024" in capsys.readouterr().out
     _, planned_dt = plan_fejer_samples(target.beta, target.eta, faulty=True, n=planned_n)
     assert [row["delta_t"] for row in rows] == sorted({1e-3, 1e-2, planned_dt})
@@ -377,7 +383,7 @@ def test_fault_sweep_shrinks_to_the_memory_cap(monkeypatch, capsys):
         assert row["realizations"] == 1 and row["ok"]
     # a sweep that fits runs at the planned n and says nothing
     roomy = cli.RunConfig(command="verify", sigma=0.25, delta=0.1, trials=1, seed=1)
-    rows = cli._fault_sweep(roomy, roomy.target(), op, psi, model, 7)
+    rows = cli._fault_sweep(roomy, roomy.target(), op.evals, amplitudes, model, 7)
     assert capsys.readouterr().out == ""
     assert {row["n"] for row in rows} == {fejer_plan(roomy.target()).n}
 
@@ -389,13 +395,14 @@ def test_fault_sweep_draws_each_generator_once(monkeypatch, eigensolves):
     # solve counts one generator per matrix of its stack.
     op, psi = random_model(4, seed=5)
     model = diagonalize(op, psi)
+    amplitudes = op.evecs.conj().T @ psi.vector
     draws = []
     gue = sampling._gue
     monkeypatch.setattr(sampling, "_gue", lambda *a: draws.append(a) or gue(*a))
-    monkeypatch.setattr(cli, "diagonalize", None)
+    monkeypatch.setattr(cli, "SpectralModel", None)
     eigensolves.clear()
     cfg = cli.RunConfig(command="verify", sigma=0.25, delta=0.1, trials=3, seed=1)
-    rows = cli._fault_sweep(cfg, cfg.target(), op, psi, model, 7)
+    rows = cli._fault_sweep(cfg, cfg.target(), op.evals, amplitudes, model, 7)
     assert len(rows) == 3
     k = int(math.log2(rows[0]["n"]))
     assert len(draws) == 3 * k
@@ -413,9 +420,10 @@ def test_fault_sweep_blocks_give_identical_distributions(monkeypatch, budget):
     # generators from the same streams, so the bytes agree
     op, psi = random_model(6, seed=8, kind="gapped")
     delta_ts, seeds = (0.0, 1e-3, 0.05), [derive_seed(7, 700, r) for r in range(5)]
-    reference = list(sampling.statevector_qpe_sweep(op, psi, 5, delta_ts, seeds))
+    evals, amplitudes = op.evals, op.evecs.conj().T @ psi.vector
+    reference = list(sampling.statevector_qpe_sweep(evals, amplitudes, 5, delta_ts, seeds))
     monkeypatch.setattr(sampling, "SWEEP_BLOCK", budget)
-    blocked = list(sampling.statevector_qpe_sweep(op, psi, 5, delta_ts, iter(seeds)))
+    blocked = list(sampling.statevector_qpe_sweep(evals, amplitudes, 5, delta_ts, iter(seeds)))
     assert len(blocked) == len(seeds)
     for ref_run, run in zip(reference, blocked):
         assert len(run) == len(delta_ts)
@@ -438,6 +446,23 @@ def test_verify_fault_sweep_golden(tmp_path):
         (128, 20, 0.01, 0.001986827391605994),
     ]
     assert all(r["measured"] <= r["bound"] for r in rows)
+
+
+def test_verify_fault_sweep_golden_on_a_drawn_spectrum(tmp_path):
+    # the register starts from the gapped draw's amplitudes, with no basis
+    code = main([
+        "verify", "--method", "all", "--sigma", "0.2", "--delta", "0.1",
+        "--gen", "gapped:16:count=2", "--trials", "20", "--seed", "4", "--workers", "1",
+        "--out", str(tmp_path),
+    ])
+    assert code == 0
+    rows = json.loads((tmp_path / "verify_report.json").read_text())["fault_sweep"]
+    assert [(r["n"], r["realizations"], r["delta_t"], r["measured"]) for r in rows] == [
+        (128, 20, 0.001, 0.00011168489246468627),
+        (128, 20, 0.1 / 14, 0.00080592834308435),
+        (128, 20, 0.01, 0.0011335964684309197),
+    ]
+    assert all(r["ok"] and r["measured"] <= r["bound"] for r in rows)
 
 
 @settings(max_examples=30, deadline=None)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from specden.errors import CoarseGridWarning, ValidationError
+from specden.errors import CoarseGridWarning, ResourceLimitError, ValidationError
 from specden.kernels import FejerKernel, GaussianKernel, fejer_eval, fejer_grid, gaussian_eval
 from specden.numerics import child_rng
 from specden.operators import (
@@ -23,6 +23,7 @@ from specden.operators import (
     observable_exact,
     observable_from_transform,
     random_model,
+    random_spectrum,
     read_model_file,
     write_model_file,
 )
@@ -72,15 +73,8 @@ def test_normalize_operator_full_contracts_large_spectrum():
     same, amap2 = normalize_operator(small, "full")
     np.testing.assert_array_equal(same.matrix, small.matrix)
     assert amap2.scale == 1.0 and amap2.shift == 0.0
-
-
-def test_normalize_operator_half_hits_endpoints():
-    op = HermitianOperator(np.diag([-3.0, 1.0, 5.0]))
-    normed, _ = normalize_operator(op, "half")
-    ev = np.linalg.eigvalsh(normed.matrix)
-    assert abs(ev[0] + 0.5) < 1e-12 and abs(ev[-1] - 0.5) < 1e-12
     with pytest.raises(ValidationError):
-        normalize_operator(op, "quarter")
+        normalize_operator(op, "half")
 
 
 def test_diagonalize_weights_and_order():
@@ -203,6 +197,10 @@ def test_random_model_validation():
         random_model(1, seed=0, kind="gapped")
     with pytest.raises(ValidationError):
         random_model(4, seed=0, kind="banded")
+    # a dim x dim draw over GRID_CAP = 2^26 cells is refused before drawing
+    for generate in (random_model, random_spectrum):
+        with pytest.raises(ResourceLimitError):
+            generate(8193, seed=0, kind="gapped")
 
 
 @settings(max_examples=40, deadline=None)
@@ -249,17 +247,18 @@ def test_random_model_solves_at_most_once(eigensolves, kind, solves):
 
 def test_normalize_operator_maps_the_carried_spectrum(eigensolves):
     op = HermitianOperator(np.diag([-4.0, 2.0, 3.0]))
-    for interval in ("full", "half"):
-        normed, amap = normalize_operator(op, interval)
-        np.testing.assert_array_equal(normed.evals, amap.apply(op.evals))
-        assert normed.evecs is op.evecs
-        assert np.max(np.abs(normed.matrix @ normed.evecs - normed.evecs * normed.evals)) <= 1e-14
+    normed, amap = normalize_operator(op, "full")
+    np.testing.assert_array_equal(normed.evals, amap.apply(op.evals))
+    assert normed.evecs is op.evecs
+    assert np.max(np.abs(normed.matrix @ normed.evecs - normed.evecs * normed.evals)) <= 1e-14
     assert [name for name, _ in eigensolves] == ["eigh"]
 
 
 def _eager_random_model(dim, seed, kind):
-    # The reference generator, built eagerly: the Haar basis, the matrix
-    # and the probe vector on every call, from the same stream.
+    # The reference generator: the Haar basis, the matrix and the probe
+    # vector, from the same stream, and the probe amplitudes that weigh the
+    # model of `--gen kind:dim` (the drawn coefficients, or V^dagger psi
+    # for dense).
     def random_unitary(rng):
         g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         q, r = np.linalg.qr(g)
@@ -273,7 +272,8 @@ def _eager_random_model(dim, seed, kind):
         nrm = float(np.max(np.abs(vals))) if dim > 1 else max(1.0, abs(float(vals[0])))
         nrm = max(nrm, 1e-300)
         v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        return HermitianOperator(h / nrm, (vals / nrm, vecs)), ProbeState(v / np.linalg.norm(v))
+        psi = ProbeState(v / np.linalg.norm(v))
+        return HermitianOperator(h / nrm, (vals / nrm, vecs)), psi, vecs.conj().T @ psi.vector
     if kind == "spiked":
         n_spike = max(1, dim // 8)
         bulk = rng.uniform(-0.3, 0.3, size=dim - n_spike)
@@ -294,7 +294,7 @@ def _eager_random_model(dim, seed, kind):
         coeffs = coeffs / np.linalg.norm(coeffs) * math.sqrt(1.0 - 0.2)
         coeffs[0] = math.sqrt(0.2) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
     op = HermitianOperator((basis * ev) @ basis.conj().T, (ev, basis))
-    return op, ProbeState(basis @ coeffs)
+    return op, ProbeState(basis @ coeffs), coeffs
 
 
 @pytest.mark.parametrize("kind, dim", [
@@ -302,17 +302,16 @@ def _eager_random_model(dim, seed, kind):
     if kind != "gapped" or dim > 1
 ])
 def test_deferred_model_builds_the_eager_bits(tmp_path, kind, dim):
+    # random_model builds the reference generator's pair bit for bit
     for seed in range(3):
-        want_op, want_psi = _eager_random_model(dim, seed, kind)
+        want_op, want_psi, _ = _eager_random_model(dim, seed, kind)
         op, psi = random_model(dim, seed=seed, kind=kind)
         model = diagonalize(op, psi)
-        # built in the order the fault sweep and the walk operator read them
         assert np.array_equal(op.evals, want_op.evals)
         assert np.array_equal(op.evecs, want_op.evecs)
         assert np.array_equal(psi.vector, want_psi.vector)
         assert np.array_equal(op.matrix, want_op.matrix)
         assert not (op.matrix.flags.writeable or op.evecs.flags.writeable or psi.vector.flags.writeable)
-        # spiked and gapped weights are |coeffs|^2, equal to |V^dagger psi|^2 up to rounding
         want_model = diagonalize(want_op, want_psi)
         if kind == "dense":
             assert np.array_equal(model.eigenvalues, want_model.eigenvalues)
@@ -325,25 +324,36 @@ def test_deferred_model_builds_the_eager_bits(tmp_path, kind, dim):
         assert (tmp_path / "lazy.txt").read_bytes() == (tmp_path / "eager.txt").read_bytes()
 
 
-def test_deferred_parts_are_checked_when_built():
-    ev = np.array([-0.5, 0.5])
-    op = HermitianOperator(lambda o: (o.evecs * ev) @ o.evecs.conj().T, (ev, lambda _: np.eye(3)))
-    assert op.dim == 2 and np.array_equal(op.evals, ev)
-    with pytest.raises(ValidationError, match="eigenpairs of shape"):
-        op.evecs
-    with pytest.raises(ValidationError, match="ascending"):
-        HermitianOperator(lambda o: np.eye(2), (ev[::-1], lambda _: np.eye(2)))
-    skew = HermitianOperator(lambda o: np.array([[0.0, 1.0], [0.0, 0.0]]), (ev, lambda _: np.eye(2)))
-    with pytest.raises(ValidationError, match="not Hermitian"):
-        skew.matrix
-    # a probe whose coefficients are unit but whose basis is not unitary
-    stretched = HermitianOperator(lambda o: np.diag(ev), (ev, lambda _: 2.0 * np.eye(2)))
-    psi = ProbeState([0.6, 0.8])
-    psi._basis, psi._vector = stretched, None
-    with pytest.raises(ValidationError, match="norm"):
-        psi.vector
-    with pytest.raises(ValidationError, match="norm"):
-        ProbeState([0.6, 0.6])
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(["dense", "spiked", "gapped"]),
+    dim=st.integers(1, 64),
+    seed=st.integers(0, 2**31),
+)
+def test_random_spectrum_equals_the_pair(kind, dim, seed):
+    if kind == "gapped":
+        dim = max(dim, 2)
+    evals, amplitudes = random_spectrum(dim, seed, kind)
+    op, psi = random_model(dim, seed, kind)
+    projected = op.evecs.conj().T @ psi.vector
+    _, _, drawn = _eager_random_model(dim, seed, kind)
+    assert np.array_equal(evals, op.evals)
+    assert np.array_equal(amplitudes, drawn)
+    if kind == "dense":
+        assert np.array_equal(amplitudes, projected)
+    else:
+        assert np.max(np.abs(amplitudes - projected)) <= 1e-15
+    # the model of `--gen kind:dim`: the drawn weights, merged by the reference loop
+    w = np.abs(drawn) ** 2
+    want_ev, want_w = _merge_loop(evals, w / float(np.sum(w)))
+    model = SpectralModel.from_amplitudes(evals, amplitudes)
+    assert np.array_equal(model.eigenvalues, want_ev)
+    assert np.array_equal(model.weights, want_w)
+
+
+def test_from_amplitudes_rejects_mismatched_shapes():
+    with pytest.raises(ValidationError):
+        SpectralModel.from_amplitudes(np.array([-0.5, 0.5]), np.array([1.0]))
 
 
 def test_hermitian_operator_rejects_bad_eigenpairs():

@@ -78,3 +78,22 @@ def test_no_dispatch_on_method_names():
                 if any(isinstance(o, ast.Constant) and o.value in names for o in operands):
                     offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
+
+
+def test_no_reach_into_another_objects_privates():
+    # A `_name` attribute belongs to its object: a module reads or writes
+    # one only on `self`, `cls` or a class the module defines, so no object
+    # carries state that another module sets behind its back.
+    offenders = []
+    for path in sorted(Path(specden.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owners = {"self", "cls"} | {n.name for n in ast.walk(tree) if isinstance(n, ast.ClassDef)}
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr.startswith("_")
+                and not node.attr.startswith("__")
+                and not (isinstance(node.value, ast.Name) and node.value.id in owners)
+            ):
+                offenders.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+    assert offenders == []

@@ -39,6 +39,11 @@ def _random_pair(dim, seed, kind="dense"):
     return op, psi
 
 
+def _spectrum(op, psi):
+    # the eigenvalues and probe amplitudes a fault sweep reads
+    return op.evals, op.evecs.conj().T @ psi.vector
+
+
 def test_outcome_distribution_validation():
     grid = fejer_grid(4)
     OutcomeDistribution(grid, np.full(4, 0.25))
@@ -171,6 +176,14 @@ def test_statevector_qpe_memory_cap():
         statevector_qpe(op, psi, 21)
 
 
+def test_statevector_qpe_checks_dimensions():
+    op, psi = _random_pair(4, seed=2)
+    with pytest.raises(ValidationError, match="dimension mismatch"):
+        statevector_qpe(op, ProbeState(np.full(3, 1.0 / math.sqrt(3.0))), 4)
+    with pytest.raises(ValidationError, match="amplitudes"):
+        statevector_qpe_sweep(op.evals, np.ones(3), 4, (1e-3,), (1,))
+
+
 def test_fault_model_validation():
     with pytest.raises(ValidationError):
         FaultModel(delta_t=-0.1, seed=0)
@@ -251,7 +264,7 @@ def test_statevector_qpe_sweep_equals_one_run_per_fault():
     n_anc = 6
     delta_ts = (1e-2, 0.0, 1.0 / 140.0)
     seeds = (3, 11, 2**40 + 7)
-    runs = list(statevector_qpe_sweep(op, psi, n_anc, delta_ts, seeds))
+    runs = list(statevector_qpe_sweep(*_spectrum(op, psi), n_anc, delta_ts, seeds))
     assert len(runs) == len(seeds)
     for seed, dists in zip(seeds, runs):
         assert len(dists) == len(delta_ts)
@@ -269,11 +282,11 @@ def test_statevector_qpe_sweep_equals_one_run_per_fault():
 def test_statevector_qpe_sweep_validation():
     op, psi = _random_pair(4, seed=2)
     with pytest.raises(ValidationError):
-        statevector_qpe_sweep(op, psi, 4, (1e-3, -1e-3), (1,))
+        statevector_qpe_sweep(*_spectrum(op, psi), 4, (1e-3, -1e-3), (1,))
     with pytest.raises(ValidationError):
-        statevector_qpe_sweep(op, psi, 0, (1e-3,), (1,))
+        statevector_qpe_sweep(*_spectrum(op, psi), 0, (1e-3,), (1,))
     with pytest.raises(ResourceLimitError):
-        statevector_qpe_sweep(op, psi, 21, (1e-3,), (1,))
+        statevector_qpe_sweep(*_spectrum(op, psi), 21, (1e-3,), (1,))
 
 
 def test_statevector_qpe_sweep_holds_one_register_per_step():
@@ -283,7 +296,7 @@ def test_statevector_qpe_sweep_holds_one_register_per_step():
     tracemalloc.start()
     try:
         worst = 0.0
-        for dists in statevector_qpe_sweep(op, psi, 14, (1e-3, 1.0 / 140.0, 1e-2), (1, 2, 3)):
+        for dists in statevector_qpe_sweep(*_spectrum(op, psi), 14, (1e-3, 1.0 / 140.0, 1e-2), (1, 2, 3)):
             worst = max(worst, max(float(d.probs.max()) for d in dists))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
