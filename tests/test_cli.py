@@ -465,6 +465,19 @@ def test_verify_fault_sweep_golden_on_a_drawn_spectrum(tmp_path):
     assert all(r["ok"] and r["measured"] <= r["bound"] for r in rows)
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 6: the Fejer grid folds an eigenvalue at +1 onto -1")
+def test_fejer_contract_holds_with_an_eigenvalue_at_plus_one(tmp_path):
+    # a hand-built model, so that the fold does not hang on a generator's draws
+    model_path = tmp_path / "model.txt"
+    write_model_file(model_path, HermitianOperator(np.diag([-0.5, 0.0, 0.3, 1.0])), ProbeState(np.full(4, 0.5)))
+    assert run_cli(
+        "verify", "--method", "fejer", "--sigma", "0.1", "--delta", "0.1", "--model", str(model_path),
+        "--trials", "20", "--seed", "1", "--workers", "1", "--out", str(tmp_path / "v"),
+    ) == 0
+    report = json.loads((tmp_path / "v" / "verify_report.json").read_text())["reports"]["fejer"]
+    assert report["pass_bound"]
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     out=st.text(min_size=1, max_size=20),
