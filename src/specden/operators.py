@@ -7,8 +7,8 @@ response function is the weighted comb of delta peaks at the
 eigenvalues, and an integral transform replaces each peak by a kernel
 profile.  Since a model reads (operator, probe) only through the
 eigenvalues and the probe's amplitudes <v_k|psi>, the random ensembles
-come as spectra (`random_spectrum`) as well as (operator, probe) pairs
-(`random_model`), from one draw.
+are drawn as spectra (`random_spectrum`); `random_model` rotates one into
+an (operator, probe) pair by a Haar basis.
 """
 
 from __future__ import annotations
@@ -188,7 +188,8 @@ class SpectralModel:
 
         The weights are the normalized |amplitudes|^2.  Eigenvalues closer
         than 1e-10 merge into one peak at their weight-averaged position,
-        with their summed weight; no weight is dropped.
+        with their summed weight; no weight is dropped, and an unmerged
+        eigenvalue keeps its value.
         """
         ev = np.asarray(eigenvalues, dtype=float)
         w = np.abs(amplitudes) ** 2
@@ -198,14 +199,13 @@ class SpectralModel:
         starts = np.flatnonzero(np.diff(ev, prepend=-np.inf) >= _MERGE_TOL)
         ends = np.append(starts[1:], ev.size)
         pos, ww = ev[starts], w[starts]
-        moment = pos * ww
         # A merged cluster is summed by np.sum: np.add.reduceat adds in another
-        # order, so its sums can differ in the last bit.
+        # order, so its sums can differ in the last bit.  A single eigenvalue
+        # keeps its position, which (x * w) / w need not.
         for g in np.flatnonzero(ends - starts > 1):
             i, j = starts[g], ends[g]
-            ww[g], moment[g], pos[g] = np.sum(w[i:j]), np.sum(ev[i:j] * w[i:j]), np.mean(ev[i:j])
-        weighted = ww > 0.0
-        pos[weighted] = moment[weighted] / ww[weighted]
+            ww[g] = np.sum(w[i:j])
+            pos[g] = np.sum(ev[i:j] * w[i:j]) / ww[g] if ww[g] > 0.0 else np.mean(ev[i:j])
         return cls(pos, ww)
 
     @property
@@ -345,12 +345,21 @@ def _warn_if_coarse(frequencies: np.ndarray, kernel: KernelSpec, stacklevel: int
         )
 
 
-def _draw(dim: int, seed: int, kind: str, gap: float, ground_weight: float):
-    """The stream ``child_rng(seed, 0)`` of :func:`random_spectrum` and :func:`random_model`.
+def random_spectrum(dim: int, seed: int, kind: str = "dense", gap: float = 0.1,
+                    ground_weight: float = 0.2) -> tuple[np.ndarray, np.ndarray]:
+    """A reproducible random spectrum: eigenvalues and a probe's amplitudes on the eigenvectors.
 
-    Returns the eigenvalues, the probe's amplitudes and the rest of the
-    pair: "dense" its GUE matrix, the norm that scales it, eigenvectors
-    and probe vector; the others the Haar basis' normals (None at dim 1).
+    The eigenvalues are ascending, in [-1, 1]; the stream is
+    ``child_rng(seed, 0)``.  "dense" draws the eigenvalues of a GUE matrix
+    scaled to unit spectral norm from the Hermite tridiagonal model (one
+    ``eigvalsh``), and a Gaussian probe's amplitudes on its Haar
+    eigenvectors: a normalized complex Gaussian.  "spiked" places most
+    eigenvalues in a central bulk plus a few outliers near the edges,
+    with the probe biased toward the outliers.  "gapped" (dim >= 2)
+    separates the lowest eigenvalue from the rest by more than
+    ``2 * gap`` and gives the probe at least `ground_weight` on it.  No
+    kind builds a dim x dim complex array; a draw whose dim x dim cells
+    exceed `GRID_CAP` raises :class:`ResourceLimitError` before drawing.
     """
     if dim < 1:
         raise ValidationError("dim must be >= 1")
@@ -358,20 +367,21 @@ def _draw(dim: int, seed: int, kind: str, gap: float, ground_weight: float):
         raise ResourceLimitError(f"a dim {dim} model draws {dim}^2 cells, over the cap {GRID_CAP}")
     rng = child_rng(seed, 0)
     if kind == "dense":
-        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        h = (g + g.conj().T) / 2.0
-        vals, vecs = np.linalg.eigh(h)
-        nrm = float(np.max(np.abs(vals))) if dim > 1 else max(1.0, abs(float(vals[0])))
-        nrm = max(nrm, 1e-300)
-        v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        psi = v / np.linalg.norm(v)
-        return vals / nrm, vecs.conj().T @ psi, (h, nrm, vecs, psi)
-    if kind == "spiked":
+        # Dumitriu & Edelman, J. Math. Phys. 43, 5830 (2002): diagonal N(0, 1),
+        # sub-diagonal sqrt(chi^2_{2k} / 2) = sqrt(Gamma(k, 1)) for k = dim - 1, ..., 1;
+        # eigvalsh reads the lower triangle
+        tri = np.diag(rng.normal(size=dim))
+        tri[np.arange(1, dim), np.arange(dim - 1)] = np.sqrt(rng.standard_gamma(np.arange(dim - 1, 0, -1)))
+        ev = np.linalg.eigvalsh(tri)
+        nrm = float(np.max(np.abs(ev))) if dim > 1 else max(1.0, abs(float(ev[0])))
+        ev = ev / max(nrm, 1e-300)
+        coeffs = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        coeffs /= np.linalg.norm(coeffs)
+    elif kind == "spiked":
         n_spike = max(1, dim // 8)
         bulk = rng.uniform(-0.3, 0.3, size=dim - n_spike)
         spikes = rng.uniform(0.7, 0.95, size=n_spike) * rng.choice([-1.0, 1.0], size=n_spike)
         ev = np.sort(np.concatenate([bulk, spikes]))
-        normals = rng.normal(size=(2, dim, dim)) if dim > 1 else None
         coeffs = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         coeffs[np.argsort(np.abs(ev))[-n_spike:]] *= 3.0
         coeffs /= np.linalg.norm(coeffs)
@@ -388,51 +398,28 @@ def _draw(dim: int, seed: int, kind: str, gap: float, ground_weight: float):
             raise ValidationError(f"infeasible gap {gap} for ground energy {e0:.3f}")
         rest = np.sort(rng.uniform(e1, 0.98, size=dim - 2)) if dim > 2 else np.empty(0)
         ev = np.concatenate([[e0, e1], rest])
-        normals = rng.normal(size=(2, dim, dim))
         coeffs = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         coeffs[0] = 0.0
         coeffs = coeffs / np.linalg.norm(coeffs) * math.sqrt(1.0 - ground_weight)
         coeffs[0] = math.sqrt(ground_weight) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
     else:
         raise ValidationError(f"unknown ensemble kind {kind!r}")
-    return ev, coeffs, normals
-
-
-def random_spectrum(dim: int, seed: int, kind: str = "dense", gap: float = 0.1,
-                    ground_weight: float = 0.2) -> tuple[np.ndarray, np.ndarray]:
-    """A reproducible random spectrum: eigenvalues and a probe's amplitudes on the eigenvectors.
-
-    The eigenvalues are ascending, in [-1, 1].  "dense" solves a GUE
-    matrix scaled to unit spectral norm (one ``eigh``) for a Gaussian
-    probe.  "spiked" places most eigenvalues in a central bulk plus a
-    few outliers near the edges, with the probe biased toward the
-    outliers.  "gapped" (dim >= 2) separates the lowest eigenvalue from
-    the rest by more than ``2 * gap`` and gives the probe at least
-    `ground_weight` on it.  These two draw the amplitudes and build no
-    basis.  A dim x dim draw of more than `GRID_CAP` cells raises
-    :class:`ResourceLimitError` before drawing.
-    """
-    evals, amplitudes, _ = _draw(dim, seed, kind, gap, ground_weight)
-    return evals, amplitudes
+    return ev, coeffs
 
 
 def random_model(dim: int, seed: int, kind: str = "dense", gap: float = 0.1,
                  ground_weight: float = 0.2) -> tuple[HermitianOperator, ProbeState]:
-    """The (operator, probe) pair of :func:`random_spectrum`, from the same draw.
+    """The (operator, probe) pair of :func:`random_spectrum`.
 
-    The operator carries its eigendecomposition.  "spiked" and "gapped"
-    rotate the drawn spectrum and amplitudes by a Haar basis (one QR).
+    It rotates the spectrum and the amplitudes by a Haar basis, drawn by
+    one QR from the stream ``child_rng(seed, 1)``, and the operator
+    carries its eigendecomposition.
     """
-    evals, amplitudes, rest = _draw(dim, seed, kind, gap, ground_weight)
-    if kind == "dense":
-        h, nrm, vecs, psi = rest
-        return HermitianOperator(h / nrm, (evals, vecs)), ProbeState(psi)
-    if rest is None:
-        basis = np.ones((1, 1), dtype=complex)
-    else:
-        # R's phases go into Q (Mezzadri, Notices AMS 54, 592 (2007))
-        q, r = np.linalg.qr(rest[0] + 1j * rest[1])
-        basis = q * (np.diag(r) / np.abs(np.diag(r)))
+    evals, amplitudes = random_spectrum(dim, seed, kind, gap, ground_weight)
+    g = child_rng(seed, 1).normal(size=(2, dim, dim))
+    # R's phases go into Q (Mezzadri, Notices AMS 54, 592 (2007))
+    q, r = np.linalg.qr(g[0] + 1j * g[1])
+    basis = q * (np.diag(r) / np.abs(np.diag(r)))
     return HermitianOperator((basis * evals) @ basis.conj().T, (evals, basis)), ProbeState(basis @ amplitudes)
 
 

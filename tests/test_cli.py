@@ -172,19 +172,21 @@ def test_model_file_input(tmp_path):
 
 @pytest.mark.parametrize("method", ["fejer", "git"])
 @pytest.mark.parametrize("gen, solves", [
-    ("spiked:64", []), ("gapped:64", []), ("dense:64", ["eigh"]),
+    ("spiked:64", []), ("gapped:64", []), ("dense:64", ["eigvalsh"]),
 ])
 def test_estimate_solves_each_model_at_most_once(
     tmp_path, eigensolves, qrs, matrix_builds, method, gen, solves
 ):
     # generated spectra are carried from the generator to the model: the
-    # dense generator's one solve scales it, the others build from theirs;
-    # the estimate reads no Haar basis (a QR) and no operator matrix
+    # dense generator solves one real tridiagonal for its eigenvalues, the
+    # others draw theirs; the estimate reads no Haar basis (a QR) and no
+    # operator matrix
     assert run_cli(
         "estimate", "--method", method, "--sigma", "0.1", "--delta", "0.1",
         "--gen", gen, "--seed", "3", "--out", str(tmp_path),
     ) == 0
     assert [name for name, _ in eigensolves] == solves
+    assert all(np.isrealobj(a) and a.shape == (64, 64) for _, a in eigensolves)
     assert qrs == [] and matrix_builds == []
 
 
@@ -441,9 +443,9 @@ def test_verify_fault_sweep_golden(tmp_path):
     assert code == 0
     rows = json.loads((tmp_path / "verify_report.json").read_text())["fault_sweep"]
     assert [(r["n"], r["realizations"], r["delta_t"], r["measured"]) for r in rows] == [
-        (128, 20, 0.001, 0.00019843751308523672),
-        (128, 20, 0.1 / 14, 0.001415446668801279),
-        (128, 20, 0.01, 0.001986827391605994),
+        (128, 20, 0.001, 0.0001855784078999001),
+        (128, 20, 0.1 / 14, 0.0013366567420203812),
+        (128, 20, 0.01, 0.0018784975690570027),
     ]
     assert all(r["measured"] <= r["bound"] for r in rows)
 
@@ -458,9 +460,9 @@ def test_verify_fault_sweep_golden_on_a_drawn_spectrum(tmp_path):
     assert code == 0
     rows = json.loads((tmp_path / "verify_report.json").read_text())["fault_sweep"]
     assert [(r["n"], r["realizations"], r["delta_t"], r["measured"]) for r in rows] == [
-        (128, 20, 0.001, 0.00011168489246468627),
-        (128, 20, 0.1 / 14, 0.00080592834308435),
-        (128, 20, 0.01, 0.0011335964684309197),
+        (128, 20, 0.001, 0.00011136528869632595),
+        (128, 20, 0.1 / 14, 0.000794895259595356),
+        (128, 20, 0.01, 0.0011124520482821212),
     ]
     assert all(r["ok"] and r["measured"] <= r["bound"] for r in rows)
 

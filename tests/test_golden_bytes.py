@@ -4,9 +4,11 @@ Each case runs one command in process and pins the sha256 of what it
 writes: `estimate.csv` and `estimate_record.json` (without `elapsed_s`)
 for every estimation method, `transform.csv` for every method,
 `plan.json` for ``--method all`` and the ``reports`` section of
-``verify --method all``.  The models are ``gapped`` and ``spiked``, whose
-spectrum is drawn rather than solved, so no byte depends on LAPACK.
-A refactor that keeps these hashes writes the same artifacts.
+``verify --method all``.  The models are mostly ``gapped`` and
+``spiked``, whose spectrum is drawn rather than solved, so their bytes
+depend on no LAPACK routine; the ``dense`` case's eigenvalues come from
+LAPACK's symmetric eigensolver (``eigvalsh``).  A refactor that keeps
+these hashes writes the same artifacts.
 """
 
 import hashlib
@@ -30,45 +32,50 @@ def _run(tmp_path, *argv) -> None:
 ESTIMATES = {
     "fejer-gapped": (
         ["--method", "fejer", *_TARGET, "--gen", "gapped:16", "--seed", "3"],
-        "0d4c26928c2a1c3abed1522d2b4e1d9626132f6fef80f2415365c0a9b5736671",
+        "d382559daa6e215fcee9fa6980404df99035fd0e9d195a2f36b0bb0321134846",
         "113262157934bc8dddb5bf096e6797fe0211b5fece5c7742063540b9e70c06c0",
     ),
     "fejer-spiked-samples": (
         ["--method", "fejer", *_TARGET, "--gen", "spiked:24", "--seed", "4", "--samples", "999"],
-        "14b16914d963d81f278c68b82070c5844065d37b9b470074f130cb6028957f44",
+        "99e8cfab4e5de08f1a780b793615e4cb971e2b993d0dd06ee2b787c45af07496",
         "920d6fea5ebdcd9290d378eb3239bab89a7f60395dc1e6ac4078f27ace422554",
     ),
     "qfejer-spiked": (
         ["--method", "qfejer", *_TARGET, "--gen", "spiked:16", "--seed", "5"],
-        "f59dfa5546cbc02b928fef36aee898a04f862e82d5edee3072be154527b985e4",
+        "7c864a57cfdf20d7b3a764f6012e548320f6c4b5bd6c3d6909ed68cbd21a9556",
         "a222ac3ee451f8983bf8ce4fc6730e95a7b7a01fda488a847c13af788a3f0c20",
     ),
     "qfejer-gapped-samples": (
         ["--method", "qfejer", *_TARGET, "--gen", "gapped:12", "--seed", "6", "--samples", "777"],
-        "193a0c69ae8612c026cd0bd545d97e6118743855e7a98a4ed9d88274ce8ef46d",
+        "34370ca9ea35826804799b3d521dfc3e09df37b292fe345cd100b5cb041f6ea4",
         "6bda20ca741a7defc587dab9c81126aa065c47d6cbb59ff13cfd56871a8b1da9",
     ),
     "git-spiked": (
         ["--method", "git", *_TARGET, "--gen", "spiked:16", "--seed", "7"],
-        "97307fb0053357e223015b0a7d98852d33d94254ebe2a3dcb7d33ab924cec33c",
+        "418facbe0f93a17a1c9e4e795bf28b9f9399f5e23c23d9fcf5292d1c395068c0",
         "8e98127879aa242102938e48bec8db81b20e2a56118ce2a4332021f18322cbba",
     ),
     "git-gapped-samples": (
         ["--method", "git", *_TARGET, "--gen", "gapped:16", "--seed", "8", "--samples", "50000"],
-        "baa93439a427501b2a87c6ffd34e95d9d53510ae8628ccbd42d876ef5542f301",
+        "05e5e560beb8b94e90d401d98e1a7a97d0f8b7fe06045571cf7dea320541f47b",
         "f76859de17fa81617a7e53f9b69048f52639fd81d82e1fe0cbfea476e86e3589",
     ),
     "git-gapped-nu": (
         ["--method", "git", *_TARGET, "--gen", "gapped:8", "--seed", "9", "--nu", "-0.35"],
-        "2e0cf07c65539d84f5880045781e1f52d5520c2ff1cbab0ca4544eeaa2e288cc",
+        "f329ab3211d258d20e2ca078fe665e8b2aae71b52e0e2eecb276120485810fd8",
         "619b075f62e6db27764bccaf8e5021b4678f55c232b21a584e96e7e54cc6cebe",
+    ),
+    "fejer-dense": (
+        ["--method", "fejer", *_TARGET, "--gen", "dense:16", "--seed", "12"],
+        "73f38007bbce7cea5ff6fc7dc2ef27c8ff2cfca24a7bc1449366eaded8d37385",
+        "95ca1f766a2c217662c96d229c1c9efd5013fcaf28aa7d95df5d371d06eca2a7",
     ),
     # a fine target: the 1,335-point default grid, where the shot sizing
     # transforms few of the frequency rows
     "git-spiked-fine": (
         ["--method", "git", "--sigma", "0.1", "--delta", "0.03", "--beta", "0.1",
          "--gen", "spiked:32", "--seed", "10"],
-        "927e12a9f993c999d3d4e9212ecf04cb0d9fe062f55298bffcdc8edea8cb3491",
+        "9c3aefa0286b825b125a6196467497a7131a00e23f7e5e9e37a0043d2cd481ad",
         "775cf3f80794370f3bb865225d206d436c8b924934e51a41fe416f2ab6b934b6",
     ),
 }
@@ -88,10 +95,10 @@ def test_estimate_bytes(tmp_path, case):
 
 
 TRANSFORMS = {
-    "fejer": "3f0f91cdae92ca6b872fc4e09003546529b5df67ed60915d8ed210ebe61117f2",
-    "qfejer": "1abb96ea7889755266b2059c4127df7ffb282aa1d0b9005a7b63fe08480242dc",
-    "git": "cca5fa8ab27f42e0d2e36645284cc761ab3da2e22e45d4babc78abd8efc2b527",
-    "jackson": "d8500b4c0ae310ec2da68aaf482664a4beb5caf839f5d8da6f98b7f38ed92664",
+    "fejer": "90616bf8640afb0603ef0b18995e67bda86053b36021f8a80aafae0ba0adc108",
+    "qfejer": "275b2b6a3d55e8f74e569d31afe77330f0eb8feed95f23e19e05933f66843747",
+    "git": "2f6907b089804e521da93da2e7016f524491a48a81ef44327edddf88155f8067",
+    "jackson": "04dcf811082c990793580393413e21a7edce792c2cb3b10d842c7f4ec54b3cd7",
 }
 
 
@@ -114,5 +121,5 @@ def test_verify_reports_bytes(tmp_path):
          "--gen", "spiked:8:count=2", "--trials", "12", "--seed", "13", "--workers", "1")
     reports = json.loads((tmp_path / "verify_report.json").read_text())["reports"]
     assert _sha(json.dumps(reports, indent=2, sort_keys=True)) == (
-        "fd21609c361d219d16b789a0a7f8bda79893ee27e3884aed69919c5a717e2663"
+        "79f088a1b0b65f2163eda55863497b50dae2e87b23788bee0d8fc690f607dc5b"
     )

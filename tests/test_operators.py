@@ -236,7 +236,7 @@ def test_diagonalize_matches_an_independent_eigensolve(kind, dims):
             np.testing.assert_allclose(model.weights, w / w.sum(), rtol=0.0, atol=1e-12)
 
 
-@pytest.mark.parametrize("kind, solves", [("dense", ["eigh"]), ("spiked", []), ("gapped", [])])
+@pytest.mark.parametrize("kind, solves", [("dense", ["eigvalsh"]), ("spiked", []), ("gapped", [])])
 def test_random_model_solves_at_most_once(eigensolves, kind, solves):
     op, psi = random_model(16, seed=3, kind=kind)
     normed, amap = normalize_operator(op, "full")
@@ -254,18 +254,22 @@ def test_normalize_operator_maps_the_carried_spectrum(eigensolves):
     assert [name for name, _ in eigensolves] == ["eigh"]
 
 
-def _eager_random_model(dim, seed, kind):
-    # The reference generator: the Haar basis, the matrix and the probe
-    # vector, from the same stream, and the probe amplitudes that weigh the
-    # model of `--gen kind:dim` (the drawn coefficients, or V^dagger psi
-    # for dense).
-    def random_unitary(rng):
-        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        q, r = np.linalg.qr(g)
-        return q * (np.diag(r) / np.abs(np.diag(r)))
+def _random_unitary(rng, dim):
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    q, r = np.linalg.qr(g)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
 
+
+def _eager_random_model(dim, seed, kind, old=False):
+    # The reference generators: the pair and the probe amplitudes that weigh
+    # the model of `--gen kind:dim`.  The current one draws the spectrum from
+    # child_rng(seed, 0), dense from the symmetric Hermite tridiagonal, and
+    # the Haar basis from child_rng(seed, 1).  The old one (`old=True`)
+    # solved a dense GUE matrix for its eigenvectors and V^dagger psi, and
+    # drew the spiked/gapped basis from the spectrum's stream.
     rng = child_rng(seed, 0)
-    if kind == "dense":
+    basis = None
+    if kind == "dense" and old:
         g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         h = (g + g.conj().T) / 2.0
         vals, vecs = np.linalg.eigh(h)
@@ -274,12 +278,20 @@ def _eager_random_model(dim, seed, kind):
         v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         psi = ProbeState(v / np.linalg.norm(v))
         return HermitianOperator(h / nrm, (vals / nrm, vecs)), psi, vecs.conj().T @ psi.vector
-    if kind == "spiked":
+    if kind == "dense":
+        diag = rng.normal(size=dim)
+        sub = np.sqrt(rng.chisquare(2 * np.arange(dim - 1, 0, -1)) / 2)
+        ev = np.linalg.eigvalsh(np.diag(diag) + np.diag(sub, -1) + np.diag(sub, 1))
+        ev = ev / (float(np.max(np.abs(ev))) if dim > 1 else max(1.0, abs(float(ev[0]))))
+        coeffs = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        coeffs /= np.linalg.norm(coeffs)
+    elif kind == "spiked":
         n_spike = max(1, dim // 8)
         bulk = rng.uniform(-0.3, 0.3, size=dim - n_spike)
         spikes = rng.uniform(0.7, 0.95, size=n_spike) * rng.choice([-1.0, 1.0], size=n_spike)
         ev = np.sort(np.concatenate([bulk, spikes]))
-        basis = random_unitary(rng) if dim > 1 else np.ones((1, 1), dtype=complex)
+        if old:
+            basis = _random_unitary(rng, dim) if dim > 1 else np.ones((1, 1), dtype=complex)
         coeffs = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         coeffs[np.argsort(np.abs(ev))[-n_spike:]] *= 3.0
         coeffs /= np.linalg.norm(coeffs)
@@ -288,11 +300,14 @@ def _eager_random_model(dim, seed, kind):
         e1 = e0 + 2.0 * 0.1 + rng.uniform(0.02, 0.1)
         rest = np.sort(rng.uniform(e1, 0.98, size=dim - 2)) if dim > 2 else np.empty(0)
         ev = np.concatenate([[e0, e1], rest])
-        basis = random_unitary(rng)
+        if old:
+            basis = _random_unitary(rng, dim)
         coeffs = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         coeffs[0] = 0.0
         coeffs = coeffs / np.linalg.norm(coeffs) * math.sqrt(1.0 - 0.2)
         coeffs[0] = math.sqrt(0.2) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+    if basis is None:
+        basis = _random_unitary(child_rng(seed, 1), dim)
     op = HermitianOperator((basis * ev) @ basis.conj().T, (ev, basis))
     return op, ProbeState(basis @ coeffs), coeffs
 
@@ -313,15 +328,13 @@ def test_deferred_model_builds_the_eager_bits(tmp_path, kind, dim):
         assert np.array_equal(op.matrix, want_op.matrix)
         assert not (op.matrix.flags.writeable or op.evecs.flags.writeable or psi.vector.flags.writeable)
         want_model = diagonalize(want_op, want_psi)
-        if kind == "dense":
-            assert np.array_equal(model.eigenvalues, want_model.eigenvalues)
-            assert np.array_equal(model.weights, want_model.weights)
+        assert np.array_equal(model.eigenvalues, want_model.eigenvalues)
+        assert np.array_equal(model.weights, want_model.weights)
         w = np.abs(op.evecs.conj().T @ psi.vector) ** 2
         np.testing.assert_allclose(model.weights, w / w.sum(), rtol=0.0, atol=1e-15)
-        op, psi = random_model(dim, seed=seed, kind=kind)
-        write_model_file(tmp_path / "lazy.txt", op, psi)
+        write_model_file(tmp_path / "model.txt", op, psi)
         write_model_file(tmp_path / "eager.txt", want_op, want_psi)
-        assert (tmp_path / "lazy.txt").read_bytes() == (tmp_path / "eager.txt").read_bytes()
+        assert (tmp_path / "model.txt").read_bytes() == (tmp_path / "eager.txt").read_bytes()
 
 
 @settings(max_examples=40, deadline=None)
@@ -335,20 +348,45 @@ def test_random_spectrum_equals_the_pair(kind, dim, seed):
         dim = max(dim, 2)
     evals, amplitudes = random_spectrum(dim, seed, kind)
     op, psi = random_model(dim, seed, kind)
-    projected = op.evecs.conj().T @ psi.vector
     _, _, drawn = _eager_random_model(dim, seed, kind)
     assert np.array_equal(evals, op.evals)
     assert np.array_equal(amplitudes, drawn)
-    if kind == "dense":
-        assert np.array_equal(amplitudes, projected)
-    else:
-        assert np.max(np.abs(amplitudes - projected)) <= 1e-15
+    assert np.max(np.abs(amplitudes - op.evecs.conj().T @ psi.vector)) <= 1e-15
     # the model of `--gen kind:dim`: the drawn weights, merged by the reference loop
     w = np.abs(drawn) ** 2
     want_ev, want_w = _merge_loop(evals, w / float(np.sum(w)))
     model = SpectralModel.from_amplitudes(evals, amplitudes)
     assert np.array_equal(model.eigenvalues, want_ev)
     assert np.array_equal(model.weights, want_w)
+
+
+def _draw_statistics(draws):
+    # per draw: the bottom, top and second-largest eigenvalue, the largest
+    # weight, and the weight on the top eigenvalue
+    stats = []
+    for evals, amplitudes in draws:
+        w = np.abs(amplitudes) ** 2 / float(np.sum(np.abs(amplitudes) ** 2))
+        stats.append((evals[0], evals[-1], evals[-2], w.max(), w[-1]))
+    return np.array(stats).T
+
+
+@pytest.mark.parametrize("kind", ["dense", "spiked", "gapped"])
+def test_random_spectrum_has_the_law_of_the_old_generator(kind):
+    # 400 draws of the current generator against 400 of the old one (seeds
+    # disjoint): two-sample Kolmogorov-Smirnov on each statistic.  Dense
+    # eigenvalues now come from the Hermite tridiagonal model and dense
+    # weights from a fresh Gaussian; the others drop the old stream's Haar
+    # normals.
+    from scipy.stats import ks_2samp
+
+    dim, count = 32, 400
+    old = []
+    for seed in range(count):
+        op, psi, amplitudes = _eager_random_model(dim, seed, kind, old=True)
+        old.append((op.evals, amplitudes))
+    new = [random_spectrum(dim, seed, kind) for seed in range(count, 2 * count)]
+    for a, b in zip(_draw_statistics(old), _draw_statistics(new)):
+        assert ks_2samp(a, b).pvalue > 1e-3
 
 
 def test_from_amplitudes_rejects_mismatched_shapes():
@@ -373,7 +411,10 @@ def _merge_loop(ev, w):
         while j < ev.size and ev[j] - ev[j - 1] < 1e-10:
             j += 1
         ww = float(np.sum(w[i:j]))
-        out_ev.append(float(np.sum(ev[i:j] * w[i:j]) / ww) if ww > 0.0 else float(np.mean(ev[i:j])))
+        if j == i + 1:
+            out_ev.append(float(ev[i]))
+        else:
+            out_ev.append(float(np.sum(ev[i:j] * w[i:j]) / ww) if ww > 0.0 else float(np.mean(ev[i:j])))
         out_w.append(ww)
         i = j
     return np.asarray(out_ev), np.asarray(out_w)
