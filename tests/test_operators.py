@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.stats import ks_2samp
 
 from specden.errors import CoarseGridWarning, ResourceLimitError, ValidationError
 from specden.kernels import FejerKernel, GaussianKernel, fejer_eval, fejer_grid, gaussian_eval
@@ -372,18 +373,11 @@ def _draw_statistics(draws):
 
 @pytest.mark.parametrize("kind", ["dense", "spiked", "gapped"])
 def test_random_spectrum_has_the_law_of_the_old_generator(kind):
-    # 400 draws of the current generator against 400 of the old one (seeds
-    # disjoint): two-sample Kolmogorov-Smirnov on each statistic.  Dense
-    # eigenvalues now come from the Hermite tridiagonal model and dense
-    # weights from a fresh Gaussian; the others drop the old stream's Haar
-    # normals.
-    from scipy.stats import ks_2samp
-
+    # 400 draws of the current generator against 400 of the old one, on
+    # disjoint seeds: a two-sample Kolmogorov-Smirnov test on each statistic
     dim, count = 32, 400
-    old = []
-    for seed in range(count):
-        op, psi, amplitudes = _eager_random_model(dim, seed, kind, old=True)
-        old.append((op.evals, amplitudes))
+    old = [(op.evals, amplitudes) for op, _, amplitudes in
+           (_eager_random_model(dim, seed, kind, old=True) for seed in range(count))]
     new = [random_spectrum(dim, seed, kind) for seed in range(count, 2 * count)]
     for a, b in zip(_draw_statistics(old), _draw_statistics(new)):
         assert ks_2samp(a, b).pvalue > 1e-3
