@@ -26,7 +26,12 @@ the Chebyshev basis at ``m = max(4 (L + 1), 256)`` nodes, and never
 forms that projection's table either: :func:`projection_cmax` sizes the
 shots from a DCT-II of only the frequency rows whose coefficient bound can
 reach the maximum, and :func:`projection_values` reconstructs from one
-DCT-III of the moments.
+DCT-III of the moments.  Both sweep the Gaussian kernel matrix banded:
+each frequency sees only the nodes within ``r = lam sqrt(2 (53 ln 2 +
+ln m))``, past which ``G < G(0) 2^-53 / m``, so about ``F m lam`` cells
+are evaluated instead of ``F m``.  The values move by at most ``2^-53
+G(0) max_j |rho_j|``; the coefficient bounds add the allowance ``m G(r)``,
+so the largest magnitude stays bit-identical to a full scan.
 """
 
 from __future__ import annotations
@@ -468,35 +473,57 @@ def cheb_moments(op: HermitianOperator, psi: ProbeState, order: int) -> np.ndarr
     return moments
 
 
-# Row chunks of the kernel matrix G(nu_i, x_j) hold at most this many cells
-# (512 KiB), which keeps each chunk in cache between its evaluation and use.
+# Blocks of the kernel matrix G(nu_i, x_j) hold at most this many cells
+# (512 KiB), or one row when m is larger, which keeps each block in cache
+# between its evaluation and use.
 _CHUNK_CELLS = 2**16
 
-
-def _kernel_rows(lam: float, freqs: np.ndarray, x: np.ndarray):
-    """``(part, G(freqs[part], x))`` over row chunks of at most `_CHUNK_CELLS` cells."""
-    rows = max(1, _CHUNK_CELLS // x.size)
-    for start in range(0, freqs.size, rows):
-        part = slice(start, start + rows)
-        yield part, gaussian_eval(freqs[part, None], x[None, :], lam)
+# Past sqrt(1492) lam ~ 38.6 lam the exponent is below -746 and
+# :func:`gaussian_eval` returns exactly 0.
+_ZERO_REACH = 39.0
 
 
-def _row_sums(lam: float, freqs: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``S(nu) = sum_j G(nu, x_j)`` per frequency, in chunks of at most `_CHUNK_CELLS` cells.
+def _reach(lam: float, m: int) -> float:
+    """Distance ``r = lam sqrt(2 (53 ln 2 + ln m))`` past which G < G(0) 2^-53 / m."""
+    return lam * math.sqrt(2.0 * (53.0 * math.log(2.0) + math.log(m)))
 
-    Each chunk of frequencies sums only the band of nodes within 39 lam
-    of its range: past ``sqrt(1492) lam ~ 38.6 lam`` the exponent is
-    below -746 and :func:`gaussian_eval` returns exactly 0.
+
+def _kernel_bands(lam: float, freqs: np.ndarray, nodes: np.ndarray):
+    """``(part, band, G(freqs[part], nodes[band]))`` over chunks of frequencies.
+
+    `nodes` ascend.  Each chunk's band is the slice of nodes within the
+    reach :func:`_reach` of the chunk's smallest or largest frequency, so
+    an unsorted grid is banded correctly.  A chunk starts as large as the
+    band of its first frequency allows and shrinks once to fit its own
+    band: every block holds at most ``max(2^16, m)`` cells.  The cells
+    left out of a row are each below ``G(0) 2^-53 / m``, so they sum to
+    less than ``2^-53 G(0)``.
     """
-    nodes = x[::-1]  # ascending
-    reach = 39.0 * lam
-    sums = np.empty(freqs.size)
-    rows = max(1, _CHUNK_CELLS // x.size)
-    for start in range(0, freqs.size, rows):
-        part = freqs[start:start + rows]
+    reach = _reach(lam, nodes.size)
+    cap = max(_CHUNK_CELLS, nodes.size)
+
+    def band(part):
         lo = np.searchsorted(nodes, part.min() - reach, side="left")
-        hi = np.searchsorted(nodes, part.max() + reach, side="right")
-        sums[start:start + rows] = gaussian_eval(part[:, None], nodes[None, lo:hi], lam).sum(axis=1)
+        return slice(lo, np.searchsorted(nodes, part.max() + reach, side="right"))
+
+    start = 0
+    while start < freqs.size:
+        first = band(freqs[start:start + 1])
+        rows = cap // max(1, first.stop - first.start)
+        cols = band(freqs[start:start + rows])
+        if rows * (cols.stop - cols.start) > cap:
+            rows = cap // (cols.stop - cols.start)
+            cols = band(freqs[start:start + rows])
+        part = slice(start, start + rows)
+        yield part, cols, gaussian_eval(freqs[part, None], nodes[None, cols], lam)
+        start += rows
+
+
+def _row_sums(lam: float, freqs: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """Banded ``S(nu) = sum_j G(nu, x_j)`` per frequency, under the full sum by less than ``2^-53 G(0)``."""
+    sums = np.empty(freqs.size)
+    for part, _, block in _kernel_bands(lam, freqs, nodes):
+        sums[part] = block.sum(axis=1)
     return sums
 
 
@@ -510,13 +537,18 @@ def projection_cmax(lam: float, frequencies, order: int) -> float:
 
     The kernel is non-negative and ``|T_n(x_j)| <= 1``, so every
     coefficient of row nu is at most ``B(nu) = 2 S(nu) / m`` with
-    ``S(nu) = sum_j G(nu, x_j)``.  The row of the largest bound is
-    DCT-II'd first, then only the rows whose bound reaches the largest
-    magnitude found so far: O(F m) time for the bounds plus
-    O(k m log m) for the k rows transformed, in O(2^16 + m) memory.  The
-    row holding the maximum is always transformed, by the same
-    :func:`gaussian_eval` and :func:`cheb_series_coeffs` as every other
-    row, so the result is bit-identical to a scan of all F rows.
+    ``S(nu) = sum_j G(nu, x_j)``.  S is summed over the nodes within the
+    reach ``r = lam sqrt(2 (53 ln 2 + ln m))`` of nu only, and the cells
+    left out, each below ``G(r) = G(0) 2^-53 / m``, are made up by the
+    allowance ``m G(r)`` on every row with a node within 39 lam; past
+    ``sqrt(1492) lam`` every cell is exactly 0, so the other rows keep
+    bound 0.  The row of the largest bound is DCT-II'd first, then only
+    the rows whose bound reaches the largest magnitude found so far:
+    O(F m lam) time for the bounds plus O(k m log m) for the k rows
+    transformed, in O(2^16 + m) memory.  The row holding the maximum is
+    always transformed in full, by the same :func:`gaussian_eval` and
+    :func:`cheb_series_coeffs` as every other row, so the result is
+    bit-identical to a scan of all F rows.
     """
     if not (lam > 0.0):
         raise ValidationError(f"lam must be positive, got {lam!r}")
@@ -524,10 +556,16 @@ def projection_cmax(lam: float, frequencies, order: int) -> float:
         raise ValidationError(f"order must be >= 1, got {order!r}")
     freqs = np.atleast_1d(np.asarray(frequencies, dtype=float)).reshape(-1)
     x = cheb_nodes(_projection_size(order))
+    nodes = x[::-1]
+    near = np.searchsorted(nodes, freqs + _ZERO_REACH * lam, side="right") > np.searchsorted(
+        nodes, freqs - _ZERO_REACH * lam, side="left"
+    )
+    allowance = x.size * gaussian_eval(_reach(lam, x.size), 0.0, lam)
+    sums = _row_sums(lam, freqs, nodes) + np.where(near, allowance, 0.0)
     # The 1e-9 slack covers rounding: the FFT inside the DCT errs by about
     # u log2(m) sqrt(m) relative to S, under 3e-11 even at m = GRID_CAP,
     # and the pairwise sums of S by about u log2(m).
-    bound = 2.0 * (1.0 + 1e-9) * _row_sums(lam, freqs, x) / x.size
+    bound = 2.0 * (1.0 + 1e-9) * sums / x.size
     rows = max(1, _CHUNK_CELLS // x.size)
     # the row of the largest bound first; then, chunk by chunk, the rows
     # not yet transformed whose bound reaches the largest magnitude found.
@@ -551,22 +589,27 @@ def projection_values(moments, lam: float, frequencies) -> np.ndarray:
     275 (2006), sec. II.C) the sum equals ``sum_j G(nu, x_j) rho_j``
     with ``rho = DCT-III(gamma_n v_n) / m`` at the nodes.  So each row
     costs one O(m log m) transform, and every row is reconstructed by
-    one product with the kernel matrix, built in row chunks of at most
-    2^16 cells (one row when m is larger): no coefficient table exists.
+    one product with the kernel matrix, banded: each frequency sums only
+    the nodes within ``r = lam sqrt(2 (53 ln 2 + ln m))`` of it, about
+    9.3 lam at m = 936, in blocks of at most ``max(2^16, m)`` cells.  No
+    coefficient table exists.  Every node left out has ``G < G(0) 2^-53
+    / m``, so the cut moves each value by at most ``2^-53 G(0)
+    max_j |rho_j|``, which is at most ``2^-54 / (sqrt(2 pi) lam)`` for
+    moments in [-1, 1] (``|rho_j| <= 1/2``).
     """
     v = np.asarray(moments, dtype=float)
     if v.ndim not in (1, 2) or v.shape[-1] < 1:
         raise ValidationError("moments must be a nonempty vector or matrix of vectors")
     if not (lam > 0.0):
         raise ValidationError(f"lam must be positive, got {lam!r}")
-    x = cheb_nodes(_projection_size(v.shape[-1] - 1))
+    nodes = cheb_nodes(_projection_size(v.shape[-1] - 1))[::-1]  # ascending
     gamma = np.full(v.shape[-1], 2.0)
     gamma[0] = 1.0
-    rho = dct3(v * gamma, x.size) / x.size
+    rho = dct3(v * gamma, nodes.size)[..., ::-1] / nodes.size
     freqs = np.atleast_1d(np.asarray(frequencies, dtype=float)).reshape(-1)
     values = np.empty(v.shape[:-1] + freqs.shape)
-    for part, rows in _kernel_rows(lam, freqs, x):
-        values[..., part] = rho @ rows.T
+    for part, band, block in _kernel_bands(lam, freqs, nodes):
+        values[..., part] = rho[..., band] @ block.T
     return values
 
 

@@ -34,7 +34,7 @@ from specden.chebgauss import (
 )
 from specden.errors import OutOfRegimeError, ResourceLimitError, ValidationError
 from specden.kernels import AccuracyTarget, gaussian_eval
-from specden.numerics import cheb_nodes, cheb_series_coeffs, child_rng
+from specden.numerics import cheb_nodes, cheb_series_coeffs, child_rng, dct3
 from specden.estimators import CONTRACT_GRID, ESTIMATION_METHODS, model_moments
 from specden.operators import HermitianOperator, ProbeState, diagonalize, normalize_operator, random_model
 
@@ -216,31 +216,91 @@ def _accepted_budget(sigma, delta, beta):
     return budget if budget.L <= 1500 else None
 
 
+def _grid(kind, size, seed, lam, delta):
+    rng = child_rng(seed)
+    if kind == "default":
+        return _default_grid(delta)
+    if kind == "random":
+        return rng.uniform(-1.3, 1.3, size)
+    if kind == "beyond":
+        return rng.choice([-1.0, 1.0], size) * (1.0 + rng.uniform(0.0, 10.0 * lam, size))
+    if kind == "edge":
+        # one frequency `size` kernel widths above the spectrum's edge at 1
+        return np.array([1.0 + size * lam])
+    return rng.choice(rng.uniform(-1.2, 1.2, 1 + size // 10), size)
+
+
+_KINDS = st.sampled_from(["default", "random", "beyond", "edge", "ties"])
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     sigma=st.floats(0.01, 0.5),
     delta=st.floats(0.01, 0.5),
     log_beta=st.floats(-6.0, -0.5),
-    kind=st.sampled_from(["default", "random", "beyond", "ties"]),
+    kind=_KINDS,
     size=st.integers(1, 300),
     seed=st.integers(0, 2**32 - 1),
 )
 @example(sigma=0.1, delta=0.02, log_beta=-1.0, kind="default", size=1, seed=0)
 @example(sigma=0.1, delta=0.2, log_beta=-1.0, kind="ties", size=1, seed=0)
+# nu = 1 + k lam with k between the band's reach (9.3 lam at m = 936) and
+# 39 lam: the banded row sum is exactly 0, yet the full scan's c_max is
+# 3.2e-32 (k = 12) and 9.3e-315 (k = 38), so the git budget must not
+# raise "no requested frequency sees the kernel" there
+@example(sigma=0.1, delta=0.05, log_beta=-1.0, kind="edge", size=12, seed=0)
+@example(sigma=0.1, delta=0.05, log_beta=-1.0, kind="edge", size=38, seed=0)
 def test_projection_cmax_equals_full_scan_bit_for_bit(sigma, delta, log_beta, kind, size, seed):
     budget = _accepted_budget(sigma, delta, 10.0**log_beta)
     assume(budget is not None)
     lam, order = budget.lam, budget.L
-    rng = child_rng(seed)
-    if kind == "default":
-        nu = _default_grid(delta)
-    elif kind == "random":
-        nu = rng.uniform(-1.3, 1.3, size)
-    elif kind == "beyond":
-        nu = rng.choice([-1.0, 1.0], size) * (1.0 + rng.uniform(0.0, 10.0 * lam, size))
-    else:
-        nu = rng.choice(rng.uniform(-1.2, 1.2, 1 + size // 10), size)
+    nu = _grid(kind, size, seed, lam, delta)
     assert projection_cmax(lam, nu, order) == _full_scan_cmax(lam, nu, order)
+
+
+def _full_product(rho, lam, freqs):
+    # the reference: rho times the whole kernel matrix on rho's nodes, in
+    # 2^16-cell row chunks
+    x = cheb_nodes(rho.shape[-1])
+    rows = max(1, 2**16 // x.size)
+    out = np.empty(rho.shape[:-1] + freqs.shape)
+    for start in range(0, freqs.size, rows):
+        block = gaussian_eval(freqs[start:start + rows, None], x[None, :], lam)
+        out[..., start:start + rows] = rho @ block.T
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    sigma=st.floats(0.01, 0.5),
+    delta=st.floats(0.01, 0.5),
+    log_beta=st.floats(-6.0, -0.5),
+    kind=_KINDS,
+    size=st.integers(1, 300),
+    seed=st.integers(0, 2**32 - 1),
+    batch=st.booleans(),
+)
+@example(sigma=0.1, delta=0.02, log_beta=-1.0, kind="default", size=1, seed=0, batch=True)
+@example(sigma=0.1, delta=0.05, log_beta=-1.0, kind="edge", size=9, seed=0, batch=False)
+def test_projection_values_within_the_stated_cut_of_the_full_product(
+    sigma, delta, log_beta, kind, size, seed, batch
+):
+    budget = _accepted_budget(sigma, delta, 10.0**log_beta)
+    assume(budget is not None)
+    lam, order = budget.lam, budget.L
+    nu = _grid(kind, size, seed, lam, delta)
+    v = child_rng(seed, 1).uniform(-1.0, 1.0, (3, order + 1) if batch else order + 1)
+    m = max(4 * (order + 1), 256)
+    gamma = np.where(np.arange(order + 1) == 0, 1.0, 2.0)
+    rho = dct3(v * gamma, m) / m
+    u = 2.0**-53
+    # the cut: u G(0) max|rho| per moment vector; the rounding allowance
+    # covers the two products' summation orders (64 u sum_j G |rho_j|,
+    # against at most 15 u seen over 300 random draws)
+    cut = u * gaussian_eval(0.0, 0.0, lam) * np.abs(rho).max(axis=-1, keepdims=True)
+    allowance = cut + 64.0 * u * _full_product(np.abs(rho), lam, nu)
+    delta_nu = np.abs(projection_values(v, lam, nu) - _full_product(rho, lam, nu))
+    assert np.all(delta_nu <= allowance)
 
 
 def _count_projection_work(monkeypatch):
@@ -282,6 +342,23 @@ def test_projection_cmax_transforms_few_rows_in_bounded_blocks(monkeypatch):
     with pytest.raises(ValidationError, match=r"^no requested frequency sees the kernel.*nu = 5$"):
         ESTIMATION_METHODS["git"].budget(target, grid=[5.0])
     assert work["rows"] == 0
+
+
+def test_projection_sweeps_evaluate_a_band_of_the_kernel_matrix(monkeypatch):
+    target = AccuracyTarget(sigma=0.1, delta=0.02, beta=0.1)
+    budget = truncation_order(target)
+    lam, order = budget.lam, budget.L
+    m = max(4 * (order + 1), 256)
+    nu = _default_grid(target.delta)
+    work = _count_projection_work(monkeypatch)
+    projection_values(child_rng(1).uniform(-1.0, 1.0, order + 1), lam, nu)
+    # the full product evaluates F m = 2001 * 2480 cells; the band ~0.13 of them
+    assert sum(work["cells"]) <= 0.15 * nu.size * m
+    assert max(work["cells"]) <= max(2**16, m)
+    work["cells"] = []
+    chebgauss._row_sums(lam, nu, cheb_nodes(m)[::-1])
+    assert sum(work["cells"]) <= 0.15 * nu.size * m
+    assert max(work["cells"]) <= max(2**16, m)
 
 
 def test_critical_betas_golden():

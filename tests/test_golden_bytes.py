@@ -52,17 +52,17 @@ ESTIMATES = {
     ),
     "git-spiked": (
         ["--method", "git", *_TARGET, "--gen", "spiked:16", "--seed", "7"],
-        "418facbe0f93a17a1c9e4e795bf28b9f9399f5e23c23d9fcf5292d1c395068c0",
+        "78fdf3eeacb6c86e9e132498a49060f38dc289e78a8aeeee8e657f561743106e",
         "8e98127879aa242102938e48bec8db81b20e2a56118ce2a4332021f18322cbba",
     ),
     "git-gapped-samples": (
         ["--method", "git", *_TARGET, "--gen", "gapped:16", "--seed", "8", "--samples", "50000"],
-        "05e5e560beb8b94e90d401d98e1a7a97d0f8b7fe06045571cf7dea320541f47b",
+        "0bd5b3fbccbce4db463ac14090512fb39f8a23122f4929a69e2fccf4933cb0fe",
         "f76859de17fa81617a7e53f9b69048f52639fd81d82e1fe0cbfea476e86e3589",
     ),
     "git-gapped-nu": (
         ["--method", "git", *_TARGET, "--gen", "gapped:8", "--seed", "9", "--nu", "-0.35"],
-        "f329ab3211d258d20e2ca078fe665e8b2aae71b52e0e2eecb276120485810fd8",
+        "d154e10b6d411ad8eec65132a1930eae1e516a13bb69512fc9ece720813f07fd",
         "619b075f62e6db27764bccaf8e5021b4678f55c232b21a584e96e7e54cc6cebe",
     ),
     "fejer-dense": (
@@ -75,7 +75,7 @@ ESTIMATES = {
     "git-spiked-fine": (
         ["--method", "git", "--sigma", "0.1", "--delta", "0.03", "--beta", "0.1",
          "--gen", "spiked:32", "--seed", "10"],
-        "9c3aefa0286b825b125a6196467497a7131a00e23f7e5e9e37a0043d2cd481ad",
+        "a0a47b11bf36ce977a02a35d35cf1564028ffe5070b1e3923654d4a9e895c4dc",
         "775cf3f80794370f3bb865225d206d436c8b924934e51a41fe416f2ab6b934b6",
     ),
 }
