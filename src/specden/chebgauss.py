@@ -489,7 +489,7 @@ def _reach(lam: float, m: int) -> float:
 
 
 def _kernel_bands(lam: float, freqs: np.ndarray, nodes: np.ndarray):
-    """``(part, band, G(freqs[part], nodes[band]))`` over chunks of frequencies.
+    """``(part, band)`` slices over chunks of frequencies and their bands of nodes.
 
     `nodes` ascend.  Each chunk's band is the slice of nodes within the
     reach :func:`_reach` of the chunk's smallest or largest frequency, so
@@ -497,7 +497,8 @@ def _kernel_bands(lam: float, freqs: np.ndarray, nodes: np.ndarray):
     band of its first frequency allows and shrinks once to fit its own
     band: every block holds at most ``max(2^16, m)`` cells.  The cells
     left out of a row are each below ``G(0) 2^-53 / m``, so they sum to
-    less than ``2^-53 G(0)``.
+    less than ``2^-53 G(0)``.  Callers evaluate each block of the kernel
+    without naming it, so that it is freed before the next one is built.
     """
     reach = _reach(lam, nodes.size)
     cap = max(_CHUNK_CELLS, nodes.size)
@@ -514,16 +515,15 @@ def _kernel_bands(lam: float, freqs: np.ndarray, nodes: np.ndarray):
         if rows * (cols.stop - cols.start) > cap:
             rows = cap // (cols.stop - cols.start)
             cols = band(freqs[start:start + rows])
-        part = slice(start, start + rows)
-        yield part, cols, gaussian_eval(freqs[part, None], nodes[None, cols], lam)
+        yield slice(start, start + rows), cols
         start += rows
 
 
 def _row_sums(lam: float, freqs: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     """Banded ``S(nu) = sum_j G(nu, x_j)`` per frequency, under the full sum by less than ``2^-53 G(0)``."""
     sums = np.empty(freqs.size)
-    for part, _, block in _kernel_bands(lam, freqs, nodes):
-        sums[part] = block.sum(axis=1)
+    for part, band in _kernel_bands(lam, freqs, nodes):
+        sums[part] = gaussian_eval(freqs[part, None], nodes[None, band], lam).sum(axis=1)
     return sums
 
 
@@ -608,8 +608,8 @@ def projection_values(moments, lam: float, frequencies) -> np.ndarray:
     rho = dct3(v * gamma, nodes.size)[..., ::-1] / nodes.size
     freqs = np.atleast_1d(np.asarray(frequencies, dtype=float)).reshape(-1)
     values = np.empty(v.shape[:-1] + freqs.shape)
-    for part, band, block in _kernel_bands(lam, freqs, nodes):
-        values[..., part] = rho[..., band] @ block.T
+    for part, band in _kernel_bands(lam, freqs, nodes):
+        values[..., part] = rho[..., band] @ gaussian_eval(freqs[part, None], nodes[None, band], lam).T
     return values
 
 
