@@ -491,31 +491,25 @@ def _reach(lam: float, m: int) -> float:
 def _kernel_bands(lam: float, freqs: np.ndarray, nodes: np.ndarray):
     """``(part, band)`` slices over chunks of frequencies and their bands of nodes.
 
-    `nodes` ascend.  Each chunk's band is the slice of nodes within the
-    reach :func:`_reach` of the chunk's smallest or largest frequency, so
-    an unsorted grid is banded correctly.  A chunk starts as large as the
-    band of its first frequency allows and shrinks once to fit its own
-    band: every block holds at most ``max(2^16, m)`` cells.  The cells
-    left out of a row are each below ``G(0) 2^-53 / m``, so they sum to
-    less than ``2^-53 G(0)``.  Callers evaluate each block of the kernel
-    without naming it, so that it is freed before the next one is built.
+    `nodes` ascend.  A chunk's band runs from the lowest to the highest
+    node within :func:`_reach` of any of its frequencies, so an unsorted
+    grid is banded correctly.  A chunk starts as large as its first
+    frequency's band allows and shrinks once to fit its own band, so
+    every block holds at most ``max(2^16, m)`` cells.  Callers evaluate
+    each block unnamed, so that it is freed before the next is built.
     """
     reach = _reach(lam, nodes.size)
     cap = max(_CHUNK_CELLS, nodes.size)
-
-    def band(part):
-        lo = np.searchsorted(nodes, part.min() - reach, side="left")
-        return slice(lo, np.searchsorted(nodes, part.max() + reach, side="right"))
-
+    lo = np.searchsorted(nodes, freqs - reach, side="left")
+    hi = np.searchsorted(nodes, freqs + reach, side="right")
     start = 0
     while start < freqs.size:
-        first = band(freqs[start:start + 1])
-        rows = cap // max(1, first.stop - first.start)
-        cols = band(freqs[start:start + rows])
-        if rows * (cols.stop - cols.start) > cap:
-            rows = cap // (cols.stop - cols.start)
-            cols = band(freqs[start:start + rows])
-        yield slice(start, start + rows), cols
+        rows = cap // max(1, hi[start] - lo[start])
+        band = slice(lo[start:start + rows].min(), hi[start:start + rows].max())
+        if rows * (band.stop - band.start) > cap:
+            rows = cap // (band.stop - band.start)
+            band = slice(lo[start:start + rows].min(), hi[start:start + rows].max())
+        yield slice(start, start + rows), band
         start += rows
 
 
