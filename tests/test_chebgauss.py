@@ -296,7 +296,7 @@ def test_projection_values_within_the_stated_cut_of_the_full_product(
     u = 2.0**-53
     # the cut: u G(0) max|rho| per moment vector; the rounding allowance
     # covers the two products' summation orders (64 u sum_j G |rho_j|,
-    # against at most 15 u seen over 300 random draws)
+    # against at most 18 u seen over 2,400 random draws)
     cut = u * gaussian_eval(0.0, 0.0, lam) * np.abs(rho).max(axis=-1, keepdims=True)
     allowance = cut + 64.0 * u * _full_product(np.abs(rho), lam, nu)
     delta_nu = np.abs(projection_values(v, lam, nu) - _full_product(rho, lam, nu))
