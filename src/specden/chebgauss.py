@@ -478,14 +478,16 @@ def cheb_moments(op: HermitianOperator, psi: ProbeState, order: int) -> np.ndarr
 # between its evaluation and use.
 _CHUNK_CELLS = 2**16
 
-# Past sqrt(1492) lam ~ 38.6 lam the exponent is below -746 and
-# :func:`gaussian_eval` returns exactly 0.
-_ZERO_REACH = 39.0
-
-
 def _reach(lam: float, m: int) -> float:
     """Distance ``r = lam sqrt(2 (53 ln 2 + ln m))`` past which G < G(0) 2^-53 / m."""
     return lam * math.sqrt(2.0 * (53.0 * math.log(2.0) + math.log(m)))
+
+
+def _band_edges(lam: float, freqs: np.ndarray, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per frequency, the slice ``lo:hi`` of the ascending `nodes` within :func:`_reach` of it."""
+    reach = _reach(lam, nodes.size)
+    return (np.searchsorted(nodes, freqs - reach, side="left"),
+            np.searchsorted(nodes, freqs + reach, side="right"))
 
 
 def _kernel_bands(lam: float, freqs: np.ndarray, nodes: np.ndarray):
@@ -498,10 +500,8 @@ def _kernel_bands(lam: float, freqs: np.ndarray, nodes: np.ndarray):
     every block holds at most ``max(2^16, m)`` cells.  Callers evaluate
     each block unnamed, so that it is freed before the next is built.
     """
-    reach = _reach(lam, nodes.size)
     cap = max(_CHUNK_CELLS, nodes.size)
-    lo = np.searchsorted(nodes, freqs - reach, side="left")
-    hi = np.searchsorted(nodes, freqs + reach, side="right")
+    lo, hi = _band_edges(lam, freqs, nodes)
     start = 0
     while start < freqs.size:
         rows = cap // max(1, hi[start] - lo[start])
@@ -533,10 +533,11 @@ def projection_cmax(lam: float, frequencies, order: int) -> float:
     coefficient of row nu is at most ``B(nu) = 2 S(nu) / m`` with
     ``S(nu) = sum_j G(nu, x_j)``.  S is summed over the nodes within the
     reach ``r = lam sqrt(2 (53 ln 2 + ln m))`` of nu only, and the cells
-    left out, each below ``G(r) = G(0) 2^-53 / m``, are made up by the
-    allowance ``m G(r)`` on every row with a node within 39 lam; past
-    ``sqrt(1492) lam`` every cell is exactly 0, so the other rows keep
-    bound 0.  The row of the largest bound is DCT-II'd first, then only
+    left out are made up by a per-row allowance: on each side of the
+    band, the count of nodes left out times the kernel at the nearest of
+    them, which is their largest cell.  A row whose nearest node left out
+    lies past ``sqrt(1492) lam``, where every cell is exactly 0, keeps
+    allowance 0.  The row of the largest bound is DCT-II'd first, then only
     the rows whose bound reaches the largest magnitude found so far:
     O(F m lam) time for the bounds plus O(k m log m) for the k rows
     transformed, in O(2^16 + m) memory.  The row holding the maximum is
@@ -551,11 +552,12 @@ def projection_cmax(lam: float, frequencies, order: int) -> float:
     freqs = np.atleast_1d(np.asarray(frequencies, dtype=float)).reshape(-1)
     x = cheb_nodes(_projection_size(order))
     nodes = x[::-1]
-    near = np.searchsorted(nodes, freqs + _ZERO_REACH * lam, side="right") > np.searchsorted(
-        nodes, freqs - _ZERO_REACH * lam, side="left"
-    )
-    allowance = x.size * gaussian_eval(_reach(lam, x.size), 0.0, lam)
-    sums = _row_sums(lam, freqs, nodes) + np.where(near, allowance, 0.0)
+    # every node below a row's band is at least as far as the nearest one,
+    # and so is every node above it
+    lo, hi = _band_edges(lam, freqs, nodes)
+    below = lo * gaussian_eval(freqs, nodes[np.maximum(lo - 1, 0)], lam)
+    above = (x.size - hi) * gaussian_eval(freqs, nodes[np.minimum(hi, x.size - 1)], lam)
+    sums = _row_sums(lam, freqs, nodes) + below + above
     # The 1e-9 slack covers rounding: the FFT inside the DCT errs by about
     # u log2(m) sqrt(m) relative to S, under 3e-11 even at m = GRID_CAP,
     # and the pairwise sums of S by about u log2(m).

@@ -26,7 +26,9 @@ of the supported regime, 4 resource cap exceeded, 5 file I/O failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import itertools
 import json
 # argparse's gettext imports locale on first use: importing it here means a
 # process forked after the package's import already has it
@@ -283,6 +285,10 @@ def _header_pairs(cfg: RunConfig, extra: list[tuple[str, object]] | None = None)
     return pairs
 
 
+# _write_csv formats and writes this many rows at a time.
+_CSV_BLOCK = 2**12
+
+
 def _row_format(types: tuple[type, ...]) -> str:
     """%-format of a CSV row: ``%.17g`` writes a float as :func:`fmt_float` does, ``%s`` is ``str``."""
     return ",".join("%.17g" if issubclass(t, float) else "%s" for t in types)
@@ -291,23 +297,49 @@ def _row_format(types: tuple[type, ...]) -> str:
 def _write_csv(path: Path, header, columns, rows) -> None:
     """Write header comments, the column names and one line per row.
 
-    `rows` is a 2-D float array or an iterable of tuples.  Each row is
-    one %-format built from its cell types.  An array's rows share one
-    format and are streamed from its columns, so no tuple per row is
+    `rows` is an iterable of tuples, or float columns: a 2-D array or a
+    tuple of 1-D arrays.  Each row is one %-format built from its cell
+    types; float columns share one.  The rows are formatted and written
+    :data:`_CSV_BLOCK` at a time, so the text held is one block's, and
+    float columns are read a block at a time, so no tuple per row is
     held: in a process forked from a large one, creating that many
     tuples runs collections that touch every shared page.
     """
-    lines = [f"# {k}: {v}" for k, v in header]
-    lines.append(",".join(columns))
-    if isinstance(rows, np.ndarray):
-        lines.extend(map(_row_format((float,) * rows.shape[1]).__mod__, zip(*rows.T.tolist())))
-    else:
-        lines.extend(_row_format(tuple(map(type, row))) % row for row in rows)
-    path.write_text("\n".join(lines) + "\n")
+    with _replaced(path) as f:
+        f.write("".join(f"# {k}: {v}\n" for k, v in header) + ",".join(columns) + "\n")
+        if isinstance(rows, np.ndarray):
+            rows = tuple(rows.T)
+        if isinstance(rows, tuple):
+            line = _row_format((float,) * len(rows)) + "\n"
+            for start in range(0, len(rows[0]), _CSV_BLOCK):
+                cells = (column[start:start + _CSV_BLOCK].tolist() for column in rows)
+                f.write("".join(map(line.__mod__, zip(*cells))))
+        else:
+            rows = iter(rows)
+            while block := list(itertools.islice(rows, _CSV_BLOCK)):
+                f.write("".join(_row_format(tuple(map(type, row))) % row + "\n" for row in block))
 
 
 def _write_json(path: Path, obj: dict) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    with _replaced(path) as f:
+        f.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
+
+@contextlib.contextmanager
+def _replaced(path: Path):
+    """A text file written beside `path` that replaces it once the block completes.
+
+    If the block fails, the file is removed and `path` is left as it was,
+    so a failed write never leaves a truncated artifact.
+    """
+    part = path.with_name(path.name + ".part")
+    try:
+        with open(part, "w") as f:
+            yield f
+        os.replace(part, path)
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise
 
 
 def _methods(cfg: RunConfig, allowed: tuple[str, ...], default: str) -> list[str]:
@@ -383,8 +415,7 @@ def _write_transform(cfg: RunConfig, filename: str, name: str, grid, amap, extra
         cfg,
         [("method", name), ("kind", grid.kind), ("spectrum_scale", fmt_float(amap.scale)), *extra],
     )
-    _write_csv(path, header, ["frequency", "value"],
-               np.column_stack((grid.frequencies, grid.values)))
+    _write_csv(path, header, ["frequency", "value"], (grid.frequencies, grid.values))
     return path
 
 

@@ -281,7 +281,11 @@ KernelSpec = FejerKernel | QubitizedFejerKernel | GaussianKernel | JacksonKernel
 def fejer_grid(n: int) -> np.ndarray:
     """Outcome grid sigma_q = 2q/n - 1 for q = 0..n-1."""
     _check_grid_size(n)
-    return 2.0 * np.arange(n) / n - 1.0
+    grid = np.arange(n, dtype=float)
+    grid *= 2.0
+    grid /= n
+    grid -= 1.0
+    return grid
 
 
 def fejer_eval(sigma, omega, n: int):

@@ -39,7 +39,7 @@ import numpy as np
 import numpy.fft
 
 from .errors import ResourceLimitError, ValidationError
-from .kernels import fejer_grid
+from .kernels import _check_grid_size, fejer_grid
 from .numerics import child_rng
 from .operators import HermitianOperator, ProbeState, SpectralModel
 
@@ -61,6 +61,9 @@ MEMORY_CAP = 2**22
 # A fault sweep runs its realizations in blocks of at most this many
 # amplitudes (or one realization, when that holds more).
 SWEEP_BLOCK = 2**14
+# The Fejer mixture builds its characteristic function in blocks of about
+# this many cells.
+_MIXTURE_BLOCK = 2**15
 
 
 @dataclass(frozen=True)
@@ -106,6 +109,28 @@ class FaultModel:
             raise ValidationError(f"delta_t must be nonnegative, got {self.delta_t!r}")
 
 
+def _unit_rows(m: np.ndarray, hi: np.ndarray, lo: np.ndarray, out: np.ndarray) -> None:
+    """``out[i, k] = exp(-i pi (m_i phase_k mod 2))`` for phases ``hi + lo``, in row blocks.
+
+    Each phase is split as hi + lo with hi on the grid of 2^-26, so m * hi
+    is an exact float for every m < n <= 2^26 and is reduced mod 2 exactly
+    before the small m * lo is added.  Rounding m * phase directly leaves a
+    phase error near m * eps, enough to push empty bins below zero.  The
+    turns of each block of about :data:`_MIXTURE_BLOCK` cells are formed in
+    one float buffer and exponentiated in `out`.
+    """
+    step = max(1, _MIXTURE_BLOCK // hi.size)
+    turns = np.empty((min(step, m.size), hi.size))
+    for start in range(0, m.size, step):
+        z = out[start:start + step]
+        t = turns[:len(z)]
+        np.multiply.outer(m[start:start + step], hi, out=t)
+        np.fmod(t, 2.0, out=t)
+        t += np.multiply.outer(m[start:start + step], lo, out=z.real)
+        np.multiply(-1j * np.pi, t, out=z)
+        np.exp(z, out=z)
+
+
 def _fejer_mixture(phases: np.ndarray, weights: np.ndarray, n: int) -> OutcomeDistribution:
     """``P(q) = sum_k w_k K_F(sigma_q, phase_k, n)`` on the grid ``sigma_q = 2q/n - 1``.
 
@@ -113,29 +138,44 @@ def _fejer_mixture(phases: np.ndarray, weights: np.ndarray, n: int) -> OutcomeDi
     (1/n) [chi(0) + 2 Re sum_{m=1}^{n-1} (1 - m/n) (-1)^m chi(m) exp(2 pi
     i m q / n)]`` with ``chi(m) = sum_k w_k exp(-i pi m phase_k)``: one
     inverse FFT.  Writing ``m = j + b c`` with b a power of two near
-    sqrt(n) makes chi one (n/b x K) by (K x b) matrix product, so no
-    n x K array is formed.
+    sqrt(n) makes chi an (n/b x K) by (K x b) matrix product.  The
+    (K x b) factor is built once; the (n/b x K) factor is built and
+    multiplied into chi in blocks of a power-of-two number of rows, at
+    least 8 (so each block takes the same BLAS kernel, and the same bits,
+    as the whole product), of about :data:`_MIXTURE_BLOCK` cells.  The
+    window and the FFT then act on chi in place.  Beside chi and the
+    (K x b) factor, at most ``max(_MIXTURE_BLOCK, 8 K)`` cells are held.
     """
-    grid = fejer_grid(n)
+    _check_grid_size(n)  # before chi is allocated; the grid is built last
+    k = phases.size
     b = 2 ** (int(n).bit_length() // 2)
-    # Each phase is split as hi + lo with hi on the grid of 2^-26, so m * hi
-    # is an exact float for every m < n <= 2^26 and is reduced mod 2 exactly
-    # before the small m * lo is added.  Rounding m * phase directly leaves a
-    # phase error near m * eps, enough to push empty bins below zero.
+    rows = n // b
     hi = np.round(phases * 2.0**26) / 2.0**26
     lo = phases - hi
-
-    def unit(m):
-        turns = np.fmod(np.multiply.outer(m, hi), 2.0)
-        turns += np.multiply.outer(m, lo)
-        return np.exp(-1j * np.pi * turns)
-
-    chi = (unit(b * np.arange(n // b)) @ (unit(np.arange(b)).T * weights[:, None])).reshape(n)
+    inner = np.empty((b, k), dtype=complex)
+    _unit_rows(np.arange(b), hi, lo, inner)
+    inner *= weights
+    chi = np.empty(n, dtype=complex)
+    # the largest power of two of rows within _MIXTURE_BLOCK cells, at least 8
+    step = min(rows, max(8, 1 << (max(1, _MIXTURE_BLOCK // k).bit_length() - 1)))
+    block = np.empty((step, k), dtype=complex)
+    for start in range(0, rows, step):
+        _unit_rows(b * np.arange(start, start + step), hi, lo, block)
+        np.matmul(block, inner.T, out=chi.reshape(rows, b)[start:start + step])
+    del block, inner
     # the triangle window times (-1)^m, halved at m = 0 where chi(0) is counted once
-    window = 1.0 - np.arange(n) / n
-    window[1::2] = -window[1::2]
-    window[0] = 0.5
-    return OutcomeDistribution(grid=grid, probs=2.0 * np.fft.ifft(chi * window).real)
+    for start in range(0, n, _MIXTURE_BLOCK):
+        window = np.arange(start, min(n, start + _MIXTURE_BLOCK), dtype=float)
+        window /= n
+        np.subtract(1.0, window, out=window)
+        np.negative(window[1::2], out=window[1::2])
+        if start == 0:
+            window[0] = 0.5
+        chi[start:start + _MIXTURE_BLOCK] *= window
+    np.fft.ifft(chi, out=chi)
+    probs = 2.0 * chi.real
+    del chi
+    return OutcomeDistribution(grid=fejer_grid(n), probs=probs)
 
 
 def qpe_distribution(model: SpectralModel, n: int) -> OutcomeDistribution:

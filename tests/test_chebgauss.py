@@ -463,3 +463,18 @@ def test_git_transform_from_moments_matches_exact_mixture():
 def test_git_transform_moment_length_validation():
     with pytest.raises(ValidationError):
         git_transform_from_moments(np.array([]), 0.1, np.array([0.0]))
+
+
+def test_projection_cmax_prunes_rows_past_the_reach(monkeypatch):
+    # nu = 1 + lam linspace(12, 38, 300): every row lies between the reach
+    # (9.3 lam) and 39 lam past the spectrum, so its banded sum is 0 and its
+    # bound is its allowance alone.  An allowance from each row's nearest
+    # node prunes all but 4 rows; one allowance m G(r) for every row
+    # pruned none of the 300.
+    budget = truncation_order(AccuracyTarget(sigma=0.1, delta=0.05, beta=0.1))
+    lam, order = budget.lam, budget.L
+    nu = 1.0 + lam * np.linspace(12.0, 38.0, 300)
+    want = _full_scan_cmax(lam, nu, order)
+    work = _count_projection_work(monkeypatch)
+    assert projection_cmax(lam, nu, order) == want
+    assert work["rows"] == 4

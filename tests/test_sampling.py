@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from specden.errors import ResourceLimitError, ValidationError
@@ -128,6 +128,72 @@ def test_qpe_distribution_memory_is_sublinear_in_cells():
     assert dist.size == 65536
     # the 65,536 x 256 kernel matrix and its temporaries peaked at 640 MB here
     assert peak < 32 * 2**20
+
+
+def _one_shot_mixture(phases, weights, n):
+    # the reference: chi as one (n/b x K) by (K x b) product, then the
+    # window and the inverse FFT on whole n-sized arrays
+    b = 2 ** (int(n).bit_length() // 2)
+    hi = np.round(phases * 2.0**26) / 2.0**26
+    lo = phases - hi
+
+    def unit(m):
+        turns = np.fmod(np.multiply.outer(m, hi), 2.0)
+        turns += np.multiply.outer(m, lo)
+        return np.exp(-1j * np.pi * turns)
+
+    chi = (unit(b * np.arange(n // b)) @ (unit(np.arange(b)).T * weights[:, None])).reshape(n)
+    window = 1.0 - np.arange(n) / n
+    window[1::2] = -window[1::2]
+    window[0] = 0.5
+    return 2.0 * np.arange(n) / n - 1.0, 2.0 * np.fft.ifft(chi * window).real
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    log_n=st.integers(1, 18),
+    k=st.integers(1, 1000),
+    seed=st.integers(0, 2**32 - 1),
+    ends=st.booleans(),
+    duplicates=st.booleans(),
+)
+@example(log_n=1, k=1, seed=0, ends=False, duplicates=False)
+@example(log_n=1, k=7, seed=1, ends=True, duplicates=True)
+@example(log_n=18, k=1000, seed=2, ends=True, duplicates=True)
+@example(log_n=16, k=512, seed=3, ends=False, duplicates=False)
+def test_fejer_mixture_is_the_one_shot_product_bit_for_bit(log_n, k, seed, ends, duplicates):
+    # the blocked, in-place mixture against the whole-array one
+    rng = child_rng(seed)
+    phases = rng.uniform(-1.0, 1.0, k)
+    if duplicates:
+        phases[k // 2:] = phases[:k - k // 2]
+    if ends:
+        phases[0], phases[-1] = 1.0, -1.0
+    weights = rng.random(k)
+    weights /= weights.sum()
+    n = 2**log_n
+    dist = sampling._fejer_mixture(phases, weights, n)
+    grid, probs = _one_shot_mixture(phases, weights, n)
+    assert np.array_equal(dist.grid, grid)
+    assert np.array_equal(dist.probs, np.clip(probs, 0.0, None))
+
+
+@pytest.mark.parametrize("n, k, bound_mb", [(2**16, 512, 5), (2**20, 64, 40)])
+def test_fejer_mixture_holds_chi_and_one_block(n, k, bound_mb):
+    # beside chi (16 B per bin) and the (K x b) factor, one block of the
+    # (n/b x K) factor; the one-shot mixture peaked at 7.5 MB and 64 MB
+    rng = child_rng(9)
+    phases = rng.uniform(-1.0, 1.0, k)
+    weights = rng.random(k)
+    weights /= weights.sum()
+    tracemalloc.start()
+    try:
+        dist = sampling._fejer_mixture(phases, weights, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dist.size == n
+    assert peak <= bound_mb * 2**20
 
 
 def test_statevector_qpe_matches_analytic():
