@@ -140,11 +140,13 @@ def _fejer_mixture(phases: np.ndarray, weights: np.ndarray, n: int) -> OutcomeDi
     inverse FFT.  Writing ``m = j + b c`` with b a power of two near
     sqrt(n) makes chi an (n/b x K) by (K x b) matrix product.  The
     (K x b) factor is built once; the (n/b x K) factor is built and
-    multiplied into chi in blocks of a power-of-two number of rows, at
-    least 8 (so each block takes the same BLAS kernel, and the same bits,
-    as the whole product), of about :data:`_MIXTURE_BLOCK` cells.  The
-    window and the FFT then act on chi in place.  Beside chi and the
-    (K x b) factor, at most ``max(_MIXTURE_BLOCK, 8 K)`` cells are held.
+    multiplied into chi in blocks of about :data:`_MIXTURE_BLOCK` cells,
+    each a power-of-two number of rows and at least 8, so that every
+    block takes the gemm path of the whole product and gives its bits.
+    The window and the inverse FFT then act on chi in place.  Memory:
+    chi (16 B per bin) with the (K x b) factor and one block of at most
+    ``max(2^15, 8 K)`` cells, then chi with the probabilities (24 B per
+    bin), then the probabilities with the grid.
     """
     _check_grid_size(n)  # before chi is allocated; the grid is built last
     k = phases.size
@@ -185,8 +187,10 @@ def qpe_distribution(model: SpectralModel, n: int) -> OutcomeDistribution:
     ``sigma_q = 2q/n - 1``; equals the statevector simulation exactly.
     The mixture is one inverse FFT of the characteristic function
     ``sum_k alpha_k exp(-i pi m O_k)`` under the triangle window ``1 -
-    |m|/n``, O(n K) multiply-adds, O(sqrt(n) K) exponentials and O(n +
-    sqrt(n) K) memory for K eigenvalues.
+    |m|/n``, O(n K) multiply-adds and O(sqrt(n) K) exponentials for K
+    eigenvalues.  It holds at most 24 B per outcome bin, plus the (K x
+    b) factor of the product (b near sqrt(n)) and one block of the other
+    of at most ``max(2^15, 8 K)`` cells.
     The model spectrum must lie in [-1, 1]: the kernel is periodic with
     period 2, so an eigenvalue beyond would land on a wrapped bin.
     """
