@@ -167,10 +167,8 @@ def _fejer_mixture(phases: np.ndarray, weights: np.ndarray, n: int) -> OutcomeDi
     del block, inner
     # the triangle window times (-1)^m, halved at m = 0 where chi(0) is counted once
     for start in range(0, n, _MIXTURE_BLOCK):
-        window = np.arange(start, min(n, start + _MIXTURE_BLOCK), dtype=float)
-        window /= n
-        np.subtract(1.0, window, out=window)
-        np.negative(window[1::2], out=window[1::2])
+        window = 1.0 - np.arange(start, min(n, start + _MIXTURE_BLOCK)) / n
+        window[1::2] *= -1.0
         if start == 0:
             window[0] = 0.5
         chi[start:start + _MIXTURE_BLOCK] *= window
