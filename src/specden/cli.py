@@ -297,9 +297,9 @@ def _row_format(types: tuple[type, ...]) -> str:
 def _write_csv(path: Path, header, columns, rows) -> None:
     """Write header comments, the column names and one line per row.
 
-    `rows` is an iterable of tuples, or float columns: a 2-D array or a
-    tuple of 1-D arrays.  Each row is one %-format built from its cell
-    types; float columns share one.  The rows are formatted and written
+    `rows` is an iterable of tuples, or a tuple of 1-D float arrays, the
+    columns.  Each row is one %-format built from its cell types; float
+    columns share one.  The rows are formatted and written
     :data:`_CSV_BLOCK` at a time, so the text held is one block's, and
     float columns are read a block at a time, so no tuple per row is
     held: in a process forked from a large one, creating that many
@@ -307,8 +307,6 @@ def _write_csv(path: Path, header, columns, rows) -> None:
     """
     with _replaced(path) as f:
         f.write("".join(f"# {k}: {v}\n" for k, v in header) + ",".join(columns) + "\n")
-        if isinstance(rows, np.ndarray):
-            rows = tuple(rows.T)
         if isinstance(rows, tuple):
             line = _row_format((float,) * len(rows)) + "\n"
             for start in range(0, len(rows[0]), _CSV_BLOCK):

@@ -281,11 +281,8 @@ KernelSpec = FejerKernel | QubitizedFejerKernel | GaussianKernel | JacksonKernel
 def fejer_grid(n: int) -> np.ndarray:
     """Outcome grid sigma_q = 2q/n - 1 for q = 0..n-1."""
     _check_grid_size(n)
-    grid = np.arange(n, dtype=float)
-    grid *= 2.0
-    grid /= n
-    grid -= 1.0
-    return grid
+    # one array, formed in place; q (2/n) is exact for a power of two n
+    return np.linspace(-1.0, 1.0, n, endpoint=False)
 
 
 def fejer_eval(sigma, omega, n: int):

@@ -247,19 +247,18 @@ def test_write_csv_float_rows_match_per_cell_writer(rows, size):
         # the drawn rows, repeated to fill blocks around the block size
         rows = list(itertools.islice(itertools.cycle(rows), size))
     assert _same_csv_bytes(["frequency", "value"], rows)
-    # a float array, and a tuple of float columns, are written as their rows would be
+    # float columns are written as their rows would be
     array = np.array(rows, dtype=float).reshape(-1, 2)
-    assert _same_csv_bytes(["frequency", "value"], rows, array)
-    assert _same_csv_bytes(["frequency", "value"], rows, (array[:, 0].copy(), array[:, 1].copy()))
+    assert _same_csv_bytes(["frequency", "value"], rows, (array[:, 0], array[:, 1]))
 
 
 def test_write_csv_streams_a_large_array(tmp_path):
     # 2^16 rows: the whole text as one list of lines, one string and its
     # encoding peaked at 9.1 MB (145 B per row)
-    rows = np.random.default_rng(7).standard_normal((2**16, 2))
+    columns = tuple(np.random.default_rng(7).standard_normal((2, 2**16)))
     tracemalloc.start()
     try:
-        cli._write_csv(tmp_path / "big.csv", [("specden", "test")], ["frequency", "value"], rows)
+        cli._write_csv(tmp_path / "big.csv", [("specden", "test")], ["frequency", "value"], columns)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
