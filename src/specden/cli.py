@@ -28,7 +28,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
-import itertools
 import json
 # argparse's gettext imports locale on first use: importing it here means a
 # process forked after the package's import already has it
@@ -36,6 +35,7 @@ import locale
 import math
 import os
 import sys
+import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -49,7 +49,7 @@ from .errors import (
     ValidationError,
 )
 from .estimators import ESTIMATION_METHODS, complexity_table, plan_fejer_samples
-from .kernels import GRID_CAP, AccuracyTarget, fejer_plan
+from .kernels import GRID_CAP, AccuracyTarget, fejer_plan, grid_spacing
 from .metrics import (
     AccuracyReport,
     ContractSetup,
@@ -289,33 +289,27 @@ def _header_pairs(cfg: RunConfig, extra: list[tuple[str, object]] | None = None)
 _CSV_BLOCK = 2**12
 
 
-def _row_format(types: tuple[type, ...]) -> str:
-    """%-format of a CSV row: ``%.17g`` writes a float as :func:`fmt_float` does, ``%s`` is ``str``."""
-    return ",".join("%.17g" if issubclass(t, float) else "%s" for t in types)
-
-
-def _write_csv(path: Path, header, columns, rows) -> None:
+def _write_csv(path: Path, header, columns: dict) -> None:
     """Write header comments, the column names and one line per row.
 
-    `rows` is an iterable of tuples, or a tuple of 1-D float arrays, the
-    columns.  Each row is one %-format built from its cell types; float
-    columns share one.  The rows are formatted and written
-    :data:`_CSV_BLOCK` at a time, so the text held is one block's, and
-    float columns are read a block at a time, so no tuple per row is
-    held: in a process forked from a large one, creating that many
-    tuples runs collections that touch every shared page.
+    `columns` maps each name to its column, a list or a 1-D array.  A
+    column whose first cell is a float is written ``%.17g``, as
+    :func:`fmt_float` writes a float, and any other column ``%s``, as
+    ``str``.  The rows are formatted and written :data:`_CSV_BLOCK` at a
+    time, so the text held is one block's, and array columns are read a
+    block at a time, so no tuple per row is held: in a process forked
+    from a large one, creating that many tuples runs collections that
+    touch every shared page.
     """
+    cells = list(columns.values())
+    rows = len(cells[0]) if cells else 0
+    line = ",".join("%.17g" if rows and isinstance(c[0], float) else "%s" for c in cells) + "\n"
     with _replaced(path) as f:
         f.write("".join(f"# {k}: {v}\n" for k, v in header) + ",".join(columns) + "\n")
-        if isinstance(rows, tuple):
-            line = _row_format((float,) * len(rows)) + "\n"
-            for start in range(0, len(rows[0]), _CSV_BLOCK):
-                cells = (column[start:start + _CSV_BLOCK].tolist() for column in rows)
-                f.write("".join(map(line.__mod__, zip(*cells))))
-        else:
-            rows = iter(rows)
-            while block := list(itertools.islice(rows, _CSV_BLOCK)):
-                f.write("".join(_row_format(tuple(map(type, row))) % row + "\n" for row in block))
+        for start in range(0, rows, _CSV_BLOCK):
+            block = (c[start:start + _CSV_BLOCK] for c in cells)
+            block = (b.tolist() if isinstance(b, np.ndarray) else b for b in block)
+            f.write("".join(map(line.__mod__, zip(*block))))
 
 
 def _write_json(path: Path, obj: dict) -> None:
@@ -354,9 +348,7 @@ def _methods(cfg: RunConfig, allowed: tuple[str, ...], default: str) -> list[str
 
 def _grid_spacing(cfg: RunConfig, target: AccuracyTarget) -> float:
     """Evaluation grid spacing, checked against `GRID_CAP` before any grid exists."""
-    h = cfg.grid_spacing if cfg.grid_spacing is not None else target.delta / 20.0
-    if not (0.0 < h < math.inf):
-        raise ValidationError(f"grid spacing must be finite and positive, got {h!r}")
+    h = grid_spacing(target.delta, cfg.grid_spacing)
     if 2.0 / h + 1.0 > GRID_CAP:
         raise ResourceLimitError(
             f"grid spacing {h:g} needs more than {GRID_CAP} points over [-1, 1]; "
@@ -413,7 +405,7 @@ def _write_transform(cfg: RunConfig, filename: str, name: str, grid, amap, extra
         cfg,
         [("method", name), ("kind", grid.kind), ("spectrum_scale", fmt_float(amap.scale)), *extra],
     )
-    _write_csv(path, header, ["frequency", "value"], (grid.frequencies, grid.values))
+    _write_csv(path, header, {"frequency": grid.frequencies, "value": grid.values})
     return path
 
 
@@ -428,18 +420,20 @@ def _cmd_transform(cfg: RunConfig) -> int:
 def _cmd_estimate(cfg: RunConfig) -> int:
     target, name, method, model, amap, nu = _one_model(cfg, _ESTIMATORS)
     seed = cfg.require_seed()
-    result = method.estimate(model, method.budget(target, nu, cfg.samples), seed, nu)
-    budget = result.budget
+    budget = method.budget(target, nu, cfg.samples)
+    start = time.perf_counter()
+    transform = method.estimate(model, budget, seed, nu)
+    elapsed = time.perf_counter() - start
     extra = [("kernel_order", budget.kernel_order), ("n_samples", budget.n_samples), ("seed", seed)]
-    csv_path = _write_transform(cfg, "estimate.csv", name, result.transform, amap, extra)
+    csv_path = _write_transform(cfg, "estimate.csv", name, transform, amap, extra)
     record = {
         "version": __version__,
         "config": cfg.hash(),
         "method": name,
         "seed": seed,
         "budget": {k: v for k, v in asdict(budget).items() if v is not None},
-        "elapsed_s": result.elapsed,
-        "rows": int(result.transform.frequencies.size),
+        "elapsed_s": elapsed,
+        "rows": int(transform.frequencies.size),
         "spectrum_scale": amap.scale,
     }
     json_path = csv_path.with_name("estimate_record.json")
@@ -563,8 +557,8 @@ def _cmd_verify(cfg: RunConfig) -> int:
                 f"-> {'OK' if row['ok'] else 'VIOLATION'}"
             )
         columns = ["n", "delta_t", "bound", "measured", "realizations", "ok"]
-        _write_csv(_out_dir(cfg) / "fault_sweep.csv", _header_pairs(cfg), columns,
-                   [tuple(r[k] for k in columns) for r in sweep])
+        _write_csv(_out_dir(cfg) / "fault_sweep.csv", _header_pairs(cfg),
+                   {k: [r[k] for r in sweep] for k in columns})
     report_json["pass"] = overall
     out = _out_dir(cfg)
     path = out / "verify_report.json"
@@ -608,10 +602,9 @@ def _cmd_bench(cfg: RunConfig) -> int:
     epsilons = [cfg.sigma] if cfg.sigma is not None else [0.1, 0.05]
     rows = complexity_table(deltas, epsilons, eta=cfg.eta)
     columns = ["method", "delta", "eps", "kernel_order", "n_samples", "note"]
-    _write_csv(out / "complexity.csv", _header_pairs(cfg), columns,
-               [tuple(r[k] for k in columns) for r in rows])
+    _write_csv(out / "complexity.csv", _header_pairs(cfg), {k: [r[k] for r in rows] for k in columns})
     fit_header = _header_pairs(cfg)
-    data_rows = []
+    data = {"sweep": [], "x": [], "m": [], "fit_residual": []}
     for name in _SWEEPS:
         xs, ms = _sweep_points(name)
         exponent, intercept, r2 = scaling_fit(xs, ms)
@@ -624,17 +617,12 @@ def _cmd_bench(cfg: RunConfig) -> int:
                 f"r2={fmt_float(r2)}",
             )
         )
-        data_rows.extend(
-            (name, float(x), float(m), float(res))
-            for x, m, res in zip(xs, ms, residuals)
-        )
+        data["sweep"] += [name] * xs.size
+        data["x"] += xs.tolist()
+        data["m"] += ms.tolist()
+        data["fit_residual"] += residuals.tolist()
         print(f"{name}: exponent={exponent:.4f} r2={r2:.5f}")
-    _write_csv(
-        out / "scaling.csv",
-        fit_header,
-        ["sweep", "x", "m", "fit_residual"],
-        data_rows,
-    )
+    _write_csv(out / "scaling.csv", fit_header, data)
     print(f"wrote {out / 'complexity.csv'} and {out / 'scaling.csv'}")
     return 0
 

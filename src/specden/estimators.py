@@ -29,8 +29,7 @@ from its stated scaling but not implemented.
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
@@ -70,7 +69,6 @@ __all__ = [
     "CONTRACT_GRID",
     "ESTIMATION_METHODS",
     "Budget",
-    "EstimationResult",
     "EstimationMethod",
     "plan_fejer_samples",
     "plan_git_samples",
@@ -112,19 +110,6 @@ class Budget:
         if self.kernel_order < 1 or self.n_samples < 1:
             raise ValidationError("kernel_order and n_samples must be positive")
         _FAMILIES[self.method].check(self)
-
-
-@dataclass(frozen=True)
-class EstimationResult:
-    """Transform estimate together with the budget that produced it.
-
-    `moments` holds the sampled moment vector of the moment route.
-    """
-
-    transform: TransformGrid
-    budget: Budget
-    elapsed: float
-    moments: np.ndarray | None = None
 
 
 def plan_fejer_samples(
@@ -248,7 +233,8 @@ class EstimationMethod:
     broadened `transform` for ``transform``.  A method with a `family`
     (its name in a :class:`Budget`) also estimates:
 
-    * `budget(target, grid, samples)` plans its resources;
+    * `budget(target, grid, samples)` plans its resources, and
+      `check(budget)` rejects a budget the method cannot run;
     * `source(model, budget)` is what its trials sample (an outcome
       distribution or exact moments), `draw(model, budget, seeds)` one
       trial per seed from it, and `project(draws, budget, grid)` the
@@ -268,22 +254,20 @@ class EstimationMethod:
     verify_stream: ClassVar[int | None] = None
     reads_nu: ClassVar[bool] = True
     checks_faults: ClassVar[bool] = False
-    moment_route: ClassVar[bool] = False
+
+    def check(self, budget: Budget) -> None:
+        pass
 
     def exact(self, model: SpectralModel, budget: Budget, grid) -> TransformGrid:
         return exact_transform(model, self.kernel(budget), grid)
 
-    def estimate(self, model: SpectralModel, budget: Budget, seed: int, nu=None) -> EstimationResult:
-        start = time.perf_counter()
+    def estimate(self, model: SpectralModel, budget: Budget, seed: int, nu=None) -> TransformGrid:
         draws = self.draw(model, budget, [seed])
         grid = self.grid(budget, nu)
         kernel = self.kernel(budget)
-        transform = TransformGrid(grid, self.project(draws, budget, grid)[0], kernel.kind, kernel)
-        return EstimationResult(transform, budget, time.perf_counter() - start,
-                                moments=draws[0] if self.moment_route else None)
+        return TransformGrid(grid, self.project(draws, budget, grid)[0], kernel.kind, kernel)
 
 
-@dataclass(frozen=True)
 class _Histogram(EstimationMethod):
     """Phase estimation: histograms of `n_samples` outcomes on the Fejer grid."""
 
@@ -292,9 +276,6 @@ class _Histogram(EstimationMethod):
     verify_stream: ClassVar[int] = 1
     reads_nu: ClassVar[bool] = False
     checks_faults: ClassVar[bool] = True
-
-    # the affine map into [0, 1] that a folded route applies to the spectrum
-    spectrum_map: AffineMap | None = None
 
     def kernel_order(self, target: AccuracyTarget) -> int:
         return fejer_plan(target).n
@@ -314,9 +295,6 @@ class _Histogram(EstimationMethod):
         if samples is None:
             samples = plan_fejer_samples(target.beta, target.eta)
         return Budget(self.family, self.kernel_order(target), samples)
-
-    def check(self, budget: Budget) -> None:
-        pass
 
     def kernel(self, budget: Budget) -> KernelSpec:
         return FejerKernel(budget.kernel_order)
@@ -341,7 +319,6 @@ class _Histogram(EstimationMethod):
         return TransformGrid(dist.grid, dist.probs, kind=kernel.kind, kernel=kernel)
 
 
-@dataclass(frozen=True)
 class _FoldedHistogram(_Histogram):
     """Phase estimation on the walk operator, with ``+-sigma`` outcome pairs merged.
 
@@ -355,8 +332,7 @@ class _FoldedHistogram(_Histogram):
     family: ClassVar[str] = "qubitized_fejer"
     verify_stream: ClassVar[None] = None
     checks_faults: ClassVar[bool] = False
-
-    spectrum_map: AffineMap | None = AffineMap(0.5, 0.5)
+    spectrum_map: ClassVar[AffineMap] = AffineMap(0.5, 0.5)
 
     def kernel_order(self, target: AccuracyTarget) -> int:
         return qubitized_fejer_plan(target).n
@@ -395,7 +371,6 @@ class _Moments(EstimationMethod):
     name: ClassVar[str] = "git"
     family: ClassVar[str] = "git"
     verify_stream: ClassVar[int] = 2
-    moment_route: ClassVar[bool] = True
 
     def kernel_order(self, target: AccuracyTarget) -> int:
         return truncation_order(target).L
@@ -421,20 +396,18 @@ class _Moments(EstimationMethod):
         target: AccuracyTarget,
         grid=CONTRACT_GRID,
         samples: int | None = None,
-        per_order: int | None = None,
     ) -> Budget:
         """Width, order and shots at `target`.
 
         The per-order shots are sized on the projection's largest
         coefficient over `grid`, unless `samples` sets the total (split
-        evenly over the orders, at least one shot each) or `per_order`
-        sets them directly.
+        evenly over the orders, at least one shot each).
         """
         lam = gaussian_resolution(target)
         order = self.kernel_order(target)
-        if per_order is None and samples is not None:
+        if samples is not None:
             per_order = max(1, samples // order)
-        elif per_order is None:
+        else:
             grid = np.atleast_1d(np.asarray(grid, dtype=float))
             c_max = projection_cmax(lam, grid, order)
             if not c_max > 0.0:
@@ -514,27 +487,18 @@ _FAMILIES = {m.family: m for m in ESTIMATION_METHODS.values() if m.family is not
 METHODS = tuple(_FAMILIES)
 
 
-def run_algorithm1(
-    budget: Budget,
-    seed: int,
-    model: SpectralModel,
-    spectrum_map: AffineMap | None = None,
-) -> EstimationResult:
+def run_algorithm1(budget: Budget, seed: int, model: SpectralModel) -> TransformGrid:
     """Histogram estimate of the broadened transform.
 
     Draws ``budget.n_samples`` outcomes from the phase-estimation
     distribution of `model` and returns empirical bin frequencies.  For
-    ``method="qubitized_fejer"`` the spectrum must be mapped into [0, 1]
-    by `spectrum_map` (applied here; recovered frequencies are mapped
-    back through its inverse, with mirror outcome bins merged).
+    ``method="qubitized_fejer"`` the spectrum is mapped into [0, 1] by
+    ``AffineMap(0.5, 0.5)``, and recovered frequencies are mapped back
+    through its inverse, with mirror outcome bins merged.
     """
     method = _FAMILIES[budget.method]
     if not isinstance(method, _Histogram):
         raise ValidationError(f"histogram route does not implement {budget.method!r}")
-    if method.spectrum_map is not None:
-        if spectrum_map is None:
-            raise ValidationError(f"{budget.method} needs a spectrum_map into [0, 1]")
-        method = replace(method, spectrum_map=spectrum_map)
     return method.estimate(model, budget, seed)
 
 
@@ -544,7 +508,7 @@ def run_algorithm2(
     nu,
     seed: int,
     per_order_shots: int | None = None,
-) -> EstimationResult:
+) -> TransformGrid:
     """Moment-route estimate of the Gaussian-broadened transform.
 
     Plans the kernel width and expansion order from `target`, sizes the
@@ -560,7 +524,8 @@ def run_algorithm2(
     if per_order_shots is not None and per_order_shots < 1:
         raise ValidationError(f"per_order_shots must be >= 1, got {per_order_shots!r}")
     git = _FAMILIES["git"]
-    return git.estimate(model, git.budget(target, nu, per_order=per_order_shots), seed, nu)
+    samples = None if per_order_shots is None else per_order_shots * git.kernel_order(target)
+    return git.estimate(model, git.budget(target, nu, samples), seed, nu)
 
 
 def complexity_table(deltas, epsilons, eta: float = 0.05) -> list[dict]:

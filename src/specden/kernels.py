@@ -73,6 +73,7 @@ __all__ = [
     "jackson_thresholds",
     "jackson_plan",
     "jackson_eval",
+    "grid_spacing",
     "sigma_accuracy",
 ]
 
@@ -741,6 +742,17 @@ class SigmaAccuracy:
         self.value = float(np.max(self.outside)) if self.outside.size else math.nan
 
 
+def grid_spacing(delta: float, spacing: float | None = None) -> float:
+    """Spacing of the evaluation grids at resolution `delta`: `spacing`, default ``delta / 20``.
+
+    Raises :class:`ValidationError` unless it is finite and positive.
+    """
+    h = delta / 20.0 if spacing is None else float(spacing)
+    if not (0.0 < h < math.inf):
+        raise ValidationError(f"grid spacing must be finite and positive, got {h!r}")
+    return h
+
+
 def sigma_accuracy(kernel: KernelSpec, delta: float, spacing: float | None = None) -> SigmaAccuracy:
     """Measure the worst-case kernel mass escaping a ``+-delta`` window.
 
@@ -753,9 +765,7 @@ def sigma_accuracy(kernel: KernelSpec, delta: float, spacing: float | None = Non
     """
     if delta <= 0.0:
         raise ValidationError("delta must be positive")
-    h = delta / 20.0 if spacing is None else float(spacing)
-    if not (0.0 < h < math.inf):
-        raise ValidationError(f"spacing must be finite and positive, got {h!r}")
+    h = grid_spacing(delta, spacing)
     omega0 = np.arange(kernel.scan_start, 1.0 + h / 2.0, h)
     return SigmaAccuracy(
         family=kernel.family, delta=delta, spacing=h, omega0=omega0, outside=kernel.outside(delta, omega0)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .estimators import CONTRACT_GRID, ESTIMATION_METHODS, Budget
-from .kernels import AccuracyTarget, KernelSpec, sigma_accuracy
+from .kernels import AccuracyTarget, KernelSpec, grid_spacing, sigma_accuracy
 from .numerics import derive_seed
 from .operators import (
     ObservableFn,
@@ -108,9 +108,7 @@ def observable_bound(
     closed-form variation (a linear f gives exactly `delta`).
     """
     fn = f if isinstance(f, ObservableFn) else ObservableFn(fn=f)
-    h = target.delta / 20.0 if spacing is None else float(spacing)
-    if h <= 0.0:
-        raise ValidationError("spacing must be positive")
+    h = grid_spacing(target.delta, spacing)
     omega = np.linspace(-1.0, 1.0, max(3, math.ceil(2.0 / h)) + 1)
     center = fn(omega)
     if not np.all(np.isfinite(center)):
@@ -257,7 +255,7 @@ def contract_setup(
     entry = ESTIMATION_METHODS.get(method)
     if entry is None or entry.verify_stream is None:
         raise ValidationError(f"contract check does not implement {method!r}")
-    h = target.delta / 20.0 if spacing is None else float(spacing)
+    h = grid_spacing(target.delta, spacing)
     budget = entry.budget(target, CONTRACT_GRID, n_samples)
     kernel = entry.kernel(budget)
     dense = None

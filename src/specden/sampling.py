@@ -68,27 +68,29 @@ _MIXTURE_BLOCK = 2**15
 
 @dataclass(frozen=True)
 class OutcomeDistribution:
-    """Probability distribution over a measurement grid."""
+    """Probability distribution over the outcome grid ``sigma_q = 2q/n - 1``, n = ``probs.size``."""
 
-    grid: np.ndarray
     probs: np.ndarray
 
     def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=float)
         probs = np.asarray(self.probs, dtype=float)
-        if grid.ndim != 1 or probs.shape != grid.shape:
-            raise ValidationError("grid and probs must be matching 1-d arrays")
+        if probs.ndim != 1:
+            raise ValidationError("probs must be a 1-d array")
+        _check_grid_size(probs.size)
         if np.any(probs < -1e-15):
             raise ValidationError(f"negative probability {probs.min()!r}")
         total = float(probs.sum())
         if abs(total - 1.0) > 1e-12:
             raise ValidationError(f"probabilities sum to {total!r}, not 1")
-        object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "probs", np.clip(probs, 0.0, None))
 
     @property
+    def grid(self) -> np.ndarray:
+        return fejer_grid(self.size)
+
+    @property
     def size(self) -> int:
-        return self.grid.size
+        return self.probs.size
 
 
 @dataclass(frozen=True)
@@ -146,9 +148,9 @@ def _fejer_mixture(phases: np.ndarray, weights: np.ndarray, n: int) -> OutcomeDi
     The window and the inverse FFT then act on chi in place.  Memory:
     chi (16 B per bin) with the (K x b) factor and one block of at most
     ``max(2^15, 8 K)`` cells, then chi with the probabilities (24 B per
-    bin), then the probabilities with the grid.
+    bin).
     """
-    _check_grid_size(n)  # before chi is allocated; the grid is built last
+    _check_grid_size(n)  # before chi is allocated
     k = phases.size
     b = 2 ** (int(n).bit_length() // 2)
     rows = n // b
@@ -175,7 +177,7 @@ def _fejer_mixture(phases: np.ndarray, weights: np.ndarray, n: int) -> OutcomeDi
     np.fft.ifft(chi, out=chi)
     probs = 2.0 * chi.real
     del chi
-    return OutcomeDistribution(grid=fejer_grid(n), probs=probs)
+    return OutcomeDistribution(probs)
 
 
 def qpe_distribution(model: SpectralModel, n: int) -> OutcomeDistribution:
@@ -327,7 +329,7 @@ def _register_block(
         for state in states[:, b]:
             amps = np.fft.fft(state, axis=0) / math.sqrt(n)
             probs = np.einsum("qj,qj->q", amps, amps.conj()).real
-            dists.append(OutcomeDistribution(grid=fejer_grid(n), probs=probs))
+            dists.append(OutcomeDistribution(probs))
         runs.append(dists)
     return runs
 

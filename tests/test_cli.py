@@ -229,10 +229,13 @@ def _write_csv_per_cell(path, header, columns, rows):
 
 
 def _same_csv_bytes(columns, rows, written=None):
-    # _write_csv of `written` (default: the rows) against the per-cell writer of the rows
+    # _write_csv of the columns `written` (default: the rows' columns, as lists)
+    # against the per-cell writer of the rows
+    if written is None:
+        written = {name: [row[i] for row in rows] for i, name in enumerate(columns)}
     with tempfile.TemporaryDirectory() as tmp:
         got, want = Path(tmp) / "got.csv", Path(tmp) / "want.csv"
-        cli._write_csv(got, [("specden", "test")], columns, rows if written is None else written)
+        cli._write_csv(got, [("specden", "test")], written)
         _write_csv_per_cell(want, [("specden", "test")], columns, rows)
         return got.read_bytes() == want.read_bytes()
 
@@ -247,18 +250,18 @@ def test_write_csv_float_rows_match_per_cell_writer(rows, size):
         # the drawn rows, repeated to fill blocks around the block size
         rows = list(itertools.islice(itertools.cycle(rows), size))
     assert _same_csv_bytes(["frequency", "value"], rows)
-    # float columns are written as their rows would be
+    # float array columns are written as their rows would be
     array = np.array(rows, dtype=float).reshape(-1, 2)
-    assert _same_csv_bytes(["frequency", "value"], rows, (array[:, 0], array[:, 1]))
+    assert _same_csv_bytes(["frequency", "value"], rows, {"frequency": array[:, 0], "value": array[:, 1]})
 
 
 def test_write_csv_streams_a_large_array(tmp_path):
     # 2^16 rows: the whole text as one list of lines, one string and its
     # encoding peaked at 9.1 MB (145 B per row)
-    columns = tuple(np.random.default_rng(7).standard_normal((2, 2**16)))
+    columns = dict(zip(["frequency", "value"], np.random.default_rng(7).standard_normal((2, 2**16))))
     tracemalloc.start()
     try:
-        cli._write_csv(tmp_path / "big.csv", [("specden", "test")], ["frequency", "value"], columns)
+        cli._write_csv(tmp_path / "big.csv", [("specden", "test")], columns)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -268,23 +271,26 @@ def test_write_csv_streams_a_large_array(tmp_path):
 def test_write_csv_failing_midway_leaves_the_earlier_file(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "_CSV_BLOCK", 2)
     path = tmp_path / "out.csv"
-    cli._write_csv(path, [("specden", "test")], ["a"], [(1.0,), (2.0,)])
+    cli._write_csv(path, [("specden", "test")], {"a": [1.0, 2.0]})
     before = path.read_bytes()
-    written = []
+    read = []
 
-    def rows():
-        for x in (3.0, 4.0, 5.0, 6.0):
-            written.append(x)
-            yield (x,)
-        raise RuntimeError("row 5")
+    class Column(list):
+        # a column whose second block cannot be read
+        def __getitem__(self, index):
+            if isinstance(index, slice):
+                read.append(index.start)
+                if index.start > 0:
+                    raise RuntimeError("block 2")
+            return super().__getitem__(index)
 
-    with pytest.raises(RuntimeError, match="row 5"):
-        cli._write_csv(path, [("specden", "test")], ["a"], rows())
-    # two blocks were formatted before the fifth row raised
-    assert written == [3.0, 4.0, 5.0, 6.0]
+    with pytest.raises(RuntimeError, match="block 2"):
+        cli._write_csv(path, [("specden", "test")], {"a": Column([3.0, 4.0, 5.0, 6.0])})
+    # the first block was written before the second raised
+    assert read == [0, 2]
     assert path.read_bytes() == before
-    with pytest.raises(RuntimeError, match="row 5"):
-        cli._write_csv(tmp_path / "new.csv", [("specden", "test")], ["a"], rows())
+    with pytest.raises(RuntimeError, match="block 2"):
+        cli._write_csv(tmp_path / "new.csv", [("specden", "test")], {"a": Column([3.0, 4.0, 5.0])})
     assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
 
@@ -327,8 +333,8 @@ def test_write_csv_mixed_rows_match_per_cell_writer():
         (128, 0.1 / 14, 0.05, 0.001415446668801279, np.int64(20), False),
     ]
     assert _same_csv_bytes(["n", "delta_t", "bound", "measured", "realizations", "ok"], sweep)
-    # a column that mixes floats with other cells, and no rows at all
-    mixed = [("git", 0.1, 3), ("fejer", 2, None), ("jackson", np.float64(0.2), 1.5)]
+    # string, float and other columns side by side, and no rows at all
+    mixed = [("git", 0.1, 3), ("fejer", 2.0, None), ("jackson", np.float64(0.2), True)]
     assert _same_csv_bytes(["method", "eps", "n"], mixed)
     assert _same_csv_bytes(["a"], [])
 

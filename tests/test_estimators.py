@@ -2,7 +2,6 @@
 
 import math
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -113,15 +112,14 @@ def test_run_algorithm1_fejer_histogram():
     op, psi = random_model(16, seed=51)
     model = diagonalize(op, psi)
     budget = Budget(method="fejer", kernel_order=64, n_samples=185)
-    res = run_algorithm1(budget, seed=1001, model=model)
-    tr = res.transform
+    tr = run_algorithm1(budget, seed=1001, model=model)
     assert tr.kind == "discrete"
     assert tr.frequencies.shape == (64,)
     assert abs(tr.values.sum() - 1.0) < 1e-12
     exact = exact_transform(model, tr.kernel, fejer_grid(64))
     assert np.max(np.abs(tr.values - exact.values)) <= 0.1  # beta for this budget
     again = run_algorithm1(budget, seed=1001, model=model)
-    np.testing.assert_array_equal(tr.values, again.transform.values)
+    np.testing.assert_array_equal(tr.values, again.values)
 
 
 def test_run_algorithm1_qubitized_merges_mirror_bins():
@@ -130,8 +128,7 @@ def test_run_algorithm1_qubitized_merges_mirror_bins():
     shift = AffineMap(0.5, 0.5)
     n = 128
     budget = Budget(method="qubitized_fejer", kernel_order=n, n_samples=5000)
-    res = run_algorithm1(budget, seed=2002, model=model, spectrum_map=shift)
-    tr = res.transform
+    tr = run_algorithm1(budget, seed=2002, model=model)
     assert tr.frequencies.shape == (n // 2 + 1,)
     assert abs(tr.values.sum() - 1.0) < 1e-12
     # frequencies come back through the inverse spectrum map, ascending; the
@@ -142,7 +139,8 @@ def test_run_algorithm1_qubitized_merges_mirror_bins():
     inside = tr.frequencies >= -1.0 - 1e-9
     # at least the exact merged distribution's inside mass, less 4 binomial
     # standard errors of the 5000 samples
-    folded = replace(ESTIMATION_METHODS["qfejer"], spectrum_map=shift)
+    folded = ESTIMATION_METHODS["qfejer"]
+    assert folded.spectrum_map == shift
     p = float(folded.project(folded.source(model, budget).probs, budget, None)[inside].sum())
     assert tr.values[inside].sum() > p - 4.0 * math.sqrt(p * (1.0 - p) / budget.n_samples)
     # the map is applied once, so the histogram mean is the spectral mean
@@ -154,20 +152,15 @@ def test_run_algorithm1_validation():
     bad = Budget(method="fejer", kernel_order=48, n_samples=10)
     with pytest.raises(ValidationError):
         run_algorithm1(bad, seed=1, model=model)
-    qb = Budget(method="qubitized_fejer", kernel_order=64, n_samples=10)
-    with pytest.raises(ValidationError):
-        run_algorithm1(qb, seed=1, model=model)  # missing spectrum_map
 
 
-@pytest.mark.parametrize(
-    "method, spectrum_map", [("fejer", None), ("qubitized_fejer", AffineMap(0.5, 0.5))]
-)
-def test_run_algorithm1_rejects_spectrum_out_of_range(method, spectrum_map):
+@pytest.mark.parametrize("method", ["fejer", "qubitized_fejer"])
+def test_run_algorithm1_rejects_spectrum_out_of_range(method):
     # 1.5 lies beyond [-1, 1] and maps to 1.25, beyond [0, 1]; the periodic
     # Fejer kernel would put all of its mass on the wrapped bin at -0.5.
     model = SpectralModel(np.array([1.5]), np.array([1.0]))
     with pytest.raises(ValidationError, match="must lie in"):
-        run_algorithm1(Budget(method, 64, 1000), 1, model, spectrum_map)
+        run_algorithm1(Budget(method, 64, 1000), 1, model)
 
 
 def test_run_algorithm2_exact_moments_match_transform():
@@ -181,14 +174,18 @@ def test_run_algorithm2_exact_moments_match_transform():
     np.testing.assert_allclose(model_moments, exact, rtol=0, atol=1e-12)
     # at 1e15 shots per order the sampled moments are exact to ~3e-8
     nu = np.linspace(-0.8, 0.8, 5)
-    res = run_algorithm2(model, target, nu, seed=3003, per_order_shots=10**15)
-    np.testing.assert_allclose(res.moments, exact, rtol=0, atol=1e-6)
-    lam = res.budget.lam
+    git = ESTIMATION_METHODS["git"]
+    budget = git.budget(target, nu, 10**15 * order)
+    assert budget.per_order_shots == 10**15
+    moments = git.draw(model, budget, [3003])[0]
+    np.testing.assert_allclose(moments, exact, rtol=0, atol=1e-6)
+    tr = run_algorithm2(model, target, nu, seed=3003, per_order_shots=10**15)
+    lam = tr.kernel.lam
     want = (gaussian_eval(nu[:, None], model.eigenvalues[None, :], lam) * model.weights).sum(axis=1)
     # near-exact moments leave only the truncation error, well under beta
-    assert np.max(np.abs(res.transform.values - want)) <= target.beta
-    assert res.budget.method == "git"
-    assert res.moments[0] == 1.0
+    assert np.max(np.abs(tr.values - want)) <= target.beta
+    assert budget.method == "git"
+    assert moments[0] == 1.0
 
 
 def test_run_algorithm2_rejects_unnormalized_model():
@@ -202,13 +199,14 @@ def test_run_algorithm2_sampled_budget_and_determinism():
     model = diagonalize(*random_model(6, seed=91))
     target = AccuracyTarget(sigma=0.2, delta=0.25, beta=0.2)
     nu = np.array([-0.4, 0.0, 0.4])
-    res = run_algorithm2(model, target, nu, seed=4004, per_order_shots=200)
-    assert res.budget.per_order_shots == 200
-    assert res.budget.n_samples == 200 * res.budget.kernel_order
+    budget = ESTIMATION_METHODS["git"].budget(target, nu, 200 * truncation_order(target).L)
+    assert budget.per_order_shots == 200
+    assert budget.n_samples == 200 * budget.kernel_order
+    tr = run_algorithm2(model, target, nu, seed=4004, per_order_shots=200)
     again = run_algorithm2(model, target, nu, seed=4004, per_order_shots=200)
-    np.testing.assert_array_equal(res.transform.values, again.transform.values)
+    np.testing.assert_array_equal(tr.values, again.values)
     other = run_algorithm2(model, target, nu, seed=4005, per_order_shots=200)
-    assert np.max(np.abs(res.transform.values - other.transform.values)) > 0
+    assert np.max(np.abs(tr.values - other.values)) > 0
 
 
 def test_run_algorithm2_sampled_close_with_planned_budget():
@@ -216,10 +214,10 @@ def test_run_algorithm2_sampled_close_with_planned_budget():
     model = diagonalize(op, psi)
     target = AccuracyTarget(sigma=0.2, delta=0.25, beta=0.2)
     nu = np.array([-0.4, 0.0, 0.4])
-    res = run_algorithm2(model, target, nu, seed=5005)
-    lam = res.budget.lam
+    tr = run_algorithm2(model, target, nu, seed=5005)
+    lam = tr.kernel.lam
     want = (gaussian_eval(nu[:, None], model.eigenvalues[None, :], lam) * model.weights).sum(axis=1)
-    assert np.max(np.abs(res.transform.values - want)) <= target.beta
+    assert np.max(np.abs(tr.values - want)) <= target.beta
 
 
 def test_run_algorithm2_memory_is_bounded():
@@ -230,11 +228,11 @@ def test_run_algorithm2_memory_is_bounded():
     nu = np.linspace(-1.0, 1.0, 2001)
     tracemalloc.start()
     try:
-        res = run_algorithm2(model, target, nu, seed=6006)
+        run_algorithm2(model, target, nu, seed=6006)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert res.budget.kernel_order == 619
+    assert truncation_order(target).L == 619
     assert peak < 32 * 2**20
 
 
@@ -269,9 +267,36 @@ def test_batched_draw_rows_equal_single_runs(seed, per_order, trials):
     seeds = [seed + j for j in range(trials)]
     block = sample_moments(model_moments(model, order), per_order, seeds)
     assert block.shape == (trials, order + 1)
+    git = ESTIMATION_METHODS["git"]
+    budget = git.budget(target, [0.0], per_order * order)
     for j, trial_seed in enumerate(seeds):
-        single = run_algorithm2(model, target, [0.0], trial_seed, per_order_shots=per_order)
-        assert block[j].tobytes() == single.moments.tobytes()
+        single = git.draw(model, budget, [trial_seed])[0]
+        assert block[j].tobytes() == single.tobytes()
+
+
+def test_run_algorithms_are_the_registry_estimate():
+    # the wrappers give the bytes of the registry's estimate, and per_order_shots=k
+    # sets k shots per order through the total k * L
+    model = diagonalize(*random_model(8, seed=73))
+    for name in ("fejer", "qfejer"):
+        entry = ESTIMATION_METHODS[name]
+        budget = Budget(entry.family, 128, 4000)
+        want = entry.estimate(model, budget, 17)
+        got = run_algorithm1(budget, 17, model)
+        assert got.frequencies.tobytes() == want.frequencies.tobytes()
+        assert got.values.tobytes() == want.values.tobytes()
+    target = AccuracyTarget(sigma=0.2, delta=0.25, beta=0.2)
+    nu = np.array([-0.4, 0.0, 0.4])
+    git = ESTIMATION_METHODS["git"]
+    for k in (None, 1, 37):
+        samples = None if k is None else k * truncation_order(target).L
+        budget = git.budget(target, nu, samples)
+        if k is not None:
+            assert budget.per_order_shots == k
+        want = git.estimate(model, budget, 19, nu)
+        got = run_algorithm2(model, target, nu, 19, per_order_shots=k)
+        assert got.values.tobytes() == want.values.tobytes()
+        assert got.kernel == want.kernel
 
 
 def test_complexity_table_rows():

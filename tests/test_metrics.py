@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from specden import estimators, metrics
+from specden import cli, estimators, metrics
 from specden.chebgauss import projection_cmax, projection_values, truncation_order
 from specden.errors import CoarseGridWarning, ValidationError
 from specden.estimators import (
@@ -201,6 +201,23 @@ def test_observable_check_fejer_small_run():
     assert again.delta_v == report.delta_v
 
 
+
+@pytest.mark.parametrize("spacing", [math.inf, math.nan, 0.0, -0.01])
+@pytest.mark.parametrize("call", ["observable_bound", "contract_setup", "sigma_accuracy", "cli"])
+def test_every_grid_spacing_is_checked(call, spacing):
+    # one rule: a spacing that is not finite and positive is a ValidationError, so
+    # no grid is built from it (inf read as a spacing of 2/3, nan and inf as raw
+    # ValueErrors of numpy or math)
+    target = AccuracyTarget(sigma=0.1, delta=0.2)
+    calls = {
+        "observable_bound": lambda: observable_bound(lambda w: w, target, spacing),
+        "contract_setup": lambda: contract_setup("git", (), target, spacing),
+        "sigma_accuracy": lambda: sigma_accuracy(GaussianKernel(0.1), target.delta, spacing),
+        "cli": lambda: cli._grid_spacing(cli.RunConfig("verify", grid_spacing=spacing), target),
+    }
+    with pytest.raises(ValidationError, match="grid spacing must be finite and positive"):
+        calls[call]()
+
 def test_observable_check_fejer_builds_one_distribution_per_model(monkeypatch):
     models = [diagonalize(*random_model(6, seed=s)) for s in (507, 509)]
     target = AccuracyTarget(sigma=0.25, delta=0.1, beta=0.1, eta=0.05)
@@ -217,7 +234,7 @@ def test_observable_check_fejer_builds_one_distribution_per_model(monkeypatch):
     runs = [
         total_variation(
             exact_transform(m, kernel, fejer_grid(kernel.n)),
-            run_algorithm1(budget, derive_seed(611, i, j), model=m).transform,
+            run_algorithm1(budget, derive_seed(611, i, j), model=m),
         )
         for i, m in enumerate(models)
         for j in range(7)

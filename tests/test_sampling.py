@@ -45,12 +45,15 @@ def _spectrum(op, psi):
 
 
 def test_outcome_distribution_validation():
-    grid = fejer_grid(4)
-    OutcomeDistribution(grid, np.full(4, 0.25))
+    dist = OutcomeDistribution(np.full(4, 0.25))
+    assert np.array_equal(dist.grid, fejer_grid(4))
     with pytest.raises(ValidationError):
-        OutcomeDistribution(grid, np.array([0.5, 0.5, 0.5, -0.5]))
+        OutcomeDistribution(np.array([0.5, 0.5, 0.5, -0.5]))
     with pytest.raises(ValidationError):
-        OutcomeDistribution(grid, np.full(4, 0.3))
+        OutcomeDistribution(np.full(4, 0.3))
+    # the outcome grid has a power-of-two size, so the probabilities must too
+    with pytest.raises(ValidationError):
+        OutcomeDistribution(np.full(3, 1.0 / 3.0))
 
 
 def test_qpe_distribution_matches_kernel_mixture():
