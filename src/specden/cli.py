@@ -602,7 +602,8 @@ def _cmd_bench(cfg: RunConfig) -> int:
     epsilons = [cfg.sigma] if cfg.sigma is not None else [0.1, 0.05]
     rows = complexity_table(deltas, epsilons, eta=cfg.eta)
     columns = ["method", "delta", "eps", "kernel_order", "n_samples", "note"]
-    _write_csv(out / "complexity.csv", _header_pairs(cfg), {k: [r[k] for r in rows] for k in columns})
+    _write_csv(out / "complexity.csv", _header_pairs(cfg),
+               {k: [r[k] for r in rows] for k in columns})
     fit_header = _header_pairs(cfg)
     data = {"sweep": [], "x": [], "m": [], "fit_residual": []}
     for name in _SWEEPS:

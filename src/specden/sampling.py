@@ -86,11 +86,7 @@ class OutcomeDistribution:
 
     @property
     def grid(self) -> np.ndarray:
-        return fejer_grid(self.size)
-
-    @property
-    def size(self) -> int:
-        return self.probs.size
+        return fejer_grid(self.probs.size)
 
 
 @dataclass(frozen=True)

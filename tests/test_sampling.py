@@ -128,7 +128,7 @@ def test_qpe_distribution_memory_is_sublinear_in_cells():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert dist.size == 65536
+    assert dist.probs.size == 65536
     # the 65,536 x 256 kernel matrix and its temporaries peaked at 640 MB here
     assert peak < 32 * 2**20
 
@@ -195,7 +195,7 @@ def test_fejer_mixture_holds_chi_and_one_block(n, k, bound_mb):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert dist.size == n
+    assert dist.probs.size == n
     assert peak <= bound_mb * 2**20
 
 
