@@ -368,13 +368,8 @@ class TruncationBudget:
     L: int
     regime: str
     lam: float
-    eps_r: float
     bound: float
     bound_ok: bool
-    beta_low: float
-    beta_high: float
-    min_error_tight: float
-    min_error_envelope: float
 
 
 def truncation_order(target: AccuracyTarget) -> TruncationBudget:
@@ -406,7 +401,7 @@ def truncation_order(target: AccuracyTarget) -> TruncationBudget:
         raise OutOfRegimeError(
             f"lam * eps_r = {lam * eps_r:.6g} violates the small-error condition"
         )
-    tight, envelope = min_error_intermediate(lam)
+    tight, _ = min_error_intermediate(lam)
 
     def _with_bound(regime: str, order: int) -> tuple[str, int, float]:
         return regime, order, truncation_error_bound(order, lam, regime)
@@ -431,13 +426,8 @@ def truncation_order(target: AccuracyTarget) -> TruncationBudget:
         L=order,
         regime=regime,
         lam=lam,
-        eps_r=eps_r,
         bound=bound,
         bound_ok=(bound <= eps_r),
-        beta_low=beta_low,
-        beta_high=beta_high,
-        min_error_tight=tight,
-        min_error_envelope=envelope,
     )
 
 

@@ -55,8 +55,8 @@ from .metrics import (
     ContractSetup,
     bounded_observables,
     contract_check,
+    contract_report,
     contract_setup,
-    merge_reports,
     scaling_fit,
 )
 from .numerics import derive_seed, fmt_float
@@ -455,20 +455,21 @@ def _run_contract(
 ) -> AccuracyReport:
     base, extra = divmod(cfg.trials, len(models))
     # one positional argument tuple of contract_check per model
-    tasks = [
-        (setup, [model], max(1, base + (i < extra)), derive_seed(seed, 100 + i))
-        for i, model in enumerate(models)
-    ]
+    tasks = []
+    for i, model in enumerate(models):
+        model_seed = derive_seed(seed, 100 + i)
+        seeds = [derive_seed(model_seed, 0, j) for j in range(max(1, base + (i < extra)))]
+        tasks.append((setup, model, seeds))
     workers = cfg.workers if cfg.workers is not None else (os.cpu_count() or 1)
     workers = min(workers, len(tasks))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(contract_check, *zip(*tasks)))
+            tallies = list(pool.map(contract_check, *zip(*tasks)))
     else:
-        reports = [contract_check(*task) for task in tasks]
-    return merge_reports(reports, setup.target.eta)
+        tallies = [contract_check(*task) for task in tasks]
+    return contract_report(setup, tallies)
 
 
 def _fault_sweep(
@@ -644,7 +645,13 @@ def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         cfg = _resolve_config(args)
-        return _DISPATCH[cfg.command](cfg)
+        code = _DISPATCH[cfg.command](cfg)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # stdout's reader is gone: send what is left to devnull, so the exit flush succeeds
+        os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+        return 5
     except ValidationError as exc:
         print(f"error: {exc}")
         return 2

@@ -54,7 +54,6 @@ __all__ = [
     "fejer_grid",
     "fejer_eval",
     "fejer_plan",
-    "fejer_tail_bound",
     "delta_theta",
     "qubitized_fejer_eval",
     "qubitized_fejer_plan",
@@ -309,14 +308,6 @@ def fejer_plan(target: AccuracyTarget) -> FejerKernel:
     suffices; the returned size rounds that up to a power of two.
     """
     return FejerKernel._planned((1.0 / target.delta) * (1.0 / target.sigma + 2.0))
-
-
-def fejer_tail_bound(n: int, delta: float) -> float:
-    """Analytic bound on the Fejer mass beyond circular distance `delta`."""
-    _check_grid_size(n)
-    if n * delta <= 2.0:
-        raise ValidationError("tail bound requires n * delta > 2")
-    return 1.0 / (n * delta - 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -644,7 +635,6 @@ class JacksonPlan:
     d_min: float
     kn_ok: bool
     kernel: JacksonKernel | None
-    tau_amplifier: float | None = None
     norm_lower: float | None = None
     norm_upper: float | None = None
 
@@ -694,7 +684,6 @@ def jackson_plan(target: AccuracyTarget) -> JacksonPlan:
             kernel=None,
         )
     k = max(1, math.ceil(6.0 * math.log(1.0 / tau)))
-    _, tau_amp = amplifier_coeffs(k)
     norm = jackson_normalization(k, degree, half)
     lower = 1.0 / (2.0 * half + tau * (2.0 - 2.0 * half))
     upper = 4.0 / (half * (5.0 - 8.0 * tau)) if tau < 5.0 / 8.0 else None
@@ -707,7 +696,6 @@ def jackson_plan(target: AccuracyTarget) -> JacksonPlan:
         d_min=d_min,
         kn_ok=(k * degree >= d_min),
         kernel=kernel,
-        tau_amplifier=tau_amp,
         norm_lower=lower,
         norm_upper=upper,
     )

@@ -45,9 +45,10 @@ __all__ = [
     "bounded_observables",
     "ContractSetup",
     "contract_setup",
+    "ContractTally",
     "contract_check",
+    "contract_report",
     "observable_bound_empirical_check",
-    "merge_reports",
     "scaling_fit",
 ]
 
@@ -279,63 +280,92 @@ def contract_setup(
 _BLOCK_CELLS = 2**16
 
 
-def contract_check(
-    setup: ContractSetup,
-    model: SpectralModel | Sequence[SpectralModel],
-    trials: int,
-    seed: int,
-) -> AccuracyReport:
-    """Run `trials` seeded trials per model under `setup` and pool them.
+@dataclass(frozen=True)
+class ContractTally:
+    """Hit counts of one model's contract trials under one setup.
 
-    Trial j of model i uses the derived seed ``(seed, i, j)``.  Each
-    model's reference transforms and exact observables are computed
+    `hits` counts the trials within `beta` on the contract grid and
+    `observable_hits` those within each observable's bound, in
+    ``setup.observables`` order.  `delta_v` is the worst deviation on
+    the contract grid and `margin_delta_v` on the setup's dense grid (0
+    without one).  It pickles, so a process pool can return it.
+    """
+
+    trials: int
+    hits: int
+    observable_hits: tuple[int, ...]
+    delta_v: float
+    margin_delta_v: float
+
+
+def contract_check(
+    setup: ContractSetup, model: SpectralModel, seeds: Sequence[int]
+) -> ContractTally:
+    """Run one seeded trial of `model` per seed under `setup` and count its hits.
+
+    The model's reference transforms and exact observables are computed
     once, and its trials are drawn by the method's entry and checked as
     arrays, in blocks of at most 2^16 cells of the contract grid.
     """
-    models = [model] if isinstance(model, SpectralModel) else list(model)
-    if not models:
-        raise ValidationError("need at least one spectral model")
-    if trials < 1:
-        raise ValidationError("trials must be >= 1")
-    target, entry = setup.target, ESTIMATION_METHODS[setup.method]
+    if not seeds:
+        raise ValidationError("need at least one trial seed")
+    entry = ESTIMATION_METHODS[setup.method]
     budget, grid, dense = setup.budget, setup.grid, setup.dense
     rows = max(1, _BLOCK_CELLS // grid.size)
     worst = 0.0
     worst_margin = 0.0
     hits = 0
     obs_hits = [0] * len(setup.observables)
-    for i, mod in enumerate(models):
-        source = entry.source(mod, budget)
-        ref = entry.exact(mod, budget, grid).values
-        ref_dense = None if dense is None else entry.exact(mod, budget, dense).values
-        q_exact = [observable_exact(mod, ob.fn) for ob in setup.observables]
-        for start in range(0, trials, rows):
-            seeds = [derive_seed(seed, i, j) for j in range(start, min(trials, start + rows))]
-            draws = entry.draw(mod, budget, seeds, source)
-            values = entry.project(draws, budget, grid)
-            dev = np.max(np.abs(values - ref), axis=1)
-            worst = max(worst, float(dev.max()))
-            hits += int(np.count_nonzero(dev <= target.beta))
-            if dense is not None:
-                values = entry.project(draws, budget, dense)
-                worst_margin = max(worst_margin, float(np.max(np.abs(values - ref_dense))))
-            summed = TransformGrid(grid if dense is None else dense, values, setup.kernel.kind,
-                                   setup.kernel)
-            for k, ob in enumerate(setup.observables):
-                est = observable_from_transform(summed, ob.fn)
-                obs_hits[k] += int(np.count_nonzero(np.abs(q_exact[k] - est) <= ob.bound.total))
-    total_runs = trials * len(models)
-    return _pooled_report(
-        target.eta,
-        total_runs,
-        hits / total_runs,
-        {ob.name: c / total_runs for ob, c in zip(setup.observables, obs_hits)} or None,
-        {ob.name: ob.bound.total for ob in setup.observables} or None,
+    source = entry.source(model, budget)
+    ref = entry.exact(model, budget, grid).values
+    ref_dense = None if dense is None else entry.exact(model, budget, dense).values
+    q_exact = [observable_exact(model, ob.fn) for ob in setup.observables]
+    for start in range(0, len(seeds), rows):
+        draws = entry.draw(model, budget, seeds[start : start + rows], source)
+        values = entry.project(draws, budget, grid)
+        dev = np.max(np.abs(values - ref), axis=1)
+        worst = max(worst, float(dev.max()))
+        hits += int(np.count_nonzero(dev <= setup.target.beta))
+        if dense is not None:
+            values = entry.project(draws, budget, dense)
+            worst_margin = max(worst_margin, float(np.max(np.abs(values - ref_dense))))
+        summed = TransformGrid(grid if dense is None else dense, values, setup.kernel.kind,
+                               setup.kernel)
+        for k, ob in enumerate(setup.observables):
+            est = observable_from_transform(summed, ob.fn)
+            obs_hits[k] += int(np.count_nonzero(np.abs(q_exact[k] - est) <= ob.bound.total))
+    return ContractTally(len(seeds), hits, tuple(obs_hits), worst, worst_margin)
+
+
+def contract_report(setup: ContractSetup, tallies: Sequence[ContractTally]) -> AccuracyReport:
+    """Pool the tallies of `setup`'s models into one report.
+
+    Confidences are pooled hits over pooled trials, and the binomial
+    threshold and pass flags are set at the pooled trial count.
+    Worst-case deviations take the maximum over the tallies.
+    """
+    if not tallies:
+        raise ValidationError("need at least one model's tally")
+    target, n_trials = setup.target, sum(t.trials for t in tallies)
+    threshold = binomial_threshold(target.eta, n_trials)
+    confidence = sum(t.hits for t in tallies) / n_trials
+    obs_conf = {
+        ob.name: sum(t.observable_hits[k] for t in tallies) / n_trials
+        for k, ob in enumerate(setup.observables)
+    } or None
+    return AccuracyReport(
         measured_sigma=setup.measured_sigma,
-        delta_v=worst,
+        delta_v=max(t.delta_v for t in tallies),
+        empirical_confidence=confidence,
         grid_spacing=setup.spacing,
+        n_trials=n_trials,
+        threshold=threshold,
         pass_sigma=setup.measured_sigma <= target.sigma + 1e-12,
-        margin_delta_v=worst_margin if setup.dense is not None else None,
+        pass_beta=confidence >= threshold,
+        margin_delta_v=None if setup.dense is None else max(t.margin_delta_v for t in tallies),
+        observable_bounds={ob.name: ob.bound.total for ob in setup.observables} or None,
+        observable_confidence=obs_conf,
+        pass_bound=None if obs_conf is None else all(c >= threshold for c in obs_conf.values()),
     )
 
 
@@ -358,7 +388,8 @@ def observable_bound_empirical_check(
     estimated observable from the exact one against the analytic bound.
     The kernel tail is measured once per call on a center grid of the
     same spacing (default ``delta / 20``).  This is one
-    :func:`contract_setup` and one :func:`contract_check`.
+    :func:`contract_setup`, one :func:`contract_check` per model and one
+    :func:`contract_report`.
 
     For ``method="git"`` the contract grid is
     :data:`~specden.estimators.CONTRACT_GRID`; observables integrate a dense
@@ -374,57 +405,13 @@ def observable_bound_empirical_check(
     method it is split evenly over the orders), which deliberately
     under-budgeted runs use to demonstrate the confidence check failing.
     """
-    observables = bounded_observables(f, target, spacing)
-    setup = contract_setup(method, observables, target, spacing, n_samples)
-    return contract_check(setup, model, trials, seed)
-
-
-def merge_reports(reports: Sequence[AccuracyReport], eta: float) -> AccuracyReport:
-    """Pool per-model accuracy reports into one.
-
-    Worst-case quantities take the maximum, confidences the
-    trial-weighted mean, and the binomial threshold and pass flags are
-    recomputed at the pooled trial count.  The reports must share their
-    grid spacing (same contract setup).
-    """
-    if not reports:
-        raise ValidationError("need at least one report to merge")
-    if any(abs(r.grid_spacing - reports[0].grid_spacing) > _GRID_TOL for r in reports):
-        raise ValidationError("reports measured on different grid spacings")
-    total = sum(r.n_trials for r in reports)
-    first = reports[0]
-    margins = [r.margin_delta_v for r in reports if r.margin_delta_v is not None]
-    obs_conf = None if first.observable_confidence is None else {
-        name: sum(r.observable_confidence[name] * r.n_trials for r in reports) / total
-        for name in first.observable_confidence
-    }
-    return _pooled_report(
-        eta,
-        total,
-        sum(r.empirical_confidence * r.n_trials for r in reports) / total,
-        obs_conf,
-        None if obs_conf is None else dict(first.observable_bounds),
-        measured_sigma=max(r.measured_sigma for r in reports),
-        delta_v=max(r.delta_v for r in reports),
-        grid_spacing=first.grid_spacing,
-        pass_sigma=all(r.pass_sigma for r in reports),
-        margin_delta_v=max(margins) if margins else None,
-    )
-
-
-def _pooled_report(eta, n_trials, confidence, obs_conf, obs_bounds, **measured) -> AccuracyReport:
-    """The report of `n_trials` pooled trials, with the threshold and flags set at that count."""
-    threshold = binomial_threshold(eta, n_trials)
-    return AccuracyReport(
-        empirical_confidence=confidence,
-        n_trials=n_trials,
-        threshold=threshold,
-        pass_beta=confidence >= threshold,
-        observable_bounds=obs_bounds,
-        observable_confidence=obs_conf,
-        pass_bound=None if obs_conf is None else all(c >= threshold for c in obs_conf.values()),
-        **measured,
-    )
+    models = [model] if isinstance(model, SpectralModel) else list(model)
+    setup = contract_setup(method, bounded_observables(f, target, spacing), target, spacing, n_samples)
+    tallies = [
+        contract_check(setup, m, [derive_seed(seed, i, j) for j in range(trials)])
+        for i, m in enumerate(models)
+    ]
+    return contract_report(setup, tallies)
 
 
 def scaling_fit(x, y) -> tuple[float, float, float]:

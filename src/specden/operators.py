@@ -121,13 +121,6 @@ class HermitianOperator:
         """Eigenvectors, one column per entry of :attr:`evals`."""
         return self._eigenpairs()[1]
 
-    def norm(self) -> float:
-        """Spectral norm (largest eigenvalue magnitude)."""
-        return float(np.max(np.abs(self.evals)))
-
-    def __repr__(self):
-        return f"HermitianOperator(dim={self.dim})"
-
 
 class ProbeState:
     """Unit-norm state vector used to weight the spectrum."""
@@ -149,9 +142,6 @@ class ProbeState:
     @property
     def dim(self) -> int:
         return self._vector.size
-
-    def __repr__(self):
-        return f"ProbeState(dim={self.dim})"
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ import argparse
 import itertools
 import json
 import math
+import os
 import subprocess
 import sys
 import tempfile
@@ -669,6 +670,22 @@ def test_exit_code_io_error(tmp_path):
         "estimate", "--method", "fejer", "--sigma", "0.25", "--delta", "0.1",
         "--gen", "dense:4", "--seed", "1", "--out", str(blocker / "sub"),
     ) == 5
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+def test_closed_stdout_exits_5_without_a_traceback(tmp_path, unbuffered):
+    # the reader of stdout is gone before the first line: a buffered stdout
+    # fails at main's flush, an unbuffered one at the first print
+    src = Path(__file__).resolve().parents[1] / "src"
+    argv = ["verify", "--method", "fejer", "--sigma", "0.2", "--delta", "0.2", "--gen", "dense:8",
+            "--trials", "5", "--seed", "1", "--workers", "1", "--out", str(tmp_path)]
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONUNBUFFERED": unbuffered}
+    child = subprocess.Popen([sys.executable, "-m", "specden", *argv], env=env,
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    child.stdout.close()
+    _, err = child.communicate(timeout=120)
+    assert child.returncode == 5
+    assert "Traceback" not in err
 
 
 def test_bad_gen_spec():

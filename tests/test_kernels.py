@@ -25,7 +25,6 @@ from specden.kernels import (
     fejer_eval,
     fejer_grid,
     fejer_plan,
-    fejer_tail_bound,
     gaussian_eval,
     gaussian_resolution,
     gaussian_tail_mass,
@@ -97,16 +96,11 @@ def test_fejer_plan_cap():
         fejer_plan(AccuracyTarget(sigma=0.25, delta=1e-8))
 
 
-def test_fejer_tail_bound_formula():
-    assert abs(fejer_tail_bound(64, 0.1) - 1.0 / (6.4 - 2.0)) < 1e-15
-    with pytest.raises(ValidationError):
-        fejer_tail_bound(16, 0.1)
-
-
 def test_fejer_tail_bound_dominates_measurement():
+    # the bound 1/(n delta - 2) on the mass beyond delta, which fejer_plan inverts
     for n, delta in [(64, 0.1), (256, 0.05), (1024, 0.02)]:
         worst = sigma_accuracy(FejerKernel(n), delta).value
-        assert worst <= fejer_tail_bound(n, delta) + 1e-12
+        assert worst <= 1.0 / (n * delta - 2.0) + 1e-12
 
 
 def test_delta_theta_value_and_small_delta():

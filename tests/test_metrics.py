@@ -29,11 +29,12 @@ from specden.kernels import (
 )
 from specden.metrics import (
     AccuracyReport,
+    ContractTally,
     binomial_threshold,
     bounded_observables,
     contract_check,
+    contract_report,
     contract_setup,
-    merge_reports,
     observable_bound,
     observable_bound_empirical_check,
     scaling_fit,
@@ -415,14 +416,16 @@ def test_contract_setup_serves_every_model_alike():
     assert [ob.name for ob in observables] == ["one", "f1", "f2"]
     setup = contract_setup("git", observables, target)
     seeds = [derive_seed(837, 100 + i) for i in range(len(models))]
-    got = [contract_check(setup, [m], 5, s) for m, s in zip(models, seeds)]
+    got = [
+        contract_report(setup, [contract_check(setup, m, [derive_seed(s, 0, j) for j in range(5)])])
+        for m, s in zip(models, seeds)
+    ]
     ref = [_reference_check([m], "git", _ORACLE_OBSERVABLES, target, 5, s) for m, s in zip(models, seeds)]
     assert got == ref
-    assert merge_reports(got, target.eta) == merge_reports(ref, target.eta)
     with pytest.raises(ValidationError):
-        contract_check(setup, [], 5, 837)
+        contract_check(setup, models[0], [])
     with pytest.raises(ValidationError):
-        contract_check(setup, models, 0, 837)
+        contract_report(setup, [])
     with pytest.raises(ValidationError):
         contract_setup("qfejer", observables, target)
 
@@ -442,20 +445,20 @@ def test_observable_check_coarse_grid_warns_as_the_per_trial_loop():
     assert all(w.category is CoarseGridWarning for w in got_warnings)
 
 
-def test_merge_reports_pools_counts():
-    base = dict(
-        measured_sigma=0.01,
-        grid_spacing=0.005,
-        threshold=0.9,
-        pass_sigma=True,
-        pass_beta=True,
-    )
-    a = AccuracyReport(delta_v=0.05, empirical_confidence=1.0, n_trials=60, **base)
-    b = AccuracyReport(delta_v=0.08, empirical_confidence=0.9, n_trials=40, **base)
-    merged = merge_reports([a, b], eta=0.05)
-    assert merged.n_trials == 100
-    assert abs(merged.delta_v - 0.08) < 1e-15
-    assert abs(merged.empirical_confidence - 0.96) < 1e-12
-    assert abs(merged.threshold - binomial_threshold(0.05, 100)) < 1e-15
+def test_contract_report_pools_counts():
+    # confidences are pooled hits over pooled trials: re-weighting each
+    # model's fraction, 1/22 and 15/22, gives 0.3636363636363636, not 16/44
+    target = _ORACLE_TARGETS["git"]
+    setup = contract_setup("git", bounded_observables(_ORACLE_OBSERVABLES[:1], target), target)
+    a = ContractTally(trials=22, hits=1, observable_hits=(22,), delta_v=0.05, margin_delta_v=0.09)
+    b = ContractTally(trials=22, hits=15, observable_hits=(7,), delta_v=0.08, margin_delta_v=0.06)
+    merged = contract_report(setup, [a, b])
+    assert merged.n_trials == 44
+    assert merged.delta_v == 0.08 and merged.margin_delta_v == 0.09
+    assert merged.empirical_confidence == 16 / 44
+    assert merged.observable_confidence == {"one": 29 / 44}
+    assert merged.threshold == binomial_threshold(target.eta, 44)
+    assert merged.measured_sigma == setup.measured_sigma and merged.grid_spacing == setup.spacing
+    assert not merged.pass_beta and not merged.pass_bound
     with pytest.raises(ValidationError):
-        merge_reports([], eta=0.05)
+        contract_report(setup, [])

@@ -48,7 +48,7 @@ def test_hermitian_operator_validation():
         HermitianOperator(np.ones((2, 3)))
     op = HermitianOperator(np.diag([0.25, -0.75]))
     assert op.dim == 2
-    assert abs(op.norm() - 0.75) < 1e-14
+    assert abs(np.max(np.abs(op.evals)) - 0.75) < 1e-14
 
 
 def test_probe_state_requires_unit_norm():
@@ -63,7 +63,7 @@ def test_probe_state_requires_unit_norm():
 def test_normalize_operator_full_contracts_large_spectrum():
     op = HermitianOperator(np.diag([-4.0, 2.0, 3.0]))
     normed, amap = normalize_operator(op, "full")
-    assert normed.norm() <= 1.0 + 1e-12
+    assert np.max(np.abs(normed.evals)) <= 1.0 + 1e-12
     np.testing.assert_allclose(
         np.linalg.eigvalsh(normed.matrix),
         amap.apply(np.array([-4.0, 2.0, 3.0])),
@@ -167,7 +167,7 @@ def test_observable_from_density_warns_on_coarse_grid():
 def test_random_model_kinds():
     op, psi = random_model(12, seed=5, kind="dense")
     assert op.dim == 12 and psi.dim == 12
-    assert op.norm() <= 1.0 + 1e-12
+    assert np.max(np.abs(op.evals)) <= 1.0 + 1e-12
     model = diagonalize(op, psi)
     assert abs(model.weights.sum() - 1.0) < 1e-10
 

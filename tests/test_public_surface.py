@@ -6,6 +6,8 @@ import importlib
 import inspect
 import json
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -97,3 +99,32 @@ def test_no_reach_into_another_objects_privates():
             ):
                 offenders.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
     assert offenders == []
+
+
+def test_traced_benchmark_ops_find_every_declared_function(tmp_path):
+    # perfbench's tracer wraps each function it names and reports a missing
+    # one as absent: small ops of every workload kind, run traced, must exit
+    # 0 and leave no declared per-layer function absent
+    root = Path(__file__).resolve().parents[1]
+    bench = json.loads((root / "BENCHMARK.json").read_text())
+    declared = {".".join(n[:2]) for n in (m["name"].split(".") for m in bench["per_layer"]) if len(n) == 3}
+    model = ["--gen", "dense:8", "--seed", "1", "--workers", "1"]
+    runs = [
+        *(["estimate", "--method", method, "--sigma", "0.1", "--delta", "0.3", "--beta", "0.1", *model]
+          for method in ("git", "fejer", "qfejer")),
+        ["verify", "--method", "all", "--sigma", "0.25", "--delta", "0.25", "--beta", "0.1",
+         "--trials", "4", *model],
+        ["plan", "--method", "all", "--sigma", "0.1", "--delta", "0.2"],
+    ]
+    runs = [argv + ["--out", str(tmp_path / str(i))] for i, argv in enumerate(runs)]
+    probe = (
+        f"import json, sys; sys.path[:0] = [{str(root / 'src')!r}, {str(root / 'perfbench')!r}]; "
+        "import specden.cli, layers; tracer = layers.Tracer(); tracer.install(); "
+        f"codes = [specden.cli.main(argv) for argv in {runs!r}]; "
+        "print(json.dumps([codes, tracer.absent]), file=sys.stderr)"
+    )
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    codes, absent = json.loads(done.stderr.strip().splitlines()[-1])
+    assert codes == [0] * len(runs)
+    assert sorted(declared & set(absent)) == []
