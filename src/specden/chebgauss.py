@@ -42,8 +42,8 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.polynomial.chebyshev as npcheb
 
-from .errors import NumericError, OutOfRegimeError, ResourceLimitError, ValidationError
-from .kernels import GRID_CAP, AccuracyTarget, GaussianKernel, _fft_size, gaussian_eval, gaussian_resolution
+from .errors import NumericError, OutOfRegimeError, ValidationError
+from .kernels import AccuracyTarget, GaussianKernel, _check_cells, _fft_size, gaussian_eval, gaussian_resolution
 from .numerics import cheb_nodes, cheb_series_coeffs, dct3
 from .operators import HermitianOperator, ProbeState, TransformGrid
 
@@ -153,10 +153,7 @@ def gauss_cheb_coeffs(lam: float, order: int) -> np.ndarray:
     if order < 0:
         raise ValidationError(f"order must be >= 0, got {order!r}")
     m = _fft_size(max(4 * (order + 1), 256, math.ceil(40.0 / lam)))
-    if m > GRID_CAP:
-        raise ResourceLimitError(
-            f"the Gaussian's projection needs {m} nodes, over the cap {GRID_CAP}; loosen sigma or delta"
-        )
+    _check_cells(m, "projection nodes of the Gaussian")
     x = cheb_nodes(m)
     a = cheb_series_coeffs(np.exp(-x * x / (2.0 * lam * lam)), order)
     a[1::2] = 0.0

@@ -19,8 +19,9 @@ carry no timestamps, and floats are printed with round-trip precision.
 Each output file starts with a comment header recording the artifact
 version and a hash of the resolved configuration.
 
-Exit codes: 0 success, 2 invalid configuration or input, 3 target out
-of the supported regime, 4 resource cap exceeded, 5 file I/O failure.
+Exit codes, each error reported in one line on stderr: 0 success, 2
+invalid configuration or input, 3 target out of the supported regime, 4
+resource cap exceeded, 5 file I/O failure.
 """
 
 from __future__ import annotations
@@ -42,14 +43,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import (
-    OutOfRegimeError,
-    ResourceLimitError,
-    SpecdenError,
-    ValidationError,
-)
+from .errors import SpecdenError, ValidationError
 from .estimators import ESTIMATION_METHODS, complexity_table, plan_fejer_samples
-from .kernels import GRID_CAP, AccuracyTarget, fejer_plan, grid_spacing
+from .kernels import AccuracyTarget, evaluation_grid, fejer_plan, grid_spacing
 from .metrics import (
     AccuracyReport,
     ContractSetup,
@@ -134,7 +130,10 @@ _STR_KEYS = ("method", "model", "gen", "out")
 
 def _read_config_file(path: str) -> dict:
     out: dict = {}
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not a text file ({exc})") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -346,22 +345,10 @@ def _methods(cfg: RunConfig, allowed: tuple[str, ...], default: str) -> list[str
     return names
 
 
-def _grid_spacing(cfg: RunConfig, target: AccuracyTarget) -> float:
-    """Evaluation grid spacing, checked against `GRID_CAP` before any grid exists."""
-    h = grid_spacing(target.delta, cfg.grid_spacing)
-    if 2.0 / h + 1.0 > GRID_CAP:
-        raise ResourceLimitError(
-            f"grid spacing {h:g} needs more than {GRID_CAP} points over [-1, 1]; "
-            "loosen --grid-spacing or delta"
-        )
-    return h
-
-
 def _nu_grid(cfg: RunConfig, target: AccuracyTarget) -> np.ndarray:
     if cfg.nu is not None:
         return np.array([cfg.nu])
-    h = _grid_spacing(cfg, target)
-    return np.linspace(-1.0, 1.0, max(2, math.ceil(2.0 / h)) + 1)
+    return evaluation_grid(grid_spacing(target.delta, cfg.grid_spacing))
 
 
 def _cmd_plan(cfg: RunConfig) -> int:
@@ -517,7 +504,12 @@ def _cmd_verify(cfg: RunConfig) -> int:
     target = cfg.target()
     seed = cfg.require_seed()
     names = _methods(cfg, _CONTRACTS, "all")
-    _grid_spacing(cfg, target)  # fail before the contract builds its grids
+    # the observables' bounds check the spacing before any model or grid is built
+    observables = bounded_observables(
+        [ObservableFn(_obs_one, "one"), ObservableFn(_obs_identity, "identity")],
+        target,
+        cfg.grid_spacing,
+    )
     spectra = _load_spectra(cfg)
     models = [SpectralModel.from_amplitudes(evals, amplitudes) for evals, amplitudes, _ in spectra]
     report_json: dict = {
@@ -528,11 +520,6 @@ def _cmd_verify(cfg: RunConfig) -> int:
         "reports": {},
     }
     overall = True
-    observables = bounded_observables(
-        [ObservableFn(_obs_one, "one"), ObservableFn(_obs_identity, "identity")],
-        target,
-        cfg.grid_spacing,
-    )
     for name in names:
         setup = contract_setup(name, observables, target, cfg.grid_spacing, cfg.samples)
         stream = ESTIMATION_METHODS[name].verify_stream
@@ -652,20 +639,11 @@ def main(argv=None) -> int:
         # stdout's reader is gone: send what is left to devnull, so the exit flush succeeds
         os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
         return 5
-    except ValidationError as exc:
-        print(f"error: {exc}")
-        return 2
-    except OutOfRegimeError as exc:
-        print(f"out of regime: {exc}")
-        return 3
-    except ResourceLimitError as exc:
-        print(f"resource cap: {exc}")
-        return 4
     except SpecdenError as exc:
-        print(f"error: {exc}")
-        return 2
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
     except OSError as exc:
-        print(f"i/o error: {exc}")
+        print(f"i/o error: {exc}", file=sys.stderr)
         return 5
 
 

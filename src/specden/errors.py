@@ -2,8 +2,8 @@
 
 Every error raised deliberately by this package derives from
 :class:`SpecdenError`, so callers can catch one base class.  The
-subclasses map onto distinct failure modes (and onto distinct CLI exit
-codes, see :mod:`specden.cli`).
+subclasses map onto distinct failure modes; each class carries the CLI
+exit code and the label :mod:`specden.cli` reports it with.
 """
 
 __all__ = [
@@ -19,6 +19,9 @@ __all__ = [
 class SpecdenError(Exception):
     """Base class for all errors raised by specden."""
 
+    exit_code = 2
+    label = "error"
+
 
 class ValidationError(SpecdenError, ValueError):
     """Invalid parameters or malformed inputs."""
@@ -32,9 +35,15 @@ class OutOfRegimeError(SpecdenError, RuntimeError):
     evaluated outside the parameter range where it is a bound.
     """
 
+    exit_code = 3
+    label = "out of regime"
+
 
 class ResourceLimitError(SpecdenError, RuntimeError):
     """A planned computation exceeds a configured resource cap."""
+
+    exit_code = 4
+    label = "resource cap"
 
 
 class NumericError(SpecdenError, ArithmeticError):

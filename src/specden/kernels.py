@@ -73,11 +73,18 @@ __all__ = [
     "jackson_plan",
     "jackson_eval",
     "grid_spacing",
+    "evaluation_grid",
     "sigma_accuracy",
 ]
 
 GRID_CAP = 2**26
 _SCAN_CELLS = 2**20
+
+
+def _check_cells(cells: float, what: str, cap: int = GRID_CAP) -> None:
+    """The one cap check, run before allocating: refuse when `cells` of `what` exceed `cap`."""
+    if cells > cap:
+        raise ResourceLimitError(f"{cells} {what} exceed the cap {cap}")
 
 
 @dataclass(frozen=True)
@@ -132,8 +139,7 @@ class _FejerGrid:
     @classmethod
     def _planned(cls, raw: float):
         n = next_pow2(raw)
-        if n > GRID_CAP:
-            raise ResourceLimitError(f"planned grid size {n} exceeds the cap {GRID_CAP}; loosen sigma or delta")
+        _check_cells(n, "bins of the planned grid")
         return cls(n)
 
     def outside(self, delta: float, omega0: np.ndarray) -> np.ndarray:
@@ -423,13 +429,6 @@ def jackson_damping(degree: int) -> np.ndarray:
     return ((big - k) * np.cos(np.pi * k / big) + np.sin(np.pi * k / big) / np.tan(np.pi / big)) / big
 
 
-def _check_window_size(size: int, what: str) -> None:
-    if size > GRID_CAP:
-        raise ResourceLimitError(
-            f"the Jackson window needs {size} {what}, over the cap {GRID_CAP}; loosen sigma or delta"
-        )
-
-
 def _dct1(a: np.ndarray) -> np.ndarray:
     """``a_0 + (-1)^i a_N + 2 sum_{n=1}^{N-1} a_n cos(pi n i / N)`` for i = 0..N.
 
@@ -473,7 +472,7 @@ def jackson_coeffs(degree: int, delta: float) -> np.ndarray:
     read-only.
     """
     m = max(4096, 4 * (degree + 1))
-    _check_window_size(m, "projection nodes")
+    _check_cells(m, "projection nodes of the Jackson window")
     coeffs = cheb_series_coeffs(jackson_tent(cheb_nodes(m), delta), degree) * jackson_damping(degree)
     coeffs.flags.writeable = False
     return coeffs
@@ -570,7 +569,7 @@ def _jackson_profile_coeffs(k: int, degree: int, delta: float) -> np.ndarray:
     is read-only.
     """
     n = k * degree
-    _check_window_size(n + 1, "profile coefficients")
+    _check_cells(n + 1, "profile coefficients of the Jackson window")
     amp, _ = amplifier_coeffs(k)
     size = _fft_size(max(n // 2, 1))
     padded = np.zeros(size + 1)
@@ -702,8 +701,10 @@ def jackson_plan(target: AccuracyTarget) -> JacksonPlan:
 
 
 def jackson_eval(sigma, omega, kernel: JacksonKernel):
-    """Evaluate the amplified window at (sigma, omega)."""
+    """Evaluate the amplified window at (sigma, omega), where |sigma - omega| <= 2 (to 2e-12)."""
     u = (np.asarray(sigma, dtype=float) - np.asarray(omega, dtype=float)) / 2.0
+    if np.any(np.abs(u) > 1.0 + 1e-12):
+        raise ValidationError(f"the Jackson window needs |sigma - omega| <= 2, got {2.0 * np.max(np.abs(u)):g}")
     return kernel.normalization * _jackson_profile(np.asarray(u), kernel.k, kernel.degree, kernel.delta)
 
 
@@ -733,12 +734,19 @@ class SigmaAccuracy:
 def grid_spacing(delta: float, spacing: float | None = None) -> float:
     """Spacing of the evaluation grids at resolution `delta`: `spacing`, default ``delta / 20``.
 
-    Raises :class:`ValidationError` unless it is finite and positive.
+    Raises :class:`ValidationError` unless it is finite and positive, and
+    :class:`ResourceLimitError` when 2/h + 1 points exceed ``GRID_CAP``.
     """
     h = delta / 20.0 if spacing is None else float(spacing)
     if not (0.0 < h < math.inf):
         raise ValidationError(f"grid spacing must be finite and positive, got {h!r}")
+    _check_cells(2.0 / h + 1.0, "points of the evaluation grid over [-1, 1]")
     return h
+
+
+def evaluation_grid(h: float) -> np.ndarray:
+    """Uniform frequencies from -1 to 1 at spacing at most `h`, at least three of them."""
+    return np.linspace(-1.0, 1.0, max(2, math.ceil(2.0 / h)) + 1)
 
 
 def sigma_accuracy(kernel: KernelSpec, delta: float, spacing: float | None = None) -> SigmaAccuracy:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .estimators import CONTRACT_GRID, ESTIMATION_METHODS, Budget
-from .kernels import AccuracyTarget, KernelSpec, grid_spacing, sigma_accuracy
+from .kernels import AccuracyTarget, KernelSpec, evaluation_grid, grid_spacing, sigma_accuracy
 from .numerics import derive_seed
 from .operators import (
     ObservableFn,
@@ -109,8 +109,7 @@ def observable_bound(
     closed-form variation (a linear f gives exactly `delta`).
     """
     fn = f if isinstance(f, ObservableFn) else ObservableFn(fn=f)
-    h = grid_spacing(target.delta, spacing)
-    omega = np.linspace(-1.0, 1.0, max(3, math.ceil(2.0 / h)) + 1)
+    omega = evaluation_grid(grid_spacing(target.delta, spacing))
     center = fn(omega)
     if not np.all(np.isfinite(center)):
         raise ValidationError("observable must be finite on [-1, 1]")

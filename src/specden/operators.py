@@ -21,8 +21,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import CoarseGridWarning, ResourceLimitError, ValidationError
-from .kernels import GRID_CAP, KernelSpec
+from .errors import CoarseGridWarning, ValidationError
+from .kernels import KernelSpec, _check_cells
 from .numerics import child_rng
 
 __all__ = [
@@ -290,9 +290,12 @@ def diagonalize(op: HermitianOperator, psi: ProbeState) -> SpectralModel:
 
 
 def exact_transform(model: SpectralModel, kernel: KernelSpec, frequencies) -> TransformGrid:
-    """Analytic transform ``Phi(nu) = sum_k w_k K(nu, O_k)`` on a grid."""
+    """Analytic transform ``Phi(nu) = sum_k w_k K(nu, O_k)`` on a grid, in blocks of <= 2^20 kernel cells."""
     nus = np.asarray(frequencies, dtype=float).reshape(-1)
-    vals = kernel.value(nus[:, None], model.eigenvalues[None, :]) @ model.weights
+    rows = max(1, 2**20 // model.eigenvalues.size)
+    vals = np.empty(nus.size)
+    for start in range(0, nus.size, rows):
+        vals[start : start + rows] = kernel.value(nus[start : start + rows, None], model.eigenvalues) @ model.weights
     return TransformGrid(frequencies=nus, values=vals, kind=kernel.kind, kernel=kernel)
 
 
@@ -353,8 +356,7 @@ def random_spectrum(dim: int, seed: int, kind: str = "dense", gap: float = 0.1,
     """
     if dim < 1:
         raise ValidationError("dim must be >= 1")
-    if dim * dim > GRID_CAP:
-        raise ResourceLimitError(f"a dim {dim} model draws {dim}^2 cells, over the cap {GRID_CAP}")
+    _check_cells(dim * dim, "cells of a dim x dim draw")
     rng = child_rng(seed, 0)
     if kind == "dense":
         # Dumitriu & Edelman, J. Math. Phys. 43, 5830 (2002): diagonal N(0, 1),

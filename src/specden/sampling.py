@@ -39,7 +39,7 @@ import numpy as np
 import numpy.fft
 
 from .errors import ResourceLimitError, ValidationError
-from .kernels import _check_grid_size, fejer_grid
+from .kernels import _check_cells, _check_grid_size, fejer_grid
 from .numerics import child_rng
 from .operators import HermitianOperator, ProbeState, SpectralModel
 
@@ -263,10 +263,7 @@ def statevector_qpe_sweep(
         raise ValidationError(f"n_ancilla must be >= 1, got {n_ancilla!r}")
     dim = len(evals)
     n = 2**n_ancilla
-    if dim * n > MEMORY_CAP:
-        raise ResourceLimitError(
-            f"statevector of size {dim * n} exceeds the cap {MEMORY_CAP}; reduce n_ancilla"
-        )
+    _check_cells(dim * n, "statevector amplitudes", MEMORY_CAP)
     if np.shape(amplitudes) != (dim,):
         raise ValidationError(f"{np.shape(amplitudes)} amplitudes for {dim} eigenvalues")
     delta_ts = list(delta_ts)

@@ -321,7 +321,7 @@ def test_io_error_midway_exits_5_and_keeps_the_earlier_artifacts(tmp_path, monke
 
     monkeypatch.setattr(cli, "open", FullDisk, raising=False)
     assert run_cli(*common, "--seed", "2") == 5
-    assert capsys.readouterr().out.endswith("i/o error: [Errno 28] No space left on device\n")
+    assert capsys.readouterr().err.endswith("i/o error: [Errno 28] No space left on device\n")
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
@@ -353,7 +353,7 @@ def test_single_method_commands_reject_all(tmp_path, capsys, command, allowed):
         command, "--method", "all", "--sigma", "0.1", "--delta", "0.1",
         "--gen", "dense:8", "--seed", "1", "--out", str(tmp_path),
     ) == 2
-    assert f"'{command}' supports methods {allowed}, got 'all'" in capsys.readouterr().out
+    assert f"'{command}' supports methods {allowed}, got 'all'" in capsys.readouterr().err
 
 
 def test_exit_code_out_of_regime():
@@ -370,7 +370,7 @@ def test_exit_code_resource_limit(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli("estimate", *target, "--gen", "dense:8", "--seed", "1",
                    "--out", str(tmp_path / "e")) == 4
-    assert "resource cap" in capsys.readouterr().out
+    assert "resource cap" in capsys.readouterr().err
     assert run_cli("plan", *target) == 0
     assert "per_order_shots=" in capsys.readouterr().out
 
@@ -395,15 +395,17 @@ _EDGE_MODEL = ["--gen", "dense:4", "--seed", "1"]
         (["estimate", "--method", "fejer", *_EDGE_TARGET, "--gen", "dense:10000000", "--seed", "1"], 4),
         (["estimate", "--method", "fejer", *_EDGE_TARGET, "--gen", "gapped:10000000", "--seed", "1"], 4),
         (["estimate", "--method", "fejer", *_EDGE_TARGET, "--gen", "spiked:100000", "--seed", "1"], 4),
+        # the window's Chebyshev series holds for |nu - omega| <= 2 only
+        (["transform", "--method", "jackson", *_EDGE_TARGET, *_EDGE_MODEL, "--nu", "1.5"], 2),
     ],
     ids=["negative-seed", "infinite-spacing", "samples-past-int64", "fejer-budget-overflow",
          "git-budget-overflow", "nan-nu", "zero-models", "zero-trials", "dense-dim-over-cap",
-         "gapped-dim-over-cap", "spiked-dim-over-cap"],
+         "gapped-dim-over-cap", "spiked-dim-over-cap", "jackson-nu-outside-the-window"],
 )
 def test_edge_inputs_exit_with_their_documented_code(tmp_path, capsys, argv, code):
     # an exception escaping main fails the test on its own; none may
     assert run_cli(*argv, "--out", str(tmp_path)) == code
-    assert capsys.readouterr().out.startswith({2: "error: ", 4: "resource cap: "}[code])
+    assert capsys.readouterr().err.startswith({2: "error: ", 4: "resource cap: "}[code])
     assert list(tmp_path.iterdir()) == []
 
 
@@ -412,7 +414,7 @@ def test_config_file_negative_seed_exits_2(tmp_path, capsys):
     config.write_text("seed = -1\n")
     assert run_cli("estimate", "--config", str(config), "--method", "git", *_EDGE_TARGET,
                    "--gen", "dense:4", "--out", str(tmp_path / "e")) == 2
-    assert capsys.readouterr().out == "error: seed must be >= 0\n"
+    assert capsys.readouterr().err == "error: seed must be >= 0\n"
     assert not (tmp_path / "e").exists()
 
 
@@ -434,7 +436,7 @@ def test_grid_spacing_over_cap_refused_before_allocating(tmp_path, capsys, argv)
     finally:
         tracemalloc.stop()
     assert code == 4
-    assert "resource cap" in capsys.readouterr().out
+    assert "resource cap" in capsys.readouterr().err
     assert peak < 16 * 2**20
 
 
@@ -623,7 +625,7 @@ def test_plan_git_projection_over_cap_exits_4_fast(capsys):
     start = time.perf_counter()
     assert run_cli("plan", "--method", "git", "--sigma", "0.1", "--delta", "1e-6") == 4
     assert time.perf_counter() - start < 5.0
-    assert "resource cap" in capsys.readouterr().out
+    assert "resource cap" in capsys.readouterr().err
 
 
 def test_plan_jackson_fine_targets(capsys):
@@ -632,7 +634,7 @@ def test_plan_jackson_fine_targets(capsys):
     assert "degree=48000, amplifier_degree=59" in capsys.readouterr().out
     # k * degree ~ 4.2e8 exceeds the grid cap and is refused before allocating
     assert run_cli("plan", "--method", "jackson", "--sigma", "0.1", "--delta", "1e-5") == 4
-    assert "resource cap" in capsys.readouterr().out
+    assert "resource cap" in capsys.readouterr().err
 
 
 def test_git_commands_build_no_coefficient_table(tmp_path, monkeypatch):
@@ -675,17 +677,22 @@ def test_exit_code_io_error(tmp_path):
 @pytest.mark.parametrize("unbuffered", ["1", ""])
 def test_closed_stdout_exits_5_without_a_traceback(tmp_path, unbuffered):
     # the reader of stdout is gone before the first line: a buffered stdout
-    # fails at main's flush, an unbuffered one at the first print
+    # fails at main's flush, an unbuffered one at the first print; an error
+    # line goes to stderr, so the error keeps its own exit code
     src = Path(__file__).resolve().parents[1] / "src"
-    argv = ["verify", "--method", "fejer", "--sigma", "0.2", "--delta", "0.2", "--gen", "dense:8",
-            "--trials", "5", "--seed", "1", "--workers", "1", "--out", str(tmp_path)]
+    target = ["--sigma", "0.2", "--delta", "0.2", "--gen", "dense:8", "--out", str(tmp_path)]
+    cases = [
+        (["verify", "--method", "fejer", *target, "--trials", "5", "--seed", "1", "--workers", "1"], 5),
+        (["estimate", "--method", "fejer", *target], 2),
+    ]
     env = {**os.environ, "PYTHONPATH": str(src), "PYTHONUNBUFFERED": unbuffered}
-    child = subprocess.Popen([sys.executable, "-m", "specden", *argv], env=env,
-                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
-    child.stdout.close()
-    _, err = child.communicate(timeout=120)
-    assert child.returncode == 5
-    assert "Traceback" not in err
+    for argv, code in cases:
+        child = subprocess.Popen([sys.executable, "-m", "specden", *argv], env=env,
+                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        child.stdout.close()
+        _, err = child.communicate(timeout=120)
+        assert child.returncode == code
+        assert "Traceback" not in err
 
 
 def test_bad_gen_spec():
@@ -781,13 +788,13 @@ def test_estimate_git_nu_outside_the_kernel_names_the_grid(tmp_path, capsys):
     argv = ["estimate", "--method", "git", "--sigma", "0.1", "--delta", "0.1", "--gen", "gapped:4",
             "--seed", "1", "--out", str(tmp_path)]
     assert run_cli(*argv, "--nu", "5") == 2
-    out = capsys.readouterr().out
-    assert out.startswith("error: no requested frequency sees the kernel")
-    assert "nu = 5" in out
-    assert "coefficient table" not in out
+    err = capsys.readouterr().err
+    assert err.startswith("error: no requested frequency sees the kernel")
+    assert "nu = 5" in err
+    assert "coefficient table" not in err
     assert not (tmp_path / "estimate.csv").exists()
     assert run_cli(*argv, "--nu", "-7.5") == 2
-    assert "nu = -7.5" in capsys.readouterr().out
+    assert "nu = -7.5" in capsys.readouterr().err
 
 
 def test_main_builds_its_parser_once(monkeypatch, capsys):

@@ -1,13 +1,14 @@
 """Unit tests for metrics, the observable bound, and the contract checker."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from specden import cli, estimators, metrics
 from specden.chebgauss import projection_cmax, projection_values, truncation_order
-from specden.errors import CoarseGridWarning, ValidationError
+from specden.errors import CoarseGridWarning, ResourceLimitError, ValidationError
 from specden.estimators import (
     CONTRACT_GRID,
     Budget,
@@ -203,21 +204,45 @@ def test_observable_check_fejer_small_run():
 
 
 
+# every caller that builds a grid from a spacing, by name
+_SPACING_CALLS = {
+    "observable_bound": lambda target, spacing: observable_bound(lambda w: w, target, spacing),
+    "contract_setup": lambda target, spacing: contract_setup("git", (), target, spacing),
+    "sigma_accuracy": lambda target, spacing: sigma_accuracy(GaussianKernel(0.1), target.delta, spacing),
+    "cli": lambda target, spacing: cli._nu_grid(cli.RunConfig("verify", grid_spacing=spacing), target),
+}
+
+
 @pytest.mark.parametrize("spacing", [math.inf, math.nan, 0.0, -0.01])
 @pytest.mark.parametrize("call", ["observable_bound", "contract_setup", "sigma_accuracy", "cli"])
 def test_every_grid_spacing_is_checked(call, spacing):
     # one rule: a spacing that is not finite and positive is a ValidationError, so
     # no grid is built from it (inf read as a spacing of 2/3, nan and inf as raw
     # ValueErrors of numpy or math)
-    target = AccuracyTarget(sigma=0.1, delta=0.2)
-    calls = {
-        "observable_bound": lambda: observable_bound(lambda w: w, target, spacing),
-        "contract_setup": lambda: contract_setup("git", (), target, spacing),
-        "sigma_accuracy": lambda: sigma_accuracy(GaussianKernel(0.1), target.delta, spacing),
-        "cli": lambda: cli._grid_spacing(cli.RunConfig("verify", grid_spacing=spacing), target),
-    }
     with pytest.raises(ValidationError, match="grid spacing must be finite and positive"):
-        calls[call]()
+        _SPACING_CALLS[call](AccuracyTarget(sigma=0.1, delta=0.2), spacing)
+
+
+@pytest.mark.parametrize("call", ["observable_bound", "contract_setup", "sigma_accuracy", "cli"])
+def test_every_grid_spacing_is_capped_before_allocating(call):
+    # a spacing of 1e-10 asks for 2e10 points over [-1, 1]: library callers are
+    # refused as the command line is, before any grid is built
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="points of the evaluation grid"):
+            _SPACING_CALLS[call](AccuracyTarget(sigma=0.1, delta=0.2), 1e-10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_observable_bound_and_contract_share_one_spacing():
+    # both read the grid of kernels.evaluation_grid: at a spacing of 1 it has
+    # three points, where the observable bound used to floor it at four
+    target = AccuracyTarget(sigma=0.1, delta=0.2)
+    assert observable_bound(lambda w: w, target, 1.0).grid_spacing == 1.0
+    assert contract_setup("git", (), target, 1.0).spacing == 1.0
 
 def test_observable_check_fejer_builds_one_distribution_per_model(monkeypatch):
     models = [diagonalize(*random_model(6, seed=s)) for s in (507, 509)]

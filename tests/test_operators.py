@@ -1,6 +1,7 @@
 """Unit tests for operators, spectral models, and the model file format."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -122,6 +123,22 @@ def test_exact_transform_matches_hand_sum():
     want_g = 0.6 * gaussian_eval(nu, -0.3, 0.1) + 0.4 * gaussian_eval(nu, 0.4, 0.1)
     np.testing.assert_allclose(got_g.values, want_g, atol=1e-14)
     assert got_g.kind == "density"
+
+
+def test_exact_transform_holds_no_frequencies_by_eigenvalues_array():
+    # 4,096 x 2,048 cells: one product of the whole kernel matrix held 64 MiB
+    evals = np.sort(np.random.default_rng(3).uniform(-1.0, 1.0, 2048))
+    model = SpectralModel(evals, np.full(2048, 1.0 / 2048))
+    nu = np.linspace(-1.0, 1.0, 4096)
+    tracemalloc.start()
+    try:
+        got = exact_transform(model, GaussianKernel(0.05), nu).values
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    want = gaussian_eval(nu[:, None], evals[None, :], 0.05) @ model.weights
+    assert peak < 16 * 2**20
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
 def test_observable_exact_and_discrete_transform_agree():
