@@ -633,18 +633,21 @@ def main(argv=None) -> int:
     try:
         cfg = _resolve_config(args)
         code = _DISPATCH[cfg.command](cfg)
+    except BrokenPipeError:
+        code = 5
+    except SpecdenError as exc:
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        code = exc.exit_code
+    except OSError as exc:
+        print(f"i/o error: {exc}", file=sys.stderr)
+        code = 5
+    try:
         sys.stdout.flush()  # a closed stdout fails here, not at exit
-        return code
     except BrokenPipeError:
         # stdout's reader is gone: send what is left to devnull, so the exit flush succeeds
         os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
-        return 5
-    except SpecdenError as exc:
-        print(f"{exc.label}: {exc}", file=sys.stderr)
-        return exc.exit_code
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 5
+        return code or 5  # an error that came first keeps its code
+    return code
 
 
 if __name__ == "__main__":

@@ -678,12 +678,17 @@ def test_exit_code_io_error(tmp_path):
 def test_closed_stdout_exits_5_without_a_traceback(tmp_path, unbuffered):
     # the reader of stdout is gone before the first line: a buffered stdout
     # fails at main's flush, an unbuffered one at the first print; an error
-    # line goes to stderr, so the error keeps its own exit code
+    # line goes to stderr, so the error keeps its own exit code, also when
+    # lines were printed before it
     src = Path(__file__).resolve().parents[1] / "src"
-    target = ["--sigma", "0.2", "--delta", "0.2", "--gen", "dense:8", "--out", str(tmp_path)]
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory")
+    target = ["--sigma", "0.2", "--delta", "0.2", "--gen", "dense:8"]
+    verify = ["verify", "--method", "fejer", *target, "--trials", "5", "--seed", "1", "--workers", "1"]
     cases = [
-        (["verify", "--method", "fejer", *target, "--trials", "5", "--seed", "1", "--workers", "1"], 5),
-        (["estimate", "--method", "fejer", *target], 2),
+        ([*verify, "--out", str(tmp_path)], 5),
+        (["estimate", "--method", "fejer", *target, "--out", str(tmp_path)], 2),
+        ([*verify, "--out", str(blocker / "sub")], 5),
     ]
     env = {**os.environ, "PYTHONPATH": str(src), "PYTHONUNBUFFERED": unbuffered}
     for argv, code in cases:
