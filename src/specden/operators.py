@@ -294,8 +294,8 @@ def exact_transform(model: SpectralModel, kernel: KernelSpec, frequencies) -> Tr
     nus = np.asarray(frequencies, dtype=float).reshape(-1)
     rows = max(1, 2**20 // model.eigenvalues.size)
     vals = np.empty(nus.size)
-    for start in range(0, nus.size, rows):
-        vals[start : start + rows] = kernel.value(nus[start : start + rows, None], model.eigenvalues) @ model.weights
+    for i in range(0, nus.size, rows):
+        vals[i : i + rows] = kernel.value(nus[i : i + rows, None], model.eigenvalues) @ model.weights
     return TransformGrid(frequencies=nus, values=vals, kind=kernel.kind, kernel=kernel)
 
 

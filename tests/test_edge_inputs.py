@@ -18,8 +18,11 @@ from specden.cli import main
 _TARGET = ["--sigma", "0.2", "--delta", "0.25"]
 # values are passed as `--flag=value`, so argparse never reads one that starts with "-" as a flag
 
-_NUMBER_TEXT = st.sampled_from(["nan", "inf", "-inf", "-0.5", "0", "1e-300", "0.1", "0.9", "junk", ""])
-_NUMBER_TEXT = _NUMBER_TEXT | st.floats().map(repr) | st.integers(-5, 10**6).map(str)
+_NUMBER_TEXT = (
+    st.sampled_from(["nan", "inf", "-inf", "-0.5", "0", "1e-300", "0.1", "0.9", "junk", ""])
+    | st.floats().map(repr)
+    | st.integers(-5, 10**6).map(str)
+)
 
 
 def _run(*argv) -> tuple[int, list[float] | None]:
