@@ -3,6 +3,8 @@
 Fuzzed ``--gen`` specs, config files and ``--nu`` values each end with a
 documented exit code (0, 2 invalid input, 4 resource cap), and no
 exception escapes ``main``; a transform that succeeds writes finite values.
+A fuzzed flag value is passed as ``--flag=value``, so argparse never reads
+one that starts with "-" as a flag.
 """
 
 import math
@@ -16,7 +18,6 @@ from hypothesis import strategies as st
 from specden.cli import main
 
 _TARGET = ["--sigma", "0.2", "--delta", "0.25"]
-# values are passed as `--flag=value`, so argparse never reads one that starts with "-" as a flag
 
 _NUMBER_TEXT = (
     st.sampled_from(["nan", "inf", "-inf", "-0.5", "0", "1e-300", "0.1", "0.9", "junk", ""])
