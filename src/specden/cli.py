@@ -45,7 +45,7 @@ import numpy as np
 from . import __version__
 from .errors import SpecdenError, ValidationError
 from .estimators import ESTIMATION_METHODS, complexity_table, plan_fejer_samples
-from .kernels import AccuracyTarget, evaluation_grid, fejer_plan, grid_spacing
+from .kernels import AccuracyTarget, _check_cells, evaluation_grid, fejer_plan, grid_spacing
 from .metrics import (
     AccuracyReport,
     ContractSetup,
@@ -60,6 +60,7 @@ from .operators import (
     AffineMap,
     ObservableFn,
     SpectralModel,
+    _content_lines,
     normalize_spectrum,
     random_spectrum,
     read_model_file,
@@ -111,8 +112,8 @@ class RunConfig:
     def hash(self) -> str:
         """Hash of the data-defining configuration.
 
-        Excludes the output directory and worker count, which influence
-        where and how fast results are produced but not their bytes.
+        Excludes the output directory, which moves results but not their
+        bytes, and the worker count, which nothing reads.
         """
         items = sorted(
             (k, v)
@@ -130,14 +131,7 @@ _STR_KEYS = ("method", "model", "gen", "out")
 
 def _read_config_file(path: str) -> dict:
     out: dict = {}
-    try:
-        text = Path(path).read_text()
-    except UnicodeDecodeError as exc:
-        raise ValidationError(f"{path}: not a text file ({exc})") from exc
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in _content_lines(path):
         if "=" not in line:
             raise ValidationError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
@@ -187,7 +181,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--model", help="model file (dim header, matrix rows, probe row)")
         sp.add_argument("--gen", help="model generator spec kind:dim[:k=v,...]")
         sp.add_argument("--out", help="output directory (default .)")
-        sp.add_argument("--workers", type=int, help="parallel trial workers")
+        sp.add_argument("--workers", type=int, help="ignored; kept for old command lines")
         sp.add_argument("--nu", type=float, help="single evaluation frequency")
         sp.add_argument("--samples", type=int, help="override the planned sample count")
     return parser
@@ -241,11 +235,15 @@ def _parse_gen(spec: str) -> tuple[str, int, int, dict]:
                 raise ValidationError(f"bad value for {key!r}: {value!r}") from exc
     if count < 1:
         raise ValidationError("generator count must be >= 1")
+    _check_cells(count * dim, "eigenvalues of count x dim draws")
     return kind, dim, count, params
 
 
-def _load_spectra(cfg: RunConfig) -> list[tuple[np.ndarray, np.ndarray, AffineMap]]:
-    """(eigenvalues normalized into [-1, 1], probe amplitudes, map) of each model file or draw."""
+def _load_spectra(cfg: RunConfig):
+    """Yield (eigenvalues normalized into [-1, 1], probe amplitudes, map) of the model file or each draw.
+
+    Draw i is made when it is read, from the seed ``(seed, 500 + i)`` alone.
+    """
     if cfg.model and cfg.gen:
         raise ValidationError("give either --model or --gen, not both")
     if cfg.model:
@@ -254,17 +252,15 @@ def _load_spectra(cfg: RunConfig) -> list[tuple[np.ndarray, np.ndarray, AffineMa
     elif cfg.gen:
         kind, dim, count, params = _parse_gen(cfg.gen)
         seed = cfg.require_seed()
-        spectra = [
+        spectra = (
             random_spectrum(dim, derive_seed(seed, 500 + i), kind, **params)
             for i in range(count)
-        ]
+        )
     else:
         raise ValidationError(f"'{cfg.command}' needs --model or --gen")
-    out = []
     for evals, amplitudes in spectra:
         evals, amap = normalize_spectrum(evals)
-        out.append((evals, amplitudes, amap))
-    return out
+        yield evals, amplitudes, amap
 
 
 def _out_dir(cfg: RunConfig) -> Path:
@@ -381,7 +377,7 @@ def _one_model(cfg: RunConfig, allowed: tuple[str, ...]):
     target = cfg.target()
     (name,) = _methods(cfg, allowed, "fejer")
     method = ESTIMATION_METHODS[name]
-    evals, amplitudes, amap = _load_spectra(cfg)[0]
+    evals, amplitudes, amap = next(_load_spectra(cfg))
     nu = _nu_grid(cfg, target) if method.reads_nu else None
     return target, name, method, SpectralModel.from_amplitudes(evals, amplitudes), amap, nu
 
@@ -429,33 +425,15 @@ def _cmd_estimate(cfg: RunConfig) -> int:
     return 0
 
 
-def _obs_one(w):
-    return np.ones_like(w)
-
-
-def _obs_identity(w):
-    return w
-
-
 def _run_contract(
     cfg: RunConfig, setup: ContractSetup, models, seed: int
 ) -> AccuracyReport:
     base, extra = divmod(cfg.trials, len(models))
-    # one positional argument tuple of contract_check per model
-    tasks = []
+    tallies = []
     for i, model in enumerate(models):
         model_seed = derive_seed(seed, 100 + i)
         seeds = [derive_seed(model_seed, 0, j) for j in range(max(1, base + (i < extra)))]
-        tasks.append((setup, model, seeds))
-    workers = cfg.workers if cfg.workers is not None else (os.cpu_count() or 1)
-    workers = min(workers, len(tasks))
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            tallies = list(pool.map(contract_check, *zip(*tasks)))
-    else:
-        tallies = [contract_check(*task) for task in tasks]
+        tallies.append(contract_check(setup, model, seeds))
     return contract_report(setup, tallies)
 
 
@@ -506,11 +484,11 @@ def _cmd_verify(cfg: RunConfig) -> int:
     names = _methods(cfg, _CONTRACTS, "all")
     # the observables' bounds check the spacing before any model or grid is built
     observables = bounded_observables(
-        [ObservableFn(_obs_one, "one"), ObservableFn(_obs_identity, "identity")],
+        [ObservableFn(np.ones_like, "one"), ObservableFn(lambda w: w, "identity")],
         target,
         cfg.grid_spacing,
     )
-    spectra = _load_spectra(cfg)
+    spectra = list(_load_spectra(cfg))
     models = [SpectralModel.from_amplitudes(evals, amplitudes) for evals, amplitudes, _ in spectra]
     report_json: dict = {
         "version": __version__,

@@ -29,7 +29,6 @@ mass on the O(n delta) bins inside it) are members.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import ClassVar
@@ -376,8 +375,9 @@ def gaussian_eval(sigma, omega, lam: float):
     if not (lam > 0.0):
         raise ValidationError(f"lam must be positive, got {lam!r}")
     g = np.asarray(np.asarray(sigma, dtype=float) - np.asarray(omega, dtype=float))
-    g *= g
-    g /= -2.0 * lam * lam
+    with np.errstate(over="ignore"):  # an exponent overflowed to -inf is below -746 too
+        g *= g
+        g /= -2.0 * lam * lam
     under = g < -746.0
     np.exp(g, out=g, where=~under)
     g[under] = 0.0
@@ -460,7 +460,6 @@ def _fft_size(n: int) -> int:
     return best
 
 
-@functools.lru_cache(maxsize=None)
 def jackson_coeffs(degree: int, delta: float) -> np.ndarray:
     """Chebyshev coefficients of the Jackson-damped tent approximation.
 
@@ -468,14 +467,11 @@ def jackson_coeffs(degree: int, delta: float) -> np.ndarray:
     (degree + 1))`` roots of T_m, computed as one DCT-II in O(m log m)
     time and O(m) memory, then damped.  Raises
     :class:`ResourceLimitError` before allocating when m exceeds
-    ``GRID_CAP``.  Cached per ``(degree, delta)``; the returned array is
-    read-only.
+    ``GRID_CAP``.
     """
     m = max(4096, 4 * (degree + 1))
     _check_cells(m, "projection nodes of the Jackson window")
-    coeffs = cheb_series_coeffs(jackson_tent(cheb_nodes(m), delta), degree) * jackson_damping(degree)
-    coeffs.flags.writeable = False
-    return coeffs
+    return cheb_series_coeffs(jackson_tent(cheb_nodes(m), delta), degree) * jackson_damping(degree)
 
 
 def jackson_approx(x, degree: int, delta: float):
@@ -500,7 +496,6 @@ def _normal_cdf(y):
     return 0.5 * (1.0 + _erf(np.asarray(y, dtype=float) / math.sqrt(2.0)))
 
 
-@functools.lru_cache(maxsize=None)
 def amplifier_coeffs(k: int) -> tuple[np.ndarray, float]:
     """Chebyshev-interpolated sigmoid amplifier of degree `k`, with its threshold tau.
 
@@ -509,7 +504,7 @@ def amplifier_coeffs(k: int) -> tuple[np.ndarray, float]:
     keeps the plateau average low enough for the normalization to respect
     its analytic bounds.  The interpolant is checked against the contract
     on a dense grid; if it fails, the ramp width is adjusted and the
-    construction retried.  Cached per `k`; the coefficients are read-only.
+    construction retried.
     """
     if k < 1:
         raise ValidationError("amplifier degree must be >= 1")
@@ -522,7 +517,6 @@ def amplifier_coeffs(k: int) -> tuple[np.ndarray, float]:
         coeffs = npcheb.chebinterpolate(target, k)
         report = amplifier_contract_check(coeffs, k, tau)
         if report["ok"]:
-            coeffs.flags.writeable = False
             return coeffs, tau
     raise ValidationError(f"could not build a contract-satisfying amplifier at degree {k}")
 
@@ -547,12 +541,6 @@ def amplifier_contract_check(coeffs: np.ndarray, k: int, tau: float, gridsize: i
     return {"ok": ok, "max_abs": max_abs, "min_high": min_hi, "max_low": max_lo, "tau": tau}
 
 
-def _jackson_profile(u: np.ndarray, k: int, degree: int, delta: float) -> np.ndarray:
-    amp, _ = amplifier_coeffs(k)
-    return npcheb.chebval(0.8 * jackson_approx(u, degree, delta), amp)
-
-
-@functools.lru_cache(maxsize=8)
 def _jackson_profile_coeffs(k: int, degree: int, delta: float) -> np.ndarray:
     """Chebyshev coefficients p_0..p_N of the profile ``A_k((4/5) J(u))``, N = k * degree.
 
@@ -565,8 +553,7 @@ def _jackson_profile_coeffs(k: int, degree: int, delta: float) -> np.ndarray:
     interpolates the samples into the even coefficients p_2j; the odd
     ones vanish.  O(N log N) time and O(N) memory; raises
     :class:`ResourceLimitError` before allocating when N + 1 exceeds
-    ``GRID_CAP``.  Cached per ``(k, degree, delta)``; the returned array
-    is read-only.
+    ``GRID_CAP``.
     """
     n = k * degree
     _check_cells(n + 1, "profile coefficients of the Jackson window")
@@ -584,7 +571,6 @@ def _jackson_profile_coeffs(k: int, degree: int, delta: float) -> np.ndarray:
     q[-1] /= 2.0
     p = np.zeros(n + 1)
     p[::2] = q[: n // 2 + 1]
-    p.flags.writeable = False
     return p
 
 
@@ -705,7 +691,8 @@ def jackson_eval(sigma, omega, kernel: JacksonKernel):
     u = (np.asarray(sigma, dtype=float) - np.asarray(omega, dtype=float)) / 2.0
     if np.any(np.abs(u) > 1.0 + 1e-12):
         raise ValidationError(f"the Jackson window needs |sigma - omega| <= 2, got {2.0 * np.max(np.abs(u)):g}")
-    return kernel.normalization * _jackson_profile(np.asarray(u), kernel.k, kernel.degree, kernel.delta)
+    amp, _ = amplifier_coeffs(kernel.k)
+    return kernel.normalization * npcheb.chebval(0.8 * jackson_approx(u, kernel.degree, kernel.delta), amp)
 
 
 # ---------------------------------------------------------------------------

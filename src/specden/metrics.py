@@ -223,8 +223,7 @@ class ContractSetup:
     A density's observables are integrated over `dense`, the grid
     extended eight kernel widths past [-1, 1], where the deviation is
     measured again; a discrete transform's are summed over `grid`, and
-    `dense` is None.  It pickles, so a process pool can ship one to
-    every worker.
+    `dense` is None.
     """
 
     method: str
@@ -275,8 +274,8 @@ def contract_setup(
     )
 
 
-# Trials are drawn and checked in blocks of at most this many cells of the contract grid.
-_BLOCK_CELLS = 2**16
+# Trials are drawn and checked in blocks of at most this many cells of the widest grid they meet.
+_BLOCK_CELLS = 2**18
 
 
 @dataclass(frozen=True)
@@ -287,7 +286,7 @@ class ContractTally:
     `observable_hits` those within each observable's bound, in
     ``setup.observables`` order.  `delta_v` is the worst deviation on
     the contract grid and `margin_delta_v` on the setup's dense grid (0
-    without one).  It pickles, so a process pool can return it.
+    without one).
     """
 
     trials: int
@@ -304,13 +303,14 @@ def contract_check(
 
     The model's reference transforms and exact observables are computed
     once, and its trials are drawn by the method's entry and checked as
-    arrays, in blocks of at most 2^16 cells of the contract grid.
+    arrays, in blocks of at most 2^18 cells of the dense grid, or of the
+    contract grid without one.
     """
     if not seeds:
         raise ValidationError("need at least one trial seed")
     entry = ESTIMATION_METHODS[setup.method]
     budget, grid, dense = setup.budget, setup.grid, setup.dense
-    rows = max(1, _BLOCK_CELLS // grid.size)
+    rows = max(1, _BLOCK_CELLS // (grid.size if dense is None else dense.size))
     worst = 0.0
     worst_margin = 0.0
     hits = 0

@@ -71,7 +71,7 @@ class AffineMap:
 class HermitianOperator:
     """Immutable Hermitian matrix with its eigendecomposition.
 
-    Hermiticity is checked entrywise to 1e-12 when the matrix is built.
+    Finite entries and Hermiticity (entrywise, to 1e-12) are checked when the matrix is built.
     The eigenpairs ``matrix @ evecs = evecs * evals`` (eigenvalues
     ascending) come from one ``eigh`` on first use, or from `eig` when the
     caller built the matrix from its spectrum.
@@ -81,9 +81,11 @@ class HermitianOperator:
         m = np.array(matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
             raise ValidationError(f"operator must be a nonempty square matrix, got shape {m.shape}")
+        if not np.all(np.isfinite(m)):
+            raise ValidationError("operator entries must be finite")
         if np.max(np.abs(m - m.conj().T)) > _HERMITIAN_TOL:
             raise ValidationError("matrix is not Hermitian within 1e-12")
-        m = (m + m.conj().T) / 2.0
+        m = m / 2.0 + m.conj().T / 2.0  # halved first, so entries near 1.8e308 stay finite
         m.setflags(write=False)
         self._matrix = m
         self._eig = None if eig is None else self._frozen_eig(*eig)
@@ -92,7 +94,7 @@ class HermitianOperator:
         vals, vecs = np.asarray(evals, dtype=float), np.asarray(evecs, dtype=complex)
         if vals.shape != (self.dim,) or vecs.shape != (self.dim, self.dim):
             raise ValidationError(f"eigenpairs of shape {vals.shape}, {vecs.shape} for dim {self.dim}")
-        if np.any(np.diff(vals) < 0):
+        if np.any(vals[1:] < vals[:-1]):  # np.diff overflows past 1.8e308
             raise ValidationError("eigenvalues must be sorted ascending")
         vals.setflags(write=False)
         vecs.setflags(write=False)
@@ -129,8 +131,9 @@ class ProbeState:
         v = np.array(amplitudes, dtype=complex).reshape(-1)
         if v.size < 1:
             raise ValidationError("probe state must have dimension >= 1")
-        nrm = float(np.linalg.norm(v))
-        if abs(nrm - 1.0) > _UNIT_TOL:
+        with np.errstate(over="ignore"):  # an overflowed norm, inf, fails as a nan one does
+            nrm = float(np.linalg.norm(v))
+        if not abs(nrm - 1.0) <= _UNIT_TOL:
             raise ValidationError(f"probe state norm {nrm} deviates from 1 beyond 1e-12")
         v.setflags(write=False)
         self._vector = v
@@ -426,10 +429,19 @@ def write_model_file(path, op: HermitianOperator, psi: ProbeState) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _content_lines(path) -> list[tuple[int, str]]:
+    """(number, stripped text) of each line but blank and ``#`` ones; not UTF-8 is a ValidationError."""
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not a text file ({exc})") from exc
+    lines = ((i, raw.strip()) for i, raw in enumerate(text.splitlines(), start=1))
+    return [(i, line) for i, line in lines if line and not line.startswith("#")]
+
+
 def read_model_file(path) -> tuple[HermitianOperator, ProbeState]:
     """Parse the text format produced by :func:`write_model_file`."""
-    raw = Path(path).read_text()
-    rows = [ln.strip() for ln in raw.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
+    rows = [line for _, line in _content_lines(path)]
     if not rows or not rows[0].startswith("dim"):
         raise ValidationError(f"{path}: expected a 'dim N' header line")
     try:

@@ -397,12 +397,31 @@ _EDGE_MODEL = ["--gen", "dense:4", "--seed", "1"]
         (["estimate", "--method", "fejer", *_EDGE_TARGET, "--gen", "spiked:100000", "--seed", "1"], 4),
         # the window's Chebyshev series holds for |nu - omega| <= 2 only
         (["transform", "--method", "jackson", *_EDGE_TARGET, *_EDGE_MODEL, "--nu", "1.5"], 2),
+        # a nan probe, a nan or inf entry, and a model file that is not UTF-8
+        (["transform", "--method", "git", *_EDGE_TARGET, "--model", b"dim 2\n0.5 0\n0 -0.5\nnan 0\n"], 2),
+        (["estimate", "--method", "fejer", *_EDGE_TARGET, "--seed", "1",
+          "--model", b"dim 2\n0.5 0\n0 -0.5\nnan 0\n"], 2),
+        (["transform", "--method", "git", *_EDGE_TARGET, "--model", b"dim 2\nnan 0\n0 -0.5\n1 0\n"], 2),
+        (["transform", "--method", "git", *_EDGE_TARGET, "--model", b"dim 2\ninf 0\n0 -0.5\n1 0\n"], 2),
+        (["transform", "--method", "git", *_EDGE_TARGET, "--model", b"dim 2\n0.5 0\n0 -0.5\n1 0\xff\n"], 2),
+        # count x dim eigenvalues over GRID_CAP are refused before the first draw
+        (["estimate", "--method", "fejer", *_EDGE_TARGET, "--gen", "dense:8:count=10000000", "--seed", "1"], 4),
+        (["verify", "--method", "fejer", *_EDGE_TARGET, "--gen", "dense:8:count=10000000", "--seed", "1",
+          "--trials", "2"], 4),
     ],
     ids=["negative-seed", "infinite-spacing", "samples-past-int64", "fejer-budget-overflow",
          "git-budget-overflow", "nan-nu", "zero-models", "zero-trials", "dense-dim-over-cap",
-         "gapped-dim-over-cap", "spiked-dim-over-cap", "jackson-nu-outside-the-window"],
+         "gapped-dim-over-cap", "spiked-dim-over-cap", "jackson-nu-outside-the-window",
+         "nan-probe-transform", "nan-probe-estimate", "nan-matrix", "inf-matrix", "model-not-utf8",
+         "estimate-count-over-cap", "verify-count-over-cap"],
 )
-def test_edge_inputs_exit_with_their_documented_code(tmp_path, capsys, argv, code):
+def test_edge_inputs_exit_with_their_documented_code(tmp_path_factory, tmp_path, capsys, argv, code):
+    # a bytes item is written to a model file outside the output directory
+    model = tmp_path_factory.mktemp("model") / "model.txt"
+    for arg in argv:
+        if isinstance(arg, bytes):
+            model.write_bytes(arg)
+    argv = [str(model) if isinstance(arg, bytes) else arg for arg in argv]
     # an exception escaping main fails the test on its own; none may
     assert run_cli(*argv, "--out", str(tmp_path)) == code
     assert capsys.readouterr().err.startswith({2: "error: ", 4: "resource cap: "}[code])
@@ -757,8 +776,7 @@ def test_verify_spreads_trials_over_models(tmp_path):
 
 
 def test_verify_workers_deterministic(tmp_path):
-    # the workers receive each method's one contract setup by pickle and
-    # return the same reports as the serial pass
+    # --workers is accepted and ignored: every count writes the same reports
     for method in ("fejer", "all"):
         common = [
             "verify", "--method", method, "--sigma", "0.25", "--delta", "0.1",
@@ -771,6 +789,24 @@ def test_verify_workers_deterministic(tmp_path):
             assert (w1 / name).read_bytes() == (w2 / name).read_bytes()
         report = json.loads((w1 / "verify_report.json").read_text())
         assert set(report["reports"]) == ({"fejer"} if method == "fejer" else {"fejer", "git"})
+
+
+@pytest.mark.parametrize("command", [["estimate", "--method", "fejer", "--seed", "1"],
+                                     ["transform", "--method", "git", "--seed", "1"]])
+def test_one_model_commands_draw_only_the_first_model(tmp_path, monkeypatch, command):
+    # draw i reads the seed (seed, 500 + i) alone, so the first of 300,000
+    # draws is the one draw of count=1
+    calls = []
+    draw = cli.random_spectrum
+    monkeypatch.setattr(cli, "random_spectrum", lambda *a, **k: calls.append(a) or draw(*a, **k))
+    rows = []
+    for gen in ("dense:8:count=300000", "dense:8"):
+        out = tmp_path / gen.replace(":", "_")
+        assert run_cli(*command, "--sigma", "0.2", "--delta", "0.25", "--gen", gen, "--out", str(out)) == 0
+        (csv,) = out.glob("*.csv")
+        rows.append([line for line in csv.read_text().splitlines() if not line.startswith("# config")])
+    assert len(calls) == 2
+    assert rows[0] == rows[1]
 
 
 def test_bench_writes_fits(tmp_path, capsys):

@@ -1,6 +1,6 @@
 """Property tests over the command line's edge inputs.
 
-Fuzzed ``--gen`` specs, config files and ``--nu`` values each end with a
+Fuzzed ``--gen`` specs, config files, model files and ``--nu`` values each end with a
 documented exit code (0, 2 invalid input, 4 resource cap), and no
 exception escapes ``main``; a transform that succeeds writes finite values.
 A fuzzed flag value is passed as ``--flag=value``, so argparse never reads
@@ -11,8 +11,7 @@ import math
 import tempfile
 from pathlib import Path
 
-import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from specden.cli import main
@@ -80,9 +79,6 @@ def test_fuzzed_config_files_end_with_a_documented_code(lines):
     assert code in (0, 2, 4)
 
 
-# gaussian_eval squares sigma - omega before its underflow test, so |nu| past 1e153
-# overflows there to a kernel value of exactly 0 and numpy warns
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @settings(max_examples=25, deadline=None)
 @given(
     method=st.sampled_from(["fejer", "qfejer", "git", "jackson"]),
@@ -94,3 +90,32 @@ def test_a_finite_nu_gives_finite_values_or_exits_2(method, nu):
     assert code in (0, 2)
     if code == 0:
         assert values and all(math.isfinite(v) for v in values)
+
+
+_ENTRY = st.sampled_from(["0", "0.5", "-1", "3", "1e308", "-1e308", "1e-320", "nan", "inf", "1j", "junk", ""])
+_ENTRY = _ENTRY | st.floats().map(repr)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    command=st.sampled_from([["transform", "--method", "git"], ["estimate", "--method", "fejer", "--seed", "1"]]),
+    diagonal=st.lists(_ENTRY, min_size=2, max_size=2),
+    off=_ENTRY,
+    probe=st.sampled_from(["1 0", "0.6 0.8j", "0 1"]) | st.lists(_ENTRY, max_size=3).map(" ".join),
+    noise=st.binary(max_size=4),
+    at=st.integers(0, 60),
+)
+# entries whose sums, differences or norm overflow
+@example(["transform", "--method", "git"], ["1e308", "-1"], "1e308", "0.6 0.8j", b"", 0)
+@example(["transform", "--method", "git"], ["0", "0"], "0", "0 1e308", b"", 0)
+def test_fuzzed_model_files_end_with_a_documented_code(command, diagonal, off, probe, noise, at):
+    # a real symmetric 2 x 2 model whose entries and probe are fuzzed, with raw
+    # bytes spliced in at a fuzzed offset
+    text = f"dim 2\n{diagonal[0]} {off}\n{off} {diagonal[1]}\n{probe}\n".encode()
+    with tempfile.TemporaryDirectory() as tmp:
+        model = Path(tmp) / "model.txt"
+        model.write_bytes(text[:at] + noise + text[at:])
+        code, values = _run(*command, *_TARGET, "--model", str(model))
+    assert code in (0, 2, 4)
+    if values is not None:
+        assert all(math.isfinite(v) for v in values)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from specden import estimators
 from specden.chebgauss import cheb_moments, coefficient_table, truncation_order
 from specden.errors import ResourceLimitError, ValidationError
 from specden.estimators import (
@@ -36,6 +37,7 @@ from specden.operators import (
     exact_transform,
     normalize_operator,
     random_model,
+    random_spectrum,
 )
 from specden.sampling import qpe_distribution
 
@@ -252,6 +254,29 @@ def test_model_moments_are_bounded(dim, seed, kind, order):
     t = model_moments(_normalized_model(dim, seed, kind), order)
     assert t[0] == pytest.approx(1.0, abs=1e-12)
     assert np.max(np.abs(t)) <= 1.0 + 1e-10
+
+
+@pytest.mark.parametrize("order", [0, 1, 63, 64, 65, 127, 128, 129, 300])
+def test_model_moments_blocks_carry_the_recurrence(monkeypatch, order):
+    # blocks of 64 orders over 5 eigenvalues: each boundary carries T_{k-2}, T_{k-1}
+    monkeypatch.setattr(estimators, "_MOMENT_CELLS", 64 * 5)
+    model = _normalized_model(5, 3, "dense")
+    want = np.polynomial.chebyshev.chebvander(model.eigenvalues, order).T @ model.weights
+    np.testing.assert_allclose(model_moments(model, order), want, rtol=0, atol=1e-15)
+
+
+def test_model_moments_memory_stays_linear_in_the_order():
+    # the one-shot K x (L + 1) chebvander held 117 MiB here
+    model = SpectralModel.from_amplitudes(*random_spectrum(512, 1, "spiked"))
+    tracemalloc.start()
+    try:
+        t = model_moments(model, 29_971)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    want = np.polynomial.chebyshev.chebvander(model.eigenvalues, 29_971).T @ model.weights
+    np.testing.assert_allclose(t, want, rtol=0, atol=1e-15)
 
 
 @settings(max_examples=15, deadline=None)

@@ -51,6 +51,7 @@ from specden.operators import (
     observable_exact,
     observable_from_transform,
     random_model,
+    random_spectrum,
 )
 from specden.sampling import FaultModel, qpe_distribution, statevector_qpe
 
@@ -430,6 +431,25 @@ def test_observable_check_fejer_blocks_equal_the_per_trial_loop(monkeypatch, row
     monkeypatch.setattr(metrics, "_BLOCK_CELLS", rows * fejer_plan(target).n)
     args = (models, "fejer", _ORACLE_OBSERVABLES, target, 13, 857, None, 20)
     assert observable_bound_empirical_check(*args) == _reference_check(*args)
+
+
+def test_contract_check_memory_stays_flat_in_the_trial_count():
+    # git at (0.1, 0.02, 0.1): blocks of 2^16 cells of the 5-point contract grid
+    # were 13,107 trials, each projected onto the 2,150 dense points; they held
+    # 454 MiB at 6,000 trials
+    target = AccuracyTarget(sigma=0.1, delta=0.02, beta=0.1)
+    observables = bounded_observables([ObservableFn(np.ones_like, "one")], target)
+    setup = contract_setup("git", observables, target)
+    assert (setup.budget.kernel_order, setup.grid.size, setup.dense.size) == (619, 5, 2150)
+    model = SpectralModel.from_amplitudes(*random_spectrum(8, 1))
+    tracemalloc.start()
+    try:
+        tally = contract_check(setup, model, [derive_seed(1, 0, j) for j in range(6000)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tally.trials == 6000
+    assert peak < 32 * 2**20
 
 
 def test_contract_setup_serves_every_model_alike():
