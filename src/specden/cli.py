@@ -240,10 +240,7 @@ def _parse_gen(spec: str) -> tuple[str, int, int, dict]:
 
 
 def _load_spectra(cfg: RunConfig):
-    """Yield (eigenvalues normalized into [-1, 1], probe amplitudes, map) of the model file or each draw.
-
-    Draw i is made when it is read, from the seed ``(seed, 500 + i)`` alone.
-    """
+    """Yield (eigenvalues scaled into [-1, 1], amplitudes, map) of the model file or each draw, as read."""
     if cfg.model and cfg.gen:
         raise ValidationError("give either --model or --gen, not both")
     if cfg.model:

@@ -83,9 +83,10 @@ class HermitianOperator:
             raise ValidationError(f"operator must be a nonempty square matrix, got shape {m.shape}")
         if not np.all(np.isfinite(m)):
             raise ValidationError("operator entries must be finite")
-        if np.max(np.abs(m - m.conj().T)) > _HERMITIAN_TOL:
+        m /= 2.0  # halved first, so entries near 1.8e308 stay finite
+        if np.max(np.abs(m - m.conj().T)) > _HERMITIAN_TOL / 2.0:
             raise ValidationError("matrix is not Hermitian within 1e-12")
-        m = m / 2.0 + m.conj().T / 2.0  # halved first, so entries near 1.8e308 stay finite
+        m = m + m.conj().T
         m.setflags(write=False)
         self._matrix = m
         self._eig = None if eig is None else self._frozen_eig(*eig)
@@ -94,7 +95,7 @@ class HermitianOperator:
         vals, vecs = np.asarray(evals, dtype=float), np.asarray(evecs, dtype=complex)
         if vals.shape != (self.dim,) or vecs.shape != (self.dim, self.dim):
             raise ValidationError(f"eigenpairs of shape {vals.shape}, {vecs.shape} for dim {self.dim}")
-        if np.any(vals[1:] < vals[:-1]):  # np.diff overflows past 1.8e308
+        if np.any(vals[1:] < vals[:-1]):  # no np.diff: it overflows on eigenvalues of both signs near 1e308
             raise ValidationError("eigenvalues must be sorted ascending")
         vals.setflags(write=False)
         vecs.setflags(write=False)

@@ -92,13 +92,15 @@ def test_a_finite_nu_gives_finite_values_or_exits_2(method, nu):
         assert values and all(math.isfinite(v) for v in values)
 
 
-_ENTRY = st.sampled_from(["0", "0.5", "-1", "3", "1e308", "-1e308", "1e-320", "nan", "inf", "1j", "junk", ""])
-_ENTRY = _ENTRY | st.floats().map(repr)
+_ENTRY = st.sampled_from(
+    ["0", "0.5", "-1", "3", "1e308", "-1e308", "1e308j", "1e-320", "nan", "inf", "1j", "junk", ""]
+) | st.floats().map(repr)
 
 
 @settings(max_examples=80, deadline=None)
 @given(
-    command=st.sampled_from([["transform", "--method", "git"], ["estimate", "--method", "fejer", "--seed", "1"]]),
+    command=st.sampled_from([["transform", "--method", "git"],
+                             ["estimate", "--method", "fejer", "--seed", "1"]]),
     diagonal=st.lists(_ENTRY, min_size=2, max_size=2),
     off=_ENTRY,
     probe=st.sampled_from(["1 0", "0.6 0.8j", "0 1"]) | st.lists(_ENTRY, max_size=3).map(" ".join),
@@ -107,6 +109,7 @@ _ENTRY = _ENTRY | st.floats().map(repr)
 )
 # entries whose sums, differences or norm overflow
 @example(["transform", "--method", "git"], ["1e308", "-1"], "1e308", "0.6 0.8j", b"", 0)
+@example(["transform", "--method", "git"], ["0", "0"], "1e308", "1 0", b"-", 8)
 @example(["transform", "--method", "git"], ["0", "0"], "0", "0 1e308", b"", 0)
 def test_fuzzed_model_files_end_with_a_documented_code(command, diagonal, off, probe, noise, at):
     # a real symmetric 2 x 2 model whose entries and probe are fuzzed, with raw
