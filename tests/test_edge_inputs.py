@@ -84,6 +84,8 @@ def test_fuzzed_config_files_end_with_a_documented_code(lines):
     method=st.sampled_from(["fejer", "qfejer", "git", "jackson"]),
     nu=st.floats(-1e3, 1e3) | st.floats(allow_nan=False, allow_infinity=False),
 )
+# (nu - omega)^2 overflows in gaussian_eval, whose kernel value is 0 there; any warning fails
+@example("git", 1e200)
 def test_a_finite_nu_gives_finite_values_or_exits_2(method, nu):
     code, values = _run("transform", "--method", method, *_TARGET, "--gen", "gapped:8", "--seed", "11",
                         f"--nu={nu!r}")
