@@ -260,9 +260,15 @@ def normalize_spectrum(evals) -> tuple[np.ndarray, AffineMap]:
 
     Returns the scaled eigenvalues, `evals` itself when they already lie
     inside, and the map carrying original eigenvalues to scaled ones.
+    Past max |lambda| = 2^1022 the scale is subnormal and can carry an
+    eigenvalue just outside (1.5e308 to 1.0000000000000002): such values
+    are clipped to +-1, and every other keeps its bits.
     """
     amap = AffineMap(1.0 / max(1.0, float(np.max(np.abs(evals)))), 0.0)
-    return (evals if amap.scale == 1.0 else amap.apply(evals)), amap
+    if amap.scale == 1.0:
+        return evals, amap
+    scaled = amap.apply(evals)
+    return np.clip(scaled, -1.0, 1.0, out=scaled), amap
 
 
 def normalize_operator(op: HermitianOperator, interval: str = "full") -> tuple[HermitianOperator, AffineMap]:

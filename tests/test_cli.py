@@ -31,8 +31,11 @@ from specden.numerics import derive_seed, fmt_float
 from specden.operators import (
     HermitianOperator,
     ProbeState,
+    SpectralModel,
     diagonalize,
+    normalize_spectrum,
     random_model,
+    random_spectrum,
     write_model_file,
 )
 
@@ -334,6 +337,9 @@ def test_write_csv_mixed_rows_match_per_cell_writer():
         (128, 0.1 / 14, 0.05, 0.001415446668801279, np.int64(20), False),
     ]
     assert _same_csv_bytes(["n", "delta_t", "bound", "measured", "realizations", "ok"], sweep)
+    # a certified row, whose measured cell is empty
+    assert _same_csv_bytes(["n", "delta_t", "bound", "measured", "realizations", "ok"],
+                           [(128, 0.001, 0.007, "", 0, True)])
     # string, float and other columns side by side, and no rows at all
     mixed = [("git", 0.1, 3), ("fejer", 2.0, None), ("jackson", np.float64(0.2), True)]
     assert _same_csv_bytes(["method", "eps", "n"], mixed)
@@ -408,15 +414,22 @@ _EDGE_MODEL = ["--gen", "dense:4", "--seed", "1"]
         (["estimate", "--method", "fejer", *_EDGE_TARGET, "--gen", "dense:8:count=10000000", "--seed", "1"], 4),
         (["verify", "--method", "fejer", *_EDGE_TARGET, "--gen", "dense:8:count=10000000", "--seed", "1",
           "--trials", "2"], 4),
+        # a negative or fractional realization count, and the count given to another command
+        (["verify", "--method", "fejer", *_EDGE_TARGET, *_EDGE_MODEL, "--fault-realizations", "-1"], 2),
+        (["verify", "--method", "fejer", *_EDGE_TARGET, *_EDGE_MODEL, "--config", b"fault_realizations = 1.5\n"],
+         2),
+        (["estimate", "--method", "fejer", *_EDGE_TARGET, *_EDGE_MODEL, "--fault-realizations", "3"], 2),
+        (["plan", "--method", "fejer", *_EDGE_TARGET, "--config", b"fault_realizations = 0\n"], 2),
     ],
     ids=["negative-seed", "infinite-spacing", "samples-past-int64", "fejer-budget-overflow",
          "git-budget-overflow", "nan-nu", "zero-models", "zero-trials", "dense-dim-over-cap",
          "gapped-dim-over-cap", "spiked-dim-over-cap", "jackson-nu-outside-the-window",
          "nan-probe-transform", "nan-probe-estimate", "nan-matrix", "inf-matrix", "model-not-utf8",
-         "estimate-count-over-cap", "verify-count-over-cap"],
+         "estimate-count-over-cap", "verify-count-over-cap", "negative-fault-realizations",
+         "fractional-fault-realizations-key", "fault-realizations-on-estimate", "fault-realizations-on-plan"],
 )
 def test_edge_inputs_exit_with_their_documented_code(tmp_path_factory, tmp_path, capsys, argv, code):
-    # a bytes item is written to a model file outside the output directory
+    # a bytes item is written to a model or config file outside the output directory
     model = tmp_path_factory.mktemp("model") / "model.txt"
     for arg in argv:
         if isinstance(arg, bytes):
@@ -426,6 +439,13 @@ def test_edge_inputs_exit_with_their_documented_code(tmp_path_factory, tmp_path,
     assert run_cli(*argv, "--out", str(tmp_path)) == code
     assert capsys.readouterr().err.startswith({2: "error: ", 4: "resource cap: "}[code])
     assert list(tmp_path.iterdir()) == []
+
+
+def test_fractional_fault_realizations_flag_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("verify", *_EDGE_TARGET, *_EDGE_MODEL, "--fault-realizations", "2.5")
+    assert exc.value.code == 2
+    assert "--fault-realizations: invalid int value: '2.5'" in capsys.readouterr().err
 
 
 def test_config_file_negative_seed_exits_2(tmp_path, capsys):
@@ -469,14 +489,15 @@ def test_fault_sweep_shrinks_to_the_memory_cap(monkeypatch, capsys):
     psi = ProbeState(np.full(4, 0.5))
     model = diagonalize(op, psi)
     amplitudes = op.evecs.conj().T @ psi.vector
-    cfg = cli.RunConfig(command="verify", sigma=0.02, delta=0.02, trials=1, seed=1)
+    cfg = cli.RunConfig(command="verify", sigma=0.02, delta=0.02, trials=1, seed=1, fault_realizations=1)
     target = cfg.target()
     planned_n = fejer_plan(target).n
     assert planned_n == 4096
     with pytest.raises(ResourceLimitError):
         sampling.statevector_qpe(op, psi, 12)
-    rows = cli._fault_sweep(cfg, target, op.evals, amplitudes, model, 7)
+    rows, check = cli._fault_sweep(cfg, target, op.evals, amplitudes, model, 7)
     assert "fault sweep shrunk to n=1024" in capsys.readouterr().out
+    assert check["n"] == 1024 and check["ok"]
     _, planned_dt = plan_fejer_samples(target.beta, target.eta, faulty=True, n=planned_n)
     assert [row["delta_t"] for row in rows] == sorted({1e-3, 1e-2, planned_dt})
     for row in rows:
@@ -485,10 +506,32 @@ def test_fault_sweep_shrinks_to_the_memory_cap(monkeypatch, capsys):
         assert row["bound"] == 10 * row["delta_t"]
         assert row["realizations"] == 1 and row["ok"]
     # a sweep that fits runs at the planned n and says nothing
-    roomy = cli.RunConfig(command="verify", sigma=0.25, delta=0.1, trials=1, seed=1)
-    rows = cli._fault_sweep(roomy, roomy.target(), op.evals, amplitudes, model, 7)
+    roomy = cli.RunConfig(command="verify", sigma=0.25, delta=0.1, trials=1, seed=1, fault_realizations=1)
+    rows, check = cli._fault_sweep(roomy, roomy.target(), op.evals, amplitudes, model, 7)
     assert capsys.readouterr().out == ""
-    assert {row["n"] for row in rows} == {fejer_plan(roomy.target()).n}
+    assert {row["n"] for row in rows} | {check["n"]} == {fejer_plan(roomy.target()).n}
+
+
+def test_certified_rows_keep_the_planned_n_where_the_simulator_check_shrinks(monkeypatch, capsys):
+    # the cap of the case above: the rows state the bound at the planned
+    # n = 4096, and only the fault-free register shrinks to n = 1024
+    cap = 2**12
+    monkeypatch.setattr(cli, "MEMORY_CAP", cap)
+    monkeypatch.setattr(sampling, "MEMORY_CAP", cap)
+    evals, amplitudes = np.array([-0.5, -0.1, 0.2, 0.6]), np.full(4, 0.5)
+    model = SpectralModel.from_amplitudes(evals, amplitudes)
+    cfg = cli.RunConfig(command="verify", sigma=0.02, delta=0.02, trials=1, seed=1)
+    target = cfg.target()
+    rows, check = cli._fault_sweep(cfg, target, evals, amplitudes, model, 7)
+    assert "simulator check shrunk to n=1024" in capsys.readouterr().out
+    _, planned_dt = plan_fejer_samples(target.beta, target.eta, faulty=True, n=4096)
+    assert [row["delta_t"] for row in rows] == sorted({1e-3, 1e-2, planned_dt})
+    for row in rows:
+        assert row["n"] == row["planned_n"] == 4096
+        assert row["bound"] == 12 * row["delta_t"]
+        assert row["measured"] is None and row["realizations"] == 0 and row["ok"]
+    assert check["n"] == 1024 and check["tolerance"] == 1024 * 2.0**-52
+    assert check["ok"] and check["deviation"] <= check["tolerance"]
 
 
 def test_fault_sweep_draws_each_generator_once(monkeypatch, eigensolves):
@@ -504,8 +547,8 @@ def test_fault_sweep_draws_each_generator_once(monkeypatch, eigensolves):
     monkeypatch.setattr(sampling, "_gue", lambda *a: draws.append(a) or gue(*a))
     monkeypatch.setattr(cli, "SpectralModel", None)
     eigensolves.clear()
-    cfg = cli.RunConfig(command="verify", sigma=0.25, delta=0.1, trials=3, seed=1)
-    rows = cli._fault_sweep(cfg, cfg.target(), op.evals, amplitudes, model, 7)
+    cfg = cli.RunConfig(command="verify", sigma=0.25, delta=0.1, trials=1, seed=1, fault_realizations=3)
+    rows, _ = cli._fault_sweep(cfg, cfg.target(), op.evals, amplitudes, model, 7)
     assert len(rows) == 3
     k = int(math.log2(rows[0]["n"]))
     assert len(draws) == 3 * k
@@ -513,6 +556,84 @@ def test_fault_sweep_draws_each_generator_once(monkeypatch, eigensolves):
     assert {name for name, _ in eigensolves} == {"eigh"}
     assert all(a.shape[-2:] == (4, 4) for _, a in eigensolves)
     assert sum(math.prod(a.shape[:-2]) for _, a in eigensolves) == 3 * k
+
+
+def test_certified_fault_rows_draw_no_generator(monkeypatch, eigensolves):
+    # without --fault-realizations only the fault-free register runs: no
+    # generator is drawn and nothing is solved
+    op, psi = random_model(4, seed=5)
+    model = diagonalize(op, psi)
+    amplitudes = op.evecs.conj().T @ psi.vector
+    monkeypatch.setattr(sampling, "_gue", lambda *a: pytest.fail("generator drawn"))
+    eigensolves.clear()
+    cfg = cli.RunConfig(command="verify", sigma=0.25, delta=0.1, trials=3, seed=1)
+    rows, check = cli._fault_sweep(cfg, cfg.target(), op.evals, amplitudes, model, 7)
+    assert [row["realizations"] for row in rows] == [0, 0, 0]
+    assert check["ok"]
+    assert eigensolves == []
+
+
+def test_fault_realizations_stream_their_seeds(monkeypatch):
+    # R = 10^18 seeds reach the register as an iterator, drawn as it reads
+    # them: here it reads two
+    sweep = cli.statevector_qpe_sweep
+    taken = []
+
+    def two_realizations(evals, amplitudes, n_ancilla, delta_ts, seeds):
+        if delta_ts != [0.0]:
+            assert iter(seeds) is seeds
+            seeds = list(itertools.islice(seeds, 2))
+            taken.extend(seeds)
+        return sweep(evals, amplitudes, n_ancilla, delta_ts, seeds)
+
+    monkeypatch.setattr(cli, "statevector_qpe_sweep", two_realizations)
+    evals, amplitudes = np.array([-0.5, 0.25]), np.array([0.6, 0.8])
+    model = SpectralModel.from_amplitudes(evals, amplitudes)
+    cfg = cli.RunConfig(command="verify", sigma=0.25, delta=0.1, seed=1, fault_realizations=10**18)
+    rows, _ = cli._fault_sweep(cfg, cfg.target(), evals, amplitudes, model, 7)
+    assert taken == [derive_seed(7, 700, r) for r in range(2)]
+    assert all(row["realizations"] == 10**18 and row["ok"] for row in rows)
+
+
+def test_verify_fails_when_the_simulator_is_off_by_one_bin(tmp_path, monkeypatch, capsys):
+    # a fault-free register shifted by one outcome bin: the contract passes,
+    # the cross-check does not, and verify reports FAIL and still exits 0
+    sweep = cli.statevector_qpe_sweep
+
+    def shifted(evals, amplitudes, n_ancilla, delta_ts, seeds):
+        for runs in sweep(evals, amplitudes, n_ancilla, delta_ts, seeds):
+            yield [sampling.OutcomeDistribution(np.roll(d.probs, 1)) if dt == 0.0 else d
+                   for dt, d in zip(delta_ts, runs)]
+
+    monkeypatch.setattr(cli, "statevector_qpe_sweep", shifted)
+    assert run_cli(
+        "verify", "--method", "all", "--sigma", "0.25", "--delta", "0.1", "--gen", "spiked:8:count=2",
+        "--trials", "8", "--seed", "3", "--out", str(tmp_path),
+    ) == 0
+    out = capsys.readouterr().out
+    assert "simulator: n=64" in out and "-> MISMATCH" in out
+    assert out.splitlines()[-1].startswith("FAIL; wrote")
+    report = json.loads((tmp_path / "verify_report.json").read_text())
+    assert report["pass"] is False
+    assert report["simulator_check"]["ok"] is False
+    assert all(entry["passed"] for entry in report["reports"].values())
+
+
+@pytest.mark.parametrize("kind, dim, seed, delta, n", [("spiked", 2, 4, 1e-5, 2**21),
+                                                      ("spiked", 64, 1, 1e-4, 2**16)])
+def test_simulator_check_tolerance_holds_at_the_memory_cap(kind, dim, seed, delta, n):
+    # dim * n = MEMORY_CAP, at the planned n (dim 2) or shrunk to it (dim 64).
+    # The register rounds eigenvalue + 1 by up to 2^-53 and the Fejer
+    # kernel's slope is at most about 0.85 n, so the deviation stays under
+    # about 0.43 n 2^-52; the spiked:2 draw reads 0.41 of the tolerance, the
+    # largest of 24 dim-2 draws (three kinds, seeds 1-8)
+    evals, amplitudes = random_spectrum(dim, seed, kind)
+    evals, _ = normalize_spectrum(evals)
+    model = SpectralModel.from_amplitudes(evals, amplitudes)
+    cfg = cli.RunConfig(command="verify", sigma=0.1, delta=delta, seed=1)
+    _, check = cli._fault_sweep(cfg, cfg.target(), evals, amplitudes, model, 7)
+    assert check["n"] == n == sampling.MEMORY_CAP // dim and check["tolerance"] == n * 2.0**-52
+    assert check["ok"] and check["deviation"] <= check["tolerance"]
 
 
 # a realization holds 3 step sizes x 32 bins x dim 6 = 576 amplitudes
@@ -539,7 +660,7 @@ def test_verify_fault_sweep_golden(tmp_path):
     code = main([
         "verify", "--method", "all", "--sigma", "0.1", "--delta", "0.1",
         "--gen", "dense:8:count=2", "--trials", "20", "--seed", "9", "--workers", "1",
-        "--out", str(tmp_path),
+        "--fault-realizations", "20", "--out", str(tmp_path),
     ])
     assert code == 0
     rows = json.loads((tmp_path / "verify_report.json").read_text())["fault_sweep"]
@@ -556,7 +677,7 @@ def test_verify_fault_sweep_golden_on_a_drawn_spectrum(tmp_path):
     code = main([
         "verify", "--method", "all", "--sigma", "0.2", "--delta", "0.1",
         "--gen", "gapped:16:count=2", "--trials", "20", "--seed", "4", "--workers", "1",
-        "--out", str(tmp_path),
+        "--fault-realizations", "20", "--out", str(tmp_path),
     ])
     assert code == 0
     rows = json.loads((tmp_path / "verify_report.json").read_text())["fault_sweep"]

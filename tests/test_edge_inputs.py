@@ -113,6 +113,9 @@ _ENTRY = st.sampled_from(
 @example(["transform", "--method", "git"], ["1e308", "-1"], "1e308", "0.6 0.8j", b"", 0)
 @example(["transform", "--method", "git"], ["0", "0"], "1e308", "1 0", b"-", 8)
 @example(["transform", "--method", "git"], ["0", "0"], "0", "0 1e308", b"", 0)
+# eigenvalues past 2^1022, whose subnormal scale maps them just outside [-1, 1] unless clipped
+@example(["transform", "--method", "git"], ["1.5e308", "-1.5e308"], "0", "0.6 0.8j", b"", 0)
+@example(["estimate", "--method", "fejer", "--seed", "1"], ["1.5e308", "-1.5e308"], "0", "0.6 0.8j", b"", 0)
 def test_fuzzed_model_files_end_with_a_documented_code(command, diagonal, off, probe, noise, at):
     # a real symmetric 2 x 2 model whose entries and probe are fuzzed, with raw
     # bytes spliced in at a fuzzed offset

@@ -22,6 +22,7 @@ from specden.operators import (
     diagonalize,
     exact_transform,
     normalize_operator,
+    normalize_spectrum,
     observable_exact,
     observable_from_transform,
     random_model,
@@ -59,6 +60,18 @@ def test_probe_state_requires_unit_norm():
         ProbeState([3.0, 4.0])
     with pytest.raises(ValidationError):
         ProbeState([])
+
+
+def test_normalize_spectrum_stays_inside_past_the_subnormal_scale():
+    # past 2^1022 the scale 1 / max|lambda| is subnormal and rounds
+    # +-1.5e308 to +-1.0000000000000002: those are clipped, the rest keep their bits
+    evals = np.array([-1.5e308, -1e300, 3e307, 1.5e308])
+    scaled, amap = normalize_spectrum(evals)
+    assert scaled.tolist() == [-1.0, amap.apply(-1e300), amap.apply(3e307), 1.0]
+    assert abs(amap.apply(1.5e308)) > 1.0
+    spectrum = np.linspace(-3.0, 2.0, 7)
+    scaled, amap = normalize_spectrum(spectrum)
+    np.testing.assert_array_equal(scaled, (1.0 / 3.0) * spectrum)
 
 
 def test_normalize_operator_full_contracts_large_spectrum():
