@@ -9,8 +9,7 @@ Subcommands:
   plus a run-record JSON.
 * ``verify``: run the Monte Carlo accuracy-contract check, state the
   faulty-evolution bound and cross-check the statevector simulator,
-  writing a JSON report; ``--fault-realizations R`` also samples the
-  bound on R fault realizations.
+  writing a JSON report.
 * ``bench``: write the resource-comparison table and the planner
   scaling sweeps with log-log fits.
 
@@ -96,7 +95,6 @@ class RunConfig:
     workers: int | None = None
     nu: float | None = None
     samples: int | None = None
-    fault_realizations: int | None = None
 
     def target(self) -> AccuracyTarget:
         if self.sigma is None or self.delta is None:
@@ -128,7 +126,7 @@ class RunConfig:
 
 
 _FLOAT_KEYS = ("sigma", "delta", "beta", "eta", "grid_spacing", "nu")
-_INT_KEYS = ("seed", "trials", "workers", "samples", "fault_realizations")
+_INT_KEYS = ("seed", "trials", "workers", "samples")
 _STR_KEYS = ("method", "model", "gen", "out")
 
 
@@ -187,8 +185,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--workers", type=int, help="ignored; kept for old command lines")
         sp.add_argument("--nu", type=float, help="single evaluation frequency")
         sp.add_argument("--samples", type=int, help="override the planned sample count")
-        sp.add_argument("--fault-realizations", type=int,
-                        help="verify: sample the fault bound on this many realizations (default 0)")
     return parser
 
 
@@ -203,12 +199,9 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig(command=args.command, **values)
     if cfg.method is not None and cfg.method not in _METHODS + ("all",):
         raise ValidationError(f"unknown method {cfg.method!r}")
-    lows = (("trials", 1), ("workers", 1), ("samples", 1), ("seed", 0), ("fault_realizations", 0))
-    for key, low in lows:
+    for key, low in (("trials", 1), ("workers", 1), ("samples", 1), ("seed", 0)):
         if getattr(cfg, key) is not None and getattr(cfg, key) < low:
             raise ValidationError(f"{key} must be >= {low}")
-    if cfg.fault_realizations is not None and cfg.command != "verify":
-        raise ValidationError(f"fault_realizations applies to 'verify' only, not {cfg.command!r}")
     if cfg.nu is not None and not math.isfinite(cfg.nu):
         raise ValidationError(f"nu must be finite, got {cfg.nu!r}")
     return cfg
@@ -443,12 +436,10 @@ def _run_contract(
 
 
 def _fault_sweep(
-    cfg: RunConfig,
     target: AccuracyTarget,
     evals: np.ndarray,
     amplitudes: np.ndarray,
     model: SpectralModel,
-    seed: int,
 ) -> tuple[list[dict], dict]:
     """Fault rows and the simulator cross-check of one model.
 
@@ -456,56 +447,47 @@ def _fault_sweep(
     delta_t in operator norm, and errors of a product of unitaries add at
     most linearly (Nielsen & Chuang, section 4.4), so no outcome
     probability of an n_anc-bit register moves by more than
-    ``n_anc * delta_t``.  By default each row states that bound at the
-    planned n.  With ``--fault-realizations R`` it is also sampled: R
-    fault realizations run on the statevector, each row reading the
-    largest deviation from the fault-free distribution.  The cross-check
-    compares the fault-free register with :func:`qpe_distribution` at
-    the same n, within ``n * 2**-52``: the register rounds eigenvalue + 1
+    ``n_anc * delta_t``.  Each row states that bound at the planned n
+    under the columns of a sampled fault row, so ``measured`` is null and
+    ``realizations`` 0: nothing is sampled.  The cross-check compares the fault-free
+    statevector register with :func:`qpe_distribution` at the same n,
+    within ``max(n, 64) * 2**-52``.  The register rounds eigenvalue + 1
     by up to 2**-53, and the kernel's slope of at most about 0.85 n
-    turns that into at most about ``0.43 n * 2**-52``.
+    turns that into at most about ``0.43 n * 2**-52``.  Both routes also
+    round the phases, the transform and the squares by a few units that
+    do not shrink with n (2.25 * 2**-52 at n = 4): the floor of 64 keeps
+    those from failing a correct simulator on a small register.
     """
     planned_n = fejer_plan(target).n
+    planned_anc = int(math.log2(planned_n))
     _, planned_dt = plan_fejer_samples(target.beta, target.eta, faulty=True, n=planned_n)
-    delta_ts = sorted({1e-3, 1e-2, planned_dt})
-    realizations = cfg.fault_realizations or 0
     # The statevector holds dim * n amplitudes: run it on the largest grid that fits.
-    n_ancilla = min(int(math.log2(planned_n)), (MEMORY_CAP // evals.size).bit_length() - 1)
+    n_ancilla = min(planned_anc, (MEMORY_CAP // evals.size).bit_length() - 1)
     n = 2**n_ancilla
     if n < planned_n:
         print(
-            f"{'fault sweep' if realizations else 'simulator check'} shrunk to n={n}: "
+            f"simulator check shrunk to n={n}: "
             f"dim*n at the planned n={planned_n} exceeds the cap {MEMORY_CAP}"
         )
     ideal = qpe_distribution(model, n)
     # a step of 0 draws no generator, so the seed is not read
     (clean,) = next(statevector_qpe_sweep(evals, amplitudes, n_ancilla, [0.0], [0]))
     deviation = float(np.max(np.abs(clean.probs - ideal.probs)))
-    tolerance = n * 2.0**-52
+    tolerance = max(n, 64) * 2.0**-52
     check = {"n": n, "deviation": deviation, "tolerance": tolerance, "ok": deviation <= tolerance}
-    if realizations:
-        worst = [0.0] * len(delta_ts)
-        seeds = (derive_seed(seed, 700, r) for r in range(realizations))
-        for noisy in statevector_qpe_sweep(evals, amplitudes, n_ancilla, delta_ts, seeds):
-            worst = [
-                max(w, float(np.max(np.abs(d.probs - ideal.probs)))) for w, d in zip(worst, noisy)
-            ]
-    else:
-        # a certified row states the bound at the planned n and measures nothing
-        worst = [None] * len(delta_ts)
-        n, n_ancilla = planned_n, int(math.log2(planned_n))
-    return [
+    rows = [
         {
-            "n": n,
+            "n": planned_n,
             "planned_n": planned_n,
             "delta_t": dt,
-            "bound": n_ancilla * dt,
-            "measured": w,
-            "realizations": realizations,
-            "ok": w is None or w <= n_ancilla * dt,
+            "bound": planned_anc * dt,
+            "measured": None,
+            "realizations": 0,
+            "ok": True,
         }
-        for dt, w in zip(delta_ts, worst)
-    ], check
+        for dt in sorted({1e-3, 1e-2, planned_dt})
+    ]
+    return rows, check
 
 
 def _cmd_verify(cfg: RunConfig) -> int:
@@ -543,16 +525,12 @@ def _cmd_verify(cfg: RunConfig) -> int:
         )
     if any(ESTIMATION_METHODS[name].checks_faults for name in names):
         evals, amplitudes, _ = spectra[0]
-        sweep, check = _fault_sweep(cfg, target, evals, amplitudes, models[0], derive_seed(seed, 3))
+        sweep, check = _fault_sweep(target, evals, amplitudes, models[0])
         report_json["fault_sweep"] = sweep
         report_json["simulator_check"] = check
-        overall = overall and check["ok"] and all(row["ok"] for row in sweep)
+        overall = overall and check["ok"]
         for row in sweep:
-            measured = "certified" if row["measured"] is None else f"measured={row['measured']:.4g}"
-            print(
-                f"fault: n={row['n']} delta_t={row['delta_t']:.4g} {measured} "
-                f"bound={row['bound']:.4g} -> {'OK' if row['ok'] else 'VIOLATION'}"
-            )
+            print(f"fault: n={row['n']} delta_t={row['delta_t']:.4g} certified bound={row['bound']:.4g}")
         print(
             f"simulator: n={check['n']} deviation={check['deviation']:.4g} "
             f"tolerance={check['tolerance']:.4g} -> {'OK' if check['ok'] else 'MISMATCH'}"

@@ -414,22 +414,15 @@ _EDGE_MODEL = ["--gen", "dense:4", "--seed", "1"]
         (["estimate", "--method", "fejer", *_EDGE_TARGET, "--gen", "dense:8:count=10000000", "--seed", "1"], 4),
         (["verify", "--method", "fejer", *_EDGE_TARGET, "--gen", "dense:8:count=10000000", "--seed", "1",
           "--trials", "2"], 4),
-        # a negative or fractional realization count, and the count given to another command
-        (["verify", "--method", "fejer", *_EDGE_TARGET, *_EDGE_MODEL, "--fault-realizations", "-1"], 2),
-        (["verify", "--method", "fejer", *_EDGE_TARGET, *_EDGE_MODEL, "--config", b"fault_realizations = 1.5\n"],
-         2),
-        (["estimate", "--method", "fejer", *_EDGE_TARGET, *_EDGE_MODEL, "--fault-realizations", "3"], 2),
-        (["plan", "--method", "fejer", *_EDGE_TARGET, "--config", b"fault_realizations = 0\n"], 2),
     ],
     ids=["negative-seed", "infinite-spacing", "samples-past-int64", "fejer-budget-overflow",
          "git-budget-overflow", "nan-nu", "zero-models", "zero-trials", "dense-dim-over-cap",
          "gapped-dim-over-cap", "spiked-dim-over-cap", "jackson-nu-outside-the-window",
          "nan-probe-transform", "nan-probe-estimate", "nan-matrix", "inf-matrix", "model-not-utf8",
-         "estimate-count-over-cap", "verify-count-over-cap", "negative-fault-realizations",
-         "fractional-fault-realizations-key", "fault-realizations-on-estimate", "fault-realizations-on-plan"],
+         "estimate-count-over-cap", "verify-count-over-cap"],
 )
 def test_edge_inputs_exit_with_their_documented_code(tmp_path_factory, tmp_path, capsys, argv, code):
-    # a bytes item is written to a model or config file outside the output directory
+    # a bytes item is written to a model file outside the output directory
     model = tmp_path_factory.mktemp("model") / "model.txt"
     for arg in argv:
         if isinstance(arg, bytes):
@@ -439,13 +432,6 @@ def test_edge_inputs_exit_with_their_documented_code(tmp_path_factory, tmp_path,
     assert run_cli(*argv, "--out", str(tmp_path)) == code
     assert capsys.readouterr().err.startswith({2: "error: ", 4: "resource cap: "}[code])
     assert list(tmp_path.iterdir()) == []
-
-
-def test_fractional_fault_realizations_flag_exits_2(capsys):
-    with pytest.raises(SystemExit) as exc:
-        run_cli("verify", *_EDGE_TARGET, *_EDGE_MODEL, "--fault-realizations", "2.5")
-    assert exc.value.code == 2
-    assert "--fault-realizations: invalid int value: '2.5'" in capsys.readouterr().err
 
 
 def test_config_file_negative_seed_exits_2(tmp_path, capsys):
@@ -480,8 +466,10 @@ def test_grid_spacing_over_cap_refused_before_allocating(tmp_path, capsys, argv)
 
 
 def test_fault_sweep_shrinks_to_the_memory_cap(monkeypatch, capsys):
-    # A cap of 2^12 amplitudes stands in for the real 2^22, whose shrunk sweep
-    # would hold a 64 MiB statevector: dim 4 at the planned n = 4096 is over it.
+    # A cap of 2^12 amplitudes stands in for the real 2^22, whose shrunk
+    # register would hold a 64 MiB statevector: dim 4 at the planned
+    # n = 4096 is over it.  The rows state the bound at the planned n, and
+    # only the fault-free register of the cross-check shrinks to n = 1024.
     cap = 2**12
     monkeypatch.setattr(cli, "MEMORY_CAP", cap)
     monkeypatch.setattr(sampling, "MEMORY_CAP", cap)
@@ -489,49 +477,27 @@ def test_fault_sweep_shrinks_to_the_memory_cap(monkeypatch, capsys):
     psi = ProbeState(np.full(4, 0.5))
     model = diagonalize(op, psi)
     amplitudes = op.evecs.conj().T @ psi.vector
-    cfg = cli.RunConfig(command="verify", sigma=0.02, delta=0.02, trials=1, seed=1, fault_realizations=1)
-    target = cfg.target()
+    target = cli.RunConfig(command="verify", sigma=0.02, delta=0.02).target()
     planned_n = fejer_plan(target).n
     assert planned_n == 4096
     with pytest.raises(ResourceLimitError):
         sampling.statevector_qpe(op, psi, 12)
-    rows, check = cli._fault_sweep(cfg, target, op.evals, amplitudes, model, 7)
-    assert "fault sweep shrunk to n=1024" in capsys.readouterr().out
-    assert check["n"] == 1024 and check["ok"]
-    _, planned_dt = plan_fejer_samples(target.beta, target.eta, faulty=True, n=planned_n)
-    assert [row["delta_t"] for row in rows] == sorted({1e-3, 1e-2, planned_dt})
-    for row in rows:
-        assert row["n"] == 1024 and op.dim * row["n"] <= cap
-        assert row["planned_n"] == 4096
-        assert row["bound"] == 10 * row["delta_t"]
-        assert row["realizations"] == 1 and row["ok"]
-    # a sweep that fits runs at the planned n and says nothing
-    roomy = cli.RunConfig(command="verify", sigma=0.25, delta=0.1, trials=1, seed=1, fault_realizations=1)
-    rows, check = cli._fault_sweep(roomy, roomy.target(), op.evals, amplitudes, model, 7)
-    assert capsys.readouterr().out == ""
-    assert {row["n"] for row in rows} | {check["n"]} == {fejer_plan(roomy.target()).n}
-
-
-def test_certified_rows_keep_the_planned_n_where_the_simulator_check_shrinks(monkeypatch, capsys):
-    # the cap of the case above: the rows state the bound at the planned
-    # n = 4096, and only the fault-free register shrinks to n = 1024
-    cap = 2**12
-    monkeypatch.setattr(cli, "MEMORY_CAP", cap)
-    monkeypatch.setattr(sampling, "MEMORY_CAP", cap)
-    evals, amplitudes = np.array([-0.5, -0.1, 0.2, 0.6]), np.full(4, 0.5)
-    model = SpectralModel.from_amplitudes(evals, amplitudes)
-    cfg = cli.RunConfig(command="verify", sigma=0.02, delta=0.02, trials=1, seed=1)
-    target = cfg.target()
-    rows, check = cli._fault_sweep(cfg, target, evals, amplitudes, model, 7)
+    rows, check = cli._fault_sweep(target, op.evals, amplitudes, model)
     assert "simulator check shrunk to n=1024" in capsys.readouterr().out
-    _, planned_dt = plan_fejer_samples(target.beta, target.eta, faulty=True, n=4096)
+    _, planned_dt = plan_fejer_samples(target.beta, target.eta, faulty=True, n=planned_n)
     assert [row["delta_t"] for row in rows] == sorted({1e-3, 1e-2, planned_dt})
     for row in rows:
         assert row["n"] == row["planned_n"] == 4096
         assert row["bound"] == 12 * row["delta_t"]
         assert row["measured"] is None and row["realizations"] == 0 and row["ok"]
-    assert check["n"] == 1024 and check["tolerance"] == 1024 * 2.0**-52
+    assert check["n"] == 1024 and op.dim * check["n"] <= cap
+    assert check["tolerance"] == 1024 * 2.0**-52
     assert check["ok"] and check["deviation"] <= check["tolerance"]
+    # a register that fits runs at the planned n and says nothing
+    roomy = cli.RunConfig(command="verify", sigma=0.25, delta=0.1).target()
+    rows, check = cli._fault_sweep(roomy, op.evals, amplitudes, model)
+    assert capsys.readouterr().out == ""
+    assert {row["n"] for row in rows} | {check["n"]} == {fejer_plan(roomy).n}
 
 
 def test_fault_sweep_draws_each_generator_once(monkeypatch, eigensolves):
@@ -540,17 +506,14 @@ def test_fault_sweep_draws_each_generator_once(monkeypatch, eigensolves):
     # again: the sweep reads the eigendecomposition it carries.  A stacked
     # solve counts one generator per matrix of its stack.
     op, psi = random_model(4, seed=5)
-    model = diagonalize(op, psi)
     amplitudes = op.evecs.conj().T @ psi.vector
     draws = []
     gue = sampling._gue
     monkeypatch.setattr(sampling, "_gue", lambda *a: draws.append(a) or gue(*a))
-    monkeypatch.setattr(cli, "SpectralModel", None)
     eigensolves.clear()
-    cfg = cli.RunConfig(command="verify", sigma=0.25, delta=0.1, trials=1, seed=1, fault_realizations=3)
-    rows, _ = cli._fault_sweep(cfg, cfg.target(), op.evals, amplitudes, model, 7)
-    assert len(rows) == 3
-    k = int(math.log2(rows[0]["n"]))
+    k, seeds = 5, [derive_seed(7, 700, r) for r in range(3)]
+    runs = list(sampling.statevector_qpe_sweep(op.evals, amplitudes, k, [1e-3, 1e-2, 0.05], seeds))
+    assert [len(run) for run in runs] == [3, 3, 3]
     assert len(draws) == 3 * k
     assert not any(a is op.matrix for _, a in eigensolves)
     assert {name for name, _ in eigensolves} == {"eigh"}
@@ -559,40 +522,18 @@ def test_fault_sweep_draws_each_generator_once(monkeypatch, eigensolves):
 
 
 def test_certified_fault_rows_draw_no_generator(monkeypatch, eigensolves):
-    # without --fault-realizations only the fault-free register runs: no
-    # generator is drawn and nothing is solved
+    # the fault rows sample nothing: only the fault-free register of the
+    # cross-check runs, so no generator is drawn and nothing is solved
     op, psi = random_model(4, seed=5)
     model = diagonalize(op, psi)
     amplitudes = op.evecs.conj().T @ psi.vector
     monkeypatch.setattr(sampling, "_gue", lambda *a: pytest.fail("generator drawn"))
     eigensolves.clear()
-    cfg = cli.RunConfig(command="verify", sigma=0.25, delta=0.1, trials=3, seed=1)
-    rows, check = cli._fault_sweep(cfg, cfg.target(), op.evals, amplitudes, model, 7)
+    target = cli.RunConfig(command="verify", sigma=0.25, delta=0.1).target()
+    rows, check = cli._fault_sweep(target, op.evals, amplitudes, model)
     assert [row["realizations"] for row in rows] == [0, 0, 0]
     assert check["ok"]
     assert eigensolves == []
-
-
-def test_fault_realizations_stream_their_seeds(monkeypatch):
-    # R = 10^18 seeds reach the register as an iterator, drawn as it reads
-    # them: here it reads two
-    sweep = cli.statevector_qpe_sweep
-    taken = []
-
-    def two_realizations(evals, amplitudes, n_ancilla, delta_ts, seeds):
-        if delta_ts != [0.0]:
-            assert iter(seeds) is seeds
-            seeds = list(itertools.islice(seeds, 2))
-            taken.extend(seeds)
-        return sweep(evals, amplitudes, n_ancilla, delta_ts, seeds)
-
-    monkeypatch.setattr(cli, "statevector_qpe_sweep", two_realizations)
-    evals, amplitudes = np.array([-0.5, 0.25]), np.array([0.6, 0.8])
-    model = SpectralModel.from_amplitudes(evals, amplitudes)
-    cfg = cli.RunConfig(command="verify", sigma=0.25, delta=0.1, seed=1, fault_realizations=10**18)
-    rows, _ = cli._fault_sweep(cfg, cfg.target(), evals, amplitudes, model, 7)
-    assert taken == [derive_seed(7, 700, r) for r in range(2)]
-    assert all(row["realizations"] == 10**18 and row["ok"] for row in rows)
 
 
 def test_verify_fails_when_the_simulator_is_off_by_one_bin(tmp_path, monkeypatch, capsys):
@@ -630,10 +571,26 @@ def test_simulator_check_tolerance_holds_at_the_memory_cap(kind, dim, seed, delt
     evals, amplitudes = random_spectrum(dim, seed, kind)
     evals, _ = normalize_spectrum(evals)
     model = SpectralModel.from_amplitudes(evals, amplitudes)
-    cfg = cli.RunConfig(command="verify", sigma=0.1, delta=delta, seed=1)
-    _, check = cli._fault_sweep(cfg, cfg.target(), evals, amplitudes, model, 7)
+    target = cli.RunConfig(command="verify", sigma=0.1, delta=delta).target()
+    _, check = cli._fault_sweep(target, evals, amplitudes, model)
     assert check["n"] == n == sampling.MEMORY_CAP // dim and check["tolerance"] == n * 2.0**-52
     assert check["ok"] and check["deviation"] <= check["tolerance"]
+
+
+@pytest.mark.parametrize("sigma, delta, n", [(0.9, 0.9, 4), (0.5, 0.9, 8)])
+def test_simulator_check_tolerance_holds_on_the_smallest_registers(sigma, delta, n):
+    # the smallest plans: rounding that does not shrink with n reads up to
+    # 2.25 2^-52 at n = 4, past half of n 2^-52, so the tolerance keeps a
+    # floor of 64 2^-52
+    target = cli.RunConfig(command="verify", sigma=sigma, delta=delta).target()
+    assert fejer_plan(target).n == n
+    for kind, dim, seed in itertools.product(("dense", "gapped", "spiked"), (2, 8, 64), range(1, 9)):
+        evals, amplitudes = random_spectrum(dim, seed, kind)
+        evals, _ = normalize_spectrum(evals)
+        model = SpectralModel.from_amplitudes(evals, amplitudes)
+        _, check = cli._fault_sweep(target, evals, amplitudes, model)
+        assert check["n"] == n and check["tolerance"] == 64 * 2.0**-52
+        assert check["ok"] and check["deviation"] <= check["tolerance"]
 
 
 # a realization holds 3 step sizes x 32 bins x dim 6 = 576 amplitudes
@@ -656,20 +613,25 @@ def test_fault_sweep_blocks_give_identical_distributions(monkeypatch, budget):
             assert np.array_equal(ref.grid, dist.grid)
 
 
+# the (n, realizations, delta_t, bound, measured) rows of a plan with
+# n = 128: steps 1e-3, 1e-2 and the planned 0.1 / 14, each bounded by
+# log2(128) * delta_t and sampled on no realization
+_CERTIFIED_ROWS = [(128, 0, dt, 7 * dt, None) for dt in (0.001, 0.1 / 14, 0.01)]
+
+
 def test_verify_fault_sweep_golden(tmp_path):
     code = main([
         "verify", "--method", "all", "--sigma", "0.1", "--delta", "0.1",
         "--gen", "dense:8:count=2", "--trials", "20", "--seed", "9", "--workers", "1",
-        "--fault-realizations", "20", "--out", str(tmp_path),
+        "--out", str(tmp_path),
     ])
     assert code == 0
-    rows = json.loads((tmp_path / "verify_report.json").read_text())["fault_sweep"]
-    assert [(r["n"], r["realizations"], r["delta_t"], r["measured"]) for r in rows] == [
-        (128, 20, 0.001, 0.0001855784078999001),
-        (128, 20, 0.1 / 14, 0.0013366567420203812),
-        (128, 20, 0.01, 0.0018784975690570027),
-    ]
-    assert all(r["measured"] <= r["bound"] for r in rows)
+    report = json.loads((tmp_path / "verify_report.json").read_text())
+    rows = report["fault_sweep"]
+    assert [(r["n"], r["realizations"], r["delta_t"], r["bound"], r["measured"]) for r in rows] == _CERTIFIED_ROWS
+    assert report["simulator_check"] == {
+        "n": 128, "deviation": 8.326672684688674e-16, "tolerance": 128 * 2.0**-52, "ok": True,
+    }
 
 
 def test_verify_fault_sweep_golden_on_a_drawn_spectrum(tmp_path):
@@ -677,16 +639,16 @@ def test_verify_fault_sweep_golden_on_a_drawn_spectrum(tmp_path):
     code = main([
         "verify", "--method", "all", "--sigma", "0.2", "--delta", "0.1",
         "--gen", "gapped:16:count=2", "--trials", "20", "--seed", "4", "--workers", "1",
-        "--fault-realizations", "20", "--out", str(tmp_path),
+        "--out", str(tmp_path),
     ])
     assert code == 0
-    rows = json.loads((tmp_path / "verify_report.json").read_text())["fault_sweep"]
-    assert [(r["n"], r["realizations"], r["delta_t"], r["measured"]) for r in rows] == [
-        (128, 20, 0.001, 0.00011136528869632595),
-        (128, 20, 0.1 / 14, 0.000794895259595356),
-        (128, 20, 0.01, 0.0011124520482821212),
-    ]
-    assert all(r["ok"] and r["measured"] <= r["bound"] for r in rows)
+    report = json.loads((tmp_path / "verify_report.json").read_text())
+    rows = report["fault_sweep"]
+    assert [(r["n"], r["realizations"], r["delta_t"], r["bound"], r["measured"]) for r in rows] == _CERTIFIED_ROWS
+    assert all(r["ok"] for r in rows)
+    assert report["simulator_check"] == {
+        "n": 128, "deviation": 7.494005416219807e-16, "tolerance": 128 * 2.0**-52, "ok": True,
+    }
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 6: the Fejer grid folds an eigenvalue at +1 onto -1")
