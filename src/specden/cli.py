@@ -447,11 +447,12 @@ def _fault_sweep(
     delta_t in operator norm, and errors of a product of unitaries add at
     most linearly (Nielsen & Chuang, section 4.4), so no outcome
     probability of an n_anc-bit register moves by more than
-    ``n_anc * delta_t``.  Each row states that bound at the planned n
-    under the columns of a sampled fault row, so ``measured`` is null and
-    ``realizations`` 0: nothing is sampled.  The cross-check compares the fault-free
-    statevector register with :func:`qpe_distribution` at the same n,
-    within ``max(n, 64) * 2**-52``.  The register rounds eigenvalue + 1
+    ``n_anc * delta_t``.  Each row states that bound at the planned n.
+    Nothing is sampled, so its ``measured`` is null and its
+    ``realizations`` 0; the columns stay for readers of the report and
+    the CSV.  The cross-check compares the fault-free statevector
+    register with :func:`qpe_distribution` at the same n, within
+    ``max(n, 64) * 2**-52``.  The register rounds eigenvalue + 1
     by up to 2**-53, and the kernel's slope of at most about 0.85 n
     turns that into at most about ``0.43 n * 2**-52``.  Both routes also
     round the phases, the transform and the squares by a few units that
