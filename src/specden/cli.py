@@ -405,6 +405,8 @@ def _cmd_estimate(cfg: RunConfig) -> int:
     start = time.perf_counter()
     transform = method.estimate(model, budget, seed, nu)
     elapsed = time.perf_counter() - start
+    if (route := method.route(model, budget)) is not None:
+        print(route)
     extra = [("kernel_order", budget.kernel_order), ("n_samples", budget.n_samples), ("seed", seed)]
     csv_path = _write_transform(cfg, "estimate.csv", name, transform, amap, extra)
     record = {

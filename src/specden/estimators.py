@@ -57,10 +57,13 @@ from .kernels import (
 from .numerics import child_rng
 from .operators import AffineMap, SpectralModel, TransformGrid, exact_transform
 from .sampling import (
+    FejerPeaks,
     OutcomeDistribution,
     hadamard_test_sample,
     qpe_distribution,
+    qpe_peaks,
     qubitized_qpe_distribution,
+    qubitized_qpe_peaks,
 )
 
 __all__ = [
@@ -186,17 +189,20 @@ def plan_git_samples(
     return per_order, total, loose
 
 
-def sample_histogram(dist: OutcomeDistribution, n_samples: int, seed: int) -> np.ndarray:
-    """Empirical bin frequencies of `n_samples` outcomes drawn from `dist`.
+def sample_histogram(
+    source: OutcomeDistribution | FejerPeaks, n_samples: int, seed: int
+) -> np.ndarray:
+    """Empirical bin frequencies of `n_samples` outcomes drawn from `source`.
 
-    One multinomial draw from the stream ``child_rng(seed, 0)``, so the
-    histogram depends on the distribution, the count and `seed` alone.
-    A count past the sampler's 64-bit range raises :class:`ResourceLimitError`.
+    An :class:`OutcomeDistribution` draws one multinomial over its bins,
+    and :class:`FejerPeaks` per peak, each from the one stream
+    ``child_rng(seed, 0)``, so the histogram depends on the source, the
+    count and `seed` alone.  A count past the sampler's 64-bit range
+    raises :class:`ResourceLimitError`.
     """
     if n_samples > np.iinfo(np.int64).max:
         raise ResourceLimitError(f"{n_samples} samples exceed the sampler's 64-bit count range")
-    counts = child_rng(seed, 0).multinomial(n_samples, dist.probs / dist.probs.sum())
-    return counts / n_samples
+    return source.sample(n_samples, child_rng(seed, 0)) / n_samples
 
 
 _MOMENT_CELLS = 2**20  # model_moments holds about this many cells of T_k(O_j) at a time
@@ -251,9 +257,11 @@ class EstimationMethod:
     * `budget(target, grid, samples)` plans its resources, and
       `check(budget)` rejects a budget the method cannot run;
     * `source(model, budget)` is what its trials sample (an outcome
-      distribution or exact moments), `draw(model, budget, seeds)` one
-      trial per seed from it, and `project(draws, budget, grid)` the
-      trials' transform values on a grid, ``trials x grid``;
+      distribution, Fejer peaks or exact moments), `route(model,
+      budget)` a line naming how they are drawn (None: no line),
+      `draw(model, budget, seeds)` one trial per seed from it, and
+      `project(draws, budget, grid)` the trials' transform values on a
+      grid, ``trials x grid``;
     * `kernel(budget)` is its kernel, `exact` its exact reference on a
       grid, `grid(budget, nu)` the frequencies of its estimate, and
       `estimate` one seed's draw as a transform on them.
@@ -275,6 +283,9 @@ class EstimationMethod:
 
     def exact(self, model: SpectralModel, budget: Budget, grid) -> TransformGrid:
         return exact_transform(model, self.kernel(budget), grid)
+
+    def route(self, model: SpectralModel, budget: Budget) -> str | None:
+        return None
 
     def estimate(self, model: SpectralModel, budget: Budget, seed: int, nu=None) -> TransformGrid:
         draws = self.draw(model, budget, [seed])
@@ -317,19 +328,34 @@ class _Histogram(EstimationMethod):
     def grid(self, budget: Budget, nu=None) -> np.ndarray:
         return fejer_grid(budget.kernel_order)
 
-    def source(self, model: SpectralModel, budget: Budget) -> OutcomeDistribution:
-        return qpe_distribution(model, budget.kernel_order)
+    def peaks(self, model: SpectralModel, n: int) -> FejerPeaks:
+        return qpe_peaks(model, n)
+
+    def distribution(self, model: SpectralModel, n: int) -> OutcomeDistribution:
+        return qpe_distribution(model, n)
+
+    def source(self, model: SpectralModel, budget: Budget) -> OutcomeDistribution | FejerPeaks:
+        """The peaks when drawing per peak costs less (32 N < n K), else the n-bin distribution."""
+        n = budget.kernel_order
+        peaks = self.peaks(model, n)
+        return peaks if peaks.draws_per_peak(budget.n_samples) else self.distribution(model, n)
+
+    def route(self, model: SpectralModel, budget: Budget) -> str:
+        peaks = self.peaks(model, budget.kernel_order)
+        per_peak = peaks.draws_per_peak(budget.n_samples)
+        how = "per eigenvalue" if per_peak else "from the n-bin distribution"
+        return f"drew {budget.n_samples} shots {how} (n={peaks.n}, K={peaks.phases.size} peaks)"
 
     def draw(self, model, budget: Budget, seeds, source=None) -> np.ndarray:
-        dist = self.source(model, budget) if source is None else source
-        return np.array([sample_histogram(dist, budget.n_samples, seed) for seed in seeds])
+        source = self.source(model, budget) if source is None else source
+        return np.array([sample_histogram(source, budget.n_samples, seed) for seed in seeds])
 
     def project(self, draws: np.ndarray, budget: Budget, grid) -> np.ndarray:
         return draws
 
     def transform(self, model: SpectralModel, target: AccuracyTarget, nu=None) -> TransformGrid:
         budget = self.budget(target)
-        dist = self.source(model, budget)
+        dist = self.distribution(model, budget.kernel_order)
         kernel = self.kernel(budget)
         return TransformGrid(dist.grid, dist.probs, kind=kernel.kind, kernel=kernel)
 
@@ -368,8 +394,11 @@ class _FoldedHistogram(_Histogram):
         unit = np.cos(np.pi * (2.0 * np.arange(n // 2, -1, -1) / n))
         return np.asarray(self.spectrum_map.invert(unit), dtype=float)
 
-    def source(self, model: SpectralModel, budget: Budget) -> OutcomeDistribution:
-        return qubitized_qpe_distribution(model.mapped(self.spectrum_map), budget.kernel_order)
+    def peaks(self, model: SpectralModel, n: int) -> FejerPeaks:
+        return qubitized_qpe_peaks(model.mapped(self.spectrum_map), n)
+
+    def distribution(self, model: SpectralModel, n: int) -> OutcomeDistribution:
+        return qubitized_qpe_distribution(model.mapped(self.spectrum_map), n)
 
     def project(self, draws: np.ndarray, budget: Budget, grid) -> np.ndarray:
         # sigma_q = 2q/n - 1 pairs outcome n/2 + k with n/2 - k; bin k recovers cos(2 pi k / n)

@@ -937,3 +937,35 @@ def test_main_builds_its_parser_once(monkeypatch, capsys):
     assert run_cli("plan", "--method", "fejer", "--sigma", "1.5", "--delta", "0.1") == 2
     assert len(parsers) == 2 and parsers[0] is parsers[1] is cli._PARSER
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("kind", ["spiked", "gapped"])
+def test_per_eigenvalue_estimate_bytes_do_not_depend_on_the_blas_thread_count(tmp_path, kind):
+    # n = 256 bins and K = 64 eigenvalues against 185 shots: the histogram is
+    # drawn per eigenvalue, with no BLAS reduction on the way to estimate.csv
+    src = Path(__file__).resolve().parents[1] / "src"
+    argv = ["estimate", "--method", "fejer", "--sigma", "0.1", "--delta", "0.05", "--beta", "0.1",
+            "--gen", f"{kind}:64", "--seed", "1"]
+    written = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": threads}
+        done = subprocess.run([sys.executable, "-m", "specden", *argv, "--out", str(out)], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert "drew 185 shots per eigenvalue (n=256, K=64 peaks)" in done.stdout
+        written.append((out / "estimate.csv").read_bytes())
+    assert written[0] == written[1]
+
+
+def test_estimate_names_the_route_of_its_histogram(tmp_path, capsys):
+    target = ["--sigma", "0.1", "--delta", "0.2", "--beta", "0.1", "--seed", "5"]
+    assert run_cli("estimate", "--method", "qfejer", *target, "--gen", "spiked:16",
+                   "--out", str(tmp_path)) == 0
+    assert "drew 185 shots per eigenvalue (n=256, K=32 peaks)" in capsys.readouterr().out
+    assert run_cli("estimate", "--method", "fejer", *target, "--gen", "gapped:16",
+                   "--out", str(tmp_path)) == 0
+    assert "drew 185 shots from the n-bin distribution (n=64, K=16 peaks)" in capsys.readouterr().out
+    assert run_cli("estimate", "--method", "git", *target, "--gen", "gapped:16",
+                   "--out", str(tmp_path)) == 0
+    assert "drew" not in capsys.readouterr().out

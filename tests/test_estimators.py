@@ -39,7 +39,7 @@ from specden.operators import (
     random_model,
     random_spectrum,
 )
-from specden.sampling import qpe_distribution
+from specden.sampling import FejerPeaks, OutcomeDistribution, qpe_distribution
 
 
 def test_plan_fejer_samples_goldens():
@@ -79,6 +79,46 @@ def test_sample_histogram_count_past_int64_is_a_resource_limit():
     assert sample_histogram(dist, 2**63 - 1, 1).sum() == pytest.approx(1.0)
     with pytest.raises(ResourceLimitError, match="64-bit"):
         sample_histogram(dist, 2**63, 1)
+
+
+@pytest.mark.parametrize(
+    "name, shots, per_peak",
+    # n = 64 bins; fejer has K = 4 peaks, so n K = 256, and qfejer K = 8 mirrored ones
+    [("fejer", 7, True), ("fejer", 8, False), ("fejer", 9, False),
+     ("qfejer", 15, True), ("qfejer", 16, False)],
+)
+def test_histograms_draw_per_peak_exactly_when_32_shots_are_below_n_k(name, shots, per_peak):
+    method = ESTIMATION_METHODS[name]
+    model = SpectralModel(np.array([-0.7, -0.1, 0.3, 0.9]), np.full(4, 0.25))
+    budget = Budget(method.family, 64, shots)
+    source = method.source(model, budget)
+    assert isinstance(source, FejerPeaks if per_peak else OutcomeDistribution)
+    assert ("per eigenvalue" in method.route(model, budget)) == per_peak
+    # the draw is the histogram of that source from the stream child_rng(seed, 0)
+    np.testing.assert_array_equal(
+        method.draw(model, budget, [5, 6]),
+        [sample_histogram(source, shots, seed) for seed in (5, 6)],
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    log_n=st.integers(1, 12),
+    size=st.integers(1, 40),
+    shots=st.integers(1, 50_000),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_per_peak_histograms_are_shot_counts_and_repeat(log_n, size, shots, seed):
+    rng = child_rng(seed)
+    w = rng.random(size) + 1e-3
+    model = SpectralModel(np.sort(rng.uniform(-1.0, 1.0, size)), w / w.sum())
+    peaks = FejerPeaks(model.eigenvalues, model.weights, 2**log_n)
+    counts = peaks.sample(shots, child_rng(seed, 0))
+    assert counts.dtype == np.int64 and counts.shape == (2**log_n,)
+    assert counts.min() >= 0 and counts.sum() == shots
+    hist = sample_histogram(peaks, shots, seed)
+    assert np.array_equal(hist, counts / shots)
+    assert sample_histogram(peaks, shots, seed).tobytes() == hist.tobytes()
 
 
 def test_plan_git_samples_golden_and_invariants():

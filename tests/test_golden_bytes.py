@@ -42,7 +42,7 @@ ESTIMATES = {
     ),
     "qfejer-spiked": (
         ["--method", "qfejer", *_TARGET, "--gen", "spiked:16", "--seed", "5"],
-        "7c864a57cfdf20d7b3a764f6012e548320f6c4b5bd6c3d6909ed68cbd21a9556",
+        "ae387a99776c202d04034197fb5ddc6ae362d300750a67712f78a8b2c3c02195",
         "a222ac3ee451f8983bf8ce4fc6730e95a7b7a01fda488a847c13af788a3f0c20",
     ),
     "qfejer-gapped-samples": (

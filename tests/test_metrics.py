@@ -53,7 +53,7 @@ from specden.operators import (
     random_model,
     random_spectrum,
 )
-from specden.sampling import FaultModel, qpe_distribution, statevector_qpe
+from specden.sampling import FaultModel, qpe_distribution, qpe_peaks, statevector_qpe
 
 
 def _grid(values, freqs=None, kind="density"):
@@ -270,6 +270,35 @@ def test_observable_check_fejer_builds_one_distribution_per_model(monkeypatch):
     assert report.empirical_confidence == sum(r <= target.beta for r in runs) / len(runs)
 
 
+def test_observable_check_fejer_draws_per_eigenvalue_when_shots_are_few(monkeypatch):
+    models = [diagonalize(*random_model(6, seed=s)) for s in (507, 509)]
+    target = AccuracyTarget(sigma=0.25, delta=0.1, beta=0.1, eta=0.05)
+    kernel = fejer_plan(target)
+    # 32 * 6 shots < n K = 64 * 6: the trials are drawn per eigenvalue
+    n_samples = 6
+    assert 32 * n_samples < kernel.n * 6
+    builds = []
+    monkeypatch.setattr(
+        estimators, "qpe_distribution", lambda m, n: builds.append(n) or qpe_distribution(m, n)
+    )
+    report = observable_bound_empirical_check(
+        models, "fejer", None, target, trials=7, seed=611, n_samples=n_samples
+    )
+    assert builds == []
+    # trial j of model i is still the histogram run_algorithm1 draws with seed (611, i, j)
+    budget = Budget("fejer", kernel.n, n_samples)
+    runs = [
+        total_variation(
+            exact_transform(m, kernel, fejer_grid(kernel.n)),
+            run_algorithm1(budget, derive_seed(611, i, j), model=m),
+        )
+        for i, m in enumerate(models)
+        for j in range(7)
+    ]
+    assert report.delta_v == max(runs)
+    assert report.empirical_confidence == sum(r <= target.beta for r in runs) / len(runs)
+
+
 def test_observable_check_git_margin_grid():
     op, psi = random_model(8, seed=503)
     model = diagonalize(op, psi)
@@ -339,7 +368,9 @@ def _reference_check(models, method, f, target, trials, seed, spacing=None, n_sa
         q_exact = {name: observable_exact(mod, g) for name, g in zip(names, fns)}
         if method == "fejer":
             ref = exact_transform(mod, kernel, fejer_grid(kernel.n))
-            dist = qpe_distribution(mod, kernel.n)
+            # few shots against the n x K mixture are drawn per eigenvalue
+            few = 32 * n_samples < kernel.n * mod.size
+            dist = (qpe_peaks if few else qpe_distribution)(mod, kernel.n)
         else:
             ref = exact_transform(mod, kernel, CONTRACT_GRID)
             ref_dense = exact_transform(mod, kernel, dense)
@@ -350,7 +381,7 @@ def _reference_check(models, method, f, target, trials, seed, spacing=None, n_sa
         for j in range(trials):
             if method == "fejer":
                 values = sample_histogram(dist, n_samples, derive_seed(seed, i, j))
-                estimate = obs_grid = TransformGrid(dist.grid, values, kernel.kind, kernel)
+                estimate = obs_grid = TransformGrid(fejer_grid(kernel.n), values, kernel.kind, kernel)
             else:
                 estimate = TransformGrid(CONTRACT_GRID, contract_values[j], "density", kernel)
                 obs_grid = TransformGrid(dense, dense_values[j], "density", kernel)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.stats import chisquare
 
 from specden.errors import ResourceLimitError, ValidationError
 from specden.kernels import fejer_eval, fejer_grid, qubitized_fejer_eval
@@ -21,11 +22,14 @@ from specden.operators import (
 )
 from specden.sampling import (
     FaultModel,
+    FejerPeaks,
     OutcomeDistribution,
     build_qubiterate,
     hadamard_test_sample,
     qpe_distribution,
+    qpe_peaks,
     qubitized_qpe_distribution,
+    qubitized_qpe_peaks,
     qubiterate_moments,
     statevector_qpe,
     statevector_qpe_sweep,
@@ -398,3 +402,126 @@ def test_hadamard_test_sample_unbiased_mean():
     t = -0.42
     vals = [hadamard_test_sample(t, 64, 5, k) for k in range(400)]
     assert abs(np.mean(vals) - t) < 0.02
+
+
+# --- per-peak shots against the exact mixture --------------------------------
+
+_SHOTS = 10**6
+
+
+def _fit_p_value(counts, probs):
+    # Pearson chi-square over the bins expecting at least 5 shots, the rest
+    # pooled into one cell; a pool that expects almost nothing must get nothing
+    expected = counts.sum() * probs / probs.sum()
+    big = expected >= 5.0
+    obs, exp = counts[big].astype(float), expected[big]
+    rest_e, rest_o = expected[~big].sum(), counts[~big].sum()
+    if rest_e >= 5.0:
+        obs, exp = np.append(obs, rest_o), np.append(exp, rest_e)
+    else:
+        assert rest_o <= 5 + 10 * rest_e
+        exp = exp * obs.sum() / exp.sum()
+    return chisquare(obs, exp).pvalue if obs.size > 1 else 1.0
+
+
+def _check_per_peak(peaks, dist, seed):
+    counts = peaks.sample(_SHOTS, child_rng(seed))
+    assert counts.dtype == np.int64 and counts.shape == (peaks.n,)
+    assert counts.sum() == _SHOTS and counts.min() >= 0
+    # no bin the mixture leaves empty may get a shot
+    assert counts[dist.probs < 1e-15].sum() == 0
+    assert _fit_p_value(counts, dist.probs) > 1e-3
+
+
+def _peaks_model(size, seed, extra=()):
+    rng = child_rng(seed)
+    ev = np.concatenate((rng.uniform(-1.0, 1.0, size), extra))
+    w = rng.random(ev.size)
+    return SpectralModel(np.sort(ev), w / w.sum())
+
+
+@pytest.mark.parametrize("n", [2, 4, 8, 32, 64, 1024, 2**16])
+def test_per_peak_shots_fit_the_mixture_across_grid_sizes(n):
+    # n <= 32 is one table of the whole period; from n = 64 on a shot can land past the table
+    model = _peaks_model(9, seed=n)
+    _check_per_peak(qpe_peaks(model, n), qpe_distribution(model, n), seed=n + 1)
+
+
+def test_per_peak_shots_fold_eigenvalues_at_plus_and_minus_one():
+    # +1 and -1 are the same phase: both peaks sit on bin 0
+    model = _peaks_model(6, seed=31, extra=(-1.0, 1.0, 1.0 - 1e-13))
+    _check_per_peak(qpe_peaks(model, 64), qpe_distribution(model, 64), seed=32)
+    alone = qpe_peaks(SpectralModel(np.array([-1.0, 1.0]), np.array([0.25, 0.75])), 64)
+    assert np.flatnonzero(alone.sample(1000, child_rng(33))).tolist() == [0]
+
+
+def test_per_peak_shots_of_two_eigenvalues_within_one_bin():
+    # the bins of n = 256 are 2/256 = 0.0078 wide
+    model = SpectralModel(np.array([-0.5, 0.30001, 0.30041, 0.7]), np.array([0.1, 0.4, 0.4, 0.1]))
+    _check_per_peak(qpe_peaks(model, 256), qpe_distribution(model, 256), seed=34)
+
+
+def test_per_peak_shots_of_a_phase_on_a_bin_centre():
+    # the d = 0 limit: all of the peak's mass is on its own bin
+    n = 128
+    centre = 2.0 * 37 / n - 1.0
+    peaks = qpe_peaks(SpectralModel(np.array([centre]), np.array([1.0])), n)
+    counts = peaks.sample(5000, child_rng(35))
+    assert counts[37] == 5000
+    model = _peaks_model(5, seed=36, extra=(centre, 2.0 * 90 / n - 1.0))
+    _check_per_peak(qpe_peaks(model, n), qpe_distribution(model, n), seed=37)
+
+
+@pytest.mark.parametrize("n", [8, 256, 4096])
+def test_per_peak_shots_of_the_mirrored_walk_phases(n):
+    # omega = 0 and 1 give the phases +-1/2 and a doubled peak at 0
+    model = _peaks_model(7, seed=38 + n, extra=(-1.0, 1.0)).mapped(AffineMap(0.5, 0.5))
+    peaks = qubitized_qpe_peaks(model, n)
+    assert peaks.phases.size == 2 * model.size
+    _check_per_peak(peaks, qubitized_qpe_distribution(model, n), seed=39)
+
+
+def test_per_peak_shots_hold_no_array_of_the_shot_count():
+    model = _peaks_model(64, seed=40)
+    peaks = qpe_peaks(model, 1024)
+    tracemalloc.start()
+    try:
+        counts = peaks.sample(2**20, child_rng(41))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert counts.sum() == 2**20
+    # one int64 per shot would be 8 MiB; the blocks of 2^14 shots stay far below
+    assert peak < 2 * 2**20
+
+
+def test_fejer_peaks_validation():
+    with pytest.raises(ValidationError):
+        FejerPeaks(np.zeros(2), np.full(2, 0.5), 12)
+    with pytest.raises(ValidationError):
+        FejerPeaks(np.zeros(2), np.ones(3) / 3.0, 16)
+    with pytest.raises(ValidationError):
+        qpe_peaks(SpectralModel(np.array([1.5]), np.array([1.0])), 16)
+    with pytest.raises(ValidationError):
+        qubitized_qpe_peaks(SpectralModel(np.array([-0.5]), np.array([1.0])), 16)
+
+
+def test_per_peak_tail_fits_the_mixture_by_distance():
+    # 10^6 draws past the table of a peak halfway between bins (1.2% of its
+    # mass), against the mixture's mass there.  Bins pooled on each side by
+    # doubling distance from the peak see a tail whose shape is off by 2%.
+    n, low = 4096, 1000
+    phase = np.array([2.0 * (low + 0.5) / n - 1.0])
+    start, frac, _ = sampling._peak_tables(phase, n)
+    draws = sampling._tail_bins(np.repeat(start, _SHOTS), np.repeat(frac, _SHOTS), n, child_rng(42))
+    counts = np.bincount(draws, minlength=n)
+    offset = (np.arange(n) - low + n // 2 - 1) % n - n // 2 + 1  # bin minus floor(c), in (-n/2, n/2]
+    assert counts[(offset > -16) & (offset < 17)].sum() == 0  # the table's 32 bins
+    probs = qpe_distribution(SpectralModel(phase, np.array([1.0])), n).probs
+    edges = [17, 33, 65, 129, 257, 513, 1025, n // 2 + 1]
+    bands = [(offset >= lo) & (offset < hi) for lo, hi in zip(edges, edges[1:])]
+    bands += [(1 - offset >= lo) & (1 - offset < hi) for lo, hi in zip(edges, edges[1:])]
+    obs = np.array([counts[b].sum() for b in bands])
+    exp = np.array([probs[b].sum() for b in bands])
+    assert obs.sum() == _SHOTS
+    assert chisquare(obs, exp / exp.sum() * _SHOTS).pvalue > 1e-3
