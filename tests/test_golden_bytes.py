@@ -1,10 +1,12 @@
 """Golden bytes of the command line's artifacts.
 
-Each case runs one command in process and pins the sha256 of what it
-writes: `estimate.csv` and `estimate_record.json` (without `elapsed_s`)
+Each case runs one command and pins the sha256 of what it writes (in
+process, except ``verify``, which runs in a fresh process at one and two
+BLAS threads): `estimate.csv` and `estimate_record.json` (without `elapsed_s`)
 for every estimation method, `transform.csv` for every method,
-`plan.json` for ``--method all`` and the ``reports`` section of
-``verify --method all``.  The models are mostly ``gapped`` and
+`plan.json` for ``--method all``, and the ``reports``, ``fault_sweep``
+and ``simulator_check`` sections of ``verify --method all`` with its
+`fault_sweep.csv`.  The models are mostly ``gapped`` and
 ``spiked``, whose spectrum is drawn rather than solved, so their bytes
 depend on no LAPACK routine; the ``dense`` case's eigenvalues come from
 LAPACK's symmetric eigensolver (``eigvalsh``).  A refactor that keeps
@@ -13,6 +15,10 @@ these hashes writes the same artifacts.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -116,10 +122,30 @@ def test_plan_bytes(tmp_path):
     )
 
 
+# the sha256 of each part of one `verify --method all` run: the contract
+# reports, the fault rows, the simulator cross-check and fault_sweep.csv
+VERIFY = {
+    "reports": "79f088a1b0b65f2163eda55863497b50dae2e87b23788bee0d8fc690f607dc5b",
+    "fault_sweep": "915e4779892b3fae771429f596add8b41252e4cc11bfbc40259d45eae6b5e278",
+    "simulator_check": "e89a5643f195fb9a46544eaa81777765deb667aa2783cf902e42a3c5460782a4",
+    "fault_sweep.csv": "f1137b201a9cad0887a2ae49d7285c0fe70fd101dd323b1432da6a5a612175f8",
+}
+
+
 def test_verify_reports_bytes(tmp_path):
-    _run(tmp_path, "verify", "--method", "all", "--sigma", "0.25", "--delta", "0.2",
-         "--gen", "spiked:8:count=2", "--trials", "12", "--seed", "13", "--workers", "1")
-    reports = json.loads((tmp_path / "verify_report.json").read_text())["reports"]
-    assert _sha(json.dumps(reports, indent=2, sort_keys=True)) == (
-        "79f088a1b0b65f2163eda55863497b50dae2e87b23788bee0d8fc690f607dc5b"
-    )
+    # run in a fresh process at one and two BLAS threads: the fault-free
+    # register and the mixture it is checked against keep their bits
+    src = Path(__file__).resolve().parents[1] / "src"
+    argv = ["verify", "--method", "all", "--sigma", "0.25", "--delta", "0.2",
+            "--gen", "spiked:8:count=2", "--trials", "12", "--seed", "13", "--workers", "1"]
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": threads}
+        done = subprocess.run([sys.executable, "-m", "specden", *argv, "--out", str(out)], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        report = json.loads((out / "verify_report.json").read_text())
+        got = {key: _sha(json.dumps(report[key], indent=2, sort_keys=True))
+               for key in ("reports", "fault_sweep", "simulator_check")}
+        got["fault_sweep.csv"] = _sha((out / "fault_sweep.csv").read_bytes())
+        assert got == VERIFY, threads
