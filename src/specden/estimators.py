@@ -400,6 +400,12 @@ class _FoldedHistogram(_Histogram):
     def distribution(self, model: SpectralModel, n: int) -> OutcomeDistribution:
         return qubitized_qpe_distribution(model.mapped(self.spectrum_map), n)
 
+    def exact(self, model: SpectralModel, budget: Budget, grid) -> TransformGrid:
+        """The mirror-merged outcome distribution on :meth:`grid`, the mean of a trial's projection."""
+        probs = self.distribution(model, budget.kernel_order).probs
+        kernel = self.kernel(budget)
+        return TransformGrid(self.grid(budget), self.project(probs, budget, grid), kernel.kind, kernel)
+
     def project(self, draws: np.ndarray, budget: Budget, grid) -> np.ndarray:
         # sigma_q = 2q/n - 1 pairs outcome n/2 + k with n/2 - k; bin k recovers cos(2 pi k / n)
         h = draws.shape[-1] // 2

@@ -23,12 +23,11 @@ Three measurement primitives feed the estimation pipelines:
   100 ns per shot, plus about 0.15 ms per call (18,444 shots, K = 128
   to 512, one thread), so an estimate draws per peak when 32 S < N K
   (:meth:`FejerPeaks.draws_per_peak`).  A statevector route
-  simulates the register explicitly (with optional norm-bounded faults
-  in each controlled evolution) and serves as the validation oracle.  A
-  fault sweep reads the operator and probe only as eigenvalues and the
-  probe's amplitudes on the eigenvectors, and runs in that eigenbasis on
-  blocks of realizations: each bit's fault generators are drawn once for
-  all step sizes and diagonalized by one stacked solve per block.
+  simulates the register explicitly (with an optional norm-bounded
+  fault in each controlled evolution) and serves as the validation
+  oracle.  It reads the operator and probe only as eigenvalues and the
+  probe's amplitudes on the eigenvectors, and runs one register in that
+  eigenbasis.
 * the folded variant driven by a walk operator, with outcomes on the
   arc variable and frequencies recovered through ``cos(pi sigma)``; its
   peaks are the mirrored phases ``+-arccos(omega)/pi`` at half weight.
@@ -41,9 +40,8 @@ derives child streams through :func:`specden.numerics.child_rng`.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
-from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,14 +56,13 @@ from .operators import HermitianOperator, ProbeState, SpectralModel
 
 __all__ = [
     "MEMORY_CAP",
-    "SWEEP_BLOCK",
     "OutcomeDistribution",
     "FejerPeaks",
     "FaultModel",
     "qpe_peaks",
     "qpe_distribution",
     "statevector_qpe",
-    "statevector_qpe_sweep",
+    "eigenbasis_qpe",
     "qubitized_qpe_peaks",
     "qubitized_qpe_distribution",
     "build_qubiterate",
@@ -74,9 +71,6 @@ __all__ = [
 ]
 
 MEMORY_CAP = 2**22
-# A fault sweep runs its realizations in blocks of at most this many
-# amplitudes (or one realization, when that holds more).
-SWEEP_BLOCK = 2**14
 # The Fejer mixture builds its characteristic function in blocks of about
 # this many cells.
 _MIXTURE_BLOCK = 2**15
@@ -247,13 +241,13 @@ class FejerPeaks:
         :data:`_SHOT_BLOCK` shots: each inverts its peak's cumulative table
         of the 2W bins nearest c (W = :data:`_PEAK_HALF`), and a shot past
         them draws its offset by rejection (:func:`_tail_bins`).  Holds
-        the n counts, a table of 2W entries per drawn peak and one block,
-        never an array of `shots` entries.
+        the n counts, a table of 2W entries per peak (built once per
+        instance) and one block, never an array of `shots` entries.
         """
         n, width = self.n, 2 * _PEAK_HALF
         counts = rng.multinomial(shots, self.weights / self.weights.sum())
         drawn = np.flatnonzero(counts)
-        start, frac, cum = _peak_tables(self.phases[drawn], n)
+        start, frac, cum = (table[drawn] for table in self._tables)
         flat = cum.ravel()
         ends = np.cumsum(counts[drawn])
         begins = ends - counts[drawn]
@@ -282,6 +276,11 @@ class FejerPeaks:
         # each table cell's shots land on its bin, modulo n
         np.add.at(hist, (start[:, None] + np.arange(width)).ravel() % n, hits)
         return hist
+
+    @functools.cached_property
+    def _tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:func:`_peak_tables` of every peak, built on the first :meth:`sample`."""
+        return _peak_tables(self.phases, self.n)
 
 
 def _peak_tables(phases: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -387,16 +386,13 @@ def _gue(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _unit_norm_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs ``(values, vectors)`` of Hermitian `h` (or a stack of them) scaled to unit norm."""
+    """Eigenpairs ``(values, vectors)`` of Hermitian `h` scaled to unit norm."""
     vals, vecs = np.linalg.eigh(h)
-    return vals / np.max(np.abs(vals), axis=-1, keepdims=True), vecs
+    return vals / np.max(np.abs(vals)), vecs
 
 
 def statevector_qpe(
-    op: HermitianOperator,
-    psi: ProbeState,
-    n_ancilla: int,
-    fault: FaultModel | None = None,
+    op: HermitianOperator, psi: ProbeState, n_ancilla: int, fault: FaultModel | None = None
 ) -> OutcomeDistribution:
     """Simulate ancilla-register phase estimation on a statevector.
 
@@ -406,43 +402,27 @@ def statevector_qpe(
     the register produces outcome ``q`` with the Fejer-broadened
     probability at ``sigma_q = 2q/N - 1``.  A :class:`FaultModel`
     perturbs each controlled evolution by an independent unit-norm
-    Hermitian generator scaled by ``delta_t``.  This is the one-seed,
-    one-step case of :func:`statevector_qpe_sweep`.
+    Hermitian generator scaled by ``delta_t``.  The register runs in the
+    operator's eigenbasis (:func:`eigenbasis_qpe`).
 
     Memory use scales as ``dim * N``; exceeding :data:`MEMORY_CAP`
     raises :class:`ResourceLimitError`.
     """
     if psi.dim != op.dim:
         raise ValidationError(f"dimension mismatch: op {op.dim}, psi {psi.dim}")
-    dt, seed = (0.0, 0) if fault is None else (fault.delta_t, fault.seed)
-    (dists,) = statevector_qpe_sweep(op.evals, op.evecs.conj().T @ psi.vector, n_ancilla, (dt,), (seed,))
-    return dists[0]
+    return eigenbasis_qpe(op.evals, op.evecs.conj().T @ psi.vector, n_ancilla, fault)
 
 
-def statevector_qpe_sweep(
-    evals: np.ndarray,
-    amplitudes: np.ndarray,
-    n_ancilla: int,
-    delta_ts: Sequence[float],
-    seeds: Iterable[int],
-) -> Iterator[list[OutcomeDistribution]]:
-    """Faulty phase estimation for several fault sizes and realizations.
+def eigenbasis_qpe(
+    evals: np.ndarray, amplitudes: np.ndarray, n_ancilla: int, fault: FaultModel | None = None
+) -> OutcomeDistribution:
+    """:func:`statevector_qpe` of eigenvalues `evals` and probe `amplitudes` on the eigenvectors.
 
-    Yields, for each seed in turn, one distribution per entry of
-    `delta_ts`, each equal to ``statevector_qpe(op, psi, n_ancilla,
-    FaultModel(delta_t, seed))`` for an operator of eigenvalues `evals`
-    and a probe of `amplitudes` on its eigenvectors.  The register runs
-    in the eigenbasis, on blocks of realizations that hold at most
-    ``max(T dim N, SWEEP_BLOCK)`` amplitudes for T step sizes: for each
-    ancilla bit, every realization's fault generator is drawn from its
-    own stream, the block's generators are diagonalized by one stacked
-    solve, and the kicks ``exp(-i delta_t H)`` are applied to one
-    statevector per realization and step size by batched products.  A
-    step of 0 runs the fault-free register.
-
-    The arguments are checked when the call is made.  Each statevector
-    holds ``dim * N`` amplitudes; exceeding :data:`MEMORY_CAP` raises
-    :class:`ResourceLimitError`.
+    Bit k multiplies its controlled rows by ``exp(i pi 2^k (e + 1))``,
+    after the kick ``exp(-i delta_t H)`` under a fault of ``delta_t >
+    0``, with H a GUE generator drawn from ``child_rng(fault.seed, k)``
+    and scaled to unit norm.  The ``dim * N`` amplitudes are checked
+    against :data:`MEMORY_CAP` before they are allocated.
     """
     if n_ancilla < 1:
         raise ValidationError(f"n_ancilla must be >= 1, got {n_ancilla!r}")
@@ -451,39 +431,8 @@ def statevector_qpe_sweep(
     _check_cells(dim * n, "statevector amplitudes", MEMORY_CAP)
     if np.shape(amplitudes) != (dim,):
         raise ValidationError(f"{np.shape(amplitudes)} amplitudes for {dim} eigenvalues")
-    delta_ts = list(delta_ts)
-    if not all(dt >= 0.0 for dt in delta_ts):
-        raise ValidationError(f"delta_t must be nonnegative, got {delta_ts!r}")
-    row = np.asarray(amplitudes, dtype=complex) / math.sqrt(n)
-    return _sweep_blocks(evals, row, n_ancilla, delta_ts, iter(seeds))
-
-
-def _sweep_blocks(
-    evals: np.ndarray,
-    row: np.ndarray,
-    n_ancilla: int,
-    delta_ts: list[float],
-    seeds: Iterator[int],
-) -> Iterator[list[OutcomeDistribution]]:
-    """The realizations of :func:`statevector_qpe_sweep`, one block at a time."""
-    n = 2**n_ancilla
-    per_seed = max(1, len(delta_ts)) * n * row.size
-    size = max(1, max(per_seed, SWEEP_BLOCK) // per_seed)
-    while block := list(itertools.islice(seeds, size)):
-        yield from _register_block(evals, row, n_ancilla, delta_ts, block)
-
-
-def _register_block(
-    evals: np.ndarray, row: np.ndarray, n_ancilla: int, delta_ts: list[float], seeds: list[int]
-) -> list[list[OutcomeDistribution]]:
-    """Realizations `seeds` of the register, in the eigenbasis of the operator.
-
-    ``states[t, b]`` is the register of step size t in realization b.
-    """
-    n = 2**n_ancilla
-    dim = row.size
-    states = np.tile(row, (len(delta_ts), len(seeds), n, 1))
-    faulty = any(dt > 0.0 for dt in delta_ts)
+    state = np.tile(np.asarray(amplitudes, dtype=complex) / math.sqrt(n), (n, 1))
+    faulty = fault is not None and fault.delta_t > 0.0
     row_bits = np.arange(n)
     for k in range(n_ancilla):
         controlled = (row_bits >> k) & 1 == 1
@@ -492,24 +441,13 @@ def _register_block(
         # instead scales its modulus error by 2^k and leaks probability mass.
         phase_k = np.exp(1j * np.pi * np.fmod((evals + 1.0) * 2.0**k, 2.0))
         if faulty:
-            gues = np.stack([_gue(dim, child_rng(seed, k)) for seed in seeds])
-            hvals, hvecs = _unit_norm_eigh(gues)
-            hvecs_h = hvecs.mT.conj()
-        for dt, state in zip(delta_ts, states):
-            if dt > 0.0:
-                kick = (hvecs * np.exp(-1j * dt * hvals)[:, None, :]) @ hvecs_h
-                state[:, controlled] = (state[:, controlled] @ kick.mT) * phase_k
-            else:
-                state[:, controlled] *= phase_k
-    runs = []
-    for b in range(len(seeds)):
-        dists = []
-        for state in states[:, b]:
-            amps = np.fft.fft(state, axis=0) / math.sqrt(n)
-            probs = np.einsum("qj,qj->q", amps, amps.conj()).real
-            dists.append(OutcomeDistribution(probs))
-        runs.append(dists)
-    return runs
+            hvals, hvecs = _unit_norm_eigh(_gue(dim, child_rng(fault.seed, k)))
+            kick = (hvecs * np.exp(-1j * fault.delta_t * hvals)) @ hvecs.conj().T
+            state[controlled] = (state[controlled] @ kick.T) * phase_k
+        else:
+            state[controlled] *= phase_k
+    amps = np.fft.fft(state, axis=0) / math.sqrt(n)
+    return OutcomeDistribution(np.einsum("qj,qj->q", amps, amps.conj()).real)
 
 
 def qubitized_qpe_peaks(model: SpectralModel, n: int) -> FejerPeaks:
@@ -576,15 +514,15 @@ def qubiterate_moments(op: HermitianOperator, psi: ProbeState, kmax: int) -> np.
     return moments
 
 
-def hadamard_test_sample(t_k, shots: int, seed: int, *path: int):
+def hadamard_test_sample(t_k, shots: int, seed: int):
     """Shot-noise estimate of real expectation values in [-1, 1].
 
     Models the one-ancilla Hadamard test: `shots` Bernoulli draws with
     success probability ``(1 + t_k)/2``, returned as ``2 *
     successes/shots - 1``.  `t_k` may be one value or an array of them,
     drawn as one binomial vector.  Unbiased and deterministic given
-    `seed` and the optional child-stream `path`.  A shot count beyond
-    the sampler's 64-bit range raises :class:`ResourceLimitError`.
+    `seed`.  A shot count beyond the sampler's 64-bit range raises
+    :class:`ResourceLimitError`.
     """
     if shots < 1:
         raise ValidationError(f"shots must be >= 1, got {shots!r}")
@@ -595,6 +533,6 @@ def hadamard_test_sample(t_k, shots: int, seed: int, *path: int):
         worst = float(np.max(np.abs(t)))
         raise ValidationError(f"expectation value must lie in [-1, 1], got magnitude {worst!r}")
     p = np.clip((1.0 + t) / 2.0, 0.0, 1.0)
-    successes = child_rng(seed, *path).binomial(shots, p)
+    successes = child_rng(seed).binomial(shots, p)
     estimate = 2.0 * successes / shots - 1.0
     return float(estimate) if t.ndim == 0 else estimate

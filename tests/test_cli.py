@@ -8,7 +8,6 @@ the written files.
 import argparse
 import itertools
 import json
-import math
 import os
 import subprocess
 import sys
@@ -501,24 +500,20 @@ def test_fault_sweep_shrinks_to_the_memory_cap(monkeypatch, capsys):
 
 
 def test_fault_sweep_draws_each_generator_once(monkeypatch, eigensolves):
-    # R realizations of K ancilla bits draw R * K generators for all three
-    # steps together, each solved once, and the operator is not solved
-    # again: the sweep reads the eigendecomposition it carries.  A stacked
-    # solve counts one generator per matrix of its stack.
+    # a faulty register of K ancilla bits draws K generators, each solved
+    # once, and does not solve the operator again: it reads the
+    # eigendecomposition the operator carries
     op, psi = random_model(4, seed=5)
     amplitudes = op.evecs.conj().T @ psi.vector
     draws = []
     gue = sampling._gue
     monkeypatch.setattr(sampling, "_gue", lambda *a: draws.append(a) or gue(*a))
     eigensolves.clear()
-    k, seeds = 5, [derive_seed(7, 700, r) for r in range(3)]
-    runs = list(sampling.statevector_qpe_sweep(op.evals, amplitudes, k, [1e-3, 1e-2, 0.05], seeds))
-    assert [len(run) for run in runs] == [3, 3, 3]
-    assert len(draws) == 3 * k
+    k = 5
+    sampling.eigenbasis_qpe(op.evals, amplitudes, k, sampling.FaultModel(1e-2, derive_seed(7, 700, 0)))
+    assert len(draws) == k
     assert not any(a is op.matrix for _, a in eigensolves)
-    assert {name for name, _ in eigensolves} == {"eigh"}
-    assert all(a.shape[-2:] == (4, 4) for _, a in eigensolves)
-    assert sum(math.prod(a.shape[:-2]) for _, a in eigensolves) == 3 * k
+    assert [(name, a.shape) for name, a in eigensolves] == [("eigh", (4, 4))] * k
 
 
 def test_certified_fault_rows_draw_no_generator(monkeypatch, eigensolves):
@@ -539,14 +534,12 @@ def test_certified_fault_rows_draw_no_generator(monkeypatch, eigensolves):
 def test_verify_fails_when_the_simulator_is_off_by_one_bin(tmp_path, monkeypatch, capsys):
     # a fault-free register shifted by one outcome bin: the contract passes,
     # the cross-check does not, and verify reports FAIL and still exits 0
-    sweep = cli.statevector_qpe_sweep
+    register = cli.eigenbasis_qpe
 
-    def shifted(evals, amplitudes, n_ancilla, delta_ts, seeds):
-        for runs in sweep(evals, amplitudes, n_ancilla, delta_ts, seeds):
-            yield [sampling.OutcomeDistribution(np.roll(d.probs, 1)) if dt == 0.0 else d
-                   for dt, d in zip(delta_ts, runs)]
+    def shifted(*args):
+        return sampling.OutcomeDistribution(np.roll(register(*args).probs, 1))
 
-    monkeypatch.setattr(cli, "statevector_qpe_sweep", shifted)
+    monkeypatch.setattr(cli, "eigenbasis_qpe", shifted)
     assert run_cli(
         "verify", "--method", "all", "--sigma", "0.25", "--delta", "0.1", "--gen", "spiked:8:count=2",
         "--trials", "8", "--seed", "3", "--out", str(tmp_path),
@@ -591,26 +584,6 @@ def test_simulator_check_tolerance_holds_on_the_smallest_registers(sigma, delta,
         _, check = cli._fault_sweep(target, evals, amplitudes, model)
         assert check["n"] == n and check["tolerance"] == 64 * 2.0**-52
         assert check["ok"] and check["deviation"] <= check["tolerance"]
-
-
-# a realization holds 3 step sizes x 32 bins x dim 6 = 576 amplitudes
-@pytest.mark.parametrize("budget", [1, 2 * 576])
-def test_fault_sweep_blocks_give_identical_distributions(monkeypatch, budget):
-    # all five realizations in one block (the default budget), one per
-    # block, and two per block with a short last block draw the same
-    # generators from the same streams, so the bytes agree
-    op, psi = random_model(6, seed=8, kind="gapped")
-    delta_ts, seeds = (0.0, 1e-3, 0.05), [derive_seed(7, 700, r) for r in range(5)]
-    evals, amplitudes = op.evals, op.evecs.conj().T @ psi.vector
-    reference = list(sampling.statevector_qpe_sweep(evals, amplitudes, 5, delta_ts, seeds))
-    monkeypatch.setattr(sampling, "SWEEP_BLOCK", budget)
-    blocked = list(sampling.statevector_qpe_sweep(evals, amplitudes, 5, delta_ts, iter(seeds)))
-    assert len(blocked) == len(seeds)
-    for ref_run, run in zip(reference, blocked):
-        assert len(run) == len(delta_ts)
-        for ref, dist in zip(ref_run, run):
-            assert np.array_equal(ref.probs, dist.probs)
-            assert np.array_equal(ref.grid, dist.grid)
 
 
 # the (n, realizations, delta_t, bound, measured) rows of a plan with

@@ -39,7 +39,7 @@ from specden.operators import (
     random_model,
     random_spectrum,
 )
-from specden.sampling import FejerPeaks, OutcomeDistribution, qpe_distribution
+from specden.sampling import FejerPeaks, OutcomeDistribution, qpe_distribution, qubitized_qpe_distribution
 
 
 def test_plan_fejer_samples_goldens():
@@ -187,6 +187,24 @@ def test_run_algorithm1_qubitized_merges_mirror_bins():
     assert tr.values[inside].sum() > p - 4.0 * math.sqrt(p * (1.0 - p) / budget.n_samples)
     # the map is applied once, so the histogram mean is the spectral mean
     assert abs(tr.values @ tr.frequencies - model.weights @ model.eigenvalues) < 0.05
+
+
+def test_folded_exact_is_the_merged_distribution():
+    # qfejer's reference is the mean of its trials' projections: the
+    # mirror-merged outcome distribution of the mapped model, which sums to 1,
+    # where the arc-variable kernel at the recovered frequencies summed to 0.731
+    model = diagonalize(*random_model(16, seed=7))
+    folded = ESTIMATION_METHODS["qfejer"]
+    budget = folded.budget(AccuracyTarget(sigma=0.25, delta=0.1, beta=0.1, eta=0.05))
+    grid = folded.grid(budget)
+    exact = folded.exact(model, budget, grid)
+    merged = folded.project(qubitized_qpe_distribution(model.mapped(folded.spectrum_map),
+                                                       budget.kernel_order).probs, budget, grid)
+    assert abs(exact.values.sum() - 1.0) < 1e-12
+    assert exact.values.tobytes() == merged.tobytes()
+    assert exact.frequencies.tobytes() == grid.tobytes()
+    mean = folded.project(folded.draw(model, budget, range(200)), budget, grid).mean(axis=0)
+    assert np.max(np.abs(mean - exact.values)) < 0.01
 
 
 def test_run_algorithm1_validation():

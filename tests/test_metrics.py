@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from specden import cli, estimators, metrics
+from specden import cli, estimators, metrics, sampling
 from specden.chebgauss import projection_cmax, projection_values, truncation_order
 from specden.errors import CoarseGridWarning, ResourceLimitError, ValidationError
 from specden.estimators import (
@@ -481,6 +481,24 @@ def test_contract_check_memory_stays_flat_in_the_trial_count():
         tracemalloc.stop()
     assert tally.trials == 6000
     assert peak < 32 * 2**20
+
+
+def test_per_peak_contract_builds_each_models_tables_once(monkeypatch):
+    # n = 256 bins and K = 64 eigenvalues against 185 shots: every trial draws
+    # per peak from one set of peaks, whose tables are built on its first trial
+    target = AccuracyTarget(sigma=0.1, delta=0.05, beta=0.1)
+    setup = contract_setup("fejer", (), target)
+    assert (setup.budget.kernel_order, setup.budget.n_samples) == (256, 185)
+    built = []
+    tables = sampling._peak_tables
+    monkeypatch.setattr(sampling, "_peak_tables", lambda *a: built.append(a) or tables(*a))
+    for seed in (1, 2):
+        model = SpectralModel.from_amplitudes(*random_spectrum(64, seed, "spiked"))
+        assert isinstance(estimators.ESTIMATION_METHODS["fejer"].source(model, setup.budget),
+                          sampling.FejerPeaks)
+        tally = contract_check(setup, model, [derive_seed(seed, 0, j) for j in range(6)])
+        assert tally.trials == 6
+        assert len(built) == seed and built[-1][0].size == 64
 
 
 def test_contract_setup_serves_every_model_alike():

@@ -25,6 +25,7 @@ from specden.sampling import (
     FejerPeaks,
     OutcomeDistribution,
     build_qubiterate,
+    eigenbasis_qpe,
     hadamard_test_sample,
     qpe_distribution,
     qpe_peaks,
@@ -32,7 +33,6 @@ from specden.sampling import (
     qubitized_qpe_peaks,
     qubiterate_moments,
     statevector_qpe,
-    statevector_qpe_sweep,
 )
 from specden import sampling
 from specden.chebgauss import cheb_moments
@@ -44,7 +44,7 @@ def _random_pair(dim, seed, kind="dense"):
 
 
 def _spectrum(op, psi):
-    # the eigenvalues and probe amplitudes a fault sweep reads
+    # the eigenvalues and probe amplitudes the eigenbasis register reads
     return op.evals, op.evecs.conj().T @ psi.vector
 
 
@@ -254,7 +254,7 @@ def test_statevector_qpe_checks_dimensions():
     with pytest.raises(ValidationError, match="dimension mismatch"):
         statevector_qpe(op, ProbeState(np.full(3, 1.0 / math.sqrt(3.0))), 4)
     with pytest.raises(ValidationError, match="amplitudes"):
-        statevector_qpe_sweep(op.evals, np.ones(3), 4, (1e-3,), (1,))
+        eigenbasis_qpe(op.evals, np.ones(3), 4, FaultModel(delta_t=1e-3, seed=1))
 
 
 def test_fault_model_validation():
@@ -333,18 +333,16 @@ def _reference_statevector_qpe(op, psi, n_ancilla, fault):
 
 
 def test_statevector_qpe_sweep_equals_one_run_per_fault():
+    # every (step, seed) of a small sweep grid, one register per call, keeps
+    # the reference loop's bits
     op, psi = _random_pair(6, seed=53)
     n_anc = 6
-    delta_ts = (1e-2, 0.0, 1.0 / 140.0)
-    seeds = (3, 11, 2**40 + 7)
-    runs = list(statevector_qpe_sweep(*_spectrum(op, psi), n_anc, delta_ts, seeds))
-    assert len(runs) == len(seeds)
-    for seed, dists in zip(seeds, runs):
-        assert len(dists) == len(delta_ts)
-        for dt, dist in zip(delta_ts, dists):
+    for dt in (1e-2, 0.0, 1.0 / 140.0):
+        for seed in (3, 11, 2**40 + 7):
             fault = FaultModel(delta_t=dt, seed=seed)
-            assert np.array_equal(dist.probs, statevector_qpe(op, psi, n_anc, fault).probs)
+            dist = statevector_qpe(op, psi, n_anc, fault)
             assert np.array_equal(dist.probs, _reference_statevector_qpe(op, psi, n_anc, fault))
+            assert np.array_equal(dist.probs, eigenbasis_qpe(*_spectrum(op, psi), n_anc, fault).probs)
             assert np.array_equal(dist.grid, fejer_grid(2**n_anc))
     assert np.array_equal(
         statevector_qpe(op, psi, n_anc).probs,
@@ -355,37 +353,34 @@ def test_statevector_qpe_sweep_equals_one_run_per_fault():
 def test_statevector_qpe_sweep_validation():
     op, psi = _random_pair(4, seed=2)
     with pytest.raises(ValidationError):
-        statevector_qpe_sweep(*_spectrum(op, psi), 4, (1e-3, -1e-3), (1,))
-    with pytest.raises(ValidationError):
-        statevector_qpe_sweep(*_spectrum(op, psi), 0, (1e-3,), (1,))
+        eigenbasis_qpe(*_spectrum(op, psi), 0, FaultModel(delta_t=1e-3, seed=1))
     with pytest.raises(ResourceLimitError):
-        statevector_qpe_sweep(*_spectrum(op, psi), 21, (1e-3,), (1,))
+        eigenbasis_qpe(*_spectrum(op, psi), 21, FaultModel(delta_t=1e-3, seed=1))
 
 
 def test_statevector_qpe_sweep_holds_one_register_per_step():
-    # dim 16 at 2^14 outcomes: each statevector is 4 MiB.  Three steps hold
-    # 12 MiB; stacking the three realizations as well would pass 36 MiB.
+    # dim 16 at 2^14 outcomes: the statevector is 4 MiB, and with its Fourier
+    # transform a faulty register peaks near 12 MiB; a second register would
+    # pass 16 MiB
     op, psi = _random_pair(16, seed=61)
     tracemalloc.start()
     try:
-        worst = 0.0
-        for dists in statevector_qpe_sweep(*_spectrum(op, psi), 14, (1e-3, 1.0 / 140.0, 1e-2), (1, 2, 3)):
-            worst = max(worst, max(float(d.probs.max()) for d in dists))
+        dist = eigenbasis_qpe(*_spectrum(op, psi), 14, FaultModel(delta_t=1e-2, seed=1))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert 0.0 < worst <= 1.0
-    assert peak < 32 * 2**20
+    assert 0.0 < float(dist.probs.max()) <= 1.0
+    assert peak < 16 * 2**20
 
 
 def test_hadamard_test_sample_statistics():
     t = 0.3
     shots = 20000
-    est = hadamard_test_sample(t, shots, 99, 0)
+    est = hadamard_test_sample(t, shots, 99)
     assert abs(est - t) < 0.02
-    again = hadamard_test_sample(t, shots, 99, 0)
+    again = hadamard_test_sample(t, shots, 99)
     assert est == again
-    other = hadamard_test_sample(t, shots, 99, 1)
+    other = hadamard_test_sample(t, shots, 100)
     assert est != other
 
 
@@ -400,7 +395,7 @@ def test_hadamard_test_sample_edges_and_validation():
 
 def test_hadamard_test_sample_unbiased_mean():
     t = -0.42
-    vals = [hadamard_test_sample(t, 64, 5, k) for k in range(400)]
+    vals = [hadamard_test_sample(t, 64, 5 + k) for k in range(400)]
     assert abs(np.mean(vals) - t) < 0.02
 
 
