@@ -258,10 +258,51 @@ def test_write_csv_float_rows_match_per_cell_writer(rows, size):
     assert _same_csv_bytes(["frequency", "value"], rows, {"frequency": array[:, 0], "value": array[:, 1]})
 
 
+# a few floats, signed zeros included, so that a block repeats its values
+_REPEATING_FLOATS = st.sampled_from([0.0, -0.0, 0.5, 1.0 / 3.0, -2.0, 5e-324, float("inf"), float("nan")])
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    rows=st.lists(st.tuples(_REPEATING_FLOATS, _REPEATING_FLOATS), max_size=40),
+    size=st.sampled_from([None, cli._CSV_BLOCK - 1, cli._CSV_BLOCK + 1]),
+)
+def test_write_csv_repeated_floats_match_per_cell_writer(rows, size):
+    if size is not None and rows:
+        rows = list(itertools.islice(itertools.cycle(rows), size))
+    assert _same_csv_bytes(["frequency", "value"], rows)
+    array = np.array(rows, dtype=float).reshape(-1, 2)
+    assert _same_csv_bytes(["frequency", "value"], rows, {"frequency": array[:, 0], "value": array[:, 1]})
+
+
+def test_write_csv_keys_repeated_floats_on_their_bits():
+    # each value repeated within a block: -0.0 keeps its sign beside 0.0,
+    # and a NaN of either sign prints nan
+    specials = [0.0, -0.0, float("nan"), -float("nan"), float("inf"), float("-inf"), 5e-324]
+    values = np.repeat(specials, 3)
+    rows = [(float(i), x) for i, x in enumerate(values.tolist())]
+    assert _same_csv_bytes(["frequency", "value"], rows,
+                           {"frequency": np.arange(values.size, dtype=float), "value": values})
+    assert _same_csv_bytes(["value"], [(x,) for x in values.tolist()], {"value": values})
+
+
+@pytest.mark.parametrize("size", [cli._CSV_BLOCK - 1, cli._CSV_BLOCK, cli._CSV_BLOCK + 1])
+def test_write_csv_histogram_column_matches_per_cell_writer(size):
+    # integer counts over N shots on n bins, most of them empty
+    shots = 1_000
+    counts = np.bincount(np.random.default_rng(size).integers(0, size, shots), minlength=size)
+    frequencies, values = np.linspace(-1.0, 1.0, size), counts / shots
+    assert _same_csv_bytes(["frequency", "value"], list(zip(frequencies.tolist(), values.tolist())),
+                           {"frequency": frequencies, "value": values})
+
+
 def test_write_csv_streams_a_large_array(tmp_path):
     # 2^16 rows: the whole text as one list of lines, one string and its
     # encoding peaked at 9.1 MB (145 B per row)
-    columns = dict(zip(["frequency", "value"], np.random.default_rng(7).standard_normal((2, 2**16))))
+    rng = np.random.default_rng(7)
+    columns = dict(zip(["frequency", "value"], rng.standard_normal((2, 2**16))))
+    # and a histogram's column, mostly zeros, whose repeated values are formatted once each
+    columns["histogram"] = np.bincount(rng.integers(0, 2**16, 18_445), minlength=2**16) / 18_445
     tracemalloc.start()
     try:
         cli._write_csv(tmp_path / "big.csv", [("specden", "test")], columns)
@@ -652,6 +693,29 @@ def test_config_hash_ignores_out_and_workers(out, workers, seed, trials):
     assert moved.hash() == base.hash()
     assert cli.RunConfig(command="verify", sigma=0.1, delta=0.2, seed=seed, trials=trials + 1,
                          out=out).hash() != base.hash()
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--method", "fejer", "--sigma", "0.25", "--delta", "0.1", "--gen", "dense:8"],
+    ["verify", "--method", "fejer", "--sigma", "0.25", "--delta", "0.1", "--gen", "dense:8",
+     "--trials", "2"],
+])
+def test_each_command_hashes_its_config_once(tmp_path, monkeypatch, argv):
+    # estimate's CSV header and record, and verify's report and
+    # fault_sweep.csv header, carry the one hash
+    calls = []
+    hash_config = cli.RunConfig.hash
+    monkeypatch.setattr(cli.RunConfig, "hash", lambda cfg: calls.append(cfg) or hash_config(cfg))
+    assert run_cli(*argv, "--seed", "1", "--out", str(tmp_path)) == 0
+    assert len(calls) == 1
+    config = hash_config(calls[0])
+    written = {p.name: p.read_text() for p in tmp_path.iterdir()}
+    assert len(written) == 2
+    for name, text in written.items():
+        if name.endswith(".csv"):
+            assert f"\n# config: {config}\n" in text
+        else:
+            assert json.loads(text)["config"] == config
 
 
 def test_cli_import_leaves_scipy_fft_and_linalg_unloaded():
