@@ -268,7 +268,7 @@ def _out_dir(cfg: RunConfig) -> Path:
 
 
 def _header_pairs(cfg: RunConfig, config: str, extra: list[tuple[str, object]] | None = None):
-    """The CSV header of `cfg`'s command; `config` is ``cfg.hash()``, computed once per command."""
+    """The CSV header of `cfg`'s command; `config` is ``cfg.hash()``, which each command computes once."""
     pairs: list[tuple[str, object]] = [
         ("specden", cfg.command),
         ("version", __version__),
@@ -311,12 +311,10 @@ def _write_csv(path: Path, header, columns: dict) -> None:
 
 
 def _block_cells(block, spec: str):
-    """The format and the cells of one column's block.
+    """The format and the cells of one column's block, as :func:`_write_csv` states.
 
-    A float64 array block that repeats a value becomes ``%s`` over texts
-    formatted once per distinct bit pattern.  The keys come from a sort and
-    a neighbour compare: numpy 2.4's ``np.unique`` took about 3 times as
-    long on a 4,096-row block.
+    The distinct bit patterns come from a sort and a neighbour compare:
+    numpy 2.4's ``np.unique`` took about 3 times as long on a 4,096-row block.
     """
     if not isinstance(block, np.ndarray):
         return spec, block

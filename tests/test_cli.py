@@ -243,9 +243,14 @@ def _same_csv_bytes(columns, rows, written=None):
         return got.read_bytes() == want.read_bytes()
 
 
-@settings(max_examples=50, deadline=None)
+# a few floats, signed zeros included, so that a block repeats its values
+_REPEATING_FLOATS = st.sampled_from([0.0, -0.0, 0.5, 1.0 / 3.0, -2.0, 5e-324, float("inf"), float("nan")])
+
+
+@settings(max_examples=60, deadline=None)
 @given(
-    rows=st.lists(st.tuples(st.floats(), st.floats()), max_size=40),
+    rows=st.lists(st.tuples(st.floats(), st.floats()), max_size=40)
+    | st.lists(st.tuples(_REPEATING_FLOATS, _REPEATING_FLOATS), max_size=40),
     size=st.sampled_from([None, cli._CSV_BLOCK - 1, cli._CSV_BLOCK, cli._CSV_BLOCK + 1, 10_000]),
 )
 def test_write_csv_float_rows_match_per_cell_writer(rows, size):
@@ -254,23 +259,6 @@ def test_write_csv_float_rows_match_per_cell_writer(rows, size):
         rows = list(itertools.islice(itertools.cycle(rows), size))
     assert _same_csv_bytes(["frequency", "value"], rows)
     # float array columns are written as their rows would be
-    array = np.array(rows, dtype=float).reshape(-1, 2)
-    assert _same_csv_bytes(["frequency", "value"], rows, {"frequency": array[:, 0], "value": array[:, 1]})
-
-
-# a few floats, signed zeros included, so that a block repeats its values
-_REPEATING_FLOATS = st.sampled_from([0.0, -0.0, 0.5, 1.0 / 3.0, -2.0, 5e-324, float("inf"), float("nan")])
-
-
-@settings(max_examples=50, deadline=None)
-@given(
-    rows=st.lists(st.tuples(_REPEATING_FLOATS, _REPEATING_FLOATS), max_size=40),
-    size=st.sampled_from([None, cli._CSV_BLOCK - 1, cli._CSV_BLOCK + 1]),
-)
-def test_write_csv_repeated_floats_match_per_cell_writer(rows, size):
-    if size is not None and rows:
-        rows = list(itertools.islice(itertools.cycle(rows), size))
-    assert _same_csv_bytes(["frequency", "value"], rows)
     array = np.array(rows, dtype=float).reshape(-1, 2)
     assert _same_csv_bytes(["frequency", "value"], rows, {"frequency": array[:, 0], "value": array[:, 1]})
 
