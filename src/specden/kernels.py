@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
@@ -238,7 +239,8 @@ class JacksonKernel:
     approximation of the tent that peaks at 0 and reaches -1 at
     ``+-delta``, and ``A_k`` is the amplifying polynomial of degree `k`.
     `normalization` makes the profile integrate to one in the variable
-    ``u = (sigma - omega)/2``.
+    ``u = (sigma - omega)/2``; it is computed from the profile polynomial
+    once, on first use.
     """
 
     family: ClassVar[str] = "jackson"
@@ -248,7 +250,6 @@ class JacksonKernel:
     k: int
     degree: int
     delta: float
-    normalization: float
 
     def __post_init__(self):
         if not isinstance(self.k, (int, np.integer)) or self.k < 1:
@@ -257,8 +258,10 @@ class JacksonKernel:
             raise ValidationError(f"window degree must be a positive int, got {self.degree!r}")
         if not (0.0 < self.delta <= 1.0):
             raise ValidationError(f"delta must lie in (0, 1], got {self.delta!r}")
-        if not (self.normalization > 0.0):
-            raise ValidationError(f"normalization must be positive, got {self.normalization!r}")
+
+    @cached_property
+    def normalization(self) -> float:
+        return jackson_normalization(self.k, self.degree, self.delta)
 
     @property
     def width(self) -> float:
@@ -669,10 +672,13 @@ def jackson_plan(target: AccuracyTarget) -> JacksonPlan:
             kernel=None,
         )
     k = max(1, math.ceil(6.0 * math.log(1.0 / tau)))
-    norm = jackson_normalization(k, degree, half)
+    # the profile is built only where a kernel's normalization is read; its
+    # cap and the amplifier's contract are checked here all the same
+    _check_cells(k * degree + 1, "profile coefficients of the Jackson window")
+    amplifier_coeffs(k)
     lower = 1.0 / (2.0 * half + tau * (2.0 - 2.0 * half))
     upper = 4.0 / (half * (5.0 - 8.0 * tau)) if tau < 5.0 / 8.0 else None
-    kernel = JacksonKernel(k=k, degree=degree, delta=half, normalization=norm)
+    kernel = JacksonKernel(k=k, degree=degree, delta=half)
     return JacksonPlan(
         delta=half,
         degree=degree,

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specden import chebgauss, cli, sampling
+from specden import chebgauss, cli, kernels, sampling
 from specden.cli import main
 from specden.errors import ResourceLimitError
 from specden.estimators import plan_fejer_samples
@@ -762,6 +762,38 @@ def test_plan_jackson_fine_targets(capsys):
     # k * degree ~ 4.2e8 exceeds the grid cap and is refused before allocating
     assert run_cli("plan", "--method", "jackson", "--sigma", "0.1", "--delta", "1e-5") == 4
     assert "resource cap" in capsys.readouterr().err
+
+
+def test_jackson_profile_is_built_only_where_a_normalization_is_read(tmp_path, monkeypatch, capsys):
+    builds = []
+    build = kernels._jackson_profile_coeffs
+
+    def counted(k, degree, delta):
+        builds.append(k * degree)
+        return build(k, degree, delta)
+
+    monkeypatch.setattr(kernels, "_jackson_profile_coeffs", counted)
+    assert run_cli("plan", "--method", "all", "--sigma", "0.05", "--delta", "0.01") == 0
+    assert (
+        "jackson: degree=4800, amplifier_degree=50, tau=0.00026448029621793179, d_min=237247.02155205887, "
+        "kn_ok=True, norm_lower=95, norm_upper=160.06773561941048"
+    ) in capsys.readouterr().out.splitlines()
+    # k * degree = 73 * 480,000: building the profile here takes 11 s and 1.4 GB
+    start = time.perf_counter()
+    assert run_cli("plan", "--method", "jackson", "--sigma", "0.1", "--delta", "0.0001") == 0
+    assert time.perf_counter() - start < 5.0
+    assert capsys.readouterr().out.splitlines() == [
+        "jackson: degree=480000, amplifier_degree=73, tau=5.5558333472229172e-06, d_min=34849906.930432238, "
+        "kn_ok=True, norm_lower=9000, norm_upper=16000.142230598023"
+    ]
+    assert builds == []
+    # 4,001 frequencies x 300 eigenvalues are two blocks of cells, and each
+    # reads the normalization: the profile is built once
+    assert run_cli(
+        "transform", "--method", "jackson", "--sigma", "0.25", "--delta", "0.9", "--grid-spacing", "0.0005",
+        "--gen", "spiked:300", "--seed", "5", "--out", str(tmp_path / "t"),
+    ) == 0
+    assert builds == [8 * 54]
 
 
 def test_git_commands_build_no_coefficient_table(tmp_path, monkeypatch):
