@@ -60,9 +60,7 @@ from .sampling import (
     FejerPeaks,
     OutcomeDistribution,
     hadamard_test_sample,
-    qpe_distribution,
     qpe_peaks,
-    qubitized_qpe_distribution,
     qubitized_qpe_peaks,
 )
 
@@ -262,9 +260,10 @@ class EstimationMethod:
       `draw(model, budget, seeds)` one trial per seed from it, and
       `project(draws, budget, grid)` the trials' transform values on a
       grid, ``trials x grid``;
-    * `kernel(budget)` is its kernel, `exact` its exact reference on a
-      grid, `grid(budget, nu)` the frequencies of its estimate, and
-      `estimate` one seed's draw as a transform on them.
+    * `kernel(budget)` is its kernel, `exact(model, budget, grid,
+      source=None)` its exact reference on a grid (read off `source` if
+      the method can), `grid(budget, nu)` the frequencies of its
+      estimate, and `estimate` one seed's draw as a transform on them.
 
     `verify_stream` is the seed stream of the method's accuracy contract
     in ``verify`` (None: no contract), `reads_nu` whether it reads the
@@ -281,7 +280,7 @@ class EstimationMethod:
     def check(self, budget: Budget) -> None:
         pass
 
-    def exact(self, model: SpectralModel, budget: Budget, grid) -> TransformGrid:
+    def exact(self, model: SpectralModel, budget: Budget, grid, source=None) -> TransformGrid:
         return exact_transform(model, self.kernel(budget), grid)
 
     def route(self, model: SpectralModel, budget: Budget) -> str | None:
@@ -331,14 +330,10 @@ class _Histogram(EstimationMethod):
     def peaks(self, model: SpectralModel, n: int) -> FejerPeaks:
         return qpe_peaks(model, n)
 
-    def distribution(self, model: SpectralModel, n: int) -> OutcomeDistribution:
-        return qpe_distribution(model, n)
-
     def source(self, model: SpectralModel, budget: Budget) -> OutcomeDistribution | FejerPeaks:
         """The peaks when drawing per peak costs less (32 N < n K), else the n-bin distribution."""
-        n = budget.kernel_order
-        peaks = self.peaks(model, n)
-        return peaks if peaks.draws_per_peak(budget.n_samples) else self.distribution(model, n)
+        peaks = self.peaks(model, budget.kernel_order)
+        return peaks if peaks.draws_per_peak(budget.n_samples) else peaks.distribution()
 
     def route(self, model: SpectralModel, budget: Budget) -> str:
         peaks = self.peaks(model, budget.kernel_order)
@@ -350,12 +345,22 @@ class _Histogram(EstimationMethod):
         source = self.source(model, budget) if source is None else source
         return np.array([sample_histogram(source, budget.n_samples, seed) for seed in seeds])
 
+    def exact(self, model: SpectralModel, budget: Budget, grid, source=None) -> TransformGrid:
+        """The outcome distribution of `source` (None: `model`'s), projected: a trial's mean."""
+        if source is None:
+            source = self.peaks(model, budget.kernel_order)
+        if isinstance(source, FejerPeaks):
+            source = source.distribution()
+        kernel = self.kernel(budget)
+        return TransformGrid(self.grid(budget), self.project(source.probs, budget, grid),
+                             kernel.kind, kernel)
+
     def project(self, draws: np.ndarray, budget: Budget, grid) -> np.ndarray:
         return draws
 
     def transform(self, model: SpectralModel, target: AccuracyTarget, nu=None) -> TransformGrid:
         budget = self.budget(target)
-        dist = self.distribution(model, budget.kernel_order)
+        dist = self.peaks(model, budget.kernel_order).distribution()
         kernel = self.kernel(budget)
         return TransformGrid(dist.grid, dist.probs, kind=kernel.kind, kernel=kernel)
 
@@ -396,15 +401,6 @@ class _FoldedHistogram(_Histogram):
 
     def peaks(self, model: SpectralModel, n: int) -> FejerPeaks:
         return qubitized_qpe_peaks(model.mapped(self.spectrum_map), n)
-
-    def distribution(self, model: SpectralModel, n: int) -> OutcomeDistribution:
-        return qubitized_qpe_distribution(model.mapped(self.spectrum_map), n)
-
-    def exact(self, model: SpectralModel, budget: Budget, grid) -> TransformGrid:
-        """The mirror-merged outcome distribution on :meth:`grid`, the mean of a trial's projection."""
-        probs = self.distribution(model, budget.kernel_order).probs
-        kernel = self.kernel(budget)
-        return TransformGrid(self.grid(budget), self.project(probs, budget, grid), kernel.kind, kernel)
 
     def project(self, draws: np.ndarray, budget: Budget, grid) -> np.ndarray:
         # sigma_q = 2q/n - 1 pairs outcome n/2 + k with n/2 - k; bin k recovers cos(2 pi k / n)

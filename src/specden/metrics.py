@@ -301,10 +301,11 @@ def contract_check(
 ) -> ContractTally:
     """Run one seeded trial of `model` per seed under `setup` and count its hits.
 
-    The model's reference transforms and exact observables are computed
-    once, and its trials are drawn by the method's entry and checked as
-    arrays, in blocks of at most 2^18 cells of the dense grid, or of the
-    contract grid without one.
+    The model's source, reference transforms (read off that source where
+    the method can) and exact observables are computed once, and its
+    trials are drawn by the method's entry and checked as arrays, in
+    blocks of at most 2^18 cells of the dense grid, or of the contract
+    grid without one.
     """
     if not seeds:
         raise ValidationError("need at least one trial seed")
@@ -316,8 +317,8 @@ def contract_check(
     hits = 0
     obs_hits = [0] * len(setup.observables)
     source = entry.source(model, budget)
-    ref = entry.exact(model, budget, grid).values
-    ref_dense = None if dense is None else entry.exact(model, budget, dense).values
+    ref = entry.exact(model, budget, grid, source).values
+    ref_dense = None if dense is None else entry.exact(model, budget, dense, source).values
     q_exact = [observable_exact(model, ob.fn) for ob in setup.observables]
     for start in range(0, len(seeds), rows):
         draws = entry.draw(model, budget, seeds[start : start + rows], source)

@@ -1026,3 +1026,24 @@ def test_estimate_names_the_route_of_its_histogram(tmp_path, capsys):
     assert run_cli("estimate", "--method", "git", *target, "--gen", "gapped:16",
                    "--out", str(tmp_path)) == 0
     assert "drew" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("gen", ["spiked:8:count=2", "spiked:64"])
+@pytest.mark.parametrize("argv", [
+    ("verify", "--method", "all", "--trials", "5", "--workers", "1"),
+    ("estimate", "--method", "fejer"),
+    ("estimate", "--method", "qfejer"),
+    ("transform", "--method", "fejer"),
+    ("transform", "--method", "qfejer"),
+])
+def test_histogram_commands_never_evaluate_a_discrete_kernel(tmp_path, monkeypatch, argv, gen):
+    # the outcome distribution is the histogram methods' one exact route, for the
+    # n-bin draws (spiked:8) and the per-eigenvalue draws (spiked:64, n = 256)
+    # alike; sigma_accuracy calls fejer_eval itself
+    def refuse(self, sigma, omega):
+        raise AssertionError(f"{type(self).__name__}.value was called")
+
+    monkeypatch.setattr(kernels.FejerKernel, "value", refuse)
+    monkeypatch.setattr(kernels.QubitizedFejerKernel, "value", refuse)
+    assert run_cli(*argv, "--sigma", "0.1", "--delta", "0.05", "--beta", "0.1", "--gen", gen,
+                   "--seed", "3", "--out", str(tmp_path)) == 0

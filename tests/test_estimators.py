@@ -207,6 +207,18 @@ def test_folded_exact_is_the_merged_distribution():
     assert np.max(np.abs(mean - exact.values)) < 0.01
 
 
+def test_fejer_exact_keeps_its_mass_next_to_minus_one():
+    # fejer's reference is the FFT mixture: over 40 single peaks in (-1, -0.999]
+    # at n = 65,536 it sums to 1 within 1e-15, where the kernel evaluated bin by
+    # bin, wrapping (sigma - omega) / 2 near -1, was off by up to 8.2e-13
+    fejer = ESTIMATION_METHODS["fejer"]
+    budget = Budget("fejer", 65536, 185)
+    for omega in -1.0 + 0.001 * (np.arange(40) + 1.0) / 40.0:
+        model = SpectralModel(np.array([omega]), np.array([1.0]))
+        exact = fejer.exact(model, budget, fejer.grid(budget))
+        assert abs(exact.values.sum() - 1.0) < 1e-15, omega
+
+
 def test_run_algorithm1_validation():
     model = diagonalize(*random_model(4, seed=3))
     bad = Budget(method="fejer", kernel_order=48, n_samples=10)

@@ -245,14 +245,21 @@ def test_observable_bound_and_contract_share_one_spacing():
     assert observable_bound(lambda w: w, target, 1.0).grid_spacing == 1.0
     assert contract_setup("git", (), target, 1.0).spacing == 1.0
 
+
+def _fejer_reference(model, kernel):
+    # the fejer contract's reference: the outcome distribution on the Fejer grid
+    probs = qpe_distribution(model, kernel.n).probs
+    return TransformGrid(fejer_grid(kernel.n), probs, kernel.kind, kernel)
+
+
 def test_observable_check_fejer_builds_one_distribution_per_model(monkeypatch):
     models = [diagonalize(*random_model(6, seed=s)) for s in (507, 509)]
     target = AccuracyTarget(sigma=0.25, delta=0.1, beta=0.1, eta=0.05)
     builds = []
-    # the fejer method of the registry builds the distribution its trials draw from
-    monkeypatch.setattr(
-        estimators, "qpe_distribution", lambda m, n: builds.append(n) or qpe_distribution(m, n)
-    )
+    # the fejer method of the registry builds the distribution its trials draw
+    # from, and reads its reference off that same distribution
+    mixture = sampling._fejer_mixture
+    monkeypatch.setattr(sampling, "_fejer_mixture", lambda *a: builds.append(a[2]) or mixture(*a))
     report = observable_bound_empirical_check(models, "fejer", None, target, trials=7, seed=611)
     assert len(builds) == len(models)
     # trial j of model i is the histogram run_algorithm1 draws with seed (611, i, j)
@@ -260,7 +267,7 @@ def test_observable_check_fejer_builds_one_distribution_per_model(monkeypatch):
     budget = Budget("fejer", kernel.n, plan_fejer_samples(target.beta, target.eta))
     runs = [
         total_variation(
-            exact_transform(m, kernel, fejer_grid(kernel.n)),
+            _fejer_reference(m, kernel),
             run_algorithm1(budget, derive_seed(611, i, j), model=m),
         )
         for i, m in enumerate(models)
@@ -278,18 +285,18 @@ def test_observable_check_fejer_draws_per_eigenvalue_when_shots_are_few(monkeypa
     n_samples = 6
     assert 32 * n_samples < kernel.n * 6
     builds = []
-    monkeypatch.setattr(
-        estimators, "qpe_distribution", lambda m, n: builds.append(n) or qpe_distribution(m, n)
-    )
+    mixture = sampling._fejer_mixture
+    monkeypatch.setattr(sampling, "_fejer_mixture", lambda *a: builds.append(a[2]) or mixture(*a))
     report = observable_bound_empirical_check(
         models, "fejer", None, target, trials=7, seed=611, n_samples=n_samples
     )
-    assert builds == []
+    # the trials build no distribution; each model's reference builds one
+    assert builds == [kernel.n] * len(models)
     # trial j of model i is still the histogram run_algorithm1 draws with seed (611, i, j)
     budget = Budget("fejer", kernel.n, n_samples)
     runs = [
         total_variation(
-            exact_transform(m, kernel, fejer_grid(kernel.n)),
+            _fejer_reference(m, kernel),
             run_algorithm1(budget, derive_seed(611, i, j), model=m),
         )
         for i, m in enumerate(models)
@@ -367,7 +374,7 @@ def _reference_check(models, method, f, target, trials, seed, spacing=None, n_sa
     for i, mod in enumerate(models):
         q_exact = {name: observable_exact(mod, g) for name, g in zip(names, fns)}
         if method == "fejer":
-            ref = exact_transform(mod, kernel, fejer_grid(kernel.n))
+            ref = _fejer_reference(mod, kernel)
             # few shots against the n x K mixture are drawn per eigenvalue
             few = 32 * n_samples < kernel.n * mod.size
             dist = (qpe_peaks if few else qpe_distribution)(mod, kernel.n)
