@@ -56,7 +56,7 @@ from .metrics import (
     contract_setup,
     scaling_fit,
 )
-from .numerics import derive_seed, fmt_float
+from .numerics import derive_seed, derive_seeds, fmt_float
 from .operators import (
     AffineMap,
     ObservableFn,
@@ -177,7 +177,10 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--beta", type=float, help="sup-norm accuracy of the estimate")
         sp.add_argument("--eta", type=float, help="confidence complement in (0, 1)")
         sp.add_argument("--seed", type=int, help="base seed (required when sampling)")
-        sp.add_argument("--trials", type=int, help="Monte Carlo trials for verify")
+        sp.add_argument(
+            "--trials", type=int,
+            help="Monte Carlo trials for verify, spread over the models; every model "
+                 "runs at least one, so below the model count each runs one")
         sp.add_argument("--grid-spacing", type=float, help="evaluation grid spacing")
         sp.add_argument("--model", help="model file (dim header, matrix rows, probe row)")
         sp.add_argument("--gen", help="model generator spec kind:dim[:k=v,...]")
@@ -458,7 +461,7 @@ def _run_contract(
     tallies = []
     for i, model in enumerate(models):
         model_seed = derive_seed(seed, 100 + i)
-        seeds = [derive_seed(model_seed, 0, j) for j in range(max(1, base + (i < extra)))]
+        seeds = derive_seeds(model_seed, 0, count=max(1, base + (i < extra)))
         tallies.append(contract_check(setup, model, seeds))
     return contract_report(setup, tallies)
 

@@ -26,7 +26,7 @@ import numpy as np
 from .errors import ValidationError
 from .estimators import CONTRACT_GRID, ESTIMATION_METHODS, Budget
 from .kernels import AccuracyTarget, KernelSpec, evaluation_grid, grid_spacing, sigma_accuracy
-from .numerics import derive_seed
+from .numerics import derive_seeds
 from .operators import (
     ObservableFn,
     SpectralModel,
@@ -53,6 +53,9 @@ __all__ = [
 ]
 
 _GRID_TOL = 1e-12
+# Trials, and an observable's shifted grids, are evaluated in blocks of at most
+# this many cells of the widest grid they meet.
+_BLOCK_CELLS = 2**18
 
 
 def total_variation(a: TransformGrid, b: TransformGrid) -> float:
@@ -106,7 +109,10 @@ def observable_bound(
 
     The window sup uses 41 offsets spanning exactly ``[-delta, delta]``
     around each grid point, so piecewise-smooth observables get their
-    closed-form variation (a linear f gives exactly `delta`).
+    closed-form variation (a linear f gives exactly `delta`).  The
+    shifted grids are evaluated as one flat array per block of at most
+    2^18 cells.  An offset whose shifted values include a NaN is left
+    out of the sup.
     """
     fn = f if isinstance(f, ObservableFn) else ObservableFn(fn=f)
     omega = evaluation_grid(grid_spacing(target.delta, spacing))
@@ -115,11 +121,14 @@ def observable_bound(
         raise ValidationError("observable must be finite on [-1, 1]")
     f_max = float(np.max(np.abs(center)))
     f_int = float(np.trapezoid(np.abs(center), omega))
-    offsets = np.linspace(-target.delta, target.delta, 41)
+    offsets = np.linspace(-target.delta, target.delta, 41)[:, None]
+    rows = max(1, _BLOCK_CELLS // omega.size)
     f_delta_max = 0.0
-    for off in offsets:
-        shifted = fn(omega + off)
-        f_delta_max = max(f_delta_max, float(np.max(np.abs(shifted - center))))
+    for start in range(0, offsets.size, rows):
+        shifted = omega + offsets[start : start + rows]
+        moved = fn(shifted.ravel()).reshape(shifted.shape)
+        for gap in np.max(np.abs(moved - center), axis=1).tolist():
+            f_delta_max = max(f_delta_max, gap)
     return ObservableBound(
         f_max=f_max,
         f_int=f_int,
@@ -274,10 +283,6 @@ def contract_setup(
     )
 
 
-# Trials are drawn and checked in blocks of at most this many cells of the widest grid they meet.
-_BLOCK_CELLS = 2**18
-
-
 @dataclass(frozen=True)
 class ContractTally:
     """Hit counts of one model's contract trials under one setup.
@@ -408,7 +413,7 @@ def observable_bound_empirical_check(
     models = [model] if isinstance(model, SpectralModel) else list(model)
     setup = contract_setup(method, bounded_observables(f, target, spacing), target, spacing, n_samples)
     tallies = [
-        contract_check(setup, m, [derive_seed(seed, i, j) for j in range(trials)])
+        contract_check(setup, m, derive_seeds(seed, i, count=trials))
         for i, m in enumerate(models)
     ]
     return contract_report(setup, tallies)

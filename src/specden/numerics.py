@@ -4,12 +4,13 @@ Nothing in here knows about kernels or spectra; these are generic
 helpers (power-of-two rounding, Chebyshev nodes, the two cosine
 transforms between node values and Chebyshev coefficients, the one
 Chebyshev projection, which is a DCT-II of node values, and
-deterministic seed derivation).
+deterministic seed derivation, per seed or for many seeds in one pass).
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+import functools
+from typing import Iterator, Sequence
 
 import numpy as np
 # numpy imports these submodules on first use; importing them here means
@@ -26,7 +27,9 @@ __all__ = [
     "dct2",
     "dct3",
     "child_rng",
+    "child_rngs",
     "derive_seed",
+    "derive_seeds",
     "fmt_float",
 ]
 
@@ -109,10 +112,10 @@ def dct3(coeffs: np.ndarray, m: int) -> np.ndarray:
 def child_rng(seed: int, *path: int) -> np.random.Generator:
     """Deterministic child generator for a (seed, index...) path.
 
-    Derives independent streams via ``SeedSequence([seed, *path])``; two
-    calls with the same arguments give statistically independent yet
-    reproducible generators, regardless of the order in which they are
-    created.
+    The generator is ``default_rng(SeedSequence([seed, *path]))``: two
+    calls with the same arguments give the same stream, whatever the
+    order in which they are made, and different paths give independent
+    streams.  A negative word raises numpy's ``ValueError``.
     """
     entropy: Sequence[int] = (int(seed),) + tuple(int(p) for p in path)
     return np.random.default_rng(np.random.SeedSequence(entropy))
@@ -127,6 +130,119 @@ def derive_seed(seed: int, *path: int) -> int:
     """
     entropy: Sequence[int] = (int(seed),) + tuple(int(p) for p in path)
     return int(np.random.SeedSequence(entropy).generate_state(1)[0])
+
+
+# numpy's SeedSequence (after O'Neill's seed_seq_fe): a pool of four 32-bit
+# words, the hash streams of the pool and of its output, and the word mixer
+_POOL = 4
+_HASH_POOL = (0x43B0D7E5, 0x931E8875)
+_HASH_OUT = (0x8B51F9DD, 0x58F38DED)
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+# PCG64's 128-bit LCG multiplier (O'Neill, PCG, HMC-CS-2014-0905)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+@functools.lru_cache(maxsize=None)
+def _hash_stream(stream: tuple[int, int], count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The xor and multiplier columns of `count` successive ``hashmix`` calls on one stream."""
+    h, mult = stream
+    consts = [h]
+    for _ in range(count):
+        consts.append(h := h * mult & _MASK32)
+    column = np.array(consts, dtype=np.uint32)[:, None]
+    return column[:-1], column[1:]
+
+
+def _hashmix(v, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    v = (v ^ xor) * mult  # uint32 arrays wrap modulo 2^32, as SeedSequence's C words do
+    return v ^ v >> 16
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = x * _MIX_L - y * _MIX_R
+    return r ^ r >> 16
+
+
+def _generate_state(words: list, rows: int, n_words: int) -> np.ndarray:
+    """``SeedSequence(entropy).generate_state(n_words)`` for `rows` entropy lists at once.
+
+    `words` holds the entropy as columns: entry i is word i of every
+    row, a uint32 array of `rows` values or one int below 2^32 that all
+    rows share.  Each hash step runs on every row (and, where
+    SeedSequence's loop allows, every pool word) as one uint32 array
+    operation.  Returns the output words, ``n_words x rows``.
+    """
+    extra = max(0, len(words) - _POOL)
+    xor, mult = _hash_stream(_HASH_POOL, _POOL * (_POOL + extra))
+    pool = np.zeros((_POOL, rows), dtype=np.uint32)
+    for i, word in enumerate(words[:_POOL]):
+        pool[i] = word
+    pool = _hashmix(pool, xor[:_POOL], mult[:_POOL])
+    k = _POOL
+    # each source word is hashed once per other word and mixed into it
+    for src in range(_POOL):
+        dst = [d for d in range(_POOL) if d != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], xor[k : k + 3], mult[k : k + 3]))
+        k += 3
+    # entropy past the pool is hashed once per pool word and mixed into it
+    for word in words[_POOL:]:
+        pool = _mix(pool, _hashmix(word, xor[k : k + _POOL], mult[k : k + _POOL]))
+        k += _POOL
+    xor, mult = _hash_stream(_HASH_OUT, n_words)
+    return _hashmix(pool[np.arange(n_words) % _POOL], xor, mult)
+
+
+def _fits(*words: int) -> bool:
+    """Whether every word lies in [0, 2^32), one SeedSequence word each.
+
+    A word of 2^32 or more is several words to SeedSequence, and a
+    negative one raises there, so either takes the per-seed route.
+    """
+    return all(0 <= w <= _MASK32 for w in words)
+
+
+def derive_seeds(seed: int, *path: int, count: int) -> list[int]:
+    """``[derive_seed(seed, *path, j) for j in range(count)]``, in one vectorized pass.
+
+    Two or more seeds whose entropy words all lie in [0, 2^32) run
+    SeedSequence's mixing for every j at once, bit for bit; any other
+    call derives each seed with :func:`derive_seed`.
+    """
+    words = [int(seed), *(int(p) for p in path)]
+    if count < 2 or not _fits(*words, count - 1):
+        return [derive_seed(seed, *path, j) for j in range(count)]
+    return _generate_state([*words, np.arange(count, dtype=np.uint32)], count, 1)[0].tolist()
+
+
+def child_rngs(seeds: Sequence[int], *path: int) -> Iterator[np.random.Generator]:
+    """The generators ``child_rng(s, *path)`` for s in `seeds`, in order, bit for bit.
+
+    Two or more seeds whose entropy words all lie in [0, 2^32) share one
+    generator.  Its PCG64 state is derived for every seed in one
+    vectorized SeedSequence pass and set through the public ``state``
+    before each yield, so a caller finishes one seed's draws before it
+    takes the next generator.  Any other call yields a new
+    :func:`child_rng` per seed, and a negative seed raises as it does.
+    """
+    seeds = [int(s) for s in seeds]
+    words = [int(p) for p in path]
+    if len(seeds) < 2 or not _fits(min(seeds), max(seeds), *words):
+        yield from (child_rng(s, *path) for s in seeds)
+        return
+    out = _generate_state([np.array(seeds, dtype=np.uint32), *words], len(seeds), 8)
+    # PCG64 reads generate_state(4, uint64), pairs of little-endian words, as a
+    # 128-bit seed and increment, high half first, and seeds as pcg64_set_seed does
+    halves = out.T.astype("<u4", order="C").view("<u8").tolist()
+    rng = np.random.Generator(np.random.PCG64(0))
+    bits = rng.bit_generator
+    for seed_hi, seed_lo, inc_hi, inc_lo in halves:
+        inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & _MASK128
+        state = ((inc + (seed_hi << 64 | seed_lo)) * _PCG_MULT + inc) & _MASK128
+        bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                      "has_uint32": 0, "uinteger": 0}
+        yield rng
 
 
 def fmt_float(x: float) -> str:

@@ -43,6 +43,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 # numpy imports this submodule on first use; importing it here means a
@@ -111,7 +112,13 @@ class OutcomeDistribution:
 
     def sample(self, shots: int, rng: np.random.Generator) -> np.ndarray:
         """Counts per bin of `shots` outcomes: one multinomial over the bins."""
-        return rng.multinomial(shots, self.probs / self.probs.sum())
+        return next(self.samples(shots, [rng]))
+
+    def samples(self, shots: int, rngs) -> Iterator[np.ndarray]:
+        """:meth:`sample` from each generator of `rngs` in turn, normalizing `probs` once."""
+        probs = self.probs / self.probs.sum()
+        for rng in rngs:
+            yield rng.multinomial(shots, probs)
 
 
 @dataclass(frozen=True)
@@ -233,6 +240,10 @@ class FejerPeaks:
     def draws_per_peak(self, shots: int) -> bool:
         """Whether :meth:`sample` costs less than the distribution: ``32 shots < n K``."""
         return _PER_PEAK_RATIO * shots < self.n * self.phases.size
+
+    def samples(self, shots: int, rngs) -> Iterator[np.ndarray]:
+        """:meth:`sample` from each generator of `rngs` in turn."""
+        return (self.sample(shots, rng) for rng in rngs)
 
     def sample(self, shots: int, rng: np.random.Generator) -> np.ndarray:
         """Counts per bin of `shots` outcomes, drawn per peak.
@@ -524,6 +535,13 @@ def hadamard_test_sample(t_k, shots: int, seed: int):
     `seed`.  A shot count beyond the sampler's 64-bit range raises
     :class:`ResourceLimitError`.
     """
+    p = _hadamard_probs(t_k, shots)
+    estimate = 2.0 * child_rng(seed).binomial(shots, p) / shots - 1.0
+    return float(estimate) if p.ndim == 0 else estimate
+
+
+def _hadamard_probs(t_k, shots: int) -> np.ndarray:
+    """Success probabilities ``(1 + t_k)/2`` of `shots`-shot Hadamard tests, after their checks."""
     if shots < 1:
         raise ValidationError(f"shots must be >= 1, got {shots!r}")
     if shots > np.iinfo(np.int64).max:
@@ -532,7 +550,4 @@ def hadamard_test_sample(t_k, shots: int, seed: int):
     if np.any(np.abs(t) > 1.0 + 1e-10):
         worst = float(np.max(np.abs(t)))
         raise ValidationError(f"expectation value must lie in [-1, 1], got magnitude {worst!r}")
-    p = np.clip((1.0 + t) / 2.0, 0.0, 1.0)
-    successes = child_rng(seed).binomial(shots, p)
-    estimate = 2.0 * successes / shots - 1.0
-    return float(estimate) if t.ndim == 0 else estimate
+    return np.clip((1.0 + t) / 2.0, 0.0, 1.0)

@@ -913,6 +913,14 @@ def test_verify_spreads_trials_over_models(tmp_path):
     ) == 0
     report = json.loads((out / "verify_report.json").read_text())
     assert report["reports"]["fejer"]["n_trials"] == 8
+    # below the model count every model still runs one trial
+    assert run_cli(
+        "verify", "--method", "fejer", "--sigma", "0.25", "--delta", "0.25",
+        "--gen", "dense:8:count=3", "--trials", "2", "--seed", "1",
+        "--out", str(out), "--workers", "1",
+    ) == 0
+    report = json.loads((out / "verify_report.json").read_text())
+    assert report["reports"]["fejer"]["n_trials"] == 3
 
 
 def test_verify_workers_deterministic(tmp_path):

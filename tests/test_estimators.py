@@ -39,7 +39,13 @@ from specden.operators import (
     random_model,
     random_spectrum,
 )
-from specden.sampling import FejerPeaks, OutcomeDistribution, qpe_distribution, qubitized_qpe_distribution
+from specden.sampling import (
+    FejerPeaks,
+    OutcomeDistribution,
+    hadamard_test_sample,
+    qpe_distribution,
+    qubitized_qpe_distribution,
+)
 
 
 def test_plan_fejer_samples_goldens():
@@ -99,6 +105,42 @@ def test_histograms_draw_per_peak_exactly_when_32_shots_are_below_n_k(name, shot
         method.draw(model, budget, [5, 6]),
         [sample_histogram(source, shots, seed) for seed in (5, 6)],
     )
+
+
+def test_batched_draws_keep_the_per_seed_checks():
+    # one seed goes through the public per-seed sampler, two or more are checked
+    # once on their way to child_rngs: both raise what the sampler raises
+    t = np.array([1.0, 0.5, -1.5])
+    for seeds in ([1], [1, 2], range(5)):
+        with pytest.raises(ValidationError, match="magnitude"):
+            sample_moments(t, 10, seeds)
+        with pytest.raises(ValidationError, match="shots must be >= 1"):
+            sample_moments(t[:2], 0, seeds)
+        with pytest.raises(ResourceLimitError, match="64-bit"):
+            sample_moments(t[:2], 2**63, seeds)
+    model = SpectralModel(np.array([-0.5, 0.25]), np.array([0.5, 0.5]))
+    for name in ("fejer", "qfejer"):
+        method = ESTIMATION_METHODS[name]
+        budget = Budget(method.family, 8, 2**63)
+        for seeds in ([1], [1, 2]):
+            with pytest.raises(ResourceLimitError, match="64-bit"):
+                method.draw(model, budget, seeds)
+
+
+@pytest.mark.parametrize("seeds", [[3, 2**32 + 3, 4], [0, 2**32 - 1], range(2**32 - 3, 2**32 + 2)])
+def test_batched_draws_equal_per_seed_rows_across_the_32_bit_edge(seeds):
+    # a seed of 2^32 or more sends the whole call through child_rng seed by seed
+    model = SpectralModel(np.array([-0.5, 0.1, 0.25]), np.array([0.25, 0.25, 0.5]))
+    t = model_moments(model, 12)
+    rows = sample_moments(t, 1000, seeds)
+    for row, seed in zip(rows, seeds, strict=True):
+        assert row[1:].tobytes() == hadamard_test_sample(t[1:], 1000, seed).tobytes()
+    for name in ("fejer", "qfejer"):
+        method = ESTIMATION_METHODS[name]
+        budget = Budget(method.family, 16, 300)
+        source = method.source(model, budget)
+        want = [sample_histogram(source, 300, seed) for seed in seeds]
+        assert method.draw(model, budget, seeds).tobytes() == np.array(want).tobytes()
 
 
 @settings(max_examples=60, deadline=None)

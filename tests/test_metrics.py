@@ -24,8 +24,10 @@ from specden.kernels import (
     FejerKernel,
     GaussianKernel,
     fejer_grid,
+    evaluation_grid,
     fejer_plan,
     gaussian_resolution,
+    grid_spacing,
     sigma_accuracy,
 )
 from specden.metrics import (
@@ -147,6 +149,57 @@ def test_observable_bound_grid_refinement_stable():
     coarse = observable_bound(f, target, spacing=0.005).total
     fine = observable_bound(f, target, spacing=0.0025).total
     assert abs(coarse - fine) / fine < 0.05
+
+
+def _window_sup_per_offset(fn, target, spacing=None):
+    # the window sup one offset at a time: each offset's shifted grid is its own
+    # call, and an offset whose maximum is a NaN leaves the running sup as it was
+    omega = evaluation_grid(grid_spacing(target.delta, spacing))
+    center = fn(omega)
+    sup = 0.0
+    for off in np.linspace(-target.delta, target.delta, 41):
+        sup = max(sup, float(np.max(np.abs(fn(omega + off) - center))))
+    return sup
+
+
+@pytest.mark.parametrize("block_rows", [None, 1, 3, 40])
+def test_observable_bound_blocks_equal_the_per_offset_loop(monkeypatch, block_rows):
+    # NaN outside [-1, 1] (a square root), a scalar-valued lambda (drawn per
+    # element) and a kink all keep the per-offset result bit for bit
+    target = AccuracyTarget(sigma=0.1, delta=0.07, beta=0.1)
+    spacing = 0.01
+    size = evaluation_grid(spacing).size
+    if block_rows is not None:
+        monkeypatch.setattr(metrics, "_BLOCK_CELLS", block_rows * size + size // 2)
+    fns = [
+        ObservableFn(lambda w: np.sin(7 * w) * np.exp(w)),
+        ObservableFn(lambda w: np.abs(w - 0.3)),
+        ObservableFn(lambda w: np.sqrt(np.maximum(1.0 - w * w, 0.0))),
+        ObservableFn(lambda w: np.sqrt(1.0 - w * w)),
+        ObservableFn(lambda w: 2.0),
+    ]
+    with np.errstate(invalid="ignore"):
+        for fn in fns:
+            bound = observable_bound(fn, target, spacing)
+            assert bound.f_delta_max == _window_sup_per_offset(fn, target, spacing)
+
+
+def test_observable_bound_evaluates_each_block_once():
+    # one call for the grid and one per block of shifted grids, each within
+    # _BLOCK_CELLS: at delta = 0.001 the 41 shifts of 40,001 points come in
+    # blocks of six, never as one 41 x 40,001 array
+    sizes = []
+
+    def recorded(w):
+        sizes.append(np.size(w))
+        return np.cos(w)
+
+    for delta, calls in ((0.25, 2), (0.001, 1 + math.ceil(41 / 6))):
+        sizes.clear()
+        observable_bound(ObservableFn(recorded), AccuracyTarget(sigma=0.1, delta=delta, beta=0.1))
+        assert len(sizes) == calls
+        assert max(sizes) <= metrics._BLOCK_CELLS
+    assert sizes[0] == 40_001 and sizes[1] == 6 * 40_001
 
 
 def test_binomial_threshold_golden():

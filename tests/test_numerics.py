@@ -7,14 +7,17 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.polynomial.chebyshev import chebval, chebvander
 
+from specden import numerics
 from specden.errors import ValidationError
 from specden.numerics import (
     cheb_nodes,
     cheb_series_coeffs,
     child_rng,
+    child_rngs,
     dct2,
     dct3,
     derive_seed,
+    derive_seeds,
     fmt_float,
     next_pow2,
 )
@@ -144,6 +147,91 @@ def test_derive_seed_deterministic():
     assert derive_seed(11, 2, 5) != derive_seed(11, 5, 2)
     s = derive_seed(123, 7)
     assert isinstance(s, int) and 0 <= s < 2**32
+
+
+_SEEDS = [0, 2**32 - 1, 1, 7_654_321, 3_141_592_653]
+_PATHS = [(), (0,), (100, 2**32 - 1), (5, 0, 9), (1, 2, 3, 4), (8, 0, 2**31, 6, 1)]
+
+
+@pytest.mark.parametrize("path", _PATHS)
+@pytest.mark.parametrize("count", [0, 1, 2, 3, 17, 300])
+def test_derive_seeds_equal_derive_seed(path, count):
+    # seeds at both ends of the 32-bit range, and pools of one to six words:
+    # past four words SeedSequence mixes each extra word into the whole pool
+    for seed in _SEEDS:
+        assert derive_seeds(seed, *path, count=count) == [
+            derive_seed(seed, *path, j) for j in range(count)
+        ]
+
+
+@pytest.mark.parametrize("path", _PATHS)
+@pytest.mark.parametrize("count", [1, 2, 3, 17, 300])
+def test_child_rngs_equal_child_rng(path, count):
+    seeds = child_rng(count, *path).integers(0, 2**32, count).tolist()
+    seeds[:2] = [0, 2**32 - 1][:count]
+    for rng, seed in zip(child_rngs(seeds, *path), seeds, strict=True):
+        ref = child_rng(seed, *path)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_child_rngs_draw_what_child_rng_draws():
+    # each generator is finished before the next is taken, as the docstring asks;
+    # a binomial over repeated (n, p) pairs reuses numpy's cached setup
+    # across trials, which must not change a draw
+    p = np.array([0.5, 0.5, 0.01, 0.99, 0.3, 0.3])
+    probs = np.array([0.1, 0.2, 0.3, 0.4])
+    seeds = range(40, 90)
+
+    def draws(g):
+        return (g.binomial(10**9, p), g.binomial(37, p), g.multinomial(1000, probs),
+                g.random(5), g.binomial(37, p), g.integers(0, 2**31, 3))
+
+    for rng, seed in zip(child_rngs(seeds, 0), seeds, strict=True):
+        for a, b in zip(draws(rng), draws(child_rng(seed, 0)), strict=True):
+            assert a.tobytes() == b.tobytes()
+
+
+def test_seed_batches_fall_back_per_seed(monkeypatch):
+    # one seed, or any word of 2^32 or more, goes through the per-seed functions
+    # (counted in the module; the test's own references call the originals),
+    # and a batch of small words through neither
+    calls = {"child_rng": 0, "derive_seed": 0}
+    for name in calls:
+        original = getattr(numerics, name)
+
+        def counted(*args, _original=original, _name=name):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(numerics, name, counted)
+    big = 2**32
+    assert derive_seeds(big, 1, count=3) == [derive_seed(big, 1, j) for j in range(3)]
+    assert derive_seeds(5, big, count=2) == [derive_seed(5, big, j) for j in range(2)]
+    assert derive_seeds(5, 1, count=1) == [derive_seed(5, 1, 0)]
+    assert calls["derive_seed"] == 3 + 2 + 1
+    for seeds, path in (([3, big + 7], ()), ([3, 4], (big,)), ([11], (0,))):
+        before = calls["child_rng"]
+        for rng, seed in zip(child_rngs(seeds, *path), seeds, strict=True):
+            assert rng.bit_generator.state == child_rng(seed, *path).bit_generator.state
+        assert calls["child_rng"] - before == len(seeds)
+    calls["child_rng"] = calls["derive_seed"] = 0
+    derive_seeds(5, 1, count=300)
+    list(child_rngs(range(300), 0))
+    assert calls == {"child_rng": 0, "derive_seed": 0}
+
+
+def test_negative_seeds_raise_as_child_rng_does():
+    with pytest.raises(ValueError) as ref:
+        child_rng(-1)
+    for call in (
+        lambda: derive_seeds(-1, 2, count=3),
+        lambda: derive_seeds(1, -2, count=3),
+        lambda: list(child_rngs([4, -1, 5])),
+        lambda: list(child_rngs([4, 5], -3)),
+    ):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == str(ref.value)
 
 
 def test_fmt_float_round_trips():
