@@ -60,7 +60,6 @@ from .sampling import (
     FejerPeaks,
     OutcomeDistribution,
     _hadamard_probs,
-    hadamard_test_sample,
     qpe_peaks,
     qubitized_qpe_peaks,
 )
@@ -202,11 +201,11 @@ def sample_histogram(
     return _histograms(source, n_samples, [child_rng(seed, 0)])[0]
 
 
-def _histograms(source: OutcomeDistribution | FejerPeaks, n_samples: int, rngs) -> list[np.ndarray]:
-    """:func:`sample_histogram`'s frequencies, one histogram per generator of `rngs`."""
+def _histograms(source: OutcomeDistribution | FejerPeaks, n_samples: int, rngs) -> np.ndarray:
+    """:func:`sample_histogram`'s frequencies, one row per generator of `rngs`."""
     if n_samples > np.iinfo(np.int64).max:
         raise ResourceLimitError(f"{n_samples} samples exceed the sampler's 64-bit count range")
-    return [counts / n_samples for counts in source.samples(n_samples, rngs)]
+    return np.array(list(source.samples(n_samples, rngs))) / n_samples
 
 
 _MOMENT_CELLS = 2**20  # model_moments holds about this many cells of T_k(O_j) at a time
@@ -243,19 +242,17 @@ def sample_moments(moments, per_order: int, seeds) -> np.ndarray:
     Row i holds 1 (the zeroth moment is free) followed by one vector
     draw of ``per_order`` shots per order from the single stream
     ``child_rng(seeds[i])``, so a row depends on its own seed alone.
-    One seed is one :func:`hadamard_test_sample`; two or more are checked
-    once and drawn from :func:`~specden.numerics.child_rngs`, with the
-    same bits.
+    Each row equals :func:`~specden.sampling.hadamard_test_sample`'s
+    draw with its seed, bit for bit; the shots and moments are checked
+    once, and the generators come from
+    :func:`~specden.numerics.child_rngs`.
     """
     t = np.asarray(moments, dtype=float)
     draws = np.ones((len(seeds), t.size))
-    if len(seeds) < 2:
-        for row, seed in zip(draws, seeds):
-            row[1:] = hadamard_test_sample(t[1:], per_order, seed)
-        return draws
     p = _hadamard_probs(t[1:], per_order)
     for row, rng in zip(draws, child_rngs(seeds)):
-        row[1:] = 2.0 * rng.binomial(per_order, p) / per_order - 1.0
+        row[1:] = rng.binomial(per_order, p)
+    draws[:, 1:] = 2.0 * draws[:, 1:] / per_order - 1.0
     return draws
 
 
@@ -357,9 +354,7 @@ class _Histogram(EstimationMethod):
 
     def draw(self, model, budget: Budget, seeds, source=None) -> np.ndarray:
         source = self.source(model, budget) if source is None else source
-        if len(seeds) < 2:
-            return np.array([sample_histogram(source, budget.n_samples, seed) for seed in seeds])
-        return np.array(_histograms(source, budget.n_samples, child_rngs(seeds, 0)))
+        return _histograms(source, budget.n_samples, child_rngs(seeds, 0))
 
     def exact(self, model: SpectralModel, budget: Budget, grid, source=None) -> TransformGrid:
         """The outcome distribution of `source` (None: `model`'s), projected: a trial's mean."""

@@ -108,8 +108,8 @@ def test_histograms_draw_per_peak_exactly_when_32_shots_are_below_n_k(name, shot
 
 
 def test_batched_draws_keep_the_per_seed_checks():
-    # one seed goes through the public per-seed sampler, two or more are checked
-    # once on their way to child_rngs: both raise what the sampler raises
+    # a call checks its shots and probabilities once on its way to child_rngs,
+    # and raises what the per-seed samplers raise, for one seed or many
     t = np.array([1.0, 0.5, -1.5])
     for seeds in ([1], [1, 2], range(5)):
         with pytest.raises(ValidationError, match="magnitude"):

@@ -4,13 +4,15 @@
         --workload W|all --seeds A-B --out BENCH_37.json \\
         [--section workloads|extra_pairs] [--claim METRIC] [--note TEXT] [--work DIR]
 
-Each side is exported with ``git archive``: the parent commit whole, and
-the change's ``src/`` (from a commit, or ``worktree`` for the working
-tree's files) beside the parent's ``perfbench/`` and ``BENCHMARK.json``,
-so both sides run the same benchmark.  For every seed S and workload W
-both sides run ``python3 perfbench/run.py --workload W --seed S
---seconds 30 --trace 0`` with one BLAS thread, the parent first on odd
-seeds, and the run's last line (its metrics as JSON) is read.
+Each side is exported whole with ``git archive``: the parent commit,
+and the change commit (or, for ``worktree``, HEAD with the working
+tree's ``src/``) with its ``perfbench/`` and ``BENCHMARK.json`` replaced
+by the parent's, so each side is a whole tree of its commit and both run
+the same benchmark.  For every seed S and workload W both sides run
+``python3 perfbench/run.py --workload W --seed S --seconds T --trace 0``
+with one BLAS thread and T the parent's ``run_seconds``, the parent
+first on odd seeds, and the run's last line (its metrics as JSON) is
+read.
 
 Every end-to-end metric of ``BENCHMARK.json`` gets its pairs, each
 side's median and quartiles (numpy's linear percentiles), the pairs in
@@ -40,10 +42,10 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
-COMMAND = "python3 perfbench/run.py --workload W --seed S --seconds 30 --trace 0"
+COMMAND = "python3 perfbench/run.py --workload W --seed S --seconds {seconds:g} --trace 0"
 PROTOCOL = (
-    "parent and change run from clean copies of their files (git archive of the parent "
-    "commit; the change's src/ beside the same perfbench/ and BENCHMARK.json); pairs "
+    "parent and change run from clean copies of their files (git archive of each commit, "
+    "the change's with the parent's perfbench/ and BENCHMARK.json); pairs "
     "alternate which side runs first (parent first on odd seeds); both sides of a pair use "
     "the same seed S and OPENBLAS_NUM_THREADS=1; quartiles are numpy's linear percentiles; "
     "a metric is unresolved when the parent's interquartile distance exceeds its bound, "
@@ -124,25 +126,26 @@ def claim(pairs, lower: bool = True) -> dict:
     }
 
 
-def _git_archive(rev: str, dest: Path, *paths: str) -> None:
-    tar = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev, *paths],
+def _git_archive(rev: str, dest: Path) -> None:
+    tar = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev],
                          check=True, capture_output=True).stdout
     with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
         archive.extractall(dest, filter="data")
 
 
 def export(parent: str, change: str, work: Path) -> dict[str, Path]:
-    """The two sides' directories under `work`: the parent whole, the change's src/ on its benchmark."""
+    """The two sides' directories under `work`, each a whole tree with the parent's benchmark."""
     sides = {"parent": work / "parent", "change": work / "change"}
     for path in sides.values():
         shutil.rmtree(path, ignore_errors=True)
         path.mkdir(parents=True)
     _git_archive(parent, sides["parent"])
+    _git_archive("HEAD" if change == "worktree" else change, sides["change"])
     if change == "worktree":
+        shutil.rmtree(sides["change"] / "src")
         shutil.copytree(ROOT / "src", sides["change"] / "src",
                         ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
-    else:
-        _git_archive(change, sides["change"], "src")
+    shutil.rmtree(sides["change"] / "perfbench")
     shutil.copytree(sides["parent"] / "perfbench", sides["change"] / "perfbench")
     shutil.copy2(sides["parent"] / "BENCHMARK.json", sides["change"] / "BENCHMARK.json")
     return sides
@@ -181,7 +184,6 @@ def main(argv=None) -> int:
     parser.add_argument("--section", default="workloads", choices=("workloads", "extra_pairs"))
     parser.add_argument("--claim", help="claimed end-to-end metric of the one workload")
     parser.add_argument("--note", help="what the change does, written as the file's `change`")
-    parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--work", help="directory for the exported sides (default: a temporary one)")
     args = parser.parse_args(argv)
     work = Path(args.work or tempfile.mkdtemp(prefix="bench_pairs_"))
@@ -199,14 +201,16 @@ def main(argv=None) -> int:
         check=True, capture_output=True, text=True).stdout.strip())
     if args.note:
         doc["change"] = args.note
-    doc.update(command=COMMAND, protocol=PROTOCOL, machine=_machine())
+    seconds = spec["run_seconds"]
+    doc.update(command=COMMAND.format(seconds=seconds) + " (run by tools/bench_pairs.py)",
+               protocol=PROTOCOL, machine=_machine())
     for workload in workloads:
         runs: dict[int, dict] = {}
         order: dict[str, list[str]] = {}
         for seed in seeds:
             first = ["parent", "change"] if seed % 2 else ["change", "parent"]
             order[str(seed)] = first
-            runs[seed] = {side: run_side(sides[side], workload, seed, args.seconds)
+            runs[seed] = {side: run_side(sides[side], workload, seed, seconds)
                           for side in first}
             print(workload, seed, {s: runs[seed][s]["metrics"]["op_s.p50"]["value"]
                                    for s in first}, flush=True)
