@@ -40,11 +40,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import numpy.polynomial.chebyshev as npcheb
 
 from .errors import NumericError, OutOfRegimeError, ValidationError
 from .kernels import AccuracyTarget, GaussianKernel, _check_cells, _fft_size, gaussian_eval, gaussian_resolution
-from .numerics import cheb_nodes, cheb_series_coeffs, dct3
+from .numerics import cheb_eval, cheb_nodes, cheb_series_coeffs, dct3
 from .operators import HermitianOperator, ProbeState, TransformGrid
 
 __all__ = [
@@ -230,7 +229,7 @@ def _series_coefficient_table(lam: float, freqs: np.ndarray, order: int) -> np.n
     a = gauss_cheb_coeffs(lam / 2.0, order)
     scale = math.sqrt(2.0 * math.pi) * lam
     x = cheb_nodes(order)
-    values = npcheb.chebval((x[None, :] - freqs[:, None]) / 2.0, a) / scale
+    values = cheb_eval((x[None, :] - freqs[:, None]) / 2.0, a) / scale
     return cheb_series_coeffs(values, order)
 
 

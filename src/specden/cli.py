@@ -118,7 +118,7 @@ class RunConfig:
         """
         items = sorted(
             (k, v)
-            for k, v in asdict(self).items()
+            for k, v in vars(self).items()
             if v is not None and k not in ("out", "workers")
         )
         blob = "\n".join(f"{k}={v}" for k, v in items)
@@ -643,6 +643,9 @@ def _cmd_bench(cfg: RunConfig) -> int:
 
 # Built once: a process forked from an imported specden.cli reuses it.
 _PARSER = _build_parser()
+# argparse compiles its nargs patterns on the first parse; parsing a fixed
+# command line here puts them in re's cache before any fork
+_PARSER.parse_args(["plan", "--sigma", "0.1", "--delta", "0.1"])
 
 _DISPATCH = {
     "plan": _cmd_plan,

@@ -38,10 +38,9 @@ import numpy as np
 # numpy imports this submodule on first use; importing it here means a
 # process forked after the package's import already has it
 import numpy.fft
-import numpy.polynomial.chebyshev as npcheb
 
 from .errors import OutOfRegimeError, ResourceLimitError, ValidationError
-from .numerics import cheb_nodes, cheb_series_coeffs, next_pow2
+from .numerics import cheb_eval, cheb_interpolate, cheb_nodes, cheb_series_coeffs, next_pow2
 
 __all__ = [
     "AccuracyTarget",
@@ -479,7 +478,7 @@ def jackson_coeffs(degree: int, delta: float) -> np.ndarray:
 
 def jackson_approx(x, degree: int, delta: float):
     """Evaluate the damped polynomial approximation J_degree of the tent."""
-    return npcheb.chebval(np.asarray(x, dtype=float), jackson_coeffs(degree, delta))
+    return cheb_eval(x, jackson_coeffs(degree, delta))
 
 
 def jackson_tent_error(degree: int, delta: float, gridsize: int = 10001) -> float:
@@ -492,11 +491,10 @@ def jackson_tent_error(degree: int, delta: float, gridsize: int = 10001) -> floa
     return float(np.max(np.abs(jackson_approx(x, degree, delta) - jackson_tent(x, delta))))
 
 
-_erf = np.vectorize(math.erf, otypes=[float])
-
-
 def _normal_cdf(y):
-    return 0.5 * (1.0 + _erf(np.asarray(y, dtype=float) / math.sqrt(2.0)))
+    z = np.asarray(y, dtype=float) / math.sqrt(2.0)
+    erf = np.array([math.erf(v) for v in z.ravel().tolist()]).reshape(z.shape)
+    return 0.5 * (1.0 + erf)
 
 
 def amplifier_coeffs(k: int) -> tuple[np.ndarray, float]:
@@ -517,7 +515,7 @@ def amplifier_coeffs(k: int) -> tuple[np.ndarray, float]:
     for factor in (1.0, 0.9, 0.8, 1.1, 0.7, 1.2, 0.6, 1.3):
         w = w0 * factor
         target = lambda y: tau / 4.0 + (1.0 - tau / 2.0) * _normal_cdf((y - y0) / w)
-        coeffs = npcheb.chebinterpolate(target, k)
+        coeffs = cheb_interpolate(target, k)
         report = amplifier_contract_check(coeffs, k, tau)
         if report["ok"]:
             return coeffs, tau
@@ -534,7 +532,7 @@ def amplifier_contract_check(coeffs: np.ndarray, k: int, tau: float, gridsize: i
     if len(coeffs) > k + 1:
         return {"ok": False, "reason": "degree too high"}
     y = np.linspace(-1.0, 1.0, gridsize)
-    a = npcheb.chebval(y, coeffs)
+    a = cheb_eval(y, coeffs)
     max_abs = float(np.max(np.abs(a)))
     hi = a[y >= 0.6]
     lo = a[y <= -0.6]
@@ -568,7 +566,7 @@ def _jackson_profile_coeffs(k: int, degree: int, delta: float) -> np.ndarray:
     padded[0] *= 2.0
     padded[-1] *= 2.0
     j_lobatto = _dct1(padded) / 2.0
-    samples = npcheb.chebval(0.8 * j_lobatto, amp)
+    samples = cheb_eval(0.8 * j_lobatto, amp)
     q = _dct1(samples) / size
     q[0] /= 2.0
     q[-1] /= 2.0
@@ -698,7 +696,7 @@ def jackson_eval(sigma, omega, kernel: JacksonKernel):
     if np.any(np.abs(u) > 1.0 + 1e-12):
         raise ValidationError(f"the Jackson window needs |sigma - omega| <= 2, got {2.0 * np.max(np.abs(u)):g}")
     amp, _ = amplifier_coeffs(kernel.k)
-    return kernel.normalization * npcheb.chebval(0.8 * jackson_approx(u, kernel.degree, kernel.delta), amp)
+    return kernel.normalization * cheb_eval(0.8 * jackson_approx(u, kernel.degree, kernel.delta), amp)
 
 
 # ---------------------------------------------------------------------------

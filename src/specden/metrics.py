@@ -111,8 +111,8 @@ def observable_bound(
     around each grid point, so piecewise-smooth observables get their
     closed-form variation (a linear f gives exactly `delta`).  The
     shifted grids are evaluated as one flat array per block of at most
-    2^18 cells.  An offset whose shifted values include a NaN is left
-    out of the sup.
+    2^18 cells.  A shifted value that is NaN (an observable undefined
+    past +-1, say) is left out of the sup; the rest of its shift counts.
     """
     fn = f if isinstance(f, ObservableFn) else ObservableFn(fn=f)
     omega = evaluation_grid(grid_spacing(target.delta, spacing))
@@ -127,8 +127,7 @@ def observable_bound(
     for start in range(0, offsets.size, rows):
         shifted = omega + offsets[start : start + rows]
         moved = fn(shifted.ravel()).reshape(shifted.shape)
-        for gap in np.max(np.abs(moved - center), axis=1).tolist():
-            f_delta_max = max(f_delta_max, gap)
+        f_delta_max = float(np.fmax.reduce(np.abs(moved - center), axis=None, initial=f_delta_max))
     return ObservableBound(
         f_max=f_max,
         f_int=f_int,

@@ -3,8 +3,10 @@
 Nothing in here knows about kernels or spectra; these are generic
 helpers (power-of-two rounding, Chebyshev nodes, the two cosine
 transforms between node values and Chebyshev coefficients, the one
-Chebyshev projection, which is a DCT-II of node values, and
-deterministic seed derivation, per seed or for many seeds in one pass).
+Chebyshev projection, which is a DCT-II of node values, Clenshaw
+evaluation of a Chebyshev series and interpolation at Chebyshev points,
+and deterministic seed derivation, per seed or for many seeds in one
+pass).
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ __all__ = [
     "next_pow2",
     "cheb_nodes",
     "cheb_series_coeffs",
+    "cheb_eval",
+    "cheb_interpolate",
     "dct2",
     "dct3",
     "child_rng",
@@ -67,6 +71,68 @@ def cheb_series_coeffs(values: np.ndarray, deg: int) -> np.ndarray:
     gamma = np.full(deg + 1, 2.0)
     gamma[0] = 1.0
     return projection * gamma / values.shape[-1]
+
+
+# Clenshaw runs on blocks of this many points: its buffers stay in cache
+_CLENSHAW_BLOCK = 1 << 15
+
+
+def cheb_eval(x, coeffs) -> np.ndarray:
+    """``sum_n coeffs[n] T_n(x)`` at every point of `x`, by Clenshaw's recurrence.
+
+    Bit for bit ``numpy.polynomial.chebyshev.chebval(x, coeffs)`` for a
+    float array `x` and 1-D `coeffs`: the recurrence is elementwise and
+    keeps chebval's operations and their order (``b_n = c_n - b_{n+2}``
+    and ``b_{n+1} + b_{n+2} * 2x``), but runs in place on blocks of at
+    most ``_CLENSHAW_BLOCK`` points, so its work arrays stay in cache.
+    Returns an array of `x`'s shape (a numpy scalar for a 0-d `x`).
+    """
+    c = np.asarray(coeffs, dtype=float).tolist()
+    if not c:
+        raise ValidationError("cheb_eval needs at least one coefficient")
+    x = np.asarray(x, dtype=float)
+    if len(c) < 3:
+        return c[0] + (c[1] if len(c) == 2 else 0.0) * x
+    out = np.empty(x.shape)
+    flat_x, flat_out = x.reshape(-1), out.reshape(-1)
+    for start in range(0, flat_x.size, _CLENSHAW_BLOCK):
+        xb = flat_x[start : start + _CLENSHAW_BLOCK]
+        x2 = 2.0 * xb
+        c0, c1, tmp = np.full(xb.shape, c[-2]), np.full(xb.shape, c[-1]), np.empty(xb.shape)
+        for cn in reversed(c[:-2]):
+            np.multiply(c1, x2, out=tmp)
+            np.add(c0, tmp, out=tmp)
+            np.subtract(cn, c1, out=c0)
+            c1, tmp = tmp, c1
+        np.multiply(c1, xb, out=tmp)
+        np.add(c0, tmp, out=flat_out[start : start + xb.size])
+    return out[()]
+
+
+def cheb_interpolate(func, deg: int) -> np.ndarray:
+    """Coefficients of the degree-`deg` interpolant of `func` at the Chebyshev points of the first kind.
+
+    Bit for bit ``numpy.polynomial.chebyshev.chebinterpolate(func,
+    deg)``: the same deg + 1 points ``sin(pi (k + 1/2 - (deg + 1)/2) /
+    (deg + 1))`` in ascending order, the same Vandermonde recurrence
+    ``T_i = 2x T_{i-1} - T_{i-2}`` and the same ``np.dot``.  `func`
+    takes the array of points.
+    """
+    if deg < 0:
+        raise ValidationError(f"cheb_interpolate needs deg >= 0, got {deg}")
+    n = deg + 1
+    x = np.sin(0.5 * np.pi / n * np.arange(-n + 1, n + 1, 2))
+    vander = np.empty((n, n))
+    vander[0] = 1.0
+    if deg > 0:
+        x2 = 2 * x
+        vander[1] = x
+        for i in range(2, n):
+            vander[i] = vander[i - 1] * x2 - vander[i - 2]
+    c = np.dot(vander, func(x))
+    c[0] /= n
+    c[1:] /= 0.5 * n
+    return c
 
 
 def dct2(values: np.ndarray, deg: int) -> np.ndarray:

@@ -221,9 +221,11 @@ class ObservableFn:
     name: str = "f"
 
     def __call__(self, omega):
-        out = np.asarray(self.fn(np.asarray(omega, dtype=float)), dtype=float)
-        if out.shape != np.shape(omega):
-            out = np.vectorize(lambda w: float(self.fn(w)))(np.asarray(omega, dtype=float))
+        omega = np.asarray(omega, dtype=float)
+        out = np.asarray(self.fn(omega), dtype=float)
+        if out.shape != omega.shape:
+            # a scalar-valued fn is called once per point
+            out = np.array([float(self.fn(w)) for w in omega.ravel().tolist()]).reshape(omega.shape)
         return out
 
 

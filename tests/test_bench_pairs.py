@@ -1,6 +1,7 @@
-"""The claim and verdict rules of ``tools/bench_pairs.py`` on fixed pairs."""
+"""The claim, verdict and byte-comparison rules of ``tools/bench_pairs.py``."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -74,3 +75,31 @@ def test_pairs_and_seed_ranges_keep_their_order():
     assert summary["parent"] == {"median": 2.0, "q1": 1.5, "q3": 2.5, "n": 3}
     assert bench_pairs._seed_range("11-20") == list(range(11, 21))
     assert bench_pairs._seed_range("3") == [3]
+
+
+def _write(root, files):
+    for name, text in files.items():
+        (root / name).parent.mkdir(parents=True, exist_ok=True)
+        (root / name).write_text(text)
+    return bench_pairs.artifact_digests(root)
+
+
+def test_byte_comparison_ignores_only_the_estimate_records_elapsed_time(tmp_path):
+    record = {"config_hash": "abc", "elapsed_s": 0.25, "rows": 5}
+    files = {"estimate.csv": "nu,value\n0.1,0.5\n",
+             "estimate_record.json": json.dumps(record, indent=2, sort_keys=True),
+             "sub/plan.json": "{}\n"}
+    parent = _write(tmp_path / "parent", files)
+    assert sorted(parent) == ["estimate.csv", "estimate_record.json", "sub/plan.json"]
+    same = _write(tmp_path / "same", {**files, "estimate_record.json": json.dumps(
+        {**record, "elapsed_s": 9.5}, indent=2, sort_keys=True)})
+    assert bench_pairs.byte_mismatches(parent, same) == []
+    # any other byte counts: a row, another record value, the elapsed time of
+    # any other artifact, and a file only one side wrote
+    other = _write(tmp_path / "other", {
+        "estimate.csv": "nu,value\n0.1,0.50000000000000011\n",
+        "estimate_record.json": json.dumps({**record, "rows": 6}, indent=2, sort_keys=True),
+        "sub/plan.json": '{"elapsed_s": 0.25}\n', "extra.csv": ""})
+    assert bench_pairs.byte_mismatches(parent, other) == [
+        "estimate.csv", "estimate_record.json", "extra.csv", "sub/plan.json"]
+    assert bench_pairs.byte_mismatches(other, {}) == sorted(other)

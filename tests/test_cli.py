@@ -709,22 +709,25 @@ def test_each_command_hashes_its_config_once(tmp_path, monkeypatch, argv):
 def test_cli_import_leaves_scipy_fft_and_linalg_unloaded():
     # the runtime needs numpy alone: any scipy module would add to every
     # command's start-up time.  numpy.fft and numpy.random are imported by
-    # the modules that use them, so a forked op does not import them itself
+    # the modules that use them, so a forked op does not import them itself;
+    # numpy.polynomial is not used (specden.numerics has its own Clenshaw)
     src = Path(__file__).resolve().parents[1] / "src"
     probe = (
         f"import sys; sys.path.insert(0, {str(src)!r}); import specden.cli; "
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))); "
-        "print(sorted(m for m in ('numpy.fft', 'numpy.random') if m in sys.modules))"
+        "print(sorted(m for m in ('numpy.fft', 'numpy.random') if m in sys.modules)); "
+        "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))"
     )
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split("\n")[:2] == ["[]", "['numpy.fft', 'numpy.random']"]
+    assert done.stdout.split("\n")[:3] == ["[]", "['numpy.fft', 'numpy.random']", "[]"]
 
 
 def test_commands_import_no_numpy_or_scipy_module_after_the_cli(tmp_path):
     # every module a command needs, numpy's and the standard library's
-    # alike, is loaded by `import specden.cli`, so an op forked right after
-    # that import pays for no import of its own
+    # alike, is loaded by `import specden.cli`, and every regex a command
+    # compiles (argparse's nargs patterns) is in re's cache by then, so an op
+    # forked right after that import pays for no import or compile of its own
     src = Path(__file__).resolve().parents[1] / "src"
     model = ["--gen", "dense:8", "--seed", "1", "--workers", "1"]
     runs = [
@@ -737,14 +740,16 @@ def test_commands_import_no_numpy_or_scipy_module_after_the_cli(tmp_path):
     runs = [argv + ["--out", str(tmp_path / str(i))] for i, argv in enumerate(runs)]
     probe = (
         f"import sys; sys.path.insert(0, {str(src)!r}); import specden.cli; "
+        "import re._compiler as rc; compiled = []; compile_ = rc.compile; "
+        "rc.compile = lambda p, flags=0: compiled.append(p) or compile_(p, flags); "
         "before = set(sys.modules); "
         f"codes = [specden.cli.main(argv) for argv in {runs!r}]; "
         "new = sorted(set(sys.modules) - before); "
-        "print(codes, new, file=sys.stderr)"
+        "print(codes, new, compiled, file=sys.stderr)"
     )
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
-    assert done.stderr.strip().splitlines()[-1] == "[0, 0, 0, 0, 0] []"
+    assert done.stderr.strip().splitlines()[-1] == "[0, 0, 0, 0, 0] [] []"
 
 
 def test_plan_git_projection_over_cap_exits_4_fast(capsys):

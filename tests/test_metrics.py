@@ -153,12 +153,12 @@ def test_observable_bound_grid_refinement_stable():
 
 def _window_sup_per_offset(fn, target, spacing=None):
     # the window sup one offset at a time: each offset's shifted grid is its own
-    # call, and an offset whose maximum is a NaN leaves the running sup as it was
+    # call, and its NaN cells are left out of that offset's maximum
     omega = evaluation_grid(grid_spacing(target.delta, spacing))
     center = fn(omega)
     sup = 0.0
     for off in np.linspace(-target.delta, target.delta, 41):
-        sup = max(sup, float(np.max(np.abs(fn(omega + off) - center))))
+        sup = max(sup, float(np.nanmax(np.abs(fn(omega + off) - center))))
     return sup
 
 
@@ -182,6 +182,18 @@ def test_observable_bound_blocks_equal_the_per_offset_loop(monkeypatch, block_ro
         for fn in fns:
             bound = observable_bound(fn, target, spacing)
             assert bound.f_delta_max == _window_sup_per_offset(fn, target, spacing)
+
+
+def test_observable_bound_leaves_out_nan_cells_not_whole_shifts():
+    # sqrt(1 - w^2) is NaN past +-1, where every nonzero shift reaches: its
+    # finite cells still count, so the bound is the clipped observable's
+    target = AccuracyTarget(sigma=0.1, delta=0.1, beta=0.1)
+    with np.errstate(invalid="ignore"):
+        raw = observable_bound(ObservableFn(lambda w: np.sqrt(1.0 - w * w)), target)
+    clipped = observable_bound(ObservableFn(lambda w: np.sqrt(np.maximum(1.0 - w * w, 0.0))), target)
+    assert raw == clipped
+    assert round(raw.f_delta_max, 4) == 0.4359
+    assert round(raw.total, 4) == 0.7929
 
 
 def test_observable_bound_evaluates_each_block_once():

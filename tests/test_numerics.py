@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from numpy.polynomial.chebyshev import chebval, chebvander
+from numpy.polynomial.chebyshev import chebinterpolate, chebval, chebvander
 
 from specden import numerics
 from specden.errors import ValidationError
 from specden.numerics import (
+    cheb_eval,
+    cheb_interpolate,
     cheb_nodes,
     cheb_series_coeffs,
     child_rng,
@@ -72,6 +74,45 @@ def test_cheb_series_coeffs_validation():
         cheb_series_coeffs(np.cos(cheb_nodes(9)), -1)
     with pytest.raises(ValidationError):
         cheb_series_coeffs(np.cos(cheb_nodes(9)), 10)  # more degrees than nodes
+
+
+def _same_bits(a, b):
+    return type(a) is type(b) and np.shape(a) == np.shape(b) and np.array_equal(
+        np.asarray(a).view(np.uint64), np.asarray(b).view(np.uint64))
+
+
+@pytest.mark.parametrize("n_coeffs", [1, 2, 3, 60])
+@pytest.mark.parametrize("shape", [(), (7,), (4, 9), (23, 1425), (2, 2**15)])
+def test_cheb_eval_is_chebval_bit_for_bit(n_coeffs, shape):
+    # 23 x 1425 cells cross the 2^15-cell block edge, 2 x 2^15 fill two blocks
+    rng = np.random.default_rng(n_coeffs)
+    coeffs = rng.normal(size=n_coeffs)
+    x = rng.uniform(-1.1, 1.1, size=shape)
+    assert _same_bits(cheb_eval(x, coeffs), chebval(x, coeffs))
+
+
+def test_cheb_eval_is_chebval_on_the_planners_largest_table():
+    # plan --sigma 0.05 --delta 0.01 prices git at L = 1,495 on the contract grid
+    from specden.chebgauss import gauss_cheb_coeffs
+    from specden.estimators import CONTRACT_GRID
+
+    lam, order = 0.00408538982653635, 1495
+    x = (cheb_nodes(order)[None, :] - CONTRACT_GRID[:, None]) / 2.0
+    coeffs = gauss_cheb_coeffs(lam / 2.0, order)
+    assert _same_bits(cheb_eval(x, coeffs), chebval(x, coeffs))
+    with pytest.raises(ValidationError):
+        cheb_eval(x, [])
+
+
+@pytest.mark.parametrize("deg", [0, 1, 2, 7, 59])
+def test_cheb_interpolate_is_chebinterpolate_bit_for_bit(deg):
+    # deg 59 is the amplifier of plan --sigma 0.1 --delta 0.001
+    def ramp(y):
+        return 0.25 + 0.5 * np.tanh((y + 0.2) / 0.3)
+
+    assert _same_bits(cheb_interpolate(ramp, deg), chebinterpolate(ramp, deg))
+    with pytest.raises(ValidationError):
+        cheb_interpolate(ramp, -1)
 
 
 def test_dct2_and_dct3_match_cosine_sums():

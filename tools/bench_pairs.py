@@ -2,7 +2,8 @@
 
     python3 tools/bench_pairs.py --parent REV --change REV|worktree \\
         --workload W|all --seeds A-B --out BENCH_37.json \\
-        [--section workloads|extra_pairs] [--claim METRIC] [--note TEXT] [--work DIR]
+        [--section workloads|extra_pairs] [--claim METRIC] [--note TEXT] [--work DIR] \\
+        [--bytes]
 
 Each side is exported whole with ``git archive``: the parent commit,
 and the change commit (or, for ``worktree``, HEAD with the working
@@ -21,13 +22,21 @@ share of its median, the metric's bound and a verdict (:func:`verdict`).
 ``--claim METRIC`` adds the claim rule of one workload's metric
 (:func:`claim`).  The summary goes under ``--section`` in ``--out``;
 an existing file keeps its other keys, so held-out seeds can be added to
-the same file as ``extra_pairs``.  Nothing under ``perfbench/`` is
-imported or edited.
+the same file as ``extra_pairs``.
+
+``--bytes`` times nothing: for each workload it runs every op of one
+pass at the first seed (the parent's ``workloads.pass_ops``) once in
+each side, as ``python3 -m specden ARGV``, and compares the sha256 of
+every artifact, ``estimate_record.json`` without its ``elapsed_s``
+(:func:`artifact_digests`, :func:`byte_mismatches`).  The op count, the
+artifact count and the mismatches go under ``bytes``.  Nothing under
+``perfbench/`` is imported into this process or edited.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import io
 import json
 import os
@@ -162,6 +171,59 @@ def run_side(path: Path, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
+def artifact_digests(out: Path) -> dict[str, str]:
+    """sha256 of every file under `out`, by relative path.
+
+    ``estimate_record.json`` is hashed without its ``elapsed_s``, the
+    one value of an artifact that is a wall-clock time.
+    """
+    digests = {}
+    for path in sorted(p for p in out.rglob("*") if p.is_file()):
+        data = path.read_bytes()
+        if path.name == "estimate_record.json":
+            record = json.loads(data)
+            record.pop("elapsed_s", None)
+            data = json.dumps(record, sort_keys=True).encode()
+        digests[path.relative_to(out).as_posix()] = hashlib.sha256(data).hexdigest()
+    return digests
+
+
+def byte_mismatches(parent: dict[str, str], change: dict[str, str]) -> list[str]:
+    """Artifacts whose digests differ, or that only one side wrote, in name order."""
+    return [name for name in sorted(parent.keys() | change.keys())
+            if parent.get(name) != change.get(name)]
+
+
+def _pass_argvs(side: Path, workload: str, seed: int) -> list[list[str]]:
+    """The argv of every op of one pass, each without its trailing ``--out DIR``."""
+    script = ("import json, sys; sys.path.insert(0, 'perfbench'); from workloads import pass_ops; "
+              f"print(json.dumps([op.argv('')[:-2] for op in pass_ops({workload!r}, {seed})]))")
+    done = subprocess.run([sys.executable, "-c", script], cwd=side, capture_output=True,
+                          text=True, check=True)
+    return json.loads(done.stdout)
+
+
+def compare_bytes(sides: dict[str, Path], workload: str, seed: int, work: Path) -> dict:
+    """Run one pass of `workload` once in each side and compare the artifacts' digests."""
+    argvs = _pass_argvs(sides["parent"], workload, seed)
+    artifacts, mismatches = 0, []
+    for i, argv in enumerate(argvs):
+        digests, codes = {}, {}
+        for side, path in sides.items():
+            out = work / "bytes" / side / workload / str(i)
+            shutil.rmtree(out, ignore_errors=True)
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": str(path / "src")}
+            codes[side] = subprocess.run([sys.executable, "-m", "specden", *argv, "--out", str(out)],
+                                         cwd=path, env=env, capture_output=True).returncode
+            digests[side] = artifact_digests(out)
+        artifacts += len(digests["parent"])
+        op = " ".join(argv)
+        if codes["parent"] != codes["change"]:
+            mismatches.append(f"{op}: exit {codes['parent']} vs {codes['change']}")
+        mismatches += [f"{op}: {name}" for name in byte_mismatches(digests["parent"], digests["change"])]
+    return {"seed": seed, "ops": len(argvs), "artifacts": artifacts, "mismatches": mismatches}
+
+
 def _seed_range(text: str) -> list[int]:
     first, _, last = text.partition("-")
     return list(range(int(first), int(last or first) + 1))
@@ -185,6 +247,8 @@ def main(argv=None) -> int:
     parser.add_argument("--claim", help="claimed end-to-end metric of the one workload")
     parser.add_argument("--note", help="what the change does, written as the file's `change`")
     parser.add_argument("--work", help="directory for the exported sides (default: a temporary one)")
+    parser.add_argument("--bytes", action="store_true",
+                        help="compare every artifact of one pass at the first seed instead of timing")
     args = parser.parse_args(argv)
     work = Path(args.work or tempfile.mkdtemp(prefix="bench_pairs_"))
     sides = export(args.parent, args.change, work)
@@ -201,6 +265,11 @@ def main(argv=None) -> int:
         check=True, capture_output=True, text=True).stdout.strip())
     if args.note:
         doc["change"] = args.note
+    if args.bytes:
+        doc["bytes"] = {"command": "python3 -m specden ARGV for each op of pass_ops(W, seed)",
+                        "workloads": {w: compare_bytes(sides, w, seeds[0], work) for w in workloads}}
+        out.write_text(json.dumps(doc, indent=1) + "\n")
+        return 0
     seconds = spec["run_seconds"]
     doc.update(command=COMMAND.format(seconds=seconds) + " (run by tools/bench_pairs.py)",
                protocol=PROTOCOL, machine=_machine())
