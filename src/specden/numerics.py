@@ -80,12 +80,13 @@ _CLENSHAW_BLOCK = 1 << 15
 def cheb_eval(x, coeffs) -> np.ndarray:
     """``sum_n coeffs[n] T_n(x)`` at every point of `x`, by Clenshaw's recurrence.
 
-    Bit for bit ``numpy.polynomial.chebyshev.chebval(x, coeffs)`` for a
-    float array `x` and 1-D `coeffs`: the recurrence is elementwise and
-    keeps chebval's operations and their order (``b_n = c_n - b_{n+2}``
-    and ``b_{n+1} + b_{n+2} * 2x``), but runs in place on blocks of at
-    most ``_CLENSHAW_BLOCK`` points, so its work arrays stay in cache.
-    Returns an array of `x`'s shape (a numpy scalar for a 0-d `x`).
+    Bit for bit numpy's ``chebval(x, coeffs)`` for a float array `x`
+    and 1-D `coeffs`.  The recurrence is elementwise and keeps chebval's
+    operations in their order (``c0, c1 = c[n] - c1, c0 + c1 * 2x``
+    down to n = 0, then ``c0 + c1 * x``), but runs in place on blocks of
+    at most ``_CLENSHAW_BLOCK`` points, so its work arrays stay in
+    cache.  Returns an array of `x`'s shape (a numpy scalar for a 0-d
+    `x`).
     """
     c = np.asarray(coeffs, dtype=float).tolist()
     if not c:
@@ -112,11 +113,11 @@ def cheb_eval(x, coeffs) -> np.ndarray:
 def cheb_interpolate(func, deg: int) -> np.ndarray:
     """Coefficients of the degree-`deg` interpolant of `func` at the Chebyshev points of the first kind.
 
-    Bit for bit ``numpy.polynomial.chebyshev.chebinterpolate(func,
-    deg)``: the same deg + 1 points ``sin(pi (k + 1/2 - (deg + 1)/2) /
-    (deg + 1))`` in ascending order, the same Vandermonde recurrence
-    ``T_i = 2x T_{i-1} - T_{i-2}`` and the same ``np.dot``.  `func`
-    takes the array of points.
+    Bit for bit numpy's ``chebinterpolate(func, deg)``: the same deg + 1
+    points ``sin(pi (k + 1/2 - (deg + 1)/2) / (deg + 1))`` in ascending
+    order, the same Vandermonde recurrence ``T_i = 2x T_{i-1} -
+    T_{i-2}`` and the same ``np.dot``.  `func` takes the array of
+    points.
     """
     if deg < 0:
         raise ValidationError(f"cheb_interpolate needs deg >= 0, got {deg}")
