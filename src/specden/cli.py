@@ -14,15 +14,19 @@ Subcommands:
   scaling sweeps with log-log fits.
 
 Configuration comes from flags or from a plain ``key=value`` file given
-with ``--config`` (flags win on conflict).  Every run is deterministic
-given its configuration: the seed is always explicit, output files
-carry no timestamps, and floats are printed with round-trip precision.
+with ``--config`` (flags win on conflict), whose keys are exactly the
+option names, spelled with ``_`` or ``-`` (``grid_spacing`` or
+``grid-spacing``).  Every run is deterministic given its
+configuration: the seed is always explicit, output files carry no
+timestamps, and floats are printed with round-trip precision.
 Each output file starts with a comment header recording the artifact
 version and a hash of the resolved configuration.
 
-Exit codes, each error reported in one line on stderr: 0 success, 2
-invalid configuration or input, 3 target out of the supported regime, 4
-resource cap exceeded, 5 file I/O failure.
+Exit codes, each error reported in one line on stderr, ``LABEL:
+message``, a command-line parse error's included: 0 success, 2 invalid
+configuration or input, 3 target out of the supported regime, 4
+resource cap exceeded, 5 file I/O failure.  ``--help`` and
+``--version`` print to stdout and exit 0.
 """
 
 from __future__ import annotations
@@ -45,8 +49,8 @@ import numpy as np
 
 from . import __version__
 from .errors import SpecdenError, ValidationError
-from .estimators import ESTIMATION_METHODS, complexity_table, plan_fejer_samples
-from .kernels import AccuracyTarget, _check_cells, evaluation_grid, fejer_plan, grid_spacing
+from .estimators import ESTIMATION_METHODS, complexity_table
+from .kernels import AccuracyTarget, _check_cells, evaluation_grid, grid_spacing
 from .metrics import (
     AccuracyReport,
     ContractSetup,
@@ -125,9 +129,25 @@ class RunConfig:
         return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
-_FLOAT_KEYS = ("sigma", "delta", "beta", "eta", "grid_spacing", "nu")
-_INT_KEYS = ("seed", "trials", "workers", "samples")
-_STR_KEYS = ("method", "model", "gen", "out")
+# Each option's type, its least value or its allowed names, and its help
+# text: the parser, the config-file reader and the checks all read it.
+_OPTIONS: dict[str, tuple[type, object, str]] = {
+    "method": (str, _METHODS + ("all",), "kernel family (default all for plan/verify)"),
+    "sigma": (float, None, "kernel tail mass bound in (0, 1)"),
+    "delta": (float, None, "frequency resolution in (0, 1)"),
+    "beta": (float, None, "sup-norm accuracy of the estimate"),
+    "eta": (float, None, "confidence complement in (0, 1)"),
+    "seed": (int, 0, "base seed (required when sampling)"),
+    "trials": (int, 1, "Monte Carlo trials for verify, spread over the models; every model "
+                       "runs at least one, so below the model count each runs one"),
+    "grid_spacing": (float, None, "evaluation grid spacing"),
+    "model": (str, None, "model file (dim header, matrix rows, probe row)"),
+    "gen": (str, None, "model generator spec kind:dim[:k=v,...]"),
+    "out": (str, None, "output directory (default .)"),
+    "workers": (int, 1, "ignored; kept for old command lines"),
+    "nu": (float, None, "single evaluation frequency"),
+    "samples": (int, 1, "override the planned sample count"),
+}
 
 
 def _read_config_file(path: str) -> dict:
@@ -137,25 +157,24 @@ def _read_config_file(path: str) -> dict:
             raise ValidationError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         key = key.replace("-", "_")
+        if key not in _OPTIONS:
+            raise ValidationError(f"{path}:{lineno}: unknown key {key!r}")
         try:
-            if key in _FLOAT_KEYS:
-                out[key] = float(value)
-            elif key in _INT_KEYS:
-                out[key] = int(value)
-            elif key in _STR_KEYS:
-                out[key] = value
-            else:
-                raise ValidationError(f"{path}:{lineno}: unknown key {key!r}")
+            out[key] = _OPTIONS[key][0](value)
         except ValueError as exc:
             raise ValidationError(f"{path}:{lineno}: bad value for {key}: {value!r}") from exc
     return out
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose errors, its subcommands' included, raise :class:`ValidationError`."""
+
+    def error(self, message):
+        raise ValidationError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="specden",
-        description="Spectral density estimation workbench",
-    )
+    parser = _Parser(prog="specden", description="Spectral density estimation workbench")
     parser.add_argument("--version", action="version", version=f"specden {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, text in (
@@ -167,44 +186,24 @@ def _build_parser() -> argparse.ArgumentParser:
     ):
         sp = sub.add_parser(name, help=text)
         sp.add_argument("--config", help="key=value config file; flags win on conflict")
-        sp.add_argument(
-            "--method",
-            choices=sorted(_METHODS + ("all",)),
-            help="kernel family (default all for plan/verify)",
-        )
-        sp.add_argument("--sigma", type=float, help="kernel tail mass bound in (0, 1)")
-        sp.add_argument("--delta", type=float, help="frequency resolution in (0, 1)")
-        sp.add_argument("--beta", type=float, help="sup-norm accuracy of the estimate")
-        sp.add_argument("--eta", type=float, help="confidence complement in (0, 1)")
-        sp.add_argument("--seed", type=int, help="base seed (required when sampling)")
-        sp.add_argument(
-            "--trials", type=int,
-            help="Monte Carlo trials for verify, spread over the models; every model "
-                 "runs at least one, so below the model count each runs one")
-        sp.add_argument("--grid-spacing", type=float, help="evaluation grid spacing")
-        sp.add_argument("--model", help="model file (dim header, matrix rows, probe row)")
-        sp.add_argument("--gen", help="model generator spec kind:dim[:k=v,...]")
-        sp.add_argument("--out", help="output directory (default .)")
-        sp.add_argument("--workers", type=int, help="ignored; kept for old command lines")
-        sp.add_argument("--nu", type=float, help="single evaluation frequency")
-        sp.add_argument("--samples", type=int, help="override the planned sample count")
+        for key, (kind, check, help_text) in _OPTIONS.items():
+            choices = sorted(check) if isinstance(check, tuple) else None
+            sp.add_argument("--" + key.replace("_", "-"), type=kind, choices=choices, help=help_text)
     return parser
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    values: dict = {}
-    if args.config:
-        values.update(_read_config_file(args.config))
-    for key in _FLOAT_KEYS + _INT_KEYS + _STR_KEYS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            values[key] = flag
+    values = _read_config_file(args.config) if args.config else {}
+    values.update((key, flag) for key in _OPTIONS if (flag := getattr(args, key)) is not None)
     cfg = RunConfig(command=args.command, **values)
-    if cfg.method is not None and cfg.method not in _METHODS + ("all",):
-        raise ValidationError(f"unknown method {cfg.method!r}")
-    for key, low in (("trials", 1), ("workers", 1), ("samples", 1), ("seed", 0)):
-        if getattr(cfg, key) is not None and getattr(cfg, key) < low:
-            raise ValidationError(f"{key} must be >= {low}")
+    for key, (_, check, _) in _OPTIONS.items():
+        value = getattr(cfg, key)
+        if value is None or check is None:
+            continue
+        if isinstance(check, tuple) and value not in check:
+            raise ValidationError(f"unknown {key} {value!r}")
+        if isinstance(check, int) and value < check:
+            raise ValidationError(f"{key} must be >= {check}")
     if cfg.nu is not None and not math.isfinite(cfg.nu):
         raise ValidationError(f"nu must be finite, got {cfg.nu!r}")
     return cfg
@@ -264,22 +263,32 @@ def _load_spectra(cfg: RunConfig):
         yield evals, amplitudes, amap
 
 
-def _out_dir(cfg: RunConfig) -> Path:
-    path = Path(cfg.out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+class _Output:
+    """One command's output directory, made on its first write, and the envelope of its artifacts.
 
+    Every CSV header and JSON artifact carries the artifact version and
+    the config hash, computed once here.
+    """
 
-def _header_pairs(cfg: RunConfig, config: str, extra: list[tuple[str, object]] | None = None):
-    """The CSV header of `cfg`'s command; `config` is ``cfg.hash()``, which each command computes once."""
-    pairs: list[tuple[str, object]] = [
-        ("specden", cfg.command),
-        ("version", __version__),
-        ("config", config),
-    ]
-    if extra:
-        pairs.extend(extra)
-    return pairs
+    def __init__(self, cfg: RunConfig):
+        self.command = cfg.command
+        self.dir = Path(cfg.out)
+        self.config = cfg.hash()
+
+    def _path(self, name: str) -> Path:
+        self.dir.mkdir(parents=True, exist_ok=True)
+        return self.dir / name
+
+    def write_csv(self, name: str, columns: dict, extra=()) -> Path:
+        path = self._path(name)
+        header = [("specden", self.command), ("version", __version__), ("config", self.config), *extra]
+        _write_csv(path, header, columns)
+        return path
+
+    def write_json(self, name: str, fields: dict) -> Path:
+        path = self._path(name)
+        _write_json(path, {"version": __version__, "config": self.config, **fields})
+        return path
 
 
 # _write_csv formats and writes this many rows at a time.
@@ -382,17 +391,8 @@ def _cmd_plan(cfg: RunConfig) -> int:
         )
         print(f"{row['method']}: {text}")
     if cfg.out != ".":
-        out = _out_dir(cfg)
-        _write_json(
-            out / "plan.json",
-            {
-                "version": __version__,
-                "config": cfg.hash(),
-                "target": asdict(target),
-                "plans": rows,
-            },
-        )
-        print(f"wrote {out / 'plan.json'}")
+        path = _Output(cfg).write_json("plan.json", {"target": asdict(target), "plans": rows})
+        print(f"wrote {path}")
     return 0
 
 
@@ -406,22 +406,18 @@ def _one_model(cfg: RunConfig, allowed: tuple[str, ...]):
     return target, name, method, SpectralModel.from_amplitudes(evals, amplitudes), amap, nu
 
 
-def _write_transform(cfg: RunConfig, config: str, filename: str, name: str, grid, amap,
-                     extra=()) -> Path:
-    path = _out_dir(cfg) / filename
-    header = _header_pairs(
-        cfg,
-        config,
+def _write_transform(out: _Output, filename: str, name: str, grid, amap, extra=()) -> Path:
+    return out.write_csv(
+        filename,
+        {"frequency": grid.frequencies, "value": grid.values},
         [("method", name), ("kind", grid.kind), ("spectrum_scale", fmt_float(amap.scale)), *extra],
     )
-    _write_csv(path, header, {"frequency": grid.frequencies, "value": grid.values})
-    return path
 
 
 def _cmd_transform(cfg: RunConfig) -> int:
     target, name, method, model, amap, nu = _one_model(cfg, _METHODS)
     grid = method.transform(model, target, nu)
-    path = _write_transform(cfg, cfg.hash(), "transform.csv", name, grid, amap)
+    path = _write_transform(_Output(cfg), "transform.csv", name, grid, amap)
     print(f"wrote {path} ({grid.frequencies.size} rows)")
     return 0
 
@@ -436,11 +432,9 @@ def _cmd_estimate(cfg: RunConfig) -> int:
     if (route := method.route(model, budget)) is not None:
         print(route)
     extra = [("kernel_order", budget.kernel_order), ("n_samples", budget.n_samples), ("seed", seed)]
-    config = cfg.hash()
-    csv_path = _write_transform(cfg, config, "estimate.csv", name, transform, amap, extra)
+    out = _Output(cfg)
+    csv_path = _write_transform(out, "estimate.csv", name, transform, amap, extra)
     record = {
-        "version": __version__,
-        "config": config,
         "method": name,
         "seed": seed,
         "budget": {k: v for k, v in asdict(budget).items() if v is not None},
@@ -448,8 +442,7 @@ def _cmd_estimate(cfg: RunConfig) -> int:
         "rows": int(transform.frequencies.size),
         "spectrum_scale": amap.scale,
     }
-    json_path = csv_path.with_name("estimate_record.json")
-    _write_json(json_path, record)
+    json_path = out.write_json("estimate_record.json", record)
     print(f"wrote {csv_path} and {json_path}")
     return 0
 
@@ -490,9 +483,9 @@ def _fault_sweep(
     do not shrink with n (2.25 * 2**-52 at n = 4): the floor of 64 keeps
     those from failing a correct simulator on a small register.
     """
-    planned_n = fejer_plan(target).n
+    plan = ESTIMATION_METHODS["fejer"].plan_row(target)
+    planned_n, planned_dt = plan["grid_size"], plan["delta_t"]
     planned_anc = int(math.log2(planned_n))
-    _, planned_dt = plan_fejer_samples(target.beta, target.eta, faulty=True, n=planned_n)
     # The statevector holds dim * n amplitudes: run it on the largest grid that fits.
     n_ancilla = min(planned_anc, (MEMORY_CAP // evals.size).bit_length() - 1)
     n = 2**n_ancilla
@@ -533,10 +526,8 @@ def _cmd_verify(cfg: RunConfig) -> int:
     )
     spectra = list(_load_spectra(cfg))
     models = [SpectralModel.from_amplitudes(evals, amplitudes) for evals, amplitudes, _ in spectra]
-    config = cfg.hash()
+    out = _Output(cfg)
     report_json: dict = {
-        "version": __version__,
-        "config": config,
         "target": asdict(target),
         "n_models": len(models),
         "reports": {},
@@ -569,12 +560,10 @@ def _cmd_verify(cfg: RunConfig) -> int:
         )
         # a certified row has no measured value: its cell is left empty
         columns = ["n", "delta_t", "bound", "measured", "realizations", "ok"]
-        _write_csv(_out_dir(cfg) / "fault_sweep.csv", _header_pairs(cfg, config),
-                   {k: ["" if r[k] is None else r[k] for r in sweep] for k in columns})
+        out.write_csv("fault_sweep.csv",
+                      {k: ["" if r[k] is None else r[k] for r in sweep] for k in columns})
     report_json["pass"] = overall
-    out = _out_dir(cfg)
-    path = out / "verify_report.json"
-    _write_json(path, report_json)
+    path = out.write_json("verify_report.json", report_json)
     print(f"{'PASS' if overall else 'FAIL'}; wrote {path}")
     return 0
 
@@ -609,22 +598,20 @@ def _sweep_points(name: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _cmd_bench(cfg: RunConfig) -> int:
-    out = _out_dir(cfg)
+    out = _Output(cfg)
     deltas = [cfg.delta] if cfg.delta is not None else [0.1, 0.05, 0.01]
     epsilons = [cfg.sigma] if cfg.sigma is not None else [0.1, 0.05]
     rows = complexity_table(deltas, epsilons, eta=cfg.eta)
     columns = ["method", "delta", "eps", "kernel_order", "n_samples", "note"]
-    config = cfg.hash()
-    _write_csv(out / "complexity.csv", _header_pairs(cfg, config),
-               {k: [r[k] for r in rows] for k in columns})
-    fit_header = _header_pairs(cfg, config)
+    table = out.write_csv("complexity.csv", {k: [r[k] for r in rows] for k in columns})
+    fits = []
     data = {"sweep": [], "x": [], "m": [], "fit_residual": []}
     for name in _SWEEPS:
         xs, ms = _sweep_points(name)
         exponent, intercept, r2 = scaling_fit(xs, ms)
         predicted = exponent * np.log(xs) + intercept
         residuals = np.log(ms) - predicted
-        fit_header.append(
+        fits.append(
             (
                 f"fit {name}",
                 f"exponent={fmt_float(exponent)} intercept={fmt_float(intercept)} "
@@ -636,8 +623,8 @@ def _cmd_bench(cfg: RunConfig) -> int:
         data["m"] += ms.tolist()
         data["fit_residual"] += residuals.tolist()
         print(f"{name}: exponent={exponent:.4f} r2={r2:.5f}")
-    _write_csv(out / "scaling.csv", fit_header, data)
-    print(f"wrote {out / 'complexity.csv'} and {out / 'scaling.csv'}")
+    scaling = out.write_csv("scaling.csv", data, fits)
+    print(f"wrote {table} and {scaling}")
     return 0
 
 
@@ -657,9 +644,8 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
     try:
-        cfg = _resolve_config(args)
+        cfg = _resolve_config(_PARSER.parse_args(argv))
         code = _DISPATCH[cfg.command](cfg)
     except BrokenPipeError:
         code = 5

@@ -103,3 +103,14 @@ def test_byte_comparison_ignores_only_the_estimate_records_elapsed_time(tmp_path
     assert bench_pairs.byte_mismatches(parent, other) == [
         "estimate.csv", "estimate_record.json", "extra.csv", "sub/plan.json"]
     assert bench_pairs.byte_mismatches(other, {}) == sorted(other)
+
+
+def test_printed_lines_count_but_the_output_directory_does_not(tmp_path):
+    parent, change = tmp_path / "parent" / "0", tmp_path / "change" / "0"
+    printed = bench_pairs.printed_digests(f"wrote {parent}/plan.json\n".encode(), b"", parent)
+    moved = bench_pairs.printed_digests(f"wrote {change}/plan.json\n".encode(), b"", change)
+    assert bench_pairs.byte_mismatches(printed, moved) == []
+    reworded = bench_pairs.printed_digests(f"wrote {change}/plan.json!\n".encode(), b"", change)
+    assert bench_pairs.byte_mismatches(printed, reworded) == ["stdout"]
+    warned = bench_pairs.printed_digests(f"wrote {change}/plan.json\n".encode(), b"note\n", change)
+    assert bench_pairs.byte_mismatches(printed, warned) == ["stderr"]

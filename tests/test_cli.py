@@ -6,6 +6,7 @@ the written files.
 """
 
 import argparse
+import dataclasses
 import itertools
 import json
 import os
@@ -886,10 +887,78 @@ def test_config_file_and_flag_precedence(tmp_path, capsys):
     assert "grid_size=64" in capsys.readouterr().out
 
 
-def test_config_file_unknown_key(tmp_path):
+def test_config_file_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("sigma = 0.25\nwavelength = 4\n")
     assert run_cli("plan", "--config", str(cfg), "--delta", "0.1") == 2
+    assert capsys.readouterr().err == f"error: {cfg}:2: unknown key 'wavelength'\n"
+    # a known key with a value its type refuses is a bad value
+    cfg.write_text("sigma = abc\n")
+    assert run_cli("plan", "--config", str(cfg), "--delta", "0.1") == 2
+    assert capsys.readouterr().err == f"error: {cfg}:1: bad value for sigma: 'abc'\n"
+
+
+# every option with a value its type reads, in RunConfig's field order
+_OPTION_VALUES = {
+    "method": "git", "sigma": "0.25", "delta": "0.1", "beta": "0.05", "eta": "0.1",
+    "seed": "7", "trials": "3", "grid_spacing": "0.01", "model": "m.txt", "gen": "dense:4",
+    "out": "runs/x", "workers": "2", "nu": "0.5", "samples": "9",
+}
+
+
+def _resolve(*argv):
+    return cli._resolve_config(cli._PARSER.parse_args(["plan", *argv]))
+
+
+def test_the_options_are_the_run_config_fields():
+    assert [f.name for f in dataclasses.fields(cli.RunConfig)] == ["command", *_OPTION_VALUES]
+
+
+@pytest.mark.parametrize("key", list(_OPTION_VALUES))
+def test_config_file_keys_resolve_as_their_flags(tmp_path, key):
+    value = _OPTION_VALUES[key]
+    flag = _resolve("--" + key.replace("_", "-"), value)
+    assert getattr(flag, key) is not None
+    for spelling in {key, key.replace("_", "-")}:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{spelling} = {value}\n")
+        assert _resolve("--config", str(cfg)) == flag
+
+
+@pytest.mark.parametrize("key, low", [("seed", 0), ("trials", 1), ("workers", 1), ("samples", 1)])
+def test_a_value_below_its_bound_reads_the_same_from_a_file_and_a_flag(tmp_path, capsys, key, low):
+    target = ["plan", "--sigma", "0.25", "--delta", "0.1"]
+    assert run_cli(*target, "--" + key, str(low - 1)) == 2
+    from_flag = capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {low - 1}\n")
+    assert run_cli(*target, "--config", str(cfg)) == 2
+    assert capsys.readouterr().err == from_flag == f"error: {key} must be >= {low}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["plan", "--sigma", "abc", "--delta", "0.1"],
+        ["plan", "--method", "wavelet", "--sigma", "0.1", "--delta", "0.1"],
+        ["plan", "--sigma", "0.1", "--delta", "0.1", "--wavelength", "4"],
+        [],
+    ],
+    ids=["bad-float", "bad-method", "unknown-flag", "no-subcommand"],
+)
+def test_parse_errors_are_one_stderr_line(capsys, argv):
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["plan", "--help"]])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: specden")
 
 
 def test_verify_fejer_quick(tmp_path, capsys):

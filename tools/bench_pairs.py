@@ -28,8 +28,10 @@ the same file as ``extra_pairs``.
 pass at the first seed (the parent's ``workloads.pass_ops``) once in
 each side, as ``python3 -m specden ARGV``, and compares the sha256 of
 every artifact, ``estimate_record.json`` without its ``elapsed_s``
-(:func:`artifact_digests`, :func:`byte_mismatches`).  The op count, the
-artifact count and the mismatches go under ``bytes``.  Nothing under
+(:func:`artifact_digests`, :func:`byte_mismatches`), and of what the op
+printed to stdout and to stderr, with its output directory read as
+``<out>`` (:func:`printed_digests`).  The op count, the artifact count
+and the mismatches go under ``bytes``.  Nothing under
 ``perfbench/`` is imported into this process or edited.
 """
 
@@ -194,6 +196,12 @@ def byte_mismatches(parent: dict[str, str], change: dict[str, str]) -> list[str]
             if parent.get(name) != change.get(name)]
 
 
+def printed_digests(stdout: bytes, stderr: bytes, out: Path) -> dict[str, str]:
+    """sha256 of each stream an op printed, with its output directory `out` replaced by ``<out>``."""
+    return {name: hashlib.sha256(data.replace(str(out).encode(), b"<out>")).hexdigest()
+            for name, data in (("stdout", stdout), ("stderr", stderr))}
+
+
 def _pass_argvs(side: Path, workload: str, seed: int) -> list[list[str]]:
     """The argv of every op of one pass, each without its trailing ``--out DIR``."""
     script = ("import json, sys; sys.path.insert(0, 'perfbench'); from workloads import pass_ops; "
@@ -204,23 +212,26 @@ def _pass_argvs(side: Path, workload: str, seed: int) -> list[list[str]]:
 
 
 def compare_bytes(sides: dict[str, Path], workload: str, seed: int, work: Path) -> dict:
-    """Run one pass of `workload` once in each side and compare the artifacts' digests."""
+    """Run one pass of `workload` once in each side and compare its exit codes, artifacts and printed streams."""
     argvs = _pass_argvs(sides["parent"], workload, seed)
     artifacts, mismatches = 0, []
     for i, argv in enumerate(argvs):
-        digests, codes = {}, {}
+        digests, printed, codes = {}, {}, {}
         for side, path in sides.items():
             out = work / "bytes" / side / workload / str(i)
             shutil.rmtree(out, ignore_errors=True)
             env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": str(path / "src")}
-            codes[side] = subprocess.run([sys.executable, "-m", "specden", *argv, "--out", str(out)],
-                                         cwd=path, env=env, capture_output=True).returncode
+            done = subprocess.run([sys.executable, "-m", "specden", *argv, "--out", str(out)],
+                                  cwd=path, env=env, capture_output=True)
+            codes[side] = done.returncode
             digests[side] = artifact_digests(out)
+            printed[side] = printed_digests(done.stdout, done.stderr, out)
         artifacts += len(digests["parent"])
         op = " ".join(argv)
         if codes["parent"] != codes["change"]:
             mismatches.append(f"{op}: exit {codes['parent']} vs {codes['change']}")
-        mismatches += [f"{op}: {name}" for name in byte_mismatches(digests["parent"], digests["change"])]
+        for found in (digests, printed):
+            mismatches += [f"{op}: {name}" for name in byte_mismatches(found["parent"], found["change"])]
     return {"seed": seed, "ops": len(argvs), "artifacts": artifacts, "mismatches": mismatches}
 
 
