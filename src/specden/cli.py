@@ -51,15 +51,7 @@ from . import __version__
 from .errors import SpecdenError, ValidationError
 from .estimators import ESTIMATION_METHODS, complexity_table
 from .kernels import AccuracyTarget, _check_cells, evaluation_grid, grid_spacing
-from .metrics import (
-    AccuracyReport,
-    ContractSetup,
-    bounded_observables,
-    contract_check,
-    contract_report,
-    contract_setup,
-    scaling_fit,
-)
+from .metrics import bounded_observables, contract_report, scaling_fit
 from .numerics import derive_seed, derive_seeds, fmt_float
 from .operators import (
     AffineMap,
@@ -95,7 +87,7 @@ class RunConfig:
     grid_spacing: float | None = None
     model: str | None = None
     gen: str | None = None
-    out: str = "."
+    out: str | None = None
     workers: int | None = None
     nu: float | None = None
     samples: int | None = None
@@ -272,7 +264,7 @@ class _Output:
 
     def __init__(self, cfg: RunConfig):
         self.command = cfg.command
-        self.dir = Path(cfg.out)
+        self.dir = Path(cfg.out or ".")
         self.config = cfg.hash()
 
     def _path(self, name: str) -> Path:
@@ -390,7 +382,7 @@ def _cmd_plan(cfg: RunConfig) -> int:
             if k != "method"
         )
         print(f"{row['method']}: {text}")
-    if cfg.out != ".":
+    if cfg.out is not None:
         path = _Output(cfg).write_json("plan.json", {"target": asdict(target), "plans": rows})
         print(f"wrote {path}")
     return 0
@@ -447,16 +439,13 @@ def _cmd_estimate(cfg: RunConfig) -> int:
     return 0
 
 
-def _run_contract(
-    cfg: RunConfig, setup: ContractSetup, models, seed: int
-) -> AccuracyReport:
+def _contract_trials(cfg: RunConfig, models, seed: int) -> list:
+    """Each model with its trial seeds: `cfg.trials` split over the models, at least one each."""
     base, extra = divmod(cfg.trials, len(models))
-    tallies = []
-    for i, model in enumerate(models):
-        model_seed = derive_seed(seed, 100 + i)
-        seeds = derive_seeds(model_seed, 0, count=max(1, base + (i < extra)))
-        tallies.append(contract_check(setup, model, seeds))
-    return contract_report(setup, tallies)
+    return [
+        (model, derive_seeds(derive_seed(seed, 100 + i), 0, count=max(1, base + (i < extra))))
+        for i, model in enumerate(models)
+    ]
 
 
 def _fault_sweep(
@@ -534,9 +523,9 @@ def _cmd_verify(cfg: RunConfig) -> int:
     }
     overall = True
     for name in names:
-        setup = contract_setup(name, observables, target, cfg.grid_spacing, cfg.samples)
         stream = ESTIMATION_METHODS[name].verify_stream
-        report = _run_contract(cfg, setup, models, derive_seed(seed, stream))
+        trials = _contract_trials(cfg, models, derive_seed(seed, stream))
+        report = contract_report(name, observables, target, trials, cfg.grid_spacing, cfg.samples)
         entry = asdict(report)
         entry["passed"] = report.passed()
         report_json["reports"][name] = entry

@@ -371,9 +371,7 @@ class _Histogram(EstimationMethod):
 
     def transform(self, model: SpectralModel, target: AccuracyTarget, nu=None) -> TransformGrid:
         budget = self.budget(target)
-        dist = self.peaks(model, budget.kernel_order).distribution()
-        kernel = self.kernel(budget)
-        return TransformGrid(dist.grid, dist.probs, kind=kernel.kind, kernel=kernel)
+        return self.exact(model, budget, self.grid(budget))
 
 
 class _FoldedHistogram(_Histogram):

@@ -24,8 +24,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .estimators import CONTRACT_GRID, ESTIMATION_METHODS, Budget
-from .kernels import AccuracyTarget, KernelSpec, evaluation_grid, grid_spacing, sigma_accuracy
+from .estimators import CONTRACT_GRID, ESTIMATION_METHODS
+from .kernels import AccuracyTarget, evaluation_grid, grid_spacing, sigma_accuracy
 from .numerics import derive_seeds
 from .operators import (
     ObservableFn,
@@ -43,10 +43,6 @@ __all__ = [
     "binomial_threshold",
     "BoundedObservable",
     "bounded_observables",
-    "ContractSetup",
-    "contract_setup",
-    "ContractTally",
-    "contract_check",
     "contract_report",
     "observable_bound_empirical_check",
     "scaling_fit",
@@ -221,153 +217,87 @@ def bounded_observables(
     )
 
 
-@dataclass(frozen=True)
-class ContractSetup:
-    """The per-target work of a contract check, shared by every model.
-
-    `method` names an entry of
-    :data:`~specden.estimators.ESTIMATION_METHODS`, which draws the
-    trials of `budget`.  Each trial's deviation is measured on `grid`.
-    A density's observables are integrated over `dense`, the grid
-    extended eight kernel widths past [-1, 1], where the deviation is
-    measured again; a discrete transform's are summed over `grid`, and
-    `dense` is None.
-    """
-
-    method: str
-    target: AccuracyTarget
-    spacing: float
-    measured_sigma: float
-    kernel: KernelSpec
-    budget: Budget
-    grid: np.ndarray
-    observables: tuple[BoundedObservable, ...]
-    dense: np.ndarray | None = None
-
-
-def contract_setup(
+def contract_report(
     method: str,
     observables: Sequence[BoundedObservable],
     target: AccuracyTarget,
+    trials: Sequence[tuple[SpectralModel, Sequence[int]]],
     spacing: float | None = None,
     n_samples: int | None = None,
-) -> ContractSetup:
-    """Plan the contract check of `method` at `target` once for all models.
+) -> AccuracyReport:
+    """Check the accuracy contract of `method` at `target` over seeded trials.
 
-    The kernel tail is measured with spacing `spacing` (default ``delta /
-    20``), the spacing `observables` were bounded at.  `n_samples`
-    overrides the planned measurement total (for the moment method it is
-    split evenly over the orders).
+    `trials` pairs each model with its trial seeds, one trial per seed.
+    The spacing (default ``delta / 20``, the one `observables` were
+    bounded at) is checked before anything is built.  The method's
+    budget and kernel, the kernel tail measured at that spacing, and for
+    a density kernel the dense grid extended eight kernel widths past
+    [-1, 1] are planned once.  `n_samples` overrides the planned
+    measurement total (for the moment method it is split evenly over the
+    orders).
+
+    Each model's source, reference transforms (read off that source where
+    the method can) and exact observables are computed once, and its
+    trials are drawn by the method's entry and checked as arrays, in
+    blocks of at most 2^18 cells of the dense grid, or of the contract
+    grid without one.  A density's observables are integrated over the
+    dense grid, where the deviation is measured again
+    (`margin_delta_v`); a discrete transform's are summed over the
+    contract grid.  Confidences are pooled hits over pooled trials, the
+    binomial threshold and pass flags are set at the pooled trial count,
+    and the worst deviations are taken over every trial.
     """
     entry = ESTIMATION_METHODS.get(method)
     if entry is None or entry.verify_stream is None:
         raise ValidationError(f"contract check does not implement {method!r}")
     h = grid_spacing(target.delta, spacing)
+    if not trials or not all(len(seeds) for _, seeds in trials):
+        raise ValidationError("need at least one model, each with at least one trial seed")
     budget = entry.budget(target, CONTRACT_GRID, n_samples)
     kernel = entry.kernel(budget)
     dense = None
     if kernel.kind == "density":
         margin = 8.0 * kernel.width
         dense = np.arange(-1.0 - margin, 1.0 + margin + h / 2.0, h)
-    return ContractSetup(
-        method=method,
-        target=target,
-        spacing=h,
-        measured_sigma=sigma_accuracy(kernel, target.delta, h).value,
-        kernel=kernel,
-        budget=budget,
-        grid=entry.grid(budget, CONTRACT_GRID),
-        observables=tuple(observables),
-        dense=dense,
-    )
-
-
-@dataclass(frozen=True)
-class ContractTally:
-    """Hit counts of one model's contract trials under one setup.
-
-    `hits` counts the trials within `beta` on the contract grid and
-    `observable_hits` those within each observable's bound, in
-    ``setup.observables`` order.  `delta_v` is the worst deviation on
-    the contract grid and `margin_delta_v` on the setup's dense grid (0
-    without one).
-    """
-
-    trials: int
-    hits: int
-    observable_hits: tuple[int, ...]
-    delta_v: float
-    margin_delta_v: float
-
-
-def contract_check(
-    setup: ContractSetup, model: SpectralModel, seeds: Sequence[int]
-) -> ContractTally:
-    """Run one seeded trial of `model` per seed under `setup` and count its hits.
-
-    The model's source, reference transforms (read off that source where
-    the method can) and exact observables are computed once, and its
-    trials are drawn by the method's entry and checked as arrays, in
-    blocks of at most 2^18 cells of the dense grid, or of the contract
-    grid without one.
-    """
-    if not seeds:
-        raise ValidationError("need at least one trial seed")
-    entry = ESTIMATION_METHODS[setup.method]
-    budget, grid, dense = setup.budget, setup.grid, setup.dense
+    measured_sigma = sigma_accuracy(kernel, target.delta, h).value
+    grid = entry.grid(budget, CONTRACT_GRID)
     rows = max(1, _BLOCK_CELLS // (grid.size if dense is None else dense.size))
-    worst = 0.0
-    worst_margin = 0.0
-    hits = 0
-    obs_hits = [0] * len(setup.observables)
-    source = entry.source(model, budget)
-    ref = entry.exact(model, budget, grid, source).values
-    ref_dense = None if dense is None else entry.exact(model, budget, dense, source).values
-    q_exact = [observable_exact(model, ob.fn) for ob in setup.observables]
-    for start in range(0, len(seeds), rows):
-        draws = entry.draw(model, budget, seeds[start : start + rows], source)
-        values = entry.project(draws, budget, grid)
-        dev = np.max(np.abs(values - ref), axis=1)
-        worst = max(worst, float(dev.max()))
-        hits += int(np.count_nonzero(dev <= setup.target.beta))
-        if dense is not None:
-            values = entry.project(draws, budget, dense)
-            worst_margin = max(worst_margin, float(np.max(np.abs(values - ref_dense))))
-        summed = TransformGrid(grid if dense is None else dense, values, setup.kernel.kind,
-                               setup.kernel)
-        for k, ob in enumerate(setup.observables):
-            est = observable_from_transform(summed, ob.fn)
-            obs_hits[k] += int(np.count_nonzero(np.abs(q_exact[k] - est) <= ob.bound.total))
-    return ContractTally(len(seeds), hits, tuple(obs_hits), worst, worst_margin)
-
-
-def contract_report(setup: ContractSetup, tallies: Sequence[ContractTally]) -> AccuracyReport:
-    """Pool the tallies of `setup`'s models into one report.
-
-    Confidences are pooled hits over pooled trials, and the binomial
-    threshold and pass flags are set at the pooled trial count.
-    Worst-case deviations take the maximum over the tallies.
-    """
-    if not tallies:
-        raise ValidationError("need at least one model's tally")
-    target, n_trials = setup.target, sum(t.trials for t in tallies)
+    worst = worst_margin = 0.0
+    hits = n_trials = 0
+    obs_hits = [0] * len(observables)
+    for model, seeds in trials:
+        source = entry.source(model, budget)
+        ref = entry.exact(model, budget, grid, source).values
+        ref_dense = None if dense is None else entry.exact(model, budget, dense, source).values
+        q_exact = [observable_exact(model, ob.fn) for ob in observables]
+        n_trials += len(seeds)
+        for start in range(0, len(seeds), rows):
+            draws = entry.draw(model, budget, seeds[start : start + rows], source)
+            values = entry.project(draws, budget, grid)
+            dev = np.max(np.abs(values - ref), axis=1)
+            worst = max(worst, float(dev.max()))
+            hits += int(np.count_nonzero(dev <= target.beta))
+            if dense is not None:
+                values = entry.project(draws, budget, dense)
+                worst_margin = max(worst_margin, float(np.max(np.abs(values - ref_dense))))
+            summed = TransformGrid(grid if dense is None else dense, values, kernel.kind, kernel)
+            for k, ob in enumerate(observables):
+                est = observable_from_transform(summed, ob.fn)
+                obs_hits[k] += int(np.count_nonzero(np.abs(q_exact[k] - est) <= ob.bound.total))
     threshold = binomial_threshold(target.eta, n_trials)
-    confidence = sum(t.hits for t in tallies) / n_trials
-    obs_conf = {
-        ob.name: sum(t.observable_hits[k] for t in tallies) / n_trials
-        for k, ob in enumerate(setup.observables)
-    } or None
+    confidence = hits / n_trials
+    obs_conf = {ob.name: k_hits / n_trials for ob, k_hits in zip(observables, obs_hits)} or None
     return AccuracyReport(
-        measured_sigma=setup.measured_sigma,
-        delta_v=max(t.delta_v for t in tallies),
+        measured_sigma=measured_sigma,
+        delta_v=worst,
         empirical_confidence=confidence,
-        grid_spacing=setup.spacing,
+        grid_spacing=h,
         n_trials=n_trials,
         threshold=threshold,
-        pass_sigma=setup.measured_sigma <= target.sigma + 1e-12,
+        pass_sigma=measured_sigma <= target.sigma + 1e-12,
         pass_beta=confidence >= threshold,
-        margin_delta_v=None if setup.dense is None else max(t.margin_delta_v for t in tallies),
-        observable_bounds={ob.name: ob.bound.total for ob in setup.observables} or None,
+        margin_delta_v=None if dense is None else worst_margin,
+        observable_bounds={ob.name: ob.bound.total for ob in observables} or None,
         observable_confidence=obs_conf,
         pass_bound=None if obs_conf is None else all(c >= threshold for c in obs_conf.values()),
     )
@@ -385,37 +315,21 @@ def observable_bound_empirical_check(
 ) -> AccuracyReport:
     """Monte Carlo check of the accuracy contract and observable bound.
 
-    Runs `trials` seeded estimation runs per model (trial j of model i
-    uses the derived seed ``(seed, i, j)``), measures the sup-norm
-    deviation from the exact transform, and, for each observable in
-    `f` (a single callable, a sequence, or None), the deviation of the
-    estimated observable from the exact one against the analytic bound.
-    The kernel tail is measured once per call on a center grid of the
-    same spacing (default ``delta / 20``).  This is one
-    :func:`contract_setup`, one :func:`contract_check` per model and one
-    :func:`contract_report`.
-
-    For ``method="git"`` the contract grid is
-    :data:`~specden.estimators.CONTRACT_GRID`; observables integrate a dense
-    re-evaluation of each trial's moment vector over a grid extended by
-    eight kernel widths, where the deviation is also re-measured and
-    reported as `margin_delta_v`.  For ``method="fejer"`` the contract
-    grid is the histogram's bins, and observables are summed over them.
-    Each model's exact moments or outcome distribution are computed
-    once, and trial j draws exactly what the method's ``estimate`` draws
-    with its seed (:data:`~specden.estimators.ESTIMATION_METHODS`).
-
-    `n_samples` overrides the planned measurement total (for the moment
-    method it is split evenly over the orders), which deliberately
-    under-budgeted runs use to demonstrate the confidence check failing.
+    One :func:`contract_report` of `method` at `target` over `trials`
+    seeded runs per model (trial j of model i uses the derived seed
+    ``(seed, i, j)``) and the observables of `f` (a single callable, a
+    sequence, or None) bounded at `spacing` (default ``delta / 20``).
+    Trial j draws exactly what the method's ``estimate`` draws with its
+    seed (:data:`~specden.estimators.ESTIMATION_METHODS`).  The contract
+    grid of ``git`` is :data:`~specden.estimators.CONTRACT_GRID`, that of
+    ``fejer`` the histogram's bins.  `n_samples` overrides the planned
+    measurement total, which deliberately under-budgeted runs use to
+    demonstrate the confidence check failing.
     """
     models = [model] if isinstance(model, SpectralModel) else list(model)
-    setup = contract_setup(method, bounded_observables(f, target, spacing), target, spacing, n_samples)
-    tallies = [
-        contract_check(setup, m, derive_seeds(seed, i, count=trials))
-        for i, m in enumerate(models)
-    ]
-    return contract_report(setup, tallies)
+    observables = bounded_observables(f, target, spacing)
+    pairs = [(m, derive_seeds(seed, i, count=trials)) for i, m in enumerate(models)]
+    return contract_report(method, observables, target, pairs, spacing, n_samples)
 
 
 def scaling_fit(x, y) -> tuple[float, float, float]:

@@ -90,6 +90,22 @@ def test_plan_all_writes_json(tmp_path, capsys):
     assert data["target"]["sigma"] == 0.25
 
 
+@pytest.mark.parametrize("argv", [["--out", "."], ["--out", "./"], ["--config", "c.txt"]])
+def test_plan_writes_json_to_the_working_directory(tmp_path, monkeypatch, capsys, argv):
+    # an output directory of "." is given, so plan writes there as for any other
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.txt").write_text("out = .\n")
+    assert run_cli("plan", "--method", "fejer", "--sigma", "0.25", "--delta", "0.1", *argv) == 0
+    assert json.loads((tmp_path / "plan.json").read_text())["plans"][0]["method"] == "fejer"
+    assert capsys.readouterr().out.endswith("wrote plan.json\n")
+
+
+def test_plan_without_out_writes_nothing(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("plan", "--method", "fejer", "--sigma", "0.25", "--delta", "0.1") == 0
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_estimate_requires_seed(tmp_path):
     assert run_cli(
         "estimate", "--method", "fejer", "--sigma", "0.25", "--delta", "0.1",
@@ -149,6 +165,25 @@ def test_estimate_qfejer_merged_bins(tmp_path):
     assert len(rows) == 256 // 2 + 1
     total = sum(float(l.split(",")[1]) for l in rows)
     assert abs(total - 1.0) < 1e-9
+
+
+def _csv_table(path) -> np.ndarray:
+    lines = path.read_text().splitlines()
+    return np.array([[float(x) for x in line.split(",")] for line in lines[lines.index("frequency,value") + 1:]])
+
+
+def test_qfejer_transform_and_estimate_share_their_frequencies(tmp_path):
+    # the transform is the mirror-merged exact reference the estimate samples:
+    # 65 recovered frequencies in [-3, 1], not the 128 walk outcomes in [-1, 1)
+    common = ["--method", "qfejer", "--sigma", "0.2", "--delta", "0.25", "--gen", "gapped:8",
+              "--seed", "11", "--out", str(tmp_path)]
+    assert run_cli("transform", *common) == 0
+    assert run_cli("estimate", *common) == 0
+    transform, estimate = _csv_table(tmp_path / "transform.csv"), _csv_table(tmp_path / "estimate.csv")
+    assert transform.shape == estimate.shape == (65, 2)
+    assert transform[:, 0].tobytes() == estimate[:, 0].tobytes()
+    assert transform[0, 0] == -3.0 and transform[-1, 0] == 1.0
+    assert abs(transform[:, 1].sum() - 1.0) < 1e-12
 
 
 def test_transform_writes_exact_values(tmp_path):

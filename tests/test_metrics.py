@@ -32,18 +32,15 @@ from specden.kernels import (
 )
 from specden.metrics import (
     AccuracyReport,
-    ContractTally,
     binomial_threshold,
     bounded_observables,
-    contract_check,
     contract_report,
-    contract_setup,
     observable_bound,
     observable_bound_empirical_check,
     scaling_fit,
     total_variation,
 )
-from specden.numerics import child_rng, derive_seed
+from specden.numerics import child_rng, derive_seed, derive_seeds
 from specden.operators import (
     ObservableFn,
     SpectralModel,
@@ -270,10 +267,13 @@ def test_observable_check_fejer_small_run():
 
 
 
-# every caller that builds a grid from a spacing, by name
+# one trial of a one-peak model
+_ONE_TRIAL = [(SpectralModel(np.array([0.0]), np.array([1.0])), [1])]
+# every caller that builds a grid from a spacing, by name; contract_report checks
+# its spacing in its setup, before it plans the budget or draws a trial
 _SPACING_CALLS = {
     "observable_bound": lambda target, spacing: observable_bound(lambda w: w, target, spacing),
-    "contract_setup": lambda target, spacing: contract_setup("git", (), target, spacing),
+    "contract_setup": lambda target, spacing: contract_report("git", (), target, _ONE_TRIAL, spacing),
     "sigma_accuracy": lambda target, spacing: sigma_accuracy(GaussianKernel(0.1), target.delta, spacing),
     "cli": lambda target, spacing: cli._nu_grid(cli.RunConfig("verify", grid_spacing=spacing), target),
 }
@@ -308,7 +308,7 @@ def test_observable_bound_and_contract_share_one_spacing():
     # three points, where the observable bound used to floor it at four
     target = AccuracyTarget(sigma=0.1, delta=0.2)
     assert observable_bound(lambda w: w, target, 1.0).grid_spacing == 1.0
-    assert contract_setup("git", (), target, 1.0).spacing == 1.0
+    assert contract_report("git", (), target, _ONE_TRIAL, 1.0).grid_spacing == 1.0
 
 
 def _fejer_reference(model, kernel):
@@ -542,16 +542,19 @@ def test_contract_check_memory_stays_flat_in_the_trial_count():
     # 454 MiB at 6,000 trials
     target = AccuracyTarget(sigma=0.1, delta=0.02, beta=0.1)
     observables = bounded_observables([ObservableFn(np.ones_like, "one")], target)
-    setup = contract_setup("git", observables, target)
-    assert (setup.budget.kernel_order, setup.grid.size, setup.dense.size) == (619, 5, 2150)
+    budget = estimators.ESTIMATION_METHODS["git"].budget(target)
+    margin = 8.0 * budget.lam
+    dense = np.arange(-1.0 - margin, 1.0 + margin + 0.001 / 2.0, 0.001)
+    assert (budget.kernel_order, CONTRACT_GRID.size, dense.size) == (619, 5, 2150)
     model = SpectralModel.from_amplitudes(*random_spectrum(8, 1))
+    trials = [(model, [derive_seed(1, 0, j) for j in range(6000)])]
     tracemalloc.start()
     try:
-        tally = contract_check(setup, model, [derive_seed(1, 0, j) for j in range(6000)])
+        report = contract_report("git", observables, target, trials)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert tally.trials == 6000
+    assert report.n_trials == 6000
     assert peak < 32 * 2**20
 
 
@@ -559,41 +562,38 @@ def test_per_peak_contract_builds_each_models_tables_once(monkeypatch):
     # n = 256 bins and K = 64 eigenvalues against 185 shots: every trial draws
     # per peak from one set of peaks, whose tables are built on its first trial
     target = AccuracyTarget(sigma=0.1, delta=0.05, beta=0.1)
-    setup = contract_setup("fejer", (), target)
-    assert (setup.budget.kernel_order, setup.budget.n_samples) == (256, 185)
+    fejer = estimators.ESTIMATION_METHODS["fejer"]
+    budget = fejer.budget(target)
+    assert (budget.kernel_order, budget.n_samples) == (256, 185)
+    models = [SpectralModel.from_amplitudes(*random_spectrum(64, seed, "spiked")) for seed in (1, 2)]
+    assert all(isinstance(fejer.source(m, budget), sampling.FejerPeaks) for m in models)
     built = []
     tables = sampling._peak_tables
     monkeypatch.setattr(sampling, "_peak_tables", lambda *a: built.append(a) or tables(*a))
-    for seed in (1, 2):
-        model = SpectralModel.from_amplitudes(*random_spectrum(64, seed, "spiked"))
-        assert isinstance(estimators.ESTIMATION_METHODS["fejer"].source(model, setup.budget),
-                          sampling.FejerPeaks)
-        tally = contract_check(setup, model, [derive_seed(seed, 0, j) for j in range(6)])
-        assert tally.trials == 6
-        assert len(built) == seed and built[-1][0].size == 64
+    trials = [(m, [derive_seed(seed, 0, j) for j in range(6)]) for m, seed in zip(models, (1, 2))]
+    assert contract_report("fejer", (), target, trials).n_trials == 12
+    assert [a[0].size for a in built] == [64, 64]
 
 
 def test_contract_setup_serves_every_model_alike():
-    # one setup checked model by model, as verify runs it, gives each model
-    # the report of its own per-trial loop
+    # one set of bounded observables checked model by model, with verify's
+    # seeds, gives each model the report of its own per-trial loop
     models = [diagonalize(*random_model(6, seed=s)) for s in (831, 833)]
     target = _ORACLE_TARGETS["git"]
     observables = bounded_observables(_ORACLE_OBSERVABLES, target)
     assert [ob.name for ob in observables] == ["one", "f1", "f2"]
-    setup = contract_setup("git", observables, target)
     seeds = [derive_seed(837, 100 + i) for i in range(len(models))]
     got = [
-        contract_report(setup, [contract_check(setup, m, [derive_seed(s, 0, j) for j in range(5)])])
+        contract_report("git", observables, target, [(m, derive_seeds(s, 0, count=5))])
         for m, s in zip(models, seeds)
     ]
     ref = [_reference_check([m], "git", _ORACLE_OBSERVABLES, target, 5, s) for m, s in zip(models, seeds)]
     assert got == ref
-    with pytest.raises(ValidationError):
-        contract_check(setup, models[0], [])
-    with pytest.raises(ValidationError):
-        contract_report(setup, [])
-    with pytest.raises(ValidationError):
-        contract_setup("qfejer", observables, target)
+    # no model, a model without seeds, and a method without a contract
+    for method, trials in [("git", []), ("git", [(models[0], [1]), (models[1], [])]),
+                           ("qfejer", [(models[0], [1])])]:
+        with pytest.raises(ValidationError):
+            contract_report(method, observables, target, trials)
 
 
 def test_observable_check_coarse_grid_warns_as_the_per_trial_loop():
@@ -612,19 +612,28 @@ def test_observable_check_coarse_grid_warns_as_the_per_trial_loop():
 
 
 def test_contract_report_pools_counts():
-    # confidences are pooled hits over pooled trials: re-weighting each
-    # model's fraction, 1/22 and 15/22, gives 0.3636363636363636, not 16/44
+    # confidences are pooled hits over pooled trials: two models of 5 and 11
+    # trials that hit 5 and 8 times pool to 13/16, where the mean of their
+    # fractions is 0.8636; the worst deviations are each the worse model's
     target = _ORACLE_TARGETS["git"]
-    setup = contract_setup("git", bounded_observables(_ORACLE_OBSERVABLES[:1], target), target)
-    a = ContractTally(trials=22, hits=1, observable_hits=(22,), delta_v=0.05, margin_delta_v=0.09)
-    b = ContractTally(trials=22, hits=15, observable_hits=(7,), delta_v=0.08, margin_delta_v=0.06)
-    merged = contract_report(setup, [a, b])
-    assert merged.n_trials == 44
-    assert merged.delta_v == 0.08 and merged.margin_delta_v == 0.09
-    assert merged.empirical_confidence == 16 / 44
-    assert merged.observable_confidence == {"one": 29 / 44}
-    assert merged.threshold == binomial_threshold(target.eta, 44)
-    assert merged.measured_sigma == setup.measured_sigma and merged.grid_spacing == setup.spacing
-    assert not merged.pass_beta and not merged.pass_bound
-    with pytest.raises(ValidationError):
-        contract_report(setup, [])
+    observables = bounded_observables(_ORACLE_OBSERVABLES, target)
+    models = [diagonalize(*random_model(8, seed=s)) for s in (821, 823)]
+    trials = [(models[0], derive_seeds(1, 0, count=5)), (models[1], derive_seeds(2, 0, count=11))]
+    # at 2 shots per order f2's bound is hit 5 and 8 times (and the worst
+    # deviation is the second model's, the worst margin the first's); at 800 beta is
+    for n_samples, name in [(52 * 2, "f2"), (52 * 800, None)]:
+        alone = [contract_report("git", observables, target, [pair], n_samples=n_samples) for pair in trials]
+        merged = contract_report("git", observables, target, trials, n_samples=n_samples)
+        pooled = merged.empirical_confidence if name is None else merged.observable_confidence[name]
+        assert pooled == 13 / 16
+        assert merged.n_trials == 16
+        assert merged.empirical_confidence == sum(round(r.empirical_confidence * r.n_trials) for r in alone) / 16
+        for ob, confidence in merged.observable_confidence.items():
+            assert confidence == sum(round(r.observable_confidence[ob] * r.n_trials) for r in alone) / 16
+        assert merged.delta_v == max(r.delta_v for r in alone)
+        assert merged.margin_delta_v == max(r.margin_delta_v for r in alone)
+        assert merged.threshold == binomial_threshold(target.eta, 16)
+        assert all(r.measured_sigma == merged.measured_sigma and r.grid_spacing == merged.grid_spacing
+                   for r in alone)
+        assert not merged.pass_beta  # 13/16 falls short of the 16-trial threshold, 0.843
+        assert merged.pass_bound == all(c >= merged.threshold for c in merged.observable_confidence.values())

@@ -23,9 +23,9 @@ def test_readme_library_example_runs_and_its_trials_are_per_seed_histograms():
     with contextlib.redirect_stdout(printed):
         exec(compile(_library_example(), str(README), "exec"), names)
     lines = printed.getvalue().splitlines()
-    assert len(lines) == 3
+    assert len(lines) == 4
     assert "'grid_size': 64" in lines[0] and "'n_samples': 185" in lines[0]
-    # the last line is the trials' worst deviation from the exact reference
+    # the third line is the trials' worst deviation from the exact reference
     assert 0.0 < float(lines[2]) < 1.0
     fejer, model, budget, trials = (names[k] for k in ("fejer", "model", "budget", "trials"))
     # seeds=range(20) takes the batch path; each row is that seed's own histogram
@@ -34,3 +34,8 @@ def test_readme_library_example_runs_and_its_trials_are_per_seed_histograms():
     assert trials.shape == (20, 64)
     assert trials.tobytes() == np.array(rows).tobytes()
     assert trials[0].tobytes() == fejer.estimate(model, budget, seed=0).values.tobytes()
+    # the contract report draws those 20 trials and checks each against the reference
+    report = names["report"]
+    assert report.n_trials == 20
+    assert report.delta_v == float(lines[2])
+    assert lines[3] == str(report.passed())
