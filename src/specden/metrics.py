@@ -284,6 +284,8 @@ def contract_report(
             for k, ob in enumerate(observables):
                 est = observable_from_transform(summed, ob.fn)
                 obs_hits[k] += int(np.count_nonzero(np.abs(q_exact[k] - est) <= ob.bound.total))
+        # free this model's arrays before the next model's are built
+        del source, ref, ref_dense, draws, values, summed
     threshold = binomial_threshold(target.eta, n_trials)
     confidence = hits / n_trials
     obs_conf = {ob.name: k_hits / n_trials for ob, k_hits in zip(observables, obs_hits)} or None

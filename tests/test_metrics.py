@@ -558,6 +558,23 @@ def test_contract_check_memory_stays_flat_in_the_trial_count():
     assert peak < 32 * 2**20
 
 
+def test_contract_report_memory_stays_flat_in_the_model_count():
+    # a model's source, references and last block of trials are freed before
+    # the next model's are built: held over, they took the traced peak of
+    # three git models 0.35 MB above that of one
+    target = AccuracyTarget(sigma=0.1, delta=0.02, beta=0.1)
+    models = [SpectralModel.from_amplitudes(*random_spectrum(16, s)) for s in (1, 2, 3)]
+    peaks = []
+    for count in (1, 3):
+        tracemalloc.start()
+        try:
+            contract_report("git", (), target, [(m, list(range(20))) for m in models[:count]])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < peaks[0] + 2**16
+
+
 def test_per_peak_contract_builds_each_models_tables_once(monkeypatch):
     # n = 256 bins and K = 64 eigenvalues against 185 shots: every trial draws
     # per peak from one set of peaks, whose tables are built on its first trial
