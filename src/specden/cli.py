@@ -54,7 +54,6 @@ from .kernels import AccuracyTarget, _check_cells, evaluation_grid, grid_spacing
 from .metrics import bounded_observables, contract_report, scaling_fit
 from .numerics import derive_seed, derive_seeds, fmt_float
 from .operators import (
-    AffineMap,
     ObservableFn,
     SpectralModel,
     _content_lines,

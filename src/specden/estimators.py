@@ -40,7 +40,7 @@ from .chebgauss import (
     projection_values,
     truncation_order,
 )
-from .errors import ResourceLimitError, ValidationError
+from .errors import OutOfRegimeError, ResourceLimitError, ValidationError
 from .kernels import (
     AccuracyTarget,
     FejerKernel,
@@ -54,15 +54,9 @@ from .kernels import (
     jackson_plan,
     qubitized_fejer_plan,
 )
-from .numerics import child_rng, child_rngs
+from .numerics import child_rngs
 from .operators import AffineMap, SpectralModel, TransformGrid, exact_transform
-from .sampling import (
-    FejerPeaks,
-    OutcomeDistribution,
-    _hadamard_probs,
-    qpe_peaks,
-    qubitized_qpe_peaks,
-)
+from .sampling import FejerPeaks, _hadamard_probs, qpe_peaks, qubitized_qpe_peaks
 
 __all__ = [
     "METHODS",
@@ -74,7 +68,6 @@ __all__ = [
     "plan_git_samples",
     "model_moments",
     "sample_moments",
-    "sample_histogram",
     "run_algorithm1",
     "run_algorithm2",
     "complexity_table",
@@ -187,27 +180,6 @@ def plan_git_samples(
     return per_order, total, loose
 
 
-def sample_histogram(
-    source: OutcomeDistribution | FejerPeaks, n_samples: int, seed: int
-) -> np.ndarray:
-    """Empirical bin frequencies of `n_samples` outcomes drawn from `source`.
-
-    An :class:`OutcomeDistribution` draws one multinomial over its bins,
-    and :class:`FejerPeaks` per peak, each from the one stream
-    ``child_rng(seed, 0)``, so the histogram depends on the source, the
-    count and `seed` alone.  A count past the sampler's 64-bit range
-    raises :class:`ResourceLimitError`.
-    """
-    return _histograms(source, n_samples, [child_rng(seed, 0)])[0]
-
-
-def _histograms(source: OutcomeDistribution | FejerPeaks, n_samples: int, rngs) -> np.ndarray:
-    """:func:`sample_histogram`'s frequencies, one row per generator of `rngs`."""
-    if n_samples > np.iinfo(np.int64).max:
-        raise ResourceLimitError(f"{n_samples} samples exceed the sampler's 64-bit count range")
-    return np.array(list(source.samples(n_samples, rngs))) / n_samples
-
-
 _MOMENT_CELLS = 2**20  # model_moments holds about this many cells of T_k(O_j) at a time
 
 
@@ -265,9 +237,9 @@ class EstimationMethod:
 
     * `budget(target, grid, samples)` plans its resources, and
       `check(budget)` rejects a budget the method cannot run;
-    * `source(model, budget)` is what its trials sample (an outcome
-      distribution, Fejer peaks or exact moments), `route(model,
-      budget)` a line naming how they are drawn (None: no line),
+    * `source(model, budget)` is what its trials sample (Fejer peaks or
+      exact moments), `route(model, budget)` a line naming how they
+      are drawn (None: no line),
       `draw(model, budget, seeds)` one trial per seed from it, and
       `project(draws, budget, grid)` the trials' transform values on a
       grid, ``trials x grid``;
@@ -338,32 +310,27 @@ class _Histogram(EstimationMethod):
     def grid(self, budget: Budget, nu=None) -> np.ndarray:
         return fejer_grid(budget.kernel_order)
 
-    def peaks(self, model: SpectralModel, n: int) -> FejerPeaks:
-        return qpe_peaks(model, n)
-
-    def source(self, model: SpectralModel, budget: Budget) -> OutcomeDistribution | FejerPeaks:
-        """The peaks when drawing per peak costs less (32 N < n K), else the n-bin distribution."""
-        peaks = self.peaks(model, budget.kernel_order)
-        return peaks if peaks.draws_per_peak(budget.n_samples) else peaks.distribution()
+    def source(self, model: SpectralModel, budget: Budget) -> FejerPeaks:
+        """The model's peaks; their `samples` draw per peak when 32 N < n K, else from the n bins."""
+        return qpe_peaks(model, budget.kernel_order)
 
     def route(self, model: SpectralModel, budget: Budget) -> str:
-        peaks = self.peaks(model, budget.kernel_order)
-        per_peak = peaks.draws_per_peak(budget.n_samples)
-        how = "per eigenvalue" if per_peak else "from the n-bin distribution"
+        peaks = self.source(model, budget)
+        how = "per eigenvalue" if peaks.draws_per_peak(budget.n_samples) else "from the n-bin distribution"
         return f"drew {budget.n_samples} shots {how} (n={peaks.n}, K={peaks.phases.size} peaks)"
 
     def draw(self, model, budget: Budget, seeds, source=None) -> np.ndarray:
+        """One row of bin frequencies per seed, each from the stream ``child_rng(seed, 0)``."""
         source = self.source(model, budget) if source is None else source
-        return _histograms(source, budget.n_samples, child_rngs(seeds, 0))
+        if budget.n_samples > np.iinfo(np.int64).max:
+            raise ResourceLimitError(f"{budget.n_samples} samples exceed the sampler's 64-bit count range")
+        return np.array(list(source.samples(budget.n_samples, child_rngs(seeds, 0)))) / budget.n_samples
 
     def exact(self, model: SpectralModel, budget: Budget, grid, source=None) -> TransformGrid:
         """The outcome distribution of `source` (None: `model`'s), projected: a trial's mean."""
-        if source is None:
-            source = self.peaks(model, budget.kernel_order)
-        if isinstance(source, FejerPeaks):
-            source = source.distribution()
+        source = self.source(model, budget) if source is None else source
         kernel = self.kernel(budget)
-        return TransformGrid(self.grid(budget), self.project(source.probs, budget, grid),
+        return TransformGrid(self.grid(budget), self.project(source.distribution.probs, budget, grid),
                              kernel.kind, kernel)
 
     def project(self, draws: np.ndarray, budget: Budget, grid) -> np.ndarray:
@@ -408,8 +375,8 @@ class _FoldedHistogram(_Histogram):
         unit = np.cos(np.pi * (2.0 * np.arange(n // 2, -1, -1) / n))
         return np.asarray(self.spectrum_map.invert(unit), dtype=float)
 
-    def peaks(self, model: SpectralModel, n: int) -> FejerPeaks:
-        return qubitized_qpe_peaks(model.mapped(self.spectrum_map), n)
+    def source(self, model: SpectralModel, budget: Budget) -> FejerPeaks:
+        return qubitized_qpe_peaks(model.mapped(self.spectrum_map), budget.kernel_order)
 
     def project(self, draws: np.ndarray, budget: Budget, grid) -> np.ndarray:
         # sigma_q = 2q/n - 1 pairs outcome n/2 + k with n/2 - k; bin k recovers cos(2 pi k / n)
@@ -529,9 +496,7 @@ class _Jackson(EstimationMethod):
     def transform(self, model: SpectralModel, target: AccuracyTarget, nu) -> TransformGrid:
         plan = jackson_plan(target)
         if plan.kernel is None:
-            raise ValidationError(
-                "the window construction degenerates at this target (tau >= 1)"
-            )
+            raise OutOfRegimeError("the window construction degenerates at this target (tau >= 1)")
         return exact_transform(model, plan.kernel, nu)
 
 

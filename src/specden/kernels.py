@@ -20,11 +20,13 @@ Four kernel families are implemented, all acting on spectra supported in
 
 Each family has an evaluation routine and a planner that turns an
 accuracy target into kernel parameters.  Its dataclass answers for
-itself: ``family``, ``kind`` ("discrete" or "density") and
-``scan_start`` are class attributes, and ``width``, ``value(sigma,
-omega)`` and ``outside(delta, omega0)`` (the mass escaping a window,
+itself: ``kind`` ("discrete" or "density") and ``scan_start`` are class
+attributes, and ``outside(delta, omega0)`` (the mass escaping a window,
 scanned by :func:`sigma_accuracy`; for the Fejer kernels one minus the
-mass on the O(n delta) bins inside it) are members.
+mass on the O(n delta) bins inside it) is a member.  Only the density
+kernels are evaluated point by point: they alone have ``width`` and
+``value(sigma, omega)``.  A discrete kernel's transform is the outcome
+distribution of :mod:`specden.sampling`.
 """
 
 from __future__ import annotations
@@ -131,15 +133,12 @@ class _FejerGrid:
     def __post_init__(self):
         _check_grid_size(self.n)
 
-    @property
-    def width(self) -> float:
-        return 2.0 / self.n
-
     @classmethod
     def _planned(cls, raw: float):
-        n = next_pow2(raw)
-        _check_cells(n, "bins of the planned grid")
-        return cls(n)
+        # the cap is a power of two: raw exceeds it exactly when its next power of two does,
+        # and an overflowed raw of inf is refused before next_pow2 sees it
+        _check_cells(raw, "bins of the planned grid")
+        return cls(next_pow2(raw))
 
     def outside(self, delta: float, omega0: np.ndarray) -> np.ndarray:
         # The Fejer kernel sums to one over its grid: one minus a peak's mass on the bins
@@ -158,11 +157,7 @@ class _FejerGrid:
 class FejerKernel(_FejerGrid):
     """Fejer kernel on the grid ``sigma_q = 2q/n - 1``, q = 0..n-1."""
 
-    family: ClassVar[str] = "fejer"
     scan_start: ClassVar[float] = -1.0
-
-    def value(self, sigma, omega):
-        return fejer_eval(sigma, omega, self.n)
 
     def _cells(self, delta: float) -> int:
         # |sigma - omega| <= delta (mod 2) holds <= floor(n delta) + 1 bins; pad one each side
@@ -178,11 +173,7 @@ class FejerKernel(_FejerGrid):
 class QubitizedFejerKernel(_FejerGrid):
     """arccos-folded Fejer kernel; spectra must be shifted into [0, 1]."""
 
-    family: ClassVar[str] = "qubitized_fejer"
     scan_start: ClassVar[float] = 0.0
-
-    def value(self, sigma, omega):
-        return qubitized_fejer_eval(sigma, omega, self.n)
 
     def _cells(self, delta: float) -> int:
         # |cos(pi sigma) - omega| <= delta/2 on the arcs |sigma| in [a, b], each at most
@@ -206,7 +197,6 @@ class QubitizedFejerKernel(_FejerGrid):
 class GaussianKernel:
     """Gaussian broadening of width `lam`."""
 
-    family: ClassVar[str] = "gaussian"
     kind: ClassVar[str] = "density"
     scan_start: ClassVar[float] = -1.0
 
@@ -242,7 +232,6 @@ class JacksonKernel:
     once, on first use.
     """
 
-    family: ClassVar[str] = "jackson"
     kind: ClassVar[str] = "density"
     scan_start: ClassVar[float] = -1.0
 
@@ -631,16 +620,15 @@ def jackson_thresholds(sigma: float, delta: float) -> tuple[float, float]:
     ``tau = sigma/(1-sigma) * delta/(2-delta)`` is the largest amplifier
     threshold for which the idealized window leaks at most `sigma`, and
     ``d_min = (288/delta) ln(1/tau)`` is the implied lower bound on the
-    product of amplifier and window degrees.  At the degenerate boundary
-    ``tau = 1`` the floor is 0: any window satisfies the target.
+    product of amplifier and window degrees.  From the degenerate boundary
+    ``tau = 1`` on the floor is 0: any window satisfies the target.
     """
     if not (0.0 < sigma < 1.0):
         raise ValidationError(f"sigma must lie in (0, 1), got {sigma!r}")
     if not (0.0 < delta < 2.0):
         raise ValidationError(f"delta must lie in (0, 2), got {delta!r}")
     tau = sigma / (1.0 - sigma) * delta / (2.0 - delta)
-    d_min = (288.0 / delta) * math.log(1.0 / tau)
-    return tau, d_min
+    return tau, max(0.0, (288.0 / delta) * math.log(1.0 / tau))
 
 
 def jackson_plan(target: AccuracyTarget) -> JacksonPlan:
@@ -711,7 +699,6 @@ class SigmaAccuracy:
     `omega0[i]`, and `value` is the worst case over the scan.
     """
 
-    family: str
     delta: float
     spacing: float
     omega0: np.ndarray
@@ -754,6 +741,4 @@ def sigma_accuracy(kernel: KernelSpec, delta: float, spacing: float | None = Non
         raise ValidationError("delta must be positive")
     h = grid_spacing(delta, spacing)
     omega0 = np.arange(kernel.scan_start, 1.0 + h / 2.0, h)
-    return SigmaAccuracy(
-        family=kernel.family, delta=delta, spacing=h, omega0=omega0, outside=kernel.outside(delta, omega0)
-    )
+    return SigmaAccuracy(delta=delta, spacing=h, omega0=omega0, outside=kernel.outside(delta, omega0))

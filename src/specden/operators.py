@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import CoarseGridWarning, ValidationError
-from .kernels import KernelSpec, _check_cells
+from .kernels import GaussianKernel, JacksonKernel, KernelSpec, _check_cells
 from .numerics import child_rng
 
 __all__ = [
@@ -41,7 +41,6 @@ __all__ = [
     "random_spectrum",
     "random_model",
     "read_model_file",
-    "write_model_file",
 ]
 
 _HERMITIAN_TOL = 1e-12
@@ -301,8 +300,8 @@ def diagonalize(op: HermitianOperator, psi: ProbeState) -> SpectralModel:
     return SpectralModel.from_amplitudes(op.evals, op.evecs.conj().T @ psi.vector)
 
 
-def exact_transform(model: SpectralModel, kernel: KernelSpec, frequencies) -> TransformGrid:
-    """Analytic transform ``Phi(nu) = sum_k w_k K(nu, O_k)`` on a grid, in blocks of <= 2^20 kernel cells."""
+def exact_transform(model: SpectralModel, kernel: GaussianKernel | JacksonKernel, frequencies) -> TransformGrid:
+    """Transform ``Phi(nu) = sum_k w_k K(nu, O_k)`` of a density kernel, in blocks of <= 2^20 cells."""
     nus = np.asarray(frequencies, dtype=float).reshape(-1)
     rows = max(1, 2**20 // model.eigenvalues.size)
     vals = np.empty(nus.size)
@@ -337,7 +336,8 @@ def observable_from_transform(grid: TransformGrid, f: ObservableFn | Callable):
     return float(q) if grid.values.ndim == 1 else q
 
 
-def _warn_if_coarse(frequencies: np.ndarray, kernel: KernelSpec, stacklevel: int = 2) -> None:
+def _warn_if_coarse(frequencies: np.ndarray, kernel: GaussianKernel | JacksonKernel,
+                    stacklevel: int = 2) -> None:
     """Warn when an integration grid's spacing exceeds the kernel width."""
     spacing = float(np.max(np.diff(frequencies)))
     width = kernel.width
@@ -427,17 +427,6 @@ def random_model(dim: int, seed: int, kind: str = "dense", gap: float = 0.1,
     return HermitianOperator((basis * evals) @ basis.conj().T, (evals, basis)), ProbeState(basis @ amplitudes)
 
 
-def write_model_file(path, op: HermitianOperator, psi: ProbeState) -> None:
-    """Write a model as text: a dim header, matrix rows, then the probe row."""
-    if op.dim != psi.dim:
-        raise ValidationError("operator and probe dimensions differ")
-    lines = [f"dim {op.dim}"]
-    for row in op.matrix:
-        lines.append(" ".join(_fmt_complex(z) for z in row))
-    lines.append(" ".join(_fmt_complex(z) for z in psi.vector))
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
 def _content_lines(path) -> list[tuple[int, str]]:
     """(number, stripped text) of each line but blank and ``#`` ones; not UTF-8 is a ValidationError."""
     try:
@@ -449,7 +438,11 @@ def _content_lines(path) -> list[tuple[int, str]]:
 
 
 def read_model_file(path) -> tuple[HermitianOperator, ProbeState]:
-    """Parse the text format produced by :func:`write_model_file`."""
+    """Parse a model file: a ``dim N`` header, N matrix rows, then the probe row.
+
+    Entries are Python complex literals separated by blanks; blank lines
+    and lines starting with ``#`` are skipped.
+    """
     rows = [line for _, line in _content_lines(path)]
     if not rows or not rows[0].startswith("dim"):
         raise ValidationError(f"{path}: expected a 'dim N' header line")
@@ -467,8 +460,3 @@ def read_model_file(path) -> tuple[HermitianOperator, ProbeState]:
     if mat.shape != (dim, dim) or probe.size != dim:
         raise ValidationError(f"{path}: row lengths do not match the declared dimension")
     return HermitianOperator(mat), ProbeState(probe)
-
-
-def _fmt_complex(z: complex) -> str:
-    return f"{z.real:.17g}{z.imag:+.17g}j"
-

@@ -21,8 +21,9 @@ Three measurement primitives feed the estimation pipelines:
 
   The mixture costs 1 to 2.7 ns per cell and the per-peak draw 60 to
   100 ns per shot, plus about 0.15 ms per call (18,444 shots, K = 128
-  to 512, one thread), so an estimate draws per peak when 32 S < N K
-  (:meth:`FejerPeaks.draws_per_peak`).  A statevector route
+  to 512, one thread), so :meth:`FejerPeaks.samples` draws per peak
+  when 32 S < N K (:meth:`FejerPeaks.draws_per_peak`) and from the
+  distribution otherwise.  A statevector route
   simulates the register explicitly (with an optional norm-bounded
   fault in each controlled evolution) and serves as the validation
   oracle.  It reads the operator and probe only as eigenvalues and the
@@ -215,9 +216,9 @@ class FejerPeaks:
     A peak at phase p sits at the bin coordinate ``c = (p + 1) n / 2``
     and puts the mass ``P(d) = sin^2(pi d) / (n^2 sin^2(pi d / n))`` on
     the bin at offset d from c, modulo n (so p = 1 folds onto bin 0).
-    :meth:`distribution` is the mixture over all n bins and
+    :attr:`distribution` is the mixture over all n bins, built once, and
     :meth:`sample` draws shots from it per peak; the two routes are
-    exact and differ only in cost.
+    exact and differ only in cost, and :meth:`samples` takes the cheaper.
     """
 
     phases: np.ndarray
@@ -233,8 +234,9 @@ class FejerPeaks:
         object.__setattr__(self, "phases", phases)
         object.__setattr__(self, "weights", weights)
 
+    @functools.cached_property
     def distribution(self) -> OutcomeDistribution:
-        """The outcome distribution: one FFT mixture, O(n K)."""
+        """The outcome distribution: one FFT mixture, O(n K), built on first use."""
         return _fejer_mixture(self.phases, self.weights, self.n)
 
     def draws_per_peak(self, shots: int) -> bool:
@@ -242,7 +244,13 @@ class FejerPeaks:
         return _PER_PEAK_RATIO * shots < self.n * self.phases.size
 
     def samples(self, shots: int, rngs) -> Iterator[np.ndarray]:
-        """:meth:`sample` from each generator of `rngs` in turn."""
+        """Counts per bin of `shots` outcomes from each generator of `rngs` in turn.
+
+        Drawn per peak (:meth:`sample`) when :meth:`draws_per_peak`, else
+        from :attr:`distribution`, one multinomial over its bins each.
+        """
+        if not self.draws_per_peak(shots):
+            return self.distribution.samples(shots, rngs)
         return (self.sample(shots, rng) for rng in rngs)
 
     def sample(self, shots: int, rng: np.random.Generator) -> np.ndarray:
@@ -387,7 +395,7 @@ def qpe_distribution(model: SpectralModel, n: int) -> OutcomeDistribution:
     of at most ``max(2^15, 8 K)`` cells.
     The model spectrum must lie in [-1, 1], as for :func:`qpe_peaks`.
     """
-    return qpe_peaks(model, n).distribution()
+    return qpe_peaks(model, n).distribution
 
 
 def _gue(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -482,7 +490,7 @@ def qubitized_qpe_distribution(model: SpectralModel, n: int) -> OutcomeDistribut
 
     The mixture of :func:`qubitized_qpe_peaks` on the arc grid.
     """
-    return qubitized_qpe_peaks(model, n).distribution()
+    return qubitized_qpe_peaks(model, n).distribution
 
 
 def build_qubiterate(op: HermitianOperator) -> tuple[np.ndarray, np.ndarray]:

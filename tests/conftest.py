@@ -1,7 +1,29 @@
 """Fixtures shared by the test modules."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+
+def _fmt_complex(z: complex) -> str:
+    return f"{z.real:.17g}{z.imag:+.17g}j"
+
+
+@pytest.fixture
+def write_model_file():
+    """The writer of a ``--model`` file: ``write(path, op, psi)``.
+
+    It writes a ``dim N`` header, the operator's rows, then the probe
+    row, each entry a complex literal of 17 significant digits, so that
+    ``operators.read_model_file`` parses back every float as written.
+    """
+
+    def write(path, op, psi):
+        rows = (" ".join(_fmt_complex(z) for z in row) for row in (*op.matrix, psi.vector))
+        Path(path).write_text("\n".join((f"dim {op.dim}", *rows)) + "\n")
+
+    return write
 
 
 @pytest.fixture

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from specden import cli, sampling
+
 _PATH = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
 _SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
 bench_pairs = importlib.util.module_from_spec(_SPEC)
@@ -114,3 +116,24 @@ def test_printed_lines_count_but_the_output_directory_does_not(tmp_path):
     assert bench_pairs.byte_mismatches(printed, reworded) == ["stdout"]
     warned = bench_pairs.printed_digests(f"wrote {change}/plan.json\n".encode(), b"note\n", change)
     assert bench_pairs.byte_mismatches(printed, warned) == ["stderr"]
+
+
+def test_byte_commands_reach_every_transform_both_routes_a_per_peak_verify_and_bench(
+        tmp_path, monkeypatch, capsys):
+    commands = bench_pairs.BYTE_COMMANDS
+    assert sorted(c[2] for c in commands if c[0] == "transform") == ["fejer", "git", "jackson", "qfejer"]
+    assert ["bench"] in commands
+    routes = set()
+    for i, argv in enumerate(c for c in commands if c[0] == "estimate"):
+        assert cli.main([*argv, "--out", str(tmp_path / str(i))]) == 0
+        (line,) = [line for line in capsys.readouterr().out.splitlines() if line.startswith("drew")]
+        routes.add((argv[2], "per eigenvalue" in line))
+    assert routes == {(m, per_peak) for m in ("fejer", "qfejer") for per_peak in (False, True)}
+    # the verify's trials are drawn per peak
+    drawn = []
+    sample = sampling.FejerPeaks.sample
+    monkeypatch.setattr(sampling.FejerPeaks, "sample", lambda *a: drawn.append(1) or sample(*a))
+    (verify,) = [c for c in commands if c[0] == "verify"]
+    assert verify[2] == "fejer"
+    assert cli.main([*verify, "--out", str(tmp_path / "verify")]) == 0
+    assert len(drawn) == 20  # the default 20 trials

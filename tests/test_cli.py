@@ -36,7 +36,6 @@ from specden.operators import (
     normalize_spectrum,
     random_model,
     random_spectrum,
-    write_model_file,
 )
 
 
@@ -198,7 +197,7 @@ def test_transform_writes_exact_values(tmp_path):
     assert len(rows) > 100  # dense default grid at delta/20 spacing
 
 
-def test_model_file_input(tmp_path):
+def test_model_file_input(tmp_path, write_model_file):
     op, psi = random_model(6, seed=9)
     model_path = tmp_path / "model.txt"
     write_model_file(model_path, op, psi)
@@ -230,7 +229,7 @@ def test_estimate_solves_each_model_at_most_once(
     assert qrs == [] and matrix_builds == []
 
 
-def test_estimate_from_model_file_solves_once(tmp_path, eigensolves, matrix_builds):
+def test_estimate_from_model_file_solves_once(tmp_path, eigensolves, matrix_builds, write_model_file):
     op, psi = random_model(12, seed=4, kind="spiked")
     model_path = tmp_path / "model.txt"
     # a norm above 1, so normalization maps the spectrum solved from the file
@@ -478,12 +477,19 @@ _EDGE_MODEL = ["--gen", "dense:4", "--seed", "1"]
         (["estimate", "--method", "fejer", *_EDGE_TARGET, "--gen", "dense:8:count=10000000", "--seed", "1"], 4),
         (["verify", "--method", "fejer", *_EDGE_TARGET, "--gen", "dense:8:count=10000000", "--seed", "1",
           "--trials", "2"], 4),
+        # a Fejer grid whose planned size overflows a float is over the cap too
+        (["plan", "--method", "fejer", "--sigma", "1e-200", "--delta", "1e-200"], 4),
+        (["plan", "--method", "qfejer", "--sigma", "1e-300", "--delta", "1e-200"], 4),
+        (["estimate", "--method", "fejer", "--sigma", "1e-300", "--delta", "1e-300", *_EDGE_MODEL], 4),
+        # a target loose enough for tau >= 1 is valid, but no window is built there
+        (["transform", "--method", "jackson", "--sigma", "0.9", "--delta", "0.9", *_EDGE_MODEL], 3),
     ],
     ids=["negative-seed", "infinite-spacing", "samples-past-int64", "fejer-budget-overflow",
          "git-budget-overflow", "nan-nu", "zero-models", "zero-trials", "dense-dim-over-cap",
          "gapped-dim-over-cap", "spiked-dim-over-cap", "jackson-nu-outside-the-window",
          "nan-probe-transform", "nan-probe-estimate", "nan-matrix", "inf-matrix", "model-not-utf8",
-         "estimate-count-over-cap", "verify-count-over-cap"],
+         "estimate-count-over-cap", "verify-count-over-cap", "fejer-grid-overflow",
+         "qfejer-grid-overflow", "estimate-grid-overflow", "jackson-degenerate-transform"],
 )
 def test_edge_inputs_exit_with_their_documented_code(tmp_path_factory, tmp_path, capsys, argv, code):
     # a bytes item is written to a model file outside the output directory
@@ -494,8 +500,26 @@ def test_edge_inputs_exit_with_their_documented_code(tmp_path_factory, tmp_path,
     argv = [str(model) if isinstance(arg, bytes) else arg for arg in argv]
     # an exception escaping main fails the test on its own; none may
     assert run_cli(*argv, "--out", str(tmp_path)) == code
-    assert capsys.readouterr().err.startswith({2: "error: ", 4: "resource cap: "}[code])
+    assert capsys.readouterr().err.startswith({2: "error: ", 3: "out of regime: ", 4: "resource cap: "}[code])
     assert list(tmp_path.iterdir()) == []
+
+
+def test_an_over_cap_fejer_grid_names_its_planned_size(capsys):
+    # the raw size is checked against the cap, so the count printed is a float, not 302 digits
+    assert run_cli("plan", "--sigma", "1e-300", "--delta", "0.1") == 4
+    assert capsys.readouterr().err == (
+        "resource cap: 9.999999999999999e+300 bins of the planned grid exceed the cap 67108864\n")
+
+
+def test_degenerate_jackson_target_plans_a_zero_degree_floor(tmp_path, capsys):
+    # past tau = 1 the floor (288 / delta) ln(1 / tau) is negative; the plan reports 0
+    assert run_cli("plan", "--method", "jackson", "--sigma", "0.9", "--delta", "0.9",
+                   "--out", str(tmp_path)) == 0
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "jackson: degree=54, amplifier_degree=0, tau=7.3636363636363642, d_min=0, kn_ok=True, degenerate=True")
+    (row,) = json.loads((tmp_path / "plan.json").read_text())["plans"]
+    assert row == {"method": "jackson", "degree": 54, "amplifier_degree": 0, "tau": 7.363636363636364,
+                   "d_min": 0.0, "kn_ok": True, "degenerate": True}
 
 
 def test_config_file_negative_seed_exits_2(tmp_path, capsys):
@@ -690,7 +714,7 @@ def test_verify_fault_sweep_golden_on_a_drawn_spectrum(tmp_path):
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 6: the Fejer grid folds an eigenvalue at +1 onto -1")
-def test_fejer_contract_holds_with_an_eigenvalue_at_plus_one(tmp_path):
+def test_fejer_contract_holds_with_an_eigenvalue_at_plus_one(tmp_path, write_model_file):
     # a hand-built model, so that the fold does not hang on a generator's draws
     model_path = tmp_path / "model.txt"
     write_model_file(model_path, HermitianOperator(np.diag([-0.5, 0.0, 0.3, 1.0])), ProbeState(np.full(4, 0.5)))
@@ -1153,14 +1177,11 @@ def test_estimate_names_the_route_of_its_histogram(tmp_path, capsys):
     ("transform", "--method", "fejer"),
     ("transform", "--method", "qfejer"),
 ])
-def test_histogram_commands_never_evaluate_a_discrete_kernel(tmp_path, monkeypatch, argv, gen):
+def test_histogram_commands_never_evaluate_a_discrete_kernel(tmp_path, argv, gen):
     # the outcome distribution is the histogram methods' one exact route, for the
     # n-bin draws (spiked:8) and the per-eigenvalue draws (spiked:64, n = 256)
-    # alike; sigma_accuracy calls fejer_eval itself
-    def refuse(self, sigma, omega):
-        raise AssertionError(f"{type(self).__name__}.value was called")
-
-    monkeypatch.setattr(kernels.FejerKernel, "value", refuse)
-    monkeypatch.setattr(kernels.QubitizedFejerKernel, "value", refuse)
+    # alike: a discrete kernel has no value to evaluate, and sigma_accuracy sums
+    # fejer_eval over its windows itself
+    assert not any(hasattr(k, "value") for k in (kernels.FejerKernel, kernels.QubitizedFejerKernel))
     assert run_cli(*argv, "--sigma", "0.1", "--delta", "0.05", "--beta", "0.1", "--gen", gen,
                    "--seed", "3", "--out", str(tmp_path)) == 0

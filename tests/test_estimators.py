@@ -20,12 +20,10 @@ from specden.estimators import (
     plan_git_samples,
     run_algorithm1,
     run_algorithm2,
-    sample_histogram,
     sample_moments,
 )
 from specden.kernels import (
     AccuracyTarget,
-    fejer_eval,
     fejer_grid,
     gaussian_eval,
 )
@@ -34,16 +32,13 @@ from specden.operators import (
     AffineMap,
     SpectralModel,
     diagonalize,
-    exact_transform,
     normalize_operator,
     random_model,
     random_spectrum,
 )
 from specden.sampling import (
     FejerPeaks,
-    OutcomeDistribution,
     hadamard_test_sample,
-    qpe_distribution,
     qubitized_qpe_distribution,
 )
 
@@ -80,11 +75,12 @@ def test_budgets_past_the_float_range_are_resource_limits():
             plan_git_samples(10, 1.0, beta, 0.05)
 
 
-def test_sample_histogram_count_past_int64_is_a_resource_limit():
-    dist = qpe_distribution(SpectralModel(np.array([0.1]), np.array([1.0])), 8)
-    assert sample_histogram(dist, 2**63 - 1, 1).sum() == pytest.approx(1.0)
+def test_histogram_count_past_int64_is_a_resource_limit():
+    fejer = ESTIMATION_METHODS["fejer"]
+    model = SpectralModel(np.array([0.1]), np.array([1.0]))
+    assert fejer.draw(model, Budget("fejer", 8, 2**63 - 1), [1]).sum() == pytest.approx(1.0)
     with pytest.raises(ResourceLimitError, match="64-bit"):
-        sample_histogram(dist, 2**63, 1)
+        fejer.draw(model, Budget("fejer", 8, 2**63), [1])
 
 
 @pytest.mark.parametrize(
@@ -98,13 +94,14 @@ def test_histograms_draw_per_peak_exactly_when_32_shots_are_below_n_k(name, shot
     model = SpectralModel(np.array([-0.7, -0.1, 0.3, 0.9]), np.full(4, 0.25))
     budget = Budget(method.family, 64, shots)
     source = method.source(model, budget)
-    assert isinstance(source, FejerPeaks if per_peak else OutcomeDistribution)
+    assert isinstance(source, FejerPeaks) and source.draws_per_peak(shots) == per_peak
     assert ("per eigenvalue" in method.route(model, budget)) == per_peak
-    # the draw is the histogram of that source from the stream child_rng(seed, 0)
-    np.testing.assert_array_equal(
-        method.draw(model, budget, [5, 6]),
-        [sample_histogram(source, shots, seed) for seed in (5, 6)],
-    )
+    # the draw is that route's histogram from the stream child_rng(seed, 0); the
+    # per-peak route builds no distribution
+    rows = method.draw(model, budget, [5, 6], source)
+    assert ("distribution" in vars(source)) != per_peak
+    sample = source.sample if per_peak else source.distribution.sample
+    np.testing.assert_array_equal(rows, [sample(shots, child_rng(seed, 0)) / shots for seed in (5, 6)])
 
 
 def test_batched_draws_keep_the_per_seed_checks():
@@ -139,7 +136,7 @@ def test_batched_draws_equal_per_seed_rows_across_the_32_bit_edge(seeds):
         method = ESTIMATION_METHODS[name]
         budget = Budget(method.family, 16, 300)
         source = method.source(model, budget)
-        want = [sample_histogram(source, 300, seed) for seed in seeds]
+        want = [method.draw(model, budget, [seed], source)[0] for seed in seeds]
         assert method.draw(model, budget, seeds).tobytes() == np.array(want).tobytes()
 
 
@@ -158,9 +155,11 @@ def test_per_peak_histograms_are_shot_counts_and_repeat(log_n, size, shots, seed
     counts = peaks.sample(shots, child_rng(seed, 0))
     assert counts.dtype == np.int64 and counts.shape == (2**log_n,)
     assert counts.min() >= 0 and counts.sum() == shots
-    hist = sample_histogram(peaks, shots, seed)
-    assert np.array_equal(hist, counts / shots)
-    assert sample_histogram(peaks, shots, seed).tobytes() == hist.tobytes()
+    assert peaks.sample(shots, child_rng(seed, 0)).tobytes() == counts.tobytes()
+    # samples takes the per-peak route exactly when 32 shots < n K
+    (hist,) = peaks.samples(shots, [child_rng(seed, 0)])
+    sample = peaks.sample if peaks.draws_per_peak(shots) else peaks.distribution.sample
+    assert hist.tobytes() == sample(shots, child_rng(seed, 0)).tobytes()
 
 
 def test_plan_git_samples_golden_and_invariants():
@@ -200,7 +199,7 @@ def test_run_algorithm1_fejer_histogram():
     assert tr.kind == "discrete"
     assert tr.frequencies.shape == (64,)
     assert abs(tr.values.sum() - 1.0) < 1e-12
-    exact = exact_transform(model, tr.kernel, fejer_grid(64))
+    exact = ESTIMATION_METHODS["fejer"].exact(model, budget, fejer_grid(64))
     assert np.max(np.abs(tr.values - exact.values)) <= 0.1  # beta for this budget
     again = run_algorithm1(budget, seed=1001, model=model)
     np.testing.assert_array_equal(tr.values, again.values)
@@ -225,7 +224,7 @@ def test_run_algorithm1_qubitized_merges_mirror_bins():
     # standard errors of the 5000 samples
     folded = ESTIMATION_METHODS["qfejer"]
     assert folded.spectrum_map == shift
-    p = float(folded.project(folded.source(model, budget).probs, budget, None)[inside].sum())
+    p = float(folded.project(folded.source(model, budget).distribution.probs, budget, None)[inside].sum())
     assert tr.values[inside].sum() > p - 4.0 * math.sqrt(p * (1.0 - p) / budget.n_samples)
     # the map is applied once, so the histogram mean is the spectral mean
     assert abs(tr.values @ tr.frequencies - model.weights @ model.eigenvalues) < 0.05

@@ -183,7 +183,7 @@ def test_fejer_tail_scan_memory_is_bounded(kernel, delta):
 def _full_grid_outside(kernel, delta, omega0):
     # the reference: every grid bin of every centre, summed where it escapes
     grid = fejer_grid(kernel.n)
-    if kernel.family == "fejer":
+    if isinstance(kernel, FejerKernel):
         d = (grid[None, :] - omega0[:, None]) / 2.0
         k = fejer_eval(grid[None, :], omega0[:, None], kernel.n)
         return np.sum(np.where(np.abs(2.0 * (d - np.round(d))) > delta, k, 0.0), axis=1)
@@ -231,7 +231,7 @@ def test_fejer_tail_evaluates_only_the_window_cells(monkeypatch, kernel, delta):
 
     monkeypatch.setattr(kernels, "fejer_eval", counting)
     acc = sigma_accuracy(kernel, delta)
-    if kernel.family == "fejer":
+    if isinstance(kernel, FejerKernel):
         window = math.floor(kernel.n * delta) + 3
     else:
         window = 2 * (math.floor(kernel.n * math.acos(1.0 - delta) / (2.0 * math.pi)) + 3)
@@ -304,7 +304,6 @@ def test_sigma_accuracy_planned_kernels_meet_target():
     ga = sigma_accuracy(GaussianKernel(gaussian_resolution(target)), target.delta)
     assert fe.value <= target.sigma
     assert ga.value <= target.sigma
-    assert fe.family == "fejer" and ga.family == "gaussian"
     assert abs(fe.spacing - target.delta / 20.0) < 1e-15
 
 
@@ -316,32 +315,38 @@ def test_sigma_accuracy_validation():
 
 
 def test_kernel_value_dispatch_and_width():
-    assert abs(FejerKernel(64).value(0.25, 0.25) - 1.0) < 1e-14
+    # only the density kernels are evaluated point by point and have a width
     lam = 0.1
     assert abs(GaussianKernel(lam).value(0.0, 0.0) - 1.0 / math.sqrt(2 * math.pi) / lam) < 1e-12
-    assert FejerKernel(64).width == pytest.approx(2.0 / 64)
     assert GaussianKernel(0.2).width == pytest.approx(0.2)
+    jackson = jackson_plan(AccuracyTarget(sigma=0.25, delta=0.1)).kernel
+    assert jackson.value(0.3, 0.1) == jackson_eval(0.3, 0.1, jackson)
+    assert jackson.width == jackson.delta == 0.05
+    for discrete in (FejerKernel(64), QubitizedFejerKernel(64)):
+        assert not hasattr(discrete, "value") and not hasattr(discrete, "width")
 
 
 @pytest.mark.parametrize(
-    "family, make",
+    "kind, make",
     [
-        ("fejer", lambda: FejerKernel(128)),
-        ("qubitized_fejer", lambda: QubitizedFejerKernel(256)),
-        ("gaussian", lambda: GaussianKernel(0.08)),
-        ("jackson", lambda: jackson_plan(AccuracyTarget(sigma=0.25, delta=0.1)).kernel),
+        ("discrete", lambda: FejerKernel(128)),
+        ("discrete", lambda: QubitizedFejerKernel(256)),
+        ("density", lambda: GaussianKernel(0.08)),
+        ("density", lambda: jackson_plan(AccuracyTarget(sigma=0.25, delta=0.1)).kernel),
     ],
     ids=["fejer", "qubitized_fejer", "gaussian", "jackson"],
 )
-def test_kernel_protocol_consistent(family, make):
-    # every family reports its own kind and family; Budget.method carries the
-    # family name, which the histogram route matches against these strings
+def test_kernel_protocol_consistent(kind, make):
+    # every kernel reports its kind and scan start and measures its own tail;
+    # a density kernel is also evaluated point by point into a transform of its kind
     k = make()
-    model = SpectralModel(np.array([0.2, 0.6]), np.array([0.5, 0.5]))
-    assert exact_transform(model, k, fejer_grid(64)).kind == k.kind
-    assert sigma_accuracy(k, 0.2).family == k.family
-    assert k.width > 0.0
-    assert k.family == family
+    acc = sigma_accuracy(k, 0.2)
+    assert k.kind == kind and acc.omega0[0] == k.scan_start
+    assert np.all((acc.outside >= 0.0) & (acc.outside <= 1.0))
+    if kind == "density":
+        model = SpectralModel(np.array([0.2, 0.6]), np.array([0.5, 0.5]))
+        assert exact_transform(model, k, fejer_grid(64)).kind == kind
+        assert k.width > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -410,6 +415,8 @@ def test_jackson_thresholds_closed_form():
     assert abs(d_min - 2880.0 * math.log(1.0 / want_tau)) < 1e-9
     with pytest.raises(ValidationError):
         jackson_thresholds(1.0, 0.1)
+    # past tau = 1 the logarithm turns negative and the floor stays at 0
+    assert jackson_thresholds(0.9, 0.9)[1] == 0.0
 
 
 @settings(max_examples=100, deadline=None)
@@ -436,7 +443,7 @@ def test_jackson_plan_degenerate_target():
     plan = jackson_plan(AccuracyTarget(sigma=0.6, delta=0.9))
     assert plan.tau >= 1.0
     assert plan.k == 0 and plan.kernel is None
-    assert plan.d_min <= 0.0
+    assert plan.d_min == 0.0
     assert plan.kn_ok
 
 

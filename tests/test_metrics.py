@@ -5,18 +5,20 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from specden import cli, estimators, metrics, sampling
 from specden.chebgauss import projection_cmax, projection_values, truncation_order
-from specden.errors import CoarseGridWarning, ResourceLimitError, ValidationError
+from specden.errors import CoarseGridWarning, OutOfRegimeError, ResourceLimitError, ValidationError
 from specden.estimators import (
     CONTRACT_GRID,
+    ESTIMATION_METHODS,
     Budget,
     model_moments,
     plan_fejer_samples,
     plan_git_samples,
     run_algorithm1,
-    sample_histogram,
     sample_moments,
 )
 from specden.kernels import (
@@ -98,8 +100,7 @@ def test_decomposition_triangle_for_faulty_estimates():
     op, psi = random_model(6, seed=301)
     model = diagonalize(op, psi)
     n = 32
-    kernel = FejerKernel(n)
-    exact = exact_transform(model, kernel, fejer_grid(n))
+    exact = _fejer_reference(model, FejerKernel(n))
     faulty_exact_probs = statevector_qpe(op, psi, 5, fault=FaultModel(delta_t=1e-2, seed=5)).probs
     faulty_exact = TransformGrid(fejer_grid(n), faulty_exact_probs, kind="discrete")
     counts = child_rng(9, 0).multinomial(2000, faulty_exact_probs / faulty_exact_probs.sum())
@@ -442,7 +443,8 @@ def _reference_check(models, method, f, target, trials, seed, spacing=None, n_sa
             ref = _fejer_reference(mod, kernel)
             # few shots against the n x K mixture are drawn per eigenvalue
             few = 32 * n_samples < kernel.n * mod.size
-            dist = (qpe_peaks if few else qpe_distribution)(mod, kernel.n)
+            peaks = qpe_peaks(mod, kernel.n)
+            sample = peaks.sample if few else peaks.distribution.sample
         else:
             ref = exact_transform(mod, kernel, CONTRACT_GRID)
             ref_dense = exact_transform(mod, kernel, dense)
@@ -452,7 +454,7 @@ def _reference_check(models, method, f, target, trials, seed, spacing=None, n_sa
             dense_values = projection_values(draws, lam, dense)
         for j in range(trials):
             if method == "fejer":
-                values = sample_histogram(dist, n_samples, derive_seed(seed, i, j))
+                values = sample(n_samples, child_rng(derive_seed(seed, i, j), 0)) / n_samples
                 estimate = obs_grid = TransformGrid(fejer_grid(kernel.n), values, kernel.kind, kernel)
             else:
                 estimate = TransformGrid(CONTRACT_GRID, contract_values[j], "density", kernel)
@@ -654,3 +656,38 @@ def test_contract_report_pools_counts():
                    for r in alone)
         assert not merged.pass_beta  # 13/16 falls short of the 16-trial threshold, 0.843
         assert merged.pass_bound == all(c >= merged.threshold for c in merged.observable_confidence.values())
+
+
+def _log_uniform(lo: float, hi: float):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(
+    sigma=_log_uniform(0.02, 0.5),
+    delta=_log_uniform(0.02, 0.5),
+    beta=st.floats(0.05, 0.3),
+    eta=st.floats(0.01, 0.2),
+    kind=st.sampled_from(["spiked", "gapped"]),
+    dim=st.sampled_from([8, 16]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_contract_holds_over_accepted_targets(sigma, delta, beta, eta, kind, dim, seed):
+    # the contract verify advertises, at targets the planners accept, on two
+    # generated models of 10 trials each with the command line's observables;
+    # pass_beta is left out: at a true confidence of exactly 1 - eta the
+    # binomial verdict fails about 2.5% of the time
+    target = AccuracyTarget(sigma, delta, beta, eta)
+    methods = ("fejer", "git")
+    try:
+        for method in methods:
+            ESTIMATION_METHODS[method].budget(target)
+    except (OutOfRegimeError, ResourceLimitError):
+        reject()
+    observables = bounded_observables(
+        [ObservableFn(np.ones_like, "one"), ObservableFn(lambda w: w, "identity")], target)
+    models = [SpectralModel.from_amplitudes(*random_spectrum(dim, derive_seed(seed, i), kind)) for i in range(2)]
+    trials = [(model, derive_seeds(seed, 100 + i, count=10)) for i, model in enumerate(models)]
+    for method in methods:
+        report = contract_report(method, observables, target, trials)
+        assert report.pass_sigma and report.pass_bound, (method, report)

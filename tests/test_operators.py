@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
 from specden.errors import CoarseGridWarning, ResourceLimitError, ValidationError
-from specden.kernels import FejerKernel, GaussianKernel, fejer_eval, fejer_grid, gaussian_eval
+from specden.kernels import AccuracyTarget, GaussianKernel, gaussian_eval, jackson_eval, jackson_plan
 from specden.numerics import child_rng
 from specden.operators import (
     AffineMap,
@@ -28,7 +28,6 @@ from specden.operators import (
     random_model,
     random_spectrum,
     read_model_file,
-    write_model_file,
 )
 
 
@@ -124,12 +123,12 @@ def test_spectral_model_mapped():
 
 def test_exact_transform_matches_hand_sum():
     model = SpectralModel(np.array([-0.3, 0.4]), np.array([0.6, 0.4]))
-    kernel = FejerKernel(64)
-    grid = fejer_grid(64)
+    kernel = jackson_plan(AccuracyTarget(sigma=0.25, delta=0.1)).kernel
+    grid = np.linspace(-1, 1, 41)
     got = exact_transform(model, kernel, grid)
-    want = 0.6 * fejer_eval(grid, -0.3, 64) + 0.4 * fejer_eval(grid, 0.4, 64)
-    np.testing.assert_allclose(got.values, want, atol=1e-14)
-    assert got.kind == "discrete"
+    want = 0.6 * jackson_eval(grid, -0.3, kernel) + 0.4 * jackson_eval(grid, 0.4, kernel)
+    np.testing.assert_allclose(got.values, want, rtol=1e-14, atol=1e-14)
+    assert got.kind == "density"
     gk = GaussianKernel(0.1)
     nu = np.linspace(-1, 1, 41)
     got_g = exact_transform(model, gk, nu)
@@ -347,7 +346,7 @@ def _eager_random_model(dim, seed, kind, old=False):
     (kind, dim) for kind in ("dense", "spiked", "gapped") for dim in (1, 2, 5, 64)
     if kind != "gapped" or dim > 1
 ])
-def test_deferred_model_builds_the_eager_bits(tmp_path, kind, dim):
+def test_deferred_model_builds_the_eager_bits(tmp_path, kind, dim, write_model_file):
     # random_model builds the reference generator's pair bit for bit
     for seed in range(3):
         want_op, want_psi, _ = _eager_random_model(dim, seed, kind)
@@ -477,7 +476,7 @@ def test_diagonalize_merge_equals_group_loop(groups, seed, rotate):
     assert np.array_equal(model.weights, want_w)
 
 
-def test_model_file_round_trip(tmp_path):
+def test_model_file_round_trip(tmp_path, write_model_file):
     rng = child_rng(31)
     h = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
     op = HermitianOperator((h + h.conj().T) / 8.0)

@@ -7,8 +7,6 @@ from pathlib import Path
 
 import numpy as np
 
-from specden.estimators import sample_histogram
-
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -29,8 +27,7 @@ def test_readme_library_example_runs_and_its_trials_are_per_seed_histograms():
     assert 0.0 < float(lines[2]) < 1.0
     fejer, model, budget, trials = (names[k] for k in ("fejer", "model", "budget", "trials"))
     # seeds=range(20) takes the batch path; each row is that seed's own histogram
-    source = fejer.source(model, budget)
-    rows = [sample_histogram(source, budget.n_samples, seed) for seed in range(20)]
+    rows = [fejer.draw(model, budget, [seed])[0] for seed in range(20)]
     assert trials.shape == (20, 64)
     assert trials.tobytes() == np.array(rows).tobytes()
     assert trials[0].tobytes() == fejer.estimate(model, budget, seed=0).values.tobytes()

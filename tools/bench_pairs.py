@@ -30,9 +30,13 @@ each side, as ``python3 -m specden ARGV``, and compares the sha256 of
 every artifact, ``estimate_record.json`` without its ``elapsed_s``
 (:func:`artifact_digests`, :func:`byte_mismatches`), and of what the op
 printed to stdout and to stderr, with its output directory read as
-``<out>`` (:func:`printed_digests`).  The op count, the artifact count
-and the mismatches go under ``bytes``.  Nothing under
-``perfbench/`` is imported into this process or edited.
+``<out>`` (:func:`printed_digests`).  It then does the same for the
+fixed :data:`BYTE_COMMANDS`, which reach what no pass runs: every
+method's ``transform``, ``estimate`` on both histogram routes, a
+per-peak ``verify`` and ``bench``.  The op count, the artifact count
+and the mismatches go under ``bytes``, per workload and under
+``commands``.  Nothing under ``perfbench/`` is imported into this
+process or edited.
 """
 
 from __future__ import annotations
@@ -66,6 +70,20 @@ PROTOCOL = (
 )
 CLAIM = ("median falls, lower in at least 9 of 10 pairs, by more than the parent's "
          "interquartile distance")
+_TARGET = ["--sigma", "0.1", "--delta", "0.05", "--seed", "1"]
+# At this target fejer has 256 bins and qfejer 1,024, and 185 shots (738 at beta
+# 0.05) are drawn per peak when 32 shots < bins x peaks: spiked:8 takes fejer's
+# distribution route, spiked:64 both per-peak routes, and qfejer's 16 mirrored
+# peaks of spiked:8 take the distribution route at 738 shots.
+BYTE_COMMANDS = [
+    *(["transform", "--method", m, *_TARGET, "--gen", "spiked:64"]
+      for m in ("fejer", "qfejer", "git", "jackson")),
+    *(["estimate", "--method", m, *_TARGET, "--gen", gen]
+      for m in ("fejer", "qfejer") for gen in ("spiked:8:count=2", "spiked:64")),
+    ["estimate", "--method", "qfejer", *_TARGET, "--beta", "0.05", "--gen", "spiked:8:count=2"],
+    ["verify", "--method", "fejer", *_TARGET, "--gen", "spiked:64:count=2"],
+    ["bench"],
+]
 
 
 def _quartiles(values) -> dict:
@@ -211,14 +229,13 @@ def _pass_argvs(side: Path, workload: str, seed: int) -> list[list[str]]:
     return json.loads(done.stdout)
 
 
-def compare_bytes(sides: dict[str, Path], workload: str, seed: int, work: Path) -> dict:
-    """Run one pass of `workload` once in each side and compare its exit codes, artifacts and printed streams."""
-    argvs = _pass_argvs(sides["parent"], workload, seed)
+def compare_bytes(sides: dict[str, Path], argvs: list[list[str]], label: str, work: Path) -> dict:
+    """Run each of `argvs` once in each side and compare its exit codes, artifacts and printed streams."""
     artifacts, mismatches = 0, []
     for i, argv in enumerate(argvs):
         digests, printed, codes = {}, {}, {}
         for side, path in sides.items():
-            out = work / "bytes" / side / workload / str(i)
+            out = work / "bytes" / side / label / str(i)
             shutil.rmtree(out, ignore_errors=True)
             env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": str(path / "src")}
             done = subprocess.run([sys.executable, "-m", "specden", *argv, "--out", str(out)],
@@ -232,7 +249,7 @@ def compare_bytes(sides: dict[str, Path], workload: str, seed: int, work: Path) 
             mismatches.append(f"{op}: exit {codes['parent']} vs {codes['change']}")
         for found in (digests, printed):
             mismatches += [f"{op}: {name}" for name in byte_mismatches(found["parent"], found["change"])]
-    return {"seed": seed, "ops": len(argvs), "artifacts": artifacts, "mismatches": mismatches}
+    return {"ops": len(argvs), "artifacts": artifacts, "mismatches": mismatches}
 
 
 def _seed_range(text: str) -> list[int]:
@@ -277,8 +294,13 @@ def main(argv=None) -> int:
     if args.note:
         doc["change"] = args.note
     if args.bytes:
-        doc["bytes"] = {"command": "python3 -m specden ARGV for each op of pass_ops(W, seed)",
-                        "workloads": {w: compare_bytes(sides, w, seeds[0], work) for w in workloads}}
+        passes = {w: {"seed": seeds[0],
+                      **compare_bytes(sides, _pass_argvs(sides["parent"], w, seeds[0]), w, work)}
+                  for w in workloads}
+        doc["bytes"] = {"command": ("python3 -m specden ARGV for each op of pass_ops(W, seed) "
+                                    "and of BYTE_COMMANDS"),
+                        "workloads": passes,
+                        "commands": compare_bytes(sides, BYTE_COMMANDS, "commands", work)}
         out.write_text(json.dumps(doc, indent=1) + "\n")
         return 0
     seconds = spec["run_seconds"]
