@@ -37,12 +37,9 @@ from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
-# numpy imports this submodule on first use; importing it here means a
-# process forked after the package's import already has it
-import numpy.fft
 
 from .errors import OutOfRegimeError, ResourceLimitError, ValidationError
-from .numerics import cheb_eval, cheb_interpolate, cheb_nodes, cheb_series_coeffs, next_pow2
+from .numerics import cheb_eval, cheb_nodes, cheb_series_coeffs, dct3, next_pow2
 
 __all__ = [
     "AccuracyTarget",
@@ -420,16 +417,6 @@ def jackson_damping(degree: int) -> np.ndarray:
     return ((big - k) * np.cos(np.pi * k / big) + np.sin(np.pi * k / big) / np.tan(np.pi / big)) / big
 
 
-def _dct1(a: np.ndarray) -> np.ndarray:
-    """``a_0 + (-1)^i a_N + 2 sum_{n=1}^{N-1} a_n cos(pi n i / N)`` for i = 0..N.
-
-    One real FFT of the even extension of length 2N.  It maps Chebyshev
-    coefficients to values at the Lobatto points ``cos(pi i / N)`` and
-    back, up to the end-point weights the callers apply.
-    """
-    return np.fft.rfft(np.concatenate((a, a[-2:0:-1]))).real
-
-
 def _fft_size(n: int) -> int:
     """Smallest ``2^a 3^b 5^c >= n``.
 
@@ -492,23 +479,27 @@ def amplifier_coeffs(k: int) -> tuple[np.ndarray, float]:
     The target is a normal CDF ramp centered at y0 = -0.2, scaled to run
     from tau/4 up to 1 - tau/4 with tau = exp(-k/6).  The off-center ramp
     keeps the plateau average low enough for the normalization to respect
-    its analytic bounds.  The interpolant is checked against the contract
-    on a dense grid; if it fails, the ramp width is adjusted and the
-    construction retried.
+    its analytic bounds.  The interpolant at the k + 1 roots of T_{k+1}
+    (:func:`cheb_series_coeffs` at degree k) is checked against the
+    contract on a dense grid; if it fails, the ramp width is adjusted and
+    the construction retried.  Raises :class:`OutOfRegimeError` when no
+    width passes: from k = 208 on, tau falls to the rounding of a
+    degree-k evaluation.
     """
     if k < 1:
         raise ValidationError("amplifier degree must be >= 1")
     tau = math.exp(-k / 6.0)
     y0 = -0.2
     w0 = (0.6 - abs(y0)) / math.sqrt(2.0 * math.log(4.0 / tau))
+    shifted = cheb_nodes(k + 1) - y0
     for factor in (1.0, 0.9, 0.8, 1.1, 0.7, 1.2, 0.6, 1.3):
-        w = w0 * factor
-        target = lambda y: tau / 4.0 + (1.0 - tau / 2.0) * _normal_cdf((y - y0) / w)
-        coeffs = cheb_interpolate(target, k)
-        report = amplifier_contract_check(coeffs, k, tau)
-        if report["ok"]:
+        ramp = tau / 4.0 + (1.0 - tau / 2.0) * _normal_cdf(shifted / (w0 * factor))
+        coeffs = cheb_series_coeffs(ramp, k)
+        if amplifier_contract_check(coeffs, k, tau)["ok"]:
             return coeffs, tau
-    raise ValidationError(f"could not build a contract-satisfying amplifier at degree {k}")
+    raise OutOfRegimeError(
+        f"no contract-satisfying amplifier at degree {k}: its threshold tau = {tau:.3g} "
+        f"is below the rounding of a degree-{k} evaluation")
 
 
 def amplifier_contract_check(coeffs: np.ndarray, k: int, tau: float, gridsize: int = 4001) -> dict:
@@ -536,31 +527,22 @@ def _jackson_profile_coeffs(k: int, degree: int, delta: float) -> np.ndarray:
 
     The profile is a polynomial of degree N, so it is held exactly, up
     to rounding.  J is even, so ``J(x) = sum_j J_2j T_j(2x^2 - 1)`` and
-    the profile is a polynomial of degree N/2 in ``y = 2x^2 - 1``: one
-    DCT-I of J's zero-padded even coefficients gives J at the H + 1
-    Lobatto points ``y = cos(pi i / H)``, with H the smallest FFT-fast
-    size >= N/2, A_k is applied there by Clenshaw, and a second DCT-I
-    interpolates the samples into the even coefficients p_2j; the odd
-    ones vanish.  O(N log N) time and O(N) memory; raises
-    :class:`ResourceLimitError` before allocating when N + 1 exceeds
-    ``GRID_CAP``.
+    the profile is a polynomial of degree N/2 in ``y = 2x^2 - 1``.
+    :func:`dct3` of J's even coefficients gives J at the m roots of T_m
+    in y, with m the smallest FFT-fast size > N/2; A_k is applied there
+    by Clenshaw, and :func:`cheb_series_coeffs` projects the samples onto
+    the even coefficients p_2j, exactly since the m-point rule
+    integrates degree 2m - 1 >= N; the odd ones vanish.  O(N log N) time
+    and O(N) memory; raises :class:`ResourceLimitError` before
+    allocating when N + 1 exceeds ``GRID_CAP``.
     """
     n = k * degree
     _check_cells(n + 1, "profile coefficients of the Jackson window")
     amp, _ = amplifier_coeffs(k)
-    size = _fft_size(max(n // 2, 1))
-    padded = np.zeros(size + 1)
-    even = jackson_coeffs(degree, delta)[::2]
-    padded[: even.size] = even
-    padded[0] *= 2.0
-    padded[-1] *= 2.0
-    j_lobatto = _dct1(padded) / 2.0
-    samples = cheb_eval(0.8 * j_lobatto, amp)
-    q = _dct1(samples) / size
-    q[0] /= 2.0
-    q[-1] /= 2.0
+    m = _fft_size(n // 2 + 1)
+    samples = cheb_eval(0.8 * dct3(jackson_coeffs(degree, delta)[::2], m), amp)
     p = np.zeros(n + 1)
-    p[::2] = q[: n // 2 + 1]
+    p[::2] = cheb_series_coeffs(samples, n // 2)
     return p
 
 
@@ -581,12 +563,9 @@ def jackson_normalization(k: int, degree: int, delta: float) -> float:
     """Normalization 1 / integral of ``A_k((4/5) J(u))`` for u in [-1, 1].
 
     The profile is a polynomial with Chebyshev coefficients p, so its
-    integral is the exact Clenshaw-Curtis sum ``sum_j 2 p_{2j} / (1 -
-    4 j^2)``.
+    integral is exact: :func:`_mass_above` at ``a = -1``.
     """
-    p = _jackson_profile_coeffs(k, degree, delta)
-    even = np.arange(0, p.size, 2)
-    total = float(np.sum(2.0 * p[::2] / (1.0 - even * even)))
+    total = _mass_above(_jackson_profile_coeffs(k, degree, delta), -1.0)
     if not (total > 0.0):
         raise ValidationError("window integral is not positive; amplifier contract violated")
     return 1.0 / total

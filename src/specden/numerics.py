@@ -3,10 +3,9 @@
 Nothing in here knows about kernels or spectra; these are generic
 helpers (power-of-two rounding, Chebyshev nodes, the two cosine
 transforms between node values and Chebyshev coefficients, the one
-Chebyshev projection, which is a DCT-II of node values, Clenshaw
-evaluation of a Chebyshev series and interpolation at Chebyshev points,
-and deterministic seed derivation, per seed or for many seeds in one
-pass).
+Chebyshev projection, a DCT-II of node values that at degree m - 1
+interpolates them, Clenshaw evaluation of a Chebyshev series, and
+deterministic seed derivation, per seed or for many seeds in one pass).
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ __all__ = [
     "cheb_nodes",
     "cheb_series_coeffs",
     "cheb_eval",
-    "cheb_interpolate",
     "dct2",
     "dct3",
     "child_rng",
@@ -65,7 +63,8 @@ def cheb_series_coeffs(values: np.ndarray, deg: int) -> np.ndarray:
     ``c_n = (gamma_n / m) sum_j f(x_j) T_n(x_j)`` with ``gamma_0 = 1`` and
     ``gamma_n = 2`` otherwise: one :func:`dct2` per row.  The rule is exact
     for polynomials up to degree ``2 m - 1 - deg`` and leaves only aliasing
-    error for smooth non-polynomial targets.  Needs ``0 <= deg <= m``.
+    error for smooth non-polynomial targets; at ``deg = m - 1`` the series
+    is the interpolant of the m values.  Needs ``0 <= deg <= m``.
     """
     projection = dct2(values, deg)
     gamma = np.full(deg + 1, 2.0)
@@ -108,32 +107,6 @@ def cheb_eval(x, coeffs) -> np.ndarray:
         np.multiply(c1, xb, out=tmp)
         np.add(c0, tmp, out=flat_out[start : start + xb.size])
     return out[()]
-
-
-def cheb_interpolate(func, deg: int) -> np.ndarray:
-    """Coefficients of the degree-`deg` interpolant of `func` at the Chebyshev points of the first kind.
-
-    Bit for bit numpy's ``chebinterpolate(func, deg)``: the same deg + 1
-    points ``sin(pi (k + 1/2 - (deg + 1)/2) / (deg + 1))`` in ascending
-    order, the same Vandermonde recurrence ``T_i = 2x T_{i-1} -
-    T_{i-2}`` and the same ``np.dot``.  `func` takes the array of
-    points.
-    """
-    if deg < 0:
-        raise ValidationError(f"cheb_interpolate needs deg >= 0, got {deg}")
-    n = deg + 1
-    x = np.sin(0.5 * np.pi / n * np.arange(-n + 1, n + 1, 2))
-    vander = np.empty((n, n))
-    vander[0] = 1.0
-    if deg > 0:
-        x2 = 2 * x
-        vander[1] = x
-        for i in range(2, n):
-            vander[i] = vander[i - 1] * x2 - vander[i - 2]
-    c = np.dot(vander, func(x))
-    c[0] /= n
-    c[1:] /= 0.5 * n
-    return c
 
 
 def dct2(values: np.ndarray, deg: int) -> np.ndarray:

@@ -483,13 +483,17 @@ _EDGE_MODEL = ["--gen", "dense:4", "--seed", "1"]
         (["estimate", "--method", "fejer", "--sigma", "1e-300", "--delta", "1e-300", *_EDGE_MODEL], 4),
         # a target loose enough for tau >= 1 is valid, but no window is built there
         (["transform", "--method", "jackson", "--sigma", "0.9", "--delta", "0.9", *_EDGE_MODEL], 3),
+        # k = 212 puts tau ~ 4.5e-16 below the rounding of the amplifier's evaluation
+        (["plan", "--method", "jackson", "--sigma", "1e-13", "--delta", "0.01"], 3),
+        (["transform", "--method", "jackson", "--sigma", "1e-13", "--delta", "0.01", *_EDGE_MODEL], 3),
     ],
     ids=["negative-seed", "infinite-spacing", "samples-past-int64", "fejer-budget-overflow",
          "git-budget-overflow", "nan-nu", "zero-models", "zero-trials", "dense-dim-over-cap",
          "gapped-dim-over-cap", "spiked-dim-over-cap", "jackson-nu-outside-the-window",
          "nan-probe-transform", "nan-probe-estimate", "nan-matrix", "inf-matrix", "model-not-utf8",
          "estimate-count-over-cap", "verify-count-over-cap", "fejer-grid-overflow",
-         "qfejer-grid-overflow", "estimate-grid-overflow", "jackson-degenerate-transform"],
+         "qfejer-grid-overflow", "estimate-grid-overflow", "jackson-degenerate-transform",
+         "jackson-amplifier-floor-plan", "jackson-amplifier-floor-transform"],
 )
 def test_edge_inputs_exit_with_their_documented_code(tmp_path_factory, tmp_path, capsys, argv, code):
     # a bytes item is written to a model file outside the output directory

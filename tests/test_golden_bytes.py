@@ -105,7 +105,7 @@ TRANSFORMS = {
     # the mirror-merged exact reference on the recovered frequencies, as its estimate
     "qfejer": "a7d11513f8c6cd6bbd8873fd59d75d4b8cb064039d6b83560a1a0930775940a7",
     "git": "2f6907b089804e521da93da2e7016f524491a48a81ef44327edddf88155f8067",
-    "jackson": "04dcf811082c990793580393413e21a7edce792c2cb3b10d842c7f4ec54b3cd7",
+    "jackson": "d6a4af6360b0002f23135edb5f78b72da2ce51483f4e90d09f670c59ac1f6595",
 }
 
 

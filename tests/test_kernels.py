@@ -1,17 +1,19 @@
 """Unit tests for the kernel families, their planners, and tail measurement."""
 
 import itertools
+import json
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from numpy.polynomial.chebyshev import chebvander
+from numpy.polynomial.chebyshev import chebinterpolate, chebvander
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from specden import kernels
+from specden.cli import main
 from specden.errors import OutOfRegimeError, ResourceLimitError, ValidationError
 from specden.kernels import (
     AccuracyTarget,
@@ -397,6 +399,22 @@ def test_amplifier_contract_check_flags_bad_polynomial():
     coeffs = np.array([0.0, 1.0])
     report = amplifier_contract_check(coeffs, 1, 0.1)
     assert not report["ok"]
+
+
+def test_amplifier_is_numpys_interpolant_of_the_widest_ramp(tmp_path):
+    # up to degree 207 the interpolant of the ramp at width factor 1.0
+    # passes the contract, so it is chebinterpolate's up to rounding
+    for k in range(1, 208):
+        coeffs, tau = amplifier_coeffs(k)
+        width = 0.4 / math.sqrt(2.0 * math.log(4.0 / tau))
+        want = chebinterpolate(lambda y: tau / 4.0 + (1.0 - tau / 2.0) * kernels._normal_cdf((y + 0.2) / width), k)
+        assert np.max(np.abs(coeffs - want)) <= 1e-13 * np.max(np.abs(want)), k
+    assert main(["plan", "--method", "jackson", "--sigma", "1e-10", "--delta", "0.01", "--out", str(tmp_path)]) == 0
+    (row,) = json.loads((tmp_path / "plan.json").read_text())["plans"]
+    assert row["amplifier_degree"] == 170
+    # from degree 208 on, tau lies below the rounding of the degree-k evaluation
+    with pytest.raises(OutOfRegimeError, match="degree 208: its threshold tau = 8.8e-16"):
+        amplifier_coeffs(208)
 
 
 def test_normal_cdf_matches_scipy_erf():

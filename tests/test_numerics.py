@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from numpy.polynomial.chebyshev import chebinterpolate, chebval, chebvander
+from numpy.polynomial.chebyshev import chebval, chebvander
 
 from specden import numerics
 from specden.errors import ValidationError
 from specden.numerics import (
     cheb_eval,
-    cheb_interpolate,
     cheb_nodes,
     cheb_series_coeffs,
     child_rng,
@@ -102,17 +101,6 @@ def test_cheb_eval_is_chebval_on_the_planners_largest_table():
     assert _same_bits(cheb_eval(x, coeffs), chebval(x, coeffs))
     with pytest.raises(ValidationError):
         cheb_eval(x, [])
-
-
-@pytest.mark.parametrize("deg", [0, 1, 2, 7, 59])
-def test_cheb_interpolate_is_chebinterpolate_bit_for_bit(deg):
-    # deg 59 is the amplifier of plan --sigma 0.1 --delta 0.001
-    def ramp(y):
-        return 0.25 + 0.5 * np.tanh((y + 0.2) / 0.3)
-
-    assert _same_bits(cheb_interpolate(ramp, deg), chebinterpolate(ramp, deg))
-    with pytest.raises(ValidationError):
-        cheb_interpolate(ramp, -1)
 
 
 def test_dct2_and_dct3_match_cosine_sums():

@@ -6,6 +6,7 @@ import importlib
 import inspect
 import json
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -79,6 +80,29 @@ def test_no_dispatch_on_method_names():
                 operands = [node.left, *node.comparators]
                 if any(isinstance(o, ast.Constant) and o.value in names for o in operands):
                     offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+
+
+def test_fourier_transforms_only_in_numerics_and_sampling():
+    # numerics holds the Chebyshev DCT pair and sampling the phase-estimation
+    # Fourier transforms; an FFT anywhere else would be a second Chebyshev
+    # transform beside the one toolkit
+    fft = re.compile(r"(np|numpy)\.fft\b")
+    offenders = []
+    for path in sorted(Path(specden.__file__).parent.glob("*.py")):
+        if path.name in ("numerics.py", "sampling.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute):
+                used = [ast.unparse(node)]
+            elif isinstance(node, ast.ImportFrom):
+                used = [f"{node.module}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Import):
+                used = [alias.name for alias in node.names]
+            else:
+                continue
+            if any(fft.match(name) for name in used):
+                offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
 
 
