@@ -30,8 +30,9 @@ DCT-III of the moments.  Both sweep the Gaussian kernel matrix banded:
 each frequency sees only the nodes within ``r = lam sqrt(2 (53 ln 2 +
 ln m))``, past which ``G < G(0) 2^-53 / m``, so about ``F m lam`` cells
 are evaluated instead of ``F m``.  The values move by at most ``2^-53
-G(0) max_j |rho_j|``; the coefficient bounds add the allowance ``m G(r)``,
-so the largest magnitude stays bit-identical to a full scan.
+G(0) max_j |rho_j|``; the coefficient bounds add a per-row allowance for
+the nodes left out, so the largest magnitude stays bit-identical to a
+full scan.
 """
 
 from __future__ import annotations
@@ -461,7 +462,9 @@ def cheb_moments(op: HermitianOperator, psi: ProbeState, order: int) -> np.ndarr
 
 # Blocks of the kernel matrix G(nu_i, x_j) hold at most this many cells
 # (512 KiB), or one row when m is larger, which keeps each block in cache
-# between its evaluation and use.
+# between its evaluation and use.  git's estimate.csv bits depend on it:
+# each block's product runs over the union of its rows' bands, so another
+# chunking sums other nodes (2**13 changes every git estimate's digest).
 _CHUNK_CELLS = 2**16
 
 def _reach(lam: float, m: int) -> float:
@@ -499,12 +502,17 @@ def _kernel_bands(lam: float, freqs: np.ndarray, nodes: np.ndarray):
         start += rows
 
 
-def _row_sums(lam: float, freqs: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    """Banded ``S(nu) = sum_j G(nu, x_j)`` per frequency, under the full sum by less than ``2^-53 G(0)``."""
-    sums = np.empty(freqs.size)
+def _banded(lam: float, freqs: np.ndarray, nodes: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Banded ``sum_j G(nu, x_j) rho[..., j]`` per frequency, shape ``(..., len(freqs))``.
+
+    `nodes` ascend.  Each frequency sums only the nodes within
+    :func:`_reach` of it (:func:`_kernel_bands`); every node left out has
+    ``G < G(0) 2^-53 / m``.
+    """
+    values = np.empty(rho.shape[:-1] + freqs.shape)
     for part, band in _kernel_bands(lam, freqs, nodes):
-        sums[part] = gaussian_eval(freqs[part, None], nodes[None, band], lam).sum(axis=1)
-    return sums
+        values[..., part] = rho[..., band] @ gaussian_eval(freqs[part, None], nodes[None, band], lam).T
+    return values
 
 
 def projection_cmax(lam: float, frequencies, order: int) -> float:
@@ -543,10 +551,11 @@ def projection_cmax(lam: float, frequencies, order: int) -> float:
     lo, hi = _band_edges(lam, freqs, nodes)
     below = lo * gaussian_eval(freqs, nodes[np.maximum(lo - 1, 0)], lam)
     above = (x.size - hi) * gaussian_eval(freqs, nodes[np.minimum(hi, x.size - 1)], lam)
-    sums = _row_sums(lam, freqs, nodes) + below + above
+    sums = _banded(lam, freqs, nodes, np.ones(x.size)) + below + above
     # The 1e-9 slack covers rounding: the FFT inside the DCT errs by about
     # u log2(m) sqrt(m) relative to S, under 3e-11 even at m = GRID_CAP,
-    # and the pairwise sums of S by about u log2(m).
+    # and the banded products that form S by at most u times the band's
+    # node count, as every term is non-negative (3,619 nodes at L = 29,971).
     bound = 2.0 * (1.0 + 1e-9) * sums / x.size
     rows = max(1, _CHUNK_CELLS // x.size)
     # the row of the largest bound first; then, chunk by chunk, the rows
@@ -554,8 +563,7 @@ def projection_cmax(lam: float, frequencies, order: int) -> float:
     # A row whose bound is 0 is all zeros.
     best, threshold = 0.0, bound.max(initial=0.0)
     while (live := np.flatnonzero((bound > 0.0) & (bound >= threshold))[:rows]).size:
-        block = gaussian_eval(freqs[live, None], x[None, :], lam)
-        best = max(best, float(np.abs(cheb_series_coeffs(block, order)).max()))
+        best = max(best, float(np.abs(_direct_coefficient_table(lam, freqs[live], order)).max()))
         bound[live] = 0.0
         threshold = best
     return best
@@ -589,10 +597,7 @@ def projection_values(moments, lam: float, frequencies) -> np.ndarray:
     gamma[0] = 1.0
     rho = dct3(v * gamma, nodes.size)[..., ::-1] / nodes.size
     freqs = np.atleast_1d(np.asarray(frequencies, dtype=float)).reshape(-1)
-    values = np.empty(v.shape[:-1] + freqs.shape)
-    for part, band in _kernel_bands(lam, freqs, nodes):
-        values[..., part] = rho[..., band] @ gaussian_eval(freqs[part, None], nodes[None, band], lam).T
-    return values
+    return _banded(lam, freqs, nodes, rho)
 
 
 def git_transform_from_moments(moments, lam: float, frequencies) -> TransformGrid:

@@ -311,7 +311,7 @@ class _Histogram(EstimationMethod):
         return fejer_grid(budget.kernel_order)
 
     def source(self, model: SpectralModel, budget: Budget) -> FejerPeaks:
-        """The model's peaks; their `samples` draw per peak when 32 N < n K, else from the n bins."""
+        """The model's peaks; T trials' `samples` draw per peak when 32 N T < n K, else from the n bins."""
         return qpe_peaks(model, budget.kernel_order)
 
     def route(self, model: SpectralModel, budget: Budget) -> str:
@@ -324,7 +324,8 @@ class _Histogram(EstimationMethod):
         source = self.source(model, budget) if source is None else source
         if budget.n_samples > np.iinfo(np.int64).max:
             raise ResourceLimitError(f"{budget.n_samples} samples exceed the sampler's 64-bit count range")
-        return np.array(list(source.samples(budget.n_samples, child_rngs(seeds, 0)))) / budget.n_samples
+        rngs = list(child_rngs(seeds, 0))
+        return np.array(list(source.samples(budget.n_samples, rngs))) / budget.n_samples
 
     def exact(self, model: SpectralModel, budget: Budget, grid, source=None) -> TransformGrid:
         """The outcome distribution of `source` (None: `model`'s), projected: a trial's mean."""

@@ -179,9 +179,6 @@ _HASH_POOL = (0x43B0D7E5, 0x931E8875)
 _HASH_OUT = (0x8B51F9DD, 0x58F38DED)
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _MASK32 = 0xFFFFFFFF
-# PCG64's 128-bit LCG multiplier (O'Neill, PCG, HMC-CS-2014-0905)
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
 
 
 @functools.lru_cache(maxsize=None)
@@ -256,33 +253,41 @@ def derive_seeds(seed: int, *path: int, count: int) -> list[int]:
     return _generate_state([*words, np.arange(count, dtype=np.uint32)], count, 1)[0].tolist()
 
 
+class _Words(np.random.bit_generator.ISeedSequence):
+    """One seed's SeedSequence output words, precomputed, as a bit generator's seed."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        """The first `n_words` words, as ``SeedSequence.generate_state`` gives them.
+
+        A uint64 word is a pair of the uint32 words, little-endian.
+        """
+        if np.dtype(dtype) == np.uint64:
+            return self.words.astype("<u4").view("<u8").astype(np.uint64)[:n_words]
+        return self.words[:n_words].copy()
+
+
 def child_rngs(seeds: Sequence[int], *path: int) -> Iterator[np.random.Generator]:
     """The generators ``child_rng(s, *path)`` for s in `seeds`, in order, bit for bit.
 
-    Two or more seeds whose entropy words all lie in [0, 2^32) share one
-    generator.  Its PCG64 state is derived for every seed in one
-    vectorized SeedSequence pass and set through the public ``state``
-    before each yield, so a caller finishes one seed's draws before it
-    takes the next generator.  Any other call yields a new
-    :func:`child_rng` per seed, and a negative seed raises as it does.
+    Two or more seeds whose entropy words all lie in [0, 2^32) have
+    their SeedSequence output words derived in one vectorized pass, and
+    each seed's words seed its own PCG64, as they would from its
+    SeedSequence.  Any other call yields a :func:`child_rng` per seed,
+    and a negative seed raises as it does.  Every yield is a new,
+    independent generator.
     """
     seeds = [int(s) for s in seeds]
     words = [int(p) for p in path]
     if len(seeds) < 2 or not _fits(min(seeds), max(seeds), *words):
         yield from (child_rng(s, *path) for s in seeds)
         return
+    # PCG64 reads four uint64 words, so eight uint32 words per seed
     out = _generate_state([np.array(seeds, dtype=np.uint32), *words], len(seeds), 8)
-    # PCG64 reads generate_state(4, uint64), pairs of little-endian words, as a
-    # 128-bit seed and increment, high half first, and seeds as pcg64_set_seed does
-    halves = out.T.astype("<u4", order="C").view("<u8").tolist()
-    rng = np.random.Generator(np.random.PCG64(0))
-    bits = rng.bit_generator
-    for seed_hi, seed_lo, inc_hi, inc_lo in halves:
-        inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & _MASK128
-        state = ((inc + (seed_hi << 64 | seed_lo)) * _PCG_MULT + inc) & _MASK128
-        bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                      "has_uint32": 0, "uinteger": 0}
-        yield rng
+    for row in out.T:
+        yield np.random.Generator(np.random.PCG64(_Words(row)))
 
 
 def fmt_float(x: float) -> str:

@@ -21,8 +21,9 @@ Three measurement primitives feed the estimation pipelines:
 
   The mixture costs 1 to 2.7 ns per cell and the per-peak draw 60 to
   100 ns per shot, plus about 0.15 ms per call (18,444 shots, K = 128
-  to 512, one thread), so :meth:`FejerPeaks.samples` draws per peak
-  when 32 S < N K (:meth:`FejerPeaks.draws_per_peak`) and from the
+  to 512, one thread).  One mixture serves every trial of a call, so
+  :meth:`FejerPeaks.samples` of T trials draws per peak when 32 S T <
+  N K (:meth:`FejerPeaks.draws_per_peak` of the S T shots) and from the
   distribution otherwise.  A statevector route
   simulates the register explicitly (with an optional norm-bounded
   fault in each controlled evolution) and serves as the validation
@@ -243,13 +244,15 @@ class FejerPeaks:
         """Whether :meth:`sample` costs less than the distribution: ``32 shots < n K``."""
         return _PER_PEAK_RATIO * shots < self.n * self.phases.size
 
-    def samples(self, shots: int, rngs) -> Iterator[np.ndarray]:
-        """Counts per bin of `shots` outcomes from each generator of `rngs` in turn.
+    def samples(self, shots: int, rngs: list) -> Iterator[np.ndarray]:
+        """Counts per bin of `shots` outcomes from each generator of the list `rngs` in turn.
 
-        Drawn per peak (:meth:`sample`) when :meth:`draws_per_peak`, else
-        from :attr:`distribution`, one multinomial over its bins each.
+        Drawn per peak (:meth:`sample`) when :meth:`draws_per_peak` holds
+        for the shots of all ``len(rngs)`` trials, else from
+        :attr:`distribution`, built once for them all, one multinomial
+        over its bins each.
         """
-        if not self.draws_per_peak(shots):
+        if not self.draws_per_peak(shots * len(rngs)):
             return self.distribution.samples(shots, rngs)
         return (self.sample(shots, rng) for rng in rngs)
 

@@ -136,4 +136,4 @@ def test_byte_commands_reach_every_transform_both_routes_a_per_peak_verify_and_b
     (verify,) = [c for c in commands if c[0] == "verify"]
     assert verify[2] == "fejer"
     assert cli.main([*verify, "--out", str(tmp_path / "verify")]) == 0
-    assert len(drawn) == 20  # the default 20 trials
+    assert len(drawn) == 4

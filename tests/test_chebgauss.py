@@ -356,7 +356,7 @@ def test_projection_sweeps_evaluate_a_band_of_the_kernel_matrix(monkeypatch):
     assert sum(work["cells"]) <= 0.15 * nu.size * m
     assert max(work["cells"]) <= max(2**16, m)
     work["cells"] = []
-    chebgauss._row_sums(lam, nu, cheb_nodes(m)[::-1])
+    chebgauss._banded(lam, nu, cheb_nodes(m)[::-1], np.ones(m))
     assert sum(work["cells"]) <= 0.15 * nu.size * m
     assert max(work["cells"]) <= max(2**16, m)
 
@@ -411,6 +411,19 @@ def test_truncation_order_asymptotic_golden():
     assert budget.regime == "asymptotic"
     assert budget.L == 358
     assert abs(budget.bound - 3.832306783492957e-11) < 1e-22
+    assert budget.bound_ok
+
+
+def test_truncation_order_forces_the_asymptotic_regime_below_the_intermediate_floor():
+    # beta above beta_low = 3.47e-11, but beta/2 = 2.3e-11 below the intermediate
+    # regime's guaranteeable floor (2.86e-11): the planner switches to asymptotic
+    target = AccuracyTarget(sigma=0.4, delta=0.2, beta=4.6e-11)
+    lo, _ = critical_betas(target)
+    budget = truncation_order(target)
+    floor, _ = min_error_intermediate(budget.lam)
+    assert lo < target.beta < 2.0 * floor
+    assert budget.regime == "asymptotic"
+    assert budget.L == 167
     assert budget.bound_ok
 
 

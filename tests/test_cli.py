@@ -25,9 +25,10 @@ from hypothesis import strategies as st
 from specden import chebgauss, cli, kernels, sampling
 from specden.cli import main
 from specden.errors import ResourceLimitError
-from specden.estimators import plan_fejer_samples
-from specden.kernels import fejer_plan
-from specden.numerics import derive_seed, fmt_float
+from specden.estimators import ESTIMATION_METHODS, plan_fejer_samples
+from specden.kernels import AccuracyTarget, fejer_plan
+from specden.metrics import ObservableFn, bounded_observables, contract_report
+from specden.numerics import derive_seed, derive_seeds, fmt_float
 from specden.operators import (
     HermitianOperator,
     ProbeState,
@@ -730,6 +731,24 @@ def test_fejer_contract_holds_with_an_eigenvalue_at_plus_one(tmp_path, write_mod
     assert report["pass_bound"]
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 6: the Fejer grid folds an eigenvalue at +1 onto -1")
+def test_fejer_contract_holds_for_a_generated_dense_model():
+    # the contract of `verify --method fejer --sigma 0.1 --delta 0.03 --gen dense:8
+    # --trials 20 --seed 3`: a generated dense model has its largest eigenvalue
+    # at exactly +-1, here +1, and its identity observable misses its bound
+    evals, amplitudes = random_spectrum(8, derive_seed(3, 500), "dense")
+    model = SpectralModel.from_amplitudes(evals, amplitudes)
+    target = AccuracyTarget(sigma=0.1, delta=0.03)
+    observables = bounded_observables(
+        [ObservableFn(np.ones_like, "one"), ObservableFn(lambda w: w, "identity")], target
+    )
+    stream = derive_seed(3, ESTIMATION_METHODS["fejer"].verify_stream)
+    seeds = derive_seeds(derive_seed(stream, 100), 0, count=20)
+    report = contract_report("fejer", observables, target, [(model, seeds)])
+    assert evals.max() == 1.0 and report.pass_sigma and report.pass_beta
+    assert report.pass_bound
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     out=st.text(min_size=1, max_size=20),
@@ -886,8 +905,12 @@ def test_git_commands_build_no_coefficient_table(tmp_path, monkeypatch):
         "--out", str(tmp_path / "v"), "--workers", "1",
     ) == 0
     # shots are sized and every trial reconstructed from the exact kernel's
-    # projection by DCT, with no series or direct coefficient table
-    assert builds == []
+    # projection by DCT, with no series table and no direct table over a grid:
+    # only projection_cmax's candidate rows are projected (34 rows, where the
+    # two commands size their shots on 201 and 5 frequencies)
+    assert {name for name, _ in builds} == {"_direct_coefficient_table"}
+    assert sum(size for _, size in builds) < 64
+    builds.clear()
     # plan still prices the published series table on the contract grid
     assert run_cli("plan", "--method", "git", "--sigma", "0.25", "--delta", "0.2") == 0
     assert builds == [("_series_coefficient_table", 5)]

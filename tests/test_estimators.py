@@ -96,8 +96,27 @@ def test_histograms_draw_per_peak_exactly_when_32_shots_are_below_n_k(name, shot
     source = method.source(model, budget)
     assert isinstance(source, FejerPeaks) and source.draws_per_peak(shots) == per_peak
     assert ("per eigenvalue" in method.route(model, budget)) == per_peak
-    # the draw is that route's histogram from the stream child_rng(seed, 0); the
-    # per-peak route builds no distribution
+    # one trial's draw is that route's histogram from the stream child_rng(seed, 0);
+    # the per-peak route builds no distribution
+    (row,) = method.draw(model, budget, [5], source)
+    assert ("distribution" in vars(source)) != per_peak
+    sample = source.sample if per_peak else source.distribution.sample
+    np.testing.assert_array_equal(row, sample(shots, child_rng(5, 0)) / shots)
+
+
+@pytest.mark.parametrize(
+    "name, shots, per_peak",
+    # n K = 256 (fejer) and 512 (qfejer), against 32 x 2 trials x shots
+    [("fejer", 3, True), ("fejer", 7, False), ("qfejer", 7, True), ("qfejer", 15, False)],
+)
+def test_a_draw_of_several_trials_counts_the_shots_of_all(name, shots, per_peak):
+    # the mixture is built once for every trial of a draw, so two trials draw
+    # per peak when 32 x 2 x shots < n K, whatever one trial's route
+    method = ESTIMATION_METHODS[name]
+    model = SpectralModel(np.array([-0.7, -0.1, 0.3, 0.9]), np.full(4, 0.25))
+    budget = Budget(method.family, 64, shots)
+    source = method.source(model, budget)
+    assert source.draws_per_peak(shots) and source.draws_per_peak(2 * shots) == per_peak
     rows = method.draw(model, budget, [5, 6], source)
     assert ("distribution" in vars(source)) != per_peak
     sample = source.sample if per_peak else source.distribution.sample

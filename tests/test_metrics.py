@@ -347,9 +347,9 @@ def test_observable_check_fejer_draws_per_eigenvalue_when_shots_are_few(monkeypa
     models = [diagonalize(*random_model(6, seed=s)) for s in (507, 509)]
     target = AccuracyTarget(sigma=0.25, delta=0.1, beta=0.1, eta=0.05)
     kernel = fejer_plan(target)
-    # 32 * 6 shots < n K = 64 * 6: the trials are drawn per eigenvalue
-    n_samples = 6
-    assert 32 * n_samples < kernel.n * 6
+    # 32 * 1 shot * 7 trials < n K = 64 * 6: the trials are drawn per eigenvalue
+    n_samples = 1
+    assert 32 * n_samples * 7 < kernel.n * 6
     builds = []
     mixture = sampling._fejer_mixture
     monkeypatch.setattr(sampling, "_fejer_mixture", lambda *a: builds.append(a[2]) or mixture(*a))
@@ -441,10 +441,10 @@ def _reference_check(models, method, f, target, trials, seed, spacing=None, n_sa
         q_exact = {name: observable_exact(mod, g) for name, g in zip(names, fns)}
         if method == "fejer":
             ref = _fejer_reference(mod, kernel)
-            # few shots against the n x K mixture are drawn per eigenvalue
-            few = 32 * n_samples < kernel.n * mod.size
+            # the contract draws blocks of `rows` trials; a block's shots, if few
+            # against the n x K mixture, are drawn per eigenvalue
+            rows = max(1, metrics._BLOCK_CELLS // kernel.n)
             peaks = qpe_peaks(mod, kernel.n)
-            sample = peaks.sample if few else peaks.distribution.sample
         else:
             ref = exact_transform(mod, kernel, CONTRACT_GRID)
             ref_dense = exact_transform(mod, kernel, dense)
@@ -454,6 +454,9 @@ def _reference_check(models, method, f, target, trials, seed, spacing=None, n_sa
             dense_values = projection_values(draws, lam, dense)
         for j in range(trials):
             if method == "fejer":
+                block = min(rows, trials - j // rows * rows)
+                few = 32 * n_samples * block < kernel.n * mod.size
+                sample = peaks.sample if few else peaks.distribution.sample
                 values = sample(n_samples, child_rng(derive_seed(seed, i, j), 0)) / n_samples
                 estimate = obs_grid = TransformGrid(fejer_grid(kernel.n), values, kernel.kind, kernel)
             else:
@@ -578,20 +581,21 @@ def test_contract_report_memory_stays_flat_in_the_model_count():
 
 
 def test_per_peak_contract_builds_each_models_tables_once(monkeypatch):
-    # n = 256 bins and K = 64 eigenvalues against 185 shots: every trial draws
-    # per peak from one set of peaks, whose tables are built on its first trial
+    # n = 256 bins and K = 256 eigenvalues against 6 trials of 185 shots: every
+    # trial draws per peak from one set of peaks, whose tables are built on its
+    # first trial
     target = AccuracyTarget(sigma=0.1, delta=0.05, beta=0.1)
     fejer = estimators.ESTIMATION_METHODS["fejer"]
     budget = fejer.budget(target)
     assert (budget.kernel_order, budget.n_samples) == (256, 185)
-    models = [SpectralModel.from_amplitudes(*random_spectrum(64, seed, "spiked")) for seed in (1, 2)]
-    assert all(isinstance(fejer.source(m, budget), sampling.FejerPeaks) for m in models)
+    models = [SpectralModel.from_amplitudes(*random_spectrum(256, seed, "spiked")) for seed in (1, 2)]
+    assert all(fejer.source(m, budget).draws_per_peak(185 * 6) for m in models)
     built = []
     tables = sampling._peak_tables
     monkeypatch.setattr(sampling, "_peak_tables", lambda *a: built.append(a) or tables(*a))
     trials = [(m, [derive_seed(seed, 0, j) for j in range(6)]) for m, seed in zip(models, (1, 2))]
     assert contract_report("fejer", (), target, trials).n_trials == 12
-    assert [a[0].size for a in built] == [64, 64]
+    assert [a[0].size for a in built] == [256, 256]
 
 
 def test_contract_setup_serves_every_model_alike():

@@ -203,8 +203,22 @@ def test_child_rngs_equal_child_rng(path, count):
         assert rng.bit_generator.state == ref.bit_generator.state
 
 
+@pytest.mark.parametrize("path", [(), (0,), (1, 2, 3, 4)])
+def test_child_rngs_yield_independent_generators(path):
+    # every yield is its own generator: holding them all at once, and drawing
+    # from one, leaves the others' states as child_rng gives them
+    seeds = [0, 3, 2**32 - 1, 17, 17]
+    rngs = list(child_rngs(seeds, *path))
+    assert len({id(rng) for rng in rngs}) == len(seeds)
+    rngs[0].random(3)
+    for rng, seed in zip(rngs[1:], seeds[1:], strict=True):
+        assert rng.bit_generator.state == child_rng(seed, *path).bit_generator.state
+    ref = child_rng(seeds[0], *path)
+    ref.random(3)
+    assert rngs[0].bit_generator.state == ref.bit_generator.state
+
+
 def test_child_rngs_draw_what_child_rng_draws():
-    # each generator is finished before the next is taken, as the docstring asks;
     # a binomial over repeated (n, p) pairs reuses numpy's cached setup
     # across trials, which must not change a draw
     p = np.array([0.5, 0.5, 0.01, 0.99, 0.3, 0.3])

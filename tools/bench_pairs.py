@@ -74,14 +74,15 @@ _TARGET = ["--sigma", "0.1", "--delta", "0.05", "--seed", "1"]
 # At this target fejer has 256 bins and qfejer 1,024, and 185 shots (738 at beta
 # 0.05) are drawn per peak when 32 shots < bins x peaks: spiked:8 takes fejer's
 # distribution route, spiked:64 both per-peak routes, and qfejer's 16 mirrored
-# peaks of spiked:8 take the distribution route at 738 shots.
+# peaks of spiked:8 take the distribution route at 738 shots.  The verify's 4
+# trials, 2 per model, draw per peak, as 32 x 185 x 2 < 256 x 64.
 BYTE_COMMANDS = [
     *(["transform", "--method", m, *_TARGET, "--gen", "spiked:64"]
       for m in ("fejer", "qfejer", "git", "jackson")),
     *(["estimate", "--method", m, *_TARGET, "--gen", gen]
       for m in ("fejer", "qfejer") for gen in ("spiked:8:count=2", "spiked:64")),
     ["estimate", "--method", "qfejer", *_TARGET, "--beta", "0.05", "--gen", "spiked:8:count=2"],
-    ["verify", "--method", "fejer", *_TARGET, "--gen", "spiked:64:count=2"],
+    ["verify", "--method", "fejer", *_TARGET, "--gen", "spiked:64:count=2", "--trials", "4"],
     ["bench"],
 ]
 
