@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import hashlib
 import json
 # argparse's gettext imports locale on first use: importing it here means a
 # process forked after the package's import already has it
@@ -46,6 +45,16 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
+
+# CPython's own SHA-256 (_sha2 from 3.12, _sha256 before): hashlib's sha256 is
+# OpenSSL's, whose first call in a forked op maps about 1 MB of libcrypto
+try:
+    from _sha2 import sha256 as _sha256
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256
+    except ImportError:  # neither is built: OpenSSL's, the same digest
+        from hashlib import sha256 as _sha256
 
 from . import __version__
 from .errors import SpecdenError, ValidationError
@@ -108,8 +117,9 @@ class RunConfig:
     def hash(self) -> str:
         """Hash of the data-defining configuration.
 
-        Excludes the output directory, which moves results but not their
-        bytes, and the worker count, which nothing reads.
+        The first 12 hex digits of the SHA-256 of its sorted ``key=value``
+        lines.  Excludes the output directory, which moves results but not
+        their bytes, and the worker count, which nothing reads.
         """
         items = sorted(
             (k, v)
@@ -117,7 +127,7 @@ class RunConfig:
             if v is not None and k not in ("out", "workers")
         )
         blob = "\n".join(f"{k}={v}" for k, v in items)
-        return hashlib.sha256(blob.encode()).hexdigest()[:12]
+        return _sha256(blob.encode()).hexdigest()[:12]
 
 
 # Each option's type, its least value or its allowed names, and its help

@@ -4,8 +4,9 @@ Nothing in here knows about kernels or spectra; these are generic
 helpers (power-of-two rounding, Chebyshev nodes, the two cosine
 transforms between node values and Chebyshev coefficients, the one
 Chebyshev projection, a DCT-II of node values that at degree m - 1
-interpolates them, Clenshaw evaluation of a Chebyshev series, and
-deterministic seed derivation, per seed or for many seeds in one pass).
+interpolates them, Clenshaw evaluation of a Chebyshev series and of an
+even one in half the steps, and deterministic seed derivation, per seed
+or for many seeds in one pass).
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ __all__ = [
     "cheb_nodes",
     "cheb_series_coeffs",
     "cheb_eval",
+    "cheb_eval_even",
     "dct2",
     "dct3",
     "child_rng",
@@ -106,6 +108,45 @@ def cheb_eval(x, coeffs) -> np.ndarray:
             c1, tmp = tmp, c1
         np.multiply(c1, xb, out=tmp)
         np.add(c0, tmp, out=flat_out[start : start + xb.size])
+    return out[()]
+
+
+def cheb_eval_even(y, coeffs) -> np.ndarray:
+    """``sum_k coeffs[k] T_2k(y)`` at every point of `y`, in half the Clenshaw steps.
+
+    ``T_2k(y) = T_k(w)`` with ``w = 2 y^2 - 1``, so this is Clenshaw's
+    recurrence over `coeffs` in w, with Reinsch's modification at w = -1
+    (J. Oliver, IMA J. Appl. Math. 20, 379 (1977)): it reads ``u = 2 (1 +
+    w) = (2y)^2``, formed from y, because w itself rounds away y^2 near
+    y = 0.  With Clenshaw's sums b and ``d_k = b_k + b_(k+1)``, starting
+    from b = d = 0, each step ``d <- c_k + u b - d``, ``b <- d - b`` runs
+    for k = N down to 1, and the sum is ``c_0 + (u/2) b - d``.  Four array
+    operations per step over N steps, in place on blocks of at most
+    ``_CLENSHAW_BLOCK`` points as :func:`cheb_eval` runs.  The
+    modification amplifies rounding near w = +1, so |y| near 1 is
+    summed less accurately than by :func:`cheb_eval` unless the series'
+    terms are small there.  Returns an array of `y`'s shape (a numpy
+    scalar for a 0-d `y`).
+    """
+    c = np.asarray(coeffs, dtype=float).tolist()
+    if not c:
+        raise ValidationError("cheb_eval_even needs at least one coefficient")
+    y = np.asarray(y, dtype=float)
+    out = np.empty(y.shape)
+    flat_y, flat_out = y.reshape(-1), out.reshape(-1)
+    for start in range(0, flat_y.size, _CLENSHAW_BLOCK):
+        u = 2.0 * flat_y[start : start + _CLENSHAW_BLOCK]
+        u *= u
+        b, d, tmp = np.zeros(u.shape), np.zeros(u.shape), np.empty(u.shape)
+        for ck in reversed(c[1:]):
+            np.multiply(u, b, out=tmp)
+            tmp += ck
+            np.subtract(tmp, d, out=d)
+            np.subtract(d, b, out=b)
+        u *= 0.5
+        u *= b
+        u += c[0]
+        np.subtract(u, d, out=flat_out[start : start + u.size])
     return out[()]
 
 

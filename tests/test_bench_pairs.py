@@ -2,11 +2,14 @@
 
 import importlib.util
 import json
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from specden import cli, sampling
+from specden import chebgauss, cli, sampling
+from specden.estimators import CONTRACT_GRID
 
 _PATH = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
 _SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
@@ -137,3 +140,16 @@ def test_byte_commands_reach_every_transform_both_routes_a_per_peak_verify_and_b
     assert verify[2] == "fejer"
     assert cli.main([*verify, "--out", str(tmp_path / "verify")]) == 0
     assert len(drawn) == 4
+
+
+def test_byte_commands_reach_the_plan_nearest_a_rounding_flip(tmp_path):
+    # per_order_shots is the ceiling of 2 ln(2/eta) (L c_max / beta)^2, which
+    # here lies 0.005 below the next integer
+    (plan,) = [c for c in bench_pairs.BYTE_COMMANDS if c[0] == "plan"]
+    assert cli.main([*plan, "--out", str(tmp_path)]) == 0
+    (row,) = json.loads((tmp_path / "plan.json").read_text())["plans"]
+    assert (row["method"], row["order"], row["per_order_shots"]) == ("git", 7031, 40855870975)
+    target = cli._resolve_config(cli._PARSER.parse_args(plan)).target()
+    c_max = np.max(np.abs(chebgauss.coefficient_table(row["lam"], CONTRACT_GRID, row["order"])))
+    argument = 2.0 * math.log(2.0 / target.eta) * (row["order"] * c_max / target.beta) ** 2
+    assert 0.0 < row["per_order_shots"] - argument < 0.01

@@ -35,7 +35,7 @@ from specden.chebgauss import (
 from specden.errors import OutOfRegimeError, ResourceLimitError, ValidationError
 from specden.kernels import AccuracyTarget, gaussian_eval
 from specden.numerics import cheb_nodes, cheb_series_coeffs, child_rng, dct3
-from specden.estimators import CONTRACT_GRID, ESTIMATION_METHODS, model_moments
+from specden.estimators import CONTRACT_GRID, ESTIMATION_METHODS, model_moments, plan_git_samples
 from specden.operators import HermitianOperator, ProbeState, diagonalize, normalize_operator, random_model
 
 
@@ -131,6 +131,53 @@ def test_coefficient_table_routes_agree_inside():
     x = np.linspace(-1, 1, 1501)
     gap = np.max(np.abs((series - direct) @ chebvander(x, order).T))
     assert gap <= 2.0 * geometric_tail_bound(order, lam)
+
+
+def _ld_series_table(lam, freqs, order):
+    """The series table with the full series summed by Clenshaw in ``np.longdouble``."""
+    a = gauss_cheb_coeffs(lam / 2.0, order).astype(np.longdouble)
+    y = ((cheb_nodes(order)[None, :] - freqs[:, None]) / 2.0).astype(np.longdouble)
+    b1, b2 = np.zeros_like(y), np.zeros_like(y)
+    for an in a[:0:-1]:
+        b1, b2 = an + 2 * y * b1 - b2, b1
+    values = (a[0] + y * b1 - b2).astype(float) / (math.sqrt(2.0 * math.pi) * lam)
+    return cheb_series_coeffs(values, order)
+
+
+@pytest.mark.parametrize("sigma,delta,beta,order,per_order", [
+    (0.25, 0.25, 0.1, 30, 622222),
+    (0.05, 0.05, 0.01, 310, 7785623166),
+    (0.1, 0.01, 0.1, 1291, 1374444460),
+    (0.05, 0.01, 0.1, 1495, 1845779883),
+    # per_order_shots' argument sits 0.23 above an integer near 3.6e13
+    (0.022360679774997894, 0.01, 0.001, 2093, 36150831613221),
+])
+def test_series_table_cmax_is_the_extended_precision_sum(sigma, delta, beta, order, per_order):
+    target = AccuracyTarget(sigma=sigma, delta=delta, beta=beta)
+    budget = truncation_order(target)
+    assert budget.L == order
+    c_max = np.max(np.abs(coefficient_table(budget.lam, CONTRACT_GRID, order)))
+    reference = np.max(np.abs(_ld_series_table(budget.lam, CONTRACT_GRID, order)))
+    assert abs(c_max - reference) <= 4 * np.spacing(reference)
+    assert ESTIMATION_METHODS["git"].plan_row(target)["per_order_shots"] == per_order
+
+
+def test_series_table_keeps_the_full_depth_shots():
+    # every seventh target of a 5 sigma x 7 delta x 4 beta grid, log-spaced in [0.01, 0.25]
+    axis = np.geomspace(0.01, 0.25, 7)
+    grid = [(s, d, b) for s in np.geomspace(0.01, 0.25, 5) for d in axis
+            for b in (0.001, 0.01, 0.05, 0.1)][::7]
+    assert len(grid) == 20
+    for sigma, delta, beta in grid:
+        target = AccuracyTarget(sigma=float(sigma), delta=float(delta), beta=beta)
+        budget = truncation_order(target)
+        # the full-depth route: a degree-L Clenshaw over every a_k, odd ones included
+        a = gauss_cheb_coeffs(budget.lam / 2.0, budget.L)
+        x = cheb_nodes(budget.L)
+        values = chebval((x[None, :] - CONTRACT_GRID[:, None]) / 2.0, a)
+        full = cheb_series_coeffs(values / (math.sqrt(2.0 * math.pi) * budget.lam), budget.L)
+        expected = plan_git_samples(budget.L, full, beta, target.eta)[0]
+        assert ESTIMATION_METHODS["git"].plan_row(target)["per_order_shots"] == expected
 
 
 def test_coefficient_table_memory_stays_linear_in_order():

@@ -7,6 +7,8 @@ the written files.
 
 import argparse
 import dataclasses
+import hashlib
+import importlib.util
 import itertools
 import json
 import os
@@ -764,6 +766,54 @@ def test_config_hash_ignores_out_and_workers(out, workers, seed, trials):
     assert moved.hash() == base.hash()
     assert cli.RunConfig(command="verify", sigma=0.1, delta=0.2, seed=seed, trials=trials + 1,
                          out=out).hash() != base.hash()
+
+
+def _golden_argvs():
+    """The command lines behind ``tests/test_golden_bytes.py``'s digests."""
+    path = Path(__file__).with_name("test_golden_bytes.py")
+    spec = importlib.util.spec_from_file_location("golden_bytes", path)
+    golden = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(golden)
+    transform = ["--sigma", "0.2", "--delta", "0.25", "--gen", "gapped:8", "--seed", "11"]
+    return [
+        *(["estimate", *argv] for argv, _, _ in golden.ESTIMATES.values()),
+        *(["transform", "--method", m, *transform] for m in golden.TRANSFORMS),
+        ["plan", "--method", "all", *golden._TARGET],
+    ]
+
+
+@pytest.mark.parametrize("argv", [
+    *_golden_argvs(),
+    ["verify", "--method", "all", "--sigma", "0.25", "--delta", "0.2", "--gen", "gapped:8",
+     "--trials", "7", "--seed", "1", "--workers", "3", "--out", "elsewhere"],
+    ["bench"],
+])
+def test_config_hash_is_hashlibs_sha256(argv):
+    cfg = cli._resolve_config(cli._PARSER.parse_args(argv))
+    items = sorted((k, v) for k, v in vars(cfg).items()
+                   if v is not None and k not in ("out", "workers"))
+    blob = "\n".join(f"{k}={v}" for k, v in items).encode()
+    assert cfg.hash() == hashlib.sha256(blob).hexdigest()[:12]
+
+
+def test_config_hash_loads_no_openssl(tmp_path, monkeypatch):
+    # hashlib's sha256 is OpenSSL's; the config tag is CPython's own SHA-256
+    def refuse(*args, **kwargs):
+        raise AssertionError("OpenSSL's sha256 was called")
+
+    monkeypatch.setattr(hashlib, "sha256", refuse)
+    try:
+        import _hashlib
+    except ImportError:  # a CPython built without OpenSSL
+        pass
+    else:
+        monkeypatch.setattr(_hashlib, "openssl_sha256", refuse)
+    assert run_cli("plan", "--method", "all", "--sigma", "0.1", "--delta", "0.2",
+                   "--out", str(tmp_path / "plan")) == 0
+    assert run_cli("estimate", "--method", "git", "--sigma", "0.1", "--delta", "0.2",
+                   "--gen", "gapped:8", "--seed", "9", "--out", str(tmp_path / "estimate")) == 0
+    assert (tmp_path / "plan" / "plan.json").exists()
+    assert (tmp_path / "estimate" / "estimate.csv").exists()
 
 
 @pytest.mark.parametrize("argv", [

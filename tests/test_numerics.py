@@ -1,5 +1,7 @@
 """Unit tests for the generic numeric helpers."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from specden import numerics
 from specden.errors import ValidationError
 from specden.numerics import (
     cheb_eval,
+    cheb_eval_even,
     cheb_nodes,
     cheb_series_coeffs,
     child_rng,
@@ -101,6 +104,56 @@ def test_cheb_eval_is_chebval_on_the_planners_largest_table():
     assert _same_bits(cheb_eval(x, coeffs), chebval(x, coeffs))
     with pytest.raises(ValidationError):
         cheb_eval(x, [])
+
+
+def _ld_clenshaw(x, coeffs):
+    """``sum_n coeffs[n] T_n(x)`` by Clenshaw's recurrence in ``np.longdouble``."""
+    x, c = np.asarray(x, np.longdouble), np.asarray(coeffs, np.longdouble)
+    b1, b2 = np.zeros_like(x), np.zeros_like(x)
+    for cn in c[:0:-1]:
+        b1, b2 = cn + 2 * x * b1 - b2, b1
+    return c[0] + x * b1 - b2
+
+
+def _interleaved(even):
+    full = np.zeros(2 * len(even) - 1)
+    full[::2] = even
+    return full
+
+
+def _even_tolerance(even):
+    # rounding errors of n steps add up like a random walk: 4 sqrt(n) ulps of sum |c|
+    return 4.0 * math.sqrt(len(even)) * np.spacing(np.abs(even).sum())
+
+
+@pytest.mark.parametrize("n_coeffs", [1, 2, 3, 8, 60, 400])
+@pytest.mark.parametrize("shape", [(), (7,), (23, 1425)])
+def test_cheb_eval_even_is_the_interleaved_series(n_coeffs, shape):
+    # |y| <= 0.9 is the half-width kernel's range: |x - nu| / 2 on the contract grid
+    rng = np.random.default_rng(n_coeffs)
+    even = rng.normal(size=n_coeffs)
+    y = rng.uniform(-0.9, 0.9, size=shape)
+    got = cheb_eval_even(y, even)
+    assert np.shape(got) == shape
+    gap = np.abs(got - cheb_eval(y, _interleaved(even)))
+    assert np.all(gap <= _even_tolerance(even))
+    with pytest.raises(ValidationError):
+        cheb_eval_even(y, [])
+
+
+def test_cheb_eval_even_keeps_a_narrow_gaussian_near_its_peak():
+    # the planner's L = 1,495 table (plan --sigma 0.05 --delta 0.01) and points
+    # down to 1e-12 from the peak at y = 0, where 2 y^2 - 1 would round y^2 away
+    from specden.chebgauss import gauss_cheb_coeffs
+
+    lam, order = 0.00408538982653635, 1495
+    a = gauss_cheb_coeffs(lam / 2.0, order)
+    tiny = np.geomspace(1e-12, lam, 60)
+    y = np.concatenate((-tiny, [0.0], tiny, np.linspace(-4 * lam, 4 * lam, 801)))
+    got = cheb_eval_even(y, a[::2])
+    tol = _even_tolerance(a[::2])
+    assert np.all(np.abs(got - cheb_eval(y, a)) <= tol)
+    assert np.all(np.abs(got - _ld_clenshaw(y, a)) <= tol)
 
 
 def test_dct2_and_dct3_match_cosine_sums():

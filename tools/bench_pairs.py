@@ -33,7 +33,8 @@ printed to stdout and to stderr, with its output directory read as
 ``<out>`` (:func:`printed_digests`).  It then does the same for the
 fixed :data:`BYTE_COMMANDS`, which reach what no pass runs: every
 method's ``transform``, ``estimate`` on both histogram routes, a
-per-peak ``verify`` and ``bench``.  The op count, the artifact count
+per-peak ``verify``, the git ``plan`` whose shot count lies nearest
+to a rounding flip, and ``bench``.  The op count, the artifact count
 and the mismatches go under ``bytes``, per workload and under
 ``commands``.  Nothing under ``perfbench/`` is imported into this
 process or edited.
@@ -75,7 +76,9 @@ _TARGET = ["--sigma", "0.1", "--delta", "0.05", "--seed", "1"]
 # 0.05) are drawn per peak when 32 shots < bins x peaks: spiked:8 takes fejer's
 # distribution route, spiked:64 both per-peak routes, and qfejer's 16 mirrored
 # peaks of spiked:8 take the distribution route at 738 shots.  The verify's 4
-# trials, 2 per model, draw per peak, as 32 x 185 x 2 < 256 x 64.
+# trials, 2 per model, draw per peak, as 32 x 185 x 2 < 256 x 64.  The plan
+# prices git at L = 7,031, where per_order_shots is the ceiling of
+# 40,855,870,974.995: the published integer nearest to a rounding flip.
 BYTE_COMMANDS = [
     *(["transform", "--method", m, *_TARGET, "--gen", "spiked:64"]
       for m in ("fejer", "qfejer", "git", "jackson")),
@@ -83,6 +86,7 @@ BYTE_COMMANDS = [
       for m in ("fejer", "qfejer") for gen in ("spiked:8:count=2", "spiked:64")),
     ["estimate", "--method", "qfejer", *_TARGET, "--beta", "0.05", "--gen", "spiked:8:count=2"],
     ["verify", "--method", "fejer", *_TARGET, "--gen", "spiked:64:count=2", "--trials", "4"],
+    ["plan", "--method", "git", "--sigma", "0.1", "--delta", "0.002"],
     ["bench"],
 ]
 
