@@ -190,23 +190,24 @@ def shifted_coeffs(lam: float, sigma: float, order: int) -> np.ndarray:
     variable ``w`` by Gauss-Chebyshev projection on `order` nodes:
     ``c_j = (gamma_j / order) sum_m K(sigma, x_m) T_j(x_m)``.
     """
-    if order < 1:
-        raise ValidationError(f"order must be >= 1, got {order!r}")
     return coefficient_table(lam, [sigma], order)[0]
 
 
 def coefficient_table(lam: float, frequencies, order: int) -> np.ndarray:
-    """Shifted-coefficient vectors for many centers at once.
+    """Shifted-coefficient vectors for many centers in [-1, 1] at once.
 
     Returns an array of shape ``(len(frequencies), order + 1)`` whose
-    rows are :func:`shifted_coeffs` at each frequency.
-
-    Centers in [-1, 1] use the half-width series construction above.
-    Its inner series argument ``(w - sigma)/2`` leaves [-1, 1] once
-    ``|sigma| > 1``, where the truncated polynomial diverges, so centers
-    beyond are projected from the exact kernel by high-count
-    Gauss-Chebyshev quadrature instead, which is stable for every center
-    and agrees with the series inside the truncation budget.
+    rows are :func:`shifted_coeffs` at each frequency: the half-width
+    series construction, projected on `order` nodes.  Its inner series
+    argument ``(w - sigma)/2`` leaves [-1, 1] once ``|sigma| > 1``, where
+    the truncated polynomial diverges, so such centers raise
+    :class:`ValidationError`.  The kernel's series is even (odd a_k
+    vanish), so it is evaluated over its even terms alone
+    (:func:`cheb_eval_even`), in half the steps of a full Clenshaw run;
+    the table's largest magnitude stays within a few ulps of an
+    extended-precision sum of the full series.  Raises
+    :class:`ResourceLimitError` before allocating when the table's cells
+    exceed ``GRID_CAP``.
 
     This is the published construction that ``plan`` prices; the moment
     pipeline works from the exact kernel's projection and builds no
@@ -217,23 +218,10 @@ def coefficient_table(lam: float, frequencies, order: int) -> np.ndarray:
     if order < 1:
         raise ValidationError(f"order must be >= 1, got {order!r}")
     freqs = np.atleast_1d(np.asarray(frequencies, dtype=float)).reshape(-1)
-    inside = np.abs(freqs) <= 1.0 + 1e-12
-    table = np.empty((freqs.size, order + 1))
-    if np.any(inside):
-        table[inside] = _series_coefficient_table(lam, freqs[inside], order)
-    if not np.all(inside):
-        table[~inside] = _direct_coefficient_table(lam, freqs[~inside], order)
-    return table
-
-
-def _series_coefficient_table(lam: float, freqs: np.ndarray, order: int) -> np.ndarray:
-    """Projection of the half-width degree-`order` kernel on `order` nodes.
-
-    The kernel's series is even (odd a_k vanish), so it is evaluated over
-    its even terms alone (:func:`cheb_eval_even`), in half the steps of a
-    full Clenshaw run; the table's largest magnitude stays within a few
-    ulps of an extended-precision sum of the full series.
-    """
+    outside = freqs[~(np.abs(freqs) <= 1.0 + 1e-12)]
+    if outside.size:
+        raise ValidationError(f"the series table needs centers in [-1, 1], got {float(outside[0])!r}")
+    _check_cells(freqs.size * (order + 1), "cells of the series coefficient table")
     a = gauss_cheb_coeffs(lam / 2.0, order)
     scale = math.sqrt(2.0 * math.pi) * lam
     x = cheb_nodes(order)
@@ -242,8 +230,10 @@ def _series_coefficient_table(lam: float, freqs: np.ndarray, order: int) -> np.n
 
 
 def _projection_size(order: int) -> int:
-    """Node count of the exact kernel's projection at this order."""
-    return max(4 * (order + 1), 256)
+    """Node count of the exact kernel's projection at this order, checked against ``GRID_CAP``."""
+    m = max(4 * (order + 1), 256)
+    _check_cells(m, "projection nodes of the exact Gaussian")
+    return m
 
 
 def _direct_coefficient_table(lam: float, freqs: np.ndarray, order: int) -> np.ndarray:
@@ -295,7 +285,8 @@ def geometric_tail_bound(order: int, lam: float) -> float:
     ``R_L <= exp(-L' kappa(L' lam^2 / 2)) / (sqrt(2) (1 - exp(-kappa(L'
     lam^2 / 2))))`` with ``L' = L + 2`` (L even) or ``L + 3`` (L odd).
     Looser than the regime-specific bounds but with no validity window;
-    used for diagnostics and the coefficient-magnitude check.
+    no planner reads it.  The tests hold the shifted coefficients' profile
+    and their magnitudes to it.
     """
     if order < 0:
         raise ValidationError(f"order must be >= 0, got {order!r}")

@@ -566,15 +566,21 @@ def complexity_table(deltas, epsilons, eta: float = 0.05) -> list[dict]:
       frequency grid.
 
     Returns a list of dict rows with keys ``method, delta, eps,
-    kernel_order, n_samples, note``.
+    kernel_order, n_samples, note``.  Raises :class:`ResourceLimitError`
+    when the analytic row's counts overflow the float range.
     """
     rows: list[dict] = []
     for delta in deltas:
         for eps in epsilons:
             target = AccuracyTarget(sigma=eps, delta=delta, beta=eps, eta=eta)
             log_eps = math.log(1.0 / eps)
-            tsa = (math.ceil(log_eps**2 / delta),
-                   math.ceil(log_eps**6 * math.log(1.0 / eta) / (delta**3 * eps**2)))
+            try:
+                tsa = (math.ceil(log_eps**2 / delta),
+                       math.ceil(log_eps**6 * math.log(1.0 / eta) / (delta**3 * eps**2)))
+            except (OverflowError, ZeroDivisionError) as exc:
+                raise ResourceLimitError(
+                    f"the analytic tsa row at delta={delta!r}, eps={eps!r} overflows the float range"
+                ) from exc
             fejer = (_FAMILIES["fejer"].kernel_order(target), plan_fejer_samples(eps, eta))
             git_order = _FAMILIES["git"].kernel_order(target)
             for method, (order, n_samples), note in (

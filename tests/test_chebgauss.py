@@ -1,7 +1,9 @@
 """Unit tests for the Gaussian Chebyshev expansion and its order planner."""
 
+import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +17,6 @@ from specden.chebgauss import (
     ALPHA2,
     KAPPA1,
     _direct_coefficient_table,
-    _series_coefficient_table,
     cheb_moments,
     coeff_quadrature_oracle,
     coefficient_table,
@@ -123,11 +124,10 @@ def test_shifted_coeffs_match_exact_kernel():
 def test_coefficient_table_routes_agree_inside():
     lam, order = 0.2, 40
     nu = np.linspace(-1.0, 1.0, 9)
-    series = _series_coefficient_table(lam, nu, order)
+    series = coefficient_table(lam, nu, order)
     direct = _direct_coefficient_table(lam, nu, order)
-    # centers in [-1, 1] take the series construction
-    np.testing.assert_array_equal(coefficient_table(lam, nu, order), series)
-    # the two constructions differ only within the truncation budget
+    # the series table and the exact kernel's projection differ only within
+    # the truncation budget
     x = np.linspace(-1, 1, 1501)
     gap = np.max(np.abs((series - direct) @ chebvander(x, order).T))
     assert gap <= 2.0 * geometric_tail_bound(order, lam)
@@ -162,6 +162,60 @@ def test_series_table_cmax_is_the_extended_precision_sum(sigma, delta, beta, ord
     assert ESTIMATION_METHODS["git"].plan_row(target)["per_order_shots"] == per_order
 
 
+def _published_git_integers():
+    """Every git ``per_order_shots`` the tests and the benchmark pin, at eta = 0.05.
+
+    The 28 git rows of ``perfbench/expected_plans.json`` (read only, at
+    the default beta 0.1), the L = 7,031 plan that ``test_cli`` and
+    ``test_bench_pairs`` pin, and ``test_estimators``' L = 32 golden.
+    """
+    plans = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "expected_plans.json").read_text())
+    rows = [pytest.param(row["lam"], row["order"], 0.1, row["per_order_shots"], id=key)
+            for key, methods in plans.items() for row in methods if row["method"] == "git"]
+    fine = truncation_order(AccuracyTarget(sigma=0.1, delta=0.002)).lam
+    coarse = truncation_order(AccuracyTarget(sigma=0.3, delta=0.2, beta=0.25)).lam
+    return [*rows, pytest.param(fine, 7031, 0.1, 40855870975, id="0.1,0.002"),
+            pytest.param(coarse, 32, 0.25, 121843, id="0.3,0.2,0.25")]
+
+
+@pytest.mark.parametrize("lam,order,beta,per_order", _published_git_integers())
+def test_published_shot_integers_are_the_extended_precision_ceiling(lam, order, beta, per_order):
+    eta = 0.05
+    reference = np.max(np.abs(_ld_series_table(lam, CONTRACT_GRID, order)))
+    argument = 2 * np.log(np.longdouble(2) / eta) * (order * np.longdouble(reference) / beta) ** 2
+    assert per_order == math.ceil(argument)
+    # the double route errs by at most 4 ulps of c_max, so by 8 relative ulps
+    # in the square: the argument must sit farther than that from an integer
+    stated = 2 * 4 * np.spacing(reference) / reference
+    assert abs(argument - np.rint(argument)) / argument > stated
+    c_max = np.max(np.abs(coefficient_table(lam, CONTRACT_GRID, order)))
+    assert abs(c_max - reference) <= 4 * np.spacing(reference)
+
+
+def test_published_order_follows_the_cost_law_in_the_intermediate_regime():
+    # C = L delta / sqrt(ln(1/sigma) (ln(1/delta) + ln(1/beta))), the paper's
+    # operation count with the tail sigma in the first factor
+    laws = {}
+    for sigma in (0.001, 0.01, 0.1, 0.25):
+        for delta in np.geomspace(0.0005, 0.25, 10):
+            for beta in np.geomspace(1e-6, 0.1, 5):
+                budget = truncation_order(AccuracyTarget(sigma=sigma, delta=float(delta), beta=float(beta)))
+                law = math.sqrt(math.log(1 / sigma) * (math.log(1 / delta) + math.log(1 / beta)))
+                laws[sigma, float(delta), float(beta)] = (budget.regime, budget.L * delta / law)
+    assert len(laws) == 200
+    inside = [c for regime, c in laws.values() if regime == "intermediate"]
+    assert len(inside) == 196 and 2.95 <= min(inside) and max(inside) <= 3.85
+    # a known finding, not a pass: at the four asymptotic-regime targets, all
+    # at delta = 0.25, the published order reads C = 9.6-16.9, far above the
+    # law; a certified order should bring them back within the band
+    outside = {key: c for key, (regime, c) in laws.items() if not 2.95 <= c <= 3.85}
+    assert {key for key, (regime, _) in laws.items() if regime == "asymptotic"} == set(outside)
+    assert sorted((s, round(b, 9)) for s, d, b in outside) == [
+        (0.001, 1e-06), (0.001, 1.7783e-05), (0.01, 1e-06), (0.1, 1e-06)]
+    assert {d for _, d, _ in outside} == {0.25}
+    assert 9.5 < min(outside.values()) and max(outside.values()) < 17.0
+
+
 def test_series_table_keeps_the_full_depth_shots():
     # every seventh target of a 5 sigma x 7 delta x 4 beta grid, log-spaced in [0.01, 0.25]
     axis = np.geomspace(0.01, 0.25, 7)
@@ -192,15 +246,33 @@ def test_coefficient_table_memory_stays_linear_in_order():
     assert peak <= 8 * 2**20
 
 
-def test_coefficient_table_direct_stable_beyond_interval():
-    # centers outside [-1, 1] keep decaying coefficients and a faithful profile
-    lam, order = 0.093198, 52
-    table = coefficient_table(lam, np.array([1.75]), order)
-    assert np.max(np.abs(table[:, -8:])) < 1e-10
-    x = np.linspace(-1, 1, 2001)
-    profile = chebval(x, table[0])
-    exact = gaussian_eval(x, 1.75, lam)
-    assert np.max(np.abs(profile - exact)) < 1e-6
+@pytest.mark.parametrize("nu", [1.75, -1.0 - 1e-9, np.nan])
+def test_coefficient_table_refuses_centers_beyond_interval(nu):
+    # the series' argument (w - sigma)/2 leaves [-1, 1] past |sigma| = 1
+    with pytest.raises(ValidationError, match=r"centers in \[-1, 1\]"):
+        coefficient_table(0.093198, np.array([0.0, nu]), 52)
+    with pytest.raises(ValidationError, match=r"centers in \[-1, 1\]"):
+        shifted_coeffs(0.093198, nu, 52)
+    # the edge itself, within rounding, is a center of the table
+    assert coefficient_table(0.093198, [-1.0 - 1e-13, 1.0], 52).shape == (2, 53)
+
+
+@pytest.mark.parametrize("build,order,what", [
+    # 5 x 2^25 cells would take 1.25 GiB for the table alone
+    (coefficient_table, 2**25, "cells of the series coefficient table"),
+    # 4 (L + 1) > 2^26 projection nodes, 512 MiB for each array over them
+    (projection_cmax, 2**24, "projection nodes of the exact Gaussian"),
+    (_direct_coefficient_table, 2**24, "projection nodes of the exact Gaussian"),
+])
+def test_git_tables_refuse_sizes_over_cap_before_allocating(build, order, what):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match=what):
+            build(0.01, CONTRACT_GRID, order)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def _projection_grid(lam):

@@ -24,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specden import chebgauss, cli, kernels, sampling
+from specden import chebgauss, cli, estimators, kernels, sampling
 from specden.cli import main
 from specden.errors import ResourceLimitError
 from specden.estimators import ESTIMATION_METHODS, plan_fejer_samples
@@ -489,6 +489,16 @@ _EDGE_MODEL = ["--gen", "dense:4", "--seed", "1"]
         # k = 212 puts tau ~ 4.5e-16 below the rounding of the amplifier's evaluation
         (["plan", "--method", "jackson", "--sigma", "1e-13", "--delta", "0.01"], 3),
         (["transform", "--method", "jackson", "--sigma", "1e-13", "--delta", "0.01", *_EDGE_MODEL], 3),
+        # git's exact-kernel projection past GRID_CAP nodes: 4 (L + 1) = 74,336,912
+        (["estimate", "--method", "git", "--sigma", "0.1", "--delta", "1e-6", "--nu", "0", *_EDGE_MODEL], 4),
+        (["verify", "--method", "git", "--sigma", "0.1", "--delta", "1e-6", "--grid-spacing", "0.1",
+          *_EDGE_MODEL, "--trials", "2", "--workers", "1"], 4),
+        # the series table's 5 x (L + 1) cells past GRID_CAP, refused before the table exists
+        (["plan", "--method", "git", "--sigma", "0.1", "--delta", "1e-8"], 4),
+        # the analytic tsa row's counts overflow, or divide by a delta^3 that underflows
+        (["bench", "--sigma", "1e-160", "--delta", "0.5"], 4),
+        (["bench", "--sigma", "1e-300", "--delta", "0.5"], 4),
+        (["bench", "--delta", "1e-120"], 4),
     ],
     ids=["negative-seed", "infinite-spacing", "samples-past-int64", "fejer-budget-overflow",
          "git-budget-overflow", "nan-nu", "zero-models", "zero-trials", "dense-dim-over-cap",
@@ -496,7 +506,10 @@ _EDGE_MODEL = ["--gen", "dense:4", "--seed", "1"]
          "nan-probe-transform", "nan-probe-estimate", "nan-matrix", "inf-matrix", "model-not-utf8",
          "estimate-count-over-cap", "verify-count-over-cap", "fejer-grid-overflow",
          "qfejer-grid-overflow", "estimate-grid-overflow", "jackson-degenerate-transform",
-         "jackson-amplifier-floor-plan", "jackson-amplifier-floor-transform"],
+         "jackson-amplifier-floor-plan", "jackson-amplifier-floor-transform",
+         "git-projection-nodes-over-cap-estimate", "git-projection-nodes-over-cap-verify",
+         "git-series-table-over-cap", "bench-tsa-overflow", "bench-tsa-eps-underflow",
+         "bench-tsa-delta-underflow"],
 )
 def test_edge_inputs_exit_with_their_documented_code(tmp_path_factory, tmp_path, capsys, argv, code):
     # a bytes item is written to a model file outside the output directory
@@ -507,7 +520,9 @@ def test_edge_inputs_exit_with_their_documented_code(tmp_path_factory, tmp_path,
     argv = [str(model) if isinstance(arg, bytes) else arg for arg in argv]
     # an exception escaping main fails the test on its own; none may
     assert run_cli(*argv, "--out", str(tmp_path)) == code
-    assert capsys.readouterr().err.startswith({2: "error: ", 3: "out of regime: ", 4: "resource cap: "}[code])
+    err = capsys.readouterr().err
+    assert err.startswith({2: "error: ", 3: "out of regime: ", 4: "resource cap: "}[code])
+    assert err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
 
 
@@ -939,12 +954,15 @@ def test_git_commands_build_no_coefficient_table(tmp_path, monkeypatch):
 
     def counting(build):
         def counted(lam, freqs, order):
-            builds.append((build.__name__, freqs.size))
+            builds.append((build.__name__, np.size(freqs)))
             return build(lam, freqs, order)
         return counted
 
-    for name in ("_series_coefficient_table", "_direct_coefficient_table"):
-        monkeypatch.setattr(chebgauss, name, counting(getattr(chebgauss, name)))
+    monkeypatch.setattr(chebgauss, "_direct_coefficient_table", counting(chebgauss._direct_coefficient_table))
+    # the series table is reached through its module and through estimators' import
+    series = counting(chebgauss.coefficient_table)
+    monkeypatch.setattr(chebgauss, "coefficient_table", series)
+    monkeypatch.setattr(estimators, "coefficient_table", series)
     assert run_cli(
         "estimate", "--method", "git", "--sigma", "0.25", "--delta", "0.2",
         "--gen", "dense:8", "--seed", "3", "--out", str(tmp_path / "e"),
@@ -963,7 +981,7 @@ def test_git_commands_build_no_coefficient_table(tmp_path, monkeypatch):
     builds.clear()
     # plan still prices the published series table on the contract grid
     assert run_cli("plan", "--method", "git", "--sigma", "0.25", "--delta", "0.2") == 0
-    assert builds == [("_series_coefficient_table", 5)]
+    assert builds == [("coefficient_table", 5)]
 
 
 def test_exit_code_io_error(tmp_path):
