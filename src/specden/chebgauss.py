@@ -98,27 +98,22 @@ KAPPA1 = kappa(1.0)
 
 
 def lambert_w(x: float) -> float:
-    """Principal branch of the Lambert W function.
+    """Principal branch of the Lambert W function, for ``x >= 0``.
 
-    Halley iteration from a piecewise initial guess; converges when
-    ``|W e^W - x| <= 1e-12 max(1, |x|)`` within 50 steps.  Defined for
-    ``x >= -1/e``.
+    Halley iteration from ``log1p(x)``, or ``log x - log log x`` from x =
+    10 on; converges when ``|W e^W - x| <= 1e-12 max(1, x)`` within 50
+    steps.  Its caller, the asymptotic order, passes x > 0; a negative
+    or nan `x` raises :class:`ValidationError`.
     """
     x = float(x)
-    branch = -1.0 / math.e
-    if x < branch:
-        raise ValidationError(f"lambert_w needs x >= -1/e, got {x!r}")
-    if x == 0.0:
-        return 0.0
+    if not x >= 0.0:
+        raise ValidationError(f"lambert_w needs x >= 0, got {x!r}")
     if x >= 10.0:
         lx = math.log(x)
         w = lx - math.log(lx)
-    elif x > 0.0:
-        w = math.log1p(x)
     else:
-        p = math.sqrt(2.0 * (math.e * x + 1.0))
-        w = -1.0 + p - p * p / 3.0
-    tol = 1e-12 * max(1.0, abs(x))
+        w = math.log1p(x)
+    tol = 1e-12 * max(1.0, x)
     for _ in range(50):
         ew = math.exp(w)
         f = w * ew - x
@@ -207,7 +202,8 @@ def coefficient_table(lam: float, frequencies, order: int) -> np.ndarray:
     the table's largest magnitude stays within a few ulps of an
     extended-precision sum of the full series.  Raises
     :class:`ResourceLimitError` before allocating when the table's cells
-    exceed ``GRID_CAP``.
+    exceed ``GRID_CAP``, or when its cells times the ``order // 2 + 1``
+    even terms, the Clenshaw steps it would run, exceed 2^36.
 
     This is the published construction that ``plan`` prices; the moment
     pipeline works from the exact kernel's projection and builds no
@@ -222,6 +218,7 @@ def coefficient_table(lam: float, frequencies, order: int) -> np.ndarray:
     if outside.size:
         raise ValidationError(f"the series table needs centers in [-1, 1], got {float(outside[0])!r}")
     _check_cells(freqs.size * (order + 1), "cells of the series coefficient table")
+    _check_cells(freqs.size * (order + 1) * (order // 2 + 1), "Clenshaw steps of the series table", 2**36)
     a = gauss_cheb_coeffs(lam / 2.0, order)
     scale = math.sqrt(2.0 * math.pi) * lam
     x = cheb_nodes(order)

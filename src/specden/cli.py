@@ -25,7 +25,8 @@ version and a hash of the resolved configuration.
 Exit codes, each error reported in one line on stderr, ``LABEL:
 message``, a command-line parse error's included: 0 success, 2 invalid
 configuration or input, 3 target out of the supported regime, 4
-resource cap exceeded, 5 file I/O failure.  ``--help`` and
+resource cap exceeded, 5 file I/O failure.  A warning prints as one
+line too, ``warning: message``, and the run goes on.  ``--help`` and
 ``--version`` print to stdout and exit 0.
 """
 
@@ -41,6 +42,7 @@ import math
 import os
 import sys
 import time
+import warnings
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -219,24 +221,21 @@ def _parse_gen(spec: str) -> tuple[str, int, int, dict]:
         dim = int(parts[1])
     except ValueError as exc:
         raise ValidationError(f"bad dimension in generator spec {spec!r}") from exc
-    count = 1
-    params: dict = {}
-    for chunk in parts[2:]:
-        for item in chunk.split(","):
-            if not item:
-                continue
-            if "=" not in item:
-                raise ValidationError(f"bad generator parameter {item!r} in {spec!r}")
-            key, value = item.split("=", 1)
-            try:
-                if key == "count":
-                    count = int(value)
-                elif key in ("gap", "ground_weight"):
-                    params[key] = float(value)
-                else:
-                    raise ValidationError(f"unknown generator parameter {key!r}")
-            except ValueError as exc:
-                raise ValidationError(f"bad value for {key!r}: {value!r}") from exc
+    params: dict = {"count": 1}
+    for item in filter(None, ",".join(parts[2:]).split(",")):
+        key, eq, value = item.partition("=")
+        if not eq:
+            raise ValidationError(f"bad generator parameter {item!r} in {spec!r}")
+        if key not in ("count", "gap", "ground_weight"):
+            raise ValidationError(f"unknown generator parameter {key!r}")
+        # only the gapped ensemble reads gap and ground_weight
+        if key != "count" and kind != "gapped":
+            raise ValidationError(f"generator kind {kind!r} takes no parameter {key!r}")
+        try:
+            params[key] = (int if key == "count" else float)(value)
+        except ValueError as exc:
+            raise ValidationError(f"bad value for {key!r}: {value!r}") from exc
+    count = params.pop("count")
     if count < 1:
         raise ValidationError("generator count must be >= 1")
     _check_cells(count * dim, "eigenvalues of count x dim draws")
@@ -641,18 +640,26 @@ _DISPATCH = {
 }
 
 
+def _show_warning(message, *_args, **_kwargs) -> None:
+    """Print a warning as one ``warning: message`` line on stderr, as an error prints."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
-    try:
-        cfg = _resolve_config(_PARSER.parse_args(argv))
-        code = _DISPATCH[cfg.command](cfg)
-    except BrokenPipeError:
-        code = 5
-    except SpecdenError as exc:
-        print(f"{exc.label}: {exc}", file=sys.stderr)
-        code = exc.exit_code
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        code = 5
+    with warnings.catch_warnings():
+        # the filters, and so Python's once-per-location rule, stay as they are
+        warnings.showwarning = _show_warning
+        try:
+            cfg = _resolve_config(_PARSER.parse_args(argv))
+            code = _DISPATCH[cfg.command](cfg)
+        except BrokenPipeError:
+            code = 5
+        except SpecdenError as exc:
+            print(f"{exc.label}: {exc}", file=sys.stderr)
+            code = exc.exit_code
+        except OSError as exc:
+            print(f"i/o error: {exc}", file=sys.stderr)
+            code = 5
     try:
         sys.stdout.flush()  # a closed stdout fails here, not at exit
     except BrokenPipeError:

@@ -477,29 +477,27 @@ def amplifier_coeffs(k: int) -> tuple[np.ndarray, float]:
     """Chebyshev-interpolated sigmoid amplifier of degree `k`, with its threshold tau.
 
     The target is a normal CDF ramp centered at y0 = -0.2, scaled to run
-    from tau/4 up to 1 - tau/4 with tau = exp(-k/6).  The off-center ramp
-    keeps the plateau average low enough for the normalization to respect
-    its analytic bounds.  The interpolant at the k + 1 roots of T_{k+1}
-    (:func:`cheb_series_coeffs` at degree k) is checked against the
-    contract on a dense grid; if it fails, the ramp width is adjusted and
-    the construction retried.  Raises :class:`OutOfRegimeError` when no
-    width passes: from k = 208 on, tau falls to the rounding of a
-    degree-k evaluation.
+    from tau/4 up to 1 - tau/4 with tau = exp(-k/6), and of width
+    ``(3/5 - |y0|) / sqrt(2 ln(4 / tau))``.  The off-center ramp keeps
+    the plateau average low enough for the normalization to respect its
+    analytic bounds.  The interpolant at the k + 1 roots of T_{k+1}
+    (:func:`cheb_series_coeffs` at degree k) is checked once against
+    the contract on a dense grid: it passes at every k up to 207.  Raises
+    :class:`OutOfRegimeError` where it fails: from k = 208 on, tau falls
+    to the rounding of a degree-k evaluation.
     """
     if k < 1:
         raise ValidationError("amplifier degree must be >= 1")
     tau = math.exp(-k / 6.0)
     y0 = -0.2
-    w0 = (0.6 - abs(y0)) / math.sqrt(2.0 * math.log(4.0 / tau))
-    shifted = cheb_nodes(k + 1) - y0
-    for factor in (1.0, 0.9, 0.8, 1.1, 0.7, 1.2, 0.6, 1.3):
-        ramp = tau / 4.0 + (1.0 - tau / 2.0) * _normal_cdf(shifted / (w0 * factor))
-        coeffs = cheb_series_coeffs(ramp, k)
-        if amplifier_contract_check(coeffs, k, tau)["ok"]:
-            return coeffs, tau
-    raise OutOfRegimeError(
-        f"no contract-satisfying amplifier at degree {k}: its threshold tau = {tau:.3g} "
-        f"is below the rounding of a degree-{k} evaluation")
+    width = (0.6 - abs(y0)) / math.sqrt(2.0 * math.log(4.0 / tau))
+    ramp = tau / 4.0 + (1.0 - tau / 2.0) * _normal_cdf((cheb_nodes(k + 1) - y0) / width)
+    coeffs = cheb_series_coeffs(ramp, k)
+    if not amplifier_contract_check(coeffs, k, tau)["ok"]:
+        raise OutOfRegimeError(
+            f"no contract-satisfying amplifier at degree {k}: its threshold tau = {tau:.3g} "
+            f"is below the rounding of a degree-{k} evaluation")
+    return coeffs, tau
 
 
 def amplifier_contract_check(coeffs: np.ndarray, k: int, tau: float, gridsize: int = 4001) -> dict:

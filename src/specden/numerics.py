@@ -78,37 +78,49 @@ def cheb_series_coeffs(values: np.ndarray, deg: int) -> np.ndarray:
 _CLENSHAW_BLOCK = 1 << 15
 
 
+def _clenshaw(x, coeffs, name: str, recurrence) -> np.ndarray:
+    """``recurrence(block, c, out)`` over `x` in blocks of at most ``_CLENSHAW_BLOCK`` points.
+
+    `c` is `coeffs` as a list of floats, which must not be empty.
+    Returns an array of `x`'s shape (a numpy scalar for a 0-d `x`).
+    """
+    c = np.asarray(coeffs, dtype=float).tolist()
+    if not c:
+        raise ValidationError(f"{name} needs at least one coefficient")
+    x = np.asarray(x, dtype=float)
+    out = np.empty(x.shape)
+    flat_x, flat_out = x.reshape(-1), out.reshape(-1)
+    for start in range(0, flat_x.size, _CLENSHAW_BLOCK):
+        xb = flat_x[start : start + _CLENSHAW_BLOCK]
+        recurrence(xb, c, flat_out[start : start + xb.size])
+    return out[()]
+
+
 def cheb_eval(x, coeffs) -> np.ndarray:
     """``sum_n coeffs[n] T_n(x)`` at every point of `x`, by Clenshaw's recurrence.
 
     Bit for bit numpy's ``chebval(x, coeffs)`` for a float array `x`
     and 1-D `coeffs`.  The recurrence is elementwise and keeps chebval's
     operations in their order (``c0, c1 = c[n] - c1, c0 + c1 * 2x``
-    down to n = 0, then ``c0 + c1 * x``), but runs in place on blocks of
-    at most ``_CLENSHAW_BLOCK`` points, so its work arrays stay in
-    cache.  Returns an array of `x`'s shape (a numpy scalar for a 0-d
-    `x`).
+    down to n = 0, then ``c0 + c1 * x``, with a one-term series padded
+    by a zero as chebval pads it), but runs in place on blocks of at
+    most ``_CLENSHAW_BLOCK`` points, so its work arrays stay in cache.
+    Returns an array of `x`'s shape (a numpy scalar for a 0-d `x`).
     """
-    c = np.asarray(coeffs, dtype=float).tolist()
-    if not c:
-        raise ValidationError("cheb_eval needs at least one coefficient")
-    x = np.asarray(x, dtype=float)
-    if len(c) < 3:
-        return c[0] + (c[1] if len(c) == 2 else 0.0) * x
-    out = np.empty(x.shape)
-    flat_x, flat_out = x.reshape(-1), out.reshape(-1)
-    for start in range(0, flat_x.size, _CLENSHAW_BLOCK):
-        xb = flat_x[start : start + _CLENSHAW_BLOCK]
-        x2 = 2.0 * xb
-        c0, c1, tmp = np.full(xb.shape, c[-2]), np.full(xb.shape, c[-1]), np.empty(xb.shape)
-        for cn in reversed(c[:-2]):
-            np.multiply(c1, x2, out=tmp)
-            np.add(c0, tmp, out=tmp)
-            np.subtract(cn, c1, out=c0)
-            c1, tmp = tmp, c1
-        np.multiply(c1, xb, out=tmp)
-        np.add(c0, tmp, out=flat_out[start : start + xb.size])
-    return out[()]
+    return _clenshaw(x, coeffs, "cheb_eval", _chebval_block)
+
+
+def _chebval_block(x, c, out) -> None:
+    c = c + [0.0] * (2 - len(c))
+    x2 = 2.0 * x
+    c0, c1, tmp = np.full(x.shape, c[-2]), np.full(x.shape, c[-1]), np.empty(x.shape)
+    for cn in reversed(c[:-2]):
+        np.multiply(c1, x2, out=tmp)
+        np.add(c0, tmp, out=tmp)
+        np.subtract(cn, c1, out=c0)
+        c1, tmp = tmp, c1
+    np.multiply(c1, x, out=tmp)
+    np.add(c0, tmp, out=out)
 
 
 def cheb_eval_even(y, coeffs) -> np.ndarray:
@@ -128,26 +140,22 @@ def cheb_eval_even(y, coeffs) -> np.ndarray:
     terms are small there.  Returns an array of `y`'s shape (a numpy
     scalar for a 0-d `y`).
     """
-    c = np.asarray(coeffs, dtype=float).tolist()
-    if not c:
-        raise ValidationError("cheb_eval_even needs at least one coefficient")
-    y = np.asarray(y, dtype=float)
-    out = np.empty(y.shape)
-    flat_y, flat_out = y.reshape(-1), out.reshape(-1)
-    for start in range(0, flat_y.size, _CLENSHAW_BLOCK):
-        u = 2.0 * flat_y[start : start + _CLENSHAW_BLOCK]
-        u *= u
-        b, d, tmp = np.zeros(u.shape), np.zeros(u.shape), np.empty(u.shape)
-        for ck in reversed(c[1:]):
-            np.multiply(u, b, out=tmp)
-            tmp += ck
-            np.subtract(tmp, d, out=d)
-            np.subtract(d, b, out=b)
-        u *= 0.5
-        u *= b
-        u += c[0]
-        np.subtract(u, d, out=flat_out[start : start + u.size])
-    return out[()]
+    return _clenshaw(y, coeffs, "cheb_eval_even", _even_block)
+
+
+def _even_block(y, c, out) -> None:
+    u = 2.0 * y
+    u *= u
+    b, d, tmp = np.zeros(u.shape), np.zeros(u.shape), np.empty(u.shape)
+    for ck in reversed(c[1:]):
+        np.multiply(u, b, out=tmp)
+        tmp += ck
+        np.subtract(tmp, d, out=d)
+        np.subtract(d, b, out=b)
+    u *= 0.5
+    u *= b
+    u += c[0]
+    np.subtract(u, d, out=out)
 
 
 def dct2(values: np.ndarray, deg: int) -> np.ndarray:
@@ -295,19 +303,22 @@ def derive_seeds(seed: int, *path: int, count: int) -> list[int]:
 
 
 class _Words(np.random.bit_generator.ISeedSequence):
-    """One seed's SeedSequence output words, precomputed, as a bit generator's seed."""
+    """One seed's SeedSequence output words, precomputed, as PCG64's seed.
+
+    PCG64 asks its seed for four uint64 words and nothing else, so
+    :meth:`generate_state` gives uint64 words only.
+    """
 
     def __init__(self, words: np.ndarray):
         self.words = words
 
-    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-        """The first `n_words` words, as ``SeedSequence.generate_state`` gives them.
+    def generate_state(self, n_words: int, dtype=np.uint64) -> np.ndarray:
+        """The first `n_words` uint64 words, as ``SeedSequence.generate_state(n_words, np.uint64)`` gives them.
 
-        A uint64 word is a pair of the uint32 words, little-endian.
+        Each is a pair of the uint32 words, little-endian; `dtype` is
+        ignored.
         """
-        if np.dtype(dtype) == np.uint64:
-            return self.words.astype("<u4").view("<u8").astype(np.uint64)[:n_words]
-        return self.words[:n_words].copy()
+        return self.words.astype("<u4").view("<u8").astype(np.uint64)[:n_words]
 
 
 def child_rngs(seeds: Sequence[int], *path: int) -> Iterator[np.random.Generator]:

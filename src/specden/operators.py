@@ -331,14 +331,13 @@ def observable_from_transform(grid: TransformGrid, f: ObservableFn | Callable):
         raise ValidationError("density transform needs at least two grid points to integrate")
     else:
         if grid.kernel is not None:
-            _warn_if_coarse(grid.frequencies, grid.kernel, stacklevel=3)
+            _warn_if_coarse(grid.frequencies, grid.kernel)
         q = np.trapezoid(grid.values * fx, grid.frequencies)
     return float(q) if grid.values.ndim == 1 else q
 
 
-def _warn_if_coarse(frequencies: np.ndarray, kernel: GaussianKernel | JacksonKernel,
-                    stacklevel: int = 2) -> None:
-    """Warn when an integration grid's spacing exceeds the kernel width."""
+def _warn_if_coarse(frequencies: np.ndarray, kernel: GaussianKernel | JacksonKernel) -> None:
+    """Warn when an integration grid's spacing exceeds the kernel width, at the integrator's caller."""
     spacing = float(np.max(np.diff(frequencies)))
     width = kernel.width
     if spacing > width:
@@ -346,7 +345,7 @@ def _warn_if_coarse(frequencies: np.ndarray, kernel: GaussianKernel | JacksonKer
             f"grid spacing {spacing:.3g} exceeds kernel width {width:.3g}; "
             "the integral may be inaccurate",
             CoarseGridWarning,
-            stacklevel=stacklevel,
+            stacklevel=3,
         )
 
 

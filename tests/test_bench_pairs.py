@@ -145,7 +145,7 @@ def test_byte_commands_reach_every_transform_both_routes_a_per_peak_verify_and_b
 def test_byte_commands_reach_the_plan_nearest_a_rounding_flip(tmp_path):
     # per_order_shots is the ceiling of 2 ln(2/eta) (L c_max / beta)^2, which
     # here lies 0.005 below the next integer
-    (plan,) = [c for c in bench_pairs.BYTE_COMMANDS if c[0] == "plan"]
+    (plan,) = [c for c in bench_pairs.BYTE_COMMANDS if c[:3] == ["plan", "--method", "git"]]
     assert cli.main([*plan, "--out", str(tmp_path)]) == 0
     (row,) = json.loads((tmp_path / "plan.json").read_text())["plans"]
     assert (row["method"], row["order"], row["per_order_shots"]) == ("git", 7031, 40855870975)
@@ -153,3 +153,10 @@ def test_byte_commands_reach_the_plan_nearest_a_rounding_flip(tmp_path):
     c_max = np.max(np.abs(chebgauss.coefficient_table(row["lam"], CONTRACT_GRID, row["order"])))
     argument = 2.0 * math.log(2.0 / target.eta) * (row["order"] * c_max / target.beta) ** 2
     assert 0.0 < row["per_order_shots"] - argument < 0.01
+
+
+def test_byte_commands_reach_the_amplifiers_refusal(capsys):
+    # k = 212: the one ramp fails its contract there, so the jackson plan exits 3
+    (plan,) = [c for c in bench_pairs.BYTE_COMMANDS if c[:3] == ["plan", "--method", "jackson"]]
+    assert cli.main(plan) == 3
+    assert capsys.readouterr().err.startswith("out of regime: no contract-satisfying amplifier at degree 212:")

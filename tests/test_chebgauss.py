@@ -52,8 +52,10 @@ def test_lambert_w_golden_and_identity():
         w = lambert_w(x)
         assert abs(w * math.exp(w) - x) < 1e-12 * max(1.0, x)
     assert lambert_w(0.0) == 0.0
-    with pytest.raises(ValidationError):
-        lambert_w(-1.0)
+    # the asymptotic order passes x > 0 only: no x below 0 is accepted, nan neither
+    for x in (-1.0, -0.1, -1e-300, float("nan")):
+        with pytest.raises(ValidationError, match="lambert_w needs x >= 0"):
+            lambert_w(x)
 
 
 def test_planner_constants_published_values():
@@ -263,6 +265,8 @@ def test_coefficient_table_refuses_centers_beyond_interval(nu):
     # 4 (L + 1) > 2^26 projection nodes, 512 MiB for each array over them
     (projection_cmax, 2**24, "projection nodes of the exact Gaussian"),
     (_direct_coefficient_table, 2**24, "projection nodes of the exact Gaussian"),
+    # 5 x (L + 1) cells within the cap, but 1.7e11 Clenshaw steps over their L/2 + 1 terms
+    (coefficient_table, 2**18, "Clenshaw steps of the series table"),
 ])
 def test_git_tables_refuse_sizes_over_cap_before_allocating(build, order, what):
     tracemalloc.start()

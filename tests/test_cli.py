@@ -499,6 +499,19 @@ _EDGE_MODEL = ["--gen", "dense:4", "--seed", "1"]
         (["bench", "--sigma", "1e-160", "--delta", "0.5"], 4),
         (["bench", "--sigma", "1e-300", "--delta", "0.5"], 4),
         (["bench", "--delta", "1e-120"], 4),
+        # gap and ground_weight are read by the gapped ensemble alone, as numbers within range
+        (["estimate", "--method", "fejer", *_EDGE_TARGET, "--gen", "dense:8:gap=0.5", "--seed", "1"], 2),
+        (["estimate", "--method", "git", *_EDGE_TARGET, "--gen", "spiked:8:ground_weight=0.5", "--seed", "1"], 2),
+        (["estimate", "--method", "fejer", *_EDGE_TARGET, "--gen", "gapped:8:gap=0.9", "--seed", "1"], 2),
+        (["estimate", "--method", "fejer", *_EDGE_TARGET, "--gen", "gapped:8:ground_weight=1.5", "--seed", "1"], 2),
+        (["estimate", "--method", "fejer", *_EDGE_TARGET, "--gen", "gapped:8:gap=wide", "--seed", "1"], 2),
+        # the series table's F (L + 1) (L/2 + 1) Clenshaw steps past 2^36: 2.7e11 and 7.5e12
+        (["plan", "--method", "git", "--sigma", "0.1", "--delta", "5e-5"], 4),
+        (["plan", "--method", "git", "--sigma", "0.1", "--delta", "1e-5"], 4),
+        # --model beside --gen, a git plan with no --sigma, a config file's unknown method
+        (["estimate", "--method", "fejer", *_EDGE_TARGET, *_EDGE_MODEL, "--model", b"dim 2\n0.5 0\n0 -0.5\n1 0\n"], 2),
+        (["plan", "--method", "git", "--delta", "0.1"], 2),
+        (["plan", "--config", b"method = wavelet\n", *_EDGE_TARGET], 2),
     ],
     ids=["negative-seed", "infinite-spacing", "samples-past-int64", "fejer-budget-overflow",
          "git-budget-overflow", "nan-nu", "zero-models", "zero-trials", "dense-dim-over-cap",
@@ -509,10 +522,12 @@ _EDGE_MODEL = ["--gen", "dense:4", "--seed", "1"]
          "jackson-amplifier-floor-plan", "jackson-amplifier-floor-transform",
          "git-projection-nodes-over-cap-estimate", "git-projection-nodes-over-cap-verify",
          "git-series-table-over-cap", "bench-tsa-overflow", "bench-tsa-eps-underflow",
-         "bench-tsa-delta-underflow"],
+         "bench-tsa-delta-underflow", "dense-gap", "spiked-ground-weight", "gapped-gap-too-wide",
+         "gapped-ground-weight-above-1", "gapped-gap-not-a-number", "git-series-table-steps-5e-5",
+         "git-series-table-steps-1e-5", "model-and-gen", "git-plan-without-sigma", "config-unknown-method"],
 )
 def test_edge_inputs_exit_with_their_documented_code(tmp_path_factory, tmp_path, capsys, argv, code):
-    # a bytes item is written to a model file outside the output directory
+    # a bytes item is written to a model or config file outside the output directory
     model = tmp_path_factory.mktemp("model") / "model.txt"
     for arg in argv:
         if isinstance(arg, bytes):
@@ -524,6 +539,26 @@ def test_edge_inputs_exit_with_their_documented_code(tmp_path_factory, tmp_path,
     assert err.startswith({2: "error: ", 3: "out of regime: ", 4: "resource cap: "}[code])
     assert err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
+
+
+def test_a_generator_parameter_its_kind_does_not_read_is_named(capsys):
+    assert run_cli("estimate", "--method", "fejer", *_EDGE_TARGET, "--gen", "dense:8:gap=0.5", "--seed", "1") == 2
+    assert capsys.readouterr().err == "error: generator kind 'dense' takes no parameter 'gap'\n"
+    # an unknown name is named as unknown, not as a bad value
+    assert run_cli("estimate", "--method", "fejer", *_EDGE_TARGET, "--gen", "dense:8:mystery=1", "--seed", "1") == 2
+    assert capsys.readouterr().err == "error: unknown generator parameter 'mystery'\n"
+
+
+def test_a_warning_prints_as_one_line_and_the_report_is_still_written(tmp_path):
+    # the tests turn warnings into errors, so the command runs in its own process
+    src = Path(__file__).resolve().parents[1] / "src"
+    argv = ["verify", "--method", "git", "--sigma", "0.1", "--delta", "0.2", "--grid-spacing", "2",
+            "--gen", "dense:4", "--seed", "1", "--trials", "2", "--out", str(tmp_path)]
+    done = subprocess.run([sys.executable, "-m", "specden", *argv], env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0
+    assert done.stderr == "warning: grid spacing 2 exceeds kernel width 0.0932; the integral may be inaccurate\n"
+    assert (tmp_path / "verify_report.json").exists()
 
 
 def test_an_over_cap_fejer_grid_names_its_planned_size(capsys):

@@ -34,7 +34,8 @@ printed to stdout and to stderr, with its output directory read as
 fixed :data:`BYTE_COMMANDS`, which reach what no pass runs: every
 method's ``transform``, ``estimate`` on both histogram routes, a
 per-peak ``verify``, the git ``plan`` whose shot count lies nearest
-to a rounding flip, and ``bench``.  The op count, the artifact count
+to a rounding flip, the jackson ``plan`` whose amplifier is refused,
+and ``bench``.  The op count, the artifact count
 and the mismatches go under ``bytes``, per workload and under
 ``commands``.  Nothing under ``perfbench/`` is imported into this
 process or edited.
@@ -78,7 +79,9 @@ _TARGET = ["--sigma", "0.1", "--delta", "0.05", "--seed", "1"]
 # peaks of spiked:8 take the distribution route at 738 shots.  The verify's 4
 # trials, 2 per model, draw per peak, as 32 x 185 x 2 < 256 x 64.  The plan
 # prices git at L = 7,031, where per_order_shots is the ceiling of
-# 40,855,870,974.995: the published integer nearest to a rounding flip.
+# 40,855,870,974.995: the published integer nearest to a rounding flip.  The
+# jackson plan needs an amplifier of degree k = 212, where the amplifier is
+# refused (exit 3).
 BYTE_COMMANDS = [
     *(["transform", "--method", m, *_TARGET, "--gen", "spiked:64"]
       for m in ("fejer", "qfejer", "git", "jackson")),
@@ -87,6 +90,7 @@ BYTE_COMMANDS = [
     ["estimate", "--method", "qfejer", *_TARGET, "--beta", "0.05", "--gen", "spiked:8:count=2"],
     ["verify", "--method", "fejer", *_TARGET, "--gen", "spiked:64:count=2", "--trials", "4"],
     ["plan", "--method", "git", "--sigma", "0.1", "--delta", "0.002"],
+    ["plan", "--method", "jackson", "--sigma", "1e-13", "--delta", "0.01"],
     ["bench"],
 ]
 
